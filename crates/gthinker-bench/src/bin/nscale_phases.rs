@@ -72,6 +72,6 @@ fn main() {
     }
     println!(
         "\nG-thinker materializes no store: construction overlaps mining inside each task\n\
-         (its column is total wall-clock including the ~100 ms job coordination floor)"
+         (its column is total wall-clock including a few ms of job set-up and teardown)"
     );
 }

@@ -89,7 +89,7 @@ fn main() {
         format!("{:.1}×", nuri.elapsed.as_secs_f64() / modeled.as_secs_f64().max(1e-9)),
     );
     println!(
-        "\nnote: G-thinker carries ~100 ms of fixed coordination overhead per job; at the\n\
+        "\nnote: G-thinker carries a few ms of fixed set-up and teardown per job; at the\n\
          paper's data scales (runs of seconds to hours) it vanishes, and on this single-core\n\
          host the modeled ∥ column is the honest parallel-time comparison (see crate docs)"
     );

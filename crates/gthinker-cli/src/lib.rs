@@ -782,6 +782,9 @@ type GlobalOf<A> = <<A as App>::Agg as Aggregator>::Global;
 struct ClusterSeat {
     manifest: ClusterManifest,
     me: WorkerId,
+    /// This process's mesh listener, bound before the graph is loaded
+    /// so a peer that finishes loading first finds it listening.
+    listener: std::net::TcpListener,
     timeout: Duration,
     /// `--status`: print a cluster progress line to stderr every second
     /// (master only; workers have no cluster view).
@@ -900,7 +903,7 @@ fn run_cluster<A: App>(
     app: A,
     input: &GraphInput,
     cfg: &JobConfig,
-    seat: &ClusterSeat,
+    seat: ClusterSeat,
     render: impl FnOnce(&JobResult<GlobalOf<A>>) -> String,
 ) -> Result<String, CliError> {
     let status = seat.status;
@@ -921,6 +924,7 @@ fn run_cluster<A: App>(
             &seat.manifest,
             seat.me,
             seat.timeout,
+            seat.listener,
             opts,
             on_telemetry,
         )
@@ -933,6 +937,7 @@ fn run_cluster<A: App>(
             &seat.manifest,
             seat.me,
             seat.timeout,
+            seat.listener,
             on_telemetry,
         )
         .map(|role| (role, None))
@@ -1054,9 +1059,13 @@ fn cmd_cluster(is_master: bool, mut args: Vec<String>) -> Result<String, CliErro
         });
     }
     cfg.net_backend = net_backend;
+    let me = WorkerId(me as u16);
+    let listener = std::net::TcpListener::bind(manifest.addr(me))
+        .map_err(|e| CliError(format!("{role}: cannot bind {}: {e}", manifest.addr(me))))?;
     let seat = ClusterSeat {
         manifest,
-        me: WorkerId(me as u16),
+        me,
+        listener,
         timeout,
         status,
         telemetry_addr,
@@ -1075,7 +1084,7 @@ fn cmd_cluster(is_master: bool, mut args: Vec<String>) -> Result<String, CliErro
             let tau: usize = take_parsed(&mut args, "--tau")?.unwrap_or(40_000);
             let path = args.first().ok_or_else(|| CliError(format!("{role} mcf: missing FILE")))?;
             let input = open_graph_input(path)?;
-            run_cluster(MaxCliqueApp::with_tau(tau), &input, &cfg, &seat, |r| {
+            run_cluster(MaxCliqueApp::with_tau(tau), &input, &cfg, seat, |r| {
                 format!(
                     "maximum clique: {} vertices in {:.2?}\nmembers: {:?}",
                     r.global.len(),
@@ -1091,15 +1100,15 @@ fn cmd_cluster(is_master: bool, mut args: Vec<String>) -> Result<String, CliErro
             let render =
                 |r: &JobResult<u64>| format!("triangles: {} in {:.2?}", r.global, r.elapsed);
             if bundle > 0 {
-                run_cluster(BundledTriangleApp::new(bundle), &input, &cfg, &seat, render)
+                run_cluster(BundledTriangleApp::new(bundle), &input, &cfg, seat, render)
             } else {
-                run_cluster(TriangleApp, &input, &cfg, &seat, render)
+                run_cluster(TriangleApp, &input, &cfg, seat, render)
             }
         }
         "mc" => {
             let path = args.first().ok_or_else(|| CliError(format!("{role} mc: missing FILE")))?;
             let input = open_graph_input(path)?;
-            run_cluster(MaximalCliqueApp, &input, &cfg, &seat, |r| {
+            run_cluster(MaximalCliqueApp, &input, &cfg, seat, |r| {
                 format!("maximal cliques: {} in {:.2?}", r.global, r.elapsed)
             })
         }
@@ -1110,7 +1119,7 @@ fn cmd_cluster(is_master: bool, mut args: Vec<String>) -> Result<String, CliErro
             let max: usize = take_parsed(&mut args, "--max")?.unwrap_or(5);
             let path = args.first().ok_or_else(|| CliError(format!("{role} qc: missing FILE")))?;
             let input = open_graph_input(path)?;
-            run_cluster(QuasiCliqueApp::new(gamma, min, max), &input, &cfg, &seat, move |r| {
+            run_cluster(QuasiCliqueApp::new(gamma, min, max), &input, &cfg, seat, move |r| {
                 format!(
                     "γ={gamma} quasi-cliques of size {min}..{max}: {} in {:.2?}",
                     r.global, r.elapsed
@@ -1125,7 +1134,7 @@ fn cmd_cluster(is_master: bool, mut args: Vec<String>) -> Result<String, CliErro
             let max: usize = take_parsed(&mut args, "--max")?.unwrap_or(min + 2);
             let path = args.first().ok_or_else(|| CliError(format!("{role} kp: missing FILE")))?;
             let input = open_graph_input(path)?;
-            run_cluster(KPlexApp::new(k, min, max), &input, &cfg, &seat, move |r| {
+            run_cluster(KPlexApp::new(k, min, max), &input, &cfg, seat, move |r| {
                 format!(
                     "connected {k}-plexes of size {min}..{max}: {} in {:.2?}",
                     r.global, r.elapsed
@@ -1141,7 +1150,7 @@ fn cmd_cluster(is_master: bool, mut args: Vec<String>) -> Result<String, CliErro
             let labels = input.labels().ok_or_else(|| {
                 CliError(format!("{role} gm: the data graph must be labeled (gen --labels K)"))
             })?;
-            run_cluster(MatchingApp::new(pattern, labels), &input, &cfg, &seat, move |r| {
+            run_cluster(MatchingApp::new(pattern, labels), &input, &cfg, seat, move |r| {
                 format!("embeddings of {spec}: {} in {:.2?}", r.global, r.elapsed)
             })
         }

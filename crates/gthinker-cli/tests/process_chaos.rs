@@ -175,9 +175,11 @@ fn triangle_count_survives_a_real_process_kill_mid_pull() {
         let hosts = free_hosts(3);
         let ck = tmp.join("ck").to_str().unwrap().to_string();
         // Triangle counting is pull-dominated, and pulls are batched —
-        // a worker's whole run is a few dozen messages. 20 of worker
-        // 1's own messages lands the abort inside the pull phase.
-        let chaos = run_chaos_cluster(&hosts, &ck, 20, &["tc", &graph, "--compers", "2"]);
+        // a worker's whole run is about two dozen messages, five of
+        // them its first tick (sync, report, clock ping and the two
+        // replies). 10 of worker 1's own messages lands the abort
+        // inside the pull phase.
+        let chaos = run_chaos_cluster(&hosts, &ck, 10, &["tc", &graph, "--compers", "2"]);
         let _ = std::fs::remove_dir_all(&tmp);
         (reference, chaos)
     });
@@ -207,8 +209,9 @@ fn max_clique_survives_a_real_process_kill_mid_steal() {
         // The mark must land inside the build-independent pull/steal
         // phase: timer-driven traffic (syncs, reports) inflates debug
         // message counts, so a higher mark that is mid-job in debug
-        // can fire after termination in release.
-        let chaos = run_chaos_cluster(&hosts, &ck, 20, &["mcf", &graph, "--compers", "2"]);
+        // can fire after termination in release (a release run is over
+        // in ~20 ms and ~25 of worker 1's messages).
+        let chaos = run_chaos_cluster(&hosts, &ck, 10, &["mcf", &graph, "--compers", "2"]);
         let _ = std::fs::remove_dir_all(&tmp);
         (reference, chaos)
     });

@@ -160,6 +160,11 @@ pub fn run_worker_process_source_on<A: App>(
 /// the hook for `--status` progress lines and the `--telemetry-addr`
 /// scrape endpoint. The hook only fires on worker 0 (the master is the
 /// only process that aggregates reports).
+///
+/// Takes the mesh `listener` pre-bound: a process that binds it
+/// *before* loading its graph lets faster peers' dials wait in the
+/// kernel backlog instead of being refused into a retry backoff.
+#[allow(clippy::too_many_arguments)]
 pub fn run_worker_process_source_observed<A: App>(
     app: Arc<A>,
     source: GraphSource<'_>,
@@ -167,9 +172,9 @@ pub fn run_worker_process_source_observed<A: App>(
     manifest: &ClusterManifest,
     me: WorkerId,
     connect_timeout: Duration,
+    listener: TcpListener,
     on_telemetry: impl FnOnce(Arc<ClusterTelemetry>) + 'static,
 ) -> io::Result<ClusterRole<Global<A>>> {
-    let listener = TcpListener::bind(manifest.addr(me))?;
     run_cluster_inner(
         app,
         source,
@@ -385,7 +390,8 @@ pub fn run_worker_process_recovering_on<A: App>(
 /// [`run_worker_process_recovering`] over an explicit [`GraphSource`],
 /// with the master's live [`ClusterTelemetry`] handed to `on_telemetry`
 /// before the first attempt (worker 0 only) — the recovery-capable
-/// counterpart of [`run_worker_process_source_observed`].
+/// counterpart of [`run_worker_process_source_observed`], pre-bound
+/// `listener` included.
 #[allow(clippy::too_many_arguments)]
 pub fn run_worker_process_source_recovering_observed<A: App>(
     app: Arc<A>,
@@ -394,10 +400,10 @@ pub fn run_worker_process_source_recovering_observed<A: App>(
     manifest: &ClusterManifest,
     me: WorkerId,
     connect_timeout: Duration,
+    listener: TcpListener,
     opts: RecoveryOptions,
     on_telemetry: impl FnOnce(Arc<ClusterTelemetry>) + 'static,
 ) -> io::Result<(ClusterRole<Global<A>>, RecoveryReport)> {
-    let listener = TcpListener::bind(manifest.addr(me))?;
     run_cluster_recovering(
         app,
         source,

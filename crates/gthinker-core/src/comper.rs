@@ -53,6 +53,9 @@ const PERIODIC_NOTIFY: usize = 32;
 pub(crate) fn comper_loop<A: App>(shared: Arc<WorkerShared<A>>, idx: usize) {
     let mut ctx = ComperCtx { counter: shared.cache.counter_handle(), seq: 0, idx };
     let me = || &shared.compers[idx];
+    // True from a park until the next round that finds work: leaving a
+    // park with work is an idle → busy transition of the worker.
+    let mut parked = false;
     loop {
         if shared.stopping() {
             break;
@@ -77,6 +80,7 @@ pub(crate) fn comper_loop<A: App>(shared: Arc<WorkerShared<A>>, idx: usize) {
             me().busy.store(false, Ordering::SeqCst);
             shared.batcher.flush_all(&*shared.net);
             park(&shared, idx, key);
+            parked = true;
             continue;
         }
         // Declare busy *before* actually taking from the sources, so
@@ -85,6 +89,12 @@ pub(crate) fn comper_loop<A: App>(shared: Arc<WorkerShared<A>>, idx: usize) {
         // before the subsequent source reads (a StoreLoad edge only
         // seqcst provides) for the termination argument to hold.
         me().busy.store(true, Ordering::SeqCst);
+        if std::mem::take(&mut parked) {
+            // After the busy flag, so the bump is never visible before
+            // the non-quiescence it announces (see
+            // `WorkerShared::activity`).
+            shared.activity.fetch_add(1, Ordering::SeqCst);
+        }
         let mut progressed = false;
 
         // push(): consume one ready task.
@@ -124,6 +134,7 @@ pub(crate) fn comper_loop<A: App>(shared: Arc<WorkerShared<A>>, idx: usize) {
             // key — GC evictions, response arrivals and sibling
             // enqueues all notify.
             park(&shared, idx, key);
+            parked = true;
         }
     }
     me().busy.store(false, Ordering::SeqCst);
@@ -140,8 +151,12 @@ pub(crate) fn comper_loop<A: App>(shared: Arc<WorkerShared<A>>, idx: usize) {
 
 /// Parks the calling comper until new work is published (or the
 /// fallback elapses), maintaining the idle/park/wakeup counters, the
-/// park-duration histogram and (when tracing) a `Park` span.
+/// park-duration histogram and (when tracing) a `Park` span. The
+/// caller has cleared its busy flag, which may have been the last thing
+/// keeping the worker non-quiescent — if so the main thread is told
+/// now, not at its next periodic tick.
 fn park<A: App>(shared: &Arc<WorkerShared<A>>, idx: usize, key: u64) {
+    shared.signal_if_newly_quiescent();
     let start = Instant::now();
     let trace = shared.metrics.ring.enabled();
     let ts = if trace { now_nanos() } else { 0 };

@@ -649,36 +649,36 @@ pub(crate) fn worker_main<A: App>(
     });
     let deadline = shared.config.suspend_after.map(|d| Instant::now() + d);
 
-    // Periodic synchronization loop. The event-count wait replaces the
-    // old `thread::sleep`: the sync interval is the fallback cadence,
-    // and `wake_all` (stop/suspend) cuts the wait short so shutdown
-    // latency is not bounded by the tick period.
+    // Synchronization loop. The main thread sleeps on `tick_events`
+    // until the next periodic tick is due or something wakes it: this
+    // worker's quiescence edge, verdict-changing control traffic at the
+    // master, stop/suspend. The wait key is taken *before* the state is
+    // examined, so an event that lands while this iteration runs makes
+    // the wait below return at once instead of being lost. The first
+    // tick is due immediately.
     let mut was_idle = false;
     let mut abort_broadcast = false;
+    let mut next_tick = Instant::now();
     loop {
         let key = shared.tick_events.listen();
-        if !shared.stopping() {
-            shared.tick_events.wait(key, shared.config.sync_interval);
+        let now = Instant::now();
+        let periodic = now >= next_tick;
+        if periodic {
+            next_tick = now + shared.config.sync_interval;
+            worker_tick(&shared, WorkerId(0));
         }
-        let idle = worker_tick(&shared, WorkerId(0));
-        // Mark quiescence edges in the timeline (sampled at tick
-        // granularity; a sub-tick dip into and out of quiescence is
-        // invisible here, as in the paper's periodic sync).
+        let idle = shared.report_progress(WorkerId(0), periodic);
+        // Mark quiescence edges in the timeline.
         if idle != was_idle {
             was_idle = idle;
-            if shared.metrics.ring.enabled() {
-                shared.metrics.ring.push(gthinker_metrics::Event {
-                    ts: gthinker_metrics::now_nanos(),
-                    dur: 0,
-                    tid: gthinker_metrics::TID_MAIN,
-                    arg: 0,
-                    kind: if idle {
-                        gthinker_metrics::EventKind::QuiesceEnter
-                    } else {
-                        gthinker_metrics::EventKind::QuiesceExit
-                    },
-                });
-            }
+            shared.trace_main(
+                if idle {
+                    gthinker_metrics::EventKind::QuiesceEnter
+                } else {
+                    gthinker_metrics::EventKind::QuiesceExit
+                },
+                0,
+            );
         }
         // A UDF panic on this worker aborts the whole job: tell every
         // other worker to stop, then go through the normal shutdown
@@ -690,7 +690,7 @@ pub(crate) fn worker_main<A: App>(
             shared.wake_all();
         }
         if let Some(m) = master.as_mut() {
-            let decided = m.tick();
+            let decided = m.step(periodic);
             if !decided {
                 if let Some(dl) = deadline {
                     if Instant::now() >= dl {
@@ -705,6 +705,7 @@ pub(crate) fn worker_main<A: App>(
         if shared.stopping() {
             break;
         }
+        shared.tick_events.wait(key, next_tick.saturating_duration_since(Instant::now()));
     }
     // A panicking comper records the failure and flips `done` itself;
     // both stores can land between this iteration's failure check and

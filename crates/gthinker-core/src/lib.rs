@@ -59,6 +59,7 @@ pub mod job;
 mod master;
 pub mod metrics;
 pub mod output;
+mod termination;
 mod worker;
 
 pub use agg::{Aggregator, LocalAgg, NoAgg};

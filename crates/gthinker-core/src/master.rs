@@ -3,10 +3,13 @@
 //! The master merges aggregator partials and broadcasts the global
 //! value, gathers progress reports, plans work stealing from loaded to
 //! idle workers, and decides distributed termination (or suspension for
-//! the fault-tolerance path).
+//! the fault-tolerance path). The termination verdict itself is the
+//! pure state machine in [`crate::termination`]; this module feeds it
+//! events and carries out its actions.
 
 use crate::agg::Aggregator;
 use crate::api::App;
+use crate::termination::{Action, Event, Termination};
 use crate::worker::WorkerShared;
 use crossbeam::channel::Receiver;
 use gthinker_graph::ids::WorkerId;
@@ -14,10 +17,6 @@ use gthinker_net::message::Message;
 use gthinker_task::codec::{from_bytes, to_bytes};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Number of consecutive all-quiescent sync rounds required before the
-/// master terminates the job (absorbs report staleness).
-const QUIESCENT_ROUNDS: u32 = 3;
 
 /// Minimum estimated remaining batches on a victim before the master
 /// bothers stealing from it.
@@ -32,16 +31,19 @@ const STEAL_IMBALANCE: u64 = 2;
 /// Upper bound on tasks per brokered batch, in task-batch (`C`) units.
 const STEAL_MAX_BATCHES: u64 = 4;
 
-/// Master-side retry: ticks before an unfinished brokering is
-/// abandoned and re-planned. Safe to drop early — any batch already in
-/// flight is still owned (and resent) by its victim, whose quiescence
-/// predicate accounts for it, so abandoning the bookkeeping can
-/// neither lose work nor unblock termination.
-const STEAL_RETRY_TICKS: u32 = 150;
+/// Master-side retry: how long an unfinished brokering may stay open
+/// before it is abandoned and re-planned. Safe to drop early — any
+/// batch already in flight is still owned (and resent) by its victim,
+/// whose quiescence predicate accounts for it, so abandoning the
+/// bookkeeping can neither lose work nor unblock termination.
+const STEAL_RETRY: Duration = Duration::from_secs(3);
 
 #[derive(Clone, Copy, Default)]
 struct Report {
     remaining: u64,
+    /// The planner's view of "this worker is starving": the report's
+    /// idle flag, cleared when a batch is brokered to the worker. (The
+    /// termination verdict keeps its own, epoch-checked copy.)
     quiescent: bool,
     seen: bool,
     /// Compers the worker reported parked with nothing reachable.
@@ -61,8 +63,8 @@ struct StealPlanState {
     executed: Option<u32>,
     /// Receipt acks from the thief so far.
     acked: u32,
-    /// Master ticks since the request went out (retry timeout).
-    ticks: u32,
+    /// When the brokering is abandoned (retry timeout).
+    deadline: Instant,
 }
 
 impl StealPlanState {
@@ -71,14 +73,17 @@ impl StealPlanState {
     }
 }
 
-/// Master state machine; drive with [`MasterState::tick`].
+/// Master state machine; drive with [`MasterState::step`].
 pub(crate) struct MasterState<A: App> {
     shared: Arc<WorkerShared<A>>,
     ctrl: Receiver<Message>,
     global: <A::Agg as Aggregator>::Global,
     reports: Vec<Report>,
     plan: Option<StealPlanState>,
-    quiescent_rounds: u32,
+    term: Termination,
+    /// Encoding of the last global broadcast; an unchanged value is not
+    /// sent again.
+    sent_global: Option<Vec<u8>>,
     finals: usize,
     finals_seen: Vec<bool>,
     suspend_done: usize,
@@ -118,7 +123,8 @@ impl<A: App> MasterState<A> {
             global,
             reports: vec![Report::default(); n],
             plan: None,
-            quiescent_rounds: 0,
+            term: Termination::new(n),
+            sent_global: None,
             finals: 0,
             finals_seen: vec![false; n],
             suspend_done: 0,
@@ -137,15 +143,19 @@ impl<A: App> MasterState<A> {
         self.failed
     }
 
-    /// Drains control traffic and performs one coordination round.
-    /// Returns `true` once the master has broadcast the terminate (or
-    /// suspend) decision.
-    pub fn tick(&mut self) -> bool {
+    /// Drains control traffic and reacts to it: runs on every wake of
+    /// the worker-0 main thread, `periodic` marking the ones that fall
+    /// on the sync-interval cadence (the only ones that broadcast the
+    /// global aggregate). Returns `true` once the master has broadcast
+    /// the terminate (or suspend) decision.
+    pub fn step(&mut self, periodic: bool) -> bool {
         self.drain_ctrl();
         if self.detect_failure() {
             return true;
         }
-        self.broadcast_global();
+        if periodic {
+            self.broadcast_global();
+        }
         if self.terminated {
             return true;
         }
@@ -154,7 +164,37 @@ impl<A: App> MasterState<A> {
             return self.terminated;
         }
         self.plan_stealing();
-        self.check_termination()
+        false
+    }
+
+    /// Feeds the termination state machine and carries out its action.
+    /// A pending suspend ends the segment instead, so the verdict is
+    /// not pursued while one is.
+    fn observe(&mut self, event: Event) {
+        if self.terminated || self.suspend_pending {
+            return;
+        }
+        match self.term.step(event) {
+            Some(Action::Probe { round }) => {
+                self.shared.trace_main(gthinker_metrics::EventKind::Probe, round);
+                // The master's own worker answers like any other: its
+                // receiver thread evaluates the ack, which is what the
+                // "continuously idle" argument needs.
+                for w in 0..self.shared.config.num_workers {
+                    self.shared.net.send(WorkerId(w as u16), Message::Probe { round });
+                }
+            }
+            Some(Action::Terminate) => {
+                self.terminated = true;
+                self.shared.trace_main(gthinker_metrics::EventKind::Terminate, 0);
+                self.shared.net.broadcast(&Message::Terminate);
+                self.shared.done.store(true, std::sync::atomic::Ordering::SeqCst);
+                // Remote workers are woken by their receivers on
+                // Terminate; this wakes the master's own parked threads.
+                self.shared.wake_all();
+            }
+            None => {}
+        }
     }
 
     /// The unified failure detector. Two signals fold into one verdict:
@@ -205,7 +245,7 @@ impl<A: App> MasterState<A> {
 
     fn absorb(&mut self, msg: Message) {
         match msg {
-            Message::Progress { worker, remaining, idle, idle_compers, steal_inflight } => {
+            Message::Progress { worker, remaining, idle, idle_compers, steal_inflight, epoch } => {
                 self.reports[worker.index()] = Report {
                     remaining,
                     quiescent: idle,
@@ -215,6 +255,11 @@ impl<A: App> MasterState<A> {
                     fresh: true,
                 };
                 self.last_seen[worker.index()] = Instant::now();
+                self.observe(Event::Report { worker: worker.index(), idle, epoch });
+            }
+            Message::ProbeAck { worker, round, idle, epoch } => {
+                self.last_seen[worker.index()] = Instant::now();
+                self.observe(Event::Ack { worker: worker.index(), round, idle, epoch });
             }
             Message::AggregatorSync { worker, payload, is_final } => {
                 let partial: <A::Agg as Aggregator>::Partial =
@@ -264,38 +309,43 @@ impl<A: App> MasterState<A> {
             }
             other => panic!("unexpected control message at master: {other:?}"),
         }
-        if let Some(plan) = &self.plan {
-            if plan.complete() {
-                self.plan = None;
-            }
+        if self.plan.as_ref().is_some_and(StealPlanState::complete) {
+            self.plan = None;
+            self.observe(Event::PlanClosed);
         }
     }
 
-    fn broadcast_global(&self) {
+    /// Broadcasts the merged global aggregate, unless it still encodes
+    /// to exactly what the last broadcast carried.
+    fn broadcast_global(&mut self) {
         let payload = to_bytes(&self.global);
+        if self.sent_global.as_ref() == Some(&payload) {
+            return;
+        }
         self.shared.net.broadcast(&Message::AggregatorGlobal { payload: payload.clone() });
         // The master's own snapshot updates directly (its self-send
         // would work too, but this keeps it fresh within the tick).
         if let Ok(g) = from_bytes(&payload) {
             self.shared.agg.set_global(g);
         }
+        self.sent_global = Some(payload);
     }
 
     /// Picks one (victim, thief) pair when the ready-queue depth and
     /// idle-comper reports show a clear imbalance, and brokers a steal
     /// by sending the victim a [`Message::StealRequest`]. One brokering
     /// in flight at a time; a stuck one is abandoned (and later
-    /// re-planned) after [`STEAL_RETRY_TICKS`].
+    /// re-planned) after [`STEAL_RETRY`].
     fn plan_stealing(&mut self) {
         if !self.shared.config.work_stealing {
             return;
         }
-        if let Some(plan) = &mut self.plan {
-            plan.ticks += 1;
-            if plan.ticks < STEAL_RETRY_TICKS {
+        if let Some(plan) = &self.plan {
+            if Instant::now() < plan.deadline {
                 return;
             }
             self.plan = None; // timed out — re-broker below
+            self.observe(Event::PlanClosed);
         }
         // Thief: the most starved worker — fully quiescent beats
         // partially idle, more parked compers beats fewer.
@@ -326,7 +376,14 @@ impl<A: App> MasterState<A> {
                 return;
             }
             let max_tasks = (remaining / 2).clamp(1, STEAL_MAX_BATCHES * batch) as u32;
-            self.plan = Some(StealPlanState { executed: None, acked: 0, ticks: 0 });
+            self.plan = Some(StealPlanState {
+                executed: None,
+                acked: 0,
+                deadline: Instant::now() + STEAL_RETRY,
+            });
+            // Before the request leaves: from here until the plan
+            // closes, no confirmation wave can succeed.
+            self.observe(Event::PlanOpened);
             self.shared.net.send(
                 WorkerId(victim as u16),
                 Message::StealRequest {
@@ -339,32 +396,11 @@ impl<A: App> MasterState<A> {
             // stale flags until fresh reports arrive.
             self.reports[thief].quiescent = false;
             self.reports[thief].idle_compers = 0;
-            self.quiescent_rounds = 0;
         }
-    }
-
-    fn check_termination(&mut self) -> bool {
-        let all_quiescent =
-            self.reports.iter().all(|r| r.seen && r.quiescent) && self.plan.is_none();
-        if all_quiescent {
-            self.quiescent_rounds += 1;
-        } else {
-            self.quiescent_rounds = 0;
-        }
-        if self.quiescent_rounds >= QUIESCENT_ROUNDS {
-            self.terminated = true;
-            self.shared.net.broadcast(&Message::Terminate);
-            self.shared.done.store(true, std::sync::atomic::Ordering::SeqCst);
-            // Remote workers are woken by their receivers on Terminate;
-            // this wakes the master's own parked threads.
-            self.shared.wake_all();
-            return true;
-        }
-        false
     }
 
     /// Requests a suspend (fault-tolerance path). Idempotent; the
-    /// broadcast itself is deferred by [`MasterState::tick`] until the
+    /// broadcast itself is deferred by [`MasterState::step`] until the
     /// steal protocol holds no task in flight, so a checkpoint can
     /// never capture a batch on both its victim and its thief.
     pub fn request_suspend(&mut self) {

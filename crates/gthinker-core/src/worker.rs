@@ -17,7 +17,7 @@ use crossbeam::channel::Sender;
 use gthinker_graph::ids::{VertexId, WorkerId};
 use gthinker_graph::partition::HashPartitioner;
 use gthinker_metrics::{
-    now_nanos, ComperHists, Event, EventKind, WorkerMetrics, TID_GC, TID_RECEIVER,
+    now_nanos, ComperHists, Event, EventKind, WorkerMetrics, TID_GC, TID_MAIN, TID_RECEIVER,
 };
 use gthinker_net::batch::RequestBatcher;
 use gthinker_net::frame;
@@ -40,6 +40,10 @@ use std::time::{Duration, Instant};
 
 /// Rough fixed overhead per in-memory task, on top of its subgraph.
 const TASK_OVERHEAD_BYTES: usize = 128;
+
+/// [`WorkerShared::reported_epoch`] while the last progress report said
+/// busy (or none has gone out yet). Never a real activity epoch.
+const NOT_IDLE: u64 = u64::MAX;
 
 /// Nanoseconds of CPU time consumed by the calling thread.
 ///
@@ -286,9 +290,24 @@ pub(crate) struct WorkerShared<A: App> {
     /// Wakes the GC thread when the cache may have grown past its
     /// limit (receiver installed responses) or the worker is stopping.
     pub gc_events: EventCount,
-    /// Wakes the worker main thread out of its sync-interval wait so
-    /// shutdown is not bounded by the tick period.
+    /// Wakes the worker main thread out of its sync-interval wait: on
+    /// stop/suspend, on the worker's own quiescence edge (so the idle
+    /// report leaves at once) and, on the master, when a control
+    /// message that can change the termination verdict arrives.
     pub tick_events: EventCount,
+    /// Activity epoch: bumped on every idle → busy transition (a comper
+    /// leaving a park with work, the receiver landing a steal batch or
+    /// executing a steal request), *after* the transition is visible
+    /// to [`WorkerShared::quiescent`]. A progress report reads it before
+    /// evaluating the predicate and a probe ack after, so two equal
+    /// readings around two `true` verdicts prove the worker never left
+    /// quiescence in between.
+    pub activity: AtomicU64,
+    /// The epoch the last progress report said idle at, or [`NOT_IDLE`].
+    /// Written by the main thread only; threads that may have just made
+    /// the worker quiescent compare it with `activity` to tell a new
+    /// quiescence edge from one already reported.
+    pub reported_epoch: AtomicU64,
     pub counters: WorkerCounters,
     /// First UDF panic observed on this worker (message), if any. A
     /// panicking `compute()`/`task_spawn()` must not strand the job in
@@ -382,6 +401,8 @@ impl<A: App> WorkerShared<A> {
             sched_events: EventCount::new(),
             gc_events: EventCount::new(),
             tick_events: EventCount::new(),
+            activity: AtomicU64::new(0),
+            reported_epoch: AtomicU64::new(NOT_IDLE),
             counters: WorkerCounters::default(),
             failure: Mutex::new(None),
             drained_queues: Mutex::new(Vec::new()),
@@ -482,6 +503,67 @@ impl<A: App> WorkerShared<A> {
                     && c.buffer.is_empty()
                     && c.pending.is_empty()
             })
+    }
+
+    /// Called by a thread that may just have made the worker quiescent
+    /// (a comper about to park, the receiver after settling the last
+    /// pull or the last unacked steal batch): wakes the main thread if
+    /// this is a quiescence edge it has not reported yet, so the idle
+    /// report leaves now instead of at the next periodic tick.
+    pub fn signal_if_newly_quiescent(&self) {
+        if self.reported_epoch.load(Ordering::SeqCst) != self.activity.load(Ordering::SeqCst)
+            && self.quiescent()
+        {
+            self.tick_events.notify_all();
+        }
+    }
+
+    /// Evaluates quiescence and reports it to the master — always on a
+    /// `periodic` tick (the report also carries the steal planner's
+    /// inputs and the heartbeat), otherwise only when the verdict
+    /// differs from the last one sent. Returns the verdict.
+    ///
+    /// The epoch is read *before* the predicate: an idle → busy
+    /// transition that this evaluation misses bumps the epoch after the
+    /// read, and the probe ack that would confirm this report sees it.
+    pub fn report_progress(&self, master: WorkerId, periodic: bool) -> bool {
+        let epoch = self.activity.load(Ordering::SeqCst);
+        let idle = self.quiescent();
+        let report = if idle { epoch } else { NOT_IDLE };
+        if !periodic && self.reported_epoch.load(Ordering::SeqCst) == report {
+            return idle;
+        }
+        self.reported_epoch.store(report, Ordering::SeqCst);
+        // Idle compers (parked with nothing reachable) feed the master's
+        // thief selection; the in-flight count gates its suspend
+        // broadcast.
+        let idle_compers = self
+            .compers
+            .iter()
+            .filter(|c| {
+                !c.busy.load(Ordering::Relaxed) && c.queue.is_empty() && c.buffer.is_empty()
+            })
+            .count() as u16;
+        self.net.send(
+            master,
+            Message::Progress {
+                worker: self.me,
+                remaining: self.remaining_estimate(),
+                idle,
+                idle_compers,
+                steal_inflight: self.steal_inflight.load(Ordering::Relaxed).min(u32::MAX as u64)
+                    as u32,
+                epoch,
+            },
+        );
+        idle
+    }
+
+    /// Pushes an instant event on the main thread's trace row.
+    pub fn trace_main(&self, kind: EventKind, arg: u64) {
+        if self.metrics.ring.enabled() {
+            self.metrics.ring.push(Event { ts: now_nanos(), dur: 0, tid: TID_MAIN, arg, kind });
+        }
     }
 
     /// Records a UDF panic (first one wins).
@@ -593,6 +675,9 @@ const RECV_BATCH: usize = 64;
 struct WakeSet {
     sched: bool,
     gc: bool,
+    /// The master's main thread has verdict-changing control traffic
+    /// queued on its channel.
+    tick: bool,
 }
 
 impl WakeSet {
@@ -602,6 +687,9 @@ impl WakeSet {
         }
         if std::mem::take(&mut self.gc) {
             shared.gc_events.notify_all();
+        }
+        if std::mem::take(&mut self.tick) {
+            shared.tick_events.notify_all();
         }
     }
 }
@@ -674,6 +762,7 @@ fn handle_message<A: App>(
                 shared.metrics.pull_rtt.record(now_nanos().saturating_sub(req_nanos));
             }
             let mut made_ready = false;
+            let mut settled_last_pull = false;
             for (v, adj) in entries {
                 // `None` = no open R-table entry: a duplicate (the wire
                 // duplicated the response, or a retry raced the
@@ -697,7 +786,13 @@ fn handle_message<A: App>(
                 // orders the buffer push before the count reaching 0;
                 // nothing here needs the full seqcst fence the old code
                 // paid per entry.
-                shared.outstanding_pulls.fetch_sub(1, Ordering::Release);
+                settled_last_pull = shared.outstanding_pulls.fetch_sub(1, Ordering::Release) == 1;
+            }
+            // No activity-epoch bump for a task made ready: a pull was
+            // outstanding, so the worker was not quiescent, and a parked
+            // comper that picks the task up bumps the epoch itself.
+            if settled_last_pull && !made_ready {
+                shared.signal_if_newly_quiescent();
             }
             // Edge-triggered wakes, batched: a comper parks only with
             // an empty B_task, so a response that completes no task
@@ -737,6 +832,10 @@ fn handle_message<A: App>(
                 // victim's drain to this ack, some worker always owns
                 // the tasks (overlap, never a gap).
                 shared.spill.push_file_bytes(batch).expect("spill dir writable");
+                // Idle → busy, bumped once the batch is visible in the
+                // spill pool: a later probe is answered by this same
+                // thread, so its ack cannot miss the bump.
+                shared.activity.fetch_add(1, Ordering::SeqCst);
                 if shared.metrics.ring.enabled() {
                     shared.metrics.ring.push(Event {
                         ts: now_nanos(),
@@ -759,15 +858,31 @@ fn handle_message<A: App>(
         Message::StealAck { seq } => {
             // The thief holds the batch durably; drop the retained
             // copy. A second ack for the same seq finds nothing.
-            if shared.steal_outgoing.lock().remove(&seq).is_some() {
-                shared.steal_inflight.fetch_sub(1, Ordering::Release);
+            if shared.steal_outgoing.lock().remove(&seq).is_some()
+                && shared.steal_inflight.fetch_sub(1, Ordering::Release) == 1
+            {
+                shared.signal_if_newly_quiescent();
             }
         }
         Message::AggregatorGlobal { payload } => match gthinker_task::codec::from_bytes(&payload) {
             Ok(global) => shared.agg.set_global(global),
             Err(e) => panic!("corrupt aggregator broadcast: {e}"),
         },
+        Message::Probe { round } => {
+            // Predicate first, epoch second — the mirror image of
+            // `report_progress`, so equal epochs bracket the interval
+            // between the report and this ack.
+            let idle = shared.quiescent();
+            let epoch = shared.activity.load(Ordering::SeqCst);
+            shared
+                .net
+                .send(WorkerId(0), Message::ProbeAck { worker: shared.me, round, idle, epoch });
+            if shared.me != WorkerId(0) {
+                shared.trace_main(EventKind::Probe, round);
+            }
+        }
         Message::Terminate => {
+            shared.trace_main(EventKind::Terminate, 0);
             shared.done.store(true, Ordering::SeqCst);
             shared.wake_all();
         }
@@ -800,6 +915,7 @@ fn handle_message<A: App>(
             // that mattered. A straggling duplicate is meaningless.
         }
         m @ (Message::Progress { .. }
+        | Message::ProbeAck { .. }
         | Message::AggregatorSync { .. }
         | Message::MetricsReport { .. }
         | Message::StealExecuted { .. }
@@ -808,7 +924,16 @@ fn handle_message<A: App>(
         | Message::PeerDown { .. }) => {
             // Master-only control traffic: hand to the main thread.
             // (`PeerDown` at a non-master just accumulates unread — the
-            // master decides what a dead peer means for the job.)
+            // master decides what a dead peer means for the job.) The
+            // kinds that can change the termination verdict or free the
+            // steal planner wake it; the rest wait for its next tick.
+            wakes.tick |= matches!(
+                m,
+                Message::Progress { idle: true, .. }
+                    | Message::ProbeAck { .. }
+                    | Message::StealExecuted { .. }
+                    | Message::StealDone
+            );
             let _ = ctrl.send(m);
         }
     }
@@ -847,9 +972,13 @@ fn execute_steal_request<A: App>(shared: &Arc<WorkerShared<A>>, thief: WorkerId,
     // source until the sealed batch sits in the ledger, this counter
     // keeps the worker non-quiescent (`WorkerShared::quiescent`).
     shared.steal_inflight.fetch_add(1, Ordering::SeqCst);
+    // Even an empty-handed request takes the worker out of quiescence
+    // for a moment; an idle report from before it must not be confirmed.
+    shared.activity.fetch_add(1, Ordering::SeqCst);
     let Some((bytes, count)) = steal_payload(shared, (max_tasks as usize).max(1)) else {
         shared.steal_inflight.fetch_sub(1, Ordering::Release);
         shared.net.send(WorkerId(0), Message::StealExecuted { sent: 0 });
+        shared.signal_if_newly_quiescent();
         return;
     };
     let seq = shared.steal_seq.fetch_add(1, Ordering::Relaxed);
@@ -981,11 +1110,12 @@ pub(crate) fn gc_loop<A: App>(shared: &Arc<WorkerShared<A>>) {
     handle.flush();
 }
 
-/// Periodic duties of every worker's main thread (master or not):
-/// report progress, ship the aggregator partial, flush request batches
-/// and sample memory. Returns the quiescence verdict this tick
-/// reported, so the caller can trace quiescence edges.
-pub(crate) fn worker_tick<A: App>(shared: &Arc<WorkerShared<A>>, master: WorkerId) -> bool {
+/// Periodic duties of every worker's main thread (master or not), run
+/// once per sync interval: flush request batches, retry lost pulls and
+/// steal batches, sample memory, ship the aggregator partial. (The
+/// progress report is [`WorkerShared::report_progress`], which also
+/// runs between ticks on quiescence edges.)
+pub(crate) fn worker_tick<A: App>(shared: &Arc<WorkerShared<A>>, master: WorkerId) {
     shared.batcher.flush_all(&*shared.net);
     // Loss tolerance: re-request pulls whose R-table deadline expired
     // (the wire may have dropped the request or the response). The scan
@@ -1032,25 +1162,6 @@ pub(crate) fn worker_tick<A: App>(shared: &Arc<WorkerShared<A>>, master: WorkerI
         master,
         Message::AggregatorSync { worker: shared.me, payload: to_bytes(&partial), is_final: false },
     );
-    let idle = shared.quiescent();
-    // Idle compers (parked with nothing reachable) feed the master's
-    // thief selection; the in-flight count gates its suspend broadcast.
-    let idle_compers = shared
-        .compers
-        .iter()
-        .filter(|c| !c.busy.load(Ordering::Relaxed) && c.queue.is_empty() && c.buffer.is_empty())
-        .count() as u16;
-    shared.net.send(
-        master,
-        Message::Progress {
-            worker: shared.me,
-            remaining: shared.remaining_estimate(),
-            idle,
-            idle_compers,
-            steal_inflight: shared.steal_inflight.load(Ordering::Relaxed).min(u32::MAX as u64)
-                as u32,
-        },
-    );
     // Clock-sync pings: non-master workers take a few RTT samples early
     // in the run so end-of-job trace stitching can map their event
     // timestamps onto the master's clock.
@@ -1076,5 +1187,4 @@ pub(crate) fn worker_tick<A: App>(shared: &Arc<WorkerShared<A>>, master: WorkerI
             crate::metrics::send_report(shared, master, false);
         }
     }
-    idle
 }

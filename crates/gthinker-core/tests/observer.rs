@@ -55,7 +55,9 @@ fn observer_sees_monotonic_progress_and_final_result_is_unaffected() {
     let snapshots = Arc::new(parking_lot::Mutex::new(Vec::new()));
     let sink = Arc::clone(&snapshots);
     let mut cfg = JobConfig::cluster(2, 2);
-    cfg.sync_interval = Duration::from_millis(10);
+    // Well below the job's few milliseconds of mining: the job ends as
+    // soon as it is quiescent, so a longer interval may never elapse.
+    cfg.sync_interval = Duration::from_millis(1);
     let r = run_job_observed(Arc::new(EdgeCount), &g, &cfg, move |s| {
         sink.lock().push(s);
     })

@@ -39,6 +39,12 @@ pub enum EventKind {
     /// A thief applied one cluster steal batch; `arg` is the same
     /// `(victim, seq)` flow key as the matching [`EventKind::StealSend`].
     StealRecv,
+    /// A termination confirmation wave: the master sent the probe, or a
+    /// worker's receiver answered it; `arg` = the wave's round number.
+    Probe,
+    /// The termination verdict: the master broadcast it, or a worker's
+    /// receiver saw it arrive.
+    Terminate,
 }
 
 impl EventKind {
@@ -56,6 +62,8 @@ impl EventKind {
             EventKind::QuiesceExit => "quiesce_exit",
             EventKind::StealSend => "steal_send",
             EventKind::StealRecv => "steal_recv",
+            EventKind::Probe => "probe",
+            EventKind::Terminate => "terminate",
         }
     }
 
@@ -73,6 +81,8 @@ impl EventKind {
             EventKind::QuiesceExit => 8,
             EventKind::StealSend => 9,
             EventKind::StealRecv => 10,
+            EventKind::Probe => 11,
+            EventKind::Terminate => 12,
         }
     }
 
@@ -90,6 +100,8 @@ impl EventKind {
             8 => EventKind::QuiesceExit,
             9 => EventKind::StealSend,
             10 => EventKind::StealRecv,
+            11 => EventKind::Probe,
+            12 => EventKind::Terminate,
             _ => return None,
         })
     }
@@ -110,6 +122,7 @@ impl EventKind {
             EventKind::GcPass => Some("evicted"),
             EventKind::Respond => Some("vertices"),
             EventKind::StealSend | EventKind::StealRecv => Some("flow"),
+            EventKind::Probe => Some("round"),
             _ => None,
         }
     }
@@ -264,6 +277,8 @@ mod tests {
             EventKind::QuiesceExit,
             EventKind::StealSend,
             EventKind::StealRecv,
+            EventKind::Probe,
+            EventKind::Terminate,
         ] {
             assert_eq!(EventKind::from_code(kind.code()), Some(kind));
         }

@@ -25,8 +25,8 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"GTKW");
 
 /// Bump whenever the frame layout or any [`crate::message::Message`]
 /// encoding changes; peers with different versions refuse each other.
-/// v4: hello payload carries a rejoin generation number.
-pub const WIRE_VERSION: u16 = 4;
+/// v5: `Progress` carries the activity epoch; `Probe`/`ProbeAck` added.
+pub const WIRE_VERSION: u16 = 5;
 
 /// Fixed bytes around every payload: 12-byte header + 4-byte CRC.
 pub const FRAME_OVERHEAD: usize = HEADER_LEN + 4;

@@ -68,6 +68,11 @@ pub enum Message {
         /// Steal batches this worker has sealed but not yet seen acked
         /// (outstanding ownership transfers; nonzero blocks suspend).
         steal_inflight: u32,
+        /// The worker's activity epoch, read just before `idle` was
+        /// evaluated. It moves on every idle → busy transition, so an
+        /// idle report is only confirmed by a [`Message::ProbeAck`]
+        /// carrying the same value.
+        epoch: u64,
     },
     /// The master instructs `victim` to send up to `max_tasks` tasks to
     /// `thief`.
@@ -109,6 +114,25 @@ pub enum Message {
     AggregatorGlobal {
         /// Encoded global aggregate.
         payload: Vec<u8>,
+    },
+    /// Termination confirmation wave: the master saw an idle report
+    /// from every worker and asks each (itself included) whether it is
+    /// *still* idle. Answered by the worker's receiver thread with a
+    /// [`Message::ProbeAck`].
+    Probe {
+        /// The wave this probe belongs to; echoed in the ack.
+        round: u64,
+    },
+    /// A worker's answer to a [`Message::Probe`].
+    ProbeAck {
+        /// Answering worker.
+        worker: WorkerId,
+        /// The probe's round, echoed verbatim.
+        round: u64,
+        /// The quiescence predicate, evaluated when the probe arrived.
+        idle: bool,
+        /// The worker's activity epoch, read just after `idle`.
+        epoch: u64,
     },
     /// Job end signal from the master; workers stop their threads.
     Terminate,
@@ -212,6 +236,8 @@ mod tag {
     pub const PEER_DOWN: u8 = 17;
     pub const ABORT: u8 = 18;
     pub const RESUME: u8 = 19;
+    pub const PROBE: u8 = 20;
+    pub const PROBE_ACK: u8 = 21;
 }
 
 /// Byte-payload fields use the same layout as the codec's `Vec<u8>`
@@ -251,13 +277,14 @@ impl Encode for Message {
                 seq.encode(buf);
                 encode_bytes(bytes, buf);
             }
-            Message::Progress { worker, remaining, idle, idle_compers, steal_inflight } => {
+            Message::Progress { worker, remaining, idle, idle_compers, steal_inflight, epoch } => {
                 buf.push(tag::PROGRESS);
                 worker.encode(buf);
                 remaining.encode(buf);
                 idle.encode(buf);
                 idle_compers.encode(buf);
                 steal_inflight.encode(buf);
+                epoch.encode(buf);
             }
             Message::StealRequest { victim, thief, max_tasks } => {
                 buf.push(tag::STEAL_REQUEST);
@@ -279,6 +306,17 @@ impl Encode for Message {
             Message::AggregatorGlobal { payload } => {
                 buf.push(tag::AGGREGATOR_GLOBAL);
                 encode_bytes(payload, buf);
+            }
+            Message::Probe { round } => {
+                buf.push(tag::PROBE);
+                round.encode(buf);
+            }
+            Message::ProbeAck { worker, round, idle, epoch } => {
+                buf.push(tag::PROBE_ACK);
+                worker.encode(buf);
+                round.encode(buf);
+                idle.encode(buf);
+                epoch.encode(buf);
             }
             Message::Terminate => buf.push(tag::TERMINATE),
             Message::Suspend => buf.push(tag::SUSPEND),
@@ -347,6 +385,7 @@ impl Decode for Message {
                 idle: bool::decode(buf)?,
                 idle_compers: u16::decode(buf)?,
                 steal_inflight: u32::decode(buf)?,
+                epoch: u64::decode(buf)?,
             },
             tag::STEAL_REQUEST => Message::StealRequest {
                 victim: WorkerId::decode(buf)?,
@@ -361,6 +400,13 @@ impl Decode for Message {
                 is_final: bool::decode(buf)?,
             },
             tag::AGGREGATOR_GLOBAL => Message::AggregatorGlobal { payload: decode_bytes(buf)? },
+            tag::PROBE => Message::Probe { round: u64::decode(buf)? },
+            tag::PROBE_ACK => Message::ProbeAck {
+                worker: WorkerId::decode(buf)?,
+                round: u64::decode(buf)?,
+                idle: bool::decode(buf)?,
+                epoch: u64::decode(buf)?,
+            },
             tag::TERMINATE => Message::Terminate,
             tag::SUSPEND => Message::Suspend,
             tag::SUSPEND_DONE => Message::SuspendDone { worker: WorkerId::decode(buf)? },
@@ -403,7 +449,9 @@ impl Message {
                 8 + entries.iter().map(|(_, adj)| 4 + 8 + 4 * adj.degree()).sum::<usize>() + 8
             }
             Message::StealBatch { bytes, .. } => 2 + 8 + 8 + bytes.len(),
-            Message::Progress { .. } => 2 + 8 + 1 + 2 + 4,
+            Message::Progress { .. } => 2 + 8 + 1 + 2 + 4 + 8,
+            Message::Probe { .. } => 8,
+            Message::ProbeAck { .. } => 2 + 8 + 1 + 8,
             Message::StealRequest { .. } => 2 + 2 + 4,
             Message::StealExecuted { .. } => 4,
             Message::StealAck { .. } => 8,
@@ -476,17 +524,25 @@ mod tests {
         assert_eq!(Message::Terminate.encoded_len(), 1);
         assert_eq!(Message::StealDone.encoded_len(), 1);
         // tag 1 + worker 2 + remaining 8 + idle 1 + idle_compers 2 +
-        // steal_inflight 4 = 18.
+        // steal_inflight 4 + epoch 8 = 26.
         assert_eq!(
             Message::Progress {
                 worker: WorkerId(1),
                 remaining: 0,
                 idle: true,
                 idle_compers: 2,
-                steal_inflight: 0
+                steal_inflight: 0,
+                epoch: 3,
             }
             .encoded_len(),
-            18
+            26
+        );
+        // tag 1 + round 8 = 9.
+        assert_eq!(Message::Probe { round: 1 }.encoded_len(), 9);
+        // tag 1 + worker 2 + round 8 + idle 1 + epoch 8 = 20.
+        assert_eq!(
+            Message::ProbeAck { worker: WorkerId(1), round: 1, idle: true, epoch: 3 }.encoded_len(),
+            20
         );
         assert_eq!(
             Message::StealRequest { victim: WorkerId(1), thief: WorkerId(2), max_tasks: 3 }
@@ -535,7 +591,10 @@ mod tests {
                 idle: false,
                 idle_compers: 3,
                 steal_inflight: 1,
+                epoch: u64::MAX,
             },
+            Message::Probe { round: 9 },
+            Message::ProbeAck { worker: WorkerId(2), round: 9, idle: true, epoch: 4 },
             Message::StealRequest { victim: WorkerId(0), thief: WorkerId(1), max_tasks: 2 },
             Message::StealExecuted { sent: 1 },
             Message::StealDone,

@@ -647,9 +647,11 @@ fn dial_with_retry(addr: SocketAddr, deadline: Instant, salt: u64) -> io::Result
         match TcpStream::connect_timeout(&addr, remaining.min(Duration::from_millis(250))) {
             Ok(s) => return Ok(s),
             Err(_) => {
-                // 10ms, 20ms, … capped at 320ms, plus up to 50% jitter;
-                // always bounded by the overall rendezvous deadline.
-                let base = 10u64 << attempt.min(5);
+                // 1ms, 2ms, 4ms, … capped at 320ms, plus up to 50%
+                // jitter; always bounded by the overall rendezvous
+                // deadline. The first steps are short because the usual
+                // refusal is a peer a few milliseconds from binding.
+                let base = (1u64 << attempt.min(9)).min(320);
                 let jitter = splitmix64(salt ^ attempt) % (base / 2 + 1);
                 let backoff = Duration::from_millis(base + jitter);
                 std::thread::sleep(backoff.min(remaining));

@@ -23,7 +23,7 @@ fn any_adj() -> impl Strategy<Value = AdjList> {
     proptest::collection::vec(any_vertex(), 0..12).prop_map(AdjList::from_unsorted)
 }
 
-/// A strategy producing every one of the 20 `Message` variants,
+/// A strategy producing every one of the 22 `Message` variants,
 /// including empty batches and extreme field values.
 fn any_message() -> impl Strategy<Value = Message> {
     prop_oneof![
@@ -34,14 +34,13 @@ fn any_message() -> impl Strategy<Value = Message> {
             .prop_map(|(entries, req_nanos)| Message::VertexResponse { entries, req_nanos }),
         (any_worker(), any::<u64>(), proptest::collection::vec(any::<u8>(), 0..64))
             .prop_map(|(victim, seq, bytes)| Message::StealBatch { victim, seq, bytes }),
-        (any_worker(), any::<u64>(), any::<bool>(), any::<u16>(), any::<u32>()).prop_map(
-            |(worker, remaining, idle, idle_compers, steal_inflight)| Message::Progress {
-                worker,
-                remaining,
-                idle,
-                idle_compers,
-                steal_inflight
-            }
+        (any_worker(), any::<u64>(), any::<bool>(), any::<u16>(), any::<u32>(), any::<u64>())
+            .prop_map(|(worker, remaining, idle, idle_compers, steal_inflight, epoch)| {
+                Message::Progress { worker, remaining, idle, idle_compers, steal_inflight, epoch }
+            }),
+        any::<u64>().prop_map(|round| Message::Probe { round }),
+        (any_worker(), any::<u64>(), any::<bool>(), any::<u64>()).prop_map(
+            |(worker, round, idle, epoch)| Message::ProbeAck { worker, round, idle, epoch }
         ),
         (any_worker(), any_worker(), any::<u32>()).prop_map(|(victim, thief, max_tasks)| {
             Message::StealRequest { victim, thief, max_tasks }

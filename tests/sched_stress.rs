@@ -7,11 +7,18 @@
 //!
 //! Sized so the whole test stays in CI budget: `ITERATIONS` jobs on
 //! graphs of ≤ 90 vertices, each pair of runs well under a second.
+//!
+//! `back_to_back_tiny_jobs_neither_end_early_nor_hang` aims the same
+//! harness at the termination protocol itself (DESIGN.md §7): hundreds
+//! of jobs so short that the end-of-job races — a steal brokered into a
+//! finishing cluster, a delayed or duplicated batch landing on an idle
+//! worker mid-wave — happen in most of them.
 
 use gthinker_apps::serial::triangle::count_triangles;
 use gthinker_apps::TriangleApp;
 use gthinker_core::prelude::*;
 use gthinker_graph::gen;
+use gthinker_net::fault::FaultConfig;
 use gthinker_net::router::LinkConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,11 +47,15 @@ fn random_config(rng: &mut StdRng, intra_steal: bool) -> JobConfig {
 /// Runs one job on its own thread and panics if it outlives the
 /// watchdog — a termination hang must fail the test, not wedge it.
 fn run_with_watchdog(seed: u64, n: usize, cfg: JobConfig, label: &str) -> (u64, u64) {
+    let r = job_with_watchdog(seed, n, cfg, label);
+    (r.global, r.total_tasks())
+}
+
+fn job_with_watchdog(seed: u64, n: usize, cfg: JobConfig, label: &str) -> JobResult<u64> {
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || {
         let g = gen::gnp(n, 0.12, seed);
-        let r = run_job(Arc::new(TriangleApp), &g, &cfg).unwrap();
-        let _ = tx.send((r.global, r.total_tasks() as u64));
+        let _ = tx.send(run_job(Arc::new(TriangleApp), &g, &cfg).unwrap());
     });
     match rx.recv_timeout(WATCHDOG) {
         Ok(result) => {
@@ -53,6 +64,50 @@ fn run_with_watchdog(seed: u64, n: usize, cfg: JobConfig, label: &str) -> (u64, 
         }
         Err(_) => panic!("job hung past {WATCHDOG:?} (seed {seed}, {label})"),
     }
+}
+
+/// Termination-protocol stress: 300 back-to-back tiny jobs on 3 sim
+/// workers with compers outnumbering cores, cluster stealing on, and a
+/// data plane that duplicates, reorders and latency-spikes vertex pulls
+/// and steal batches. Each job is over within a few milliseconds of
+/// starting, so the master's confirmation wave routinely races steal
+/// requests, late batches and duplicate deliveries. A `Terminate` sent
+/// while any task is still owned somewhere loses that task's triangles
+/// — a wrong count; a quiescence edge nobody reports or a wave nobody
+/// restarts leaves the job running — the watchdog.
+#[test]
+fn back_to_back_tiny_jobs_neither_end_early_nor_hang() {
+    const JOBS: u64 = 300;
+    let mut remote_steals = 0;
+    for job in 0..JOBS {
+        let mut rng = StdRng::seed_from_u64(0x7E2A11 ^ job);
+        let n = rng.gen_range(30..80);
+        let graph_seed = rng.gen();
+        let expected = count_triangles(&gen::gnp(n, 0.12, graph_seed));
+
+        let intra = rng.gen_bool(0.5);
+        let mut cfg = random_config(&mut rng, intra);
+        cfg.num_workers = 3;
+        cfg.work_stealing = true;
+        cfg.compute_budget = rng.gen_bool(0.5).then(|| rng.gen_range(1u64..4));
+        // Duplicates and delays only: a dropped batch or pull waits
+        // out a retry deadline (`pull_timeout`, 500 ms), which would
+        // stretch every job far past the window this test is about.
+        cfg.fault = FaultConfig {
+            seed: job,
+            dup_prob: 0.1,
+            reorder_prob: 0.25,
+            reorder_jitter: Duration::from_micros(rng.gen_range(100u64..800)),
+            spike_prob: 0.05,
+            spike: Duration::from_millis(rng.gen_range(1u64..4)),
+            ..FaultConfig::default()
+        };
+        let r = job_with_watchdog(graph_seed, n, cfg, "tiny job");
+        assert_eq!(r.global, expected, "job {job} (graph seed {graph_seed}) ended early");
+        remote_steals += r.workers.iter().map(|w| w.remote_steals).sum::<u64>();
+    }
+    eprintln!("{JOBS} tiny jobs, {remote_steals} cross-worker steal batches");
+    assert!(remote_steals > 0, "no job brokered a steal; the stress lost its steal races");
 }
 
 /// Randomized cluster-steal + straggler-split stress: multi-worker

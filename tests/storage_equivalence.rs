@@ -143,7 +143,7 @@ fn recovery_on_mapped_graph_matches_fault_free_ram_run() {
     // burns a recovery attempt on nothing.
     cfg.heartbeat_timeout = Some(Duration::from_secs(5));
     cfg.fault = FaultConfig {
-        crash: Some(CrashSchedule { worker: WorkerId(1), after_messages: Some(60), after: None }),
+        crash: Some(CrashSchedule { worker: WorkerId(1), after_messages: Some(20), after: None }),
         ..FaultConfig::default()
     };
     let (result, report) =
