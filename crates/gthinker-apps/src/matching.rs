@@ -3,7 +3,7 @@
 //! Given a small connected labeled query [`Pattern`], counts its
 //! embeddings in the data graph. Redundancy is avoided by partitioning
 //! the search space over *instances of the anchor label* (the strategy
-//! the paper attributes to its preprint [34]): each task counts only
+//! the paper attributes to its preprint \[34\]): each task counts only
 //! the embeddings that map query vertex 0 to its spawn vertex.
 //!
 //! A task grows the anchor's ego network hop by hop up to the query's

@@ -1,4 +1,4 @@
-//! Task bundling effect — the paper's future-work optimization [38]
+//! Task bundling effect — the paper's future-work optimization \[38\]
 //! ("bundling tasks of low-degree vertices into big tasks"), proposed
 //! to fix the weak 8→16-comper scaling of Table IV(b).
 //!

@@ -70,8 +70,8 @@ fn run_phase(phase: &str, args: &[String]) {
         // Mine straight off the mapping with lazy per-vertex decode.
         "mapped" => {
             let c = Arc::new(CompressedGraph::open(Path::new(&args[0])).expect("open"));
-            let r = run_job_on(Arc::new(TriangleApp), GraphSource::Mapped(c), &job_config())
-                .expect("job");
+            let r =
+                run_job(Arc::new(TriangleApp), GraphSource::Mapped(c), &job_config()).expect("job");
             println!("triangles={} vmhwm_kb={}", r.global, vm_hwm_kb());
         }
         // Generate `edges` G(n, p) edges straight into the two-pass
@@ -223,7 +223,7 @@ fn main() {
             (r.global, r.elapsed)
         },
         &|| {
-            let r = run_job_on(
+            let r = run_job(
                 Arc::new(TriangleApp),
                 GraphSource::Mapped(Arc::clone(&shared_tc)),
                 &job_config(),
@@ -240,7 +240,7 @@ fn main() {
             (r.global.len() as u64, r.elapsed)
         },
         &|| {
-            let r = run_job_on(
+            let r = run_job(
                 Arc::new(MaxCliqueApp::default()),
                 GraphSource::Mapped(Arc::clone(&shared_mcf)),
                 &job_config(),

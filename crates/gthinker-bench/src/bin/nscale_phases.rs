@@ -1,6 +1,6 @@
 //! NScale's construct-then-mine dataflow vs G-thinker's overlap (§II).
 //!
-//! The paper criticizes NScale because "all subgraphs [must] be
+//! The paper criticizes NScale because "all subgraphs \[must\] be
 //! constructed before any of them can begin its mining, leading to
 //! poor CPU utilization". This harness makes that visible: for TC and
 //! MCF on each dataset stand-in it reports the NScale-like engine's

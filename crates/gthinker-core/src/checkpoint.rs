@@ -8,7 +8,7 @@
 //!
 //! The reproduction writes one shard per worker plus a master manifest
 //! to a local directory when a job **suspends** (after
-//! `JobConfig::suspend_after`); `resume_job` restores the shards and
+//! `JobConfig::suspend_after`); `Job::resume_from` restores the shards and
 //! continues to completion. Unit and integration tests verify that
 //! suspend + resume produces exactly the results of an uninterrupted
 //! run.

@@ -1,10 +1,10 @@
 //! Job configuration and result/statistics types.
 
+use crate::job::RecoveryReport;
 use crate::metrics::MetricsSnapshot;
 use gthinker_graph::ids::WorkerId;
 use gthinker_net::fault::FaultConfig;
 use gthinker_net::router::LinkConfig;
-use gthinker_net::tcp::TcpBackend;
 use gthinker_store::cache::{CacheConfig, CacheSnapshot};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -60,14 +60,14 @@ pub struct JobConfig {
     /// reorder jitter, latency spikes, scheduled crashes). Disabled by
     /// default; the chaos tests turn it on.
     pub fault: FaultConfig,
-    /// Checkpoint cadence for `run_job_with_recovery`: the job suspends
+    /// Checkpoint cadence for `Job::recover`: the job suspends
     /// and writes an epoch this often. `None` (the default) means no
     /// periodic checkpoints — recovery falls back to rerunning from
     /// scratch.
     pub checkpoint_interval: Option<Duration>,
     /// How long the master waits without hearing from a worker before
     /// declaring it crashed (`JobOutcome::Failed`). `None` — the
-    /// default — disables detection; `run_job_with_recovery` enables it
+    /// default — disables detection; `Job::recover` enables it
     /// (as does an armed crash schedule, so a killed worker cannot hang
     /// the job).
     pub heartbeat_timeout: Option<Duration>,
@@ -86,13 +86,6 @@ pub struct JobConfig {
     /// only the final end-of-job report on multi-worker runs, so the
     /// hot path is unchanged.
     pub report_interval: Option<Duration>,
-    /// TCP data plane for multi-process cluster runs
-    /// (`--net-backend`): the default evented plane (one `poll(2)`
-    /// I/O thread per worker, pooled zero-copy frames, vectored
-    /// writes) or the legacy threaded plane (reader thread per peer,
-    /// synchronous writes) kept as the ablation baseline. Ignored by
-    /// the in-process sim router.
-    pub net_backend: TcpBackend,
 }
 
 impl Default for JobConfig {
@@ -119,7 +112,6 @@ impl Default for JobConfig {
             heartbeat_timeout: None,
             compute_budget: None,
             report_interval: None,
-            net_backend: TcpBackend::default(),
         }
     }
 }
@@ -240,15 +232,15 @@ pub enum JobOutcome {
     /// Ran to completion; the aggregate is final.
     Completed,
     /// Suspended after `suspend_after`; a checkpoint was written and
-    /// the job can be resumed with `resume_job`.
+    /// the job can be resumed with `Job::resume_from`.
     Suspended {
         /// Checkpoint directory.
         checkpoint: PathBuf,
     },
     /// A worker stopped responding (crashed) and the master's heartbeat
     /// timeout fired; partial results are unreliable and the job should
-    /// be rerun from the latest checkpoint (`run_job_with_recovery`
-    /// does this automatically).
+    /// be rerun from the latest checkpoint (`Job::recover` does this
+    /// automatically).
     Failed {
         /// The worker that went silent.
         worker: WorkerId,
@@ -270,6 +262,9 @@ pub struct JobResult<G> {
     /// counters and (when `trace_capacity > 0`) the event timelines.
     /// Empty histograms when the `metrics` feature is disabled.
     pub metrics: MetricsSnapshot,
+    /// What crash recovery did along the way; all zero unless the job
+    /// ran with `Job::recover`.
+    pub recovery: RecoveryReport,
 }
 
 impl<G> JobResult<G> {
@@ -342,6 +337,7 @@ mod tests {
                 },
             ],
             metrics: MetricsSnapshot::default(),
+            recovery: RecoveryReport::default(),
         };
         assert_eq!(r.peak_mem_bytes(), 30);
         assert_eq!(r.total_net_bytes(), 12);

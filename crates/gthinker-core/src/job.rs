@@ -1,5 +1,7 @@
 //! The job runner: wires graph, workers, threads and the master
-//! together; entry points [`run_job`] and [`resume_job`].
+//! together. [`Job`] is the one entry point ([`run_job`] its
+//! shorthand); [`crate::cluster`] holds its multi-process terminal
+//! call.
 
 use crate::agg::Aggregator;
 use crate::api::App;
@@ -7,10 +9,11 @@ use crate::checkpoint::{self, Manifest, WorkerShard};
 use crate::comper::comper_loop;
 use crate::config::{JobConfig, JobOutcome, JobResult, WorkerStats};
 use crate::master::MasterState;
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::metrics::{ClusterTelemetry, MetricsRegistry, MetricsSnapshot};
 use crate::worker::{
     gc_loop, receiver_loop, responder_loop, worker_tick, ResponderRing, WorkerShared,
 };
+use crossbeam::channel::RecvTimeoutError;
 use gthinker_graph::compressed::CompressedGraph;
 use gthinker_graph::graph::Graph;
 use gthinker_graph::ids::{Label, VertexId, WorkerId};
@@ -28,10 +31,10 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 pub(crate) type Global<A> = <<A as App>::Agg as Aggregator>::Global;
-pub(crate) type Partial<A> = <<A as App>::Agg as Aggregator>::Partial;
+type Partial<A> = <<A as App>::Agg as Aggregator>::Partial;
 
 /// Where a job reads its graph from.
 ///
@@ -64,32 +67,12 @@ impl From<Arc<CompressedGraph>> for GraphSource<'static> {
     }
 }
 
-/// Runs an application over `graph` with the given configuration,
-/// blocking until completion (or suspension if
-/// `config.suspend_after` fires first).
-pub fn run_job<A: App>(
-    app: Arc<A>,
-    graph: &Graph,
-    config: &JobConfig,
-) -> io::Result<JobResult<Global<A>>> {
-    run_inner(app, GraphSource::InMemory(graph), config, None, None)
-}
-
-/// [`run_job`] over an explicit [`GraphSource`] — use this to run the
-/// job directly off a memory-mapped compressed graph without ever
-/// materializing adjacency in RAM.
-pub fn run_job_on<A: App>(
-    app: Arc<A>,
-    source: GraphSource<'_>,
-    config: &JobConfig,
-) -> io::Result<JobResult<Global<A>>> {
-    run_inner(app, source, config, None, None)
-}
-
-/// A point-in-time view of a running job, delivered to the observer of
-/// [`run_job_observed`]. This is the paper's "periodically synchronize
-/// job status to monitor progress" made visible to the embedding
-/// application (e.g. the current total in triangle counting).
+/// A point-in-time view of a running job: the projection of a
+/// [`MetricsSnapshot`] (see [`MetricsSnapshot::progress`]) an observer
+/// installed with [`Job::observe`] usually wants. This is the paper's
+/// "periodically synchronize job status to monitor progress" made
+/// visible to the embedding application (e.g. the current total in
+/// triangle counting).
 #[derive(Clone, Debug)]
 pub struct ProgressSnapshot {
     /// Time since the job started.
@@ -108,306 +91,474 @@ pub struct ProgressSnapshot {
     pub quiescent_workers: usize,
 }
 
-/// Like [`run_job`], but invokes `observer` with a [`ProgressSnapshot`]
-/// every `config.sync_interval` until the job ends. The snapshot is a
-/// projection of the full [`MetricsSnapshot`]; use
-/// [`run_job_metrics_observed`] for the complete view.
-pub fn run_job_observed<A: App>(
-    app: Arc<A>,
-    graph: &Graph,
-    config: &JobConfig,
-    mut observer: impl FnMut(ProgressSnapshot) + Send + 'static,
-) -> io::Result<JobResult<Global<A>>> {
-    run_inner(
-        app,
-        GraphSource::InMemory(graph),
-        config,
-        None,
-        Some(Box::new(move |m: &MetricsSnapshot| observer(m.progress()))),
-    )
+/// Crash-recovery policy, switched on with [`Job::recover`].
+#[derive(Clone, Copy, Debug)]
+pub struct RecoveryOptions {
+    /// Recovery rounds (crash → fall back to the last validated
+    /// checkpoint → rerun) tolerated before the job is abandoned with
+    /// an error.
+    pub max_recoveries: u32,
+    /// This process's rejoin generation in a multi-process job: 0 on a
+    /// first launch, `g + 1` when a supervisor respawns it after
+    /// generation `g` died. Peers accept the bumped hello and reject
+    /// frames from the dead generation's sockets. Unused by
+    /// [`Job::run`], where no process is ever respawned.
+    pub generation: u32,
 }
 
-/// Like [`run_job`], but invokes `observer` with a full
-/// [`MetricsSnapshot`] (counters, cache stats, per-comper latency
-/// histograms) every `config.sync_interval` until the job ends.
-pub fn run_job_metrics_observed<A: App>(
-    app: Arc<A>,
-    graph: &Graph,
-    config: &JobConfig,
-    observer: impl FnMut(&MetricsSnapshot) + Send + 'static,
-) -> io::Result<JobResult<Global<A>>> {
-    run_inner(app, GraphSource::InMemory(graph), config, None, Some(Box::new(observer)))
-}
-
-type Observer = Box<dyn FnMut(&MetricsSnapshot) + Send>;
-
-/// Resumes a suspended job from the checkpoint directory written when
-/// it suspended. Topology (worker count) must match the original run.
-pub fn resume_job<A: App>(
-    app: Arc<A>,
-    graph: &Graph,
-    config: &JobConfig,
-    checkpoint: &std::path::Path,
-) -> io::Result<JobResult<Global<A>>> {
-    resume_job_on(app, GraphSource::InMemory(graph), config, checkpoint)
-}
-
-/// [`resume_job`] over an explicit [`GraphSource`]: resuming works the
-/// same off a memory-mapped compressed graph, since a checkpoint holds
-/// only tasks, aggregator state and the spawn pointer — never
-/// adjacency.
-pub fn resume_job_on<A: App>(
-    app: Arc<A>,
-    source: GraphSource<'_>,
-    config: &JobConfig,
-    checkpoint: &std::path::Path,
-) -> io::Result<JobResult<Global<A>>> {
-    let manifest: Manifest<Global<A>> = checkpoint::read_manifest(checkpoint)?;
-    if manifest.num_workers as usize != config.num_workers {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "checkpoint {} was taken with {} workers, cannot resume with {}",
-                checkpoint.display(),
-                manifest.num_workers,
-                config.num_workers
-            ),
-        ));
+impl Default for RecoveryOptions {
+    fn default() -> Self {
+        RecoveryOptions { max_recoveries: 8, generation: 0 }
     }
-    let mut shards = Vec::with_capacity(config.num_workers);
-    for w in 0..config.num_workers {
-        shards.push(checkpoint::read_shard::<A::Context, Partial<A>>(checkpoint, w)?);
-    }
-    run_inner(app, source, config, Some((manifest, shards)), None)
 }
 
-type Resume<A> = (Manifest<Global<A>>, Vec<WorkerShard<<A as App>::Context, Partial<A>>>);
-
-/// What [`run_job_with_recovery`] did to finish the job.
+/// What a recovering job ([`Job::recover`]) did to finish; all zero on
+/// a job that ran without recovery.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryReport {
     /// Times a crashed worker was detected and the job rerun.
     pub recoveries: u32,
     /// Valid checkpoint epochs written along the way.
     pub checkpoints: u32,
-    /// The worker declared dead at each recovery, in order.
+    /// The worker declared dead at each recovery, in order (known to
+    /// the master only).
     pub failed_workers: Vec<WorkerId>,
 }
 
-/// Like [`run_job`], but survives worker crashes: the job runs in
-/// segments of `config.checkpoint_interval`, each segment ending in a
-/// validated checkpoint epoch, and when the master's heartbeat declares
-/// a worker dead ([`JobOutcome::Failed`]) the job is rerun from the
-/// last epoch that validates (or from scratch if none does yet). Gives
-/// up with an error after `max_recoveries` reruns.
-///
-/// With `checkpoint_interval == None` the job never suspends — a crash
-/// simply reruns it from the start.
-pub fn run_job_with_recovery<A: App>(
-    app: Arc<A>,
-    graph: &Graph,
-    config: &JobConfig,
-    max_recoveries: u32,
-) -> io::Result<(JobResult<Global<A>>, RecoveryReport)> {
-    run_job_with_recovery_on(app, GraphSource::InMemory(graph), config, max_recoveries)
+type Observer<'a> = Box<dyn FnMut(&MetricsSnapshot) + Send + 'a>;
+type TelemetryHook<'a> = Box<dyn FnOnce(Arc<ClusterTelemetry>) + 'a>;
+
+/// One job: an [`App`], the graph it mines and a [`JobConfig`], plus
+/// whichever of the optional behaviours below were switched on. The
+/// options are fields read by one runner, so every combination works;
+/// the terminal call picks where the workers live — [`Job::run`] (all
+/// of them in this process, over the simulated [`Router`]) or
+/// [`Job::run_process`] (this process's one worker of a multi-process
+/// TCP cluster).
+pub struct Job<'a, A: App> {
+    pub(crate) app: Arc<A>,
+    pub(crate) source: GraphSource<'a>,
+    pub(crate) config: &'a JobConfig,
+    pub(crate) observer: Option<Observer<'a>>,
+    pub(crate) resume_from: Option<&'a Path>,
+    pub(crate) recovery: Option<RecoveryOptions>,
+    pub(crate) on_telemetry: Option<TelemetryHook<'a>>,
 }
 
-/// [`run_job_with_recovery`] over an explicit [`GraphSource`] — crash
-/// recovery composes with the memory-mapped storage backend exactly as
-/// it does with the in-RAM one.
-pub fn run_job_with_recovery_on<A: App>(
-    app: Arc<A>,
-    source: GraphSource<'_>,
-    config: &JobConfig,
-    max_recoveries: u32,
-) -> io::Result<(JobResult<Global<A>>, RecoveryReport)> {
-    let (base, auto_base) = match &config.checkpoint_dir {
-        Some(dir) => (dir.clone(), false),
-        None => {
-            let id = JOB_SEQ.fetch_add(1, Ordering::Relaxed);
-            (
-                std::env::temp_dir().join(format!("gthinker-recovery-{}-{id}", std::process::id())),
-                true,
-            )
+impl<'a, A: App> Job<'a, A> {
+    /// A job over `source` — a `&Graph`, an `Arc<CompressedGraph>`
+    /// (memory-mapped `.gtc`) or an explicit [`GraphSource`].
+    pub fn new(
+        app: Arc<A>,
+        source: impl Into<GraphSource<'a>>,
+        config: &'a JobConfig,
+    ) -> Job<'a, A> {
+        Job {
+            app,
+            source: source.into(),
+            config,
+            observer: None,
+            resume_from: None,
+            recovery: None,
+            on_telemetry: None,
         }
-    };
-    let mut cfg = config.clone();
-    cfg.heartbeat_timeout = cfg.heartbeat_timeout.or(Some(DEFAULT_HEARTBEAT));
-    let mut interval = cfg.checkpoint_interval;
-    let mut report = RecoveryReport::default();
-    let mut last_good: Option<PathBuf> = None;
-    let mut epoch = 0u32;
-    loop {
-        let mut seg = cfg.clone();
-        seg.suspend_after = interval;
-        let epoch_dir = base.join(format!("epoch-{epoch}"));
-        seg.checkpoint_dir = Some(epoch_dir.clone());
-        epoch += 1;
-        let mut result = match &last_good {
-            Some(cp) => resume_job_on(Arc::clone(&app), source.clone(), &seg, cp)?,
-            None => run_job_on(Arc::clone(&app), source.clone(), &seg)?,
+    }
+
+    /// Invokes `observer` with a [`MetricsSnapshot`] of this process's
+    /// workers (counters, cache stats, per-comper latency histograms;
+    /// [`MetricsSnapshot::progress`] projects it to a
+    /// [`ProgressSnapshot`]) every `config.sync_interval` until the job
+    /// ends.
+    pub fn observe(mut self, observer: impl FnMut(&MetricsSnapshot) + Send + 'a) -> Self {
+        self.observer = Some(Box::new(observer));
+        self
+    }
+
+    /// Starts from the checkpoint a suspended run
+    /// ([`JobOutcome::Suspended`]) wrote instead of from scratch.
+    /// Topology (worker count) must match the original run; the graph
+    /// source need not — a checkpoint holds only tasks, aggregator
+    /// state and the spawn pointer, never adjacency. [`Job::run`] only:
+    /// a multi-process job resumes from the epoch its master announces.
+    pub fn resume_from(mut self, checkpoint: &'a Path) -> Self {
+        self.resume_from = Some(checkpoint);
+        self
+    }
+
+    /// Survives worker crashes: the job runs in segments of
+    /// `config.checkpoint_interval`, each ending in a validated
+    /// checkpoint epoch under `config.checkpoint_dir`, and when the
+    /// master's failure detector declares a worker dead the job is
+    /// rerun from the last epoch that validates (or from scratch if
+    /// none does yet). Gives up with an error after
+    /// `opts.max_recoveries` reruns. With `checkpoint_interval == None`
+    /// the job never suspends — a crash simply reruns it from the
+    /// start. What happened is reported in [`JobResult::recovery`].
+    pub fn recover(mut self, opts: RecoveryOptions) -> Self {
+        self.recovery = Some(opts);
+        self
+    }
+
+    /// Hands the master's live [`ClusterTelemetry`] to `hook` before a
+    /// multi-process job starts (status lines, scrape endpoints). Fires
+    /// once, on worker 0 of [`Job::run_process`] — the only place that
+    /// aggregates remote workers' reports.
+    pub fn on_telemetry(mut self, hook: impl FnOnce(Arc<ClusterTelemetry>) + 'a) -> Self {
+        self.on_telemetry = Some(Box::new(hook));
+        self
+    }
+
+    /// Runs every worker in this process, blocking until completion
+    /// (or suspension if `config.suspend_after` fires first).
+    pub fn run(mut self) -> io::Result<JobResult<Global<A>>> {
+        let Some(opts) = self.recovery else {
+            return self.run_sim(self.config, self.resume_from);
         };
-        match result.outcome {
-            JobOutcome::Completed => {
-                if let Some(old) = last_good.take() {
-                    let _ = std::fs::remove_dir_all(old);
-                }
-                if auto_base {
-                    let _ = std::fs::remove_dir_all(&base);
-                }
-                // Parity with the cluster runner, where each process
-                // counts its own recovery rounds in its stats.
-                for w in &mut result.workers {
-                    w.recoveries = report.recoveries as u64;
-                }
-                return Ok((result, report));
-            }
-            JobOutcome::Suspended { ref checkpoint } => {
-                // Only a checkpoint that validates end-to-end (manifest
-                // + every shard, CRCs intact, topology matching) may
-                // become the recovery point.
-                match checkpoint::validate::<A::Context, Partial<A>, Global<A>>(
-                    checkpoint,
-                    cfg.num_workers,
-                ) {
-                    Ok(()) => {
-                        report.checkpoints += 1;
-                        if let Some(old) = last_good.replace(checkpoint.clone()) {
-                            let _ = std::fs::remove_dir_all(old);
-                        }
-                    }
-                    Err(_) => {
-                        let _ = std::fs::remove_dir_all(checkpoint);
-                    }
-                }
-                // A segment that checkpointed without finishing a single
-                // task would loop forever at this cadence; back off.
-                if result.total_tasks() == 0 {
-                    if let Some(i) = interval.as_mut() {
-                        *i *= 2;
-                    }
-                }
-            }
-            JobOutcome::Failed { worker } => {
-                report.recoveries += 1;
-                report.failed_workers.push(worker);
-                let _ = std::fs::remove_dir_all(&epoch_dir);
-                if report.recoveries > max_recoveries {
-                    return Err(io::Error::other(format!(
-                        "worker {} crashed and the job failed {} times; giving up",
-                        worker.index(),
-                        report.recoveries
-                    )));
-                }
+        let mut ledger = RecoveryLedger::new(self.config, opts.max_recoveries);
+        loop {
+            let seg = ledger.segment();
+            let last_good = ledger.last_good.map(|e| ledger.epoch_dir(e));
+            let mut result = self.run_sim(&seg, last_good.as_deref().or(self.resume_from))?;
+            if let JobOutcome::Failed { .. } = result.outcome {
                 // An injected crash schedule fires once per job run —
                 // and counts messages from zero again on a rerun, which
                 // would kill the same worker at the same point forever.
                 // The fault it models has happened; clear it.
-                cfg.fault.crash = None;
+                ledger.config.fault.crash = None;
             }
+            if ledger.settle::<A>(&result.outcome, result.total_tasks())? {
+                // Parity with the process runner, where each process
+                // counts its own recovery rounds in its stats.
+                for w in &mut result.workers {
+                    w.recoveries = ledger.report.recoveries as u64;
+                }
+                result.recovery = ledger.finish();
+                return Ok(result);
+            }
+        }
+    }
+
+    /// One attempt with every worker in this process, on a fresh sim
+    /// [`Router`]. Worker code only ever sees the
+    /// `Transport`/`NetEndpoint` traits, which is what makes
+    /// [`Job::run_process`] the same job over TCP.
+    fn run_sim(
+        &mut self,
+        config: &JobConfig,
+        resume: Option<&Path>,
+    ) -> io::Result<JobResult<Global<A>>> {
+        assert!(config.num_workers >= 1);
+        assert!(config.compers_per_worker >= 1);
+        let start = Instant::now();
+
+        let partitioner = HashPartitioner::new(config.num_workers as u16);
+        let every_worker: Vec<usize> = (0..config.num_workers).collect();
+        let (locals, label_table) =
+            build_locals(&self.app, &self.source, partitioner, &every_worker);
+
+        let mut router = Router::with_faults(config.num_workers, config.link, config.fault.clone());
+        let handles: Vec<Box<dyn NetEndpoint>> =
+            Transport::hosted(&router).into_iter().map(|w| router.take_endpoint(w)).collect();
+
+        let job_dir = new_job_dir(config);
+        let mut workers: Vec<Arc<WorkerShared<A>>> = Vec::with_capacity(config.num_workers);
+        let mut resume_global = None;
+        for (w, (local, net)) in locals.into_iter().zip(handles).enumerate() {
+            let shared = build_worker(
+                &self.app,
+                config,
+                &label_table,
+                partitioner,
+                w,
+                local,
+                net,
+                &job_dir,
+            )?;
+            if let Some(cp) = resume {
+                resume_global = Some(restore_worker(&shared, cp)?);
+            }
+            workers.push(shared);
+        }
+
+        let attempt =
+            run_workers(&workers, resume_global, self.observer.as_mut(), start, &job_dir, true)?;
+        drop(router);
+        let (global, outcome) = attempt.outcome.expect("master worker returns the job outcome");
+        Ok(JobResult {
+            global,
+            elapsed: start.elapsed(),
+            outcome,
+            workers: attempt.stats,
+            metrics: attempt.registry.final_snapshot(),
+            recovery: RecoveryReport::default(),
+        })
+    }
+}
+
+/// Runs an application over a graph with the given configuration,
+/// blocking until completion (or suspension if `config.suspend_after`
+/// fires first): shorthand for `Job::new(app, source, config).run()`.
+pub fn run_job<'a, A: App>(
+    app: Arc<A>,
+    source: impl Into<GraphSource<'a>>,
+    config: &'a JobConfig,
+) -> io::Result<JobResult<Global<A>>> {
+    Job::new(app, source, config).run()
+}
+
+/// The recovery rules every recovering job follows, whichever runner
+/// supplies the fresh cluster for the next attempt: attempt `k` runs a
+/// segment that checkpoints into `base/epoch-k`; only an epoch that
+/// validates end-to-end becomes the recovery point, replacing (and
+/// deleting) its predecessor; a failed attempt's epoch is deleted; the
+/// cadence backs off when a segment finishes nothing; and the job is
+/// abandoned past `max_recoveries`.
+pub(crate) struct RecoveryLedger {
+    /// The job's config with the failure detector armed: a killed
+    /// worker must never hang the survivors.
+    pub config: JobConfig,
+    base: PathBuf,
+    /// `base` is a scratch directory this ledger made up (no
+    /// `checkpoint_dir` was configured) and removes on drop.
+    auto_base: bool,
+    max_recoveries: u32,
+    interval: Option<Duration>,
+    /// The attempt about to run (or running); names its epoch.
+    pub attempt: u64,
+    /// The last attempt whose epoch validated.
+    pub last_good: Option<u64>,
+    pub report: RecoveryReport,
+}
+
+impl RecoveryLedger {
+    pub fn new(config: &JobConfig, max_recoveries: u32) -> RecoveryLedger {
+        let (base, auto_base) = match &config.checkpoint_dir {
+            Some(dir) => (dir.clone(), false),
+            None => {
+                let id = JOB_SEQ.fetch_add(1, Ordering::Relaxed);
+                let name = format!("gthinker-recovery-{}-{id}", std::process::id());
+                (std::env::temp_dir().join(name), true)
+            }
+        };
+        let mut config = config.clone();
+        config.heartbeat_timeout = config.heartbeat_timeout.or(Some(DEFAULT_HEARTBEAT));
+        RecoveryLedger {
+            interval: config.checkpoint_interval,
+            config,
+            base,
+            auto_base,
+            max_recoveries,
+            attempt: 0,
+            last_good: None,
+            report: RecoveryReport::default(),
+        }
+    }
+
+    pub fn epoch_dir(&self, epoch: u64) -> PathBuf {
+        self.base.join(format!("epoch-{epoch}"))
+    }
+
+    fn discard(&self, epoch: u64) {
+        let _ = std::fs::remove_dir_all(self.epoch_dir(epoch));
+    }
+
+    /// The current attempt's config: suspend after the checkpoint
+    /// interval, into this attempt's epoch directory.
+    pub fn segment(&self) -> JobConfig {
+        let mut seg = self.config.clone();
+        seg.suspend_after = self.interval;
+        seg.checkpoint_dir = Some(self.epoch_dir(self.attempt));
+        seg
+    }
+
+    /// Books the current attempt's outcome as the master saw it and
+    /// moves on to the next attempt; `Ok(true)` when the job is done.
+    /// `tasks_finished` is what the segment got through.
+    pub fn settle<A: App>(
+        &mut self,
+        outcome: &JobOutcome,
+        tasks_finished: u64,
+    ) -> io::Result<bool> {
+        let epoch = self.attempt;
+        self.attempt += 1;
+        match outcome {
+            JobOutcome::Completed => {
+                if let Some(old) = self.last_good.take() {
+                    self.discard(old);
+                }
+                self.discard(epoch);
+                Ok(true)
+            }
+            JobOutcome::Suspended { .. } => {
+                // Only a checkpoint that validates end-to-end (manifest
+                // + every shard, CRCs intact, topology matching) may
+                // become the recovery point.
+                match checkpoint::validate::<A::Context, Partial<A>, Global<A>>(
+                    &self.epoch_dir(epoch),
+                    self.config.num_workers,
+                ) {
+                    Ok(()) => {
+                        self.report.checkpoints += 1;
+                        if let Some(old) = self.last_good.replace(epoch) {
+                            self.discard(old);
+                        }
+                    }
+                    Err(_) => self.discard(epoch),
+                }
+                // A segment that checkpointed without finishing a single
+                // task would loop forever at this cadence; back off.
+                if tasks_finished == 0 {
+                    if let Some(i) = self.interval.as_mut() {
+                        *i *= 2;
+                    }
+                }
+                Ok(false)
+            }
+            JobOutcome::Failed { worker } => {
+                // The failed attempt's epoch is incomplete; remove it
+                // so nothing ever resumes from it.
+                self.discard(epoch);
+                self.report.failed_workers.push(*worker);
+                self.count_recovery(format_args!("worker {} crashed", worker.index()))?;
+                Ok(false)
+            }
+        }
+    }
+
+    /// The job is over: hands back the report (and, on drop, removes a
+    /// scratch base).
+    pub fn finish(mut self) -> RecoveryReport {
+        std::mem::take(&mut self.report)
+    }
+
+    /// Counts one recovery round; an error once the job has used up
+    /// `max_recoveries`.
+    pub fn count_recovery(&mut self, cause: std::fmt::Arguments<'_>) -> io::Result<()> {
+        self.report.recoveries += 1;
+        if self.report.recoveries > self.max_recoveries {
+            return Err(io::Error::other(format!(
+                "{cause} and the job failed {} times; giving up",
+                self.report.recoveries
+            )));
+        }
+        Ok(())
+    }
+}
+
+impl Drop for RecoveryLedger {
+    /// Every exit path — completion, give-up, an I/O error mid-attempt
+    /// — removes the scratch base. A configured `checkpoint_dir` is the
+    /// caller's: it keeps its last validated epoch.
+    fn drop(&mut self) {
+        if self.auto_base {
+            let _ = std::fs::remove_dir_all(&self.base);
         }
     }
 }
 
-fn run_inner<A: App>(
-    app: Arc<A>,
-    source: GraphSource<'_>,
-    config: &JobConfig,
-    resume: Option<Resume<A>>,
-    observer: Option<Observer>,
-) -> io::Result<JobResult<Global<A>>> {
-    assert!(config.num_workers >= 1);
-    assert!(config.compers_per_worker >= 1);
-    let start = Instant::now();
-
-    let partitioner = HashPartitioner::new(config.num_workers as u16);
-    let every_worker: Vec<usize> = (0..config.num_workers).collect();
-    let (locals, label_table) = build_locals(&app, &source, partitioner, &every_worker);
-
-    // The in-process job always runs on the sim backend; worker code
-    // only ever sees the Transport/NetEndpoint traits, which is what
-    // makes `cluster::run_worker_process` the same job over TCP.
-    let mut router = Router::with_faults(config.num_workers, config.link, config.fault.clone());
-    let handles: Vec<Box<dyn NetEndpoint>> =
-        Transport::hosted(&router).into_iter().map(|w| router.take_endpoint(w)).collect();
-
-    let job_dir = new_job_dir(config);
-
-    let (resume_manifest, resume_shards) = match resume {
-        Some((m, s)) => (Some(m), Some(s)),
-        None => (None, None),
-    };
-
-    // Build per-worker shared state.
-    let mut workers: Vec<Arc<WorkerShared<A>>> = Vec::with_capacity(config.num_workers);
-    for (w, (local, net)) in locals.into_iter().zip(handles).enumerate() {
-        let shared =
-            build_worker(&app, config, &label_table, partitioner, w, local, net, &job_dir)?;
-        if let Some(shards) = &resume_shards {
-            let shard = &shards[w];
-            shared.local.reset_spawn_pointer(shard.spawn_position as usize);
-            shared.agg.set_partial(shard.partial.clone());
-            // Restored tasks go through L_file so compers pick them up
-            // with the normal refill priority.
-            for chunk in shard.tasks.chunks(config.task_batch.max(1)) {
-                shared.spill.spill(chunk)?;
-            }
-        }
-        workers.push(shared);
+/// Restores one freshly built worker from its shard of checkpoint `cp`
+/// and returns the checkpointed global (the starting point for the
+/// master's further merges).
+pub(crate) fn restore_worker<A: App>(shared: &WorkerShared<A>, cp: &Path) -> io::Result<Global<A>> {
+    let manifest: Manifest<Global<A>> = checkpoint::read_manifest(cp)?;
+    if manifest.num_workers as usize != shared.config.num_workers {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "checkpoint {} was taken with {} workers, cannot resume with {}",
+                cp.display(),
+                manifest.num_workers,
+                shared.config.num_workers
+            ),
+        ));
     }
-
-    // Seed the global snapshot everywhere on resume.
-    if let Some(m) = &resume_manifest {
-        for shared in &workers {
-            shared.agg.set_global(m.global.clone());
-        }
+    let shard = checkpoint::read_shard::<A::Context, Partial<A>>(cp, shared.me.index())?;
+    shared.local.reset_spawn_pointer(shard.spawn_position as usize);
+    shared.agg.set_partial(shard.partial);
+    // Restored tasks go through L_file so compers pick them up with
+    // the normal refill priority.
+    for chunk in shard.tasks.chunks(shared.config.task_batch.max(1)) {
+        shared.spill.spill(chunk)?;
     }
+    shared.agg.set_global(manifest.global.clone());
+    Ok(manifest.global)
+}
 
-    // The registry reads every worker's atomics/histograms lock-free;
-    // one instance feeds the observer thread, another takes the final
-    // snapshot after the join below.
-    let registry = MetricsRegistry::new(workers.iter().map(Arc::clone).collect(), start);
+/// What one attempt's workers handed back.
+pub(crate) struct Attempt<A: App> {
+    pub stats: Vec<WorkerStats>,
+    /// The job outcome, when worker 0 was among `workers`.
+    pub outcome: Option<(Global<A>, JobOutcome)>,
+    /// Reads every worker's atomics/histograms lock-free.
+    pub registry: MetricsRegistry<A>,
+}
 
-    // Observer thread: samples the registry until the workers report
-    // done. The channel doubles as the sampling timer (recv_timeout)
-    // and as the shutdown wakeup, so no sleep-polling is involved.
-    let observer_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let (observer_wake_tx, observer_wake_rx) = crossbeam::channel::unbounded::<()>();
-    let observer_thread = observer.map(|mut obs| {
-        let registry = MetricsRegistry::new(workers.iter().map(Arc::clone).collect(), start);
-        let stop = Arc::clone(&observer_stop);
-        let wake = observer_wake_rx;
-        let interval = config.sync_interval;
-        std::thread::Builder::new()
-            .name("job-observer".into())
-            .spawn(move || loop {
-                let _ = wake.recv_timeout(interval);
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                obs(&registry.snapshot());
-            })
-            .expect("spawn observer")
-    });
-
-    let results: Vec<std::thread::JoinHandle<WorkerExit<A>>> = workers
-        .iter()
-        .enumerate()
-        .map(|(w, shared)| {
-            let shared = Arc::clone(shared);
-            let resume_global = resume_manifest.as_ref().map(|m| m.global.clone());
+/// Runs `workers` to the end of the attempt — each on a `worker-<w>`
+/// thread of its own, or (`threads == false`, exactly one worker) on
+/// the calling thread — sampling them for `observer` meanwhile, then
+/// tears the attempt down: spill directory removed, the first UDF
+/// panic re-raised, the first checkpoint/output I/O error returned.
+pub(crate) fn run_workers<A: App>(
+    workers: &[Arc<WorkerShared<A>>],
+    resume_global: Option<Global<A>>,
+    observer: Option<&mut Observer<'_>>,
+    start: Instant,
+    job_dir: &Path,
+    threads: bool,
+) -> io::Result<Attempt<A>> {
+    let registry = MetricsRegistry::new(workers.to_vec(), start);
+    let interval = workers[0].config.sync_interval;
+    // The channel doubles as the observer's sampling timer
+    // (recv_timeout) and as its shutdown wakeup, so no sleep-polling is
+    // involved; a worker panic unwinding out of the scope drops the
+    // sender, which stops the observer just the same.
+    let (stop_tx, stop_rx) = crossbeam::channel::unbounded::<()>();
+    let exits: Vec<WorkerExit<A>> = std::thread::scope(|s| {
+        let stop_tx = stop_tx;
+        if let Some(obs) = observer {
+            let registry = &registry;
             std::thread::Builder::new()
-                .name(format!("worker-{w}"))
-                .spawn(move || worker_main(shared, resume_global))
-                .expect("spawn worker thread")
-        })
-        .collect();
+                .name("job-observer".into())
+                .spawn_scoped(s, move || {
+                    while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
+                        obs(&registry.snapshot());
+                    }
+                })
+                .expect("spawn observer");
+        }
+        let exits = if threads {
+            let handles: Vec<_> = workers
+                .iter()
+                .map(|shared| {
+                    let shared = Arc::clone(shared);
+                    let resume_global = resume_global.clone();
+                    std::thread::Builder::new()
+                        .name(format!("worker-{}", shared.me.index()))
+                        .spawn(move || worker_main(shared, resume_global))
+                        .expect("spawn worker thread")
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
+        } else {
+            vec![worker_main(Arc::clone(&workers[0]), resume_global)]
+        };
+        let _ = stop_tx.send(());
+        exits
+    });
+    // Best-effort cleanup of the attempt's spill directory.
+    let _ = std::fs::remove_dir_all(job_dir);
 
-    let mut stats = Vec::with_capacity(config.num_workers);
-    let mut outcome: Option<WorkerOutcome<A>> = None;
-    let mut io_error: Option<io::Error> = None;
-    for handle in results {
-        let (s, o, e) = handle.join().expect("worker thread panicked");
+    // Propagate the first UDF panic (after the orderly shutdown above)
+    // so the caller sees the application's own message.
+    for shared in workers {
+        if let Some(msg) = shared.failure.lock().take() {
+            panic!("{msg}");
+        }
+    }
+    let mut stats = Vec::with_capacity(workers.len());
+    let mut outcome = None;
+    let mut io_error = None;
+    for (s, o, e) in exits {
         stats.push(s);
         if o.is_some() {
             outcome = o;
@@ -416,42 +567,17 @@ fn run_inner<A: App>(
             io_error = e;
         }
     }
-    observer_stop.store(true, Ordering::SeqCst);
-    let _ = observer_wake_tx.send(());
-    if let Some(t) = observer_thread {
-        t.join().expect("observer panicked");
-    }
-    drop(router);
-    // Best-effort cleanup of the job's spill directory.
-    let _ = std::fs::remove_dir_all(&job_dir);
-
-    // Propagate the first UDF panic (after the orderly shutdown above)
-    // so the caller sees the application's own message.
-    for shared in &workers {
-        if let Some(msg) = shared.failure.lock().take() {
-            panic!("{msg}");
-        }
-    }
     // First checkpoint/output I/O error wins, after the orderly
     // shutdown (so no thread is left dangling behind the `?`).
     if let Some(e) = io_error {
         return Err(e);
     }
-
-    let outcome = outcome.expect("master worker returns the job outcome");
-    let (global, job_outcome) = match outcome {
+    let outcome = outcome.map(|o| match o {
         WorkerOutcome::Completed(g) => (g, JobOutcome::Completed),
         WorkerOutcome::Suspended(g, dir) => (g, JobOutcome::Suspended { checkpoint: dir }),
         WorkerOutcome::Failed(g, w) => (g, JobOutcome::Failed { worker: w }),
-    };
-    let metrics = registry.final_snapshot();
-    Ok(JobResult {
-        global,
-        elapsed: start.elapsed(),
-        outcome: job_outcome,
-        workers: stats,
-        metrics,
-    })
+    });
+    Ok(Attempt { stats, outcome, registry })
 }
 
 static JOB_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -526,9 +652,8 @@ pub(crate) fn build_locals<A: App>(
 }
 
 /// Builds one worker's shared state from its local table and its
-/// interconnect endpoint. Used by [`run_inner`] (all workers, sim
-/// backend) and by [`crate::cluster::run_worker_process`] (one worker,
-/// TCP backend).
+/// interconnect endpoint. Used by [`Job::run`] (all workers, sim
+/// backend) and by [`Job::run_process`] (one worker, TCP backend).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_worker<A: App>(
     app: &Arc<A>,
@@ -568,7 +693,7 @@ pub(crate) enum WorkerOutcome<A: App> {
     Failed(Global<A>, WorkerId),
 }
 
-/// What each worker's main thread hands back to [`run_inner`]: stats,
+/// What each worker's main thread hands back to [`run_workers`]: stats,
 /// the job outcome (master only), and the first checkpoint/output I/O
 /// error hit during shutdown (reported instead of panicking, after all
 /// threads have joined).
@@ -734,13 +859,18 @@ pub(crate) fn worker_main<A: App>(
         // silence and fails the job. (The router refuses crash
         // schedules for worker 0, so the master itself never gets here.)
     } else if suspended {
-        // Gather every remaining task: drained queues, ready buffers,
-        // pending tables, spilled files.
+        // Gather every remaining task: drained queues, pending tables,
+        // ready buffers, spilled files. The receiver thread is still
+        // installing responses, which moves tasks pending → ready
+        // (never back, and atomically with respect to the drain — see
+        // `PendingTable::notify_with`), so the pending table is emptied
+        // first: a task that became ready before that is found in the
+        // buffer after.
         let mut tasks: Vec<gthinker_task::task::Task<A::Context>> =
             shared.drained_queues.lock().drain(..).collect();
         for c in &shared.compers {
-            tasks.extend(c.buffer.drain());
             tasks.extend(c.pending.drain());
+            tasks.extend(c.buffer.drain());
         }
         while let Ok(Some(batch)) = shared.spill.refill::<A::Context>() {
             tasks.extend(batch);

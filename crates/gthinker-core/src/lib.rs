@@ -2,7 +2,11 @@
 //! mining, reproduced in Rust from the ICDE 2020 paper.
 //!
 //! Applications implement the [`App`] trait's two UDFs — `task_spawn`
-//! and `compute` — and run them with [`run_job`]. The framework
+//! and `compute` — and run them with [`run_job`], the shorthand for
+//! [`Job`]`::new(app, graph, &config).run()`; `Job`'s options
+//! (progress observer, resume from a checkpoint, crash recovery) and
+//! its second terminal call, [`Job::run_process`] for one worker of a
+//! multi-process TCP cluster, all go through that one path. The framework
 //! provides the remote-vertex cache, per-comper task scheduling with
 //! disk spilling, batched vertex pulling over a simulated cluster
 //! interconnect, aggregator synchronization, master-coordinated work
@@ -64,17 +68,9 @@ mod worker;
 
 pub use agg::{Aggregator, LocalAgg, NoAgg};
 pub use api::{App, ComputeEnv, SpawnEnv};
-pub use cluster::{
-    run_worker_process, run_worker_process_on, run_worker_process_recovering,
-    run_worker_process_recovering_on, run_worker_process_source,
-    run_worker_process_source_observed, run_worker_process_source_on,
-    run_worker_process_source_recovering_observed, ClusterRole, RecoveryOptions,
-};
+pub use cluster::ClusterRole;
 pub use config::{JobConfig, JobOutcome, JobResult, WorkerStats};
-pub use job::{
-    resume_job, resume_job_on, run_job, run_job_metrics_observed, run_job_observed, run_job_on,
-    run_job_with_recovery, run_job_with_recovery_on, GraphSource, ProgressSnapshot, RecoveryReport,
-};
+pub use job::{run_job, GraphSource, Job, ProgressSnapshot, RecoveryOptions, RecoveryReport};
 pub use metrics::{ClusterTelemetry, MetricsRegistry, MetricsSnapshot, WorkerMetricsSnapshot};
 
 /// Convenient glob-import surface for applications.
@@ -83,8 +79,7 @@ pub mod prelude {
     pub use crate::api::{App, ComputeEnv, SpawnEnv};
     pub use crate::config::{JobConfig, JobOutcome, JobResult};
     pub use crate::job::{
-        resume_job, run_job, run_job_metrics_observed, run_job_observed, run_job_on,
-        run_job_with_recovery, GraphSource, ProgressSnapshot, RecoveryReport,
+        run_job, GraphSource, Job, ProgressSnapshot, RecoveryOptions, RecoveryReport,
     };
     pub use crate::metrics::{MetricsSnapshot, WorkerMetricsSnapshot};
     pub use gthinker_graph::adj::AdjList;

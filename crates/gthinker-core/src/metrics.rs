@@ -191,7 +191,7 @@ pub struct WorkerMetricsSnapshot {
     /// Bytes received.
     pub net_bytes_received: u64,
     /// Vectored socket writes issued by the evented TCP data plane's
-    /// I/O loop (0 on the sim router and the threaded backend).
+    /// I/O loop (0 on the sim router).
     pub net_writev_calls: u64,
     /// Frames that shared a vectored write with at least one other
     /// frame — the evented plane's write-coalescing win.

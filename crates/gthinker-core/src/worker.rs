@@ -774,11 +774,13 @@ fn handle_message<A: App>(
                 };
                 for id in waiters {
                     let comper = &shared.compers[id.comper() as usize];
-                    if let Some(task) = comper.pending.notify(id) {
-                        // Task accounting moves with the task.
+                    // Task accounting moves with the task; the push
+                    // happens under the table's lock so a checkpoint
+                    // draining `pending` then `buffer` cannot miss it.
+                    comper.pending.notify_with(id, |task| {
                         comper.buffer.push(task);
                         made_ready = true;
-                    }
+                    });
                 }
                 // Decrement only after the ready task is visible in
                 // B_task, so quiescence can never miss it. `Release`

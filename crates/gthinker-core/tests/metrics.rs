@@ -2,7 +2,6 @@
 //! live job, lossless histogram merging, and the event timeline.
 
 use gthinker_core::prelude::*;
-use gthinker_core::run_job_metrics_observed;
 use gthinker_graph::gen;
 use std::sync::Arc;
 use std::time::Duration;
@@ -89,10 +88,10 @@ fn metrics_observer_sees_growing_snapshots() {
     let s = Arc::clone(&sink);
     let mut cfg = JobConfig::cluster(2, 2);
     cfg.sync_interval = Duration::from_millis(5);
-    let r = run_job_metrics_observed(Arc::new(EdgeCount), &g, &cfg, move |m| {
-        s.lock().push(m.clone());
-    })
-    .unwrap();
+    let r = Job::new(Arc::new(EdgeCount), &g, &cfg)
+        .observe(move |m| s.lock().push(m.clone()))
+        .run()
+        .unwrap();
     assert_eq!(r.global, g.num_edges() as u64);
     let snaps = sink.lock();
     assert!(!snaps.is_empty(), "observer must fire at least once");

@@ -1,7 +1,6 @@
 //! Tests for the progress-observer API.
 
 use gthinker_core::prelude::*;
-use gthinker_core::run_job_observed;
 use gthinker_graph::gen;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -58,10 +57,10 @@ fn observer_sees_monotonic_progress_and_final_result_is_unaffected() {
     // Well below the job's few milliseconds of mining: the job ends as
     // soon as it is quiescent, so a longer interval may never elapse.
     cfg.sync_interval = Duration::from_millis(1);
-    let r = run_job_observed(Arc::new(EdgeCount), &g, &cfg, move |s| {
-        sink.lock().push(s);
-    })
-    .unwrap();
+    let r = Job::new(Arc::new(EdgeCount), &g, &cfg)
+        .observe(move |m| sink.lock().push(m.progress()))
+        .run()
+        .unwrap();
     assert_eq!(r.global, g.num_edges() as u64);
     let snaps = snapshots.lock();
     assert!(!snaps.is_empty(), "at least one snapshot per sync interval");
@@ -84,10 +83,12 @@ fn observer_callback_count_tracks_runtime() {
     let c = Arc::clone(&calls);
     let mut cfg = JobConfig::single_machine(2);
     cfg.sync_interval = Duration::from_millis(5);
-    let r = run_job_observed(Arc::new(EdgeCount), &g, &cfg, move |_| {
-        c.fetch_add(1, Ordering::Relaxed);
-    })
-    .unwrap();
+    let r = Job::new(Arc::new(EdgeCount), &g, &cfg)
+        .observe(move |_| {
+            c.fetch_add(1, Ordering::Relaxed);
+        })
+        .run()
+        .unwrap();
     assert_eq!(r.global, g.num_edges() as u64);
     let n = calls.load(Ordering::Relaxed);
     let expected_max = r.elapsed.as_millis() as u64 / 5 + 2;

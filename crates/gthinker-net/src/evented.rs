@@ -1,10 +1,6 @@
-//! The evented TCP data plane: **one non-blocking I/O thread per
-//! worker process**, owning every peer socket, driven by `poll(2)`.
-//!
-//! The threaded backend spends ~3 threads per peer (reader, writer
-//! lock-holder, delay re-transmitter) and copies every frame through
-//! intermediate buffers. This backend replaces all of it with a single
-//! loop (`tcp-io-<worker>`):
+//! The TCP data plane: **one non-blocking I/O thread per worker
+//! process** (`tcp-io-<worker>`), owning every peer socket of the mesh
+//! [`tcp`](crate::tcp) established, driven by `poll(2)`:
 //!
 //! * **Sealed once, written everywhere.** `send` encodes the message
 //!   straight into a pooled wire buffer ([`FramePool`]); a broadcast
@@ -25,17 +21,25 @@
 //!   CRC-verified payload regardless of where the kernel split the
 //!   byte stream; messages are decoded in place from the decoder's
 //!   buffer.
-//! * **Fault injection re-landed in the loop.** Send-side decisions
-//!   still come from the shared [`FaultRuntime`] at the same call
-//!   sites, so a seed makes byte-identical drop/dup/delay choices on
-//!   every backend; the delay *heap* now lives inside the loop (its
-//!   deadline bounds the poll timeout) instead of a dedicated thread,
-//!   and wall-clock crash schedules fire from the loop's timeout path
-//!   instead of a timer thread.
-//! * **Peer death is an event** exactly as on the threaded backend:
-//!   read EOF/error or a failed write marks the link down, bumps the
-//!   per-peer counter and injects [`Message::PeerDown`] into the local
-//!   inbox.
+//! * **Fault injection lives in the loop.** Send-side decisions come
+//!   from the transport-agnostic [`FaultRuntime`], so a seed makes the
+//!   same drop/dup/delay choices here as on the simulated router; the
+//!   delay *heap* sits inside the loop (its deadline bounds the poll
+//!   timeout), so injected delays cost no thread.
+//! * **Crash schedules fire for real.** When this process is the
+//!   victim, it calls `std::process::abort()` at the scheduled mark —
+//!   the same logical trigger as the sim router's
+//!   [`Message::Crash`], but the process actually dies mid-job, which
+//!   is what the cluster recovery path and the process-chaos harness
+//!   exercise. `after_messages` counts this endpoint's own sends and
+//!   receives (no process has the router's global count); a wall-clock
+//!   `after` bounds the loop's poll timeout, so it fires even while
+//!   the endpoint is idle.
+//! * **Peer death is an event, not a hang.** Read EOF/error or a
+//!   failed write marks the link down, bumps the per-peer [`NetStats`]
+//!   counter and injects [`Message::PeerDown`] into the local inbox;
+//!   the master's failure detector reacts the moment the OS closes a
+//!   dead process's sockets.
 //!
 //! A wake channel (a non-blocking `UnixStream` pair plus an
 //! edge-triggered flag) gets the loop out of `poll` when a sender
@@ -86,8 +90,8 @@ struct OutRing {
     head_off: usize,
     /// Total queued bytes (the backpressure gauge).
     bytes: usize,
-    /// Peer's socket is dead or absent; sends are silently discarded,
-    /// matching the threaded backend and the trait contract.
+    /// Peer's socket is dead or absent; sends are silently discarded
+    /// (the [`NetEndpoint::send`] contract).
     gone: bool,
 }
 
@@ -222,8 +226,8 @@ struct IoLoop {
     wake_rx: UnixStream,
     reads: Vec<Option<ReadHalf>>,
     writes: Vec<Option<TcpStream>>,
-    /// Wall-clock crash-schedule deadline for this process (the
-    /// threaded backend's timer thread, folded into the poll timeout).
+    /// Wall-clock crash-schedule deadline for this process; bounds the
+    /// poll timeout.
     crash_wall: Option<Instant>,
 }
 
@@ -413,8 +417,7 @@ impl IoLoop {
                     Ok(None) => break,
                     Err(e) => {
                         // A framing stream that lost sync cannot
-                        // recover; same handling as the threaded
-                        // reader's read_frame error.
+                        // recover; the link is dead.
                         self.link_down(p, Some(e.into()));
                         return false;
                     }
@@ -470,8 +473,7 @@ impl IoLoop {
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(_) => {
                         // Peer died: discard the ring, stop accepting,
-                        // surface the event. Mirrors the threaded
-                        // dispatch path's write failure.
+                        // surface the event.
                         ring.gone = true;
                         ring.frames.clear();
                         ring.bytes = 0;
@@ -490,8 +492,12 @@ impl IoLoop {
     }
 
     /// A link to `p` died: count it and surface a `PeerDown` event,
-    /// whichever half noticed first (same contract as the threaded
-    /// backend's reader/dispatch failures).
+    /// whichever half noticed first. At normal job teardown the
+    /// per-link FIFO guarantees the peer's final control messages were
+    /// delivered before this fires, and the master's terminated guard
+    /// ignores it. Resets are the normal end of a job; anything else
+    /// (version mismatch, corruption) gets a line on stderr before the
+    /// link goes dark.
     fn link_down(&mut self, p: usize, context: Option<io::Error>) {
         if let Some(e) = context {
             if !matches!(e.kind(), ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted) {
@@ -502,13 +508,11 @@ impl IoLoop {
         let _ = self.inbox_tx.send(Message::PeerDown { worker: WorkerId(p as u16) });
     }
 
-    /// Endpoint teardown: deliver everything still pending — the
-    /// threaded backend's synchronous `write_all` semantics mean the
-    /// final control messages (terminate, final reports, acks) were
-    /// already on the wire when the endpoint dropped, and peers rely
-    /// on that. Delayed frames flush immediately (as the threaded
-    /// delay thread does on disconnect), then every ring is written
-    /// dry on a re-blocked socket with a bounded write timeout.
+    /// Endpoint teardown: deliver everything still pending — peers
+    /// rely on the final control messages (terminate, final reports,
+    /// acks) being on the wire once the endpoint has dropped. Delayed
+    /// frames flush immediately, then every ring is written dry on a
+    /// re-blocked socket with a bounded write timeout.
     fn shutdown_flush(&mut self) {
         let heap = std::mem::take(&mut *self.shared.delay.lock().expect("delay heap lock"));
         for Reverse(d) in heap.into_sorted_vec().into_iter().rev() {
@@ -539,9 +543,9 @@ impl IoLoop {
     }
 }
 
-/// Builds the evented endpoint over an established mesh: takes
-/// ownership of every link, switches it non-blocking, and starts the
-/// single I/O thread.
+/// Builds the endpoint over an established mesh: takes ownership of
+/// every link, switches it non-blocking, and starts the single I/O
+/// thread.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn launch(
     me: WorkerId,
@@ -606,9 +610,10 @@ pub(crate) fn launch(
     })
 }
 
-/// This process's endpoint on the evented mesh. Senders seal into the
+/// This process's endpoint on the TCP mesh. Senders seal into the
 /// pool and enqueue; the I/O thread does every syscall. Byte counters
-/// measure real wire bytes exactly as the threaded backend does.
+/// measure real wire bytes: payload plus [`FRAME_OVERHEAD`] per message
+/// (self-sends are counted at the same rate for comparability).
 pub struct EventedEndpoint {
     me: usize,
     n: usize,
@@ -624,8 +629,9 @@ pub struct EventedEndpoint {
 
 impl EventedEndpoint {
     /// Advances this process's crash schedule by one endpoint message
-    /// (send or successful receive); same logical trigger as the
-    /// threaded backend.
+    /// (send or successful receive) and aborts the process if this
+    /// worker is the victim and the mark was reached — the TCP
+    /// equivalent of the sim router delivering `Message::Crash`.
     fn note_traffic(&self) {
         if let Some(f) = &self.fault {
             if f.crash_due() == Some(self.me) {

@@ -11,7 +11,7 @@
 //!
 //! [`FaultRuntime`] is the send-side bookkeeping both backends share:
 //! the simulated [`Router`](crate::router::Router) and the real
-//! [`TcpEndpoint`](crate::tcp::TcpEndpoint) call
+//! [`EventedEndpoint`](crate::evented::EventedEndpoint) call
 //! [`FaultRuntime::next_decision`] on every cross-worker data-plane
 //! message, so a chaos scenario replays identically whichever
 //! interconnect carries it. Crash schedules fire on both backends at

@@ -11,13 +11,11 @@
 //! * [`TcpTransport`] — the **tcp** backend: one worker per OS
 //!   process, messages carried as versioned, CRC-trailed [`frame`]s
 //!   over a full mesh of sockets built from a [`ClusterManifest`].
-//!   Two data planes share the rendezvous and wire format
-//!   ([`TcpBackend`]): the default **evented** plane
+//!   [`tcp`] is the rendezvous (manifest, hello, generations, the
+//!   persistent [`tcp::MeshAcceptor`]); the data plane
 //!   ([`EventedEndpoint`]) drives every socket from a single
 //!   `poll(2)` I/O thread with pooled zero-copy frame buffers
-//!   ([`pool`]) and vectored, coalesced writes; the legacy
-//!   **threaded** plane ([`TcpEndpoint`]) keeps a reader thread per
-//!   peer and writes synchronously from the sending thread.
+//!   ([`pool`]) and vectored, coalesced writes.
 //!
 //! Shared across both: [`Message`] (batched vertex pulls, work-stealing
 //! transfers, progress and aggregator traffic) with an exact binary
@@ -46,5 +44,5 @@ pub use fault::{CrashSchedule, FaultConfig, FaultStats};
 pub use message::Message;
 pub use pool::{FramePool, SealedFrame};
 pub use router::{LinkConfig, NetHandle, Router};
-pub use tcp::{ClusterManifest, TcpBackend, TcpEndpoint, TcpTransport};
+pub use tcp::{ClusterManifest, TcpTransport};
 pub use transport::{NetEndpoint, NetStats, Transport};

@@ -30,9 +30,8 @@ pub struct NetStats {
     pub msgs_sent: AtomicU64,
     /// Messages received.
     pub msgs_received: AtomicU64,
-    /// Vectored (`writev`-style) socket writes issued by the evented
-    /// data plane's I/O loop. 0 on the sim router and the threaded TCP
-    /// backend (which write one frame per syscall).
+    /// Vectored (`writev`-style) socket writes issued by the TCP data
+    /// plane's I/O loop. 0 on the sim router (no sockets).
     pub writev_calls: AtomicU64,
     /// Frames that shared a vectored write with at least one other
     /// frame — the write-coalescing win. For each vectored write of

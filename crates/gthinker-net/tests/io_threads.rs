@@ -1,7 +1,8 @@
-//! The evented data plane's headline structural property: a worker's
+//! The TCP data plane's headline structural property: a worker's
 //! entire peer mesh is serviced by exactly **one** I/O thread,
-//! regardless of cluster size, where the threaded plane spends one
-//! reader thread per peer. Counted for real from `/proc/self/task`
+//! regardless of cluster size — and injected delays and wall-clock
+//! crash schedules ride in that loop's poll timeout rather than on
+//! threads of their own. Counted for real from `/proc/self/task`
 //! while the mesh is up — all workers live in this test process, so
 //! the process-wide census is the per-worker figure times the worker
 //! count. This file holds a single `#[test]` so no concurrent test's
@@ -9,8 +10,8 @@
 #![cfg(target_os = "linux")]
 
 use gthinker_graph::ids::WorkerId;
-use gthinker_net::fault::FaultConfig;
-use gthinker_net::tcp::{ClusterManifest, TcpBackend, TcpTransport};
+use gthinker_net::fault::{CrashSchedule, FaultConfig};
+use gthinker_net::tcp::{ClusterManifest, TcpTransport};
 use gthinker_net::transport::Transport;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -43,10 +44,10 @@ fn await_threads(prefix: &str, want: usize) -> usize {
     }
 }
 
-/// Brings up an `N`-worker loopback mesh on `backend` and runs
+/// Brings up an `N`-worker loopback mesh under `fault` and runs
 /// `census()` on worker 0's thread while every endpoint is alive (two
 /// barriers pin all workers in place around the count).
-fn census_mesh(backend: TcpBackend, census: impl Fn() + Send + Sync + 'static) {
+fn census_mesh(fault: FaultConfig, census: impl Fn() + Send + Sync + 'static) {
     let (manifest, listeners) = ClusterManifest::loopback(N).expect("bind loopback");
     let gate = Arc::new(Barrier::new(N));
     let census = Arc::new(census);
@@ -55,19 +56,13 @@ fn census_mesh(backend: TcpBackend, census: impl Fn() + Send + Sync + 'static) {
         .enumerate()
         .map(|(w, listener)| {
             let manifest = manifest.clone();
+            let fault = fault.clone();
             let gate = Arc::clone(&gate);
             let census = Arc::clone(&census);
             std::thread::spawn(move || {
                 let me = WorkerId(w as u16);
-                let mut t = TcpTransport::connect_on_with(
-                    &manifest,
-                    me,
-                    FaultConfig::default(),
-                    RENDEZVOUS,
-                    listener,
-                    backend,
-                )
-                .expect("rendezvous");
+                let mut t = TcpTransport::connect_on(&manifest, me, fault, RENDEZVOUS, listener)
+                    .expect("rendezvous");
                 let net = t.take_endpoint(me);
                 gate.wait();
                 if w == 0 {
@@ -83,21 +78,32 @@ fn census_mesh(backend: TcpBackend, census: impl Fn() + Send + Sync + 'static) {
     }
 }
 
+fn one_io_thread_per_worker_and_nothing_else() {
+    assert_eq!(await_threads("tcp-io-", N), N, "one poll loop per hosted worker");
+    assert_eq!(await_threads("tcp-accept-", N), N, "one acceptor per hosted worker");
+    assert_eq!(threads_named("tcp-read-"), 0, "no per-peer reader threads");
+    assert_eq!(threads_named("tcp-delay-"), 0, "no delay-heap thread");
+    assert_eq!(threads_named("tcp-crash-"), 0, "no crash-timer thread");
+}
+
 #[test]
-fn evented_plane_runs_one_io_thread_per_worker() {
-    census_mesh(TcpBackend::Evented, || {
-        assert_eq!(await_threads("tcp-io-", N), N, "one poll loop per hosted worker");
-        assert_eq!(threads_named("tcp-read-"), 0, "no per-peer reader threads");
-        assert_eq!(threads_named("tcp-delay-"), 0, "no delay-heap thread");
-        assert_eq!(threads_named("tcp-crash-"), 0, "no crash-timer thread");
-    });
-    // The legacy plane, same census: n-1 readers per worker, no loop.
-    census_mesh(TcpBackend::Threaded, || {
-        assert_eq!(
-            await_threads("tcp-read-", N * (N - 1)),
-            N * (N - 1),
-            "one reader per directed link"
-        );
-        assert_eq!(threads_named("tcp-io-"), 0, "threaded plane has no poll loop");
-    });
+fn data_plane_runs_one_io_thread_per_worker() {
+    census_mesh(FaultConfig::default(), one_io_thread_per_worker_and_nothing_else);
+    // Every fault that needs a clock — delayed frames, and a wall-clock
+    // crash schedule (armed for a worker other than the one counting,
+    // with a mark no test run reaches: the victim lives in this
+    // process) — still costs no thread.
+    let hostile = FaultConfig {
+        reorder_prob: 0.5,
+        reorder_jitter: Duration::from_millis(2),
+        spike_prob: 0.1,
+        spike: Duration::from_millis(5),
+        crash: Some(CrashSchedule {
+            worker: WorkerId(1),
+            after_messages: None,
+            after: Some(Duration::from_secs(24 * 3600)),
+        }),
+        ..FaultConfig::default()
+    };
+    census_mesh(hostile, one_io_thread_per_worker_and_nothing_else);
 }

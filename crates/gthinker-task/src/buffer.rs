@@ -23,10 +23,13 @@ impl<C> TaskBuffer<C> {
         TaskBuffer { queue: SegQueue::new(), len: AtomicUsize::new(0) }
     }
 
-    /// Appends a task that became ready.
+    /// Appends a task that became ready. The count goes up *before*
+    /// the task is visible, so it is never below the number of tasks a
+    /// concurrent [`TaskBuffer::pop`] can take: counting after the push
+    /// let a fast pop decrement first and wrap the count around.
     pub fn push(&self, task: Task<C>) {
-        self.queue.push(task);
         self.len.fetch_add(1, Ordering::Relaxed);
+        self.queue.push(task);
     }
 
     /// Takes one ready task, if any.
@@ -116,5 +119,26 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen.len(), 4_000, "all pushed tasks observed exactly once");
+    }
+
+    /// A consumer racing the producer must never see the count wrap
+    /// below zero (the comper adds it to `|T_task|` for the pop gate).
+    #[test]
+    fn count_never_wraps_under_a_racing_consumer() {
+        const N: usize = 200_000;
+        let b: Arc<TaskBuffer<u32>> = Arc::new(TaskBuffer::new());
+        let producer = {
+            let b = Arc::clone(&b);
+            std::thread::spawn(move || (0..N as u32).for_each(|i| b.push(Task::new(i))))
+        };
+        let mut taken = 0;
+        while taken < N {
+            if b.pop().is_some() {
+                taken += 1;
+            }
+            assert!(b.len() <= N, "count wrapped: {}", b.len());
+        }
+        producer.join().unwrap();
+        assert!(b.is_empty());
     }
 }

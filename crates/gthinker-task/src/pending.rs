@@ -76,23 +76,32 @@ impl<C> PendingTable<C> {
     }
 
     /// Records the arrival of one awaited vertex for task `id`. Returns
-    /// the task when it became ready (the caller then pushes it to
-    /// `B_task`). Arrivals for a task not parked yet are buffered and
-    /// credited when [`PendingTable::insert`] runs.
+    /// the task when it became ready. Arrivals for a task not parked
+    /// yet are buffered and credited when [`PendingTable::insert`] runs.
     pub fn notify(&self, id: TaskId) -> Option<Task<C>> {
+        let mut ready = None;
+        self.notify_with(id, |task| ready = Some(task));
+        ready
+    }
+
+    /// [`PendingTable::notify`], handing a task that became ready to
+    /// `ready` (which pushes it to `B_task`) while the table is still
+    /// locked: a concurrent [`PendingTable::drain`] either runs before
+    /// — and takes the task — or after `ready` has put it where the
+    /// drainer looks next, never in between (a checkpoint that caught
+    /// the task in neither place lost it).
+    pub fn notify_with(&self, id: TaskId, ready: impl FnOnce(Task<C>)) {
         let mut inner = self.inner.lock();
         let Some(entry) = inner.entries.get_mut(&id) else {
             *inner.early.entry(id).or_insert(0) += 1;
-            return None;
+            return;
         };
         entry.met += 1;
         debug_assert!(entry.met <= entry.req, "more notifications than requests");
         if entry.met == entry.req {
             let entry = inner.entries.remove(&id).expect("entry just seen");
             self.len.fetch_sub(1, Ordering::Relaxed);
-            Some(entry.task)
-        } else {
-            None
+            ready(entry.task);
         }
     }
 

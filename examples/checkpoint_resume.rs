@@ -44,7 +44,9 @@ fn main() {
                 );
                 attempt += 1;
                 cfg.suspend_after = Some(Duration::from_millis(60 * (1 << attempt)));
-                result = resume_job(Arc::new(MaxCliqueApp::default()), &graph, &cfg, &checkpoint)
+                result = Job::new(Arc::new(MaxCliqueApp::default()), &graph, &cfg)
+                    .resume_from(&checkpoint)
+                    .run()
                     .expect("resume runs");
             }
         }

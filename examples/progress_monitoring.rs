@@ -1,5 +1,5 @@
 //! Live progress monitoring — the paper's periodic job-status
-//! synchronization surfaced through `run_job_observed`: watch the
+//! synchronization surfaced through `Job::observe`: watch the
 //! triangle count's task throughput, cache behaviour and network
 //! volume evolve while the job runs.
 //!
@@ -24,18 +24,21 @@ fn main() {
     );
     let mut cfg = JobConfig::cluster(4, 2);
     cfg.sync_interval = Duration::from_millis(100);
-    let result = run_job_observed(Arc::new(TriangleApp), &graph, &cfg, |s| {
-        println!(
-            "{:>7.1}s {:>10} {:>10} {:>10} {:>10} {:>10}",
-            s.elapsed.as_secs_f64(),
-            s.tasks_finished,
-            s.remaining,
-            s.cache_hits,
-            s.cache_misses,
-            s.net_bytes / 1024
-        );
-    })
-    .expect("job runs");
+    let result = Job::new(Arc::new(TriangleApp), &graph, &cfg)
+        .observe(|m| {
+            let s = m.progress();
+            println!(
+                "{:>7.1}s {:>10} {:>10} {:>10} {:>10} {:>10}",
+                s.elapsed.as_secs_f64(),
+                s.tasks_finished,
+                s.remaining,
+                s.cache_hits,
+                s.cache_misses,
+                s.net_bytes / 1024
+            );
+        })
+        .run()
+        .expect("job runs");
     println!(
         "\nfinal count: {} in {:.2?} ({} tasks)",
         result.global,

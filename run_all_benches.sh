@@ -56,7 +56,7 @@ banner "Cluster-wide stealing — straggler splitting ablations"
 "$BIN/sched_cluster" --scale 1
 banner "Observability — metrics & tracing overhead"
 "$BIN/metrics_overhead" --scale 1
-banner "TCP data plane — evented vs threaded throughput"
+banner "TCP data plane — loopback mesh throughput"
 "$BIN/net_throughput" --scale 1
 banner "Compressed storage — ratio, decode cost, peak RSS"
 # /usr/bin/time -v reports the harness's own peak RSS next to the

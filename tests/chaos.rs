@@ -10,7 +10,6 @@ use gthinker_apps::{
     TriangleApp,
 };
 use gthinker_core::prelude::*;
-use gthinker_core::RecoveryReport;
 use gthinker_graph::gen;
 use gthinker_graph::ids::WorkerId;
 use gthinker_graph::partition::HashPartitioner;
@@ -20,6 +19,10 @@ use std::time::Duration;
 
 const WATCHDOG: Duration = Duration::from_secs(180);
 const MAX_RECOVERIES: u32 = 8;
+
+fn recovering() -> RecoveryOptions {
+    RecoveryOptions { max_recoveries: MAX_RECOVERIES, ..Default::default() }
+}
 
 /// Lossy-wire-plus-crash configuration: every fault class the injector
 /// knows, all seeded, with worker 1 killed after `crash_after` router
@@ -75,11 +78,12 @@ fn chaos_vs_clean<A: App>(
     RecoveryReport,
 ) {
     let expected = run_job(Arc::new(app()), g, &JobConfig::single_machine(2)).unwrap().global;
-    let (result, report) =
-        run_job_with_recovery(Arc::new(app()), g, &chaos_config(seed, crash_after), MAX_RECOVERIES)
-            .unwrap();
+    let result = Job::new(Arc::new(app()), g, &chaos_config(seed, crash_after))
+        .recover(recovering())
+        .run()
+        .unwrap();
     assert_eq!(result.outcome, JobOutcome::Completed);
-    (expected, result.global, report)
+    (expected, result.global, result.recovery)
 }
 
 #[test]
@@ -105,13 +109,10 @@ fn max_clique_survives_chaos_and_recovery() {
                 .unwrap()
                 .global;
         assert!(expected.len() >= planted.len());
-        let (result, _report) = run_job_with_recovery(
-            Arc::new(MaxCliqueApp::default()),
-            &g,
-            &chaos_config(0xBADC0DE, 60),
-            MAX_RECOVERIES,
-        )
-        .unwrap();
+        let result = Job::new(Arc::new(MaxCliqueApp::default()), &g, &chaos_config(0xBADC0DE, 60))
+            .recover(recovering())
+            .run()
+            .unwrap();
         assert_eq!(result.outcome, JobOutcome::Completed);
         (g, expected, result.global)
     });
@@ -191,7 +192,7 @@ fn lossy_wire_without_crash_completes_via_retries() {
 
 #[test]
 fn lossy_tcp_wire_completes_via_retries() {
-    use gthinker_core::{run_worker_process_on, ClusterRole};
+    use gthinker_core::ClusterRole;
     use gthinker_net::tcp::ClusterManifest;
 
     // The same seeded drop/dup injection, but on the real TCP loopback
@@ -221,16 +222,14 @@ fn lossy_tcp_wire_completes_via_retries() {
             .map(|(w, listener)| {
                 let (g, cfg, manifest) = (Arc::clone(&g), cfg.clone(), manifest.clone());
                 std::thread::spawn(move || {
-                    run_worker_process_on(
-                        Arc::new(TriangleApp),
-                        &g,
-                        &cfg,
-                        &manifest,
-                        WorkerId(w as u16),
-                        Duration::from_secs(20),
-                        listener,
-                    )
-                    .expect("tcp chaos worker")
+                    Job::new(Arc::new(TriangleApp), &*g, &cfg)
+                        .run_process(
+                            &manifest,
+                            WorkerId(w as u16),
+                            listener,
+                            Duration::from_secs(20),
+                        )
+                        .expect("tcp chaos worker")
                 })
             })
             .collect();
@@ -245,7 +244,7 @@ fn lossy_tcp_wire_completes_via_retries() {
                     global = Some(r.global);
                     metrics = Some(r.metrics);
                 }
-                ClusterRole::Worker(s, _) => stats.push(s),
+                ClusterRole::Worker(s, ..) => stats.push(s),
             }
         }
         (expected, global.unwrap(), stats, metrics.unwrap())
@@ -366,10 +365,10 @@ fn cluster_steals_survive_crash_and_recovery() {
         let expected =
             run_job(Arc::new(StealSkewApp), &g, &JobConfig::single_machine(2)).unwrap().global;
         let cfg = steal_chaos_config(0x57EA2, Some(40));
-        let (result, report) =
-            run_job_with_recovery(Arc::new(StealSkewApp), &g, &cfg, MAX_RECOVERIES).unwrap();
+        let result =
+            Job::new(Arc::new(StealSkewApp), &g, &cfg).recover(recovering()).run().unwrap();
         assert_eq!(result.outcome, JobOutcome::Completed);
-        (expected, result.global, report)
+        (expected, result.global, result.recovery)
     });
     assert_eq!(global, expected, "post-recovery sum must match the fault-free sum");
     assert!(report.recoveries >= 1, "the scheduled crash must fire: {report:?}");
@@ -377,7 +376,7 @@ fn cluster_steals_survive_crash_and_recovery() {
 
 #[test]
 fn cluster_steals_survive_lossy_tcp_wire() {
-    use gthinker_core::{run_worker_process_on, ClusterRole};
+    use gthinker_core::ClusterRole;
     use gthinker_net::tcp::ClusterManifest;
 
     // The same skewed steal-forcing workload on the real TCP loopback
@@ -399,16 +398,14 @@ fn cluster_steals_survive_lossy_tcp_wire() {
             .map(|(w, listener)| {
                 let (g, cfg, manifest) = (Arc::clone(&g), cfg.clone(), manifest.clone());
                 std::thread::spawn(move || {
-                    run_worker_process_on(
-                        Arc::new(StealSkewApp),
-                        &g,
-                        &cfg,
-                        &manifest,
-                        WorkerId(w as u16),
-                        Duration::from_secs(20),
-                        listener,
-                    )
-                    .expect("tcp steal chaos worker")
+                    Job::new(Arc::new(StealSkewApp), &*g, &cfg)
+                        .run_process(
+                            &manifest,
+                            WorkerId(w as u16),
+                            listener,
+                            Duration::from_secs(20),
+                        )
+                        .expect("tcp steal chaos worker")
                 })
             })
             .collect();
@@ -421,7 +418,7 @@ fn cluster_steals_survive_lossy_tcp_wire() {
                     stats.push(r.workers[0].clone());
                     global = Some(r.global);
                 }
-                ClusterRole::Worker(s, _) => stats.push(s),
+                ClusterRole::Worker(s, ..) => stats.push(s),
             }
         }
         (expected, global.unwrap(), stats)

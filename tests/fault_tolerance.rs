@@ -34,7 +34,8 @@ fn run_with_interruptions<A: gthinker_core::App>(
                 // Allow more time per resumed attempt.
                 let mut next = cfg.clone();
                 next.suspend_after = cfg.suspend_after.map(|d| d * 2u32.pow(suspensions as u32));
-                result = resume_job(Arc::new(app()), graph, &next, &checkpoint).unwrap();
+                result =
+                    Job::new(Arc::new(app()), graph, &next).resume_from(&checkpoint).run().unwrap();
             }
             JobOutcome::Failed { worker } => {
                 panic!("no faults are injected here, yet worker {worker:?} was declared dead")
@@ -104,7 +105,9 @@ fn resume_with_wrong_topology_is_rejected() {
         return;
     };
     let bad = JobConfig::cluster(3, 1);
-    let err = resume_job(Arc::new(TriangleApp), &g, &bad, &checkpoint)
+    let err = Job::new(Arc::new(TriangleApp), &g, &bad)
+        .resume_from(&checkpoint)
+        .run()
         .expect_err("mismatched worker count must be rejected");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     let msg = err.to_string();

@@ -8,7 +8,7 @@ use gthinker_apps::{
     KPlexApp, MatchingApp, MaxCliqueApp, MaximalCliqueApp, Pattern, QuasiCliqueApp, TriangleApp,
 };
 use gthinker_core::prelude::*;
-use gthinker_core::{run_job_with_recovery_on, run_worker_process_source_on, ClusterRole};
+use gthinker_core::ClusterRole;
 use gthinker_graph::compressed::{write_compressed, CompressedGraph};
 use gthinker_graph::gen;
 use gthinker_graph::graph::Graph;
@@ -60,7 +60,7 @@ fn sim_both<A: App>(
     let ram = run_job(app(), g, &cfg).expect("ram job");
     assert!(matches!(ram.outcome, JobOutcome::Completed));
     let mapped_copy = MappedCopy::of(g, name);
-    let mapped = run_job_on(app(), mapped_copy.source(), &cfg).expect("mapped job");
+    let mapped = run_job(app(), mapped_copy.source(), &cfg).expect("mapped job");
     assert!(matches!(mapped.outcome, JobOutcome::Completed));
     (ram.global, mapped.global)
 }
@@ -146,9 +146,11 @@ fn recovery_on_mapped_graph_matches_fault_free_ram_run() {
         crash: Some(CrashSchedule { worker: WorkerId(1), after_messages: Some(20), after: None }),
         ..FaultConfig::default()
     };
-    let (result, report) =
-        run_job_with_recovery_on(Arc::new(TriangleApp), mapped.source(), &cfg, 8)
-            .expect("recovering mapped job");
+    let result = Job::new(Arc::new(TriangleApp), mapped.source(), &cfg)
+        .recover(RecoveryOptions::default())
+        .run()
+        .expect("recovering mapped job");
+    let report = &result.recovery;
     assert_eq!(result.outcome, JobOutcome::Completed);
     assert_eq!(result.global, expected, "recovered mapped run must match the fault-free count");
     assert!(report.recoveries >= 1, "the crash must actually fire: {report:?}");
@@ -181,16 +183,9 @@ fn tcp_cluster_on_mapped_graph_matches_in_ram_sim() {
             let cfg = cfg.clone();
             let manifest = manifest.clone();
             std::thread::spawn(move || {
-                run_worker_process_source_on(
-                    Arc::new(TriangleApp),
-                    source,
-                    &cfg,
-                    &manifest,
-                    WorkerId(w as u16),
-                    Duration::from_secs(20),
-                    listener,
-                )
-                .expect("cluster worker")
+                Job::new(Arc::new(TriangleApp), source, &cfg)
+                    .run_process(&manifest, WorkerId(w as u16), listener, Duration::from_secs(20))
+                    .expect("cluster worker")
             })
         })
         .collect();
@@ -202,7 +197,7 @@ fn tcp_cluster_on_mapped_graph_matches_in_ram_sim() {
                 sent += r.workers[0].net_bytes_sent;
                 master = Some(r);
             }
-            ClusterRole::Worker(s, _) => sent += s.net_bytes_sent,
+            ClusterRole::Worker(s, ..) => sent += s.net_bytes_sent,
         }
     }
     let master = master.expect("worker 0 is the master");

@@ -77,7 +77,9 @@ fn bundled_triangles_survive_torture_plus_suspension() {
                 attempts += 1;
                 assert!(attempts < 30, "never converges");
                 cfg.suspend_after = Some(Duration::from_millis(200 * (1 << attempts.min(4))));
-                result = resume_job(Arc::new(BundledTriangleApp::new(8)), &g, &cfg, &checkpoint)
+                result = Job::new(Arc::new(BundledTriangleApp::new(8)), &g, &cfg)
+                    .resume_from(&checkpoint)
+                    .run()
                     .unwrap();
             }
         }

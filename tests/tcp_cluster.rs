@@ -8,7 +8,7 @@ use gthinker_apps::{
     KPlexApp, MatchingApp, MaxCliqueApp, MaximalCliqueApp, Pattern, QuasiCliqueApp, TriangleApp,
 };
 use gthinker_core::prelude::*;
-use gthinker_core::{run_worker_process_on, ClusterRole, WorkerStats};
+use gthinker_core::{ClusterRole, WorkerStats};
 use gthinker_graph::gen;
 use gthinker_graph::graph::Graph;
 use gthinker_graph::ids::WorkerId;
@@ -40,16 +40,9 @@ fn run_tcp_cluster<A: App + Send + Sync + 'static>(
             let cfg = cfg.clone();
             let manifest = manifest.clone();
             std::thread::spawn(move || {
-                run_worker_process_on(
-                    app,
-                    &graph,
-                    &cfg,
-                    &manifest,
-                    WorkerId(w as u16),
-                    RENDEZVOUS,
-                    listener,
-                )
-                .expect("cluster worker")
+                Job::new(app, &*graph, &cfg)
+                    .run_process(&manifest, WorkerId(w as u16), listener, RENDEZVOUS)
+                    .expect("cluster worker")
             })
         })
         .collect();
@@ -61,7 +54,7 @@ fn run_tcp_cluster<A: App + Send + Sync + 'static>(
                 stats.push(r.workers[0].clone());
                 master = Some(r);
             }
-            ClusterRole::Worker(s, _) => stats.push(s),
+            ClusterRole::Worker(s, ..) => stats.push(s),
         }
     }
     (master.expect("worker 0 is the master"), stats)
@@ -172,16 +165,9 @@ fn cluster_metrics_reports_merge_losslessly() {
             let cfg = cfg.clone();
             let manifest = manifest.clone();
             std::thread::spawn(move || {
-                run_worker_process_on(
-                    Arc::new(TriangleApp),
-                    &graph,
-                    &cfg,
-                    &manifest,
-                    WorkerId(w as u16),
-                    RENDEZVOUS,
-                    listener,
-                )
-                .expect("cluster worker")
+                Job::new(Arc::new(TriangleApp), &*graph, &cfg)
+                    .run_process(&manifest, WorkerId(w as u16), listener, RENDEZVOUS)
+                    .expect("cluster worker")
             })
         })
         .collect();
@@ -193,7 +179,7 @@ fn cluster_metrics_reports_merge_losslessly() {
                 assert_eq!(w, 0, "master is worker 0");
                 master = Some(r);
             }
-            ClusterRole::Worker(_, snap) => own[w] = Some(snap),
+            ClusterRole::Worker(_, snap, _) => own[w] = Some(snap),
         }
     }
     let master = master.expect("worker 0 is the master");
@@ -225,15 +211,8 @@ fn manifest_size_mismatch_is_rejected() {
     let g = gen::gnp(20, 0.2, 3);
     let (manifest, mut listeners) = ClusterManifest::loopback(2).expect("bind");
     let cfg = JobConfig::cluster(3, 1); // says 3, manifest says 2
-    let err = run_worker_process_on(
-        Arc::new(TriangleApp),
-        &g,
-        &cfg,
-        &manifest,
-        WorkerId(0),
-        Duration::from_secs(1),
-        listeners.remove(0),
-    )
-    .expect_err("mismatch must fail");
+    let err = Job::new(Arc::new(TriangleApp), &g, &cfg)
+        .run_process(&manifest, WorkerId(0), listeners.remove(0), Duration::from_secs(1))
+        .expect_err("mismatch must fail");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }
