@@ -28,7 +28,9 @@ use gthinker_apps::{
 };
 use gthinker_core::prelude::*;
 use gthinker_core::{ClusterRole, ClusterTelemetry};
-use gthinker_graph::compressed::{build_from_edge_stream, write_compressed, CompressedGraph};
+use gthinker_graph::compressed::{
+    build_from_edge_stream, write_compressed, CompressedGraph, FORMAT_VERSION,
+};
 use gthinker_graph::datasets::{self, DatasetKind};
 use gthinker_graph::gen;
 use gthinker_graph::graph::Graph;
@@ -585,7 +587,7 @@ fn cmd_graph_stats(args: Vec<String>) -> Result<String, CliError> {
     let path = args.first().ok_or_else(|| CliError("graph stats: missing FILE".into()))?;
     let p = Path::new(path);
     // Degree stats come straight from the degree sequence: on a .gtc
-    // file each degree reads one varint, no adjacency is decoded.
+    // file each degree reads two varints, no adjacency is decoded.
     let (s, labeled, compressed_bytes) = if p.extension().is_some_and(|e| e == "gtc") {
         let c = CompressedGraph::open(p).map_err(|e| CliError(format!("open {path}: {e}")))?;
         let s = GraphStats::from_degrees(c.degrees());
@@ -596,7 +598,7 @@ fn cmd_graph_stats(args: Vec<String>) -> Result<String, CliError> {
     };
     let plain = plain_binary_bytes(s.num_vertices as u64, s.num_edges as u64, labeled);
     let compressed = match compressed_bytes {
-        Some(b) => format!("{b} (this file)"),
+        Some(b) => format!("{b} (this file, format version {FORMAT_VERSION})"),
         None => {
             // Estimate by encoding for real into a scratch file.
             let g = load_graph(path)?;
@@ -605,7 +607,10 @@ fn cmd_graph_stats(args: Vec<String>) -> Result<String, CliError> {
             let st = write_compressed(&g, &tmp)
                 .map_err(|e| CliError(format!("graph stats: encode: {e}")))?;
             let _ = std::fs::remove_file(&tmp);
-            format!("{} (if built with graph build)", st.file_bytes)
+            format!(
+                "{} (if built with graph build, format version {FORMAT_VERSION})",
+                st.file_bytes
+            )
         }
     };
     Ok(format!(
@@ -1568,9 +1573,11 @@ mod tests {
         let stats = run(args(&["graph", "stats", &gtc])).unwrap();
         assert!(stats.contains("vertices            400"), "{stats}");
         assert!(stats.contains("degree p50/p95/max"), "{stats}");
+        assert!(stats.contains(&format!("format version {FORMAT_VERSION}")), "{stats}");
         // ... and estimates compressed size for plain files.
         let stats2 = run(args(&["graph", "stats", &el])).unwrap();
         assert!(stats2.contains("if built with graph build"), "{stats2}");
+        assert!(stats2.contains(&format!("format version {FORMAT_VERSION}")), "{stats2}");
         // --order relabels before encoding.
         let ordered = tmp("g10o.gtc");
         let out = run(args(&["graph", "build", &el, &ordered, "--order"])).unwrap();
@@ -1608,6 +1615,25 @@ mod tests {
         let mapped = run(args(&["mcf", &gtc, "--compers", "2"])).unwrap();
         let size = |s: &str| s.lines().next().unwrap().split(" in ").next().unwrap().to_string();
         assert_eq!(size(&ram), size(&mapped), "{ram}\n{mapped}");
+    }
+
+    #[test]
+    fn gtc_file_of_an_older_format_asks_for_a_rebuild() {
+        let el = tmp("g13.el");
+        run(args(&["gen", "gnp", "-n", "40", "-p", "0.2", "--seed", "23", "-o", &el])).unwrap();
+        let gtc = tmp("g13.gtc");
+        run(args(&["graph", "build", &el, &gtc])).unwrap();
+        let mut bytes = std::fs::read(&gtc).unwrap();
+        bytes[..8].copy_from_slice(b"GTCGRF01");
+        std::fs::write(&gtc, &bytes).unwrap();
+        for cmd in [vec!["graph", "stats", &gtc], vec!["tc", &gtc], vec!["stats", &gtc]] {
+            let e = run(args(&cmd)).unwrap_err().0;
+            assert!(e.contains("older gthinker"), "{cmd:?}: {e}");
+            assert!(e.contains("gthinker graph build IN OUT.gtc"), "{cmd:?}: {e}");
+        }
+        // Rebuilding over it is the whole migration.
+        run(args(&["graph", "build", &el, &gtc])).unwrap();
+        run(args(&["graph", "stats", &gtc])).unwrap();
     }
 
     #[test]

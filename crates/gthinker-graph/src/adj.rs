@@ -127,6 +127,14 @@ impl AdjList {
         self.neighbors.retain(|&u| keep(u));
     }
 
+    /// Cuts the list down to `Γ_>(pivot)` in place: drops every neighbor
+    /// `≤ pivot` and gives the freed capacity back.
+    pub fn keep_greater_than(&mut self, pivot: VertexId) {
+        let start = self.neighbors.partition_point(|&u| u <= pivot);
+        self.neighbors.drain(..start);
+        self.neighbors.shrink_to_fit();
+    }
+
     /// Consumes the list and returns the underlying sorted vector.
     pub fn into_vec(self) -> Vec<VertexId> {
         self.neighbors
@@ -310,6 +318,19 @@ mod tests {
         let b = AdjList::from_unsorted(ids(&[1, 2]));
         assert!(a.intersect(&b).is_empty());
         assert_eq!(b.intersection_count(a.as_slice()), 0);
+    }
+
+    #[test]
+    fn keep_greater_than_drains_the_prefix() {
+        let mut a = AdjList::from_unsorted(ids(&[1, 3, 5, 7]));
+        let suffix = a.greater_than(VertexId(3)).to_vec();
+        a.keep_greater_than(VertexId(3));
+        assert_eq!(a.as_slice(), suffix.as_slice());
+        assert_eq!(a.heap_bytes(), 2 * std::mem::size_of::<VertexId>(), "capacity given back");
+        a.keep_greater_than(VertexId(0));
+        assert_eq!(a.as_slice(), suffix.as_slice(), "nothing at or below the pivot: unchanged");
+        a.keep_greater_than(VertexId(7));
+        assert!(a.is_empty());
     }
 
     #[test]

@@ -1,20 +1,20 @@
-//! The `GTCGRF01` compressed on-disk graph format.
+//! The `GTCGRF02` compressed on-disk graph format.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
-//! │ header (32 B): magic "GTCGRF01" | n u64 | m u64              │
+//! │ header (32 B): magic "GTCGRF02" | n u64 | m u64              │
 //! │                flags u8 (bit0 = labeled)                     │
 //! │                offset_width u8 (4 or 8) | 6 reserved zeros   │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ offset index: (n+1) × offset_width bytes, payload-relative,  │
 //! │               offsets[0] = 0, monotone, offsets[n] = |P|     │
 //! ├──────────────────────────────────────────────────────────────┤
-//! │ payload P: per-vertex record for v = 0..n                    │
-//! │   varint(degree)                                             │
-//! │   varint(zigzag(first − v))          (if degree > 0)         │
-//! │   (degree−1) × varint(gap − 1)                               │
+//! │ payload P: per-vertex record for v = 0..n, split at v        │
+//! │   varint(k_gt) varint(k_lt)                                  │
+//! │   k_gt × varint(gap − 1)   Γ_>(v), ascending from v          │
+//! │   k_lt × varint(gap − 1)   Γ_<(v), descending from v         │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ labels: n × u16 (only if flags bit0)                         │
 //! ├──────────────────────────────────────────────────────────────┤
@@ -29,6 +29,18 @@
 //! pages holding that record. The offset index is fixed-stride on
 //! purpose: `offsets[v]` is one mapped read, no auxiliary RAM structure.
 //!
+//! The record is split at its owner (codec in [`crate::vbyte`]) so that
+//! `Γ_>(v)` is a prefix of it: [`CompressedGraph::adjacency_above`]
+//! decodes `k_gt` gaps and never touches the rest, which on a
+//! degeneracy-ordered graph is the difference between ≤ degeneracy and
+//! a hub's whole degree. [`CompressedGraph::adjacency`] fills one
+//! exact-size vector from both runs; [`CompressedGraph::degree`] is the
+//! two counts.
+//!
+//! This is the only version a build reads. A `.gtc` file is derived
+//! from its source graph by `gthinker graph build`, so a file of
+//! another version is rebuilt, not migrated; `open` says so.
+//!
 //! [`StreamBuilder`] writes the format without ever holding the whole
 //! graph: records stream to a temp file while the (n+1)-entry offset
 //! table accumulates in RAM, then header/offsets/payload/labels are
@@ -42,16 +54,42 @@ use crate::crc::{crc32, Crc32Writer};
 use crate::graph::Graph;
 use crate::ids::{Label, VertexId};
 use crate::mmap::{Advice, Backing};
-use crate::vbyte::{decode_adjacency_exact, encode_adjacency, read_varint};
+use crate::vbyte::{
+    decode_adjacency, decode_adjacency_above, decode_degree, encode_adjacency, VbyteError,
+};
 
-/// File magic: format name + version in 8 bytes.
-pub const MAGIC: &[u8; 8] = b"GTCGRF01";
+/// File magic: format name + two-digit version in 8 bytes.
+pub const MAGIC: &[u8; 8] = b"GTCGRF02";
+/// The format version [`MAGIC`] ends in — the only one this build reads.
+pub const FORMAT_VERSION: u32 = (MAGIC[6] - b'0') as u32 * 10 + (MAGIC[7] - b'0') as u32;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 32;
 const FLAG_LABELED: u8 = 0b0000_0001;
 
 fn corrupt(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// Accepts [`MAGIC`] alone. A `.gtc` file of another format version is
+/// told apart from a file that is no `.gtc` at all, because the fix
+/// differs: it is a derived artifact, so the answer is to rebuild it.
+fn check_magic(magic: &[u8]) -> io::Result<()> {
+    if magic == MAGIC {
+        return Ok(());
+    }
+    let (name, version) = magic.split_at(6);
+    let version = std::str::from_utf8(version).ok().and_then(|v| v.parse::<u32>().ok());
+    match version {
+        Some(found) if name == &MAGIC[..6] => {
+            let whose = if found < FORMAT_VERSION { "an older" } else { "a newer" };
+            Err(corrupt(format!(
+                "format version {found}, built by {whose} gthinker (this one reads version \
+                 {FORMAT_VERSION} only); rebuild it from its source graph: \
+                 gthinker graph build IN OUT.gtc"
+            )))
+        }
+        _ => Err(corrupt("bad magic: not a .gtc compressed graph")),
+    }
 }
 
 /// Summary returned by the writers, consumed by `graph build`/`stats`
@@ -133,8 +171,16 @@ impl StreamBuilder {
                 format!("push for vertex {v} beyond declared n = {}", self.n),
             ));
         }
+        let v = VertexId(v as u32);
+        if neighbors.binary_search(&v).is_ok() {
+            // The record is two runs of gaps leading away from v.
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("adjacency of vertex {v} holds {v} itself"),
+            ));
+        }
         self.record.clear();
-        encode_adjacency(VertexId(v as u32), neighbors, &mut self.record);
+        encode_adjacency(v, neighbors, &mut self.record);
         self.payload.write_all(&self.record)?;
         self.payload_len += self.record.len() as u64;
         self.degree_sum += neighbors.len() as u64;
@@ -386,11 +432,13 @@ impl CompressedGraph {
 
     fn from_backing(backing: Backing) -> io::Result<CompressedGraph> {
         let data = backing.as_slice();
+        // Magic first: a file of another version gets the rebuild hint
+        // however little of it there is.
+        if let Some(magic) = data.get(..8) {
+            check_magic(magic)?;
+        }
         if data.len() < HEADER_LEN + 4 {
             return Err(corrupt(format!("file too short ({} bytes) for a header", data.len())));
-        }
-        if &data[..8] != MAGIC {
-            return Err(corrupt("bad magic: not a GTCGRF01 compressed graph"));
         }
         let stored_crc = u32::from_le_bytes(data[data.len() - 4..].try_into().unwrap());
         let actual_crc = crc32(&data[..data.len() - 4]);
@@ -486,9 +534,14 @@ impl CompressedGraph {
         self.labeled
     }
 
-    /// Decodes `Γ(v)`. Errors only on a corrupt record, which the
-    /// open-time CRC makes practically unreachable.
-    pub fn try_adjacency(&self, v: VertexId) -> io::Result<AdjList> {
+    /// Runs `decode` on the record of `v`. Errors only on a corrupt
+    /// record, which the open-time CRC makes practically unreachable.
+    #[inline]
+    fn decode_record<T>(
+        &self,
+        v: VertexId,
+        decode: impl FnOnce(VertexId, &[u8]) -> Result<T, VbyteError>,
+    ) -> io::Result<T> {
         if v.index() >= self.n {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -497,9 +550,13 @@ impl CompressedGraph {
         }
         let start = self.payload_start + self.offset(v.index()) as usize;
         let end = self.payload_start + self.offset(v.index() + 1) as usize;
-        decode_adjacency_exact(v, self.backing.as_slice(), start, end)
-            .map(AdjList::from_sorted)
+        decode(v, &self.backing.as_slice()[start..end])
             .map_err(|e| corrupt(format!("vertex {v}: {e}")))
+    }
+
+    /// Decodes `Γ(v)`; an error means a corrupt record.
+    pub fn try_adjacency(&self, v: VertexId) -> io::Result<AdjList> {
+        self.decode_record(v, decode_adjacency).map(AdjList::from_sorted)
     }
 
     /// Decodes `Γ(v)`, panicking on corruption (which open-time
@@ -509,18 +566,23 @@ impl CompressedGraph {
         self.try_adjacency(v).expect("record validated by open-time CRC")
     }
 
-    /// Degree of `v` without decoding the neighbor list (reads only the
-    /// leading varint of the record).
-    pub fn degree(&self, v: VertexId) -> usize {
-        assert!(v.index() < self.n, "vertex {v} out of range (n = {})", self.n);
-        let start = self.payload_start + self.offset(v.index()) as usize;
-        let end = self.payload_start + self.offset(v.index() + 1) as usize;
-        let mut pos = start;
-        read_varint(&self.backing.as_slice()[..end], &mut pos)
-            .expect("record validated by open-time CRC") as usize
+    /// Decodes `Γ_>(v)` from the head of the record at a cost of
+    /// `|Γ_>(v)|` gaps, not `deg(v)`: the `Γ_<(v)` run behind it is not
+    /// read. Panics on corruption like [`CompressedGraph::adjacency`].
+    #[inline]
+    pub fn adjacency_above(&self, v: VertexId) -> AdjList {
+        let above = self.decode_record(v, decode_adjacency_above);
+        AdjList::from_sorted(above.expect("record validated by open-time CRC"))
     }
 
-    /// Iterates degrees for `v = 0..n` (cheap: one varint per vertex).
+    /// Degree of `v` without decoding the neighbor list (reads only the
+    /// two leading counts of the record).
+    pub fn degree(&self, v: VertexId) -> usize {
+        self.decode_record(v, |_, record| decode_degree(record))
+            .expect("record validated by open-time CRC")
+    }
+
+    /// Iterates degrees for `v = 0..n` (cheap: two varints per vertex).
     pub fn degrees(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.n as u32).map(move |v| self.degree(VertexId(v)))
     }
@@ -589,6 +651,7 @@ mod tests {
         assert_eq!(c.is_labeled(), g.is_labeled());
         for v in g.vertices() {
             assert_eq!(c.adjacency(v).as_slice(), g.neighbors(v).as_slice(), "Γ({v})");
+            assert_eq!(c.adjacency_above(v).as_slice(), g.neighbors(v).greater_than(v), "Γ_>({v})");
             assert_eq!(c.degree(v), g.degree(v), "deg({v})");
             assert_eq!(c.label(v), g.label(v), "label({v})");
         }
@@ -734,9 +797,37 @@ mod tests {
     }
 
     #[test]
+    fn stream_builder_refuses_a_self_loop() {
+        let path = tmp("loop.gtc");
+        let mut b = StreamBuilder::new(&path, 2, None).unwrap();
+        b.push(&[VertexId(1)]).unwrap();
+        let err = b.push(&[VertexId(0), VertexId(1)]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
     fn not_a_graph_file_is_rejected() {
         let err = CompressedGraph::from_bytes(b"definitely not a graph file at all".to_vec())
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bad magic"), "{err}");
+    }
+
+    #[test]
+    fn another_format_version_asks_for_a_rebuild() {
+        let g = gen::gnp(30, 0.1, 3);
+        let path = tmp("versions.gtc");
+        write_compressed(&g, &path).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(&clean[..8], MAGIC);
+        assert_eq!(MAGIC[6..], *format!("{FORMAT_VERSION:02}").as_bytes());
+        for (version, whose) in [(b"01", "an older"), (b"03", "a newer")] {
+            let mut other = clean.clone();
+            other[6..8].copy_from_slice(version);
+            let err = CompressedGraph::from_bytes(other).unwrap_err().to_string();
+            assert!(err.contains(whose), "{err}");
+            assert!(err.contains("gthinker graph build IN OUT.gtc"), "{err}");
+        }
     }
 }

@@ -7,7 +7,9 @@
 //! [`Csr`] hand out copies of materialized lists; [`CompressedGraph`]
 //! decodes the list from its mapped file on each call. Callers that
 //! need decode-once semantics put a cache in front (the worker's
-//! `LocalTable`/`VertexCache` layers already are that cache).
+//! `LocalTable`/`VertexCache` layers already are that cache). Callers
+//! that only want `Γ_>(v)` say so ([`AdjacencyStore::adjacency_above`])
+//! and each backend does as little as its layout allows.
 
 use std::sync::Arc;
 
@@ -31,6 +33,16 @@ pub trait AdjacencyStore: Send + Sync {
 
     /// The sorted adjacency list `Γ(v)`.
     fn adjacency(&self, v: VertexId) -> AdjList;
+
+    /// `Γ_>(v)`: the neighbors with IDs above `v`, always equal to
+    /// `adjacency(v).greater_than(v)`. Backends override when they can
+    /// produce the suffix without producing the list — the compressed
+    /// format stores it first so that it can.
+    fn adjacency_above(&self, v: VertexId) -> AdjList {
+        let mut adj = self.adjacency(v);
+        adj.keep_greater_than(v);
+        adj
+    }
 
     /// Degree of `v`; backends override when it is cheaper than a full
     /// decode.
@@ -60,6 +72,10 @@ impl AdjacencyStore for Graph {
 
     fn adjacency(&self, v: VertexId) -> AdjList {
         self.neighbors(v).clone()
+    }
+
+    fn adjacency_above(&self, v: VertexId) -> AdjList {
+        AdjList::from_sorted(self.neighbors(v).greater_than(v).to_vec())
     }
 
     fn degree(&self, v: VertexId) -> usize {
@@ -92,6 +108,11 @@ impl AdjacencyStore for Csr {
         AdjList::from_sorted(self.neighbors(v).to_vec())
     }
 
+    fn adjacency_above(&self, v: VertexId) -> AdjList {
+        let row = self.neighbors(v);
+        AdjList::from_sorted(row[row.partition_point(|&u| u <= v)..].to_vec())
+    }
+
     fn degree(&self, v: VertexId) -> usize {
         Csr::degree(self, v)
     }
@@ -122,6 +143,10 @@ impl AdjacencyStore for CompressedGraph {
         CompressedGraph::adjacency(self, v)
     }
 
+    fn adjacency_above(&self, v: VertexId) -> AdjList {
+        CompressedGraph::adjacency_above(self, v)
+    }
+
     fn degree(&self, v: VertexId) -> usize {
         CompressedGraph::degree(self, v)
     }
@@ -150,6 +175,10 @@ impl<S: AdjacencyStore + ?Sized> AdjacencyStore for Arc<S> {
 
     fn adjacency(&self, v: VertexId) -> AdjList {
         (**self).adjacency(v)
+    }
+
+    fn adjacency_above(&self, v: VertexId) -> AdjList {
+        (**self).adjacency_above(v)
     }
 
     fn degree(&self, v: VertexId) -> usize {
@@ -184,7 +213,36 @@ mod tests {
         write_compressed(g, &path).unwrap();
         let c = CompressedGraph::open(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        vec![Box::new(g.clone()), Box::new(Csr::from_graph(g)), Box::new(c)]
+        vec![
+            Box::new(g.clone()),
+            Box::new(Csr::from_graph(g)),
+            Box::new(Arc::new(c)),
+            Box::new(DefaultsOnly(g.clone())),
+        ]
+    }
+
+    /// A backend that overrides nothing: exercises the provided methods.
+    struct DefaultsOnly(Graph);
+
+    impl AdjacencyStore for DefaultsOnly {
+        fn num_vertices(&self) -> usize {
+            self.0.num_vertices()
+        }
+        fn num_edges(&self) -> u64 {
+            self.0.num_edges() as u64
+        }
+        fn adjacency(&self, v: VertexId) -> AdjList {
+            self.0.neighbors(v).clone()
+        }
+        fn label(&self, v: VertexId) -> Option<Label> {
+            self.0.label(v)
+        }
+        fn is_labeled(&self) -> bool {
+            self.0.is_labeled()
+        }
+        fn heap_bytes(&self) -> usize {
+            0
+        }
     }
 
     #[test]
@@ -197,6 +255,11 @@ mod tests {
             for v in g.vertices() {
                 assert_eq!(store.adjacency(v), reference[v.index()], "Γ({v})");
                 assert_eq!(store.degree(v), reference[v.index()].degree());
+                assert_eq!(
+                    store.adjacency_above(v).as_slice(),
+                    reference[v.index()].greater_than(v),
+                    "Γ_>({v})"
+                );
             }
         }
     }

@@ -9,16 +9,35 @@
 //!   triangle counting.
 //! * [`LabelSetTrimmer`] — drop neighbors whose labels do not appear in
 //!   the query graph, for subgraph matching.
+//!
+//! A trimmer that knows which part of `Γ(v)` it keeps can push the trim
+//! down into the store ([`Trimmer::fetch_trimmed`]): `GreaterIdTrimmer`
+//! asks for `Γ_>(v)` and a store that can produce it without producing
+//! `Γ(v)` — the compressed format, which keeps it at the head of the
+//! record — does only that much work.
 
 use crate::adj::AdjList;
 use crate::graph::Graph;
 use crate::ids::{Label, VertexId};
+use crate::store::AdjacencyStore;
 
 /// A user-definable pass that rewrites each vertex's adjacency list
 /// right after loading.
 pub trait Trimmer: Send + Sync {
     /// Rewrites `adj` for vertex `v` (whose label, if any, is `label`).
     fn trim(&self, v: VertexId, label: Option<Label>, adj: &mut AdjList);
+
+    /// The trimmed list of `v` straight from `store` — how the framework
+    /// obtains every trimmed list ([`trim_graph`] and the lazy local
+    /// table call nothing else). The provided body fetches all of `Γ(v)`
+    /// and [`trim`](Trimmer::trim)s it. An implementation that overrides
+    /// it to fetch less promises the same result, for every store and
+    /// vertex, as that provided body; it never sees the part it skipped.
+    fn fetch_trimmed(&self, store: &dyn AdjacencyStore, v: VertexId) -> AdjList {
+        let mut adj = store.adjacency(v);
+        self.trim(v, store.label(v), &mut adj);
+        adj
+    }
 }
 
 /// Keeps only neighbors with IDs strictly greater than the owner —
@@ -28,8 +47,11 @@ pub struct GreaterIdTrimmer;
 
 impl Trimmer for GreaterIdTrimmer {
     fn trim(&self, v: VertexId, _label: Option<Label>, adj: &mut AdjList) {
-        let kept: Vec<VertexId> = adj.greater_than(v).to_vec();
-        *adj = AdjList::from_sorted(kept);
+        adj.keep_greater_than(v);
+    }
+
+    fn fetch_trimmed(&self, store: &dyn AdjacencyStore, v: VertexId) -> AdjList {
+        store.adjacency_above(v)
     }
 }
 
@@ -74,14 +96,7 @@ impl Trimmer for LabelSetTrimmer {
 /// empty) entry — tasks are simply never spawned from them.
 pub fn trim_graph(g: &Graph, trimmer: &dyn Trimmer) -> Graph {
     let labels = g.labels().map(<[Label]>::to_vec);
-    let adj: Vec<AdjList> = g
-        .vertices()
-        .map(|v| {
-            let mut a = g.neighbors(v).clone();
-            trimmer.trim(v, g.label(v), &mut a);
-            a
-        })
-        .collect();
+    let adj: Vec<AdjList> = g.vertices().map(|v| trimmer.fetch_trimmed(g, v)).collect();
     let out = Graph::from_adjacency(adj);
     match labels {
         Some(l) => out.with_labels(l),

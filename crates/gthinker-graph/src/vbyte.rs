@@ -1,16 +1,33 @@
-//! Variable-byte integer codes and the delta-gap adjacency codec.
+//! Variable-byte integer codes and the owner-split adjacency codec.
 //!
 //! The compressed graph format ([`crate::compressed`]) stores each
-//! sorted adjacency list `Γ(v)` WebGraph-style: the first neighbor as a
-//! zig-zagged delta from `v` itself, every further neighbor as the gap
-//! to its predecessor minus one (lists are strictly ascending, so gaps
-//! are ≥ 1 and the `-1` saves a bit of entropy). All values are LEB128
-//! variable-byte integers — byte-aligned rather than the bit-aligned
-//! ζ codes of WebGraph proper, trading a few percent of ratio for a
-//! decode loop that is a handful of instructions per neighbor.
+//! sorted adjacency list `Γ(v)` as two runs of gaps that both start at
+//! the owner `v` itself:
+//!
+//! ```text
+//! varint(k_gt) varint(k_lt)
+//! k_gt × varint(gap − 1)     Γ_>(v), ascending:  v → u₁ → u₂ → …
+//! k_lt × varint(gap − 1)     Γ_<(v), descending: v → w₁ → w₂ → …
+//! ```
+//!
+//! Lists are strictly ascending and never hold `v`, so every gap is ≥ 1
+//! and the `−1` saves a bit of entropy. Splitting at the owner is what
+//! makes `Γ_>(v)` — all that triangle counting and maximum clique ever
+//! look at — the first `k_gt` gaps of the record:
+//! [`decode_adjacency_above`] stops there and never reads the rest,
+//! however large the degree. [`decode_adjacency`] fills one exact-size
+//! vector, `[k_lt..]` from the first run and `[..k_lt]` backwards from
+//! the second. No sign bit is needed (a direction is implied by the
+//! run), which pays for the second count.
+//!
+//! All values are LEB128 variable-byte integers — byte-aligned rather
+//! than the bit-aligned ζ codes of WebGraph proper, trading a few
+//! percent of ratio for a decode loop that is a handful of instructions
+//! per neighbor.
 //!
 //! Every read is bounds-checked and returns a typed [`VbyteError`]; a
-//! truncated or corrupt buffer can never panic or read out of bounds.
+//! truncated or corrupt buffer can never panic, read out of bounds or
+//! allocate more than four bytes per byte of input.
 
 use crate::ids::VertexId;
 
@@ -21,9 +38,11 @@ pub enum VbyteError {
     Truncated,
     /// A varint ran past 10 bytes (would overflow u64).
     Overlong,
-    /// A decoded neighbor ID does not fit in a `u32` vertex ID.
+    /// A gap in the ascending run steps above `u32::MAX`.
     IdOverflow,
-    /// The record's encoded bytes did not match its declared degree.
+    /// A gap in the descending run steps below vertex 0.
+    IdUnderflow,
+    /// The record's encoded bytes did not match its declared counts.
     LengthMismatch,
 }
 
@@ -33,6 +52,7 @@ impl std::fmt::Display for VbyteError {
             VbyteError::Truncated => write!(f, "truncated varint"),
             VbyteError::Overlong => write!(f, "overlong varint (>10 bytes)"),
             VbyteError::IdOverflow => write!(f, "decoded vertex ID exceeds u32"),
+            VbyteError::IdUnderflow => write!(f, "decoded vertex ID below 0"),
             VbyteError::LengthMismatch => write!(f, "adjacency record length mismatch"),
         }
     }
@@ -84,96 +104,116 @@ pub fn varint_len(value: u64) -> usize {
     (64 - value.max(1).leading_zeros() as usize).div_ceil(7)
 }
 
-/// Maps a signed delta onto an unsigned code (0, -1, 1, -2, 2, ...).
-#[inline]
-pub fn zigzag(value: i64) -> u64 {
-    ((value << 1) ^ (value >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-#[inline]
-pub fn unzigzag(code: u64) -> i64 {
-    ((code >> 1) as i64) ^ -((code & 1) as i64)
-}
-
-/// Encodes the sorted adjacency list of vertex `v` into `out`.
-///
-/// Layout: `varint(degree)`, then for non-empty lists
-/// `varint(zigzag(first − v))` followed by `degree − 1` gap codes
-/// `varint(gap − 1)`. The caller guarantees `neighbors` is strictly
-/// ascending (debug-asserted).
+/// Encodes the sorted adjacency list of vertex `v` into `out` (layout in
+/// the module docs). The caller guarantees `neighbors` is strictly
+/// ascending and does not hold `v` itself (debug-asserted).
 pub fn encode_adjacency(v: VertexId, neighbors: &[VertexId], out: &mut Vec<u8>) {
     debug_assert!(
         neighbors.windows(2).all(|w| w[0] < w[1]),
         "adjacency of {v} must be strictly ascending"
     );
-    write_varint(neighbors.len() as u64, out);
-    let Some(&first) = neighbors.first() else { return };
-    write_varint(zigzag(i64::from(first.0) - i64::from(v.0)), out);
-    let mut prev = first.0;
-    for &u in &neighbors[1..] {
+    let split = neighbors.partition_point(|&u| u < v);
+    let (below, above) = neighbors.split_at(split);
+    debug_assert!(above.first() != Some(&v), "adjacency of {v} must not hold {v} itself");
+    write_varint(above.len() as u64, out);
+    write_varint(below.len() as u64, out);
+    let mut prev = v.0;
+    for &u in above {
         write_varint(u64::from(u.0 - prev) - 1, out);
+        prev = u.0;
+    }
+    let mut prev = v.0;
+    for &u in below.iter().rev() {
+        write_varint(u64::from(prev - u.0) - 1, out);
         prev = u.0;
     }
 }
 
-/// Decodes one adjacency record from `buf` at `*pos` into `out`
-/// (cleared first), advancing `*pos` past the record.
-///
-/// The output is strictly ascending by construction; IDs are checked
-/// against the `u32` vertex-ID domain.
-pub fn decode_adjacency_into(
+/// Reads `(k_gt, k_lt)`. Every neighbor costs at least one byte, so
+/// counts the rest of the record cannot hold are refused here, before
+/// anything is allocated for them.
+#[inline]
+fn read_counts(record: &[u8], pos: &mut usize) -> Result<(usize, usize), VbyteError> {
+    let k_gt = read_varint(record, pos)?;
+    let k_lt = read_varint(record, pos)?;
+    let remaining = (record.len() - *pos) as u64;
+    match k_gt.checked_add(k_lt) {
+        Some(k) if k <= remaining => Ok((k_gt as usize, k_lt as usize)),
+        _ => Err(VbyteError::LengthMismatch),
+    }
+}
+
+/// Decodes the ascending run into `out`, front to back.
+#[inline]
+fn decode_above(
     v: VertexId,
-    buf: &[u8],
+    record: &[u8],
     pos: &mut usize,
-    out: &mut Vec<VertexId>,
+    out: &mut [VertexId],
 ) -> Result<(), VbyteError> {
-    out.clear();
-    let degree = read_varint(buf, pos)?;
-    if degree == 0 {
-        return Ok(());
-    }
-    // A degree beyond the ID domain cannot be valid; refuse before
-    // reserving memory for it.
-    if degree > u64::from(u32::MAX) {
-        return Err(VbyteError::IdOverflow);
-    }
-    out.reserve(degree as usize);
-    let first = i64::from(v.0) + unzigzag(read_varint(buf, pos)?);
-    if first < 0 || first > i64::from(u32::MAX) {
-        return Err(VbyteError::IdOverflow);
-    }
-    let mut prev = first as u64;
-    out.push(VertexId(prev as u32));
-    for _ in 1..degree {
-        prev = prev
-            .checked_add(read_varint(buf, pos)?)
-            .and_then(|p| p.checked_add(1))
+    let mut prev = u64::from(v.0);
+    for slot in out {
+        prev = read_varint(record, pos)?
+            .checked_add(prev + 1)
+            .filter(|&id| id <= u64::from(u32::MAX))
             .ok_or(VbyteError::IdOverflow)?;
-        if prev > u64::from(u32::MAX) {
-            return Err(VbyteError::IdOverflow);
-        }
-        out.push(VertexId(prev as u32));
+        *slot = VertexId(prev as u32);
     }
     Ok(())
 }
 
-/// Decodes one adjacency record that must span exactly `buf[start..end]`
-/// (the offset index pins record boundaries, so any slack is corruption).
-pub fn decode_adjacency_exact(
+/// Decodes the descending run into `out`, back to front, so that `out`
+/// ends up ascending.
+#[inline]
+fn decode_below(
     v: VertexId,
-    buf: &[u8],
-    start: usize,
-    end: usize,
-) -> Result<Vec<VertexId>, VbyteError> {
-    let slice = buf.get(start..end).ok_or(VbyteError::Truncated)?;
-    let mut out = Vec::new();
+    record: &[u8],
+    pos: &mut usize,
+    out: &mut [VertexId],
+) -> Result<(), VbyteError> {
+    let mut prev = u64::from(v.0);
+    for slot in out.iter_mut().rev() {
+        let gap = read_varint(record, pos)?;
+        // prev − gap − 1 ≥ 0  ⇔  gap < prev.
+        if gap >= prev {
+            return Err(VbyteError::IdUnderflow);
+        }
+        prev -= gap + 1;
+        *slot = VertexId(prev as u32);
+    }
+    Ok(())
+}
+
+/// Decodes `Γ(v)` from `record`, which must be exactly one record (the
+/// offset index pins record boundaries, so any slack is corruption).
+/// The output is strictly ascending by construction.
+pub fn decode_adjacency(v: VertexId, record: &[u8]) -> Result<Vec<VertexId>, VbyteError> {
     let mut pos = 0usize;
-    decode_adjacency_into(v, slice, &mut pos, &mut out)?;
-    if pos != slice.len() {
+    let (k_gt, k_lt) = read_counts(record, &mut pos)?;
+    let mut out = vec![VertexId(0); k_gt + k_lt];
+    let (below, above) = out.split_at_mut(k_lt);
+    decode_above(v, record, &mut pos, above)?;
+    decode_below(v, record, &mut pos, below)?;
+    if pos != record.len() {
         return Err(VbyteError::LengthMismatch);
     }
     Ok(out)
+}
+
+/// Decodes `Γ_>(v)` — the first `k_gt` gaps of `record` — and reads
+/// nothing behind them: the cost is `|Γ_>(v)|`, not the degree.
+pub fn decode_adjacency_above(v: VertexId, record: &[u8]) -> Result<Vec<VertexId>, VbyteError> {
+    let mut pos = 0usize;
+    let (k_gt, _) = read_counts(record, &mut pos)?;
+    let mut out = vec![VertexId(0); k_gt];
+    decode_above(v, record, &mut pos, &mut out)?;
+    Ok(out)
+}
+
+/// The degree `k_gt + k_lt` of a record: its two leading varints.
+pub fn decode_degree(record: &[u8]) -> Result<usize, VbyteError> {
+    let (k_gt, k_lt) = read_counts(record, &mut 0)?;
+    Ok(k_gt + k_lt)
 }
 
 #[cfg(test)]
@@ -184,12 +224,19 @@ mod tests {
         v.iter().map(|&x| VertexId(x)).collect()
     }
 
-    fn round_trip(v: u32, nbrs: &[u32]) {
-        let nbrs = ids(nbrs);
+    fn encode(v: u32, nbrs: &[u32]) -> Vec<u8> {
         let mut buf = Vec::new();
-        encode_adjacency(VertexId(v), &nbrs, &mut buf);
-        let back = decode_adjacency_exact(VertexId(v), &buf, 0, buf.len()).unwrap();
-        assert_eq!(back, nbrs, "round trip of Γ({v})");
+        encode_adjacency(VertexId(v), &ids(nbrs), &mut buf);
+        buf
+    }
+
+    fn round_trip(v: u32, nbrs: &[u32]) {
+        let buf = encode(v, nbrs);
+        let owner = VertexId(v);
+        assert_eq!(decode_adjacency(owner, &buf).unwrap(), ids(nbrs), "Γ({v})");
+        let above: Vec<u32> = nbrs.iter().copied().filter(|&u| u > v).collect();
+        assert_eq!(decode_adjacency_above(owner, &buf).unwrap(), ids(&above), "Γ_>({v})");
+        assert_eq!(decode_degree(&buf).unwrap(), nbrs.len(), "deg({v})");
     }
 
     #[test]
@@ -205,50 +252,38 @@ mod tests {
     }
 
     #[test]
-    fn zigzag_round_trips() {
-        for v in [0i64, 1, -1, 2, -2, i64::from(i32::MAX), i64::from(i32::MIN), -12345] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-        assert_eq!(zigzag(0), 0);
-        assert_eq!(zigzag(-1), 1);
-        assert_eq!(zigzag(1), 2);
+    fn adjacency_round_trips_at_every_owner_position() {
+        round_trip(5, &[]);
+        round_trip(7, &[3]); // all below
+        round_trip(7, &[900]); // all above
+        round_trip(7, &[6, 8]); // adjacent on both sides (gap codes 0)
+        round_trip(2, &[0, 1, 3, 4, 5, 1000, u32::MAX]); // straddling, max-gap edge
+        round_trip(0, &[1, 2, u32::MAX]); // v = 0: nothing can be below
+        round_trip(u32::MAX, &[0, u32::MAX - 1]); // v = max: nothing above
     }
 
     #[test]
-    fn adjacency_round_trips() {
-        round_trip(5, &[]);
-        round_trip(0, &[0]); // self-reference is representable (delta 0)
-        round_trip(7, &[3]); // first neighbor below v (negative delta)
-        round_trip(7, &[900]); // first neighbor far above v
-        round_trip(2, &[0, 1, 3, 4, 5, 1000, u32::MAX]); // max-gap edge
-        round_trip(u32::MAX, &[0, u32::MAX - 1]);
+    fn above_decode_never_reads_the_below_run() {
+        let mut buf = encode(50, &[10, 20, 60, 70]);
+        // Poison the last byte (the below run): an unterminated varint.
+        *buf.last_mut().unwrap() = 0x80;
+        assert_eq!(decode_adjacency_above(VertexId(50), &buf).unwrap(), ids(&[60, 70]));
+        assert_eq!(decode_adjacency(VertexId(50), &buf), Err(VbyteError::Truncated));
     }
 
     #[test]
     fn truncated_record_is_a_clean_error() {
-        let nbrs = ids(&[10, 20, 30_000]);
-        let mut buf = Vec::new();
-        encode_adjacency(VertexId(1), &nbrs, &mut buf);
+        let buf = encode(100, &[10, 20, 30_000]);
         for cut in 0..buf.len() {
-            let err = decode_adjacency_exact(VertexId(1), &buf, 0, cut);
-            assert!(err.is_err(), "cut at {cut} must fail");
+            assert!(decode_adjacency(VertexId(100), &buf[..cut]).is_err(), "cut at {cut}");
         }
-        // Out-of-range window.
-        assert_eq!(
-            decode_adjacency_exact(VertexId(1), &buf, 0, buf.len() + 1),
-            Err(VbyteError::Truncated)
-        );
     }
 
     #[test]
     fn trailing_bytes_are_length_mismatch() {
-        let mut buf = Vec::new();
-        encode_adjacency(VertexId(0), &ids(&[4]), &mut buf);
+        let mut buf = encode(0, &[4]);
         buf.push(0);
-        assert_eq!(
-            decode_adjacency_exact(VertexId(0), &buf, 0, buf.len()),
-            Err(VbyteError::LengthMismatch)
-        );
+        assert_eq!(decode_adjacency(VertexId(0), &buf), Err(VbyteError::LengthMismatch));
     }
 
     #[test]
@@ -259,23 +294,33 @@ mod tests {
     }
 
     #[test]
-    fn id_overflow_rejected() {
-        // degree 2, first = 0, gap pushes past u32::MAX.
-        let mut buf = Vec::new();
-        write_varint(2, &mut buf);
-        write_varint(zigzag(0), &mut buf);
-        write_varint(u64::from(u32::MAX) + 5, &mut buf);
-        assert_eq!(
-            decode_adjacency_exact(VertexId(0), &buf, 0, buf.len()),
-            Err(VbyteError::IdOverflow)
-        );
-        // Negative first neighbor.
-        let mut buf = Vec::new();
-        write_varint(1, &mut buf);
-        write_varint(zigzag(-1), &mut buf);
-        assert_eq!(
-            decode_adjacency_exact(VertexId(0), &buf, 0, buf.len()),
-            Err(VbyteError::IdOverflow)
-        );
+    fn counts_the_record_cannot_hold_are_refused_before_allocating() {
+        // k_gt = u32::MAX in five bytes, k_lt = 0: a 16 GB list claimed
+        // by a 6-byte record.
+        let record = [0xff, 0xff, 0xff, 0xff, 0x0f, 0x00];
+        let v = VertexId(0);
+        assert_eq!(decode_adjacency(v, &record), Err(VbyteError::LengthMismatch));
+        assert_eq!(decode_adjacency_above(v, &record), Err(VbyteError::LengthMismatch));
+        assert_eq!(decode_degree(&record), Err(VbyteError::LengthMismatch));
+        // The two counts may not overflow their sum either.
+        let mut both = Vec::new();
+        write_varint(u64::MAX, &mut both);
+        write_varint(u64::MAX, &mut both);
+        assert_eq!(decode_adjacency(v, &both), Err(VbyteError::LengthMismatch));
+    }
+
+    #[test]
+    fn runs_that_leave_the_id_domain_are_typed_errors() {
+        // One neighbor above v = 0 at gap u32::MAX + 1.
+        let mut buf = vec![1, 0];
+        write_varint(u64::from(u32::MAX), &mut buf);
+        assert_eq!(decode_adjacency(VertexId(0), &buf), Err(VbyteError::IdOverflow));
+        assert_eq!(decode_adjacency_above(VertexId(0), &buf), Err(VbyteError::IdOverflow));
+        // One neighbor below v = 3 at gap 4 (would be vertex −1).
+        let buf = [0, 1, 3];
+        assert_eq!(decode_adjacency(VertexId(3), &buf), Err(VbyteError::IdUnderflow));
+        // ... while gap 3 is vertex 0.
+        let buf = [0, 1, 2];
+        assert_eq!(decode_adjacency(VertexId(3), &buf).unwrap(), ids(&[0]));
     }
 }

@@ -2,18 +2,48 @@
 
 use gthinker_graph::adj::{count_intersect_sorted, intersect_sorted, AdjList};
 use gthinker_graph::compressed::{write_compressed, CompressedGraph};
+use gthinker_graph::csr::Csr;
 use gthinker_graph::gen;
 use gthinker_graph::graph::Graph;
 use gthinker_graph::ids::VertexId;
 use gthinker_graph::load;
 use gthinker_graph::partition::HashPartitioner;
 use gthinker_graph::stats::GraphStats;
+use gthinker_graph::store::AdjacencyStore;
 use gthinker_graph::subgraph::Subgraph;
 use gthinker_graph::vbyte;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn ids(v: Vec<u32>) -> Vec<VertexId> {
     v.into_iter().map(VertexId).collect()
+}
+
+/// Bytes the single-run record layout would take — one count, the first
+/// neighbor as a zig-zagged delta from the owner, ascending gaps after
+/// it — which is the yardstick for the owner-split layout's size.
+fn single_run_len(v: u32, nbrs: &[VertexId]) -> usize {
+    let mut len = vbyte::varint_len(nbrs.len() as u64);
+    if let Some(first) = nbrs.first() {
+        let delta = i64::from(first.0) - i64::from(v);
+        len += vbyte::varint_len(((delta << 1) ^ (delta >> 63)) as u64);
+    }
+    len + nbrs.windows(2).map(|w| vbyte::varint_len(u64::from(w[1].0 - w[0].0) - 1)).sum::<usize>()
+}
+
+#[test]
+fn owner_split_costs_at_most_the_shorter_runs_count() {
+    // The worst case: 128 neighbors on each side, so both counts take
+    // two bytes where the one count took two, and gaps of 129 next to the
+    // owner, so neither the lost sign bit nor the split gap saves a byte.
+    let v = 1_000_000u32;
+    let below = (0..128).rev().map(|i| v - 129 - 2 * i);
+    let above = (0..128).map(|i| v + 129 + 2 * i);
+    let nbrs = ids(below.chain(above).collect());
+    let mut buf = Vec::new();
+    vbyte::encode_adjacency(VertexId(v), &nbrs, &mut buf);
+    assert_eq!(vbyte::decode_adjacency(VertexId(v), &buf).unwrap(), nbrs);
+    assert_eq!(buf.len(), single_run_len(v, &nbrs) + vbyte::varint_len(128));
 }
 
 proptest! {
@@ -137,72 +167,107 @@ proptest! {
     }
 
     #[test]
-    fn zigzag_round_trips_any_i64(value in any::<i64>()) {
-        prop_assert_eq!(vbyte::unzigzag(vbyte::zigzag(value)), value);
-    }
-
-    #[test]
-    fn adjacency_codec_round_trips(
-        v in 0u32..5000,
-        raw in proptest::collection::vec(0u32..5000, 0..100),
+    fn adjacency_codec_round_trips_at_every_owner_position(
+        v in prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>()],
+        shape in 0usize..4,
+        offsets in proptest::collection::vec(1u32..5000, 0..100),
+        extremes in any::<bool>(),
     ) {
-        // Covers degree-0 (empty list), singleton adjacency, and —
-        // because the values are arbitrary — first-neighbor deltas of
-        // both signs. Sort + dedup yields the strictly ascending input
-        // the codec requires.
-        let mut raw = raw;
+        // Neighbors are laid out relative to the owner: none, all below,
+        // all above, or straddling it; `extremes` adds vertex 0 and
+        // vertex u32::MAX, the widest gaps either run can hold.
+        let mut raw: Vec<u32> = offsets
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &off)| match shape {
+                0 => None,
+                1 => v.checked_sub(off),
+                2 => v.checked_add(off),
+                _ if i % 2 == 0 => v.checked_sub(off),
+                _ => v.checked_add(off),
+            })
+            .collect();
+        if extremes {
+            raw.extend([0, u32::MAX].into_iter().filter(|&u| u != v));
+        }
         raw.sort_unstable();
         raw.dedup();
+        let owner = VertexId(v);
         let nbrs: Vec<VertexId> = raw.into_iter().map(VertexId).collect();
+        let above = AdjList::from_sorted(nbrs.clone()).greater_than(owner).to_vec();
         let mut buf = Vec::new();
-        vbyte::encode_adjacency(VertexId(v), &nbrs, &mut buf);
-        let back = vbyte::decode_adjacency_exact(VertexId(v), &buf, 0, buf.len()).unwrap();
-        prop_assert_eq!(back, nbrs);
-    }
-
-    #[test]
-    fn adjacency_codec_handles_extreme_gaps(
-        v in prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>()],
-        low in 0u32..4,
-        high_off in 0u32..4,
-    ) {
-        // Max-gap edges: a neighbor near 0 and one near u32::MAX in the
-        // same list forces a near-2^32 gap code.
-        let a = low;
-        let b = u32::MAX - high_off;
-        prop_assume!(a < b);
-        let nbrs = vec![VertexId(a), VertexId(b)];
-        let mut buf = Vec::new();
-        vbyte::encode_adjacency(VertexId(v), &nbrs, &mut buf);
-        let back = vbyte::decode_adjacency_exact(VertexId(v), &buf, 0, buf.len()).unwrap();
-        prop_assert_eq!(back, nbrs);
+        vbyte::encode_adjacency(owner, &nbrs, &mut buf);
+        prop_assert_eq!(vbyte::decode_degree(&buf).unwrap(), nbrs.len());
+        prop_assert_eq!(&vbyte::decode_adjacency_above(owner, &buf).unwrap(), &above);
+        prop_assert_eq!(&vbyte::decode_adjacency(owner, &buf).unwrap(), &nbrs);
+        // The split costs a second count and saves the sign bit of the
+        // first delta: never more than the shorter run's count on top of
+        // the single-run layout — one byte here, with under 128 neighbors.
+        prop_assert!(buf.len() <= single_run_len(v, &nbrs) + 1, "{} bytes", buf.len());
     }
 
     #[test]
     fn truncated_adjacency_records_error_cleanly(
-        v in 0u32..1000,
+        v in 0u32..100_000,
         raw in proptest::collection::vec(0u32..100_000, 1..40),
-        frac in 0.0f64..1.0,
     ) {
         let mut raw = raw;
+        raw.retain(|&u| u != v);
         raw.sort_unstable();
         raw.dedup();
         let nbrs: Vec<VertexId> = raw.into_iter().map(VertexId).collect();
         let mut buf = Vec::new();
         vbyte::encode_adjacency(VertexId(v), &nbrs, &mut buf);
-        let cut = ((buf.len() as f64) * frac) as usize; // always < len
-        let result = vbyte::decode_adjacency_exact(VertexId(v), &buf, 0, cut);
-        prop_assert!(result.is_err(), "cut to {} of {} bytes must fail", cut, buf.len());
+        for cut in 0..buf.len() {
+            let result = vbyte::decode_adjacency(VertexId(v), &buf[..cut]);
+            prop_assert!(result.is_err(), "cut to {} of {} bytes must fail", cut, buf.len());
+            // The prefix decoders may succeed on a cut behind what they
+            // read; they must not panic.
+            let _ = vbyte::decode_adjacency_above(VertexId(v), &buf[..cut]);
+            let _ = vbyte::decode_degree(&buf[..cut]);
+        }
     }
 
     #[test]
     fn corrupt_adjacency_bytes_never_panic(
-        v in 0u32..1000,
+        v in prop_oneof![Just(0u32), Just(u32::MAX), 0u32..1000],
         garbage in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        // Arbitrary bytes either decode to something or error — the
-        // contract is simply "no panic, no out-of-bounds".
-        let _ = vbyte::decode_adjacency_exact(VertexId(v), &garbage, 0, garbage.len());
+        // Arbitrary bytes either decode to something or give a typed
+        // error — no panic, no out-of-bounds, and no allocation beyond
+        // one ID per input byte.
+        let decoded = [
+            vbyte::decode_adjacency(VertexId(v), &garbage),
+            vbyte::decode_adjacency_above(VertexId(v), &garbage),
+        ];
+        for list in decoded.into_iter().flatten() {
+            prop_assert!(list.len() <= garbage.len());
+            prop_assert!(list.windows(2).all(|w| w[0] < w[1]));
+        }
+        let _ = vbyte::decode_degree(&garbage);
+    }
+
+    #[test]
+    fn adjacency_above_is_the_greater_than_suffix_on_every_backend(
+        edges in proptest::collection::vec((0u32..60, 0u32..60), 0..200),
+    ) {
+        let pairs: Vec<(VertexId, VertexId)> =
+            edges.iter().map(|&(u, v)| (VertexId(u), VertexId(v))).collect();
+        let g = Graph::from_edges(60, &pairs);
+        let dir = std::env::temp_dir().join(format!("gthinker-prop-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("above.gtc");
+        write_compressed(&g, &path).unwrap();
+        let c = CompressedGraph::open(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let shared: Arc<dyn AdjacencyStore> = Arc::new(Csr::from_graph(&g));
+        let backends: [&dyn AdjacencyStore; 4] = [&g, &Csr::from_graph(&g), &c, &shared];
+        for store in backends {
+            for v in g.vertices() {
+                let full = store.adjacency(v);
+                prop_assert_eq!(store.adjacency_above(v).as_slice(), full.greater_than(v));
+            }
+        }
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //!   partitioning).
 //! * **Lazy** — a shared [`AdjacencyStore`] (typically a memory-mapped
 //!   compressed graph) plus a membership bitset; `Γ(v)` is decoded on
-//!   each lookup and the job's trimmer, if any, is applied at decode
-//!   time. The worker's own resident footprint is then just the bitset
+//!   each lookup, through the job's trimmer if it has one
+//!   ([`Trimmer::fetch_trimmed`]: a trimmer that keeps only `Γ_>(v)`
+//!   decodes only `Γ_>(v)`), and nothing decoded is retained here.
+//!   The worker's own resident footprint is then just the bitset
 //!   and spawn order, not the partition's adjacency bytes — those stay
 //!   in the page cache.
 
@@ -93,10 +95,11 @@ impl LocalTable {
 
     /// Builds a lazily-decoding table over a shared store: `members`
     /// lists this worker's owned vertices in spawn order, and every
-    /// [`LocalTable::get`] decodes `Γ(v)` from `store`, applying
-    /// `trimmer` (the job's post-load trim, §IV item 7) on the decoded
-    /// list. Equivalent to the eager path because trimming is
-    /// per-vertex and ownership depends only on the vertex ID.
+    /// [`LocalTable::get`] fetches the list from `store` through
+    /// `trimmer` (the job's post-load trim, §IV item 7), which decodes
+    /// `Γ(v)` and trims it or, if it can, decodes just what it keeps.
+    /// Equivalent to the eager path because trimming is per-vertex and
+    /// ownership depends only on the vertex ID.
     pub fn lazy(
         store: Arc<dyn AdjacencyStore>,
         trimmer: Option<Arc<dyn Trimmer>>,
@@ -138,10 +141,10 @@ impl LocalTable {
                 if !members.contains(v.0) {
                     return None;
                 }
-                let mut adj = store.adjacency(v);
-                if let Some(t) = trimmer {
-                    t.trim(v, store.label(v), &mut adj);
-                }
+                let adj = match trimmer {
+                    Some(t) => t.fetch_trimmed(store.as_ref(), v),
+                    None => store.adjacency(v),
+                };
                 Some(Arc::new(adj))
             }
         }
@@ -221,9 +224,10 @@ impl LocalTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gthinker_graph::compressed::{write_compressed, CompressedGraph};
     use gthinker_graph::gen;
     use gthinker_graph::graph::Graph;
-    use gthinker_graph::trim::GreaterIdTrimmer;
+    use gthinker_graph::trim::{trim_graph, GreaterIdTrimmer, LabelSetTrimmer};
 
     fn table(n: u32) -> LocalTable {
         let records = (0..n)
@@ -317,15 +321,80 @@ mod tests {
         }
     }
 
+    /// The graph behind every store kind a lazy table can sit on: in
+    /// RAM, and compressed (where `Γ_>(v)` is decoded on its own).
+    fn stores(g: &Graph, tag: &str) -> Vec<Arc<dyn AdjacencyStore>> {
+        let path =
+            std::env::temp_dir().join(format!("gthinker-local-{}-{tag}.gtc", std::process::id()));
+        write_compressed(g, &path).unwrap();
+        let mapped = CompressedGraph::open(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        vec![Arc::new(g.clone()), Arc::new(mapped)]
+    }
+
     #[test]
-    fn lazy_table_applies_trimmer_at_decode() {
-        let g = gen::gnp(80, 0.1, 5);
+    fn greater_id_trimmer_lazy_matches_eager() {
+        let unlabeled = gen::gnp(80, 0.1, 5);
+        let labeled = gen::random_labels(gen::gnp(80, 0.1, 6), 3, 7);
+        for (g, tag) in [(unlabeled, "plain"), (labeled, "labeled")] {
+            let trimmed = trim_graph(&g, &GreaterIdTrimmer);
+            let members: Vec<VertexId> = g.vertices().filter(|v| v.0 % 2 == 0).collect();
+            let eager = LocalTable::new(
+                members.iter().map(|&v| (v, trimmed.neighbors(v).clone())).collect(),
+            );
+            for store in stores(&g, tag) {
+                let lazy =
+                    LocalTable::lazy(store, Some(Arc::new(GreaterIdTrimmer)), members.clone());
+                for v in g.vertices() {
+                    assert_eq!(eager.get(v), lazy.get(v), "Γ_>({v})");
+                    if let Some(got) = lazy.get(v) {
+                        assert_eq!(got.as_slice(), g.neighbors(v).greater_than(v));
+                        assert_eq!(lazy.label(v), g.label(v));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A trimmer written against `trim` alone, as a user's would be:
+    /// keeps `Γ_>(v)` too, but only after checking that it was handed
+    /// the whole list and the owner's label.
+    struct SeesEverything(Graph);
+
+    impl Trimmer for SeesEverything {
+        fn trim(&self, v: VertexId, label: Option<Label>, adj: &mut AdjList) {
+            assert_eq!(adj, self.0.neighbors(v), "trim of {v} must see all of Γ({v})");
+            assert_eq!(label, self.0.label(v));
+            adj.keep_greater_than(v);
+        }
+    }
+
+    #[test]
+    fn trimmers_that_do_not_opt_in_see_the_whole_list() {
+        let g = gen::random_labels(gen::gnp(80, 0.1, 9), 3, 2);
+        let allowed = [Label(0), Label(2)];
+        let by_label = LabelSetTrimmer::new(&allowed, g.labels().unwrap().to_vec());
         let members: Vec<VertexId> = g.vertices().collect();
-        let store: Arc<dyn AdjacencyStore> = Arc::new(g.clone());
-        let lazy = LocalTable::lazy(store, Some(Arc::new(GreaterIdTrimmer)), members);
-        for v in g.vertices() {
-            let got = lazy.get(v).unwrap();
-            assert_eq!(got.as_slice(), g.neighbors(v).greater_than(v), "Γ_>({v})");
+        for store in stores(&g, "opt-out") {
+            let lazy = LocalTable::lazy(
+                Arc::clone(&store),
+                Some(Arc::new(SeesEverything(g.clone()))),
+                members.clone(),
+            );
+            for v in g.vertices() {
+                assert_eq!(lazy.get(v).unwrap().as_slice(), g.neighbors(v).greater_than(v));
+            }
+            // The label trimmer keeps neighbors on both sides of v, which
+            // only the full list holds.
+            let lazy = LocalTable::lazy(store, Some(Arc::new(by_label.clone())), members.clone());
+            for v in g.vertices() {
+                let want: Vec<VertexId> = g
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&u| allowed.contains(&g.label(u).unwrap()))
+                    .collect();
+                assert_eq!(lazy.get(v).unwrap().as_slice(), want.as_slice(), "Γ({v}) by label");
+            }
         }
     }
 
