@@ -188,7 +188,7 @@ mod tests {
             cfg.compute_budget = Some(2);
             let r = run_job(Arc::new(KPlexApp::new(2, 3, 4)), &g, &cfg).unwrap();
             assert_eq!(r.global, expected, "seed {seed}");
-            let splits: u64 = r.workers.iter().map(|w| w.split_tasks).sum();
+            let splits: u64 = r.metrics.totals().split_tasks;
             assert!(splits > 0, "seed {seed}: budget should have split some node");
         }
     }

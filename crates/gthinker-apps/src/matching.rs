@@ -217,7 +217,7 @@ mod tests {
             let app = MatchingApp::new(p, g.labels().unwrap().to_vec());
             let r = run_job(Arc::new(app), &g, &cfg).unwrap();
             assert_eq!(r.global, expected, "seed {seed}");
-            let splits: u64 = r.workers.iter().map(|w| w.split_tasks).sum();
+            let splits: u64 = r.metrics.totals().split_tasks;
             assert!(splits > 0, "seed {seed}: budget should have split some anchor");
         }
     }

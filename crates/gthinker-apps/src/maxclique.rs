@@ -265,7 +265,7 @@ mod tests {
         let r = run_job(Arc::new(MaxCliqueApp::with_tau(40_000)), &g, &cfg).unwrap();
         assert_eq!(r.global.len(), expected.len());
         assert_is_clique(&g, &r.global);
-        let splits: u64 = r.workers.iter().map(|w| w.split_tasks).sum();
+        let splits: u64 = r.metrics.totals().split_tasks;
         assert!(splits > 0, "budget τ should have forced decomposition");
     }
 

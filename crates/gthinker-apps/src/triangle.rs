@@ -145,7 +145,7 @@ mod tests {
             cfg.compute_budget = Some(budget);
             let r = run_job(Arc::new(TriangleApp), &g, &cfg).unwrap();
             assert_eq!(r.global, expected, "budget {budget}");
-            let splits: u64 = r.workers.iter().map(|w| w.split_tasks).sum();
+            let splits: u64 = r.metrics.totals().split_tasks;
             assert!(splits > 0, "budget {budget} should have chunked some task");
         }
     }

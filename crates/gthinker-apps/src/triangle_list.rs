@@ -108,7 +108,7 @@ mod tests {
             .map(|rec| decode_triangle(rec).unwrap())
             .collect();
         triangles.sort_unstable();
-        let emitted: u64 = r.workers.iter().map(|w| w.output_records).sum();
+        let emitted: u64 = r.metrics.totals().output_records;
         assert_eq!(emitted, triangles.len() as u64);
         (r.global, triangles)
     }

@@ -36,7 +36,7 @@ fn main() {
     let run = |label: &str, cfg: &JobConfig, tau: usize| {
         let r = run_job(Arc::new(MaxCliqueApp::with_tau(tau)), &d.graph, cfg).unwrap();
         assert!(r.global.len() >= d.planted_clique.len(), "{label}: missed the planted clique");
-        let misses: u64 = r.workers.iter().map(|w| w.cache.misses).sum();
+        let misses: u64 = r.metrics.totals().cache.misses;
         // Message counts are visible through bytes; re-derive an
         // approximate message count from sent bytes / average size is
         // noisy, so report bytes and misses directly.

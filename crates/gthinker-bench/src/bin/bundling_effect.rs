@@ -36,7 +36,7 @@ fn main() {
                 .unwrap();
         let count = *reference.get_or_insert(r.global);
         assert_eq!(r.global, count, "bundling changed the answer!");
-        let misses: u64 = r.workers.iter().map(|w| w.cache.misses).sum();
+        let misses: u64 = r.metrics.totals().cache.misses;
         println!(
             "{threshold:>16} | {:>10} {:>10} {:>12} {:>12} | {}",
             fmt_duration(r.elapsed),

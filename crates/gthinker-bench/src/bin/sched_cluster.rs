@@ -131,12 +131,8 @@ impl App for SkewApp {
 struct RunStats {
     wall_ns: u128,
     idle_ns: Vec<u128>,
-    remote_steals: u64,
-    remote_stolen_tasks: u64,
-    steal_batch_bytes: u64,
-    yields: u64,
-    split_tasks: u64,
-    tasks: u64,
+    /// Every counter, summed over the workers.
+    sum: WorkerMetricsSnapshot,
     total: u64,
 }
 
@@ -152,13 +148,8 @@ fn run_once(g: &Graph, steal: bool, budget: Option<u64>) -> RunStats {
     let wall = start.elapsed();
     RunStats {
         wall_ns: wall.as_nanos(),
-        idle_ns: r.workers.iter().map(|w| w.idle_time.as_nanos()).collect(),
-        remote_steals: r.workers.iter().map(|w| w.remote_steals).sum(),
-        remote_stolen_tasks: r.workers.iter().map(|w| w.remote_stolen_tasks).sum(),
-        steal_batch_bytes: r.workers.iter().map(|w| w.steal_batch_bytes).sum(),
-        yields: r.workers.iter().map(|w| w.yields).sum(),
-        split_tasks: r.workers.iter().map(|w| w.split_tasks).sum(),
-        tasks: r.total_tasks(),
+        idle_ns: r.metrics.workers.iter().map(|w| w.idle_nanos as u128).collect(),
+        sum: r.metrics.totals(),
         total: r.global,
     }
 }
@@ -181,12 +172,12 @@ fn json_mode(s: &RunStats) -> String {
         s.wall_ns,
         idle.join(", "),
         s.idle_ns.iter().sum::<u128>(),
-        s.remote_steals,
-        s.remote_stolen_tasks,
-        s.steal_batch_bytes,
-        s.yields,
-        s.split_tasks,
-        s.tasks,
+        s.sum.remote_steals,
+        s.sum.remote_stolen_tasks,
+        s.sum.steal_batch_bytes,
+        s.sum.yields,
+        s.sum.split_tasks,
+        s.sum.tasks_finished,
         s.total
     )
 }
@@ -209,8 +200,8 @@ fn main() {
     let steal_off = run_mode(&g, false, budget, reps);
     assert_eq!(steal.total, steal_off.total, "modes must agree on the aggregate");
     assert_eq!(steal.total, split_off.total, "modes must agree on the aggregate");
-    assert!(steal.remote_steals > 0, "skew must trigger cluster steals");
-    assert_eq!(steal_off.remote_steals, 0, "steal-off must not steal");
+    assert!(steal.sum.remote_steals > 0, "skew must trigger cluster steals");
+    assert_eq!(steal_off.sum.remote_steals, 0, "steal-off must not steal");
 
     println!(
         "{:>10} | {:>9} {:>10} | {:>7} {:>7} {:>9} | {:>7} {:>7} | {:>6}",
@@ -223,12 +214,12 @@ fn main() {
             name,
             s.wall_ns as f64 / 1e6,
             s.idle_ns.iter().sum::<u128>() as f64 / 1e6,
-            s.remote_steals,
-            s.remote_stolen_tasks,
-            s.steal_batch_bytes,
-            s.yields,
-            s.split_tasks,
-            s.tasks
+            s.sum.remote_steals,
+            s.sum.remote_stolen_tasks,
+            s.sum.steal_batch_bytes,
+            s.sum.yields,
+            s.sum.split_tasks,
+            s.sum.tasks_finished
         );
     }
     let wall_ratio = steal.wall_ns as f64 / steal_off.wall_ns.max(1) as f64;

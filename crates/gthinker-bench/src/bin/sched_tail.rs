@@ -96,12 +96,8 @@ impl App for TreeApp {
 struct RunStats {
     wall_ms: f64,
     idle_ms: f64,
-    steals: u64,
-    stolen_tasks: u64,
-    parks: u64,
-    wakeups: u64,
-    responses: u64,
-    tasks: u64,
+    /// Every counter, summed over the workers.
+    sum: WorkerMetricsSnapshot,
     total: u64,
 }
 
@@ -113,15 +109,11 @@ fn run_once(g: &Graph, app: Arc<TreeApp>, intra_steal: bool) -> RunStats {
     let start = std::time::Instant::now();
     let r = run_job(app, g, &cfg).expect("job runs");
     let wall = start.elapsed();
+    let sum = r.metrics.totals();
     RunStats {
         wall_ms: wall.as_secs_f64() * 1e3,
-        idle_ms: r.workers.iter().map(|w| w.idle_time).sum::<Duration>().as_secs_f64() * 1e3,
-        steals: r.workers.iter().map(|w| w.steals).sum(),
-        stolen_tasks: r.workers.iter().map(|w| w.stolen_tasks).sum(),
-        parks: r.workers.iter().map(|w| w.parks).sum(),
-        wakeups: r.workers.iter().map(|w| w.wakeups).sum(),
-        responses: r.workers.iter().map(|w| w.responses_served).sum(),
-        tasks: r.total_tasks(),
+        idle_ms: sum.idle_nanos as f64 / 1e6,
+        sum,
         total: r.global,
     }
 }
@@ -143,12 +135,12 @@ fn json_mode(s: &RunStats) -> String {
         ),
         s.wall_ms,
         s.idle_ms,
-        s.steals,
-        s.stolen_tasks,
-        s.parks,
-        s.wakeups,
-        s.responses,
-        s.tasks,
+        s.sum.steals,
+        s.sum.stolen_tasks,
+        s.sum.parks,
+        s.sum.wakeups,
+        s.sum.responses_served,
+        s.sum.tasks_finished,
         s.total
     )
 }
@@ -168,7 +160,10 @@ fn main() {
     let steal = run_mode(&g, &app, true, reps);
     let nosteal = run_mode(&g, &app, false, reps);
     assert_eq!(steal.total, nosteal.total, "modes must agree on the aggregate");
-    assert_eq!(steal.tasks, nosteal.tasks, "total work is scheduling-independent");
+    assert_eq!(
+        steal.sum.tasks_finished, nosteal.sum.tasks_finished,
+        "total work is scheduling-independent"
+    );
 
     println!(
         "{:>9} | {:>9} {:>10} | {:>7} {:>7} {:>8} {:>8} | {:>6}",
@@ -178,7 +173,14 @@ fn main() {
     for (name, s) in [("steal", &steal), ("no-steal", &nosteal)] {
         println!(
             "{:>9} | {:>9.1} {:>10.1} | {:>7} {:>7} {:>8} {:>8} | {:>6}",
-            name, s.wall_ms, s.idle_ms, s.steals, s.stolen_tasks, s.parks, s.wakeups, s.tasks
+            name,
+            s.wall_ms,
+            s.idle_ms,
+            s.sum.steals,
+            s.sum.stolen_tasks,
+            s.sum.parks,
+            s.sum.wakeups,
+            s.sum.tasks_finished
         );
     }
     println!(

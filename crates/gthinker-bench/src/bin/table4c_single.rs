@@ -30,7 +30,7 @@ fn main() {
         assert!(r.global.len() >= d.planted_clique.len());
         let modeled = modeled_parallel_time(&r, compers);
         let b = *base.get_or_insert(modeled.as_secs_f64());
-        let misses: u64 = r.workers.iter().map(|w| w.cache.misses).sum();
+        let misses: u64 = r.metrics.totals().cache.misses;
         println!(
             "{compers:>8} | {:>10} {:>12} {:>11.2}× {:>10} {:>12} | {}",
             fmt_duration(r.elapsed),

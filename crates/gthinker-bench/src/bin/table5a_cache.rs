@@ -38,9 +38,8 @@ fn main() {
         cfg.cache.num_buckets = 1024;
         let r = run_job(Arc::new(MaxCliqueApp::default()), &d.graph, &cfg).unwrap();
         assert!(r.global.len() >= d.planted_clique.len());
-        let misses: u64 = r.workers.iter().map(|w| w.cache.misses).sum();
-        let evictions: u64 = r.workers.iter().map(|w| w.cache.evictions).sum();
-        let gc: u64 = r.workers.iter().map(|w| w.cache.gc_passes).sum();
+        let cache = r.metrics.totals().cache;
+        let (misses, evictions, gc) = (cache.misses, cache.evictions, cache.gc_passes);
         println!(
             "{cap:>10} | {:>10} {:>10} {:>10} {:>12} {:>12}",
             fmt_duration(r.elapsed),

@@ -49,20 +49,16 @@ pub fn fmt_bytes(b: u64) -> String {
 }
 
 /// Modeled parallel wall-clock (see the crate docs): max over workers
-/// of `compute_time / compers`.
+/// of `compute_nanos / compers`.
 pub fn modeled_parallel_time<G>(result: &JobResult<G>, compers_per_worker: usize) -> Duration {
-    result
-        .workers
-        .iter()
-        .map(|w| w.compute_time / compers_per_worker.max(1) as u32)
-        .max()
-        .unwrap_or(Duration::ZERO)
+    let busiest = result.metrics.workers.iter().map(|w| w.compute_nanos).max().unwrap_or(0);
+    Duration::from_nanos(busiest) / compers_per_worker.max(1) as u32
 }
 
 /// Load-balance ratio: busiest worker's compute time over the mean
 /// (1.0 = perfectly even).
 pub fn load_balance<G>(result: &JobResult<G>) -> f64 {
-    let times: Vec<f64> = result.workers.iter().map(|w| w.compute_time.as_secs_f64()).collect();
+    let times: Vec<f64> = result.metrics.workers.iter().map(|w| w.compute_nanos as f64).collect();
     let max = times.iter().cloned().fold(0.0, f64::max);
     let mean = times.iter().sum::<f64>() / times.len().max(1) as f64;
     if mean == 0.0 {

@@ -148,6 +148,20 @@ fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
+/// The graph FILE of a mining command: whatever is left of `args` once
+/// every flag the command knows has been taken out must be exactly that
+/// one path, so a mistyped flag is an error instead of a silent default.
+fn file_arg<'a>(args: &'a [String], what: &str) -> Result<&'a str, CliError> {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return err(format!("{what}: unknown option {flag}"));
+    }
+    match args {
+        [] => err(format!("{what}: missing FILE")),
+        [path] => Ok(path),
+        [_, extra, ..] => err(format!("{what}: unexpected argument {extra}")),
+    }
+}
+
 fn mine_opts(args: &mut Vec<String>) -> Result<MineOpts, CliError> {
     let mut o = MineOpts::default();
     if let Some(w) = take_parsed(args, "--workers")? {
@@ -661,7 +675,7 @@ fn cmd_order(args: Vec<String>) -> Result<String, CliError> {
 fn cmd_mcf(mut args: Vec<String>) -> Result<String, CliError> {
     let opts = mine_opts(&mut args)?;
     let tau: usize = take_parsed(&mut args, "--tau")?.unwrap_or(40_000);
-    let path = args.first().ok_or_else(|| CliError("mcf: missing FILE".into()))?;
+    let path = file_arg(&args, "mcf")?;
     let input = open_graph_input(path)?;
     let r = run_job(Arc::new(MaxCliqueApp::with_tau(tau)), input.source(), &job_config(&opts))
         .map_err(|e| CliError(format!("job failed: {e}")))?;
@@ -678,7 +692,7 @@ fn cmd_tc(mut args: Vec<String>) -> Result<String, CliError> {
     let opts = mine_opts(&mut args)?;
     let bundle: usize = take_parsed(&mut args, "--bundle")?.unwrap_or(0);
     let list_dir = take_flag(&mut args, "--list")?;
-    let path = args.first().ok_or_else(|| CliError("tc: missing FILE".into()))?;
+    let path = file_arg(&args, "tc")?;
     let input = open_graph_input(path)?;
     let mut cfg = job_config(&opts);
     if let Some(dir) = list_dir {
@@ -686,7 +700,7 @@ fn cmd_tc(mut args: Vec<String>) -> Result<String, CliError> {
         cfg.output_dir = Some(dir.clone().into());
         let r = run_job(Arc::new(TriangleListApp), input.source(), &cfg)
             .map_err(|e| CliError(format!("job failed: {e}")))?;
-        let emitted: u64 = r.workers.iter().map(|w| w.output_records).sum();
+        let emitted = r.metrics.totals().output_records;
         let extra = export_metrics(&opts.metrics, &r.metrics)?;
         return Ok(format!(
             "triangles: {} in {:.2?}; {emitted} records written under {dir}{extra}",
@@ -708,7 +722,7 @@ fn cmd_tc(mut args: Vec<String>) -> Result<String, CliError> {
 
 fn cmd_mc(mut args: Vec<String>) -> Result<String, CliError> {
     let opts = mine_opts(&mut args)?;
-    let path = args.first().ok_or_else(|| CliError("mc: missing FILE".into()))?;
+    let path = file_arg(&args, "mc")?;
     let input = open_graph_input(path)?;
     let r = run_job(Arc::new(MaximalCliqueApp), input.source(), &job_config(&opts))
         .map_err(|e| CliError(format!("job failed: {e}")))?;
@@ -722,7 +736,7 @@ fn cmd_qc(mut args: Vec<String>) -> Result<String, CliError> {
         .ok_or_else(|| CliError("qc: --gamma required".into()))?;
     let min: usize = take_parsed(&mut args, "--min")?.unwrap_or(3);
     let max: usize = take_parsed(&mut args, "--max")?.unwrap_or(5);
-    let path = args.first().ok_or_else(|| CliError("qc: missing FILE".into()))?;
+    let path = file_arg(&args, "qc")?;
     let input = open_graph_input(path)?;
     let r =
         run_job(Arc::new(QuasiCliqueApp::new(gamma, min, max)), input.source(), &job_config(&opts))
@@ -740,7 +754,7 @@ fn cmd_kp(mut args: Vec<String>) -> Result<String, CliError> {
         take_parsed(&mut args, "--k")?.ok_or_else(|| CliError("kp: --k required".into()))?;
     let min: usize = take_parsed(&mut args, "--min")?.unwrap_or((2 * k).saturating_sub(1).max(2));
     let max: usize = take_parsed(&mut args, "--max")?.unwrap_or(min + 2);
-    let path = args.first().ok_or_else(|| CliError("kp: missing FILE".into()))?;
+    let path = file_arg(&args, "kp")?;
     let input = open_graph_input(path)?;
     let r = run_job(Arc::new(KPlexApp::new(k, min, max)), input.source(), &job_config(&opts))
         .map_err(|e| CliError(format!("job failed: {e}")))?;
@@ -756,7 +770,7 @@ fn cmd_gm(mut args: Vec<String>) -> Result<String, CliError> {
     let spec = take_flag(&mut args, "--pattern")?
         .ok_or_else(|| CliError("gm: --pattern required".into()))?;
     let pattern = parse_pattern(&spec)?;
-    let path = args.first().ok_or_else(|| CliError("gm: missing FILE".into()))?;
+    let path = file_arg(&args, "gm")?;
     let input = open_graph_input(path)?;
     let labels = input
         .labels()
@@ -826,23 +840,23 @@ fn spawn_status_thread(telemetry: Arc<ClusterTelemetry>) {
                     format!("w{i} {rate} B/s")
                 })
                 .collect();
-            let remaining: u64 = snap.workers.iter().map(|w| w.remaining).sum();
-            let idle: u64 = snap.workers.iter().map(|w| w.idle_compers).sum();
-            let inflight: u64 = snap.workers.iter().map(|w| w.steal_inflight).sum();
+            let total = snap.totals();
             // Recovery counts are per-process views of one shared fact;
             // the max (the master's, once it reports) is authoritative.
             let recoveries: u64 = snap.workers.iter().map(|w| w.recoveries).max().unwrap_or(0);
-            let peer_downs: u64 = snap.workers.iter().map(|w| w.peer_down_events).sum();
-            let recovery = if recoveries > 0 || peer_downs > 0 {
-                format!(" | recoveries {recoveries} | peer-downs {peer_downs}")
+            let recovery = if recoveries > 0 || total.peer_down_events > 0 {
+                format!(" | recoveries {recoveries} | peer-downs {}", total.peer_down_events)
             } else {
                 String::new()
             };
             eprintln!(
-                "[status +{:.1}s] {}/{} reporting | remaining {remaining} | idle compers {idle} | steals in flight {inflight}{recovery} | {}",
+                "[status +{:.1}s] {}/{} reporting | remaining {} | idle compers {} | steals in flight {}{recovery} | {}",
                 snap.elapsed.as_secs_f64(),
                 telemetry.reported(),
                 telemetry.num_workers(),
+                total.remaining,
+                total.idle_compers,
+                total.steal_inflight,
                 rates.join(", "),
             );
             prev = Some((now, bytes));
@@ -929,7 +943,7 @@ fn run_cluster<A: App>(
     Ok(match role {
         ClusterRole::Master(r) => {
             let extra = export_metrics(&seat.metrics, &r.metrics)?;
-            let w = &r.workers[0];
+            let w = &r.metrics.workers[0];
             format!(
                 "{}\nworker 0 (master): sent {} bytes, received {} bytes{}{extra}",
                 render(&r),
@@ -938,8 +952,9 @@ fn run_cluster<A: App>(
                 recovery_line(&r.recovery)
             )
         }
-        ClusterRole::Worker(w, snap, recovery) => {
+        ClusterRole::Worker(snap, recovery) => {
             let extra = export_metrics(&seat.metrics, &snap)?;
+            let w = &snap.workers[0];
             format!(
                 "worker {} done: sent {} bytes, received {} bytes{}{extra}",
                 seat.me.index(),
@@ -1054,7 +1069,7 @@ fn cmd_cluster(is_master: bool, mut args: Vec<String>) -> Result<String, CliErro
     match miner.as_str() {
         "mcf" => {
             let tau: usize = take_parsed(&mut args, "--tau")?.unwrap_or(40_000);
-            let path = args.first().ok_or_else(|| CliError(format!("{role} mcf: missing FILE")))?;
+            let path = file_arg(&args, &format!("{role} mcf"))?;
             let input = open_graph_input(path)?;
             run_cluster(MaxCliqueApp::with_tau(tau), &input, &cfg, seat, |r| {
                 format!(
@@ -1067,7 +1082,7 @@ fn cmd_cluster(is_master: bool, mut args: Vec<String>) -> Result<String, CliErro
         }
         "tc" => {
             let bundle: usize = take_parsed(&mut args, "--bundle")?.unwrap_or(0);
-            let path = args.first().ok_or_else(|| CliError(format!("{role} tc: missing FILE")))?;
+            let path = file_arg(&args, &format!("{role} tc"))?;
             let input = open_graph_input(path)?;
             let render =
                 |r: &JobResult<u64>| format!("triangles: {} in {:.2?}", r.global, r.elapsed);
@@ -1078,7 +1093,7 @@ fn cmd_cluster(is_master: bool, mut args: Vec<String>) -> Result<String, CliErro
             }
         }
         "mc" => {
-            let path = args.first().ok_or_else(|| CliError(format!("{role} mc: missing FILE")))?;
+            let path = file_arg(&args, &format!("{role} mc"))?;
             let input = open_graph_input(path)?;
             run_cluster(MaximalCliqueApp, &input, &cfg, seat, |r| {
                 format!("maximal cliques: {} in {:.2?}", r.global, r.elapsed)
@@ -1089,7 +1104,7 @@ fn cmd_cluster(is_master: bool, mut args: Vec<String>) -> Result<String, CliErro
                 .ok_or_else(|| CliError(format!("{role} qc: --gamma required")))?;
             let min: usize = take_parsed(&mut args, "--min")?.unwrap_or(3);
             let max: usize = take_parsed(&mut args, "--max")?.unwrap_or(5);
-            let path = args.first().ok_or_else(|| CliError(format!("{role} qc: missing FILE")))?;
+            let path = file_arg(&args, &format!("{role} qc"))?;
             let input = open_graph_input(path)?;
             run_cluster(QuasiCliqueApp::new(gamma, min, max), &input, &cfg, seat, move |r| {
                 format!(
@@ -1104,7 +1119,7 @@ fn cmd_cluster(is_master: bool, mut args: Vec<String>) -> Result<String, CliErro
             let min: usize =
                 take_parsed(&mut args, "--min")?.unwrap_or((2 * k).saturating_sub(1).max(2));
             let max: usize = take_parsed(&mut args, "--max")?.unwrap_or(min + 2);
-            let path = args.first().ok_or_else(|| CliError(format!("{role} kp: missing FILE")))?;
+            let path = file_arg(&args, &format!("{role} kp"))?;
             let input = open_graph_input(path)?;
             run_cluster(KPlexApp::new(k, min, max), &input, &cfg, seat, move |r| {
                 format!(
@@ -1117,7 +1132,7 @@ fn cmd_cluster(is_master: bool, mut args: Vec<String>) -> Result<String, CliErro
             let spec = take_flag(&mut args, "--pattern")?
                 .ok_or_else(|| CliError(format!("{role} gm: --pattern required")))?;
             let pattern = parse_pattern(&spec)?;
-            let path = args.first().ok_or_else(|| CliError(format!("{role} gm: missing FILE")))?;
+            let path = file_arg(&args, &format!("{role} gm"))?;
             let input = open_graph_input(path)?;
             let labels = input.labels().ok_or_else(|| {
                 CliError(format!("{role} gm: the data graph must be labeled (gen --labels K)"))
@@ -1368,6 +1383,33 @@ mod tests {
             a.extend(extra.iter().map(|s| s.to_string()));
             let out = run(a).unwrap();
             assert!(out.contains(&format!("triangles: {expected}")), "{extra:?}: {out}");
+        }
+    }
+
+    #[test]
+    fn arguments_after_file_are_rejected_not_ignored() {
+        // A mistyped flag used to run the job with the default instead.
+        let e = run(args(&["mc", "g.bin", "--comper", "8"])).unwrap_err();
+        assert_eq!(e.0, "mc: unknown option --comper");
+        let e = run(args(&["tc", "--bundel", "4", "g.bin"])).unwrap_err();
+        assert_eq!(e.0, "tc: unknown option --bundel");
+        let e = run(args(&["kp", "g.bin", "h.bin", "--k", "2"])).unwrap_err();
+        assert_eq!(e.0, "kp: unexpected argument h.bin");
+        assert_eq!(run(args(&["mcf", "--tau", "9"])).unwrap_err().0, "mcf: missing FILE");
+        let hosts = ["--hosts", "127.0.0.1:0,127.0.0.1:0"];
+        let e = run(args(&["master", hosts[0], hosts[1], "tc", "g.el", "--comper", "8"]));
+        assert_eq!(e.unwrap_err().0, "master tc: unknown option --comper");
+        let e = run(args(&["worker", hosts[0], hosts[1], "--me", "1", "mc", "g.el", "h.el"]));
+        assert_eq!(e.unwrap_err().0, "worker mc: unexpected argument h.el");
+        // Known flags on either side of FILE still reach the job: the
+        // failure is the missing file, not the arguments.
+        for cmd in [
+            vec!["mc", "/no/such.bin", "--compers", "8", "--steal", "off"],
+            vec!["mcf", "--tau", "9", "--compers", "2", "/no/such.bin"],
+            vec!["master", hosts[0], hosts[1], "tc", "/no/such.bin", "--compers", "2", "--tail"],
+        ] {
+            let e = run(args(&cmd)).unwrap_err().0;
+            assert!(e.contains("open /no/such.bin"), "{cmd:?}: {e}");
         }
     }
 

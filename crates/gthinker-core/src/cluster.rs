@@ -13,15 +13,15 @@
 //!
 //! Differences from the in-process runner, by design:
 //!
-//! * The master's [`JobResult::workers`] holds only **its own**
-//!   [`WorkerStats`] — remote stats live in the remote processes, which
-//!   each get theirs back as [`ClusterRole::Worker`]. The master's
-//!   [`JobResult::metrics`], however, covers the **whole cluster**:
-//!   every process ships a final `MetricsReport` (sealed snapshot with
-//!   its event ring) over the control plane just before its final
-//!   aggregator sync, and the master splices the reports — remote event
-//!   timelines shifted onto its own clock by each worker's ping/pong
-//!   offset estimate — into one cluster-wide snapshot.
+//! * The master's [`JobResult::metrics`] — and with it
+//!   [`JobResult::peak_mem_bytes`] and the `total_*` accessors — covers
+//!   the **whole cluster**: every process ships a final `MetricsReport`
+//!   (sealed snapshot with its event ring) over the control plane just
+//!   before its final aggregator sync, and the master splices the
+//!   reports — remote event timelines shifted onto its own clock by
+//!   each worker's ping/pong offset estimate — into one cluster-wide
+//!   snapshot. Every other process gets its own snapshot back as
+//!   [`ClusterRole::Worker`].
 //! * `config.link` is ignored: the real network provides the latency.
 //! * Fault injection is fully supported: drops/dups/delays are seeded
 //!   identically on every process by [`gthinker_net::FaultConfig`], and
@@ -58,7 +58,7 @@
 //! the job ([`JobOutcome::Failed`](crate::JobOutcome::Failed)).
 
 use crate::api::App;
-use crate::config::{JobResult, WorkerStats};
+use crate::config::JobResult;
 use crate::job::{
     build_locals, build_worker, new_job_dir, restore_worker, run_workers, Global, Job,
     RecoveryLedger, RecoveryReport,
@@ -80,14 +80,13 @@ use std::time::{Duration, Instant};
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum ClusterRole<G> {
-    /// Worker 0: the full job result — its own [`WorkerStats`], plus
-    /// cluster-wide [`JobResult::metrics`] merged from every worker's
-    /// final report.
+    /// Worker 0: the full job result, with cluster-wide
+    /// [`JobResult::metrics`] merged from every worker's final report.
     Master(JobResult<G>),
-    /// Any other worker: its own statistics, its own final metrics
-    /// snapshot (for worker-local exports; the cluster-wide view lives
-    /// at the master) and the recovery rounds it went through.
-    Worker(WorkerStats, MetricsSnapshot, RecoveryReport),
+    /// Any other worker: its own final metrics snapshot (one entry; for
+    /// worker-local exports — the cluster-wide view lives at the
+    /// master) and the recovery rounds it went through.
+    Worker(MetricsSnapshot, RecoveryReport),
 }
 
 impl<A: App> Job<'_, A> {
@@ -220,7 +219,7 @@ impl<A: App> Job<'_, A> {
             // The worker main loop is byte-for-byte the sim backend's:
             // compers, receiver, responders, GC, periodic ticks, master
             // logic on 0.
-            let mut attempt = run_workers(
+            let attempt = run_workers(
                 std::slice::from_ref(&shared),
                 resume_global,
                 self.observer.as_mut(),
@@ -228,7 +227,6 @@ impl<A: App> Job<'_, A> {
                 &job_dir,
                 false,
             )?;
-            let stats = attempt.stats.pop().expect("one worker ran");
 
             if me == WorkerId(0) {
                 let (global, outcome) =
@@ -236,7 +234,10 @@ impl<A: App> Job<'_, A> {
                 let done = match &mut ledger {
                     // Conservative master-local cadence backoff: the
                     // segment's task count is this process's own.
-                    Some(l) => l.settle::<A>(&outcome, stats.tasks_finished)?,
+                    Some(l) => l.settle::<A>(
+                        &outcome,
+                        shared.counters.tasks_finished.load(Ordering::Relaxed),
+                    )?,
                     None => true,
                 };
                 if done {
@@ -244,7 +245,6 @@ impl<A: App> Job<'_, A> {
                         global,
                         elapsed: start.elapsed(),
                         outcome,
-                        workers: vec![stats],
                         metrics: assemble_cluster_metrics(&telemetry, &attempt.registry, me, n),
                         recovery: ledger.map(RecoveryLedger::finish).unwrap_or_default(),
                     }));
@@ -263,7 +263,6 @@ impl<A: App> Job<'_, A> {
                 };
                 if !again {
                     return Ok(ClusterRole::Worker(
-                        stats,
                         attempt.registry.final_snapshot(),
                         ledger.map(RecoveryLedger::finish).unwrap_or_default(),
                     ));

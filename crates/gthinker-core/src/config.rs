@@ -5,7 +5,7 @@ use crate::metrics::MetricsSnapshot;
 use gthinker_graph::ids::WorkerId;
 use gthinker_net::fault::FaultConfig;
 use gthinker_net::router::LinkConfig;
-use gthinker_store::cache::{CacheConfig, CacheSnapshot};
+use gthinker_store::cache::CacheConfig;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -139,93 +139,6 @@ impl JobConfig {
     }
 }
 
-/// Per-worker statistics gathered during a job.
-#[derive(Clone, Debug, Default)]
-pub struct WorkerStats {
-    /// Tasks whose `compute()` finished (returned `false`).
-    pub tasks_finished: u64,
-    /// Total `compute()` invocations (iterations).
-    pub compute_calls: u64,
-    /// Cache statistics (hits, shared waits, misses, evictions, GC
-    /// passes) as a named snapshot.
-    pub cache: CacheSnapshot,
-    /// Bytes sent over the simulated network.
-    pub net_bytes_sent: u64,
-    /// Bytes received.
-    pub net_bytes_received: u64,
-    /// Bytes of task batches spilled to disk.
-    pub spill_bytes: u64,
-    /// Peak observed memory estimate (local table + cache + in-memory
-    /// task subgraphs), in bytes.
-    pub peak_mem_bytes: u64,
-    /// Total time compers spent idle (no task to run), summed across
-    /// compers.
-    pub idle_time: Duration,
-    /// Total time compers spent inside `compute()`.
-    pub compute_time: Duration,
-    /// Records emitted to this worker's output sink.
-    pub output_records: u64,
-    /// Intra-worker steal operations performed by this worker's compers.
-    pub steals: u64,
-    /// Tasks moved by intra-worker steals.
-    pub stolen_tasks: u64,
-    /// Times a comper parked on the scheduler event count.
-    pub parks: u64,
-    /// Parks that ended in an event wakeup rather than the fallback
-    /// timeout.
-    pub wakeups: u64,
-    /// Vertices served to remote pull requests by the responder pool.
-    pub responses_served: u64,
-    /// Responder queue depth at job end (request batches dispatched but
-    /// not yet served). A true gauge — 0 on a clean completion, since
-    /// responders drain fully before the worker's threads join.
-    pub responder_backlog: u64,
-    /// Peak responder queue depth (request batches awaiting service).
-    pub responder_peak_backlog: u64,
-    /// Vertex pulls re-requested after their R-table deadline expired
-    /// (loss tolerance; equals the cache's `retries` counter).
-    pub pull_retries: u64,
-    /// Cluster-wide steal batches this worker shipped to a remote thief
-    /// (master-brokered; counted once per sealed batch at the victim).
-    pub remote_steals: u64,
-    /// Tasks moved off this worker by cluster-wide steals.
-    pub remote_stolen_tasks: u64,
-    /// Framed bytes of steal batches sent (resends counted again, since
-    /// they really cross the wire again).
-    pub steal_batch_bytes: u64,
-    /// Times a task voluntarily yielded mid-compute: framework budget
-    /// preemptions plus UDF `note_split` events.
-    pub yields: u64,
-    /// Tasks created by splitting: 1 per framework re-enqueue, `n` per
-    /// UDF split that fanned a straggler into `n` fresh tasks.
-    pub split_tasks: u64,
-    /// Data-plane messages the fault-injected wire dropped on this
-    /// worker's sends (0 with fault injection off).
-    pub net_msgs_dropped: u64,
-    /// Data-plane messages the fault-injected wire duplicated.
-    pub net_msgs_duplicated: u64,
-    /// Data-plane messages the fault-injected wire delayed (reorder
-    /// jitter or latency spike).
-    pub net_msgs_delayed: u64,
-    /// Trace events lost to the event ring's overwrite-oldest
-    /// recycling. Nonzero means the exported timeline is truncated —
-    /// raise `trace_capacity` to keep more.
-    pub trace_events_dropped: u64,
-    /// Recovery rounds this worker's process went through (crash of any
-    /// peer → abort-to-checkpoint → resume). 0 on a fault-free run.
-    pub recoveries: u64,
-    /// Transport-level peer-death events this worker's endpoint
-    /// observed (socket EOF/reset surfaced as `PeerDown`). Always 0 on
-    /// the sim backend.
-    pub peer_down_events: u64,
-    /// Times this worker's process re-joined an existing TCP mesh with
-    /// a bumped generation (i.e. it was respawned after a crash).
-    pub rejoins: u64,
-    /// Checkpoint epoch the final (successful) attempt resumed from, or
-    /// -1 when it started fresh.
-    pub resumed_epoch: i64,
-}
-
 /// Why a job returned.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobOutcome {
@@ -256,11 +169,11 @@ pub struct JobResult<G> {
     pub elapsed: Duration,
     /// Completion or suspension.
     pub outcome: JobOutcome,
-    /// Per-worker statistics.
-    pub workers: Vec<WorkerStats>,
-    /// Full end-of-run metrics: per-comper latency histograms, named
-    /// counters and (when `trace_capacity > 0`) the event timelines.
-    /// Empty histograms when the `metrics` feature is disabled.
+    /// Full end-of-run metrics, one entry per worker of the whole
+    /// cluster (also at the master of a multi-process job): every
+    /// counter and gauge, per-comper latency histograms and (when
+    /// `trace_capacity > 0`) the event timelines. Histograms are empty
+    /// when the `metrics` feature is disabled; counters never are.
     pub metrics: MetricsSnapshot,
     /// What crash recovery did along the way; all zero unless the job
     /// ran with `Job::recover`.
@@ -271,29 +184,30 @@ impl<G> JobResult<G> {
     /// Maximum per-worker peak memory (the paper's "peak VM memory,
     /// maximum over machines").
     pub fn peak_mem_bytes(&self) -> u64 {
-        self.workers.iter().map(|w| w.peak_mem_bytes).max().unwrap_or(0)
+        self.metrics.totals().peak_mem_bytes
     }
 
     /// Total network bytes sent by all workers.
     pub fn total_net_bytes(&self) -> u64 {
-        self.workers.iter().map(|w| w.net_bytes_sent).sum()
+        self.metrics.totals().net_bytes_sent
     }
 
     /// Total tasks finished across workers.
     pub fn total_tasks(&self) -> u64 {
-        self.workers.iter().map(|w| w.tasks_finished).sum()
+        self.metrics.total_tasks()
     }
 
     /// Total bytes ever spilled to disk (the paper reports this as
     /// negligible).
     pub fn total_spill_bytes(&self) -> u64 {
-        self.workers.iter().map(|w| w.spill_bytes).sum()
+        self.metrics.totals().spill_bytes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::WorkerMetricsSnapshot;
 
     #[test]
     fn defaults_follow_paper() {
@@ -317,26 +231,21 @@ mod tests {
     }
 
     #[test]
-    fn result_accessors_aggregate_worker_stats() {
+    fn result_accessors_aggregate_worker_metrics() {
+        let worker = |peak_mem_bytes, net_bytes_sent, tasks_finished| WorkerMetricsSnapshot {
+            peak_mem_bytes,
+            net_bytes_sent,
+            tasks_finished,
+            ..Default::default()
+        };
         let r = JobResult {
             global: (),
             elapsed: Duration::ZERO,
             outcome: JobOutcome::Completed,
-            workers: vec![
-                WorkerStats {
-                    peak_mem_bytes: 10,
-                    net_bytes_sent: 5,
-                    tasks_finished: 2,
-                    ..Default::default()
-                },
-                WorkerStats {
-                    peak_mem_bytes: 30,
-                    net_bytes_sent: 7,
-                    tasks_finished: 3,
-                    ..Default::default()
-                },
-            ],
-            metrics: MetricsSnapshot::default(),
+            metrics: MetricsSnapshot {
+                elapsed: Duration::ZERO,
+                workers: vec![worker(10, 5, 2), worker(30, 7, 3)],
+            },
             recovery: RecoveryReport::default(),
         };
         assert_eq!(r.peak_mem_bytes(), 30);

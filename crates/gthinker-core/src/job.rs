@@ -7,7 +7,7 @@ use crate::agg::Aggregator;
 use crate::api::App;
 use crate::checkpoint::{self, Manifest, WorkerShard};
 use crate::comper::comper_loop;
-use crate::config::{JobConfig, JobOutcome, JobResult, WorkerStats};
+use crate::config::{JobConfig, JobOutcome, JobResult};
 use crate::master::MasterState;
 use crate::metrics::{ClusterTelemetry, MetricsRegistry, MetricsSnapshot};
 use crate::worker::{
@@ -228,8 +228,8 @@ impl<'a, A: App> Job<'a, A> {
             }
             if ledger.settle::<A>(&result.outcome, result.total_tasks())? {
                 // Parity with the process runner, where each process
-                // counts its own recovery rounds in its stats.
-                for w in &mut result.workers {
+                // counts its own recovery rounds in its metrics.
+                for w in &mut result.metrics.workers {
                     w.recoveries = ledger.report.recoveries as u64;
                 }
                 result.recovery = ledger.finish();
@@ -288,7 +288,6 @@ impl<'a, A: App> Job<'a, A> {
             global,
             elapsed: start.elapsed(),
             outcome,
-            workers: attempt.stats,
             metrics: attempt.registry.final_snapshot(),
             recovery: RecoveryReport::default(),
         })
@@ -486,7 +485,6 @@ pub(crate) fn restore_worker<A: App>(shared: &WorkerShared<A>, cp: &Path) -> io:
 
 /// What one attempt's workers handed back.
 pub(crate) struct Attempt<A: App> {
-    pub stats: Vec<WorkerStats>,
     /// The job outcome, when worker 0 was among `workers`.
     pub outcome: Option<(Global<A>, JobOutcome)>,
     /// Reads every worker's atomics/histograms lock-free.
@@ -555,11 +553,9 @@ pub(crate) fn run_workers<A: App>(
             panic!("{msg}");
         }
     }
-    let mut stats = Vec::with_capacity(workers.len());
     let mut outcome = None;
     let mut io_error = None;
-    for (s, o, e) in exits {
-        stats.push(s);
+    for (o, e) in exits {
         if o.is_some() {
             outcome = o;
         }
@@ -577,7 +573,7 @@ pub(crate) fn run_workers<A: App>(
         WorkerOutcome::Suspended(g, dir) => (g, JobOutcome::Suspended { checkpoint: dir }),
         WorkerOutcome::Failed(g, w) => (g, JobOutcome::Failed { worker: w }),
     });
-    Ok(Attempt { stats, outcome, registry })
+    Ok(Attempt { outcome, registry })
 }
 
 static JOB_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -693,11 +689,11 @@ pub(crate) enum WorkerOutcome<A: App> {
     Failed(Global<A>, WorkerId),
 }
 
-/// What each worker's main thread hands back to [`run_workers`]: stats,
-/// the job outcome (master only), and the first checkpoint/output I/O
+/// What each worker's main thread hands back to [`run_workers`]: the
+/// job outcome (master only), and the first checkpoint/output I/O
 /// error hit during shutdown (reported instead of panicking, after all
 /// threads have joined).
-pub(crate) type WorkerExit<A> = (WorkerStats, Option<WorkerOutcome<A>>, Option<io::Error>);
+pub(crate) type WorkerExit<A> = (Option<WorkerOutcome<A>>, Option<io::Error>);
 
 /// Failure-detection window used when the caller enabled recovery (or
 /// armed a crash schedule) without picking an explicit
@@ -706,7 +702,7 @@ pub(crate) const DEFAULT_HEARTBEAT: std::time::Duration = std::time::Duration::f
 
 /// One worker's main thread: spawns the receiver/GC/comper threads,
 /// runs the periodic tick (plus master logic on worker 0), coordinates
-/// shutdown or suspension, and returns its statistics.
+/// shutdown or suspension.
 pub(crate) fn worker_main<A: App>(
     shared: Arc<WorkerShared<A>>,
     resume_global: Option<Global<A>>,
@@ -965,45 +961,5 @@ pub(crate) fn worker_main<A: App>(
     if let Some(output) = &shared.output {
         output.flush();
     }
-    let stats = WorkerStats {
-        tasks_finished: shared.counters.tasks_finished.load(Ordering::Relaxed),
-        compute_calls: shared.counters.compute_calls.load(Ordering::Relaxed),
-        cache: shared.cache.stats().snapshot(),
-        net_bytes_sent: shared.net.stats().bytes_sent.load(Ordering::Relaxed),
-        net_bytes_received: shared.net.stats().bytes_received.load(Ordering::Relaxed),
-        spill_bytes: shared.spill.bytes_spilled(),
-        peak_mem_bytes: shared.peak_mem.load(Ordering::Relaxed),
-        idle_time: std::time::Duration::from_nanos(
-            shared.counters.idle_nanos.load(Ordering::Relaxed),
-        ),
-        compute_time: std::time::Duration::from_nanos(
-            shared.counters.compute_nanos.load(Ordering::Relaxed),
-        ),
-        output_records: shared.output.as_ref().map_or(0, |o| o.records()),
-        steals: shared.counters.steals.load(Ordering::Relaxed),
-        stolen_tasks: shared.counters.stolen_tasks.load(Ordering::Relaxed),
-        parks: shared.counters.parks.load(Ordering::Relaxed),
-        wakeups: shared.counters.wakeups.load(Ordering::Relaxed),
-        responses_served: shared.counters.responses_served.load(Ordering::Relaxed),
-        responder_backlog: shared.counters.responder_backlog.load(Ordering::Relaxed),
-        responder_peak_backlog: shared.counters.responder_peak_backlog.load(Ordering::Relaxed),
-        pull_retries: shared.counters.pull_retries.load(Ordering::Relaxed),
-        remote_steals: shared.counters.remote_steals.load(Ordering::Relaxed),
-        remote_stolen_tasks: shared.counters.remote_stolen_tasks.load(Ordering::Relaxed),
-        steal_batch_bytes: shared.counters.steal_batch_bytes.load(Ordering::Relaxed),
-        yields: shared.counters.yields.load(Ordering::Relaxed),
-        split_tasks: shared.counters.split_tasks.load(Ordering::Relaxed),
-        net_msgs_dropped: shared.net.fault_stats().map_or(0, |f| f.dropped.load(Ordering::Relaxed)),
-        net_msgs_duplicated: shared
-            .net
-            .fault_stats()
-            .map_or(0, |f| f.duplicated.load(Ordering::Relaxed)),
-        net_msgs_delayed: shared.net.fault_stats().map_or(0, |f| f.delayed.load(Ordering::Relaxed)),
-        trace_events_dropped: shared.metrics.ring.dropped(),
-        recoveries: shared.recoveries.load(Ordering::Relaxed),
-        peer_down_events: shared.net.stats().peer_downs_total(),
-        rejoins: shared.rejoins.load(Ordering::Relaxed),
-        resumed_epoch: shared.resumed_epoch.load(Ordering::Relaxed),
-    };
-    (stats, outcome, io_error)
+    (outcome, io_error)
 }

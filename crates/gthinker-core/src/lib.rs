@@ -69,7 +69,7 @@ mod worker;
 pub use agg::{Aggregator, LocalAgg, NoAgg};
 pub use api::{App, ComputeEnv, SpawnEnv};
 pub use cluster::ClusterRole;
-pub use config::{JobConfig, JobOutcome, JobResult, WorkerStats};
+pub use config::{JobConfig, JobOutcome, JobResult};
 pub use job::{run_job, GraphSource, Job, ProgressSnapshot, RecoveryOptions, RecoveryReport};
 pub use metrics::{ClusterTelemetry, MetricsRegistry, MetricsSnapshot, WorkerMetricsSnapshot};
 

@@ -8,18 +8,25 @@
 //! and is plain data afterwards: mergeable, comparable, serialisable
 //! to JSON or pretty text, and (with events) dumpable as a Chrome
 //! trace.
+//!
+//! Every per-worker counter and gauge is defined once, as a row of the
+//! `metrics_table!` invocation below. The snapshot's fields, their
+//! collection, the report codec, the JSON and Prometheus writers and
+//! [`MetricsSnapshot::totals`] are all derived from that table: adding
+//! a metric is the atomic where it is counted plus one row.
 
 use crate::api::App;
 use crate::job::ProgressSnapshot;
 use crate::worker::WorkerShared;
+use gthinker_graph::crc::Crc32;
 use gthinker_graph::ids::WorkerId;
 use gthinker_metrics::{ComperHistSnapshot, Event, EventKind, HistSnapshot, NUM_BUCKETS};
 use gthinker_net::message::Message;
 use gthinker_store::cache::CacheSnapshot;
 use std::fmt::Write as _;
 use std::io;
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Live handle over a running job's workers; the factory for
@@ -73,174 +80,292 @@ pub(crate) fn send_report<A: App>(shared: &Arc<WorkerShared<A>>, master: WorkerI
     );
 }
 
-pub(crate) fn snapshot_worker<A: App>(
-    w: &WorkerShared<A>,
-    with_events: bool,
-) -> WorkerMetricsSnapshot {
-    let c = &w.counters;
-    WorkerMetricsSnapshot {
-        tasks_finished: c.tasks_finished.load(Ordering::Relaxed),
-        compute_calls: c.compute_calls.load(Ordering::Relaxed),
-        compute_nanos: c.compute_nanos.load(Ordering::Relaxed),
-        idle_nanos: c.idle_nanos.load(Ordering::Relaxed),
-        steals: c.steals.load(Ordering::Relaxed),
-        stolen_tasks: c.stolen_tasks.load(Ordering::Relaxed),
-        remote_steals: c.remote_steals.load(Ordering::Relaxed),
-        remote_stolen_tasks: c.remote_stolen_tasks.load(Ordering::Relaxed),
-        steal_batch_bytes: c.steal_batch_bytes.load(Ordering::Relaxed),
-        yields: c.yields.load(Ordering::Relaxed),
-        split_tasks: c.split_tasks.load(Ordering::Relaxed),
-        parks: c.parks.load(Ordering::Relaxed),
-        wakeups: c.wakeups.load(Ordering::Relaxed),
-        responses_served: c.responses_served.load(Ordering::Relaxed),
-        responder_backlog: c.responder_backlog.load(Ordering::Relaxed),
-        responder_peak_backlog: c.responder_peak_backlog.load(Ordering::Relaxed),
-        pull_retries: c.pull_retries.load(Ordering::Relaxed),
-        net_msgs_dropped: w.net.fault_stats().map_or(0, |f| f.dropped.load(Ordering::Relaxed)),
-        net_msgs_duplicated: w
-            .net
-            .fault_stats()
-            .map_or(0, |f| f.duplicated.load(Ordering::Relaxed)),
-        net_msgs_delayed: w.net.fault_stats().map_or(0, |f| f.delayed.load(Ordering::Relaxed)),
-        cache: w.cache.stats().snapshot(),
-        net_bytes_sent: w.net.stats().bytes_sent.load(Ordering::Relaxed),
-        net_bytes_received: w.net.stats().bytes_received.load(Ordering::Relaxed),
-        net_writev_calls: w.net.stats().writev_calls.load(Ordering::Relaxed),
-        net_frames_coalesced: w.net.stats().frames_coalesced.load(Ordering::Relaxed),
-        net_backpressure_stalls: w.net.stats().backpressure_stalls.load(Ordering::Relaxed),
-        net_delayed_write_errors: w.net.stats().delayed_write_errors.load(Ordering::Relaxed),
-        spill_bytes: w.spill.bytes_spilled(),
-        remaining: w.remaining_estimate(),
-        quiescent: w.quiescent(),
-        idle_compers: w
-            .compers
-            .iter()
-            .filter(|c| {
-                !c.busy.load(Ordering::Relaxed) && c.queue.is_empty() && c.buffer.is_empty()
-            })
-            .count() as u64,
-        steal_inflight: w.steal_inflight.load(Ordering::Relaxed),
-        trace_events_dropped: w.metrics.ring.dropped(),
-        recoveries: w.recoveries.load(Ordering::Relaxed),
-        peer_down_events: w.net.stats().peer_downs_total(),
-        rejoins: w.rejoins.load(Ordering::Relaxed),
-        resumed_epoch: w.resumed_epoch.load(Ordering::Relaxed),
-        clock_offset_nanos: w.clock_offset_nanos(),
-        compers: w.compers.iter().map(|c| c.hists.snapshot()).collect(),
-        pull_rtt: w.metrics.pull_rtt.snapshot(),
-        responder_drain: w.metrics.responder_drain.snapshot(),
-        events: if with_events { w.metrics.ring.snapshot() } else { Vec::new() },
+/// What a row of the metrics table measures. The kind picks the row's
+/// field type, its Prometheus type and how [`MetricsSnapshot::totals`]
+/// folds it over workers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    /// Monotone `u64`: Prometheus counter `<name>_total`, summed.
+    Counter,
+    /// `u64` level that rises and falls: gauge, summed.
+    Gauge,
+    /// `u64` high-water mark: gauge, maximum over workers.
+    Peak,
+    /// `i64` gauge, maximum over workers.
+    Signed,
+    /// `bool` gauge exposed as 0/1; the total holds when every
+    /// worker's does.
+    Flag,
+}
+
+/// One metric: everything the codec and the exporters need to know
+/// about a field of [`WorkerMetricsSnapshot`].
+struct Row {
+    /// `""`, or the nested struct the field lives in: a JSON object of
+    /// that name and a Prometheus name prefix.
+    group: &'static str,
+    name: &'static str,
+    kind: Kind,
+    unit: &'static str,
+    /// Set on a nanosecond counter the JSON has always written as a
+    /// millisecond float under this key (the frozen `compute_ms`).
+    json_ms: Option<&'static str>,
+    help: &'static str,
+    /// The field as the eight bytes it travels as, and back.
+    get: fn(&WorkerMetricsSnapshot) -> u64,
+    set: fn(&mut WorkerMetricsSnapshot, u64),
+}
+
+impl Row {
+    /// The value as a number: signed rows sign-extended, flags 0/1.
+    fn number(&self, w: &WorkerMetricsSnapshot) -> i128 {
+        let bits = (self.get)(w);
+        if self.kind == Kind::Signed {
+            bits as i64 as i128
+        } else {
+            bits as i128
+        }
     }
 }
 
-/// One worker's slice of a [`MetricsSnapshot`]: every scheduler/cache
-/// counter, the per-comper latency histograms and (in final snapshots)
-/// the event timeline.
-#[derive(Clone, Debug, Default)]
-pub struct WorkerMetricsSnapshot {
-    /// Tasks whose `compute()` returned `false`.
-    pub tasks_finished: u64,
-    /// Total `compute()` invocations (iterations).
-    pub compute_calls: u64,
-    /// Thread-CPU nanoseconds inside `compute()`, summed over compers.
-    pub compute_nanos: u64,
-    /// Nanoseconds compers spent parked, summed over compers.
-    pub idle_nanos: u64,
-    /// Successful intra-worker steals by this worker's compers.
-    pub steals: u64,
-    /// Tasks moved by those steals.
-    pub stolen_tasks: u64,
-    /// Cluster-wide steal batches this worker shipped to remote
-    /// thieves (master-brokered).
-    pub remote_steals: u64,
-    /// Tasks moved off this worker by those batches.
-    pub remote_stolen_tasks: u64,
-    /// Framed bytes of steal batches sent, resends included.
-    pub steal_batch_bytes: u64,
-    /// Mid-compute yields: framework budget preemptions plus UDF
-    /// `note_split` events.
-    pub yields: u64,
-    /// Tasks created by straggler splitting (framework re-enqueues +
-    /// UDF-reported fan-outs).
-    pub split_tasks: u64,
-    /// Times a comper parked on the scheduler event count.
-    pub parks: u64,
-    /// Parks that ended in an event wakeup (not the fallback timeout).
-    pub wakeups: u64,
-    /// Vertices served to remote pulls by the responder pool.
-    pub responses_served: u64,
-    /// Request batches queued to responders but not yet served (gauge;
-    /// 0 at quiescence).
-    pub responder_backlog: u64,
-    /// Peak of that gauge over the run.
-    pub responder_peak_backlog: u64,
-    /// Vertex pulls re-requested after their R-table deadline expired
-    /// (loss tolerance; 0 on a healthy wire).
-    pub pull_retries: u64,
-    /// Data-plane messages the fault-injected wire dropped on this
-    /// worker's sends (0 with fault injection off).
-    pub net_msgs_dropped: u64,
-    /// Data-plane messages the fault-injected wire duplicated.
-    pub net_msgs_duplicated: u64,
-    /// Data-plane messages the fault-injected wire delayed.
-    pub net_msgs_delayed: u64,
-    /// Named cache counters (previously the opaque 5-tuple).
-    pub cache: CacheSnapshot,
-    /// Bytes sent over the simulated network.
-    pub net_bytes_sent: u64,
-    /// Bytes received.
-    pub net_bytes_received: u64,
-    /// Vectored socket writes issued by the evented TCP data plane's
-    /// I/O loop (0 on the sim router).
-    pub net_writev_calls: u64,
-    /// Frames that shared a vectored write with at least one other
-    /// frame — the evented plane's write-coalescing win.
-    pub net_frames_coalesced: u64,
-    /// Sends that waited on a full per-peer outbound ring (evented
-    /// backpressure; 0 unless a peer or the wire is slow).
-    pub net_backpressure_stalls: u64,
-    /// Fault-delayed frames whose deferred write failed and was
-    /// dropped (dead peer or closed socket), on either TCP backend.
-    pub net_delayed_write_errors: u64,
-    /// Bytes of task batches spilled to disk.
-    pub spill_bytes: u64,
-    /// Estimated remaining load in tasks.
-    pub remaining: u64,
-    /// Whether the worker was quiescent at snapshot time.
-    pub quiescent: bool,
-    /// Compers parked with nothing reachable at snapshot time (gauge).
-    pub idle_compers: u64,
-    /// Sealed steal batches not yet acked by their thief (gauge).
-    pub steal_inflight: u64,
-    /// Trace events lost to the ring's overwrite-oldest recycling;
-    /// nonzero flags a truncated timeline.
-    pub trace_events_dropped: u64,
-    /// Crash-recovery rounds this job has been through (cumulative
-    /// across attempts; every worker reports the master's count).
-    pub recoveries: u64,
-    /// TCP peer-death events this worker's transport observed (0 on
-    /// the simulated wire and on a healthy cluster).
-    pub peer_down_events: u64,
-    /// Times this process re-joined a surviving mesh with a bumped
-    /// generation (1 after a respawn, 0 otherwise).
-    pub rejoins: u64,
-    /// Checkpoint epoch the current attempt resumed from, or -1 when
-    /// the attempt started fresh.
-    pub resumed_epoch: i64,
-    /// Estimated offset of this worker's metrics clock from the
-    /// master's (`master_now ≈ local_now + offset`), from the minimum-
-    /// RTT ping/pong sample. 0 on the master and on single-process
-    /// runs.
-    pub clock_offset_nanos: i64,
-    /// Per-comper latency histograms (compute / e2e / park).
-    pub compers: Vec<ComperHistSnapshot>,
-    /// Pull round-trip time (request sent → response installed).
-    pub pull_rtt: HistSnapshot,
-    /// Responder backlog drain time (dispatch → response sent).
-    pub responder_drain: HistSnapshot,
-    /// Event timeline (final snapshots only; bounded by the ring).
-    pub events: Vec<Event>,
+fn load(a: &AtomicU64) -> u64 {
+    a.load(Ordering::Relaxed)
 }
+
+/// Expands the table into [`WorkerMetricsSnapshot`], the `ROWS` the
+/// codec and exporters walk, `snapshot_worker` and [`WorkerCounters`].
+/// A row is `(kind, field, unit, help)`: a `counters` row *is* an atomic
+/// of `WorkerCounters`, bumped where the event happens; a `sampled` row
+/// adds `|worker| value`, read off [`WorkerShared`] at snapshot time; a
+/// `cache` row names a field of the cache's own snapshot. The help text
+/// is the field's rustdoc and its Prometheus `# HELP`.
+macro_rules! metrics_table {
+    (@ty Signed) => { i64 };
+    (@ty Flag) => { bool };
+    (@ty $unsigned:ident) => { u64 };
+    (@bits Signed $v:expr) => { $v as u64 };
+    (@bits Flag $v:expr) => { $v as u64 };
+    (@bits $unsigned:ident $v:expr) => { $v };
+    (@from Signed $bits:ident) => { $bits as i64 };
+    (@from Flag $bits:ident) => { $bits != 0 };
+    (@from $unsigned:ident $bits:ident) => { $bits };
+    (@ms) => { None };
+    (@ms $key:literal) => { Some($key) };
+    (@row $group:literal $kind:ident $name:ident $unit:literal [$($ms:literal)?] $help:literal
+        $($field:ident).+) => {
+        Row {
+            group: $group,
+            name: stringify!($name),
+            kind: Kind::$kind,
+            unit: $unit,
+            json_ms: metrics_table!(@ms $($ms)?),
+            help: $help,
+            get: |s| metrics_table!(@bits $kind s.$($field).+),
+            set: |s, bits| s.$($field).+ = metrics_table!(@from $kind bits),
+        }
+    };
+    (
+        counters {$(
+            ($akind:ident, $aname:ident, $aunit:literal $(as ms $ms:literal)?, $ahelp:literal);
+        )*}
+        sampled {$(
+            ($kind:ident, $name:ident, $unit:literal, $help:literal, |$w:ident| $read:expr);
+        )*}
+        cache {$(($ckind:ident, $cname:ident, $cunit:literal, $chelp:literal);)*}
+    ) => {
+        /// The hot-path atomics the comper, receiver and responder
+        /// threads bump; one per `counters` row.
+        #[derive(Default)]
+        pub(crate) struct WorkerCounters {
+            $(#[doc = $ahelp] pub $aname: AtomicU64,)*
+        }
+
+        /// One worker's slice of a [`MetricsSnapshot`]: every scheduler,
+        /// network and cache counter, the per-comper latency histograms
+        /// and (in final snapshots) the event timeline.
+        #[derive(Clone, Debug, Default, PartialEq)]
+        pub struct WorkerMetricsSnapshot {
+            $(#[doc = $ahelp] pub $aname: metrics_table!(@ty $akind),)*
+            $(#[doc = $help] pub $name: metrics_table!(@ty $kind),)*
+            /// Named cache counters (the table's `cache` rows).
+            pub cache: CacheSnapshot,
+            /// Per-comper latency histograms (compute / e2e / park).
+            pub compers: Vec<ComperHistSnapshot>,
+            /// Pull round-trip time (request sent → response installed).
+            pub pull_rtt: HistSnapshot,
+            /// Responder backlog drain time (dispatch → response sent).
+            pub responder_drain: HistSnapshot,
+            /// Event timeline (final snapshots only; bounded by the ring).
+            pub events: Vec<Event>,
+        }
+
+        /// The table, in declaration order: ungrouped rows, then each
+        /// group's rows together.
+        const ROWS: &[Row] = &[
+            $(metrics_table!(@row "" $akind $aname $aunit [$($ms)?] $ahelp $aname),)*
+            $(metrics_table!(@row "" $kind $name $unit [] $help $name),)*
+            $(metrics_table!(@row "cache" $ckind $cname $cunit [] $chelp cache.$cname),)*
+        ];
+
+        pub(crate) fn snapshot_worker<A: App>(
+            shared: &WorkerShared<A>,
+            with_events: bool,
+        ) -> WorkerMetricsSnapshot {
+            let cache = shared.cache.stats().snapshot();
+            WorkerMetricsSnapshot {
+                $($aname: load(&shared.counters.$aname),)*
+                $($name: { let $w = shared; $read },)*
+                // Spelled out so that a cache counter without a row
+                // does not compile.
+                cache: CacheSnapshot { $($cname: cache.$cname,)* },
+                compers: shared.compers.iter().map(|c| c.hists.snapshot()).collect(),
+                pull_rtt: shared.metrics.pull_rtt.snapshot(),
+                responder_drain: shared.metrics.responder_drain.snapshot(),
+                events: if with_events { shared.metrics.ring.snapshot() } else { Vec::new() },
+            }
+        }
+    };
+}
+
+metrics_table! {
+    counters {
+        (Counter, tasks_finished, "tasks", "Tasks whose `compute()` returned `false`.");
+        (Counter, compute_calls, "calls", "Total `compute()` invocations (iterations).");
+        (Counter, compute_nanos, "ns" as ms "compute_ms",
+            "Thread-CPU nanoseconds inside `compute()`, summed over compers.");
+        (Counter, idle_nanos, "ns" as ms "idle_ms",
+            "Nanoseconds compers spent parked, summed over compers.");
+        (Counter, steals, "steals", "Successful intra-worker steals by this worker's compers.");
+        (Counter, stolen_tasks, "tasks", "Tasks moved by intra-worker steals.");
+        (Counter, remote_steals, "batches",
+            "Cluster-wide steal batches this worker shipped to remote thieves (master-brokered).");
+        (Counter, remote_stolen_tasks, "tasks", "Tasks shipped off this worker by cluster steals.");
+        (Counter, steal_batch_bytes, "bytes",
+            "Framed bytes of steal batches sent, resends included (they cross the wire again).");
+        (Counter, yields, "yields",
+            "Mid-compute yields: framework budget preemptions plus UDF `note_split` events.");
+        (Counter, split_tasks, "tasks",
+            "Tasks created by straggler splitting: 1 per framework re-enqueue, `n` per UDF split \
+             that fanned a straggler into `n` fresh tasks.");
+        (Counter, parks, "parks", "Times a comper parked on the scheduler event count.");
+        (Counter, wakeups, "parks",
+            "Parks that ended in an event wakeup (not the fallback timeout).");
+        (Counter, responses_served, "vertices",
+            "Vertices served to remote pulls by the responder pool.");
+        (Gauge, responder_backlog, "batches",
+            "Request batches queued to responders but not yet served (0 at quiescence, and at \
+             job end: responders drain fully before the worker's threads join).");
+        (Peak, responder_peak_backlog, "batches", "Peak of the responder backlog over the run.");
+        (Counter, pull_retries, "pulls",
+            "Vertex pulls re-requested after their R-table deadline expired (loss tolerance; 0 on \
+             a healthy wire).");
+    }
+    sampled {
+        (Counter, net_msgs_dropped, "messages",
+            "Data-plane messages the fault-injected wire dropped on this worker's sends (0 with \
+             fault injection off).",
+            |w| w.net.fault_stats().map_or(0, |f| load(&f.dropped)));
+        (Counter, net_msgs_duplicated, "messages",
+            "Data-plane messages the fault-injected wire duplicated.",
+            |w| w.net.fault_stats().map_or(0, |f| load(&f.duplicated)));
+        (Counter, net_msgs_delayed, "messages",
+            "Data-plane messages the fault-injected wire delayed (reorder jitter or latency spike).",
+            |w| w.net.fault_stats().map_or(0, |f| load(&f.delayed)));
+        (Counter, net_bytes_sent, "bytes", "Bytes this worker put on the (simulated or TCP) wire.",
+            |w| load(&w.net.stats().bytes_sent));
+        (Counter, net_bytes_received, "bytes", "Bytes this worker took off the wire.",
+            |w| load(&w.net.stats().bytes_received));
+        (Counter, net_writev_calls, "calls",
+            "Vectored socket writes issued by the evented TCP data plane's I/O loop (0 on the sim \
+             router).",
+            |w| load(&w.net.stats().writev_calls));
+        (Counter, net_frames_coalesced, "frames",
+            "Frames that shared a vectored write with at least one other frame — the evented \
+             plane's write-coalescing win.",
+            |w| load(&w.net.stats().frames_coalesced));
+        (Counter, net_backpressure_stalls, "sends",
+            "Sends that waited on a full per-peer outbound ring (evented backpressure; 0 unless a \
+             peer or the wire is slow).",
+            |w| load(&w.net.stats().backpressure_stalls));
+        (Counter, net_delayed_write_errors, "frames",
+            "Fault-delayed frames whose deferred write failed and was dropped (dead peer or closed \
+             socket).",
+            |w| load(&w.net.stats().delayed_write_errors));
+        (Counter, spill_bytes, "bytes", "Bytes of task batches spilled to disk.",
+            |w| w.spill.bytes_spilled());
+        (Peak, peak_mem_bytes, "bytes",
+            "Peak observed memory estimate: local table + cache + in-memory task subgraphs.",
+            |w| load(&w.peak_mem));
+        (Counter, output_records, "records", "Records emitted to this worker's output sink.",
+            |w| w.output.as_ref().map_or(0, |o| o.records()));
+        (Gauge, remaining, "tasks", "Estimated remaining load in tasks.",
+            |w| w.remaining_estimate());
+        (Flag, quiescent, "bool", "Whether the worker was locally quiescent at snapshot time.",
+            |w| w.quiescent());
+        (Gauge, idle_compers, "compers", "Compers parked with nothing reachable at snapshot time.",
+            |w| w.idle_compers() as u64);
+        (Gauge, steal_inflight, "batches", "Sealed steal batches not yet acked by their thief.",
+            |w| load(&w.steal_inflight));
+        (Counter, trace_events_dropped, "events",
+            "Trace events lost to the ring's overwrite-oldest recycling; nonzero flags a truncated \
+             timeline (raise `trace_capacity` to keep more).",
+            |w| w.metrics.ring.dropped());
+        (Counter, recoveries, "rounds",
+            "Crash-recovery rounds this job has been through (cumulative across attempts; every \
+             worker reports the master's count).",
+            |w| load(&w.recoveries));
+        (Counter, peer_down_events, "events",
+            "TCP peer-death events this worker's transport observed (0 on the simulated wire and \
+             on a healthy cluster).",
+            |w| w.net.stats().peer_downs_total());
+        (Counter, rejoins, "rejoins",
+            "Times this process re-joined a surviving mesh with a bumped generation (1 after a \
+             respawn, 0 otherwise).",
+            |w| load(&w.rejoins));
+        (Signed, resumed_epoch, "epoch",
+            "Checkpoint epoch the current attempt resumed from, or -1 when it started fresh.",
+            |w| w.resumed_epoch.load(Ordering::Relaxed));
+        (Signed, clock_offset_nanos, "ns",
+            "Estimated offset of this worker's metrics clock from the master's (`master_now ≈ \
+             local_now + offset`), from the minimum-RTT ping/pong sample; 0 on the master and on \
+             single-process runs.",
+            |w| w.clock_offset_nanos());
+    }
+    cache {
+        (Counter, hits, "lookups", "Vertex-cache hits (OP1 case 1).");
+        (Counter, shared_waits, "lookups",
+            "Lookups that piggybacked on a pull already in flight (OP1 case 2.2).");
+        (Counter, misses, "lookups", "Vertex-cache misses: remote pulls issued (OP1 case 2.1).");
+        (Counter, evictions, "vertices", "Vertices evicted from the cache by GC.");
+        (Counter, gc_passes, "passes", "GC passes that ran (cache overflow observed).");
+        (Counter, retries, "pulls", "Pull requests that timed out and were re-requested.");
+        (Counter, stale_responses, "responses",
+            "Duplicate or late pull responses dropped idempotently (OP2 found no R-table entry).");
+    }
+}
+
+/// CRC of every row's group, name and kind, in table order. It leads
+/// each encoded report, so two builds whose tables differ refuse each
+/// other's reports instead of decoding a value into the wrong field.
+fn fingerprint() -> u32 {
+    static FINGERPRINT: OnceLock<u32> = OnceLock::new();
+    *FINGERPRINT.get_or_init(|| {
+        let mut crc = Crc32::new();
+        for row in ROWS {
+            crc.update(row.group.as_bytes());
+            crc.update(b".");
+            crc.update(row.name.as_bytes());
+            crc.update(&[b':', row.kind as u8, b'\n']);
+        }
+        crc.finalize()
+    })
+}
+
+/// Fewest bytes one histogram takes on the wire: an empty bucket list
+/// and the sum.
+const MIN_HIST_BYTES: usize = 1 + 8;
+/// Bytes one event takes on the wire.
+const EVENT_BYTES: usize = 8 + 8 + 4 + 8 + 1;
 
 impl WorkerMetricsSnapshot {
     /// All compers' histograms merged into one (lossless bucket sums).
@@ -252,61 +377,17 @@ impl WorkerMetricsSnapshot {
         m
     }
 
-    /// Serializes this snapshot as a `MetricsReport` payload: a compact
-    /// little-endian encoding (histograms as sparse nonzero-bucket
-    /// lists) sealed in a CRC frame, like steal batches. The master
-    /// validates the frame before trusting a byte of it.
+    /// Serializes this snapshot as a `MetricsReport` payload: the
+    /// table's fingerprint, every row's value in table order, then the
+    /// histograms (as sparse nonzero-bucket lists) and the events —
+    /// little-endian, sealed in a CRC frame like steal batches. The
+    /// master validates the frame before trusting a byte of it.
     pub fn encode_report(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(512);
-        b.push(REPORT_VERSION);
-        for v in [
-            self.tasks_finished,
-            self.compute_calls,
-            self.compute_nanos,
-            self.idle_nanos,
-            self.steals,
-            self.stolen_tasks,
-            self.remote_steals,
-            self.remote_stolen_tasks,
-            self.steal_batch_bytes,
-            self.yields,
-            self.split_tasks,
-            self.parks,
-            self.wakeups,
-            self.responses_served,
-            self.responder_backlog,
-            self.responder_peak_backlog,
-            self.pull_retries,
-            self.net_msgs_dropped,
-            self.net_msgs_duplicated,
-            self.net_msgs_delayed,
-            self.net_bytes_sent,
-            self.net_bytes_received,
-            self.spill_bytes,
-            self.remaining,
-            self.idle_compers,
-            self.steal_inflight,
-            self.trace_events_dropped,
-            self.cache.hits,
-            self.cache.shared_waits,
-            self.cache.misses,
-            self.cache.evictions,
-            self.cache.gc_passes,
-            self.cache.retries,
-            self.cache.stale_responses,
-            self.recoveries,
-            self.peer_down_events,
-            self.rejoins,
-            self.net_writev_calls,
-            self.net_frames_coalesced,
-            self.net_backpressure_stalls,
-            self.net_delayed_write_errors,
-        ] {
-            b.extend_from_slice(&v.to_le_bytes());
+        b.extend_from_slice(&fingerprint().to_le_bytes());
+        for row in ROWS {
+            b.extend_from_slice(&(row.get)(self).to_le_bytes());
         }
-        b.push(self.quiescent as u8);
-        b.extend_from_slice(&self.clock_offset_nanos.to_le_bytes());
-        b.extend_from_slice(&self.resumed_epoch.to_le_bytes());
         put_hist(&mut b, &self.pull_rtt);
         put_hist(&mut b, &self.responder_drain);
         b.extend_from_slice(&(self.compers.len() as u16).to_le_bytes());
@@ -326,105 +407,45 @@ impl WorkerMetricsSnapshot {
         gthinker_net::frame::seal(&b)
     }
 
-    /// Decodes a sealed `MetricsReport` payload. Any corruption —
-    /// a bad frame, an unknown version, a short buffer — is a clean
-    /// `InvalidData` error, never a panic.
+    /// Decodes a sealed `MetricsReport` payload. Any corruption — a bad
+    /// frame, another build's table, a short buffer, a count the
+    /// payload cannot hold — is a clean `InvalidData` error, never a
+    /// panic, and nothing is allocated for elements that are not there.
     pub fn decode_report(payload: &[u8]) -> io::Result<WorkerMetricsSnapshot> {
         let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
         let raw = gthinker_net::frame::open(payload).map_err(|e| {
             io::Error::new(io::ErrorKind::InvalidData, format!("report frame: {e}"))
         })?;
         let mut c = Cursor(raw);
-        if c.u8()? != REPORT_VERSION {
-            return Err(bad("unknown metrics report version"));
+        if c.u32()? != fingerprint() {
+            return Err(bad("metrics report from a build with a different metrics table"));
         }
-        let mut counters = [0u64; 41];
-        for v in counters.iter_mut() {
-            *v = c.u64()?;
+        let mut s = WorkerMetricsSnapshot::default();
+        for row in ROWS {
+            (row.set)(&mut s, c.u64()?);
         }
-        let quiescent = c.u8()? != 0;
-        let clock_offset_nanos = c.i64()?;
-        let resumed_epoch = c.i64()?;
-        let pull_rtt = get_hist(&mut c)?;
-        let responder_drain = get_hist(&mut c)?;
+        s.pull_rtt = get_hist(&mut c)?;
+        s.responder_drain = get_hist(&mut c)?;
         let n_compers = c.u16()? as usize;
-        let mut compers = Vec::with_capacity(n_compers.min(1024));
+        s.compers = Vec::with_capacity(c.count(n_compers, 3 * MIN_HIST_BYTES)?);
         for _ in 0..n_compers {
-            compers.push(ComperHistSnapshot {
+            s.compers.push(ComperHistSnapshot {
                 compute: get_hist(&mut c)?,
                 e2e: get_hist(&mut c)?,
                 park: get_hist(&mut c)?,
             });
         }
         let n_events = c.u32()? as usize;
-        let mut events = Vec::with_capacity(n_events.min(65_536));
+        s.events = Vec::with_capacity(c.count(n_events, EVENT_BYTES)?);
         for _ in 0..n_events {
             let (ts, dur, tid, arg) = (c.u64()?, c.u64()?, c.u32()?, c.u64()?);
             let kind =
                 EventKind::from_code(c.u8()?).ok_or_else(|| bad("unknown event kind code"))?;
-            events.push(Event { ts, dur, tid, arg, kind });
+            s.events.push(Event { ts, dur, tid, arg, kind });
         }
-        Ok(WorkerMetricsSnapshot {
-            tasks_finished: counters[0],
-            compute_calls: counters[1],
-            compute_nanos: counters[2],
-            idle_nanos: counters[3],
-            steals: counters[4],
-            stolen_tasks: counters[5],
-            remote_steals: counters[6],
-            remote_stolen_tasks: counters[7],
-            steal_batch_bytes: counters[8],
-            yields: counters[9],
-            split_tasks: counters[10],
-            parks: counters[11],
-            wakeups: counters[12],
-            responses_served: counters[13],
-            responder_backlog: counters[14],
-            responder_peak_backlog: counters[15],
-            pull_retries: counters[16],
-            net_msgs_dropped: counters[17],
-            net_msgs_duplicated: counters[18],
-            net_msgs_delayed: counters[19],
-            net_bytes_sent: counters[20],
-            net_bytes_received: counters[21],
-            spill_bytes: counters[22],
-            remaining: counters[23],
-            idle_compers: counters[24],
-            steal_inflight: counters[25],
-            trace_events_dropped: counters[26],
-            cache: CacheSnapshot {
-                hits: counters[27],
-                shared_waits: counters[28],
-                misses: counters[29],
-                evictions: counters[30],
-                gc_passes: counters[31],
-                retries: counters[32],
-                stale_responses: counters[33],
-            },
-            recoveries: counters[34],
-            peer_down_events: counters[35],
-            rejoins: counters[36],
-            net_writev_calls: counters[37],
-            net_frames_coalesced: counters[38],
-            net_backpressure_stalls: counters[39],
-            net_delayed_write_errors: counters[40],
-            quiescent,
-            clock_offset_nanos,
-            resumed_epoch,
-            pull_rtt,
-            responder_drain,
-            compers,
-            events,
-        })
+        Ok(s)
     }
 }
-
-/// Version byte leading every encoded metrics report. Bumped to 2 when
-/// the crash-recovery counters (recoveries / peer-down / rejoins /
-/// resumed-epoch) joined the payload; to 3 when the evented data
-/// plane's counters (writev calls / frames coalesced / backpressure
-/// stalls / delayed-write errors) did.
-const REPORT_VERSION: u8 = 3;
 
 /// Sparse histogram encoding: nonzero-bucket count, then (index, count)
 /// pairs, then the running sum. Most histograms populate a handful of
@@ -458,13 +479,27 @@ fn get_hist(c: &mut Cursor<'_>) -> io::Result<HistSnapshot> {
 struct Cursor<'a>(&'a [u8]);
 
 impl Cursor<'_> {
+    fn truncated() -> io::Error {
+        io::Error::new(io::ErrorKind::InvalidData, "metrics report truncated")
+    }
+
     fn take(&mut self, n: usize) -> io::Result<&[u8]> {
         if self.0.len() < n {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "metrics report truncated"));
+            return Err(Self::truncated());
         }
         let (head, rest) = self.0.split_at(n);
         self.0 = rest;
         Ok(head)
+    }
+
+    /// Passes a claimed element count through only when that many
+    /// elements of at least `min_bytes` each fit in what is left, so a
+    /// corrupt count never sizes an allocation.
+    fn count(&self, n: usize, min_bytes: usize) -> io::Result<usize> {
+        if n.saturating_mul(min_bytes) > self.0.len() {
+            return Err(Self::truncated());
+        }
+        Ok(n)
     }
 
     fn u8(&mut self) -> io::Result<u8> {
@@ -481,10 +516,6 @@ impl Cursor<'_> {
 
     fn u64(&mut self) -> io::Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> io::Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 }
 
@@ -508,6 +539,28 @@ impl MetricsSnapshot {
         m
     }
 
+    /// Every counter and gauge folded over the workers: counters and
+    /// level gauges summed, high-water marks (peak memory — the paper's
+    /// "maximum over machines") and signed gauges by maximum, the
+    /// quiescence flag true when every worker is. Histograms and events
+    /// are left empty — see [`MetricsSnapshot::merged_hists`].
+    pub fn totals(&self) -> WorkerMetricsSnapshot {
+        let mut total = WorkerMetricsSnapshot::default();
+        let Some((first, rest)) = self.workers.split_first() else {
+            return total;
+        };
+        for row in ROWS {
+            let fold = |a: u64, b: u64| match row.kind {
+                Kind::Counter | Kind::Gauge => a.saturating_add(b),
+                Kind::Peak => a.max(b),
+                Kind::Signed => (a as i64).max(b as i64) as u64,
+                Kind::Flag => a & b,
+            };
+            (row.set)(&mut total, rest.iter().map(row.get).fold((row.get)(first), fold));
+        }
+        total
+    }
+
     /// Tasks finished across all workers.
     pub fn total_tasks(&self) -> u64 {
         self.workers.iter().map(|w| w.tasks_finished).sum()
@@ -516,13 +569,14 @@ impl MetricsSnapshot {
     /// The legacy progress view, derived (the observer API's
     /// [`ProgressSnapshot`] is a strict projection of this snapshot).
     pub fn progress(&self) -> ProgressSnapshot {
+        let total = self.totals();
         ProgressSnapshot {
             elapsed: self.elapsed,
-            tasks_finished: self.total_tasks(),
-            remaining: self.workers.iter().map(|w| w.remaining).sum(),
-            cache_hits: self.workers.iter().map(|w| w.cache.hits).sum(),
-            cache_misses: self.workers.iter().map(|w| w.cache.misses).sum(),
-            net_bytes: self.workers.iter().map(|w| w.net_bytes_sent).sum(),
+            tasks_finished: total.tasks_finished,
+            remaining: total.remaining,
+            cache_hits: total.cache.hits,
+            cache_misses: total.cache.misses,
+            net_bytes: total.net_bytes_sent,
             quiescent_workers: self.workers.iter().filter(|w| w.quiescent).count(),
         }
     }
@@ -535,9 +589,11 @@ impl MetricsSnapshot {
         gthinker_metrics::trace::write_chrome_trace(w, &per_worker)
     }
 
-    /// Machine-readable JSON export: per-worker counters plus quantile
-    /// summaries (count/mean/p50/p90/p95/p99/max) of every histogram,
-    /// per comper and merged.
+    /// Machine-readable JSON export: per worker, every row of the
+    /// metrics table under its own name (a group's rows nested in an
+    /// object of the group's name) plus quantile summaries
+    /// (count/mean/p50/p90/p95/p99/max) of every histogram, per comper
+    /// and merged.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         let _ = write!(s, "{{\n  \"elapsed_ms\": {:.3},\n  \"workers\": [", ms(self.elapsed));
@@ -545,80 +601,30 @@ impl MetricsSnapshot {
             if wi > 0 {
                 s.push(',');
             }
+            let _ = write!(s, "\n    {{\n      \"worker\": {wi},");
+            let mut group = "";
+            for row in ROWS {
+                let (key, value) = match (row.json_ms, row.kind) {
+                    (Some(key), _) => (key, format!("{:.3}", (row.get)(w) as f64 / 1e6)),
+                    (None, Kind::Flag) => (row.name, ((row.get)(w) != 0).to_string()),
+                    (None, _) => (row.name, row.number(w).to_string()),
+                };
+                if row.group.is_empty() {
+                    let _ = write!(s, "\n      \"{key}\": {value},");
+                } else if row.group != group {
+                    let close = if group.is_empty() { "" } else { "}," };
+                    let _ = write!(s, "{close}\n      \"{}\": {{\"{key}\": {value}", row.group);
+                } else {
+                    let _ = write!(s, ", \"{key}\": {value}");
+                }
+                group = row.group;
+            }
+            if !group.is_empty() {
+                s.push_str("},");
+            }
             let _ = write!(
                 s,
-                "\n    {{\n      \"worker\": {wi},\n      \
-                 \"tasks_finished\": {},\n      \"compute_calls\": {},\n      \
-                 \"compute_ms\": {:.3},\n      \"idle_ms\": {:.3},\n      \
-                 \"steals\": {},\n      \"stolen_tasks\": {},\n      \
-                 \"remote_steals\": {},\n      \"remote_stolen_tasks\": {},\n      \
-                 \"steal_batch_bytes\": {},\n      \"yields\": {},\n      \
-                 \"split_tasks\": {},\n      \
-                 \"parks\": {},\n      \"wakeups\": {},\n      \
-                 \"responses_served\": {},\n      \"responder_backlog\": {},\n      \
-                 \"responder_peak_backlog\": {},\n      \"pull_retries\": {},\n      \
-                 \"net_msgs_dropped\": {},\n      \"net_msgs_duplicated\": {},\n      \
-                 \"net_msgs_delayed\": {},\n      \
-                 \"trace_events_dropped\": {},\n      \
-                 \"recoveries\": {},\n      \"peer_down_events\": {},\n      \
-                 \"rejoins\": {},\n      \"resumed_epoch\": {},\n      \
-                 \"clock_offset_nanos\": {},\n      \
-                 \"remaining\": {},\n      \"idle_compers\": {},\n      \
-                 \"steal_inflight\": {},\n      \"quiescent\": {},\n      \
-                 \"cache\": {{\"hits\": {}, \"shared_waits\": {}, \"misses\": {}, \
-                 \"evictions\": {}, \"gc_passes\": {}, \"retries\": {}, \
-                 \"stale_responses\": {}}},\n      \
-                 \"net_bytes_sent\": {},\n      \"net_bytes_received\": {},\n      \
-                 \"net_writev_calls\": {},\n      \"net_frames_coalesced\": {},\n      \
-                 \"net_backpressure_stalls\": {},\n      \
-                 \"net_delayed_write_errors\": {},\n      \
-                 \"spill_bytes\": {},\n      \
-                 \"pull_rtt\": {},\n      \"responder_drain\": {},\n      \
-                 \"compers\": [",
-                w.tasks_finished,
-                w.compute_calls,
-                w.compute_nanos as f64 / 1e6,
-                w.idle_nanos as f64 / 1e6,
-                w.steals,
-                w.stolen_tasks,
-                w.remote_steals,
-                w.remote_stolen_tasks,
-                w.steal_batch_bytes,
-                w.yields,
-                w.split_tasks,
-                w.parks,
-                w.wakeups,
-                w.responses_served,
-                w.responder_backlog,
-                w.responder_peak_backlog,
-                w.pull_retries,
-                w.net_msgs_dropped,
-                w.net_msgs_duplicated,
-                w.net_msgs_delayed,
-                w.trace_events_dropped,
-                w.recoveries,
-                w.peer_down_events,
-                w.rejoins,
-                w.resumed_epoch,
-                w.clock_offset_nanos,
-                w.remaining,
-                w.idle_compers,
-                w.steal_inflight,
-                w.quiescent,
-                w.cache.hits,
-                w.cache.shared_waits,
-                w.cache.misses,
-                w.cache.evictions,
-                w.cache.gc_passes,
-                w.cache.retries,
-                w.cache.stale_responses,
-                w.net_bytes_sent,
-                w.net_bytes_received,
-                w.net_writev_calls,
-                w.net_frames_coalesced,
-                w.net_backpressure_stalls,
-                w.net_delayed_write_errors,
-                w.spill_bytes,
+                "\n      \"pull_rtt\": {},\n      \"responder_drain\": {},\n      \"compers\": [",
                 hist_json(&w.pull_rtt),
                 hist_json(&w.responder_drain),
             );
@@ -744,25 +750,24 @@ impl MetricsSnapshot {
                 );
             }
         }
-        let (rs, rt, rb, yl, sp) = self.workers.iter().fold((0, 0, 0, 0, 0), |a, w| {
-            (
-                a.0 + w.remote_steals,
-                a.1 + w.remote_stolen_tasks,
-                a.2 + w.steal_batch_bytes,
-                a.3 + w.yields,
-                a.4 + w.split_tasks,
-            )
-        });
+        let total = self.totals();
         let _ = writeln!(
             s,
-            "cluster stealing: {rs} batches / {rt} tasks / {rb} bytes shipped; \
-             {yl} yields split {sp} straggler tasks",
+            "cluster stealing: {} batches / {} tasks / {} bytes shipped; \
+             {} yields split {} straggler tasks",
+            total.remote_steals,
+            total.remote_stolen_tasks,
+            total.steal_batch_bytes,
+            total.yields,
+            total.split_tasks,
         );
         s
     }
 
     /// Renders the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4): one gauge/counter family per metric with a
+    /// (version 0.0.4): one family per row of the metrics table —
+    /// `gthinker_<name>_total` for counters, `gthinker_<name>` for
+    /// gauges, a group's rows prefixed with its name — with a
     /// `worker="i"` label per sample, scrapeable from the
     /// `--telemetry-addr` endpoint mid-run.
     pub fn prometheus_text(&self) -> String {
@@ -770,129 +775,16 @@ impl MetricsSnapshot {
         let _ = writeln!(s, "# HELP gthinker_elapsed_seconds Wall time since the job started.");
         let _ = writeln!(s, "# TYPE gthinker_elapsed_seconds gauge");
         let _ = writeln!(s, "gthinker_elapsed_seconds {:.3}", self.elapsed.as_secs_f64());
-        let mut family =
-            |name: &str, kind: &str, help: &str, get: &dyn Fn(&WorkerMetricsSnapshot) -> u64| {
-                let _ = writeln!(s, "# HELP {name} {help}");
-                let _ = writeln!(s, "# TYPE {name} {kind}");
-                for (wi, w) in self.workers.iter().enumerate() {
-                    let _ = writeln!(s, "{name}{{worker=\"{wi}\"}} {}", get(w));
-                }
-            };
-        family("gthinker_remaining", "gauge", "Estimated remaining load in tasks.", &|w| {
-            w.remaining
-        });
-        family("gthinker_idle_compers", "gauge", "Compers parked with nothing reachable.", &|w| {
-            w.idle_compers
-        });
-        family(
-            "gthinker_steal_inflight",
-            "gauge",
-            "Sealed steal batches awaiting their thief's ack.",
-            &|w| w.steal_inflight,
-        );
-        family(
-            "gthinker_quiescent",
-            "gauge",
-            "1 when the worker has reported local quiescence.",
-            &|w| w.quiescent as u64,
-        );
-        family(
-            "gthinker_tasks_finished_total",
-            "counter",
-            "Tasks whose compute() returned false.",
-            &|w| w.tasks_finished,
-        );
-        family("gthinker_compute_calls_total", "counter", "Total compute() invocations.", &|w| {
-            w.compute_calls
-        });
-        family(
-            "gthinker_net_bytes_sent_total",
-            "counter",
-            "Bytes this worker put on the wire.",
-            &|w| w.net_bytes_sent,
-        );
-        family(
-            "gthinker_net_bytes_received_total",
-            "counter",
-            "Bytes this worker took off the wire.",
-            &|w| w.net_bytes_received,
-        );
-        family(
-            "gthinker_net_writev_calls_total",
-            "counter",
-            "Vectored socket writes issued by the evented data plane.",
-            &|w| w.net_writev_calls,
-        );
-        family(
-            "gthinker_net_frames_coalesced_total",
-            "counter",
-            "Frames that shared a vectored write with another frame.",
-            &|w| w.net_frames_coalesced,
-        );
-        family(
-            "gthinker_net_backpressure_stalls_total",
-            "counter",
-            "Sends that waited on a full per-peer outbound ring.",
-            &|w| w.net_backpressure_stalls,
-        );
-        family(
-            "gthinker_net_delayed_write_errors_total",
-            "counter",
-            "Fault-delayed frames dropped because their deferred write failed.",
-            &|w| w.net_delayed_write_errors,
-        );
-        family(
-            "gthinker_remote_stolen_tasks_total",
-            "counter",
-            "Tasks shipped off this worker by cluster steals.",
-            &|w| w.remote_stolen_tasks,
-        );
-        family("gthinker_cache_hits_total", "counter", "Vertex cache hits.", &|w| w.cache.hits);
-        family(
-            "gthinker_cache_misses_total",
-            "counter",
-            "Vertex cache misses (remote pulls issued).",
-            &|w| w.cache.misses,
-        );
-        family(
-            "gthinker_pull_retries_total",
-            "counter",
-            "Vertex pulls re-requested after a deadline expiry.",
-            &|w| w.pull_retries,
-        );
-        family(
-            "gthinker_trace_events_dropped_total",
-            "counter",
-            "Trace events lost to ring recycling.",
-            &|w| w.trace_events_dropped,
-        );
-        family(
-            "gthinker_recoveries_total",
-            "counter",
-            "Crash-recovery rounds this job has been through.",
-            &|w| w.recoveries,
-        );
-        family(
-            "gthinker_peer_down_events_total",
-            "counter",
-            "TCP peer-death events observed by the transport.",
-            &|w| w.peer_down_events,
-        );
-        family(
-            "gthinker_rejoins_total",
-            "counter",
-            "Mesh rejoins by a respawned process (bumped generation).",
-            &|w| w.rejoins,
-        );
-        // resumed_epoch is signed (-1 = started fresh), so it cannot go
-        // through the u64 family helper.
-        let _ = writeln!(
-            s,
-            "# HELP gthinker_resumed_epoch Checkpoint epoch the current attempt resumed from (-1 = fresh)."
-        );
-        let _ = writeln!(s, "# TYPE gthinker_resumed_epoch gauge");
-        for (wi, w) in self.workers.iter().enumerate() {
-            let _ = writeln!(s, "gthinker_resumed_epoch{{worker=\"{wi}\"}} {}", w.resumed_epoch);
+        for row in ROWS {
+            let sep = if row.group.is_empty() { "" } else { "_" };
+            let (total, kind) =
+                if row.kind == Kind::Counter { ("_total", "counter") } else { ("", "gauge") };
+            let name = format!("gthinker_{}{sep}{}{total}", row.group, row.name);
+            let _ = writeln!(s, "# HELP {name} {} [{}]", row.help, row.unit);
+            let _ = writeln!(s, "# TYPE {name} {kind}");
+            for (wi, w) in self.workers.iter().enumerate() {
+                let _ = writeln!(s, "{name}{{worker=\"{wi}\"}} {}", row.number(w));
+            }
         }
         s
     }
@@ -998,235 +890,179 @@ fn fmt_nanos(n: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gthinker_net::frame;
+    use proptest::prelude::*;
+
+    fn hist(bucket: usize, n: u64, sum: u64) -> HistSnapshot {
+        let mut h = HistSnapshot { sum, ..Default::default() };
+        h.buckets[bucket] = n;
+        h
+    }
 
     fn snap_with(counts: &[u64]) -> MetricsSnapshot {
-        let workers = counts
-            .iter()
-            .map(|&n| {
-                let h = gthinker_metrics::ComperHists::new();
-                for i in 0..n {
-                    h.compute.record(1_000 * (i + 1));
-                    h.e2e.record(10_000 * (i + 1));
-                }
-                WorkerMetricsSnapshot {
-                    tasks_finished: n,
-                    compers: vec![h.snapshot()],
-                    ..Default::default()
-                }
-            })
-            .collect();
-        MetricsSnapshot { elapsed: Duration::from_millis(5), workers }
+        let worker = |&n: &u64| WorkerMetricsSnapshot {
+            tasks_finished: n,
+            compers: vec![ComperHistSnapshot {
+                compute: hist(10, n, 1_000 * n),
+                e2e: hist(14, n, 10_000 * n),
+                park: HistSnapshot::default(),
+            }],
+            ..Default::default()
+        };
+        MetricsSnapshot {
+            elapsed: Duration::from_millis(5),
+            workers: counts.iter().map(worker).collect(),
+        }
+    }
+
+    /// A snapshot whose row `i` holds `i + 1` (a flag: `true`), with
+    /// populated histograms, two compers and two events. Built from the
+    /// table, so a new row is under test the moment it is declared.
+    fn numbered() -> WorkerMetricsSnapshot {
+        let mut s = WorkerMetricsSnapshot {
+            compers: vec![
+                ComperHistSnapshot {
+                    compute: hist(10, 20, 123_456),
+                    e2e: hist(14, 20, 2_345_678),
+                    park: hist(63, 1, u64::MAX / 2),
+                },
+                ComperHistSnapshot::default(),
+            ],
+            pull_rtt: hist(13, 1, 5_000),
+            events: vec![
+                Event { ts: 10, dur: 5, tid: 0, arg: 0, kind: EventKind::Compute },
+                Event { ts: 20, dur: 0, tid: 3, arg: (1 << 32) | 7, kind: EventKind::StealSend },
+            ],
+            ..Default::default()
+        };
+        for (i, row) in ROWS.iter().enumerate() {
+            (row.set)(&mut s, i as u64 + 1);
+        }
+        s
+    }
+
+    fn position(name: &str) -> usize {
+        ROWS.iter().position(|r| r.name == name).unwrap()
     }
 
     #[test]
-    fn progress_projection_sums_workers() {
-        let s = snap_with(&[3, 7]);
-        let p = s.progress();
-        assert_eq!(p.tasks_finished, 10);
-        assert_eq!(p.quiescent_workers, 0);
+    fn report_codec_round_trips_every_row() {
+        let snap = numbered();
+        // Two rows wired to one field would both read the later value.
+        for (i, row) in ROWS.iter().enumerate() {
+            let want = if row.kind == Kind::Flag { 1 } else { i as u64 + 1 };
+            assert_eq!((row.get)(&snap), want, "row {}.{}", row.group, row.name);
+        }
+        assert_eq!(snap.tasks_finished, 1, "plain field access reads the same cell");
+        assert_eq!(snap.cache.stale_responses, ROWS.len() as u64);
+        let back = WorkerMetricsSnapshot::decode_report(&snap.encode_report()).unwrap();
+        assert_eq!(back, snap);
+        // Negative signed rows travel the same path as everything else.
+        let fresh = WorkerMetricsSnapshot {
+            resumed_epoch: -1,
+            clock_offset_nanos: -12_345,
+            ..Default::default()
+        };
+        assert_eq!(WorkerMetricsSnapshot::decode_report(&fresh.encode_report()).unwrap(), fresh);
     }
 
-    #[cfg(feature = "metrics")]
-    #[test]
-    fn merged_hists_keep_all_counts() {
-        let s = snap_with(&[3, 7]);
-        let m = s.merged_hists();
-        assert_eq!(m.compute.count(), 10);
-        assert_eq!(m.e2e.count(), 10);
-    }
+    /// The per-worker names `--metrics-json` wrote before the table
+    /// existed, which `benchmark/driver/src/metrics.rs` and CI look up
+    /// by name. Rows may be added; none of these may go or move.
+    const JSON_KEYS: &str = "worker tasks_finished compute_calls compute_ms idle_ms steals \
+        stolen_tasks remote_steals remote_stolen_tasks steal_batch_bytes yields split_tasks parks \
+        wakeups responses_served responder_backlog responder_peak_backlog pull_retries \
+        net_msgs_dropped net_msgs_duplicated net_msgs_delayed trace_events_dropped recoveries \
+        peer_down_events rejoins resumed_epoch clock_offset_nanos remaining idle_compers \
+        steal_inflight quiescent cache net_bytes_sent net_bytes_received net_writev_calls \
+        net_frames_coalesced net_backpressure_stalls net_delayed_write_errors spill_bytes pull_rtt \
+        responder_drain compers";
+    const JSON_CACHE_KEYS: &str =
+        "hits shared_waits misses evictions gc_passes retries stale_responses";
+    const JSON_HIST_KEYS: &str = "count mean_ns p50_ns p90_ns p95_ns p99_ns max_ns";
+
+    /// The Prometheus families the endpoint exposed before it exposed
+    /// every row.
+    const GAUGES: &str = "remaining idle_compers steal_inflight quiescent resumed_epoch";
+    const COUNTERS: &str = "tasks_finished compute_calls net_bytes_sent net_bytes_received \
+        net_writev_calls net_frames_coalesced net_backpressure_stalls net_delayed_write_errors \
+        remote_stolen_tasks cache_hits cache_misses pull_retries trace_events_dropped recoveries \
+        peer_down_events rejoins";
 
     #[test]
-    fn json_and_reports_render() {
-        let s = snap_with(&[2, 2]);
+    fn json_keeps_every_frozen_key_and_adds_the_new_rows() {
+        let s = MetricsSnapshot { elapsed: Duration::from_millis(5), workers: vec![numbered()] };
         let json = s.to_json();
-        for key in ["\"workers\"", "\"compers\"", "\"p50_ns\"", "\"p99_ns\"", "\"merged\""] {
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        // Each key of the worker object has a line to itself.
+        let line = |key: &str| {
+            let start = format!("\n      \"{key}\": ");
+            let at = json.find(&start).unwrap_or_else(|| panic!("no {key:?} in:\n{json}"));
+            json[at + start.len()..].lines().next().unwrap()
+        };
+        for key in JSON_KEYS.split_whitespace().chain(["peak_mem_bytes", "output_records"]) {
+            line(key);
+        }
+        for key in JSON_HIST_KEYS.split_whitespace() {
+            assert!(line("pull_rtt").contains(&format!("\"{key}\": ")), "pull_rtt.{key}");
+            assert!(line("responder_drain").contains(&format!("\"{key}\": ")), "drain.{key}");
+        }
+        for key in ["\"comper\": 1", "\"compute\": {", "\"e2e\": {", "\"park\": {", "\"merged\""] {
             assert!(json.contains(key), "missing {key}");
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        // Units: nanosecond totals as millisecond floats, the flag as a
+        // JSON bool, everything else the integer itself.
+        let nanos = position("compute_nanos") as f64 + 1.0;
+        assert_eq!(line("compute_ms"), format!("{:.3},", nanos / 1e6));
+        assert_eq!(line("quiescent"), "true,");
+        assert_eq!(line("tasks_finished"), "1,");
+        let first = ROWS.iter().position(|r| r.group == "cache").unwrap();
+        let cache: Vec<String> = JSON_CACHE_KEYS
+            .split_whitespace()
+            .enumerate()
+            .map(|(i, key)| format!("\"{key}\": {}", first + i + 1))
+            .collect();
+        assert_eq!(line("cache"), format!("{{{}}},", cache.join(", ")));
         assert!(s.pretty().contains("job metrics"));
         assert!(s.tail_report().contains("task latency tail"));
     }
 
     #[test]
-    fn fmt_nanos_scales() {
-        assert_eq!(fmt_nanos(50), "50ns");
-        assert_eq!(fmt_nanos(1_500), "1.5us");
-        assert_eq!(fmt_nanos(2_500_000), "2.5ms");
-        assert_eq!(fmt_nanos(3_000_000_000), "3.00s");
-    }
-
-    fn busy_snapshot() -> WorkerMetricsSnapshot {
-        let h = gthinker_metrics::ComperHists::new();
-        for i in 1..=20u64 {
-            h.compute.record(1_000 * i);
-            h.e2e.record(10_000 * i);
-            h.park.record(100 * i);
-        }
-        WorkerMetricsSnapshot {
-            tasks_finished: 42,
-            compute_calls: 99,
-            compute_nanos: 123_456,
-            idle_nanos: 7,
-            steals: 3,
-            stolen_tasks: 11,
-            remote_steals: 2,
-            remote_stolen_tasks: 9,
-            steal_batch_bytes: 512,
-            yields: 4,
-            split_tasks: 6,
-            parks: 13,
-            wakeups: 12,
-            responses_served: 77,
-            responder_backlog: 1,
-            responder_peak_backlog: 5,
-            pull_retries: 8,
-            net_msgs_dropped: 2,
-            net_msgs_duplicated: 1,
-            net_msgs_delayed: 3,
-            cache: CacheSnapshot {
-                hits: 100,
-                shared_waits: 2,
-                misses: 30,
-                evictions: 5,
-                gc_passes: 4,
-                retries: 1,
-                stale_responses: 2,
-            },
-            net_bytes_sent: 1_000,
-            net_bytes_received: 2_000,
-            net_writev_calls: 60,
-            net_frames_coalesced: 25,
-            net_backpressure_stalls: 2,
-            net_delayed_write_errors: 1,
-            spill_bytes: 4_096,
-            remaining: 17,
-            quiescent: true,
-            idle_compers: 2,
-            steal_inflight: 1,
-            trace_events_dropped: 9,
-            recoveries: 2,
-            peer_down_events: 1,
-            rejoins: 1,
-            resumed_epoch: 3,
-            clock_offset_nanos: -12_345,
-            compers: vec![h.snapshot(), ComperHistSnapshot::default()],
-            pull_rtt: {
-                let hist = gthinker_metrics::ComperHists::new();
-                hist.compute.record(5_000);
-                hist.compute.snapshot()
-            },
-            responder_drain: HistSnapshot::default(),
-            events: vec![
-                Event { ts: 10, dur: 5, tid: 0, arg: 0, kind: EventKind::Compute },
-                Event { ts: 20, dur: 0, tid: 3, arg: (1 << 32) | 7, kind: EventKind::StealSend },
-            ],
-        }
-    }
-
-    #[test]
-    fn report_codec_round_trips() {
-        let snap = busy_snapshot();
-        let payload = snap.encode_report();
-        let back = WorkerMetricsSnapshot::decode_report(&payload).unwrap();
-        assert_eq!(back.tasks_finished, snap.tasks_finished);
-        assert_eq!(back.compute_calls, snap.compute_calls);
-        assert_eq!(back.cache, snap.cache);
-        assert_eq!(back.quiescent, snap.quiescent);
-        assert_eq!(back.clock_offset_nanos, snap.clock_offset_nanos);
-        assert_eq!(back.trace_events_dropped, snap.trace_events_dropped);
-        assert_eq!(back.recoveries, snap.recoveries);
-        assert_eq!(back.peer_down_events, snap.peer_down_events);
-        assert_eq!(back.rejoins, snap.rejoins);
-        assert_eq!(back.resumed_epoch, snap.resumed_epoch);
-        assert_eq!(back.idle_compers, snap.idle_compers);
-        assert_eq!(back.steal_inflight, snap.steal_inflight);
-        assert_eq!(back.remaining, snap.remaining);
-        assert_eq!(back.net_bytes_sent, snap.net_bytes_sent);
-        assert_eq!(back.net_bytes_received, snap.net_bytes_received);
-        assert_eq!(back.net_writev_calls, snap.net_writev_calls);
-        assert_eq!(back.net_frames_coalesced, snap.net_frames_coalesced);
-        assert_eq!(back.net_backpressure_stalls, snap.net_backpressure_stalls);
-        assert_eq!(back.net_delayed_write_errors, snap.net_delayed_write_errors);
-        assert_eq!(back.compers.len(), snap.compers.len());
-        assert_eq!(back.compers[0].compute.count(), snap.compers[0].compute.count());
-        assert_eq!(back.compers[0].e2e.sum, snap.compers[0].e2e.sum);
-        assert_eq!(back.pull_rtt.count(), snap.pull_rtt.count());
-        assert_eq!(back.events, snap.events);
-    }
-
-    #[test]
-    fn report_decode_rejects_corruption() {
-        let snap = busy_snapshot();
-        let payload = snap.encode_report();
-        // Flip a payload byte: the frame CRC catches it.
-        let mut bad = payload.clone();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0xFF;
-        assert!(WorkerMetricsSnapshot::decode_report(&bad).is_err());
-        // Truncations fail cleanly too.
-        for cut in [0, 1, payload.len() / 2, payload.len() - 1] {
-            assert!(WorkerMetricsSnapshot::decode_report(&payload[..cut]).is_err());
-        }
-        // An empty (default) snapshot still round-trips.
-        let empty = WorkerMetricsSnapshot::default();
-        let back = WorkerMetricsSnapshot::decode_report(&empty.encode_report()).unwrap();
-        assert_eq!(back.tasks_finished, 0);
-        assert!(back.events.is_empty());
-    }
-
-    #[test]
-    fn cluster_telemetry_tracks_latest_and_finals() {
-        let t = ClusterTelemetry::new(3);
-        assert_eq!(t.num_workers(), 3);
-        assert_eq!(t.reported(), 0);
-        let mut first = busy_snapshot();
-        first.tasks_finished = 1;
-        t.publish(1, first, false);
-        let mut newer = busy_snapshot();
-        newer.tasks_finished = 5;
-        t.publish(1, newer, false);
-        assert_eq!(t.reported(), 1);
-        let snap = t.cluster_snapshot();
-        assert_eq!(snap.workers.len(), 3);
-        assert_eq!(snap.workers[1].tasks_finished, 5, "newest report wins");
-        assert_eq!(snap.workers[0].tasks_finished, 0, "unreported worker is zeroed");
-        assert!(t.final_snapshots().iter().all(|f| f.is_none()));
-        t.publish(2, busy_snapshot(), true);
-        let finals = t.final_snapshots();
-        assert!(finals[2].is_some());
-        assert!(finals[1].is_none());
-        // Out-of-range publishes are ignored, not panics.
-        t.publish(9, busy_snapshot(), true);
-        assert_eq!(t.reported(), 2);
-    }
-
-    #[test]
-    fn prometheus_text_has_per_worker_series() {
+    fn prometheus_exposes_every_row_under_the_frozen_names() {
         let mut s = snap_with(&[3, 7]);
         s.workers[0].remaining = 12;
-        s.workers[0].idle_compers = 2;
         s.workers[1].net_bytes_sent = 900;
-        s.workers[0].recoveries = 1;
         s.workers[0].resumed_epoch = -1;
         s.workers[1].resumed_epoch = 2;
+        s.workers[1].quiescent = true;
+        s.workers[1].peak_mem_bytes = 4_096;
         let text = s.prometheus_text();
+        let families = GAUGES
+            .split_whitespace()
+            .map(|name| (format!("gthinker_{name}"), "gauge"))
+            .chain(COUNTERS.split_whitespace().map(|n| (format!("gthinker_{n}_total"), "counter")));
+        for (family, kind) in families {
+            assert!(text.contains(&format!("# TYPE {family} {kind}\n")), "{family} in:\n{text}");
+            assert!(text.contains(&format!("# HELP {family} ")), "{family} has no help");
+        }
+        assert_eq!(text.matches("# TYPE ").count(), ROWS.len() + 1, "one family per row");
         for needle in [
-            "# TYPE gthinker_remaining gauge",
+            "gthinker_elapsed_seconds 0.005",
             "gthinker_remaining{worker=\"0\"} 12",
-            "gthinker_idle_compers{worker=\"0\"} 2",
-            "gthinker_idle_compers{worker=\"1\"} 0",
-            "# TYPE gthinker_net_bytes_sent_total counter",
+            "gthinker_remaining{worker=\"1\"} 0",
             "gthinker_net_bytes_sent_total{worker=\"1\"} 900",
-            "gthinker_net_bytes_received_total{worker=\"0\"} 0",
             "gthinker_tasks_finished_total{worker=\"0\"} 3",
             "gthinker_tasks_finished_total{worker=\"1\"} 7",
-            "gthinker_elapsed_seconds 0.005",
-            "# TYPE gthinker_recoveries_total counter",
-            "gthinker_recoveries_total{worker=\"0\"} 1",
-            "gthinker_peer_down_events_total{worker=\"1\"} 0",
-            "gthinker_rejoins_total{worker=\"0\"} 0",
             "gthinker_resumed_epoch{worker=\"0\"} -1",
             "gthinker_resumed_epoch{worker=\"1\"} 2",
+            "gthinker_quiescent{worker=\"0\"} 0",
+            "gthinker_quiescent{worker=\"1\"} 1",
+            "# TYPE gthinker_peak_mem_bytes gauge",
+            "gthinker_peak_mem_bytes{worker=\"1\"} 4096",
+            "# TYPE gthinker_output_records_total counter",
+            "# TYPE gthinker_compute_nanos_total counter",
+            "# TYPE gthinker_cache_evictions_total counter",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
@@ -1237,5 +1073,138 @@ mod tests {
                 "malformed exposition line: {line:?}"
             );
         }
+    }
+
+    #[test]
+    fn totals_fold_each_row_by_its_kind() {
+        let mut s = snap_with(&[3, 7]);
+        (s.workers[0].remaining, s.workers[1].remaining) = (5, 6);
+        (s.workers[0].peak_mem_bytes, s.workers[1].peak_mem_bytes) = (30, 10);
+        (s.workers[0].resumed_epoch, s.workers[1].resumed_epoch) = (-1, -1);
+        (s.workers[0].cache.misses, s.workers[1].cache.misses) = (2, 9);
+        s.workers[0].quiescent = true;
+        let t = s.totals();
+        assert_eq!((t.tasks_finished, t.remaining, t.cache.misses), (10, 11, 11));
+        assert_eq!(t.peak_mem_bytes, 30, "a high-water mark is the maximum over machines");
+        assert_eq!(t.resumed_epoch, -1);
+        assert!(!t.quiescent, "one busy worker keeps the cluster busy");
+        assert_eq!(MetricsSnapshot::default().totals(), WorkerMetricsSnapshot::default());
+
+        let p = s.progress();
+        assert_eq!((p.tasks_finished, p.remaining, p.cache_misses), (10, 11, 11));
+        assert_eq!(p.quiescent_workers, 1);
+        let m = s.merged_hists();
+        assert_eq!((m.compute.count(), m.e2e.count()), (10, 10));
+    }
+
+    #[test]
+    fn fmt_nanos_scales() {
+        assert_eq!(fmt_nanos(50), "50ns");
+        assert_eq!(fmt_nanos(1_500), "1.5us");
+        assert_eq!(fmt_nanos(2_500_000), "2.5ms");
+        assert_eq!(fmt_nanos(3_000_000_000), "3.00s");
+    }
+
+    /// `Ok` or `InvalidData` — and an `Ok` holds no more elements than
+    /// the payload had bytes for.
+    fn decodes_cleanly(sealed: &[u8]) -> bool {
+        match WorkerMetricsSnapshot::decode_report(sealed) {
+            Ok(s) => {
+                let wire = s.compers.len() * 3 * MIN_HIST_BYTES + s.events.len() * EVENT_BYTES;
+                assert!(wire <= sealed.len());
+                true
+            }
+            Err(e) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+                false
+            }
+        }
+    }
+
+    /// The unsealed payload of a valid report.
+    fn raw_report(s: &WorkerMetricsSnapshot) -> Vec<u8> {
+        frame::open(&s.encode_report()).unwrap().to_vec()
+    }
+
+    #[test]
+    fn report_from_another_table_is_refused() {
+        let mut raw = raw_report(&numbered());
+        raw[0] ^= 1;
+        let e = WorkerMetricsSnapshot::decode_report(&frame::seal(&raw)).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("different metrics table"), "{e}");
+    }
+
+    #[test]
+    fn counts_the_payload_cannot_hold_are_refused_before_allocating() {
+        // A default report ends `compers: u16 = 0, events: u32 = 0`.
+        let raw = raw_report(&WorkerMetricsSnapshot::default());
+        let (compers, events) = (raw.len() - 6, raw.len() - 4);
+        let mut many_compers = raw.clone();
+        many_compers[compers..events].fill(0xFF);
+        let mut many_events = raw;
+        many_events[events..].fill(0xFF);
+        assert!(!decodes_cleanly(&frame::seal(&many_compers)));
+        assert!(!decodes_cleanly(&frame::seal(&many_events)));
+        assert!(Cursor(&[0; 57]).count(2, EVENT_BYTES).is_err());
+        assert_eq!(Cursor(&[0; 58]).count(2, EVENT_BYTES).unwrap(), 2);
+        assert!(Cursor(&[0; 8]).count(usize::MAX, 3 * MIN_HIST_BYTES).is_err());
+    }
+
+    proptest! {
+        #[test]
+        fn decode_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..600),
+        ) {
+            decodes_cleanly(&bytes);
+            // Behind a valid frame and fingerprint, so that the row,
+            // histogram and event decoders see the garbage too.
+            let mut raw = fingerprint().to_le_bytes().to_vec();
+            raw.extend_from_slice(&bytes);
+            decodes_cleanly(&frame::seal(&raw));
+        }
+
+        #[test]
+        fn decode_never_panics_on_a_damaged_report(
+            cut in any::<usize>(), at in any::<usize>(), flip in 1u8..=255,
+        ) {
+            let sealed = numbered().encode_report();
+            prop_assert!(!decodes_cleanly(&sealed[..cut % sealed.len()]));
+            let mut flipped = sealed.clone();
+            flipped[at % sealed.len()] ^= flip;
+            prop_assert!(!decodes_cleanly(&flipped), "the frame seal catches any flip");
+            // The same damage under a fresh seal reaches the decoder proper.
+            let mut raw = raw_report(&numbered());
+            decodes_cleanly(&frame::seal(&raw[..cut % raw.len()]));
+            let at = at % raw.len();
+            raw[at] ^= flip;
+            decodes_cleanly(&frame::seal(&raw));
+        }
+    }
+
+    #[test]
+    fn cluster_telemetry_tracks_latest_and_finals() {
+        let t = ClusterTelemetry::new(3);
+        assert_eq!(t.num_workers(), 3);
+        assert_eq!(t.reported(), 0);
+        let mut first = numbered();
+        first.tasks_finished = 1;
+        t.publish(1, first, false);
+        let mut newer = numbered();
+        newer.tasks_finished = 5;
+        t.publish(1, newer, false);
+        assert_eq!(t.reported(), 1);
+        let snap = t.cluster_snapshot();
+        assert_eq!(snap.workers.len(), 3);
+        assert_eq!(snap.workers[1].tasks_finished, 5, "newest report wins");
+        assert_eq!(snap.workers[0].tasks_finished, 0, "unreported worker is zeroed");
+        assert!(t.final_snapshots().iter().all(|f| f.is_none()));
+        t.publish(2, numbered(), true);
+        let finals = t.final_snapshots();
+        assert!(finals[2].is_some());
+        assert!(finals[1].is_none());
+        // Out-of-range publishes are ignored, not panics.
+        t.publish(9, numbered(), true);
+        assert_eq!(t.reported(), 2);
     }
 }

@@ -12,6 +12,7 @@
 use crate::agg::LocalAgg;
 use crate::api::{App, SpawnEnv};
 use crate::config::JobConfig;
+use crate::metrics::WorkerCounters;
 use crossbeam::channel::Receiver;
 use crossbeam::channel::Sender;
 use gthinker_graph::ids::{VertexId, WorkerId};
@@ -97,48 +98,6 @@ impl<C> ComperShared<C> {
             hists: ComperHists::new(),
         }
     }
-}
-
-/// Counters the comper, responder and GC threads update.
-#[derive(Default)]
-pub(crate) struct WorkerCounters {
-    pub tasks_finished: AtomicU64,
-    pub compute_calls: AtomicU64,
-    pub compute_nanos: AtomicU64,
-    pub idle_nanos: AtomicU64,
-    /// Successful intra-worker steals by this worker's compers.
-    pub steals: AtomicU64,
-    /// Tasks moved by those steals.
-    pub stolen_tasks: AtomicU64,
-    /// Times a comper parked on the scheduler event count.
-    pub parks: AtomicU64,
-    /// Parks that ended in an event wakeup (the rest hit the fallback
-    /// timeout — near zero when every wake source notifies correctly).
-    pub wakeups: AtomicU64,
-    /// Vertices served to remote pulls by the responder pool.
-    pub responses_served: AtomicU64,
-    /// Request batches queued to responders but not yet served (gauge).
-    pub responder_backlog: AtomicU64,
-    /// Peak of `responder_backlog`.
-    pub responder_peak_backlog: AtomicU64,
-    /// Vertex pulls re-sent after their R-table deadline expired (the
-    /// loss-tolerance retry path in `worker_tick`).
-    pub pull_retries: AtomicU64,
-    /// Steal batches this worker shipped to other workers (victim
-    /// side of the master-brokered cluster stealing protocol).
-    pub remote_steals: AtomicU64,
-    /// Tasks inside those shipped batches.
-    pub remote_stolen_tasks: AtomicU64,
-    /// Framed steal-batch bytes put on the wire, including resends of
-    /// unacked batches.
-    pub steal_batch_bytes: AtomicU64,
-    /// Times a task gave up its comper before finishing because it
-    /// exhausted the compute budget — framework-level re-enqueues in
-    /// `drive_task` plus UDF-reported splits (`ComputeEnv::note_split`).
-    pub yields: AtomicU64,
-    /// Continuation tasks those yields produced (1 for a framework
-    /// re-enqueue, `n` for a UDF split into `n` subtasks).
-    pub split_tasks: AtomicU64,
 }
 
 /// One sealed, unacknowledged steal batch retained by the victim.
@@ -460,6 +419,17 @@ impl<A: App> WorkerShared<A> {
         spilled + unspawned + queued
     }
 
+    /// Compers parked with nothing reachable (a gauge, not part of the
+    /// quiescence protocol — hence the relaxed read).
+    pub fn idle_compers(&self) -> usize {
+        self.compers
+            .iter()
+            .filter(|c| {
+                !c.busy.load(Ordering::Relaxed) && c.queue.is_empty() && c.buffer.is_empty()
+            })
+            .count()
+    }
+
     /// The quiescence predicate used for distributed termination: no
     /// local work of any kind and no pull in flight. Busy flags are set
     /// by compers *before* they check their task sources, so this check
@@ -534,23 +504,15 @@ impl<A: App> WorkerShared<A> {
             return idle;
         }
         self.reported_epoch.store(report, Ordering::SeqCst);
-        // Idle compers (parked with nothing reachable) feed the master's
-        // thief selection; the in-flight count gates its suspend
-        // broadcast.
-        let idle_compers = self
-            .compers
-            .iter()
-            .filter(|c| {
-                !c.busy.load(Ordering::Relaxed) && c.queue.is_empty() && c.buffer.is_empty()
-            })
-            .count() as u16;
+        // Idle compers feed the master's thief selection; the in-flight
+        // count gates its suspend broadcast.
         self.net.send(
             master,
             Message::Progress {
                 worker: self.me,
                 remaining: self.remaining_estimate(),
                 idle,
-                idle_compers,
+                idle_compers: self.idle_compers() as u16,
                 steal_inflight: self.steal_inflight.load(Ordering::Relaxed).min(u32::MAX as u64)
                     as u32,
                 epoch,

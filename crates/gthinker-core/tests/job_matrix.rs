@@ -260,7 +260,10 @@ fn process_pairs_give_the_same_answer_plain_and_recovering() {
     assert!(fired > 0, "the observer survives across attempts");
     assert!(recovering.recovery.checkpoints >= 1, "{:?}", recovering.recovery);
     assert_eq!(recovering.recovery.recoveries, 0);
-    assert!(recovering.workers[0].resumed_epoch >= 0, "the final attempt restored an epoch");
+    assert!(
+        recovering.metrics.workers[0].resumed_epoch >= 0,
+        "the final attempt restored an epoch"
+    );
     let _ = std::fs::remove_dir_all(scratch("pair-epochs"));
 
     // A process job cannot take an arbitrary checkpoint path: the

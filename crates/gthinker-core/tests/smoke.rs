@@ -82,7 +82,7 @@ fn multi_worker_matches_single_worker() {
     assert_eq!(single.global, g.num_edges() as u64);
     assert_eq!(multi.global, single.global);
     // Remote pulls actually happened.
-    let misses: u64 = multi.workers.iter().map(|w| w.cache.misses).sum();
+    let misses: u64 = multi.metrics.totals().cache.misses;
     assert!(misses > 0, "multi-worker run should pull remote vertices");
     assert!(multi.total_net_bytes() > 0);
 }
@@ -135,6 +135,6 @@ fn tiny_cache_still_completes() {
     cfg.cache.num_buckets = 8;
     let result = run_job(Arc::new(DegreeSum), &g, &cfg).unwrap();
     assert_eq!(result.global, g.num_edges() as u64);
-    let evictions: u64 = result.workers.iter().map(|w| w.cache.evictions).sum();
+    let evictions: u64 = result.metrics.totals().cache.evictions;
     assert!(evictions > 0, "GC must have evicted under a 16-vertex cache");
 }

@@ -128,17 +128,6 @@ pub struct CacheSnapshot {
 }
 
 impl CacheSnapshot {
-    /// Field-wise sum, for aggregating across workers.
-    pub fn merge(&mut self, other: &CacheSnapshot) {
-        self.hits += other.hits;
-        self.shared_waits += other.shared_waits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.gc_passes += other.gc_passes;
-        self.retries += other.retries;
-        self.stale_responses += other.stale_responses;
-    }
-
     /// Hit ratio over all OP1 calls (0 when no requests were made).
     pub fn hit_ratio(&self) -> f64 {
         let total = self.hits + self.shared_waits + self.misses;

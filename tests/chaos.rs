@@ -14,6 +14,7 @@ use gthinker_graph::gen;
 use gthinker_graph::ids::WorkerId;
 use gthinker_graph::partition::HashPartitioner;
 use gthinker_net::fault::{CrashSchedule, FaultConfig};
+use gthinker_tests::join_cluster;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -63,6 +64,11 @@ fn with_watchdog<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 
         }
         Err(_) => panic!("chaos job hung past {WATCHDOG:?} ({label})"),
     }
+}
+
+/// Data-plane messages the fault-injected wire touched in any way.
+fn injected_faults(w: &WorkerMetricsSnapshot) -> u64 {
+    w.net_msgs_dropped + w.net_msgs_duplicated + w.net_msgs_delayed
 }
 
 /// Fault-free reference vs. recovery-managed chaos run of the same
@@ -184,15 +190,14 @@ fn lossy_wire_without_crash_completes_via_retries() {
     });
     assert_eq!(result.outcome, JobOutcome::Completed);
     assert_eq!(result.global, expected);
-    let dropped: u64 = result.workers.iter().map(|w| w.net_msgs_dropped).sum();
-    let retries: u64 = result.workers.iter().map(|w| w.pull_retries).sum();
+    let total = result.metrics.totals();
+    let (dropped, retries) = (total.net_msgs_dropped, total.pull_retries);
     assert!(dropped > 0, "a 10% drop rate must actually drop something");
     assert!(retries > 0, "dropped pulls must be re-requested");
 }
 
 #[test]
 fn lossy_tcp_wire_completes_via_retries() {
-    use gthinker_core::ClusterRole;
     use gthinker_net::tcp::ClusterManifest;
 
     // The same seeded drop/dup injection, but on the real TCP loopback
@@ -203,7 +208,7 @@ fn lossy_tcp_wire_completes_via_retries() {
     // telemetry reports streaming the whole time (the control plane is
     // not fault-injected, so the master's merged view must still cover
     // every worker).
-    let (expected, global, stats, metrics) = with_watchdog("lossy-tcp", || {
+    let (expected, global, metrics) = with_watchdog("lossy-tcp", || {
         let g = gen::barabasi_albert(700, 5, 67);
         let expected =
             run_job(Arc::new(TriangleApp), &g, &JobConfig::single_machine(2)).unwrap().global;
@@ -233,29 +238,16 @@ fn lossy_tcp_wire_completes_via_retries() {
                 })
             })
             .collect();
-        let mut global = None;
-        let mut metrics = None;
-        let mut stats = Vec::new();
-        for h in handles {
-            match h.join().expect("worker thread") {
-                ClusterRole::Master(r) => {
-                    assert_eq!(r.outcome, JobOutcome::Completed);
-                    stats.push(r.workers[0].clone());
-                    global = Some(r.global);
-                    metrics = Some(r.metrics);
-                }
-                ClusterRole::Worker(s, ..) => stats.push(s),
-            }
-        }
-        (expected, global.unwrap(), stats, metrics.unwrap())
+        let r = join_cluster(handles);
+        assert_eq!(r.outcome, JobOutcome::Completed);
+        (expected, r.global, r.metrics)
     });
     assert_eq!(global, expected, "TCP chaos run must match the fault-free count");
-    let dropped: u64 = stats.iter().map(|w| w.net_msgs_dropped).sum();
-    let duplicated: u64 = stats.iter().map(|w| w.net_msgs_duplicated).sum();
-    let retries: u64 = stats.iter().map(|w| w.pull_retries).sum();
-    assert!(dropped > 0, "a 10% drop rate must actually drop TCP frames");
-    assert!(duplicated > 0, "a 10% dup rate must actually duplicate TCP frames");
-    assert!(retries > 0, "dropped pulls must be re-requested over TCP");
+    // The master's result covers every process, not just its own.
+    let total = metrics.totals();
+    assert!(total.net_msgs_dropped > 0, "a 10% drop rate must actually drop TCP frames");
+    assert!(total.net_msgs_duplicated > 0, "a 10% dup rate must actually duplicate TCP frames");
+    assert!(total.pull_retries > 0, "dropped pulls must be re-requested over TCP");
     // The lossy data plane never touches the metrics stream: the
     // master's merged view still covers all three workers.
     assert_eq!(metrics.workers.len(), 3, "merged view has one entry per worker");
@@ -340,19 +332,13 @@ fn cluster_steals_survive_lossy_wire() {
     });
     assert_eq!(result.outcome, JobOutcome::Completed);
     assert_eq!(result.global, expected, "steal chaos run must match the fault-free sum");
-    let steals: u64 = result.workers.iter().map(|w| w.remote_steals).sum();
-    let batch_bytes: u64 = result.workers.iter().map(|w| w.steal_batch_bytes).sum();
+    let total = result.metrics.totals();
+    assert!(total.remote_steals > 0, "the skew must actually force cluster steals");
+    assert!(total.steal_batch_bytes > 0, "sealed batches must be accounted");
     // Steal frames are the only data-plane traffic here (the app pulls
     // nothing), so assert on the union of injected faults — each class
     // individually could legitimately draw zero on a short run.
-    let faults: u64 = result
-        .workers
-        .iter()
-        .map(|w| w.net_msgs_dropped + w.net_msgs_duplicated + w.net_msgs_delayed)
-        .sum();
-    assert!(steals > 0, "the skew must actually force cluster steals");
-    assert!(batch_bytes > 0, "sealed batches must be accounted");
-    assert!(faults > 0, "the hostile wire must actually touch steal frames");
+    assert!(injected_faults(&total) > 0, "the hostile wire must actually touch steal frames");
 }
 
 #[test]
@@ -376,14 +362,13 @@ fn cluster_steals_survive_crash_and_recovery() {
 
 #[test]
 fn cluster_steals_survive_lossy_tcp_wire() {
-    use gthinker_core::ClusterRole;
     use gthinker_net::tcp::ClusterManifest;
 
     // The same skewed steal-forcing workload on the real TCP loopback
     // backend: steal requests, batches and acks cross framed sockets
     // through the fault runtime, and the answer must still be exactly
     // the fault-free sum.
-    let (expected, global, stats) = with_watchdog("steal-lossy-tcp", || {
+    let (expected, global, total) = with_watchdog("steal-lossy-tcp", || {
         let g = gen::complete(30);
         let expected =
             run_job(Arc::new(StealSkewApp), &g, &JobConfig::single_machine(2)).unwrap().global;
@@ -409,26 +394,13 @@ fn cluster_steals_survive_lossy_tcp_wire() {
                 })
             })
             .collect();
-        let mut global = None;
-        let mut stats = Vec::new();
-        for h in handles {
-            match h.join().expect("worker thread") {
-                ClusterRole::Master(r) => {
-                    assert_eq!(r.outcome, JobOutcome::Completed);
-                    stats.push(r.workers[0].clone());
-                    global = Some(r.global);
-                }
-                ClusterRole::Worker(s, ..) => stats.push(s),
-            }
-        }
-        (expected, global.unwrap(), stats)
+        let r = join_cluster(handles);
+        assert_eq!(r.outcome, JobOutcome::Completed);
+        (expected, r.global, r.metrics.totals())
     });
     assert_eq!(global, expected, "TCP steal chaos run must match the fault-free sum");
-    let steals: u64 = stats.iter().map(|w| w.remote_steals).sum();
-    let faults: u64 =
-        stats.iter().map(|w| w.net_msgs_dropped + w.net_msgs_duplicated + w.net_msgs_delayed).sum();
-    assert!(steals > 0, "the skew must force cluster steals over TCP");
-    assert!(faults > 0, "the hostile wire must actually touch TCP steal frames");
+    assert!(total.remote_steals > 0, "the skew must force cluster steals over TCP");
+    assert!(injected_faults(&total) > 0, "the hostile wire must actually touch TCP steal frames");
 }
 
 #[test]
@@ -437,7 +409,7 @@ fn fault_counters_are_zero_on_a_clean_wire() {
         let g = gen::gnp(300, 0.05, 61);
         run_job(Arc::new(TriangleApp), &g, &JobConfig::cluster(3, 2)).unwrap()
     });
-    for (w, stats) in result.workers.iter().enumerate() {
+    for (w, stats) in result.metrics.workers.iter().enumerate() {
         assert_eq!(stats.net_msgs_dropped, 0, "worker {w}");
         assert_eq!(stats.net_msgs_duplicated, 0, "worker {w}");
         assert_eq!(stats.net_msgs_delayed, 0, "worker {w}");

@@ -104,7 +104,7 @@ fn back_to_back_tiny_jobs_neither_end_early_nor_hang() {
         };
         let r = job_with_watchdog(graph_seed, n, cfg, "tiny job");
         assert_eq!(r.global, expected, "job {job} (graph seed {graph_seed}) ended early");
-        remote_steals += r.workers.iter().map(|w| w.remote_steals).sum::<u64>();
+        remote_steals += r.metrics.totals().remote_steals;
     }
     eprintln!("{JOBS} tiny jobs, {remote_steals} cross-worker steal batches");
     assert!(remote_steals > 0, "no job brokered a steal; the stress lost its steal races");

@@ -8,7 +8,6 @@ use gthinker_apps::{
     KPlexApp, MatchingApp, MaxCliqueApp, MaximalCliqueApp, Pattern, QuasiCliqueApp, TriangleApp,
 };
 use gthinker_core::prelude::*;
-use gthinker_core::ClusterRole;
 use gthinker_graph::compressed::{write_compressed, CompressedGraph};
 use gthinker_graph::gen;
 use gthinker_graph::graph::Graph;
@@ -156,7 +155,7 @@ fn recovery_on_mapped_graph_matches_fault_free_ram_run() {
     assert!(report.recoveries >= 1, "the crash must actually fire: {report:?}");
     assert_eq!(report.failed_workers[0], WorkerId(1));
     assert!(
-        result.workers.iter().all(|w| w.recoveries == report.recoveries as u64),
+        result.metrics.workers.iter().all(|w| w.recoveries == report.recoveries as u64),
         "worker stats must carry the recovery count"
     );
 }
@@ -189,19 +188,8 @@ fn tcp_cluster_on_mapped_graph_matches_in_ram_sim() {
             })
         })
         .collect();
-    let mut master = None;
-    let mut sent = 0u64;
-    for h in handles {
-        match h.join().expect("worker thread") {
-            ClusterRole::Master(r) => {
-                sent += r.workers[0].net_bytes_sent;
-                master = Some(r);
-            }
-            ClusterRole::Worker(s, ..) => sent += s.net_bytes_sent,
-        }
-    }
-    let master = master.expect("worker 0 is the master");
+    let master = gthinker_tests::join_cluster(handles);
     assert_eq!(master.global, reference);
     assert!(matches!(master.outcome, JobOutcome::Completed));
-    assert!(sent > 0, "no bytes crossed the TCP mesh");
+    assert!(master.total_net_bytes() > 0, "no bytes crossed the TCP mesh");
 }

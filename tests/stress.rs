@@ -28,7 +28,7 @@ fn triangle_count_survives_torture() {
     let expected = count_triangles(&g);
     let r = run_job(Arc::new(TriangleApp), &g, &torture_config()).unwrap();
     assert_eq!(r.global, expected);
-    let evictions: u64 = r.workers.iter().map(|w| w.cache.evictions).sum();
+    let evictions: u64 = r.metrics.totals().cache.evictions;
     assert!(evictions > 0, "a 32-entry cache must evict");
 }
 

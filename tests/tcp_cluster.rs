@@ -8,7 +8,7 @@ use gthinker_apps::{
     KPlexApp, MatchingApp, MaxCliqueApp, MaximalCliqueApp, Pattern, QuasiCliqueApp, TriangleApp,
 };
 use gthinker_core::prelude::*;
-use gthinker_core::{ClusterRole, WorkerStats};
+use gthinker_core::ClusterRole;
 use gthinker_graph::gen;
 use gthinker_graph::graph::Graph;
 use gthinker_graph::ids::WorkerId;
@@ -21,12 +21,12 @@ const RENDEZVOUS: Duration = Duration::from_secs(20);
 
 /// Runs `app` on a 3-worker loopback TCP cluster (each worker on its
 /// own thread, exactly the code path of three OS processes) and
-/// returns the master's result plus every worker's stats.
+/// returns the master's result, which covers the whole cluster.
 fn run_tcp_cluster<A: App + Send + Sync + 'static>(
     app: Arc<A>,
     graph: &Graph,
     compers: usize,
-) -> (JobResult<<<A as App>::Agg as Aggregator>::Global>, Vec<WorkerStats>) {
+) -> JobResult<<<A as App>::Agg as Aggregator>::Global> {
     let mut cfg = JobConfig::cluster(WORKERS, compers);
     cfg.sync_interval = Duration::from_millis(5);
     let (manifest, listeners) = ClusterManifest::loopback(WORKERS).expect("bind loopback");
@@ -46,18 +46,7 @@ fn run_tcp_cluster<A: App + Send + Sync + 'static>(
             })
         })
         .collect();
-    let mut master = None;
-    let mut stats = Vec::new();
-    for h in handles {
-        match h.join().expect("worker thread") {
-            ClusterRole::Master(r) => {
-                stats.push(r.workers[0].clone());
-                master = Some(r);
-            }
-            ClusterRole::Worker(s, ..) => stats.push(s),
-        }
-    }
-    (master.expect("worker 0 is the master"), stats)
+    gthinker_tests::join_cluster(handles)
 }
 
 /// Sim reference for the same topology.
@@ -71,21 +60,20 @@ fn sim_reference<A: App>(
 
 /// All workers together must have moved real traffic: the job cannot
 /// have quietly degenerated into a single-process run.
-fn assert_traffic(stats: &[WorkerStats]) {
-    let sent: u64 = stats.iter().map(|w| w.net_bytes_sent).sum();
-    let received: u64 = stats.iter().map(|w| w.net_bytes_received).sum();
-    assert!(sent > 0, "no bytes crossed the TCP mesh");
-    assert!(received > 0, "no bytes were received off the TCP mesh");
+fn assert_traffic<G>(r: &JobResult<G>) {
+    let total = r.metrics.totals();
+    assert!(total.net_bytes_sent > 0, "no bytes crossed the TCP mesh");
+    assert!(total.net_bytes_received > 0, "no bytes were received off the TCP mesh");
 }
 
 #[test]
 fn triangle_count_matches_sim() {
     let g = gen::barabasi_albert(600, 5, 17);
     let reference = sim_reference(Arc::new(TriangleApp), &g, 2).global;
-    let (r, stats) = run_tcp_cluster(Arc::new(TriangleApp), &g, 2);
+    let r = run_tcp_cluster(Arc::new(TriangleApp), &g, 2);
     assert_eq!(r.global, reference);
     assert!(matches!(r.outcome, JobOutcome::Completed));
-    assert_traffic(&stats);
+    assert_traffic(&r);
 }
 
 #[test]
@@ -94,18 +82,18 @@ fn max_clique_matches_sim() {
     let (g, planted) = gen::plant_clique(&base, 9, 27);
     let reference = sim_reference(Arc::new(MaxCliqueApp::default()), &g, 2).global;
     assert!(reference.len() >= planted.len());
-    let (r, stats) = run_tcp_cluster(Arc::new(MaxCliqueApp::default()), &g, 2);
+    let r = run_tcp_cluster(Arc::new(MaxCliqueApp::default()), &g, 2);
     assert_eq!(r.global.len(), reference.len());
-    assert_traffic(&stats);
+    assert_traffic(&r);
 }
 
 #[test]
 fn maximal_cliques_match_sim() {
     let g = gen::gnp(150, 0.08, 41);
     let reference = sim_reference(Arc::new(MaximalCliqueApp), &g, 2).global;
-    let (r, stats) = run_tcp_cluster(Arc::new(MaximalCliqueApp), &g, 2);
+    let r = run_tcp_cluster(Arc::new(MaximalCliqueApp), &g, 2);
     assert_eq!(r.global, reference);
-    assert_traffic(&stats);
+    assert_traffic(&r);
 }
 
 #[test]
@@ -113,9 +101,9 @@ fn quasi_cliques_match_sim() {
     let g = gen::gnp(70, 0.1, 53);
     let app = || Arc::new(QuasiCliqueApp::new(0.6, 3, 4));
     let reference = sim_reference(app(), &g, 2).global;
-    let (r, stats) = run_tcp_cluster(app(), &g, 2);
+    let r = run_tcp_cluster(app(), &g, 2);
     assert_eq!(r.global, reference);
-    assert_traffic(&stats);
+    assert_traffic(&r);
 }
 
 #[test]
@@ -123,9 +111,9 @@ fn k_plexes_match_sim() {
     let g = gen::gnp(60, 0.12, 61);
     let app = || Arc::new(KPlexApp::new(2, 4, 5));
     let reference = sim_reference(app(), &g, 2).global;
-    let (r, stats) = run_tcp_cluster(app(), &g, 2);
+    let r = run_tcp_cluster(app(), &g, 2);
     assert_eq!(r.global, reference);
-    assert_traffic(&stats);
+    assert_traffic(&r);
 }
 
 #[test]
@@ -139,16 +127,20 @@ fn graph_matching_matches_sim() {
     );
     let app = || Arc::new(MatchingApp::new(pattern.clone(), labels.clone()));
     let reference = sim_reference(app(), &g, 2).global;
-    let (r, stats) = run_tcp_cluster(app(), &g, 2);
+    let r = run_tcp_cluster(app(), &g, 2);
     assert_eq!(r.global, reference);
-    assert_traffic(&stats);
+    assert_traffic(&r);
 }
 
 /// Lossless merge: the cluster-wide metrics the master assembles from
 /// `MetricsReport`s must agree, worker by worker, with the snapshot
 /// each worker kept for itself — for every counter that is stable by
 /// the time the final report ships (work totals; byte counters keep
-/// moving during the termination hand-shake and are excluded).
+/// moving during the termination hand-shake and are excluded). So the
+/// master's `JobResult` speaks for the whole cluster: its accessors
+/// used to read a list holding only the master's own counters, and
+/// "peak memory, max over machines" and every `total_*` silently
+/// reported one machine.
 #[test]
 fn cluster_metrics_reports_merge_losslessly() {
     let g = gen::barabasi_albert(400, 5, 77);
@@ -179,7 +171,7 @@ fn cluster_metrics_reports_merge_losslessly() {
                 assert_eq!(w, 0, "master is worker 0");
                 master = Some(r);
             }
-            ClusterRole::Worker(_, snap, _) => own[w] = Some(snap),
+            ClusterRole::Worker(snap, _) => own[w] = Some(snap),
         }
     }
     let master = master.expect("worker 0 is the master");
@@ -201,7 +193,20 @@ fn cluster_metrics_reports_merge_losslessly() {
     // Every worker did real work that reached the master's view.
     for (w, m) in merged.workers.iter().enumerate() {
         assert!(m.compute_calls > 0, "worker {w} reported no compute");
+        assert!(m.peak_mem_bytes > 0, "worker {w}: no memory sample reached the master");
     }
+    let own_tasks =
+        |w: &Option<MetricsSnapshot>| w.as_ref().map_or(0, MetricsSnapshot::total_tasks);
+    let remote_tasks: u64 = own.iter().map(own_tasks).sum();
+    assert!(remote_tasks > 0, "workers 1.. finished tasks of their own");
+    assert_eq!(
+        master.total_tasks(),
+        merged.workers[0].tasks_finished + remote_tasks,
+        "total_tasks() is the sum of what each process counted for itself"
+    );
+    let peak = merged.workers.iter().map(|w| w.peak_mem_bytes).max().unwrap();
+    assert_eq!(master.peak_mem_bytes(), peak, "maximum over machines");
+    assert!(master.total_net_bytes() > merged.workers[0].net_bytes_sent, "all traffic counted");
 }
 
 /// The manifest size must agree with the config; a mismatch is an
