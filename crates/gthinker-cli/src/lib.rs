@@ -1,26 +1,13 @@
 //! Implementation of the `gthinker` command-line tool.
 //!
-//! Subcommands:
-//!
-//! ```text
-//! gthinker gen   <ba|gnp|dataset> [opts] -o FILE    generate a graph
-//! gthinker stats <FILE>                             print statistics
-//! gthinker convert <IN> <OUT>                       convert formats
-//! gthinker order <IN> <OUT>                         degeneracy relabel
-//! gthinker graph build <IN> <OUT.gtc> [--order]     compressed build
-//! gthinker graph stats <FILE>                       storage statistics
-//! gthinker mcf   <FILE> [--workers N] [--compers N] [--tau N]
-//! gthinker tc    <FILE> [--workers N] [--compers N] [--bundle N]
-//! gthinker mc    <FILE> [--workers N] [--compers N]
-//! gthinker qc    <FILE> --gamma G [--min N] [--max N] [...]
-//! gthinker gm    <FILE> --pattern triangle:A,B,C|path:A,B,C [...]
-//! ```
-//!
-//! File formats are chosen by extension: `.el` / `.txt` edge list,
-//! `.adj` adjacency lines, `.bin` the binary format, `.bel` the binary
-//! edge stream, `.gtc` the compressed memory-mapped format. Miners
-//! given a `.gtc` file run directly off the mapping with lazy
-//! per-vertex decode instead of loading the graph into RAM.
+//! [`usage`] — what `gthinker help` prints — lists every subcommand
+//! with its arguments, the file formats, and every option; the option
+//! lines are rendered from the one table the parser reads.
+
+mod options;
+
+pub use options::usage;
+use options::*;
 
 use gthinker_apps::{
     BundledTriangleApp, KPlexApp, MatchingApp, MaxCliqueApp, MaximalCliqueApp, Pattern,
@@ -61,178 +48,8 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError(msg.into()))
 }
 
-/// Parsed global options shared by the mining subcommands.
-#[derive(Debug, Clone)]
-pub struct MineOpts {
-    /// Simulated machines.
-    pub workers: usize,
-    /// Compers per machine.
-    pub compers: usize,
-    /// `--steal {on,off}`: cluster-wide work stealing (default on).
-    pub steal: bool,
-    /// `--compute-budget N`: yield long tasks after N extension steps.
-    pub compute_budget: Option<u64>,
-    /// `--report-interval S`: push periodic metrics snapshots to the
-    /// master every S seconds (cluster live views; default final-only).
-    pub report_interval: Option<Duration>,
-    /// Observability exports requested via flags.
-    pub metrics: MetricsOpts,
-}
-
-impl Default for MineOpts {
-    fn default() -> Self {
-        MineOpts {
-            workers: 1,
-            compers: 4,
-            steal: true,
-            compute_budget: None,
-            report_interval: None,
-            metrics: MetricsOpts::default(),
-        }
-    }
-}
-
-/// Observability flags shared by the mining subcommands.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsOpts {
-    /// `--metrics-json PATH`: write the full metrics snapshot as JSON.
-    pub metrics_json: Option<String>,
-    /// `--trace-out PATH`: write the scheduler/cache event timeline as
-    /// Chrome `trace_event` JSON (chrome://tracing / Perfetto).
-    pub trace_out: Option<String>,
-    /// `--tail`: print the end-of-run tail-latency report even without
-    /// the file exports.
-    pub tail: bool,
-}
-
-impl MetricsOpts {
-    fn wanted(&self) -> bool {
-        self.tail || self.metrics_json.is_some() || self.trace_out.is_some()
-    }
-}
-
-/// Event-ring capacity per worker when `--trace-out` is requested.
-const TRACE_CAPACITY: usize = 65_536;
-
-/// Reads a flag's value from an argument list.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, CliError> {
-    if let Some(pos) = args.iter().position(|a| a == flag) {
-        if pos + 1 >= args.len() {
-            return err(format!("{flag} requires a value"));
-        }
-        let value = args.remove(pos + 1);
-        args.remove(pos);
-        return Ok(Some(value));
-    }
-    Ok(None)
-}
-
-fn take_parsed<T: std::str::FromStr>(
-    args: &mut Vec<String>,
-    flag: &str,
-) -> Result<Option<T>, CliError> {
-    match take_flag(args, flag)? {
-        None => Ok(None),
-        Some(s) => s.parse().map(Some).map_err(|_| CliError(format!("bad value for {flag}: {s}"))),
-    }
-}
-
-/// Removes a boolean switch from the argument list, reporting whether
-/// it was present.
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(pos) = args.iter().position(|a| a == flag) {
-        args.remove(pos);
-        true
-    } else {
-        false
-    }
-}
-
-/// The graph FILE of a mining command: whatever is left of `args` once
-/// every flag the command knows has been taken out must be exactly that
-/// one path, so a mistyped flag is an error instead of a silent default.
-fn file_arg<'a>(args: &'a [String], what: &str) -> Result<&'a str, CliError> {
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        return err(format!("{what}: unknown option {flag}"));
-    }
-    match args {
-        [] => err(format!("{what}: missing FILE")),
-        [path] => Ok(path),
-        [_, extra, ..] => err(format!("{what}: unexpected argument {extra}")),
-    }
-}
-
-fn mine_opts(args: &mut Vec<String>) -> Result<MineOpts, CliError> {
-    let mut o = MineOpts::default();
-    if let Some(w) = take_parsed(args, "--workers")? {
-        o.workers = w;
-    }
-    if let Some(c) = take_parsed(args, "--compers")? {
-        o.compers = c;
-    }
-    if let Some(s) = take_flag(args, "--steal")? {
-        o.steal = match s.as_str() {
-            "on" => true,
-            "off" => false,
-            other => return err(format!("bad value for --steal: {other} (want on or off)")),
-        };
-    }
-    if let Some(b) = take_parsed::<u64>(args, "--compute-budget")? {
-        if b == 0 {
-            return err("--compute-budget must be at least 1");
-        }
-        o.compute_budget = Some(b);
-    }
-    if let Some(s) = take_parsed::<f64>(args, "--report-interval")? {
-        if !s.is_finite() || s <= 0.0 {
-            return err("--report-interval must be a positive number of seconds");
-        }
-        o.report_interval = Some(Duration::from_secs_f64(s));
-    }
-    o.metrics.metrics_json = take_flag(args, "--metrics-json")?;
-    o.metrics.trace_out = take_flag(args, "--trace-out")?;
-    o.metrics.tail = take_switch(args, "--tail");
-    Ok(o)
-}
-
-fn job_config(o: &MineOpts) -> JobConfig {
-    let mut cfg = if o.workers <= 1 {
-        JobConfig::single_machine(o.compers)
-    } else {
-        JobConfig::cluster(o.workers, o.compers)
-    };
-    cfg.work_stealing = o.steal;
-    cfg.compute_budget = o.compute_budget;
-    cfg.report_interval = o.report_interval;
-    if o.metrics.trace_out.is_some() {
-        cfg.trace_capacity = TRACE_CAPACITY;
-    }
-    cfg
-}
-
-/// Performs the `--metrics-json` / `--trace-out` exports and renders
-/// the tail-latency report; the returned text is appended to the
-/// subcommand's normal output.
-fn export_metrics(m: &MetricsOpts, snap: &MetricsSnapshot) -> Result<String, CliError> {
-    let mut extra = String::new();
-    if let Some(path) = &m.metrics_json {
-        std::fs::write(path, snap.to_json()).map_err(|e| CliError(format!("write {path}: {e}")))?;
-        extra.push_str(&format!("\nmetrics JSON written to {path}"));
-    }
-    if let Some(path) = &m.trace_out {
-        let f = std::fs::File::create(path).map_err(|e| CliError(format!("create {path}: {e}")))?;
-        snap.write_chrome_trace(std::io::BufWriter::new(f))
-            .map_err(|e| CliError(format!("write {path}: {e}")))?;
-        extra.push_str(&format!(
-            "\ntrace written to {path} (load in chrome://tracing or ui.perfetto.dev)"
-        ));
-    }
-    if m.wanted() {
-        extra.push('\n');
-        extra.push_str(snap.tail_report().trim_end());
-    }
-    Ok(extra)
-}
+/// The mining subcommands, alone or after `master` / `worker`.
+const MINERS: [&str; 6] = ["mcf", "tc", "mc", "qc", "kp", "gm"];
 
 /// Loads a graph fully into RAM, picking the parser from the file
 /// extension (`.gtc` files are decompressed — miners use
@@ -360,126 +177,49 @@ pub fn parse_pattern(spec: &str) -> Result<Pattern, CliError> {
 /// Returns the text to print.
 pub fn run(mut args: Vec<String>) -> Result<String, CliError> {
     if args.is_empty() {
-        return err(USAGE);
+        return err(usage());
     }
     let cmd = args.remove(0);
     match cmd.as_str() {
-        "gen" => cmd_gen(args),
-        "stats" => cmd_stats(args),
-        "convert" => cmd_convert(args),
-        "order" => cmd_order(args),
-        "graph" => cmd_graph(args),
-        "mcf" => cmd_mcf(args),
-        "tc" => cmd_tc(args),
-        "mc" => cmd_mc(args),
-        "qc" => cmd_qc(args),
-        "kp" => cmd_kp(args),
-        "gm" => cmd_gm(args),
-        "master" => cmd_cluster(true, args),
-        "worker" => cmd_cluster(false, args),
-        "supervise" => cmd_supervise(args),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => err(format!("unknown command {other}\n{USAGE}")),
+        "help" | "--help" | "-h" => return Ok(usage()),
+        // Its tail is a command line of its own, parsed there.
+        "supervise" => return cmd_supervise(args),
+        _ => {}
+    }
+    let mut a = Args::parse(&cmd, args)?;
+    match cmd.as_str() {
+        "gen" => cmd_gen(a),
+        "stats" => cmd_stats(a),
+        "convert" => cmd_convert(a),
+        "order" => cmd_order(a),
+        "graph" => match a.enter("subcommand (build|stats)")?.as_str() {
+            "build" => cmd_graph_build(a),
+            "stats" => cmd_graph_stats(a),
+            other => err(format!("graph: unknown subcommand {other} (want build or stats)")),
+        },
+        "master" | "worker" => cmd_cluster(a),
+        miner if MINERS.contains(&miner) => {
+            let place = Place::read(&mut a, None)?;
+            cmd_mine(miner, a, place)
+        }
+        other => err(format!("unknown command {other}\n{}", usage())),
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "usage: gthinker <command> [options]
-  gen <ba|gnp|youtube-s|skitter-s|orkut-s|btc-s|friendster-s> [-n N] [-m M] [-p P] [--seed S] [--labels K] [--scale F] [--stream] -o FILE
-  stats <FILE>
-  convert <IN> <OUT>
-  order <IN> <OUT>                    relabel into degeneracy order
-  graph build <IN> <OUT.gtc> [--order]  build the compressed mmap format
-                                      (edge-list inputs stream in two
-                                      passes; --order applies a
-                                      degeneracy relabel first)
-  graph stats <FILE>                  storage stats: |V|, |E|, degree
-                                      p50/p95/max, plain vs compressed
-                                      on-disk bytes
-  mcf <FILE> [--workers N] [--compers N] [--tau T]
-  tc  <FILE> [--workers N] [--compers N] [--bundle D] [--list DIR]
-  mc  <FILE> [--workers N] [--compers N]
-  qc  <FILE> --gamma G [--min N] [--max N] [--workers N] [--compers N]
-  kp  <FILE> --k K [--min N] [--max N] [--workers N] [--compers N]
-  gm  <FILE> --pattern triangle:0,1,2|path:..|star:..|clique4:.. [--workers N] [--compers N]
-  master --hosts H0,H1,.. <mcf|tc|mc|qc|kp|gm> <FILE> [miner opts]
-  worker --hosts H0,H1,.. --me I <mcf|tc|mc|qc|kp|gm> <FILE> [miner opts]
-  supervise [--respawn-limit N] worker ..   respawn a dead worker with a
-                                            bumped --generation
-
-a multi-process cluster job runs one OS process per host:port in
---hosts; every process gets the same graph file and miner options, the
-master is worker 0 and prints the result, each worker prints its own
-byte counters. --connect-timeout SECS (default 30) bounds the
-rendezvous. the master also accepts live-telemetry flags:
-  --status                  print a cluster progress line to stderr
-                            every second (remaining tasks, idle
-                            compers, steals in flight, bytes/sec)
-  --telemetry-addr H:P      serve the live cluster snapshot at
-                            http://H:P/ in Prometheus text exposition
-                            format, scrapeable mid-run
-the observability flags below work on cluster jobs too: on the master
-they export the cluster-wide merged view (every worker's counters,
-quantiles and trace spans on one clock-corrected timeline), on a worker
-that process's own.
-
-cluster processes also accept crash-recovery flags:
-  --checkpoint-dir DIR      run the crash-surviving path: checkpoint
-                            epochs under DIR (a directory every process
-                            can reach), detect a dead peer via the TCP
-                            mesh or heartbeat, abort survivors to the
-                            last validated epoch and resume once the
-                            replacement rejoins. give every process the
-                            same DIR
-  --checkpoint-interval S   seconds between checkpoint epochs (default 1)
-  --max-recoveries N        recovery rounds tolerated before the job is
-                            abandoned (default 8)
-  --rejoin --generation G   (worker) identify as the respawned
-                            replacement of a dead generation G-1 process;
-                            supervise passes these automatically
-  --die-after-msgs N        (worker, chaos) abort this process once its
-                            own traffic reaches N messages
-  --die-after-ms T          (worker, chaos) abort after T milliseconds
-
-gen --stream writes the edges to -o FILE (text, or the .bel binary
-edge stream) as they are generated, without building the graph in RAM —
-use it with `graph build`, whose edge-list path also streams, to take a
-10^8-edge synthetic graph to the compressed format at a flat memory
-ceiling. miners and master/worker accept .gtc files directly and run
-memory-mapped.
-
-mining commands (standalone and under master/worker) also accept
-scheduling knobs:
-  --steal {on,off}      cluster-wide work stealing (default on)
-  --compute-budget N    yield a long-running task back to the scheduler
-                        after N extension steps so its remainder can be
-                        split and stolen (default: run to completion)
-
-and observability flags:
-  --metrics-json PATH   write counters + latency quantiles as JSON
-  --trace-out PATH      write the scheduler/cache event timeline as
-                        Chrome trace_event JSON (chrome://tracing, Perfetto)
-  --tail                print the per-comper tail-latency report
-  --report-interval S   (cluster) push a metrics snapshot to the master
-                        every S seconds; defaults to end-of-job only,
-                        or 1s when --status/--telemetry-addr is given";
-
-fn cmd_gen(mut args: Vec<String>) -> Result<String, CliError> {
-    if args.is_empty() {
-        return err("gen: missing generator kind");
-    }
-    let kind = args.remove(0);
-    let out =
-        take_flag(&mut args, "-o")?.ok_or_else(|| CliError("gen: -o FILE required".into()))?;
-    let n: usize = take_parsed(&mut args, "-n")?.unwrap_or(10_000);
-    let m: usize = take_parsed(&mut args, "-m")?.unwrap_or(5);
-    let p: f64 = take_parsed(&mut args, "-p")?.unwrap_or(0.001);
-    let seed: u64 = take_parsed(&mut args, "--seed")?.unwrap_or(1);
-    let labels: u16 = take_parsed(&mut args, "--labels")?.unwrap_or(0);
-    let scale: f64 = take_parsed(&mut args, "--scale")?.unwrap_or(1.0);
-    if take_switch(&mut args, "--stream") {
+fn cmd_gen(mut a: Args) -> Result<String, CliError> {
+    let kind = a.word("generator kind")?;
+    let out: String = a.required(&OUT)?;
+    let n: usize = a.parsed(&GEN_N)?.unwrap_or(10_000);
+    let m: usize = a.parsed(&GEN_M)?.unwrap_or(5);
+    let p: f64 = a.parsed(&GEN_P)?.unwrap_or(0.001);
+    let seed: u64 = a.parsed(&SEED)?.unwrap_or(1);
+    let labels: u16 = a.parsed(&LABELS)?.unwrap_or(0);
+    let scale: f64 = a.parsed(&SCALE)?.unwrap_or(1.0);
+    let stream = a.take(&STREAM).is_some();
+    a.finish([])?;
+    if stream {
         if labels > 0 {
-            return err("gen: --stream does not support --labels");
+            return err(format!("gen: {} does not support {}", STREAM.name, LABELS.name));
         }
         let count = stream_gen(&kind, n, m, p, seed, &out)?;
         return Ok(format!("streamed {count} {kind} edges (n={n}) to {out}"));
@@ -520,7 +260,7 @@ fn stream_gen(
         "gnp" => gen::stream_gnp(n, p, seed, sink),
         other => Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
-            format!("gen --stream: unsupported kind {other} (want ba or gnp)"),
+            format!("gen {}: unsupported kind {other} (want ba or gnp)", STREAM.name),
         )),
     };
     if path.extension().is_some_and(|e| e == "bel") {
@@ -542,31 +282,16 @@ fn plain_binary_bytes(n: u64, m: u64, labeled: bool) -> u64 {
     8 + 8 + 1 + n * 4 + 2 * m * 4 + if labeled { n * 2 } else { 0 }
 }
 
-/// `gthinker graph <build|stats>`: the compressed storage toolchain.
-fn cmd_graph(mut args: Vec<String>) -> Result<String, CliError> {
-    if args.is_empty() {
-        return err("graph: missing subcommand (build|stats)");
-    }
-    let sub = args.remove(0);
-    match sub.as_str() {
-        "build" => cmd_graph_build(args),
-        "stats" => cmd_graph_stats(args),
-        other => err(format!("graph: unknown subcommand {other} (want build or stats)")),
-    }
-}
-
-fn cmd_graph_build(mut args: Vec<String>) -> Result<String, CliError> {
-    let order = take_switch(&mut args, "--order");
-    let [input, output] = args.as_slice() else {
-        return err("graph build: want IN OUT.gtc [--order]");
-    };
-    let in_path = Path::new(input);
-    let out_path = Path::new(output);
+fn cmd_graph_build(mut a: Args) -> Result<String, CliError> {
+    let order = a.take(&ORDER).is_some();
+    let [input, output] = a.finish(["IN", "OUT.gtc"])?;
+    let in_path = Path::new(&input);
+    let out_path = Path::new(&output);
     let by_ext = in_path.extension().and_then(|e| e.to_str()).unwrap_or("");
     let edge_stream = matches!(by_ext, "el" | "txt" | "bel");
     let (stats, note) = if order {
         // A degeneracy relabel needs the whole graph; small-graph path.
-        let g = load_graph(input)?;
+        let g = load_graph(&input)?;
         let (relabeled, d) = degeneracy_relabel(&g);
         let s = write_compressed(&relabeled, out_path)
             .map_err(|e| CliError(format!("write {output}: {e}")))?;
@@ -580,7 +305,7 @@ fn cmd_graph_build(mut args: Vec<String>) -> Result<String, CliError> {
         .map_err(|e| CliError(format!("graph build: {e}")))?;
         (s, String::new())
     } else {
-        let g = load_graph(input)?;
+        let g = load_graph(&input)?;
         let s =
             write_compressed(&g, out_path).map_err(|e| CliError(format!("write {output}: {e}")))?;
         (s, String::new())
@@ -597,36 +322,31 @@ fn cmd_graph_build(mut args: Vec<String>) -> Result<String, CliError> {
     ))
 }
 
-fn cmd_graph_stats(args: Vec<String>) -> Result<String, CliError> {
-    let path = args.first().ok_or_else(|| CliError("graph stats: missing FILE".into()))?;
-    let p = Path::new(path);
-    // Degree stats come straight from the degree sequence: on a .gtc
-    // file each degree reads two varints, no adjacency is decoded.
-    let (s, labeled, compressed_bytes) = if p.extension().is_some_and(|e| e == "gtc") {
-        let c = CompressedGraph::open(p).map_err(|e| CliError(format!("open {path}: {e}")))?;
-        let s = GraphStats::from_degrees(c.degrees());
-        (s, c.is_labeled(), Some(c.file_bytes()))
-    } else {
-        let g = load_graph(path)?;
-        (GraphStats::of(&g), g.is_labeled(), None)
-    };
-    let plain = plain_binary_bytes(s.num_vertices as u64, s.num_edges as u64, labeled);
-    let compressed = match compressed_bytes {
-        Some(b) => format!("{b} (this file, format version {FORMAT_VERSION})"),
-        None => {
+fn cmd_graph_stats(a: Args) -> Result<String, CliError> {
+    let [path] = a.finish(["FILE"])?;
+    let (s, labeled, compressed) = match open_graph_input(&path)? {
+        // Degree stats come straight from the degree sequence: on a .gtc
+        // file each degree reads two varints, no adjacency is decoded.
+        GraphInput::Mapped(c) => (
+            GraphStats::from_degrees(c.degrees()),
+            c.is_labeled(),
+            format!("{} (this file, format version {FORMAT_VERSION})", c.file_bytes()),
+        ),
+        GraphInput::Ram(g) => {
             // Estimate by encoding for real into a scratch file.
-            let g = load_graph(path)?;
             let tmp =
                 std::env::temp_dir().join(format!("gthinker-stats-{}.gtc", std::process::id()));
             let st = write_compressed(&g, &tmp)
                 .map_err(|e| CliError(format!("graph stats: encode: {e}")))?;
             let _ = std::fs::remove_file(&tmp);
-            format!(
+            let built = format!(
                 "{} (if built with graph build, format version {FORMAT_VERSION})",
                 st.file_bytes
-            )
+            );
+            (GraphStats::of(&g), g.is_labeled(), built)
         }
     };
+    let plain = plain_binary_bytes(s.num_vertices as u64, s.num_edges as u64, labeled);
     Ok(format!(
         "vertices            {}\nedges               {}\ndegree p50/p95/max  {}/{}/{}\n\
          labeled             {labeled}\nplain binary bytes  {plain}\ncompressed bytes    {compressed}",
@@ -634,9 +354,9 @@ fn cmd_graph_stats(args: Vec<String>) -> Result<String, CliError> {
     ))
 }
 
-fn cmd_stats(args: Vec<String>) -> Result<String, CliError> {
-    let path = args.first().ok_or_else(|| CliError("stats: missing FILE".into()))?;
-    let g = load_graph(path)?;
+fn cmd_stats(a: Args) -> Result<String, CliError> {
+    let [path] = a.finish(["FILE"])?;
+    let g = load_graph(&path)?;
     let s = GraphStats::of(&g);
     Ok(format!(
         "vertices      {}\nedges         {}\nmax degree    {}\navg degree    {:.2}\n\
@@ -653,164 +373,462 @@ fn cmd_stats(args: Vec<String>) -> Result<String, CliError> {
     ))
 }
 
-fn cmd_convert(args: Vec<String>) -> Result<String, CliError> {
-    let [input, output] = args.as_slice() else {
-        return err("convert: want IN OUT");
-    };
-    let g = load_graph(input)?;
-    save_graph(&g, output)?;
+fn cmd_convert(a: Args) -> Result<String, CliError> {
+    let [input, output] = a.finish(["IN", "OUT"])?;
+    let g = load_graph(&input)?;
+    save_graph(&g, &output)?;
     Ok(format!("converted {input} -> {output}"))
 }
 
-fn cmd_order(args: Vec<String>) -> Result<String, CliError> {
-    let [input, output] = args.as_slice() else {
-        return err("order: want IN OUT");
-    };
-    let g = load_graph(input)?;
+fn cmd_order(a: Args) -> Result<String, CliError> {
+    let [input, output] = a.finish(["IN", "OUT"])?;
+    let g = load_graph(&input)?;
     let (relabeled, d) = degeneracy_relabel(&g);
-    save_graph(&relabeled, output)?;
+    save_graph(&relabeled, &output)?;
     Ok(format!("degeneracy {d}; wrote reordered graph to {output}"))
 }
 
-fn cmd_mcf(mut args: Vec<String>) -> Result<String, CliError> {
-    let opts = mine_opts(&mut args)?;
-    let tau: usize = take_parsed(&mut args, "--tau")?.unwrap_or(40_000);
-    let path = file_arg(&args, "mcf")?;
-    let input = open_graph_input(path)?;
-    let r = run_job(Arc::new(MaxCliqueApp::with_tau(tau)), input.source(), &job_config(&opts))
-        .map_err(|e| CliError(format!("job failed: {e}")))?;
-    let extra = export_metrics(&opts.metrics, &r.metrics)?;
-    Ok(format!(
-        "maximum clique: {} vertices in {:.2?}\nmembers: {:?}{extra}",
-        r.global.len(),
-        r.elapsed,
-        r.global
-    ))
+/// Event-ring capacity per worker when a trace export is requested.
+const TRACE_CAPACITY: usize = 65_536;
+
+/// Where a mining command's workers run, and with what configuration.
+struct Place {
+    cfg: JobConfig,
+    /// Write the full metrics snapshot as JSON here.
+    metrics_json: Option<String>,
+    /// Write the scheduler/cache event timeline here, as Chrome
+    /// `trace_event` JSON (chrome://tracing / Perfetto).
+    trace_out: Option<String>,
+    /// Print the end-of-run tail-latency report even without the file
+    /// exports.
+    tail: bool,
+    /// `None`: all `cfg.num_workers` of them in this process
+    /// ([`Job::run`]). `Some`: this process is one worker of a
+    /// multi-process job ([`Job::run_process`]).
+    seat: Option<ClusterSeat>,
 }
 
-fn cmd_tc(mut args: Vec<String>) -> Result<String, CliError> {
-    let opts = mine_opts(&mut args)?;
-    let bundle: usize = take_parsed(&mut args, "--bundle")?.unwrap_or(0);
-    let list_dir = take_flag(&mut args, "--list")?;
-    let path = file_arg(&args, "tc")?;
-    let input = open_graph_input(path)?;
-    let mut cfg = job_config(&opts);
-    if let Some(dir) = list_dir {
-        // Enumeration mode: stream every triangle to part files.
-        cfg.output_dir = Some(dir.clone().into());
-        let r = run_job(Arc::new(TriangleListApp), input.source(), &cfg)
-            .map_err(|e| CliError(format!("job failed: {e}")))?;
-        let emitted = r.metrics.totals().output_records;
-        let extra = export_metrics(&opts.metrics, &r.metrics)?;
-        return Ok(format!(
-            "triangles: {} in {:.2?}; {emitted} records written under {dir}{extra}",
-            r.global, r.elapsed
-        ));
-    }
-    let (count, elapsed, tasks, metrics) = if bundle > 0 {
-        let r = run_job(Arc::new(BundledTriangleApp::new(bundle)), input.source(), &cfg)
-            .map_err(|e| CliError(format!("job failed: {e}")))?;
-        (r.global, r.elapsed, r.total_tasks(), r.metrics)
-    } else {
-        let r = run_job(Arc::new(TriangleApp), input.source(), &cfg)
-            .map_err(|e| CliError(format!("job failed: {e}")))?;
-        (r.global, r.elapsed, r.total_tasks(), r.metrics)
-    };
-    let extra = export_metrics(&opts.metrics, &metrics)?;
-    Ok(format!("triangles: {count} in {elapsed:.2?} ({tasks} tasks){extra}"))
-}
-
-fn cmd_mc(mut args: Vec<String>) -> Result<String, CliError> {
-    let opts = mine_opts(&mut args)?;
-    let path = file_arg(&args, "mc")?;
-    let input = open_graph_input(path)?;
-    let r = run_job(Arc::new(MaximalCliqueApp), input.source(), &job_config(&opts))
-        .map_err(|e| CliError(format!("job failed: {e}")))?;
-    let extra = export_metrics(&opts.metrics, &r.metrics)?;
-    Ok(format!("maximal cliques: {} in {:.2?}{extra}", r.global, r.elapsed))
-}
-
-fn cmd_qc(mut args: Vec<String>) -> Result<String, CliError> {
-    let opts = mine_opts(&mut args)?;
-    let gamma: f64 = take_parsed(&mut args, "--gamma")?
-        .ok_or_else(|| CliError("qc: --gamma required".into()))?;
-    let min: usize = take_parsed(&mut args, "--min")?.unwrap_or(3);
-    let max: usize = take_parsed(&mut args, "--max")?.unwrap_or(5);
-    let path = file_arg(&args, "qc")?;
-    let input = open_graph_input(path)?;
-    let r =
-        run_job(Arc::new(QuasiCliqueApp::new(gamma, min, max)), input.source(), &job_config(&opts))
-            .map_err(|e| CliError(format!("job failed: {e}")))?;
-    let extra = export_metrics(&opts.metrics, &r.metrics)?;
-    Ok(format!(
-        "γ={gamma} quasi-cliques of size {min}..{max}: {} in {:.2?}{extra}",
-        r.global, r.elapsed
-    ))
-}
-
-fn cmd_kp(mut args: Vec<String>) -> Result<String, CliError> {
-    let opts = mine_opts(&mut args)?;
-    let k: usize =
-        take_parsed(&mut args, "--k")?.ok_or_else(|| CliError("kp: --k required".into()))?;
-    let min: usize = take_parsed(&mut args, "--min")?.unwrap_or((2 * k).saturating_sub(1).max(2));
-    let max: usize = take_parsed(&mut args, "--max")?.unwrap_or(min + 2);
-    let path = file_arg(&args, "kp")?;
-    let input = open_graph_input(path)?;
-    let r = run_job(Arc::new(KPlexApp::new(k, min, max)), input.source(), &job_config(&opts))
-        .map_err(|e| CliError(format!("job failed: {e}")))?;
-    let extra = export_metrics(&opts.metrics, &r.metrics)?;
-    Ok(format!(
-        "connected {k}-plexes of size {min}..{max}: {} in {:.2?}{extra}",
-        r.global, r.elapsed
-    ))
-}
-
-fn cmd_gm(mut args: Vec<String>) -> Result<String, CliError> {
-    let opts = mine_opts(&mut args)?;
-    let spec = take_flag(&mut args, "--pattern")?
-        .ok_or_else(|| CliError("gm: --pattern required".into()))?;
-    let pattern = parse_pattern(&spec)?;
-    let path = file_arg(&args, "gm")?;
-    let input = open_graph_input(path)?;
-    let labels = input
-        .labels()
-        .ok_or_else(|| CliError("gm: the data graph must be labeled (gen --labels K)".into()))?;
-    let r =
-        run_job(Arc::new(MatchingApp::new(pattern, labels)), input.source(), &job_config(&opts))
-            .map_err(|e| CliError(format!("job failed: {e}")))?;
-    let extra = export_metrics(&opts.metrics, &r.metrics)?;
-    Ok(format!("embeddings of {spec}: {} in {:.2?}{extra}", r.global, r.elapsed))
-}
-
-/// The global result type `App` `A` produces.
-type GlobalOf<A> = <<A as App>::Agg as Aggregator>::Global;
-
-/// Where this process sits in the multi-process cluster, plus the
-/// telemetry it was asked to surface.
+/// This process's place in a multi-process cluster, plus the telemetry
+/// it was asked to surface.
 struct ClusterSeat {
     manifest: ClusterManifest,
     me: WorkerId,
-    /// This process's mesh listener, bound before the graph is loaded
-    /// so a peer that finishes loading first finds it listening.
-    listener: std::net::TcpListener,
     timeout: Duration,
-    /// `--status`: print a cluster progress line to stderr every second
-    /// (master only; workers have no cluster view).
+    /// Print a cluster progress line to stderr every second.
     status: bool,
-    /// `--telemetry-addr HOST:PORT`: serve the live cluster snapshot in
-    /// Prometheus text exposition format (master only).
+    /// Serve the live cluster snapshot in Prometheus text exposition
+    /// format at this `HOST:PORT`.
     telemetry_addr: Option<String>,
-    /// Observability exports: cluster-wide on the master, this
-    /// process's own on a worker.
-    metrics: MetricsOpts,
-    /// `--checkpoint-dir` was given: run the crash-surviving cluster
-    /// path (periodic checkpoints, abort-to-checkpoint on peer death,
-    /// rejoin rendezvous) with these options.
+    /// Run the crash-surviving cluster path (periodic checkpoints,
+    /// abort-to-checkpoint on peer death, rejoin rendezvous) with these
+    /// options.
     recovery: Option<RecoveryOptions>,
 }
 
-/// `--status`: a detached thread that prints a cluster progress line to
-/// stderr every second, built from whatever reports have arrived.
+impl Place {
+    /// Reads the options every mining command takes. `cluster_size` is
+    /// the length of the host list under `master` / `worker`.
+    fn read(a: &mut Args, cluster_size: Option<usize>) -> Result<Place, CliError> {
+        let workers = match (cluster_size, a.parsed(&WORKERS)?) {
+            (Some(_), Some(_)) => {
+                return err(format!(
+                    "{}: the size of the cluster comes from {}; drop {}",
+                    a.path, HOSTS.name, WORKERS.name
+                ))
+            }
+            (Some(n), None) => n,
+            (None, w) => w.unwrap_or(1),
+        };
+        let compers = a.parsed(&COMPERS)?.unwrap_or(4);
+        let mut cfg = if workers <= 1 {
+            JobConfig::single_machine(compers)
+        } else {
+            JobConfig::cluster(workers, compers)
+        };
+        if let Some(s) = a.take(&STEAL) {
+            cfg.work_stealing = match s.as_str() {
+                "on" => true,
+                "off" => false,
+                other => {
+                    return err(format!("bad value for {}: {other} (want on or off)", STEAL.name))
+                }
+            };
+        }
+        cfg.compute_budget = a.parsed(&COMPUTE_BUDGET)?;
+        if cfg.compute_budget == Some(0) {
+            return err(format!("{} must be at least 1", COMPUTE_BUDGET.name));
+        }
+        cfg.report_interval = seconds(a, &REPORT_INTERVAL)?;
+        let metrics_json = a.take(&METRICS_JSON);
+        let trace_out = a.take(&TRACE_OUT);
+        if trace_out.is_some() {
+            cfg.trace_capacity = TRACE_CAPACITY;
+        }
+        Ok(Place { cfg, metrics_json, trace_out, tail: a.take(&TAIL).is_some(), seat: None })
+    }
+
+    /// Performs the file exports asked for and renders the tail-latency
+    /// report; the returned text is appended to the command's normal
+    /// output.
+    fn export_metrics(&self, snap: &MetricsSnapshot) -> Result<String, CliError> {
+        let mut extra = String::new();
+        if let Some(path) = &self.metrics_json {
+            std::fs::write(path, snap.to_json())
+                .map_err(|e| CliError(format!("write {path}: {e}")))?;
+            extra.push_str(&format!("\nmetrics JSON written to {path}"));
+        }
+        if let Some(path) = &self.trace_out {
+            let f =
+                std::fs::File::create(path).map_err(|e| CliError(format!("create {path}: {e}")))?;
+            snap.write_chrome_trace(std::io::BufWriter::new(f))
+                .map_err(|e| CliError(format!("write {path}: {e}")))?;
+            extra.push_str(&format!(
+                "\ntrace written to {path} (load in chrome://tracing or ui.perfetto.dev)"
+            ));
+        }
+        if self.tail || self.metrics_json.is_some() || self.trace_out.is_some() {
+            extra.push('\n');
+            extra.push_str(snap.tail_report().trim_end());
+        }
+        Ok(extra)
+    }
+}
+
+/// Option `o` as a duration: a positive number of seconds.
+fn seconds(a: &mut Args, o: &Opt) -> Result<Option<Duration>, CliError> {
+    match a.parsed::<f64>(o)? {
+        Some(s) if !s.is_finite() || s <= 0.0 => {
+            err(format!("{} must be a positive number of seconds", o.name))
+        }
+        s => Ok(s.map(Duration::from_secs_f64)),
+    }
+}
+
+/// One of the six miners: reads the options only it takes, builds its
+/// `App` and renders its result line; [`mine`] does the rest, wherever
+/// `place` puts the workers.
+fn cmd_mine(miner: &str, mut a: Args, mut place: Place) -> Result<String, CliError> {
+    match miner {
+        "mcf" => {
+            let tau: usize = a.parsed(&TAU)?.unwrap_or(40_000);
+            mine(
+                a,
+                place,
+                |_| Ok(MaxCliqueApp::with_tau(tau)),
+                |r| {
+                    format!(
+                        "maximum clique: {} vertices in {:.2?}\nmembers: {:?}",
+                        r.global.len(),
+                        r.elapsed,
+                        r.global
+                    )
+                },
+            )
+        }
+        "tc" => {
+            let bundle: usize = a.parsed(&BUNDLE)?.unwrap_or(0);
+            // Enumeration mode: each worker streams every triangle it
+            // finds to its own part file.
+            let list = a.take(&LIST);
+            place.cfg.output_dir = list.as_ref().map(Into::into);
+            let render = move |r: &JobResult<u64>| {
+                let detail = match &list {
+                    Some(dir) => {
+                        let emitted = r.metrics.totals().output_records;
+                        format!("; {emitted} records written under {dir}")
+                    }
+                    None => format!(" ({} tasks)", r.total_tasks()),
+                };
+                format!("triangles: {} in {:.2?}{detail}", r.global, r.elapsed)
+            };
+            if place.cfg.output_dir.is_some() {
+                mine(a, place, |_| Ok(TriangleListApp), render)
+            } else if bundle > 0 {
+                mine(a, place, |_| Ok(BundledTriangleApp::new(bundle)), render)
+            } else {
+                mine(a, place, |_| Ok(TriangleApp), render)
+            }
+        }
+        "mc" => mine(
+            a,
+            place,
+            |_| Ok(MaximalCliqueApp),
+            |r| format!("maximal cliques: {} in {:.2?}", r.global, r.elapsed),
+        ),
+        "qc" => {
+            let gamma: f64 = a.required(&GAMMA)?;
+            let min: usize = a.parsed(&MIN)?.unwrap_or(3);
+            let max: usize = a.parsed(&MAX)?.unwrap_or(5);
+            mine(
+                a,
+                place,
+                |_| Ok(QuasiCliqueApp::new(gamma, min, max)),
+                |r| {
+                    format!(
+                        "γ={gamma} quasi-cliques of size {min}..{max}: {} in {:.2?}",
+                        r.global, r.elapsed
+                    )
+                },
+            )
+        }
+        "kp" => {
+            let k: usize = a.required(&K)?;
+            let min: usize = a.parsed(&MIN)?.unwrap_or((2 * k).saturating_sub(1).max(2));
+            let max: usize = a.parsed(&MAX)?.unwrap_or(min + 2);
+            mine(
+                a,
+                place,
+                |_| Ok(KPlexApp::new(k, min, max)),
+                |r| {
+                    format!(
+                        "connected {k}-plexes of size {min}..{max}: {} in {:.2?}",
+                        r.global, r.elapsed
+                    )
+                },
+            )
+        }
+        "gm" => {
+            let spec: String = a.required(&PATTERN)?;
+            let pattern = parse_pattern(&spec)?;
+            let unlabeled =
+                format!("{}: the data graph must be labeled (gen {} K)", a.path, LABELS.name);
+            mine(
+                a,
+                place,
+                |input| Ok(MatchingApp::new(pattern, input.labels().ok_or(CliError(unlabeled))?)),
+                |r| format!("embeddings of {spec}: {} in {:.2?}", r.global, r.elapsed),
+            )
+        }
+        _ => err(format!("{}: unknown miner (want {})", a.path, MINERS.join("|"))),
+    }
+}
+
+/// Runs one mining job where `place` says and reports it: the rest of
+/// the command line must be the graph FILE, `app` builds the miner once
+/// that graph is open, `render` words the result. In one process that
+/// is all of it. In a cluster the master (worker 0) prints `render`'s
+/// line plus its own byte counters and every other worker just its
+/// counters; the metrics exports are cluster-wide on the master, a
+/// worker's own elsewhere.
+fn mine<A: App>(
+    a: Args,
+    place: Place,
+    app: impl FnOnce(&GraphInput) -> Result<A, CliError>,
+    render: impl FnOnce(&JobResult<<A::Agg as Aggregator>::Global>) -> String,
+) -> Result<String, CliError> {
+    let [file] = a.finish(["FILE"])?;
+    let cfg = &place.cfg;
+    let Some(seat) = &place.seat else {
+        let input = open_graph_input(&file)?;
+        let r = Job::new(Arc::new(app(&input)?), input.source(), cfg)
+            .run()
+            .map_err(|e| CliError(format!("job failed: {e}")))?;
+        return Ok(render(&r) + &place.export_metrics(&r.metrics)?);
+    };
+    // The mesh listener is bound before the graph is loaded so a peer
+    // that finishes loading first finds it listening.
+    let addr = seat.manifest.addr(seat.me);
+    let listener = std::net::TcpListener::bind(addr)
+        .map_err(|e| CliError(format!("cannot bind {addr}: {e}")))?;
+    let input = open_graph_input(&file)?;
+    let on_telemetry = |telemetry: Arc<ClusterTelemetry>| {
+        if seat.status {
+            spawn_status_thread(Arc::clone(&telemetry));
+        }
+        if let Some(addr) = &seat.telemetry_addr {
+            spawn_telemetry_endpoint(addr, telemetry);
+        }
+    };
+    let mut job = Job::new(Arc::new(app(&input)?), input.source(), cfg).on_telemetry(on_telemetry);
+    if let Some(opts) = seat.recovery {
+        job = job.recover(opts);
+    }
+    let role = job
+        .run_process(&seat.manifest, seat.me, listener, seat.timeout)
+        .map_err(|e| CliError(format!("cluster job failed: {e}")))?;
+    let (head, snap, recovery) = match &role {
+        ClusterRole::Master(r) => {
+            (format!("{}\nworker 0 (master)", render(r)), &r.metrics, &r.recovery)
+        }
+        ClusterRole::Worker(snap, recovery) => {
+            (format!("worker {} done", seat.me.index()), snap, recovery)
+        }
+    };
+    let recovery_line = match seat.recovery {
+        Some(_) => format!(
+            "\nrecovery: {} recoveries, {} checkpoints, failed workers {:?}",
+            recovery.recoveries,
+            recovery.checkpoints,
+            recovery.failed_workers.iter().map(|w| w.index()).collect::<Vec<_>>()
+        ),
+        None => String::new(),
+    };
+    let w = &snap.workers[0];
+    Ok(format!(
+        "{head}: sent {} bytes, received {} bytes{recovery_line}{}",
+        w.net_bytes_sent,
+        w.net_bytes_received,
+        place.export_metrics(snap)?
+    ))
+}
+
+/// `gthinker master …` / `gthinker worker …`: one OS process of a
+/// multi-process TCP cluster job. Every process must be launched with
+/// the same host list, graph file and miner options.
+fn cmd_cluster(mut a: Args) -> Result<String, CliError> {
+    let role = a.path.clone();
+    let is_master = role == "master";
+    let hosts: String = a.required(&HOSTS)?;
+    let manifest = ClusterManifest::parse(&hosts)
+        .map_err(|e| CliError(format!("{role}: bad {}: {e}", HOSTS.name)))?;
+    let me = match (is_master, a.parsed::<usize>(&ME)?) {
+        (true, None | Some(0)) => 0,
+        (true, Some(_)) => {
+            return err(format!("master: the master is always worker 0; drop {}", ME.name))
+        }
+        (false, None) => return err(format!("worker: {} INDEX required", ME.name)),
+        (false, Some(0)) => {
+            return err("worker: index 0 is the master; run `gthinker master` there")
+        }
+        (false, Some(i)) => i,
+    };
+    if me >= manifest.num_workers() {
+        return err(format!(
+            "{role}: {} {me} out of range for {} hosts",
+            ME.name,
+            manifest.num_workers()
+        ));
+    }
+    let me = WorkerId(me as u16);
+    let mut place = Place::read(&mut a, Some(manifest.num_workers()))?;
+    let timeout = Duration::from_secs(a.parsed(&CONNECT_TIMEOUT)?.unwrap_or(30u64));
+
+    // Crash recovery: a checkpoint directory switches the process onto
+    // the recovering cluster path; the rest tune it.
+    let checkpoint_dir = a.take(&CHECKPOINT_DIR);
+    let checkpoint_interval = seconds(&mut a, &CHECKPOINT_INTERVAL)?;
+    let max_recoveries: u32 = a.parsed(&MAX_RECOVERIES)?.unwrap_or(8);
+    if let Some(dir) = &checkpoint_dir {
+        place.cfg.checkpoint_dir = Some(dir.into());
+        place.cfg.checkpoint_interval = checkpoint_interval.or(Some(Duration::from_secs(1)));
+    }
+
+    // Options of one role are read on that role only: given to the
+    // other, they are left over and `finish` says whose they are.
+    let (mut status, mut telemetry_addr, mut generation) = (false, None, 0);
+    if is_master {
+        status = a.take(&STATUS).is_some();
+        telemetry_addr = a.take(&TELEMETRY_ADDR);
+        // The live views need periodic reports; default them on when a
+        // view was requested without an explicit interval.
+        if status || telemetry_addr.is_some() {
+            place.cfg.report_interval.get_or_insert(Duration::from_secs(1));
+        }
+    } else {
+        generation = a.parsed(&GENERATION)?.unwrap_or(0);
+        if a.take(&REJOIN).is_some() && generation == 0 {
+            return err(format!(
+                "worker: {} requires {} N with N >= 1",
+                REJOIN.name, GENERATION.name
+            ));
+        }
+        if generation > 0 && checkpoint_dir.is_none() {
+            return err(format!(
+                "worker: {} only makes sense with {}",
+                GENERATION.name, CHECKPOINT_DIR.name
+            ));
+        }
+        // Deterministic process chaos: self-abort once this process's
+        // own traffic crosses a mark, standing in for an external kill.
+        let after_messages: Option<u64> = a.parsed(&DIE_AFTER_MSGS)?;
+        let after_ms: Option<u64> = a.parsed(&DIE_AFTER_MS)?;
+        if after_messages.is_some() || after_ms.is_some() {
+            place.cfg.fault.crash = Some(CrashSchedule {
+                worker: me,
+                after_messages,
+                after: after_ms.map(Duration::from_millis),
+            });
+        }
+    }
+    place.seat = Some(ClusterSeat {
+        manifest,
+        me,
+        timeout,
+        status,
+        telemetry_addr,
+        recovery: checkpoint_dir
+            .is_some()
+            .then_some(RecoveryOptions { max_recoveries, generation }),
+    });
+    let miner = a.enter(&format!("miner subcommand ({})", MINERS.join("|")))?;
+    cmd_mine(&miner, a, place)
+}
+
+/// The argument list a supervised worker is respawned with: the flags
+/// about the dead incarnation (everything worker-scoped: its scheduled
+/// death, which must not re-fire, and its rejoin markers) are dropped,
+/// and the rejoin markers of generation `generation` are appended so
+/// the replacement's hellos supersede the dead generation's sockets at
+/// every surviving peer.
+fn respawn_args(args: &[String], generation: u32) -> Vec<String> {
+    let mut out = Vec::with_capacity(args.len() + 3);
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let row = OPTIONS.iter().find(|o| o.name == arg);
+        let value = row.and_then(|o| o.value).and_then(|_| args.next());
+        if row.is_some_and(|o| o.scope == Scope::Worker) {
+            continue;
+        }
+        out.push(arg.clone());
+        out.extend(value.cloned());
+    }
+    out.extend([REJOIN.name.to_string(), GENERATION.name.to_string(), generation.to_string()]);
+    out
+}
+
+/// `gthinker supervise [options] worker …`: runs the wrapped `worker`
+/// invocation as a child process (stdio inherited) and, when the child
+/// dies abnormally, respawns it as the next generation so it rejoins
+/// the surviving mesh and the cluster resumes from the last validated
+/// checkpoint. A clean exit (status 0) ends supervision.
+fn cmd_supervise(mut args: Vec<String>) -> Result<String, CliError> {
+    let Some(at) = args.iter().position(|a| a == "worker") else {
+        return err(format!("supervise: want `supervise [{} N] worker ..`", RESPAWN_LIMIT.name));
+    };
+    let mut child = args.split_off(at);
+    let mut a = Args::parse("supervise", args)?;
+    let limit: u32 = a.parsed(&RESPAWN_LIMIT)?.unwrap_or(4);
+    a.finish([])?;
+    let exe = std::env::current_exe()
+        .map_err(|e| CliError(format!("supervise: cannot find own executable: {e}")))?;
+    // Respawn generations continue from wherever the first launch
+    // started (a supervisor can itself be restarted mid-job).
+    let mut generation: u32 =
+        Args::parse("worker", child[1..].to_vec())?.parsed(&GENERATION)?.unwrap_or(0);
+    let mut respawns = 0u32;
+    loop {
+        let status = std::process::Command::new(&exe)
+            .args(&child)
+            .status()
+            .map_err(|e| CliError(format!("supervise: spawn worker: {e}")))?;
+        if status.success() {
+            return Ok(format!("supervise: worker exited cleanly after {respawns} respawn(s)"));
+        }
+        respawns += 1;
+        if respawns > limit {
+            return err(format!(
+                "supervise: worker kept dying ({status}); gave up after {limit} respawn(s)"
+            ));
+        }
+        generation += 1;
+        eprintln!("supervise: worker died ({status}); respawning as generation {generation}");
+        child = respawn_args(&child, generation);
+    }
+}
+
+/// The master's status view: a detached thread that prints a cluster
+/// progress line to stderr every second, built from whatever reports
+/// have arrived.
 fn spawn_status_thread(telemetry: Arc<ClusterTelemetry>) {
     std::thread::spawn(move || {
         let mut prev: Option<(std::time::Instant, Vec<u64>)> = None;
@@ -882,9 +900,10 @@ fn serve_scrape(
     stream.write_all(body.as_bytes())
 }
 
-/// `--telemetry-addr`: binds a tiny hand-rolled HTTP responder (one
-/// short-lived connection per scrape, no keep-alive, no dependencies)
-/// exposing the live cluster snapshot for Prometheus & friends.
+/// The master's scrape endpoint: binds a tiny hand-rolled HTTP
+/// responder (one short-lived connection per scrape, no keep-alive, no
+/// dependencies) exposing the live cluster snapshot for Prometheus &
+/// friends.
 fn spawn_telemetry_endpoint(addr: &str, telemetry: Arc<ClusterTelemetry>) {
     let listener = match std::net::TcpListener::bind(addr) {
         Ok(l) => l,
@@ -900,316 +919,6 @@ fn spawn_telemetry_endpoint(addr: &str, telemetry: Arc<ClusterTelemetry>) {
             let _ = serve_scrape(&mut stream, &telemetry);
         }
     });
-}
-
-/// Runs this process's share of a cluster job and renders the outcome:
-/// the master (worker 0) prints the job result via `render` plus its
-/// own byte counters, every other worker prints just its counters.
-/// Metrics exports work on both: the master exports the cluster-wide
-/// merged snapshot, a worker its own.
-fn run_cluster<A: App>(
-    app: A,
-    input: &GraphInput,
-    cfg: &JobConfig,
-    seat: ClusterSeat,
-    render: impl FnOnce(&JobResult<GlobalOf<A>>) -> String,
-) -> Result<String, CliError> {
-    let status = seat.status;
-    let addr = seat.telemetry_addr.clone();
-    let on_telemetry = move |telemetry: Arc<ClusterTelemetry>| {
-        if status {
-            spawn_status_thread(Arc::clone(&telemetry));
-        }
-        if let Some(addr) = addr {
-            spawn_telemetry_endpoint(&addr, telemetry);
-        }
-    };
-    let mut job = Job::new(Arc::new(app), input.source(), cfg).on_telemetry(on_telemetry);
-    if let Some(opts) = seat.recovery {
-        job = job.recover(opts);
-    }
-    let role = job
-        .run_process(&seat.manifest, seat.me, seat.listener, seat.timeout)
-        .map_err(|e| CliError(format!("cluster job failed: {e}")))?;
-    let recovery_line = |r: &RecoveryReport| match seat.recovery {
-        Some(_) => format!(
-            "\nrecovery: {} recoveries, {} checkpoints, failed workers {:?}",
-            r.recoveries,
-            r.checkpoints,
-            r.failed_workers.iter().map(|w| w.index()).collect::<Vec<_>>()
-        ),
-        None => String::new(),
-    };
-    Ok(match role {
-        ClusterRole::Master(r) => {
-            let extra = export_metrics(&seat.metrics, &r.metrics)?;
-            let w = &r.metrics.workers[0];
-            format!(
-                "{}\nworker 0 (master): sent {} bytes, received {} bytes{}{extra}",
-                render(&r),
-                w.net_bytes_sent,
-                w.net_bytes_received,
-                recovery_line(&r.recovery)
-            )
-        }
-        ClusterRole::Worker(snap, recovery) => {
-            let extra = export_metrics(&seat.metrics, &snap)?;
-            let w = &snap.workers[0];
-            format!(
-                "worker {} done: sent {} bytes, received {} bytes{}{extra}",
-                seat.me.index(),
-                w.net_bytes_sent,
-                w.net_bytes_received,
-                recovery_line(&recovery)
-            )
-        }
-    })
-}
-
-/// `gthinker master …` / `gthinker worker …`: one OS process of a
-/// multi-process TCP cluster job. Every process must be launched with
-/// the same `--hosts` list, graph file and miner options.
-fn cmd_cluster(is_master: bool, mut args: Vec<String>) -> Result<String, CliError> {
-    let role = if is_master { "master" } else { "worker" };
-    let hosts = take_flag(&mut args, "--hosts")?
-        .ok_or_else(|| CliError(format!("{role}: --hosts HOST:PORT,HOST:PORT,.. required")))?;
-    let manifest = ClusterManifest::parse(&hosts)
-        .map_err(|e| CliError(format!("{role}: bad --hosts: {e}")))?;
-    let me = if is_master {
-        if let Some(i) = take_parsed::<usize>(&mut args, "--me")? {
-            if i != 0 {
-                return err("master: the master is always worker 0; drop --me");
-            }
-        }
-        0
-    } else {
-        let i: usize = take_parsed(&mut args, "--me")?
-            .ok_or_else(|| CliError("worker: --me INDEX required".into()))?;
-        if i == 0 {
-            return err("worker: index 0 is the master; run `gthinker master` there");
-        }
-        i
-    };
-    if me >= manifest.num_workers() {
-        return err(format!("{role}: --me {me} out of range for {} hosts", manifest.num_workers()));
-    }
-    let timeout =
-        Duration::from_secs(take_parsed(&mut args, "--connect-timeout")?.unwrap_or(30u64));
-    let status = take_switch(&mut args, "--status");
-    let telemetry_addr = take_flag(&mut args, "--telemetry-addr")?;
-
-    // Crash recovery: --checkpoint-dir switches the process onto the
-    // recovering cluster path; the rest tune it.
-    let checkpoint_dir = take_flag(&mut args, "--checkpoint-dir")?;
-    let checkpoint_interval: Option<f64> = take_parsed(&mut args, "--checkpoint-interval")?;
-    if let Some(s) = checkpoint_interval {
-        if !s.is_finite() || s <= 0.0 {
-            return err("--checkpoint-interval must be a positive number of seconds");
-        }
-    }
-    let max_recoveries: u32 = take_parsed(&mut args, "--max-recoveries")?.unwrap_or(8);
-    let generation: u32 = take_parsed(&mut args, "--generation")?.unwrap_or(0);
-    let rejoin = take_switch(&mut args, "--rejoin");
-    if rejoin && generation == 0 {
-        return err(format!("{role}: --rejoin requires --generation N with N >= 1"));
-    }
-    if generation > 0 && checkpoint_dir.is_none() {
-        return err(format!("{role}: --generation only makes sense with --checkpoint-dir"));
-    }
-    // Deterministic process chaos: self-abort once this process's own
-    // traffic crosses a mark, standing in for an external kill.
-    let die_after_msgs: Option<u64> = take_parsed(&mut args, "--die-after-msgs")?;
-    let die_after_ms: Option<u64> = take_parsed(&mut args, "--die-after-ms")?;
-    if (die_after_msgs.is_some() || die_after_ms.is_some()) && is_master {
-        return err(
-            "master: --die-after-* targets a worker; the master hosts the failure detector",
-        );
-    }
-
-    let mut opts = mine_opts(&mut args)?;
-    // The live views need periodic reports; default them on when a view
-    // was requested without an explicit interval.
-    if (status || telemetry_addr.is_some()) && opts.report_interval.is_none() {
-        opts.report_interval = Some(Duration::from_secs(1));
-    }
-    // The cluster size comes from --hosts; --workers is meaningless here.
-    opts.workers = manifest.num_workers();
-    let mut cfg = job_config(&opts);
-    if let Some(dir) = &checkpoint_dir {
-        cfg.checkpoint_dir = Some(dir.into());
-        cfg.checkpoint_interval = Some(Duration::from_secs_f64(checkpoint_interval.unwrap_or(1.0)));
-    }
-    if die_after_msgs.is_some() || die_after_ms.is_some() {
-        cfg.fault.crash = Some(CrashSchedule {
-            worker: WorkerId(me as u16),
-            after_messages: die_after_msgs,
-            after: die_after_ms.map(Duration::from_millis),
-        });
-    }
-    let me = WorkerId(me as u16);
-    let listener = std::net::TcpListener::bind(manifest.addr(me))
-        .map_err(|e| CliError(format!("{role}: cannot bind {}: {e}", manifest.addr(me))))?;
-    let seat = ClusterSeat {
-        manifest,
-        me,
-        listener,
-        timeout,
-        status,
-        telemetry_addr,
-        metrics: opts.metrics.clone(),
-        recovery: checkpoint_dir
-            .is_some()
-            .then_some(RecoveryOptions { max_recoveries, generation }),
-    };
-
-    if args.is_empty() {
-        return err(format!("{role}: missing miner subcommand (mcf|tc|mc|qc|kp|gm)"));
-    }
-    let miner = args.remove(0);
-    match miner.as_str() {
-        "mcf" => {
-            let tau: usize = take_parsed(&mut args, "--tau")?.unwrap_or(40_000);
-            let path = file_arg(&args, &format!("{role} mcf"))?;
-            let input = open_graph_input(path)?;
-            run_cluster(MaxCliqueApp::with_tau(tau), &input, &cfg, seat, |r| {
-                format!(
-                    "maximum clique: {} vertices in {:.2?}\nmembers: {:?}",
-                    r.global.len(),
-                    r.elapsed,
-                    r.global
-                )
-            })
-        }
-        "tc" => {
-            let bundle: usize = take_parsed(&mut args, "--bundle")?.unwrap_or(0);
-            let path = file_arg(&args, &format!("{role} tc"))?;
-            let input = open_graph_input(path)?;
-            let render =
-                |r: &JobResult<u64>| format!("triangles: {} in {:.2?}", r.global, r.elapsed);
-            if bundle > 0 {
-                run_cluster(BundledTriangleApp::new(bundle), &input, &cfg, seat, render)
-            } else {
-                run_cluster(TriangleApp, &input, &cfg, seat, render)
-            }
-        }
-        "mc" => {
-            let path = file_arg(&args, &format!("{role} mc"))?;
-            let input = open_graph_input(path)?;
-            run_cluster(MaximalCliqueApp, &input, &cfg, seat, |r| {
-                format!("maximal cliques: {} in {:.2?}", r.global, r.elapsed)
-            })
-        }
-        "qc" => {
-            let gamma: f64 = take_parsed(&mut args, "--gamma")?
-                .ok_or_else(|| CliError(format!("{role} qc: --gamma required")))?;
-            let min: usize = take_parsed(&mut args, "--min")?.unwrap_or(3);
-            let max: usize = take_parsed(&mut args, "--max")?.unwrap_or(5);
-            let path = file_arg(&args, &format!("{role} qc"))?;
-            let input = open_graph_input(path)?;
-            run_cluster(QuasiCliqueApp::new(gamma, min, max), &input, &cfg, seat, move |r| {
-                format!(
-                    "γ={gamma} quasi-cliques of size {min}..{max}: {} in {:.2?}",
-                    r.global, r.elapsed
-                )
-            })
-        }
-        "kp" => {
-            let k: usize = take_parsed(&mut args, "--k")?
-                .ok_or_else(|| CliError(format!("{role} kp: --k required")))?;
-            let min: usize =
-                take_parsed(&mut args, "--min")?.unwrap_or((2 * k).saturating_sub(1).max(2));
-            let max: usize = take_parsed(&mut args, "--max")?.unwrap_or(min + 2);
-            let path = file_arg(&args, &format!("{role} kp"))?;
-            let input = open_graph_input(path)?;
-            run_cluster(KPlexApp::new(k, min, max), &input, &cfg, seat, move |r| {
-                format!(
-                    "connected {k}-plexes of size {min}..{max}: {} in {:.2?}",
-                    r.global, r.elapsed
-                )
-            })
-        }
-        "gm" => {
-            let spec = take_flag(&mut args, "--pattern")?
-                .ok_or_else(|| CliError(format!("{role} gm: --pattern required")))?;
-            let pattern = parse_pattern(&spec)?;
-            let path = file_arg(&args, &format!("{role} gm"))?;
-            let input = open_graph_input(path)?;
-            let labels = input.labels().ok_or_else(|| {
-                CliError(format!("{role} gm: the data graph must be labeled (gen --labels K)"))
-            })?;
-            run_cluster(MatchingApp::new(pattern, labels), &input, &cfg, seat, move |r| {
-                format!("embeddings of {spec}: {} in {:.2?}", r.global, r.elapsed)
-            })
-        }
-        other if other.starts_with("--") => err(format!("{role}: unknown option {other}")),
-        other => err(format!("{role}: unknown miner {other} (want mcf|tc|mc|qc|kp|gm)")),
-    }
-}
-
-/// The argument list a supervised worker is respawned with: the crash
-/// flags (`--die-after-*`) are stripped so the scheduled death does not
-/// re-fire, any previous rejoin markers are dropped, and
-/// `--rejoin --generation G` is appended so the replacement's hellos
-/// supersede the dead generation's sockets at every surviving peer.
-fn respawn_args(args: &[String], generation: u32) -> Vec<String> {
-    let mut out = Vec::with_capacity(args.len() + 3);
-    let mut skip_value = false;
-    for a in args {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        match a.as_str() {
-            "--die-after-msgs" | "--die-after-ms" | "--generation" => skip_value = true,
-            "--rejoin" => {}
-            _ => out.push(a.clone()),
-        }
-    }
-    out.push("--rejoin".into());
-    out.push("--generation".into());
-    out.push(generation.to_string());
-    out
-}
-
-/// `gthinker supervise [--respawn-limit N] worker …`: runs the wrapped
-/// `worker` invocation as a child process (stdio inherited) and, when
-/// the child dies abnormally, respawns it with a bumped `--generation`
-/// so it rejoins the surviving mesh and the cluster resumes from the
-/// last validated checkpoint. A clean exit (status 0) ends supervision.
-fn cmd_supervise(mut args: Vec<String>) -> Result<String, CliError> {
-    let limit: u32 = take_parsed(&mut args, "--respawn-limit")?.unwrap_or(4);
-    if args.first().map(String::as_str) != Some("worker") {
-        return err("supervise: want `supervise [--respawn-limit N] worker --hosts .. --me I ..`");
-    }
-    let exe = std::env::current_exe()
-        .map_err(|e| CliError(format!("supervise: cannot find own executable: {e}")))?;
-    // Respawn generations continue from wherever the first launch
-    // started (a supervisor can itself be restarted mid-job).
-    let mut generation: u32 = args
-        .iter()
-        .position(|a| a == "--generation")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let mut respawns = 0u32;
-    loop {
-        let status = std::process::Command::new(&exe)
-            .args(&args)
-            .status()
-            .map_err(|e| CliError(format!("supervise: spawn worker: {e}")))?;
-        if status.success() {
-            return Ok(format!("supervise: worker exited cleanly after {respawns} respawn(s)"));
-        }
-        respawns += 1;
-        if respawns > limit {
-            return err(format!(
-                "supervise: worker kept dying ({status}); gave up after {limit} respawn(s)"
-            ));
-        }
-        generation += 1;
-        eprintln!("supervise: worker died ({status}); respawning as generation {generation}");
-        args = respawn_args(&args, generation);
-    }
 }
 
 #[cfg(test)]
@@ -1358,16 +1067,16 @@ mod tests {
         let e = run(args(&["tc", "g.el", "--compute-budget", "many"])).unwrap_err();
         assert!(e.0.contains("bad value for --compute-budget"), "{e}");
 
-        let mut a = args(&["--steal", "off", "--compute-budget", "3", "--workers", "2"]);
-        let o = mine_opts(&mut a).unwrap();
-        assert!(a.is_empty(), "all flags consumed: {a:?}");
-        assert!(!o.steal);
-        assert_eq!(o.compute_budget, Some(3));
-        let cfg = job_config(&o);
+        let mut a =
+            Args::parse("tc", args(&["--steal", "off", "--compute-budget", "3", "--workers", "2"]))
+                .unwrap();
+        let cfg = Place::read(&mut a, None).unwrap().cfg;
+        assert_eq!(a.finish([]).unwrap(), [""; 0], "all flags consumed");
         assert!(!cfg.work_stealing);
         assert_eq!(cfg.compute_budget, Some(3));
+        assert_eq!(cfg.num_workers, 2);
         // Defaults: stealing on, no budget.
-        let cfg = job_config(&MineOpts::default());
+        let cfg = Place::read(&mut Args::parse("tc", vec![]).unwrap(), None).unwrap().cfg;
         assert!(cfg.work_stealing);
         assert_eq!(cfg.compute_budget, None);
     }
@@ -1414,18 +1123,71 @@ mod tests {
     }
 
     #[test]
+    fn nothing_on_a_command_line_is_silently_ignored() {
+        // Each case: a command line, `=>`, the whole error it must get.
+        for case in [
+            // A mistyped option used to fall back to the default seed.
+            "gen ba --sead 7 -o x.bin => gen: unknown option --sead",
+            "gen ba gnp -o x.bin => gen: unexpected argument gnp",
+            "stats a.bin b.bin => stats: unexpected argument b.bin",
+            "convert a.bin b.el c.el => convert: unexpected argument c.el",
+            "order a.bin b.bin --order => order: unknown option --order",
+            "order a.bin => order: missing OUT",
+            "graph build a.el b.gtc c => graph build: unexpected argument c",
+            "graph stats a.bin --bogus => graph stats: unknown option --bogus",
+            "supervise --bogus worker => supervise: unknown option --bogus",
+            "supervise now worker => supervise: unexpected argument now",
+            // An option of another command is as unknown as a typo.
+            "tc g.bin --tau 9 => tc: unknown option --tau",
+            "mc g.bin --list out => mc: unknown option --list",
+            "tc g.bin --compers 2 --compers 3 => --compers given more than once",
+            // The size of a cluster is its host list.
+            "master --hosts 127.0.0.1:1,127.0.0.1:2 --workers 2 tc g.bin => \
+             master: the size of the cluster comes from --hosts; drop --workers",
+            // Each role's own options, given to the other.
+            "worker --hosts 127.0.0.1:1,127.0.0.1:2 --me 1 --status tc g.bin => \
+             worker: --status is the master's; a worker has no cluster view",
+            "master --hosts 127.0.0.1:1,127.0.0.1:2 --die-after-ms 5 tc g.bin => \
+             master: --die-after-ms targets a worker; the master hosts the failure detector",
+            "master --hosts 127.0.0.1:1,127.0.0.1:2 pagerank g.bin => \
+             master pagerank: unknown miner (want mcf|tc|mc|qc|kp|gm)",
+        ] {
+            let (cmd, want) = case.split_once(" => ").unwrap();
+            let cmd: Vec<&str> = cmd.split(' ').collect();
+            assert_eq!(run(args(&cmd)).unwrap_err().0, want, "{case}");
+        }
+    }
+
+    #[test]
+    fn options_go_anywhere_after_the_command() {
+        let el = tmp("g14.el");
+        run(args(&["gen", "-o", &el, "--seed", "3", "gnp", "-n", "60", "-p", "0.2"])).unwrap();
+        assert_eq!(load_graph(&el).unwrap().num_vertices(), 60);
+        // Cluster options before or after the miner, miner options before
+        // or after FILE: all reach the job, which fails on the file.
+        let (h, hosts) = ("--hosts", "127.0.0.1:0,127.0.0.1:0");
+        for cmd in [
+            vec!["master", h, hosts, "--connect-timeout", "5", "mcf", "--tau", "9", "/no/g.bin"],
+            vec!["master", "mcf", "/no/g.bin", "--tau", "9", h, hosts, "--status"],
+        ] {
+            let e = run(args(&cmd)).unwrap_err().0;
+            assert!(e.contains("open /no/g.bin"), "{cmd:?}: {e}");
+        }
+    }
+
+    #[test]
     fn report_interval_flag_validates() {
         for bad in ["0", "-1", "nan", "soon"] {
             let e = run(args(&["tc", "g.el", "--report-interval", bad])).unwrap_err();
             assert!(e.0.contains("--report-interval"), "{bad}: {e}");
         }
-        let mut a = args(&["--report-interval", "0.5"]);
-        let o = mine_opts(&mut a).unwrap();
-        assert!(a.is_empty(), "flag consumed: {a:?}");
-        assert_eq!(o.report_interval, Some(Duration::from_millis(500)));
-        assert_eq!(job_config(&o).report_interval, Some(Duration::from_millis(500)));
+        let mut a = Args::parse("tc", args(&["--report-interval", "0.5"])).unwrap();
+        let cfg = Place::read(&mut a, None).unwrap().cfg;
+        assert_eq!(a.finish([]).unwrap(), [""; 0], "flag consumed");
+        assert_eq!(cfg.report_interval, Some(Duration::from_millis(500)));
         // Default: final-only reports.
-        assert_eq!(job_config(&MineOpts::default()).report_interval, None);
+        let cfg = Place::read(&mut Args::parse("tc", vec![]).unwrap(), None).unwrap().cfg;
+        assert_eq!(cfg.report_interval, None);
     }
 
     #[test]

@@ -66,12 +66,6 @@ fn run_cluster(hosts: &str, miner_args: &[&str]) -> (String, Vec<String>) {
     (master_out, worker_outs)
 }
 
-/// The first line of a mining report: the result, stripped of timing.
-fn result_prefix(out: &str) -> String {
-    let line = out.lines().next().expect("nonempty output");
-    line.split(" in ").next().expect("result line").to_string()
-}
-
 /// Extracts "sent N bytes" from a worker/master byte-counter line.
 fn sent_bytes(out: &str) -> u64 {
     let line = out.lines().find(|l| l.contains("sent ")).expect("byte counter line");
@@ -79,38 +73,72 @@ fn sent_bytes(out: &str) -> u64 {
     after.split(' ').next().unwrap().parse().expect("byte count")
 }
 
+/// The result line with its elapsed time cut out: what a local and a
+/// cluster run of the same job must agree on, word for word.
+fn result_line(out: &str) -> String {
+    let line = out.lines().next().expect("nonempty output");
+    let (head, tail) = line.split_once(" in ").expect("result line");
+    format!("{head}{}", tail.split_once(' ').map_or(String::new(), |(_, rest)| format!(" {rest}")))
+}
+
+/// One miner arm serves every placement, so for all six miners the
+/// master of a 3-process run prints what `--workers 3` prints in one
+/// process — including the `(N tasks)` of `tc`, which a cluster run
+/// used to leave out.
 #[test]
-fn three_process_cluster_matches_in_process_run() {
-    let graph = std::env::temp_dir().join(format!("gthinker-e2e-{}.el", std::process::id()));
+fn all_six_miners_print_the_same_line_locally_and_on_a_cluster() {
+    let graph = std::env::temp_dir().join(format!("gthinker-e2e-six-{}.bin", std::process::id()));
     let graph = graph.to_str().unwrap().to_string();
-    run_ok(&["gen", "gnp", "-n", "300", "-p", "0.06", "--seed", "13", "-o", &graph]);
-
-    // Triangle counting.
-    let local = run_ok(&["tc", &graph, "--workers", "3", "--compers", "2"]);
-    let hosts = free_hosts(3);
-    let (master, workers) = run_cluster(&hosts, &["tc", &graph, "--compers", "2"]);
-    assert_eq!(
-        result_prefix(&master),
-        result_prefix(&local),
-        "TCP cluster and in-process run disagree on the triangle count"
-    );
-    assert!(sent_bytes(&master) > 0, "master sent no bytes: {master}");
-    for w in &workers {
-        assert!(sent_bytes(w) > 0, "a worker sent no bytes: {w}");
+    run_ok(&[
+        "gen", "gnp", "-n", "120", "-p", "0.08", "--seed", "17", "--labels", "3", "-o", &graph,
+    ]);
+    let miners: [&[&str]; 6] = [
+        &["mcf", "--tau", "20"],
+        &["tc"],
+        &["mc"],
+        &["qc", "--gamma", "0.7", "--min", "3", "--max", "4"],
+        &["kp", "--k", "2", "--max", "4"],
+        &["gm", "--pattern", "triangle:0,1,2"],
+    ];
+    for miner in miners {
+        let mut args = miner.to_vec();
+        args.extend([graph.as_str(), "--compers", "2"]);
+        let (master, workers) = run_cluster(&free_hosts(3), &args);
+        args.extend(["--workers", "3"]);
+        let local = run_ok(&args);
+        assert_eq!(result_line(&master), result_line(&local), "{miner:?}");
+        for out in workers.iter().chain([&master]) {
+            assert!(sent_bytes(out) > 0, "{miner:?}: a process sent no bytes: {out}");
+        }
     }
-
-    // Maximum clique finding (different message mix: aggregator syncs
-    // carry the growing best clique, tau splits large tasks).
-    let local = run_ok(&["mcf", &graph, "--workers", "3", "--compers", "2"]);
-    let hosts = free_hosts(3);
-    let (master, _workers) = run_cluster(&hosts, &["mcf", &graph, "--compers", "2"]);
-    assert_eq!(
-        result_prefix(&master),
-        result_prefix(&local),
-        "TCP cluster and in-process run disagree on the maximum clique"
-    );
-
+    assert!(result_line(&run_ok(&["tc", &graph])).ends_with(" tasks)"), "tc reports its tasks");
     let _ = std::fs::remove_file(&graph);
+}
+
+/// `tc --list` under master/worker: every process streams its own
+/// triangles to its own part file, and the master's record count is the
+/// cluster's.
+#[test]
+fn cluster_tc_list_writes_every_triangle_once() {
+    let tmp = std::env::temp_dir().join(format!("gthinker-e2e-list-{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).expect("mkdir");
+    let graph = tmp.join("g.el").to_str().unwrap().to_string();
+    let dir = tmp.join("out").to_str().unwrap().to_string();
+    run_ok(&["gen", "gnp", "-n", "200", "-p", "0.08", "--seed", "19", "-o", &graph]);
+    let g = gthinker_cli::load_graph(&graph).expect("load");
+    let expected = gthinker_apps::serial::triangle::count_triangles(&g);
+    assert!(expected > 0, "the test graph has triangles");
+
+    let (master, _workers) =
+        run_cluster(&free_hosts(3), &["tc", &graph, "--list", &dir, "--compers", "2"]);
+    let line = master.lines().next().unwrap();
+    assert!(line.starts_with(&format!("triangles: {expected} in ")), "{master}");
+    assert!(line.ends_with(&format!("; {expected} records written under {dir}")), "{master}");
+    let records = gthinker_core::output::read_all_records(std::path::Path::new(&dir)).unwrap();
+    assert_eq!(records.len() as u64, expected);
+    let parts = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(parts, 3, "one part file per process");
+    let _ = std::fs::remove_dir_all(&tmp);
 }
 
 /// `--metrics-json` / `--trace-out` on cluster processes: the master's

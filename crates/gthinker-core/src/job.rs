@@ -19,7 +19,7 @@ use gthinker_graph::graph::Graph;
 use gthinker_graph::ids::{Label, VertexId, WorkerId};
 use gthinker_graph::partition::HashPartitioner;
 use gthinker_graph::store::AdjacencyStore;
-use gthinker_graph::trim::{trim_graph, Trimmer};
+use gthinker_graph::trim::Trimmer;
 use gthinker_net::message::Message;
 use gthinker_net::router::Router;
 use gthinker_net::transport::{NetEndpoint, Transport};
@@ -44,7 +44,7 @@ type Partial<A> = <<A as App>::Agg as Aggregator>::Partial;
 /// `tests/storage_equivalence.rs` pins this down result-for-result).
 #[derive(Clone)]
 pub enum GraphSource<'a> {
-    /// An in-RAM graph: trimmed up front, each worker's partition
+    /// An in-RAM graph: trimmed while partitioning, every partition
     /// materialized into an eager local table (the classic path).
     InMemory(&'a Graph),
     /// A memory-mapped compressed graph (`.gtc`, built by
@@ -588,11 +588,12 @@ pub(crate) fn new_job_dir(config: &JobConfig) -> PathBuf {
 /// the sim runner, just one in a cluster process) plus the replicated
 /// label table, from either graph source.
 ///
-/// Both sources produce identical partitions: ownership is hash-by-ID
-/// only, members are listed in ascending ID order (the order
-/// [`gthinker_graph::partition::HashPartitioner::split`] emits), and
-/// trimming — applied up front on the in-RAM path, at decode time on
-/// the mapped path — is a per-vertex rewrite that cannot observe the
+/// One walk over the vertex set decides membership for both sources
+/// (ownership is hash-by-ID, members in ascending ID order), so they
+/// produce identical partitions and only a requested worker's lists are
+/// ever fetched. Trimming (§IV item 7) is [`Trimmer::fetch_trimmed`]
+/// either way — while partitioning on the in-RAM path, at decode time
+/// on the mapped path — a per-vertex rewrite that cannot observe the
 /// difference.
 pub(crate) fn build_locals<A: App>(
     app: &Arc<A>,
@@ -600,49 +601,47 @@ pub(crate) fn build_locals<A: App>(
     partitioner: HashPartitioner,
     workers: &[usize],
 ) -> (Vec<LocalTable>, Option<Arc<Vec<Label>>>) {
+    let num_vertices = match source {
+        GraphSource::InMemory(graph) => graph.num_vertices(),
+        GraphSource::Mapped(store) => store.num_vertices(),
+    };
+    let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); workers.len()];
+    for v in (0..num_vertices as u32).map(VertexId) {
+        let owner = partitioner.owner(v).index();
+        if let Some(i) = workers.iter().position(|&w| w == owner) {
+            members[i].push(v);
+        }
+    }
     match source {
         GraphSource::InMemory(graph) => {
-            // Trim once after loading (§IV item 7).
-            let trimmed;
-            let graph: &Graph = match app.trimmer() {
-                Some(t) => {
-                    trimmed = trim_graph(graph, t.as_ref());
-                    &trimmed
-                }
-                None => graph,
-            };
-            // Labels are replicated to every worker (2 bytes/vertex).
-            let label_table = graph.labels().map(|l| Arc::new(l.to_vec()));
-            let mut parts = partitioner.split(graph);
-            let locals = workers
-                .iter()
-                .map(|&w| {
-                    let part = std::mem::take(&mut parts[w]);
-                    let labels: Vec<(VertexId, Label)> = if graph.is_labeled() {
-                        part.iter().map(|(v, _)| (*v, graph.label(*v).expect("labeled"))).collect()
-                    } else {
-                        Vec::new()
-                    };
-                    LocalTable::with_labels(part, labels)
+            let trimmer = app.trimmer();
+            let locals = members
+                .into_iter()
+                .map(|members| {
+                    let records = members
+                        .iter()
+                        .map(|&v| match &trimmer {
+                            Some(t) => (v, t.fetch_trimmed(*graph, v)),
+                            None => (v, graph.neighbors(v).clone()),
+                        })
+                        .collect();
+                    let labels = members.iter().filter_map(|&v| Some((v, graph.label(v)?)));
+                    LocalTable::with_labels(records, labels.collect())
                 })
                 .collect();
-            (locals, label_table)
+            // Labels are replicated to every worker (2 bytes/vertex).
+            (locals, graph.labels().map(|l| Arc::new(l.to_vec())))
         }
         GraphSource::Mapped(store) => {
             let trimmer: Option<Arc<dyn Trimmer>> = app.trimmer().map(Arc::from);
-            let label_table = store.labels().map(Arc::new);
-            let locals = workers
-                .iter()
-                .map(|&w| {
-                    let members: Vec<VertexId> = (0..store.num_vertices() as u32)
-                        .map(VertexId)
-                        .filter(|&v| partitioner.owner(v).index() == w)
-                        .collect();
+            let locals = members
+                .into_iter()
+                .map(|members| {
                     let shared: Arc<dyn AdjacencyStore> = Arc::<CompressedGraph>::clone(store);
                     LocalTable::lazy(shared, trimmer.clone(), members)
                 })
                 .collect();
-            (locals, label_table)
+            (locals, store.labels().map(Arc::new))
         }
     }
 }
@@ -962,4 +961,113 @@ pub(crate) fn worker_main<A: App>(
         output.flush();
     }
     (outcome, io_error)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::agg::NoAgg;
+    use crate::api::{ComputeEnv, SpawnEnv};
+    use gthinker_graph::adj::AdjList;
+    use gthinker_graph::compressed::write_compressed;
+    use gthinker_graph::gen;
+    use gthinker_graph::trim::{trim_graph, GreaterIdTrimmer, LabelSetTrimmer};
+    use gthinker_task::task::{Frontier, Task};
+
+    #[derive(Clone, Copy, Debug)]
+    enum Trim {
+        None,
+        GreaterId,
+        LabelSet,
+    }
+
+    /// An app that is nothing but its trimmer.
+    struct TrimApp {
+        trim: Trim,
+        labels: Vec<Label>,
+    }
+
+    impl App for TrimApp {
+        type Context = ();
+        type Agg = NoAgg;
+        fn make_aggregator(&self) -> NoAgg {
+            NoAgg
+        }
+        fn task_spawn(&self, _v: VertexId, _adj: &AdjList, _env: &mut SpawnEnv<'_, Self>) {}
+        fn compute(
+            &self,
+            _t: &mut Task<()>,
+            _f: &Frontier,
+            _env: &mut ComputeEnv<'_, Self>,
+        ) -> bool {
+            false
+        }
+        fn trimmer(&self) -> Option<Box<dyn Trimmer>> {
+            match self.trim {
+                Trim::None => None,
+                Trim::GreaterId => Some(Box::new(GreaterIdTrimmer)),
+                Trim::LabelSet => {
+                    Some(Box::new(LabelSetTrimmer::new(&[Label(0), Label(2)], self.labels.clone())))
+                }
+            }
+        }
+    }
+
+    fn assert_same_table(got: &LocalTable, want: &LocalTable, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: len");
+        assert_eq!(got.vertices(), want.vertices(), "{what}: spawn order");
+        for &v in want.vertices() {
+            assert_eq!(got.get(v), want.get(v), "{what}: Γ({v})");
+            assert_eq!(got.label(v), want.label(v), "{what}: label of {v}");
+        }
+    }
+
+    /// Every table `build_locals` returns equals the construction it
+    /// replaced — trim the whole graph, then keep what `owner` assigns
+    /// to the worker — and the mapped arm's table over the same graph.
+    #[test]
+    fn build_locals_matches_trim_then_filter_and_the_mapped_arm() {
+        let partitioner = HashPartitioner::new(3);
+        let plain = gen::gnp(90, 0.12, 5);
+        let labeled = gen::random_labels(plain.clone(), 3, 11);
+        for (g, tag) in [(&plain, "unlabeled"), (&labeled, "labeled")] {
+            let gtc = std::env::temp_dir()
+                .join(format!("gthinker-build-locals-{}-{tag}.gtc", std::process::id()));
+            write_compressed(g, &gtc).unwrap();
+            let mapped = GraphSource::Mapped(Arc::new(CompressedGraph::open(&gtc).unwrap()));
+            for trim in [Trim::None, Trim::GreaterId, Trim::LabelSet] {
+                let labels = g.labels().map(<[Label]>::to_vec).unwrap_or_default();
+                let app = Arc::new(TrimApp { trim, labels });
+                let reference = match app.trimmer() {
+                    Some(t) => trim_graph(g, t.as_ref()),
+                    None => g.clone(),
+                };
+                for workers in [&[0, 1, 2][..], &[1][..]] {
+                    let what = format!("{tag} {trim:?} workers {workers:?}");
+                    let (locals, label_table) =
+                        build_locals(&app, &GraphSource::InMemory(g), partitioner, workers);
+                    let (lazy, lazy_labels) = build_locals(&app, &mapped, partitioner, workers);
+                    // A process job asks for one worker and gets exactly
+                    // that worker's table, nobody else's lists.
+                    assert_eq!(locals.len(), workers.len(), "{what}");
+                    assert_eq!(label_table.as_deref().map(Vec::as_slice), g.labels(), "{what}");
+                    assert_eq!(label_table, lazy_labels, "{what}");
+                    for ((&w, local), lazy) in workers.iter().zip(&locals).zip(&lazy) {
+                        let owned: Vec<VertexId> = reference
+                            .vertices()
+                            .filter(|&v| partitioner.owner(v).index() == w)
+                            .collect();
+                        let records =
+                            owned.iter().map(|&v| (v, reference.neighbors(v).clone())).collect();
+                        let labels =
+                            owned.iter().filter_map(|&v| Some((v, reference.label(v)?))).collect();
+                        let want = LocalTable::with_labels(records, labels);
+                        assert_same_table(local, &want, &what);
+                        assert_same_table(lazy, &want, &format!("{what} (mapped)"));
+                    }
+                }
+            }
+            let _ = std::fs::remove_file(&gtc);
+        }
+    }
 }

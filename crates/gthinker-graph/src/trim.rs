@@ -1,8 +1,10 @@
 //! Adjacency-list trimming (the paper's `Trimmer` class, §IV item 7).
 //!
-//! Trimming runs once, right after graph loading, so that vertex pulls
-//! only ship trimmed lists over the (simulated) network. Two built-in
-//! trimmers match the paper's examples:
+//! Every list is trimmed once, where a worker first gets hold of it —
+//! while its partition is built from an in-RAM graph, at decode time
+//! off a mapped one — so that vertex pulls only ship trimmed lists over
+//! the (simulated) network. Two built-in trimmers match the paper's
+//! examples:
 //!
 //! * [`GreaterIdTrimmer`] — keep only `Γ_>(v)`, the neighbors with larger
 //!   IDs, for set-enumeration-tree algorithms such as maximum clique and
@@ -28,8 +30,8 @@ pub trait Trimmer: Send + Sync {
     fn trim(&self, v: VertexId, label: Option<Label>, adj: &mut AdjList);
 
     /// The trimmed list of `v` straight from `store` — how the framework
-    /// obtains every trimmed list ([`trim_graph`] and the lazy local
-    /// table call nothing else). The provided body fetches all of `Γ(v)`
+    /// obtains every trimmed list (the job's partition pass, the lazy
+    /// local table and [`trim_graph`] call nothing else). The provided body fetches all of `Γ(v)`
     /// and [`trim`](Trimmer::trim)s it. An implementation that overrides
     /// it to fetch less promises the same result, for every store and
     /// vertex, as that provided body; it never sees the part it skipped.
@@ -93,7 +95,9 @@ impl Trimmer for LabelSetTrimmer {
 
 /// Applies a trimmer to every vertex of a graph, returning the trimmed
 /// graph. Vertices whose own label is filtered keep their (possibly
-/// empty) entry — tasks are simply never spawned from them.
+/// empty) entry — tasks are simply never spawned from them. A job never
+/// copies the graph like this (it trims each list as it partitions);
+/// this is the whole-graph reference its tests compare against.
 pub fn trim_graph(g: &Graph, trimmer: &dyn Trimmer) -> Graph {
     let labels = g.labels().map(<[Label]>::to_vec);
     let adj: Vec<AdjList> = g.vertices().map(|v| trimmer.fetch_trimmed(g, v)).collect();

@@ -10,8 +10,8 @@
 //! Two backings exist behind the same lookup API:
 //!
 //! * **Eager** — every owned `(v, Γ(v))` record materialized up front,
-//!   the classic path for in-RAM graphs (lists are trimmed before
-//!   partitioning).
+//!   the classic path for in-RAM graphs (each list is trimmed as it is
+//!   fetched into the partition).
 //! * **Lazy** — a shared [`AdjacencyStore`] (typically a memory-mapped
 //!   compressed graph) plus a membership bitset; `Γ(v)` is decoded on
 //!   each lookup, through the job's trimmer if it has one
