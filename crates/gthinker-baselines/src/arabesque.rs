@@ -18,7 +18,7 @@ use crate::outcome::{RunOutcome, RunStatus};
 use gthinker_graph::graph::Graph;
 use gthinker_graph::ids::VertexId;
 use parking_lot::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A filter-process application.
 pub trait FilterProcessApp: Send + Sync {
@@ -37,11 +37,17 @@ pub struct FilterProcessConfig {
     pub threads: usize,
     /// Abort when a level's embedding bytes exceed this.
     pub memory_budget: u64,
+    /// Abort when the wall clock exceeds this, also in mid-level.
+    pub time_budget: Duration,
 }
 
 impl Default for FilterProcessConfig {
     fn default() -> Self {
-        FilterProcessConfig { threads: 4, memory_budget: 4 << 30 }
+        FilterProcessConfig {
+            threads: 4,
+            memory_budget: 4 << 30,
+            time_budget: Duration::from_secs(3600),
+        }
     }
 }
 
@@ -75,6 +81,9 @@ pub fn run_filter_process<A: FilterProcessApp>(
                 s.spawn(move || {
                     let mut mine: Vec<Vec<VertexId>> = Vec::new();
                     for emb in slice {
+                        if start.elapsed() > config.time_budget {
+                            break;
+                        }
                         let last = *emb.last().expect("non-empty embedding");
                         // Canonical extension: neighbors of any member,
                         // greater than the current maximum.
@@ -103,13 +112,15 @@ pub fn run_filter_process<A: FilterProcessApp>(
         size += 1;
         let bytes: u64 = level.iter().map(|e| 24 + 4 * e.len() as u64).sum();
         peak = peak.max(bytes);
-        if bytes > config.memory_budget {
-            return RunOutcome {
-                result: None,
-                elapsed: start.elapsed(),
-                peak_bytes: peak,
-                status: RunStatus::MemoryBudgetExceeded,
-            };
+        let over = if start.elapsed() > config.time_budget {
+            Some(RunStatus::TimeBudgetExceeded)
+        } else if bytes > config.memory_budget {
+            Some(RunStatus::MemoryBudgetExceeded)
+        } else {
+            None
+        };
+        if let Some(status) = over {
+            return RunOutcome { result: None, elapsed: start.elapsed(), peak_bytes: peak, status };
         }
     }
     RunOutcome {
@@ -231,9 +242,24 @@ mod tests {
     fn memory_budget_reproduces_oom() {
         let g = gen::complete(30);
         let app = ArabesqueMaxClique::new(30);
-        let cfg = FilterProcessConfig { threads: 2, memory_budget: 10_000 };
+        let cfg = FilterProcessConfig { threads: 2, memory_budget: 10_000, ..Default::default() };
         let out = run_filter_process(&g, &app, &cfg);
         assert_eq!(out.status, RunStatus::MemoryBudgetExceeded);
+    }
+
+    #[test]
+    fn time_budget_ends_a_level_that_would_not() {
+        // C(40, 20) embeddings in the widest level: never, without a bound.
+        let g = gen::complete(40);
+        let app = ArabesqueMaxClique::new(40);
+        let cfg = FilterProcessConfig {
+            threads: 2,
+            memory_budget: u64::MAX,
+            time_budget: Duration::from_millis(50),
+        };
+        let out = run_filter_process(&g, &app, &cfg);
+        assert_eq!(out.status_label(), "timeout");
+        assert!(out.elapsed < Duration::from_secs(20), "{:?}", out.elapsed);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use gthinker_graph::graph::Graph;
 use gthinker_graph::ids::VertexId;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A vertex-centric program: `compute` runs once per vertex per
 /// superstep, consuming the messages sent to it in the previous one.
@@ -64,11 +64,13 @@ pub struct BspConfig {
     pub threads: usize,
     /// Abort when buffered message bytes exceed this (models OOM).
     pub memory_budget: u64,
+    /// Abort when the wall clock exceeds this, also in mid-superstep.
+    pub time_budget: Duration,
 }
 
 impl Default for BspConfig {
     fn default() -> Self {
-        BspConfig { threads: 4, memory_budget: 4 << 30 }
+        BspConfig { threads: 4, memory_budget: 4 << 30, time_budget: Duration::from_secs(3600) }
     }
 }
 
@@ -101,6 +103,9 @@ pub fn run_bsp<P: VertexProgram>(
                     s.spawn(move || {
                         let mut halted = Vec::with_capacity(hi - lo);
                         for i in lo..hi {
+                            if start.elapsed() > config.time_budget {
+                                break;
+                            }
                             let v = VertexId(i as u32);
                             if !active[i] && inboxes[i].is_empty() {
                                 halted.push(true);
@@ -120,12 +125,19 @@ pub fn run_bsp<P: VertexProgram>(
         let sent = outbox.into_inner();
         let msg_bytes: u64 = sent.iter().map(|(_, m)| P::message_bytes(m) as u64).sum();
         peak.fetch_max(msg_bytes, Ordering::Relaxed);
-        if msg_bytes > config.memory_budget {
+        let over = if start.elapsed() > config.time_budget {
+            Some(RunStatus::TimeBudgetExceeded)
+        } else if msg_bytes > config.memory_budget {
+            Some(RunStatus::MemoryBudgetExceeded)
+        } else {
+            None
+        };
+        if let Some(status) = over {
             return RunOutcome {
                 result: None,
                 elapsed: start.elapsed(),
                 peak_bytes: peak.load(Ordering::Relaxed),
-                status: RunStatus::MemoryBudgetExceeded,
+                status,
             };
         }
         for inbox in &mut inboxes {
@@ -360,10 +372,19 @@ mod tests {
     #[test]
     fn memory_budget_aborts_run() {
         let g = gen::complete(40); // heavy neighborhood exchange
-        let cfg = BspConfig { threads: 2, memory_budget: 64 };
+        let cfg = BspConfig { threads: 2, memory_budget: 64, ..Default::default() };
         let out = run_bsp(&g, &BspTriangleCount::new(), &cfg);
         assert_eq!(out.status, RunStatus::MemoryBudgetExceeded);
         assert!(out.result.is_none());
         assert_eq!(out.status_label(), "OOM");
+    }
+
+    #[test]
+    fn time_budget_aborts_run() {
+        let g = gen::complete(40);
+        let cfg = BspConfig { threads: 2, time_budget: Duration::ZERO, ..Default::default() };
+        let out = run_bsp(&g, &BspMaxClique::new(), &cfg);
+        assert!(out.result.is_none());
+        assert_eq!(out.status_label(), "timeout");
     }
 }

@@ -10,16 +10,15 @@
 //! 4. the decomposition threshold τ (40k → 16) — Fig. 5 line 3;
 //! 5. work stealing off — §V-B.
 //!
-//! `cargo run -p gthinker-bench --release --bin ablations [--scale f]`
+//! `cargo run -p gthinker-bench --release -- ablations [--scale f]`
 
+use crate::{fmt_bytes, fmt_duration};
 use gthinker_apps::MaxCliqueApp;
-use gthinker_bench::{fmt_bytes, fmt_duration, scale_from_args};
 use gthinker_core::prelude::*;
 use gthinker_graph::datasets::{generate, DatasetKind};
 use std::sync::Arc;
 
-fn main() {
-    let scale = scale_from_args(0.5);
+pub fn run(scale: f64) {
     let d = generate(DatasetKind::Orkut, scale);
     println!(
         "Ablations — MCF on {} ({} V, {} E), 4 workers × 2 compers\n",
@@ -31,7 +30,7 @@ fn main() {
         "{:<28} | {:>10} {:>10} {:>10} {:>10} {:>10}",
         "configuration", "wall", "net msgs", "net bytes", "misses", "spilled"
     );
-    gthinker_bench::rule(88);
+    crate::rule(88);
 
     let run = |label: &str, cfg: &JobConfig, tau: usize| {
         let r = run_job(Arc::new(MaxCliqueApp::with_tau(tau)), &d.graph, cfg).unwrap();

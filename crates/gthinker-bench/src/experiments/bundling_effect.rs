@@ -7,16 +7,15 @@
 //! On scale-free graphs most vertices are low-degree, so the task
 //! count collapses while the answer stays identical.
 //!
-//! `cargo run -p gthinker-bench --release --bin bundling_effect [--scale f]`
+//! `cargo run -p gthinker-bench --release -- bundling_effect [--scale f]`
 
+use crate::{fmt_bytes, fmt_duration};
 use gthinker_apps::BundledTriangleApp;
-use gthinker_bench::{fmt_bytes, fmt_duration, scale_from_args};
 use gthinker_core::prelude::*;
 use gthinker_graph::gen;
 use std::sync::Arc;
 
-fn main() {
-    let scale = scale_from_args(1.0);
+pub fn run(scale: f64) {
     let n = (30_000.0 * scale) as usize;
     let g = gen::barabasi_albert(n.max(100), 4, 77);
     println!(
@@ -28,7 +27,7 @@ fn main() {
         "{:>16} | {:>10} {:>10} {:>12} {:>12} | count",
         "bundle ≤ deg", "wall", "tasks", "net bytes", "misses"
     );
-    gthinker_bench::rule(84);
+    crate::rule(84);
     let mut reference = None;
     for threshold in [0usize, 2, 8, 32, 128] {
         let r =

@@ -3,17 +3,17 @@
 //! The paper argues: the IO cost of materializing a task's subgraph
 //! `g` is linear in `|g|`, while the CPU cost of mining `g` grows much
 //! faster, so beyond a modest `|g|` the mining cost dominates and IO
-//! can hide inside computation. This binary measures both costs for
+//! can hide inside computation. This experiment measures both costs for
 //! ego-network tasks of growing size and reports the crossover.
 //!
 //! IO cost = time to collect + copy the adjacency lists (as a pull
 //! response would) + modeled GigE transfer time of those bytes.
 //! CPU cost = time for the serial maximum-clique solver on `g`.
 //!
-//! `cargo run -p gthinker-bench --release --bin fig2_crossover`
+//! `cargo run -p gthinker-bench --release -- fig2_crossover`
 
+use crate::{fmt_bytes, fmt_duration};
 use gthinker_apps::serial::clique::max_clique_above;
-use gthinker_bench::{fmt_bytes, fmt_duration};
 use gthinker_graph::adj::AdjList;
 use gthinker_graph::gen;
 use gthinker_graph::subgraph::Subgraph;
@@ -22,13 +22,13 @@ use std::time::{Duration, Instant};
 /// GigE payload bandwidth.
 const BYTES_PER_SEC: f64 = 125_000_000.0;
 
-fn main() {
+pub fn run(_scale: f64) {
     println!("Fig. 2 — cost of constructing g (IO) vs mining g (CPU)\n");
     println!(
         "{:>6} {:>10} | {:>12} {:>14} | {:>12} | dominant",
         "|g|", "edges", "construct", "+GigE transfer", "mine (MCF)"
     );
-    gthinker_bench::rule(84);
+    crate::rule(84);
     let mut crossover: Option<usize> = None;
     for &size in &[16usize, 32, 64, 128, 256, 512, 1024] {
         // A fixed-density candidate subgraph (p tuned so cliques grow

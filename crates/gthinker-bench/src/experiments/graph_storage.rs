@@ -7,7 +7,7 @@
 //!    order `graph build --order` produces).
 //! 2. **Per-vertex decode cost** — nanoseconds to hand out `Γ(v)`, and
 //!    `Γ_>(v)` alone (what tc and mcf ask for), from the mapped file vs
-//!    a materialized CSR, full sweeps over the vertex set.
+//!    the in-RAM `Graph`, full sweeps over the vertex set.
 //! 3. **Miner overhead** — end-to-end triangle counting and maximum
 //!    clique finding on the mapped backend vs the in-RAM graph, same
 //!    seeds and topology, results asserted equal.
@@ -21,14 +21,13 @@
 //!
 //! Emits `BENCH_storage.json`.
 //!
-//! `cargo run -p gthinker-bench --release --bin graph_storage [--scale f]`
+//! `cargo run -p gthinker-bench --release -- graph_storage [--scale f]`
 
+use crate::{fmt_bytes, fmt_duration};
 use gthinker_apps::{MaxCliqueApp, TriangleApp};
-use gthinker_bench::{fmt_bytes, fmt_duration, scale_from_args};
 use gthinker_core::prelude::*;
 use gthinker_graph::adj::AdjList;
 use gthinker_graph::compressed::{build_from_edge_stream, write_compressed, CompressedGraph};
-use gthinker_graph::csr::Csr;
 use gthinker_graph::gen;
 use gthinker_graph::ids::VertexId;
 use gthinker_graph::order::degeneracy_relabel;
@@ -102,13 +101,12 @@ fn run_phase(phase: &str, args: &[String]) {
     }
 }
 
-/// Re-runs this binary as `--phase NAME args..` and returns the child's
-/// stdout parsed as `key=value` pairs.
+/// Re-runs this experiment as `graph_storage --phase NAME args..` and
+/// returns the child's stdout parsed as `key=value` pairs.
 fn spawn_phase(phase: &str, args: &[&str]) -> std::collections::HashMap<String, String> {
     let exe = std::env::current_exe().expect("current exe");
     let out = std::process::Command::new(exe)
-        .arg("--phase")
-        .arg(phase)
+        .args(["graph_storage", "--phase", phase])
         .args(args)
         .output()
         .expect("spawn phase");
@@ -148,14 +146,13 @@ fn sweep(store: &dyn AdjacencyStore, fetch: fn(&dyn AdjacencyStore, VertexId) ->
     std::hint::black_box(acc)
 }
 
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+pub fn run(scale: f64) {
+    let argv: Vec<String> = std::env::args().skip(2).collect();
     if argv.first().map(String::as_str) == Some("--phase") {
         run_phase(&argv[1], &argv[2..]);
         return;
     }
 
-    let scale = scale_from_args(1.0);
     let tmp = std::env::temp_dir().join(format!("gthinker-storage-{}", std::process::id()));
     std::fs::create_dir_all(&tmp).expect("mkdir");
 
@@ -177,16 +174,17 @@ fn main() {
     println!("  compression ratio {ratio:.2}x");
     assert!(ratio >= 2.0, "compression ratio regressed below 2x: {ratio:.2}");
 
-    // ---- 2. Per-vertex decode cost: mapped decode vs materialized CSR.
+    // ---- 2. Per-vertex decode cost: mapped decode vs the in-RAM
+    // `Graph` (the `csr` row and JSON keys, as `graph.csr_adj_ns` of
+    // `BENCHMARK.json`).
     let mapped = CompressedGraph::open(&gtc).expect("open");
-    let csr = Csr::from_graph(&g);
     let reps = 5;
     let full: fn(&dyn AdjacencyStore, VertexId) -> AdjList = |s, v| s.adjacency(v);
     let above: fn(&dyn AdjacencyStore, VertexId) -> AdjList = |s, v| s.adjacency_above(v);
-    let (t_csr, sum_csr) = min_time(reps, || sweep(&csr, full));
+    let (t_csr, sum_csr) = min_time(reps, || sweep(&g, full));
     let (t_gtc, sum_gtc) = min_time(reps, || sweep(&mapped, full));
     assert_eq!(sum_csr, sum_gtc, "backends decoded different lists");
-    let (t_csr_above, sum_csr_above) = min_time(reps, || sweep(&csr, above));
+    let (t_csr_above, sum_csr_above) = min_time(reps, || sweep(&g, above));
     let (t_gtc_above, sum_gtc_above) = min_time(reps, || sweep(&mapped, above));
     assert_eq!(sum_csr_above, sum_gtc_above, "backends decoded different Γ_> lists");
     let nv = g.num_vertices() as f64;

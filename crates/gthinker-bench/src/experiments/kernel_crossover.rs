@@ -10,12 +10,12 @@
 //! kernels with a bitset path — maximal-clique enumeration and local
 //! triangle counting — are timed the same way at one dense size each.
 //!
-//! `cargo run -p gthinker-bench --release --bin kernel_crossover [--scale f]`
+//! `cargo run -p gthinker-bench --release -- kernel_crossover [--scale f]`
 
+use crate::fmt_duration;
 use gthinker_apps::serial::clique::{max_clique_above_bitset, max_clique_above_lists};
 use gthinker_apps::serial::maximal::count_maximal_cliques;
 use gthinker_apps::serial::triangle::count_triangles_local;
-use gthinker_bench::{fmt_duration, scale_from_args};
 use gthinker_graph::gen;
 use gthinker_graph::subgraph::{LocalGraph, Subgraph};
 use std::time::{Duration, Instant};
@@ -43,11 +43,10 @@ fn dense_and_sparse(n: usize, p: f64, seed: u64) -> (LocalGraph, LocalGraph) {
     (sg.to_local_with_threshold(usize::MAX), sg.to_local_with_threshold(0))
 }
 
-fn main() {
-    let scale = scale_from_args(1.0);
+pub fn run(scale: f64) {
     println!("Kernel crossover — sorted-list vs bitset maximum clique, G(n, 0.5)\n");
     println!("{:>6} | {:>12} {:>12} | {:>8} | ω", "n", "lists", "bitset", "speedup");
-    gthinker_bench::rule(58);
+    crate::rule(58);
     let sizes = [32usize, 64, 96, 128, 192, 256];
     let take = ((sizes.len() as f64 * scale).round() as usize).clamp(1, sizes.len());
     for &n in sizes.iter().take(take) {

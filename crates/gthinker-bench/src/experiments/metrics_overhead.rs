@@ -5,9 +5,9 @@
 //! since every task adds a fixed number of histogram records and
 //! timestamp reads on top of very little real work.
 //!
-//! Three runtime modes of the same binary:
-//! * **base** — histograms on (the `metrics` cargo feature as
-//!   compiled), event tracing off (`trace_capacity = 0`, the default);
+//! Three runtime modes:
+//! * **base** — histograms on, event tracing off (`trace_capacity =
+//!   0`, the default);
 //! * **traced** — a 65 536-event ring per worker, as `--trace-out`
 //!   configures it;
 //! * **reported** — tracing off but periodic cluster telemetry reports
@@ -15,28 +15,26 @@
 //!   live views use), each report sealing and shipping a full counter/
 //!   histogram snapshot to the master. Its delta vs base is the
 //!   report-interval ablation written to `BENCH_telemetry.json` and
-//!   held to the same noise-widened 3% budget.
+//!   held to a noise-widened 3% budget.
 //!
-//! The compile-time half of the comparison (feature on vs
-//! `--no-default-features`, where every histogram is a ZST no-op) needs
-//! two builds of this binary; `feature_off_reference` in the emitted
-//! JSON records the feature-off min-CPU measured on the same
-//! workload/host. The <3% budget applies to the *default*
-//! configuration — histograms on, tracing off — against that floor.
 //! Ring tracing is an opt-in deep-diagnostic mode (`--trace-out`); its
 //! cost is measured and reported but only sanity-bounded, since a
 //! 65 536-event timeline of µs-scale tasks is not meant to be free.
 //!
-//! `cargo run -p gthinker-bench --release --bin metrics_overhead [--scale f]`
+//! `cargo run -p gthinker-bench --release -- metrics_overhead [--scale f]`
 
 use gthinker_apps::TriangleApp;
-use gthinker_bench::scale_from_args;
 use gthinker_core::prelude::*;
 use gthinker_graph::gen;
 use gthinker_graph::graph::Graph;
 use gthinker_net::router::LinkConfig;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Below this scale a run is tens of milliseconds and three repeats:
+/// the percentages are host noise, so they are printed and written but
+/// not held to their bounds (CI runs at 0.34).
+const MIN_ASSERTED_SCALE: f64 = 0.3;
 
 struct RunStats {
     /// Process CPU time (user + system) consumed by the run — the
@@ -118,17 +116,12 @@ fn run_modes(g: &Graph, reps: usize) -> (RunStats, RunStats, RunStats, f64) {
     (base, best(&mut traceds), best(&mut reporteds), noise)
 }
 
-fn main() {
-    let scale = scale_from_args(1.0);
+pub fn run(scale: f64) {
     let reps = ((7.0 * scale).round() as usize).clamp(3, 15);
     let n = ((60_000.0 * scale) as usize).max(5_000);
-    let compiled = cfg!(feature = "metrics");
 
     println!("Metrics overhead — triangle counting, many tiny pull-heavy tasks\n");
-    println!(
-        "ba({n}, 8), 2 workers x 4 compers, instant links; {reps} interleaved rep pair(s); \
-         compiled with metrics feature: {compiled}\n"
-    );
+    println!("ba({n}, 8), 2 workers x 4 compers, instant links; {reps} interleaved rep pair(s)\n");
     let g = gen::barabasi_albert(n, 8, 42);
 
     let (base, traced, reported, noise) = run_modes(&g, reps);
@@ -140,7 +133,7 @@ fn main() {
     let traced_pct = (traced.cpu_ms - base.cpu_ms) / base.cpu_ms * 100.0;
     let reported_pct = (reported.cpu_ms - base.cpu_ms) / base.cpu_ms * 100.0;
     println!("{:>8} | {:>10} {:>10} {:>9} {:>9}", "mode", "cpu ms", "wall ms", "tasks", "events");
-    gthinker_bench::rule(55);
+    crate::rule(55);
     for (name, s) in [("base", &base), ("traced", &traced), ("reported", &reported)] {
         println!(
             "{:>8} | {:>10.1} {:>10.1} {:>9} {:>9}",
@@ -152,56 +145,25 @@ fn main() {
          ({} events kept across both workers)",
         base.triangles, traced.events
     );
-    if compiled {
-        // Tracing is a deep-diagnostic mode, not part of the 3% budget;
-        // the loose bound just catches pathological regressions (a
-        // blocking push, an accidental allocation per event).
-        assert!(
-            traced_pct < 25.0,
-            "ring tracing cost looks pathological (measured {traced_pct:+.2}%)"
-        );
-    } else {
-        // Feature off, both modes run byte-identical no-op code — any
-        // delta is host noise, so there is nothing to assert; the base
-        // figure is the zero-cost floor to bake into
-        // `feature_off_reference` below.
-        println!("(compiled without metrics: both modes are no-ops, skipping budget check)");
-    }
-
-    // Feature-off min-CPU measured by building this bin with
-    // `--no-default-features` on the same host/workload (histograms
-    // compile to ZST no-ops there, so base == the true zero-cost floor).
-    let feature_off_cpu_ms = 669.1;
-    let on_vs_off_pct = if compiled && feature_off_cpu_ms > 0.0 {
-        (base.cpu_ms - feature_off_cpu_ms) / feature_off_cpu_ms * 100.0
-    } else {
-        0.0
-    };
-    // The 3% budget is checked against the feature-off floor, widened
-    // by the invocation's own measured instability: the floor comes
-    // from a different run of a different binary, so the comparison
-    // can never be more precise than the host's repeat-to-repeat
-    // spread. On a quiet machine `noise` ≈ 0 and this is a strict 3%.
+    // Tracing is a deep-diagnostic mode, not part of the 3% budget;
+    // the loose bound just catches pathological regressions (a
+    // blocking push, an accidental allocation per event).
+    let asserted = scale >= MIN_ASSERTED_SCALE;
+    assert!(
+        !asserted || traced_pct < 25.0,
+        "ring tracing cost looks pathological (measured {traced_pct:+.2}%)"
+    );
+    // The 3% budget is widened by the invocation's own measured
+    // instability: no comparison of two runs can be more precise than
+    // the host's repeat-to-repeat spread. On a quiet machine `noise` ≈ 0
+    // and this is a strict 3%.
     let threshold = 3.0 + noise;
-    if compiled {
-        println!(
-            "histograms on (default config) vs feature-off floor: {on_vs_off_pct:+.2}% \
-             (budget 3% + {noise:.2}% host noise)"
-        );
-        assert!(
-            on_vs_off_pct < threshold,
-            "default metrics (histograms on, tracing off) must cost < 3% CPU \
-             vs the feature-off floor (measured {on_vs_off_pct:+.2}%, \
-             host noise {noise:.2}%)"
-        );
-    }
 
     let json = format!(
         concat!(
             "{{\n",
             "  \"bench\": \"metrics_overhead\",\n",
             "  \"workload\": \"triangle counting on ba({}, 8), 2x4 compers, instant links\",\n",
-            "  \"compiled_with_metrics\": {},\n",
             "  \"reps\": {},\n",
             "  \"base\": {{\"cpu_ms\": {:.1}, \"wall_ms\": {:.1}, \"tasks\": {}, ",
             "\"triangles\": {}}},\n",
@@ -210,16 +172,12 @@ fn main() {
             "  \"tracing_overhead_pct\": {:.2},\n",
             "  \"tracing_note\": \"opt-in --trace-out diagnostic mode, ",
             "outside the 3% budget\",\n",
-            "  \"feature_off_reference\": {{\"cpu_ms\": {:.1}, \"note\": ",
-            "\"min CPU of --no-default-features builds, same workload/host\"}},\n",
-            "  \"on_vs_off_overhead_pct\": {:.2},\n",
             "  \"host_noise_pct\": {:.2},\n",
-            "  \"budget\": {{\"pct\": 3.0, \"applies_to\": \"on_vs_off_overhead_pct\", ",
+            "  \"budget\": {{\"pct\": 3.0, \"applies_to\": \"reporting_overhead_pct (BENCH_telemetry.json)\", ",
             "\"widened_by_host_noise_to\": {:.2}}}\n",
             "}}\n"
         ),
         n,
-        compiled,
         reps,
         base.cpu_ms,
         base.wall_ms,
@@ -230,8 +188,6 @@ fn main() {
         traced.tasks,
         traced.events,
         traced_pct,
-        feature_off_cpu_ms,
-        on_vs_off_pct,
         noise,
         threshold,
     );
@@ -239,7 +195,7 @@ fn main() {
     println!("\nwrote BENCH_metrics.json");
 
     // Report-interval ablation: periodic 5 ms telemetry reports vs no
-    // reports, same noise-widened 3% budget. 5 ms is 200 snapshot
+    // reports, held to the noise-widened 3% budget. 5 ms is 200 snapshot
     // seals per worker per second — two orders of magnitude above the
     // CLI live views' 1 s default — so passing here bounds any real
     // deployment's reporting cost well under the budget.
@@ -247,19 +203,19 @@ fn main() {
         "telemetry reports every 5ms vs none: {reported_pct:+.2}% CPU \
          (budget 3% + {noise:.2}% host noise)"
     );
-    if compiled {
-        assert!(
-            reported_pct < threshold,
-            "periodic telemetry reports must cost < 3% CPU vs no reports \
-             (measured {reported_pct:+.2}%, host noise {noise:.2}%)"
-        );
-    }
+    assert!(
+        !asserted || reported_pct < threshold,
+        "periodic telemetry reports must cost < 3% CPU vs no reports \
+         (measured {reported_pct:+.2}%, host noise {noise:.2}%)"
+    );
     let telemetry_json = format!(
         concat!(
             "{{\n",
             "  \"bench\": \"telemetry_report_interval\",\n",
             "  \"workload\": \"triangle counting on ba({}, 8), 2x4 compers, instant links\",\n",
-            "  \"compiled_with_metrics\": {},\n",
+            // Always true since the `metrics` cargo feature went; the key
+            // stays until this file's schema moves into `benchmark/`.
+            "  \"compiled_with_metrics\": true,\n",
             "  \"reps\": {},\n",
             "  \"report_interval_ms\": 5,\n",
             "  \"base\": {{\"cpu_ms\": {:.1}, \"wall_ms\": {:.1}, \"tasks\": {}}},\n",
@@ -273,7 +229,6 @@ fn main() {
             "}}\n"
         ),
         n,
-        compiled,
         reps,
         base.cpu_ms,
         base.wall_ms,

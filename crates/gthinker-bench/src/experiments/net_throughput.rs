@@ -17,7 +17,7 @@
 //! replaced is gone; its last measurement is kept as a frozen
 //! constant so the file still shows what the rewrite bought.
 //!
-//! `cargo run -p gthinker-bench --release --bin net_throughput
+//! `cargo run -p gthinker-bench --release -- net_throughput
 //! [--scale f] [--smoke]`
 
 use gthinker_graph::ids::{VertexId, WorkerId};
@@ -196,9 +196,8 @@ fn json_run(r: &Run) -> String {
     )
 }
 
-fn main() {
+pub fn run(scale: f64) {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let scale = gthinker_bench::scale_from_args(1.0);
     let per_link = if smoke { 2_000 } else { (40_000.0 * scale) as usize }.max(100);
     let bcasts = per_link / 10;
     let reps = if smoke { 1 } else { 3 };
@@ -217,7 +216,7 @@ fn main() {
         "{:>9} {:>12} {:>12} | {:>8} {:>10} {:>7}",
         "wall ms", "msgs/sec", "bytes/sec", "writev", "coalesced", "stalls"
     );
-    gthinker_bench::rule(68);
+    crate::rule(68);
     println!(
         "{:>9.1} {:>12.0} {:>12.0} | {:>8} {:>10} {:>7}",
         best.wall.as_secs_f64() * 1e3,

@@ -9,23 +9,22 @@
 //! materializes the store at all (tasks construct, mine and discard
 //! their own subgraphs concurrently).
 //!
-//! `cargo run -p gthinker-bench --release --bin nscale_phases [--scale f]`
+//! `cargo run -p gthinker-bench --release -- nscale_phases [--scale f]`
 
+use crate::{fmt_bytes, fmt_duration};
 use gthinker_apps::{MaxCliqueApp, TriangleApp};
 use gthinker_baselines::nscale::{nscale_max_clique, nscale_triangle_count, NScaleConfig};
-use gthinker_bench::{fmt_bytes, fmt_duration, scale_from_args};
 use gthinker_core::prelude::*;
 use gthinker_graph::datasets::{generate, DatasetKind};
 use std::sync::Arc;
 
-fn main() {
-    let scale = scale_from_args(0.4);
+pub fn run(scale: f64) {
     println!("NScale-like phases vs G-thinker (1 machine, 4 threads each; scale {scale})\n");
     println!(
         "{:<13} {:<4} | {:>12} {:>12} {:>12} | {:>12} | store",
         "dataset", "app", "construct", "mine", "total", "G-thinker"
     );
-    gthinker_bench::rule(92);
+    crate::rule(92);
     for &kind in &DatasetKind::ALL {
         let d = generate(kind, scale);
         let cfg = NScaleConfig {

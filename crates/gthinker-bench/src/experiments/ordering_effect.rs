@@ -5,21 +5,20 @@
 //!
 //! The set-enumeration tree is anchored on vertex IDs, so the input
 //! ordering decides the size distribution of top-level tasks. This
-//! binary runs MCF on the same graph under three orderings — natural
+//! experiment runs MCF on the same graph under three orderings — natural
 //! (generator order), degeneracy, and reverse-degeneracy — and reports
 //! max |Γ_>| (the top-level task size bound) next to runtime.
 //!
-//! `cargo run -p gthinker-bench --release --bin ordering_effect [--scale f]`
+//! `cargo run -p gthinker-bench --release -- ordering_effect [--scale f]`
 
+use crate::fmt_duration;
 use gthinker_apps::MaxCliqueApp;
-use gthinker_bench::{fmt_duration, scale_from_args};
 use gthinker_core::prelude::*;
 use gthinker_graph::datasets::{generate, DatasetKind};
 use gthinker_graph::order::{degeneracy_order, max_forward_degree, relabel_by};
 use std::sync::Arc;
 
-fn main() {
-    let scale = scale_from_args(0.6);
+pub fn run(scale: f64) {
     let d = generate(DatasetKind::Skitter, scale);
     let g = &d.graph;
     println!(
@@ -37,7 +36,7 @@ fn main() {
         "{:<22} | {:>12} {:>14} | {:>10} {:>10}",
         "ordering", "max |Γ_>|", "Σ|Γ_>|² (work)", "wall", "tasks"
     );
-    gthinker_bench::rule(80);
+    crate::rule(80);
     for (name, graph) in [
         ("natural (generator)", g),
         ("degeneracy", &degeneracy_graph),

@@ -26,11 +26,10 @@
 //! clock, per-worker idle time and the steal/split counters, and emits
 //! `BENCH_steal.json`.
 //!
-//! `cargo run -p gthinker-bench --release --bin sched_cluster [--scale f]`
+//! `cargo run -p gthinker-bench --release -- sched_cluster [--scale f]`
 
 use gthinker_apps::serial::clique::max_clique_above;
 use gthinker_apps::SumAgg;
-use gthinker_bench::scale_from_args;
 use gthinker_core::prelude::*;
 use gthinker_graph::adj::AdjList;
 use gthinker_graph::gen;
@@ -182,8 +181,7 @@ fn json_mode(s: &RunStats) -> String {
     )
 }
 
-fn main() {
-    let scale = scale_from_args(1.0);
+pub fn run(scale: f64) {
     let reps = ((3.0 * scale).round() as usize).clamp(1, 9);
     let budget = Some(1u64);
     let g = gen::complete(24);
@@ -207,7 +205,7 @@ fn main() {
         "{:>10} | {:>9} {:>10} | {:>7} {:>7} {:>9} | {:>7} {:>7} | {:>6}",
         "mode", "wall ms", "idle ms", "steals", "stolen", "bytes", "yields", "splits", "tasks"
     );
-    gthinker_bench::rule(92);
+    crate::rule(92);
     for (name, s) in [("steal", &steal), ("split-off", &split_off), ("steal-off", &steal_off)] {
         println!(
             "{:>10} | {:>9.1} {:>10.1} | {:>7} {:>7} {:>9} | {:>7} {:>7} | {:>6}",

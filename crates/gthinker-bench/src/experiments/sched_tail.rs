@@ -20,11 +20,10 @@
 //! asserts the two modes agree on the aggregate and task count, and
 //! emits `BENCH_sched.json`.
 //!
-//! `cargo run -p gthinker-bench --release --bin sched_tail [--scale f]`
+//! `cargo run -p gthinker-bench --release -- sched_tail [--scale f]`
 
 use gthinker_apps::serial::clique::max_clique_above;
 use gthinker_apps::SumAgg;
-use gthinker_bench::scale_from_args;
 use gthinker_core::prelude::*;
 use gthinker_graph::adj::AdjList;
 use gthinker_graph::gen;
@@ -145,8 +144,7 @@ fn json_mode(s: &RunStats) -> String {
     )
 }
 
-fn main() {
-    let scale = scale_from_args(1.0);
+pub fn run(scale: f64) {
     let reps = ((3.0 * scale).round() as usize).clamp(1, 9);
     let app = Arc::new(TreeApp { breadth: 4, depth: 3, leaf_n: 110 });
     println!("Tail-latency scheduler — skewed deterministic task-tree workload\n");
@@ -169,7 +167,7 @@ fn main() {
         "{:>9} | {:>9} {:>10} | {:>7} {:>7} {:>8} {:>8} | {:>6}",
         "mode", "wall ms", "idle ms", "steals", "stolen", "parks", "wakeups", "tasks"
     );
-    gthinker_bench::rule(78);
+    crate::rule(78);
     for (name, s) in [("steal", &steal), ("no-steal", &nosteal)] {
         println!(
             "{:>9} | {:>9.1} {:>10.1} | {:>7} {:>7} {:>8} {:>8} | {:>6}",

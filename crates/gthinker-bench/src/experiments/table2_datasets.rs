@@ -1,24 +1,22 @@
 //! Table II — dataset statistics.
 //!
-//! The paper lists the five real graphs' `|V|` and `|E|`. This binary
+//! The paper lists the five real graphs' `|V|` and `|E|`. This experiment
 //! generates the synthetic stand-ins at the chosen scale and prints
 //! their statistics next to the real datasets' published sizes, plus
 //! the degree-skew columns that justify the BTC stand-in's hub overlay.
 //!
-//! `cargo run -p gthinker-bench --release --bin table2_datasets [--scale f]`
+//! `cargo run -p gthinker-bench --release -- table2_datasets [--scale f]`
 
-use gthinker_bench::scale_from_args;
 use gthinker_graph::datasets::{generate, DatasetKind};
 use gthinker_graph::stats::GraphStats;
 
-fn main() {
-    let scale = scale_from_args(1.0);
+pub fn run(scale: f64) {
     println!("Table II — datasets (stand-ins at scale {scale})\n");
     println!(
         "{:<14} {:>12} {:>14} | {:>8} {:>10} {:>8} {:>9} {:>8}",
         "dataset", "paper |V|", "paper |E|", "|V|", "|E|", "max deg", "avg deg", "p99 deg"
     );
-    gthinker_bench::rule(92);
+    crate::rule(92);
     for &kind in &DatasetKind::ALL {
         let d = generate(kind, scale);
         let s = GraphStats::of(&d.graph);

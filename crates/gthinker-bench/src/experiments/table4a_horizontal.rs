@@ -7,18 +7,15 @@
 //! for remote vertices. Peak per-machine memory falls as the graph
 //! partition shrinks.
 //!
-//! `cargo run -p gthinker-bench --release --bin table4a_horizontal [--scale f]`
+//! `cargo run -p gthinker-bench --release -- table4a_horizontal [--scale f]`
 
+use crate::{fmt_bytes, fmt_duration, load_balance, modeled_parallel_time};
 use gthinker_apps::MaxCliqueApp;
-use gthinker_bench::{
-    fmt_bytes, fmt_duration, load_balance, modeled_parallel_time, scale_from_args,
-};
 use gthinker_core::prelude::*;
 use gthinker_graph::datasets::{generate, DatasetKind};
 use std::sync::Arc;
 
-fn main() {
-    let scale = scale_from_args(0.6);
+pub fn run(scale: f64) {
     let d = generate(DatasetKind::Friendster, scale);
     println!(
         "Table IV(a) — horizontal scalability, MCF on {} ({} V, {} E)\n",
@@ -30,7 +27,7 @@ fn main() {
         "{:>5} | {:>10} {:>12} {:>10} {:>10} {:>8} | clique",
         "VMs", "wall", "modeled ∥", "peak mem", "net sent", "balance"
     );
-    gthinker_bench::rule(80);
+    crate::rule(80);
     let compers = 4;
     for workers in [1usize, 2, 4, 8, 16] {
         let cfg = JobConfig::cluster(workers, compers);

@@ -4,23 +4,22 @@
 //! Expected shape (paper): more compers improve performance, with
 //! diminishing returns from 8 → 16 (small tasks cannot hide IO).
 //!
-//! `cargo run -p gthinker-bench --release --bin table4b_vertical [--scale f]`
+//! `cargo run -p gthinker-bench --release -- table4b_vertical [--scale f]`
 
+use crate::{fmt_bytes, fmt_duration, modeled_parallel_time};
 use gthinker_apps::MaxCliqueApp;
-use gthinker_bench::{fmt_bytes, fmt_duration, modeled_parallel_time, scale_from_args};
 use gthinker_core::prelude::*;
 use gthinker_graph::datasets::{generate, DatasetKind};
 use std::sync::Arc;
 
-fn main() {
-    let scale = scale_from_args(0.4);
+pub fn run(scale: f64) {
     let d = generate(DatasetKind::Friendster, scale);
     println!("Table IV(b) — vertical scalability, MCF on {} with 16 machines\n", d.kind.name());
     println!(
         "{:>8} | {:>10} {:>12} {:>12} {:>10} | clique",
         "compers", "wall", "modeled ∥", "speedup ∥", "peak mem"
     );
-    gthinker_bench::rule(72);
+    crate::rule(72);
     let mut base_modeled: Option<f64> = None;
     for compers in [1usize, 2, 4, 8, 16] {
         let cfg = JobConfig::cluster(16, compers);

@@ -6,23 +6,22 @@
 //! The modeled-∥ column shows exactly that division; on a multi-core
 //! host the wall column tracks it.
 //!
-//! `cargo run -p gthinker-bench --release --bin table4c_single [--scale f]`
+//! `cargo run -p gthinker-bench --release -- table4c_single [--scale f]`
 
+use crate::{fmt_bytes, fmt_duration, modeled_parallel_time};
 use gthinker_apps::MaxCliqueApp;
-use gthinker_bench::{fmt_bytes, fmt_duration, modeled_parallel_time, scale_from_args};
 use gthinker_core::prelude::*;
 use gthinker_graph::datasets::{generate, DatasetKind};
 use std::sync::Arc;
 
-fn main() {
-    let scale = scale_from_args(0.6);
+pub fn run(scale: f64) {
     let d = generate(DatasetKind::Friendster, scale);
     println!("Table IV(c) — single-machine scalability, MCF on {}\n", d.kind.name());
     println!(
         "{:>8} | {:>10} {:>12} {:>12} {:>10} {:>12} | clique",
         "compers", "wall", "modeled ∥", "speedup ∥", "peak mem", "cache misses"
     );
-    gthinker_bench::rule(86);
+    crate::rule(86);
     let mut base: Option<f64> = None;
     for compers in [1usize, 2, 4, 8, 16] {
         let cfg = JobConfig::single_machine(compers);

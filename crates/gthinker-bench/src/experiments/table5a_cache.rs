@@ -6,16 +6,15 @@
 //! memory. The stand-in graph is ~1000× smaller, so the sweep scales
 //! the capacities to the remote working set of the simulated cluster.
 //!
-//! `cargo run -p gthinker-bench --release --bin table5a_cache [--scale f]`
+//! `cargo run -p gthinker-bench --release -- table5a_cache [--scale f]`
 
+use crate::{fmt_bytes, fmt_duration};
 use gthinker_apps::MaxCliqueApp;
-use gthinker_bench::{fmt_bytes, fmt_duration, scale_from_args};
 use gthinker_core::prelude::*;
 use gthinker_graph::datasets::{generate, DatasetKind};
 use std::sync::Arc;
 
-fn main() {
-    let scale = scale_from_args(0.6);
+pub fn run(scale: f64) {
     let d = generate(DatasetKind::Friendster, scale);
     let n = d.graph.num_vertices();
     println!(
@@ -30,7 +29,7 @@ fn main() {
         "{:>10} | {:>10} {:>10} {:>10} {:>12} {:>12}",
         "c_cache", "wall", "peak mem", "misses", "evictions", "gc passes"
     );
-    gthinker_bench::rule(74);
+    crate::rule(74);
     for factor in [0.01f64, 0.1, 1.0, 10.0] {
         let cap = ((default_cap as f64 * factor) as usize).max(16);
         let mut cfg = JobConfig::cluster(4, 2);

@@ -5,16 +5,15 @@
 //! buying a small speedup for proportionally more memory; α = 0.2 is
 //! the chosen tradeoff.
 //!
-//! `cargo run -p gthinker-bench --release --bin table5b_alpha [--scale f]`
+//! `cargo run -p gthinker-bench --release -- table5b_alpha [--scale f]`
 
+use crate::{fmt_bytes, fmt_duration};
 use gthinker_apps::MaxCliqueApp;
-use gthinker_bench::{fmt_bytes, fmt_duration, scale_from_args};
 use gthinker_core::prelude::*;
 use gthinker_graph::datasets::{generate, DatasetKind};
 use std::sync::Arc;
 
-fn main() {
-    let scale = scale_from_args(0.6);
+pub fn run(scale: f64) {
     let d = generate(DatasetKind::Friendster, scale);
     let n = d.graph.num_vertices();
     println!(
@@ -29,7 +28,7 @@ fn main() {
         "{:>8} | {:>10} {:>10} {:>10} {:>12} {:>12}",
         "alpha", "wall", "peak mem", "misses", "evictions", "gc passes"
     );
-    gthinker_bench::rule(70);
+    crate::rule(70);
     for alpha in [0.002f64, 0.02, 0.2, 2.0] {
         let mut cfg = JobConfig::cluster(4, 2);
         cfg.cache.capacity = cap;

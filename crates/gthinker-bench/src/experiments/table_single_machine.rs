@@ -5,12 +5,12 @@
 //! of disk on BTC/Friendster; Nuri (single-threaded) needs >1000 s for
 //! MCF on Youtube where G-thinker with 8 threads needs ~9.4 s.
 //!
-//! `cargo run -p gthinker-bench --release --bin table_single_machine [--scale f]`
+//! `cargo run -p gthinker-bench --release -- table_single_machine [--scale f]`
 
+use crate::{fmt_bytes, fmt_duration, modeled_parallel_time};
 use gthinker_apps::{MaxCliqueApp, TriangleApp};
 use gthinker_baselines::nuri::{nuri_max_clique, NuriConfig};
 use gthinker_baselines::rstream::{rstream_triangle_count, RStreamConfig};
-use gthinker_bench::{fmt_bytes, fmt_duration, modeled_parallel_time, scale_from_args};
 use gthinker_core::prelude::*;
 use gthinker_graph::datasets::{generate, DatasetKind};
 use gthinker_graph::gen;
@@ -19,8 +19,7 @@ use std::sync::Arc;
 /// Disk budget standing in for the paper's full disks.
 const DISK_BUDGET: u64 = 1 << 30;
 
-fn main() {
-    let scale = scale_from_args(1.0);
+pub fn run(scale: f64) {
     println!("Single-machine comparison (scale {scale})\n");
 
     println!("Triangle counting: RStream-like (out-of-core) vs G-thinker (1 machine, 4 compers)");
@@ -28,7 +27,7 @@ fn main() {
         "{:<14} | {:>26} | {:>26} | {:>8}",
         "dataset", "RStream-like", "G-thinker (1 machine)", "speedup"
     );
-    gthinker_bench::rule(86);
+    crate::rule(86);
     for &kind in &DatasetKind::ALL {
         let d = generate(kind, scale);
         let rs = rstream_triangle_count(
@@ -67,7 +66,7 @@ fn main() {
         "{:<14} | {:>26} | {:>16} {:>12} | {:>10}",
         "graph", "Nuri-like", "G-thinker wall", "modeled ∥", "speedup ∥"
     );
-    gthinker_bench::rule(92);
+    crate::rule(92);
     let n = (1_500.0 * scale) as usize;
     let hard = gen::gnp(n.max(200), 0.1, 0xCAFE);
     let nuri = nuri_max_clique(

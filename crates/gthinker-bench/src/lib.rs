@@ -1,13 +1,17 @@
-//! Shared harness utilities for the benchmark binaries that regenerate
-//! the paper's tables and figures.
+//! The `paper` binary: every table and figure of the paper's
+//! evaluation, and the repository's own side experiments, as one row
+//! each of [`experiments::ROWS`].
 //!
-//! Each table/figure has a dedicated binary under `src/bin/`; see
-//! `EXPERIMENTS.md` at the workspace root for the experiment index and
-//! the recorded paper-vs-measured comparison.
+//! `paper --list` prints the rows, `paper <name> [--scale F]` runs one
+//! (at the row's scale unless told otherwise) and `paper all` runs each
+//! in a process of its own; see `EXPERIMENTS.md` at the workspace root
+//! for the recorded paper-vs-measured comparison. This library holds
+//! the rows, the experiment bodies and the formatting helpers they
+//! share.
 //!
-//! **Host note.** The evaluation machine for this reproduction may have
-//! a single CPU core, where wall-clock time cannot decrease with
-//! thread count. The scalability harnesses therefore report, next to
+//! **Host note.** The evaluation machine for this reproduction has two
+//! vCPUs, where wall-clock time cannot keep falling with thread count.
+//! The scalability experiments therefore report, next to
 //! measured wall-clock, a **modeled parallel time**: the maximum over
 //! workers of that worker's total `compute()` CPU time divided by its
 //! comper count. On a host with at least as many cores as compers —
@@ -15,6 +19,8 @@
 //! computation — modeled time converges to wall-clock; on a smaller
 //! host it still measures the quantity the paper's speedup tables
 //! demonstrate, namely how evenly the scheduler divides mining work.
+
+pub mod experiments;
 
 use gthinker_core::config::JobResult;
 use std::time::Duration;
@@ -68,18 +74,14 @@ pub fn load_balance<G>(result: &JobResult<G>) -> f64 {
     }
 }
 
-/// Reads the dataset scale factor from `--scale <f>` argv or the
-/// `GTHINKER_SCALE` environment variable (falling back to `default`).
-pub fn scale_from_args(default: f64) -> f64 {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--scale" {
-            if let Some(v) = args.next().and_then(|s| s.parse().ok()) {
-                return v;
-            }
-        }
+/// The value of `--scale F` in `args`, `None` when the option is
+/// absent (the row's own scale applies then).
+pub fn scale_arg(args: &[String]) -> Result<Option<f64>, String> {
+    let Some(i) = args.iter().position(|a| a == "--scale") else { return Ok(None) };
+    match args.get(i + 1).map(|v| v.parse::<f64>()) {
+        Some(Ok(f)) if f > 0.0 && f.is_finite() => Ok(Some(f)),
+        _ => Err("--scale takes a positive number".to_string()),
     }
-    std::env::var("GTHINKER_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(default)
 }
 
 /// Prints a horizontal rule sized for our tables.
@@ -102,7 +104,12 @@ mod tests {
 
     #[test]
     fn scale_default_when_unset() {
-        std::env::remove_var("GTHINKER_SCALE");
-        assert_eq!(scale_from_args(0.5), 0.5);
+        let args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        assert_eq!(scale_arg(&args("")), Ok(None));
+        assert_eq!(scale_arg(&args("--smoke")), Ok(None));
+        assert_eq!(scale_arg(&args("--smoke --scale 0.25")), Ok(Some(0.25)));
+        for bad in ["--scale", "--scale x", "--scale 0", "--scale -1", "--scale inf"] {
+            assert!(scale_arg(&args(bad)).is_err(), "{bad}");
+        }
     }
 }

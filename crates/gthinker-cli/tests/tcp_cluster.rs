@@ -145,7 +145,6 @@ fn cluster_tc_list_writes_every_triangle_once() {
 /// exports cover the whole cluster (every worker's counters and trace
 /// spans), a worker's cover its own process.
 #[test]
-#[cfg(feature = "metrics")]
 fn cluster_metrics_exports_cover_all_workers() {
     let tmp = |name: &str| {
         std::env::temp_dir()

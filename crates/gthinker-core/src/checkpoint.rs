@@ -188,28 +188,6 @@ pub fn validate<C: Decode, P: Decode, G: Decode>(dir: &Path, num_workers: usize)
     Ok(())
 }
 
-/// Scans a recovery base directory for `epoch-<k>` subdirectories and
-/// returns the highest epoch that validates end-to-end, with its path.
-/// `None` when no epoch validates (resume from scratch). Used by a
-/// freshly started master that has no in-memory last-known-good cache
-/// — e.g. after the coordinating process itself was restarted.
-pub fn latest_valid_epoch<C: Decode, P: Decode, G: Decode>(
-    base: &Path,
-    num_workers: usize,
-) -> Option<(u64, PathBuf)> {
-    let entries = std::fs::read_dir(base).ok()?;
-    let mut epochs: Vec<(u64, PathBuf)> = entries
-        .filter_map(|e| {
-            let e = e.ok()?;
-            let name = e.file_name().into_string().ok()?;
-            let k: u64 = name.strip_prefix("epoch-")?.parse().ok()?;
-            Some((k, e.path()))
-        })
-        .collect();
-    epochs.sort_unstable_by_key(|(k, _)| std::cmp::Reverse(*k));
-    epochs.into_iter().find(|(_, dir)| validate::<C, P, G>(dir, num_workers).is_ok())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

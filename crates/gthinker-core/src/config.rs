@@ -172,8 +172,7 @@ pub struct JobResult<G> {
     /// Full end-of-run metrics, one entry per worker of the whole
     /// cluster (also at the master of a multi-process job): every
     /// counter and gauge, per-comper latency histograms and (when
-    /// `trace_capacity > 0`) the event timelines. Histograms are empty
-    /// when the `metrics` feature is disabled; counters never are.
+    /// `trace_capacity > 0`) the event timelines.
     pub metrics: MetricsSnapshot,
     /// What crash recovery did along the way; all zero unless the job
     /// ran with `Job::recover`.

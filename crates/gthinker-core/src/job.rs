@@ -8,7 +8,7 @@ use crate::api::App;
 use crate::checkpoint::{self, Manifest, WorkerShard};
 use crate::comper::comper_loop;
 use crate::config::{JobConfig, JobOutcome, JobResult};
-use crate::master::MasterState;
+use crate::master::{Collect, MasterState};
 use crate::metrics::{ClusterTelemetry, MetricsRegistry, MetricsSnapshot};
 use crate::worker::{
     gc_loop, receiver_loop, responder_loop, worker_tick, ResponderRing, WorkerShared,
@@ -831,7 +831,7 @@ pub(crate) fn worker_main<A: App>(
     // both stores can land between this iteration's failure check and
     // the stop check above, exiting the loop with the abort broadcast
     // never sent — stranding every peer (they never quiesce, and the
-    // master waits in `collect_finals` forever). The failure is
+    // master waits in `collect` forever). The failure is
     // recorded strictly before `done`, so a post-loop re-check cannot
     // miss it.
     if !abort_broadcast && !shared.crashed.load(Ordering::SeqCst) && shared.failure.lock().is_some()
@@ -900,7 +900,7 @@ pub(crate) fn worker_main<A: App>(
         }
         shared.net.send(WorkerId(0), Message::SuspendDone { worker: shared.me });
         if let Some(m) = master.as_mut() {
-            let global = m.collect_suspends();
+            let global = m.collect(Collect::Suspends);
             outcome = Some(match m.failed() {
                 // A worker died before writing its shard: the epoch is
                 // incomplete, so no manifest — surface the failure and
@@ -938,7 +938,7 @@ pub(crate) fn worker_main<A: App>(
             },
         );
         if let Some(m) = master.as_mut() {
-            let global = m.collect_finals();
+            let global = m.collect(Collect::Finals);
             outcome = Some(match m.failed() {
                 Some(w) => WorkerOutcome::Failed(global, w),
                 None => WorkerOutcome::Completed(global),

@@ -73,6 +73,15 @@ impl StealPlanState {
     }
 }
 
+/// The per-worker message a [`MasterState::collect`] waits for.
+#[derive(Clone, Copy)]
+pub(crate) enum Collect {
+    /// The final aggregator partial, after termination.
+    Finals,
+    /// `SuspendDone`, after a suspend broadcast.
+    Suspends,
+}
+
 /// Master state machine; drive with [`MasterState::step`].
 pub(crate) struct MasterState<A: App> {
     shared: Arc<WorkerShared<A>>,
@@ -84,9 +93,7 @@ pub(crate) struct MasterState<A: App> {
     /// Encoding of the last global broadcast; an unchanged value is not
     /// sent again.
     sent_global: Option<Vec<u8>>,
-    finals: usize,
     finals_seen: Vec<bool>,
-    suspend_done: usize,
     suspend_seen: Vec<bool>,
     /// Set by [`MasterState::request_suspend`]; the actual broadcast is
     /// deferred until no brokering is in flight and every worker's
@@ -125,9 +132,7 @@ impl<A: App> MasterState<A> {
             plan: None,
             term: Termination::new(n),
             sent_global: None,
-            finals: 0,
             finals_seen: vec![false; n],
-            suspend_done: 0,
             suspend_seen: vec![false; n],
             suspend_pending: false,
             terminated: false,
@@ -267,7 +272,6 @@ impl<A: App> MasterState<A> {
                 self.shared.agg.aggregator().merge(&mut self.global, &partial);
                 self.last_seen[worker.index()] = Instant::now();
                 if is_final {
-                    self.finals += 1;
                     self.finals_seen[worker.index()] = true;
                 }
             }
@@ -282,7 +286,6 @@ impl<A: App> MasterState<A> {
                 }
             }
             Message::SuspendDone { worker } => {
-                self.suspend_done += 1;
                 self.suspend_seen[worker.index()] = true;
                 self.last_seen[worker.index()] = Instant::now();
             }
@@ -432,29 +435,31 @@ impl<A: App> MasterState<A> {
         self.shared.wake_all();
     }
 
-    /// After termination: waits until one final partial per worker has
-    /// been merged, then returns the final global value. A crashed
-    /// worker sends no final, so with a heartbeat configured the wait
-    /// is bounded: quiet for longer than the window → the missing
-    /// worker is declared failed and the (unreliable) global returned.
-    pub fn collect_finals(&mut self) -> <A::Agg as Aggregator>::Global {
-        let n = self.shared.config.num_workers;
+    /// Waits for one `what` message per worker — after termination the
+    /// final partials, after a suspend broadcast the checkpoint-shard
+    /// acknowledgements — then returns the global value (final, or to
+    /// be persisted). A crashed worker sends neither, so with a
+    /// heartbeat configured the wait is bounded: quiet for longer than
+    /// the window → the missing worker is declared failed and the
+    /// (unreliable) global returned.
+    pub fn collect(&mut self, what: Collect) -> <A::Agg as Aggregator>::Global {
         let mut quiet_since = Instant::now();
-        while self.finals < n {
+        while !self.seen(what).iter().all(|&s| s) {
             match self.ctrl.recv_timeout(Duration::from_millis(100)) {
                 Ok(msg) => {
                     self.absorb(msg);
                     quiet_since = Instant::now();
-                    // Event-driven bail: a final can never arrive from
-                    // a worker whose sockets have closed.
-                    if self.missing_are_down(|s| &s.finals_seen) {
+                    // Event-driven bail: nothing can arrive from a
+                    // worker whose sockets have closed.
+                    if self.missing_are_down(|s| s.seen(what)) {
                         break;
                     }
                 }
                 Err(_) => {
-                    // Keep waiting; receivers forward finals as they
-                    // come — unless the silence outlasts the heartbeat.
-                    if self.give_up(quiet_since, |s| &s.finals_seen) {
+                    // Keep waiting; receivers forward the messages as
+                    // they come — unless the silence outlasts the
+                    // heartbeat.
+                    if self.give_up(quiet_since, |s| s.seen(what)) {
                         break;
                     }
                 }
@@ -463,32 +468,15 @@ impl<A: App> MasterState<A> {
         self.global.clone()
     }
 
-    /// After a suspend broadcast: waits for every worker's checkpoint
-    /// shard, then returns the current global value (to be persisted).
-    /// Bounded by the heartbeat window like [`Self::collect_finals`].
-    pub fn collect_suspends(&mut self) -> <A::Agg as Aggregator>::Global {
-        let n = self.shared.config.num_workers;
-        let mut quiet_since = Instant::now();
-        while self.suspend_done < n {
-            match self.ctrl.recv_timeout(Duration::from_millis(100)) {
-                Ok(msg) => {
-                    self.absorb(msg);
-                    quiet_since = Instant::now();
-                    if self.missing_are_down(|s| &s.suspend_seen) {
-                        break;
-                    }
-                }
-                Err(_) => {
-                    if self.give_up(quiet_since, |s| &s.suspend_seen) {
-                        break;
-                    }
-                }
-            }
+    /// Which workers' `what` message has arrived.
+    fn seen(&self, what: Collect) -> &Vec<bool> {
+        match what {
+            Collect::Finals => &self.finals_seen,
+            Collect::Suspends => &self.suspend_seen,
         }
-        self.global.clone()
     }
 
-    /// Shared bail-out for the collect loops: once the control channel
+    /// Shared bail-out for [`Self::collect`]: once the control channel
     /// has been silent past the heartbeat window, name the first worker
     /// still missing from `seen` as failed and stop waiting.
     fn give_up(&mut self, quiet_since: Instant, seen: impl Fn(&Self) -> &Vec<bool>) -> bool {

@@ -702,7 +702,7 @@ impl MetricsSnapshot {
         let mut busies: Vec<u64> =
             self.workers.iter().flat_map(|w| w.compers.iter().map(|c| c.compute.sum)).collect();
         if busies.is_empty() {
-            return "no comper metrics recorded (metrics feature off?)\n".to_string();
+            return "no comper metrics recorded\n".to_string();
         }
         busies.sort_unstable();
         let median = busies[busies.len() / 2];

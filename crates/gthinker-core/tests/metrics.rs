@@ -51,7 +51,6 @@ impl App for EdgeCount {
 /// At quiescence, merging every comper's e2e histogram loses nothing:
 /// the summed bucket counts equal the number of finished tasks, and
 /// per-worker histogram counts equal that worker's own counter.
-#[cfg(feature = "metrics")]
 #[test]
 fn final_histograms_merge_losslessly() {
     let g = gen::barabasi_albert(2_000, 5, 11);
@@ -109,7 +108,6 @@ fn metrics_observer_sees_growing_snapshots() {
 
 /// With a non-zero trace capacity the final snapshot carries events,
 /// and the Chrome trace export renders them with the required keys.
-#[cfg(feature = "metrics")]
 #[test]
 fn trace_capacity_yields_events_and_chrome_json() {
     let g = gen::barabasi_albert(2_000, 5, 17);

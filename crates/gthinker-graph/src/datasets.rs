@@ -153,11 +153,6 @@ fn overlay_hubs(g: &Graph, hubs: usize, hub_degree: usize, seed: u64) -> Graph {
     Graph::from_edges(n, &edges)
 }
 
-/// Generates all five stand-ins at a common scale.
-pub fn generate_all(scale: f64) -> Vec<Dataset> {
-    DatasetKind::ALL.iter().map(|&k| generate(k, scale)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -177,104 +177,12 @@ pub fn plant_clique(g: &Graph, k: usize, seed: u64) -> (Graph, Vec<VertexId>) {
     (Graph::from_edges(n, &edges), members)
 }
 
-/// Streaming planted clique: samples `k` distinct members of `0..n`
-/// (Floyd's algorithm, O(k) state — no n-length shuffle) and emits the
-/// `k·(k−1)/2` clique edges. Combine with another streaming generator
-/// writing to the same sink to plant a dense region in a huge graph;
-/// downstream deduplication collapses any overlap with existing edges.
-/// Returns the sorted members.
-pub fn stream_planted_clique(
-    n: usize,
-    k: usize,
-    seed: u64,
-    sink: EdgeSink,
-) -> io::Result<Vec<VertexId>> {
-    assert!(k <= n, "cannot plant a clique larger than the graph");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut chosen = std::collections::HashSet::with_capacity(k);
-    // Floyd: for j in n-k..n, pick t in [0, j]; if taken, use j itself.
-    for j in (n - k)..n {
-        let t = rng.gen_range(0..=j as u64) as usize;
-        if !chosen.insert(t as u32) {
-            chosen.insert(j as u32);
-        }
-    }
-    let mut members: Vec<VertexId> = chosen.into_iter().map(VertexId).collect();
-    members.sort_unstable();
-    for i in 0..k {
-        for j in (i + 1)..k {
-            sink(members[i], members[j])?;
-        }
-    }
-    Ok(members)
-}
-
 /// Assigns each vertex a uniform random label from `0..num_labels`.
 pub fn random_labels(g: Graph, num_labels: u16, seed: u64) -> Graph {
     assert!(num_labels >= 1);
     let mut rng = StdRng::seed_from_u64(seed);
     let labels = (0..g.num_vertices()).map(|_| Label(rng.gen_range(0..num_labels))).collect();
     g.with_labels(labels)
-}
-
-/// Streaming R-MAT: emits up to `m` edge samples with O(1) working
-/// state (just the RNG). Self-loops are skipped; **duplicate edges are
-/// emitted as sampled** — downstream consumers (loaders, the
-/// compressed-graph builder) deduplicate, matching how [`rmat`] relies
-/// on [`Graph::from_edges`] to collapse them. Identical sample
-/// sequence to [`rmat`] for the same seed. Returns the emitted count.
-pub fn stream_rmat(
-    scale: u32,
-    m: usize,
-    a: f64,
-    b: f64,
-    c: f64,
-    seed: u64,
-    sink: EdgeSink,
-) -> io::Result<u64> {
-    assert!((1..=28).contains(&scale), "2^scale vertices must be sane");
-    assert!(a > 0.0 && b >= 0.0 && c >= 0.0 && a + b + c < 1.0, "bad quadrant probabilities");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut count = 0u64;
-    for _ in 0..m {
-        let (mut u, mut v) = (0usize, 0usize);
-        for _ in 0..scale {
-            let r: f64 = rng.gen();
-            let (du, dv) = if r < a {
-                (0, 0)
-            } else if r < a + b {
-                (0, 1)
-            } else if r < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            u = (u << 1) | du;
-            v = (v << 1) | dv;
-        }
-        if u != v {
-            sink(VertexId(u as u32), VertexId(v as u32))?;
-            count += 1;
-        }
-    }
-    Ok(count)
-}
-
-/// R-MAT (recursive matrix / Kronecker-style) generator — the standard
-/// synthetic model for skewed web/social graphs (used by Graph500).
-/// Generates `m` edge samples over `2^scale` vertices by recursively
-/// choosing quadrants with probabilities `(a, b, c, 1−a−b−c)`;
-/// duplicates and self-loops collapse, so the edge count is ≤ `m`.
-/// In-memory wrapper over [`stream_rmat`].
-pub fn rmat(scale: u32, m: usize, a: f64, b: f64, c: f64, seed: u64) -> Graph {
-    let n = 1usize << scale;
-    let mut edges = Vec::with_capacity(m);
-    stream_rmat(scale, m, a, b, c, seed, &mut |u, v| {
-        edges.push((u, v));
-        Ok(())
-    })
-    .expect("in-memory sink cannot fail");
-    Graph::from_edges(n, &edges)
 }
 
 /// A complete graph `K_n` (every pair adjacent) — handy in tests.
@@ -358,30 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn rmat_is_skewed_and_deterministic() {
-        let g = rmat(12, 30_000, 0.57, 0.19, 0.19, 5);
-        assert_eq!(g.num_vertices(), 4096);
-        assert!(g.num_edges() > 10_000);
-        g.validate_undirected().unwrap();
-        let s = crate::stats::GraphStats::of(&g);
-        assert!(
-            s.max_degree as f64 > 10.0 * s.avg_degree,
-            "RMAT must be heavy-tailed: max {} avg {}",
-            s.max_degree,
-            s.avg_degree
-        );
-        let g2 = rmat(12, 30_000, 0.57, 0.19, 0.19, 5);
-        assert_eq!(g.num_edges(), g2.num_edges());
-        assert_ne!(g.num_edges(), rmat(12, 30_000, 0.57, 0.19, 0.19, 6).num_edges());
-    }
-
-    #[test]
-    #[should_panic(expected = "quadrant")]
-    fn rmat_rejects_bad_probabilities() {
-        let _ = rmat(4, 10, 0.5, 0.3, 0.3, 1);
-    }
-
-    #[test]
     fn planted_clique_is_a_clique() {
         let base = gnp(200, 0.02, 5);
         let (g, members) = plant_clique(&base, 12, 6);
@@ -427,12 +311,6 @@ mod tests {
             Graph::from_edges(200, &streamed).edges().collect::<Vec<_>>(),
             barabasi_albert(200, 3, 9).edges().collect::<Vec<_>>()
         );
-
-        let streamed = collect(&|s| stream_rmat(10, 5000, 0.57, 0.19, 0.19, 4, s));
-        assert_eq!(
-            Graph::from_edges(1 << 10, &streamed).edges().collect::<Vec<_>>(),
-            rmat(10, 5000, 0.57, 0.19, 0.19, 4).edges().collect::<Vec<_>>()
-        );
     }
 
     #[test]
@@ -454,23 +332,6 @@ mod tests {
             .unwrap();
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn stream_planted_clique_members_are_distinct_and_connected() {
-        let mut edges = Vec::new();
-        let members = stream_planted_clique(1000, 20, 5, &mut |u, v| {
-            edges.push((u, v));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(members.len(), 20);
-        assert!(members.windows(2).all(|w| w[0] < w[1]), "members sorted + distinct");
-        assert!(members.iter().all(|m| m.index() < 1000));
-        assert_eq!(edges.len(), 20 * 19 / 2);
-        // Determinism.
-        let members2 = stream_planted_clique(1000, 20, 5, &mut |_, _| Ok(())).unwrap();
-        assert_eq!(members, members2);
     }
 
     #[test]

@@ -112,22 +112,6 @@ impl Graph {
         u != v && self.adj[u.index()].contains(v)
     }
 
-    /// Extracts the subgraph induced by `verts` with **original** IDs
-    /// preserved: the result maps each kept vertex to the intersection of
-    /// its list with `verts`.
-    pub fn induced_adjacency(&self, verts: &[VertexId]) -> Vec<(VertexId, AdjList)> {
-        let mut sorted = verts.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        sorted
-            .iter()
-            .map(|&v| {
-                let inter = self.adj[v.index()].intersect_slice(&sorted);
-                (v, AdjList::from_sorted(inter))
-            })
-            .collect()
-    }
-
     /// Checks the undirectedness invariant; returns the first violating
     /// pair if any.
     pub fn validate_undirected(&self) -> Result<(), (VertexId, VertexId)> {
@@ -186,25 +170,6 @@ mod tests {
         let g = path3();
         let es: Vec<_> = g.edges().collect();
         assert_eq!(es, vec![(VertexId(0), VertexId(1)), (VertexId(1), VertexId(2))]);
-    }
-
-    #[test]
-    fn induced_adjacency_intersects_lists() {
-        // Triangle 0-1-2 plus pendant 3 attached to 2.
-        let g = Graph::from_edges(
-            4,
-            &[
-                (VertexId(0), VertexId(1)),
-                (VertexId(1), VertexId(2)),
-                (VertexId(0), VertexId(2)),
-                (VertexId(2), VertexId(3)),
-            ],
-        );
-        let sub = g.induced_adjacency(&[VertexId(0), VertexId(1), VertexId(2)]);
-        assert_eq!(sub.len(), 3);
-        for (v, adj) in &sub {
-            assert_eq!(adj.degree(), 2, "vertex {v} should keep both triangle edges");
-        }
     }
 
     #[test]

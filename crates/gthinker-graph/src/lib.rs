@@ -28,7 +28,6 @@ pub mod adj;
 pub mod bitset;
 pub mod compressed;
 pub mod crc;
-pub mod csr;
 pub mod datasets;
 pub mod gen;
 pub mod graph;

@@ -244,12 +244,6 @@ pub fn load_edge_list_file(path: &Path) -> Result<Graph, LoadError> {
     read_edge_list(std::fs::File::open(path)?).map_err(|e| e.in_file(path))
 }
 
-/// Convenience: loads an adjacency file from disk, naming the file in
-/// any parse error.
-pub fn load_adjacency_file(path: &Path) -> Result<Graph, LoadError> {
-    read_adjacency(std::fs::File::open(path)?).map_err(|e| e.in_file(path))
-}
-
 /// Convenience: loads a binary adjacency file from disk, naming the
 /// file in any parse error.
 pub fn load_binary_file(path: &Path) -> Result<Graph, LoadError> {

@@ -3,8 +3,8 @@
 //! Everything above the storage layer — `to_local`, trimming,
 //! partitioning, the vertex cache, the six miners — needs exactly one
 //! thing from a graph: "give me `Γ(v)` (and the label) for a vertex I
-//! name". [`AdjacencyStore`] is that contract. The in-RAM [`Graph`] and
-//! [`Csr`] hand out copies of materialized lists; [`CompressedGraph`]
+//! name". [`AdjacencyStore`] is that contract. The in-RAM [`Graph`]
+//! hands out copies of materialized lists; [`CompressedGraph`]
 //! decodes the list from its mapped file on each call. Callers that
 //! need decode-once semantics put a cache in front (the worker's
 //! `LocalTable`/`VertexCache` layers already are that cache). Callers
@@ -15,7 +15,6 @@ use std::sync::Arc;
 
 use crate::adj::AdjList;
 use crate::compressed::CompressedGraph;
-use crate::csr::Csr;
 use crate::graph::Graph;
 use crate::ids::{Label, VertexId};
 
@@ -92,41 +91,6 @@ impl AdjacencyStore for Graph {
 
     fn heap_bytes(&self) -> usize {
         Graph::heap_bytes(self)
-    }
-}
-
-impl AdjacencyStore for Csr {
-    fn num_vertices(&self) -> usize {
-        Csr::num_vertices(self)
-    }
-
-    fn num_edges(&self) -> u64 {
-        Csr::num_edges(self) as u64
-    }
-
-    fn adjacency(&self, v: VertexId) -> AdjList {
-        AdjList::from_sorted(self.neighbors(v).to_vec())
-    }
-
-    fn adjacency_above(&self, v: VertexId) -> AdjList {
-        let row = self.neighbors(v);
-        AdjList::from_sorted(row[row.partition_point(|&u| u <= v)..].to_vec())
-    }
-
-    fn degree(&self, v: VertexId) -> usize {
-        Csr::degree(self, v)
-    }
-
-    fn label(&self, _v: VertexId) -> Option<Label> {
-        None
-    }
-
-    fn is_labeled(&self) -> bool {
-        false
-    }
-
-    fn heap_bytes(&self) -> usize {
-        Csr::heap_bytes(self)
     }
 }
 
@@ -213,12 +177,7 @@ mod tests {
         write_compressed(g, &path).unwrap();
         let c = CompressedGraph::open(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        vec![
-            Box::new(g.clone()),
-            Box::new(Csr::from_graph(g)),
-            Box::new(Arc::new(c)),
-            Box::new(DefaultsOnly(g.clone())),
-        ]
+        vec![Box::new(g.clone()), Box::new(Arc::new(c)), Box::new(DefaultsOnly(g.clone()))]
     }
 
     /// A backend that overrides nothing: exercises the provided methods.

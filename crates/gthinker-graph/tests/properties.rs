@@ -2,7 +2,6 @@
 
 use gthinker_graph::adj::{count_intersect_sorted, intersect_sorted, AdjList};
 use gthinker_graph::compressed::{write_compressed, CompressedGraph};
-use gthinker_graph::csr::Csr;
 use gthinker_graph::gen;
 use gthinker_graph::graph::Graph;
 use gthinker_graph::ids::VertexId;
@@ -261,8 +260,8 @@ proptest! {
         write_compressed(&g, &path).unwrap();
         let c = CompressedGraph::open(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        let shared: Arc<dyn AdjacencyStore> = Arc::new(Csr::from_graph(&g));
-        let backends: [&dyn AdjacencyStore; 4] = [&g, &Csr::from_graph(&g), &c, &shared];
+        let shared: Arc<dyn AdjacencyStore> = Arc::new(g.clone());
+        let backends: [&dyn AdjacencyStore; 3] = [&g, &c, &shared];
         for store in backends {
             for v in g.vertices() {
                 let full = store.adjacency(v);

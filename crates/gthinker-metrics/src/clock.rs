@@ -5,33 +5,19 @@
 //! thread are directly comparable (and land on one common timeline in
 //! a Chrome trace). The epoch is the first call to [`now_nanos`].
 
-#[cfg(feature = "metrics")]
-mod imp {
-    use std::sync::OnceLock;
-    use std::time::Instant;
+use std::sync::OnceLock;
+use std::time::Instant;
 
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
+static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-    /// Nanoseconds since the process-wide metrics epoch (first call).
-    #[inline]
-    pub fn now_nanos() -> u64 {
-        let epoch = *EPOCH.get_or_init(Instant::now);
-        Instant::now().duration_since(epoch).as_nanos() as u64
-    }
+/// Nanoseconds since the process-wide metrics epoch (first call).
+#[inline]
+pub fn now_nanos() -> u64 {
+    let epoch = *EPOCH.get_or_init(Instant::now);
+    Instant::now().duration_since(epoch).as_nanos() as u64
 }
 
-#[cfg(not(feature = "metrics"))]
-mod imp {
-    /// Metrics disabled: the clock is a constant and folds away.
-    #[inline(always)]
-    pub fn now_nanos() -> u64 {
-        0
-    }
-}
-
-pub use imp::now_nanos;
-
-#[cfg(all(test, feature = "metrics"))]
+#[cfg(test)]
 mod tests {
     use super::now_nanos;
 

@@ -10,7 +10,6 @@
 //! during a snapshot can at worst split one in-flight sample between
 //! bucket and sum, which quantile math tolerates.
 
-#[cfg(feature = "metrics")]
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of power-of-2 buckets (covers the full `u64` range).
@@ -53,12 +52,10 @@ pub fn bucket_hi(i: usize) -> u64 {
 /// quiescence — which measured as tens of percent of wall-clock on
 /// tiny-task workloads. Out of line, the histogram is pointer-sized in
 /// its owner and the recording thread pays one indirection per record.
-#[cfg(feature = "metrics")]
 pub struct LogHistogram {
     inner: Box<HistInner>,
 }
 
-#[cfg(feature = "metrics")]
 struct HistInner {
     buckets: [AtomicU64; NUM_BUCKETS],
     /// Sum of all recorded values (for exact means alongside the
@@ -66,7 +63,6 @@ struct HistInner {
     sum: AtomicU64,
 }
 
-#[cfg(feature = "metrics")]
 impl Default for LogHistogram {
     fn default() -> Self {
         LogHistogram {
@@ -78,7 +74,6 @@ impl Default for LogHistogram {
     }
 }
 
-#[cfg(feature = "metrics")]
 impl LogHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
@@ -103,32 +98,8 @@ impl LogHistogram {
     }
 }
 
-/// Metrics disabled: zero-sized, every method inlines to nothing.
-#[cfg(not(feature = "metrics"))]
-#[derive(Default)]
-pub struct LogHistogram;
-
-#[cfg(not(feature = "metrics"))]
-impl LogHistogram {
-    /// An empty histogram (no storage when metrics are off).
-    pub fn new() -> Self {
-        LogHistogram
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn record(&self, _v: u64) {}
-
-    /// Always-empty snapshot.
-    pub fn snapshot(&self) -> HistSnapshot {
-        HistSnapshot::default()
-    }
-}
-
 /// Plain-data histogram snapshot: mergeable, serialisable, and the
-/// basis for all quantile math. Exists identically with metrics on or
-/// off (off just means it is always empty), so downstream report code
-/// needs no feature gates.
+/// basis for all quantile math.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Count per power-of-2 bucket.
@@ -219,7 +190,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn record_and_quantiles() {
         let h = LogHistogram::new();
@@ -242,7 +212,6 @@ mod tests {
         assert!(s.quantile(1.0) >= s.quantile(0.5));
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn merge_is_lossless() {
         let a = LogHistogram::new();
@@ -257,7 +226,6 @@ mod tests {
         assert_eq!(m.sum, a.snapshot().sum + b.snapshot().sum);
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn concurrent_recording_loses_nothing() {
         use std::sync::Arc;
@@ -285,14 +253,5 @@ mod tests {
         assert_eq!(s.mean(), 0);
         assert_eq!(s.quantile(0.99), 0);
         assert_eq!(s.max_estimate(), 0);
-    }
-
-    #[cfg(not(feature = "metrics"))]
-    #[test]
-    fn disabled_histogram_is_zero_sized_and_silent() {
-        assert_eq!(std::mem::size_of::<LogHistogram>(), 0);
-        let h = LogHistogram::new();
-        h.record(123);
-        assert_eq!(h.snapshot().count(), 0);
     }
 }

@@ -16,12 +16,6 @@
 //! * [`now_nanos`] — a process-wide monotonic clock all workers of the
 //!   simulated cluster share, so cross-worker event timestamps are
 //!   directly comparable in one trace.
-//!
-//! Everything hot is gated behind the `metrics` cargo feature (on by
-//! default). With the feature disabled the recording types are
-//! zero-sized, their methods inline to nothing, and the clock returns
-//! 0 — the build is instrumentation-free without a single `cfg` at the
-//! call sites.
 
 pub mod clock;
 pub mod hist;
@@ -151,12 +145,7 @@ mod tests {
         b.e2e.record(5);
         let mut s = a.snapshot();
         s.merge(&b.snapshot());
-        #[cfg(feature = "metrics")]
-        {
-            assert_eq!(s.compute.count(), 2);
-            assert_eq!(s.e2e.count(), 1);
-        }
-        #[cfg(not(feature = "metrics"))]
-        assert_eq!(s.compute.count(), 0);
+        assert_eq!(s.compute.count(), 2);
+        assert_eq!(s.e2e.count(), 1);
     }
 }

@@ -5,9 +5,12 @@
 //! one `fetch_add` on the head counter and then take that single
 //! slot's mutex — writers on different slots never contend, and a full
 //! ring silently recycles the oldest entries instead of growing or
-//! blocking. Capacity 0 (or the `metrics` feature off) disables
-//! recording entirely; call sites guard the timestamp computation with
-//! [`EventRing::enabled`] so a disabled ring costs one branch.
+//! blocking. Capacity 0 disables recording entirely; call sites guard
+//! the timestamp computation with [`EventRing::enabled`] so a disabled
+//! ring costs one branch.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// What happened. Span kinds carry a duration; instant kinds are
 /// points in time.
@@ -145,98 +148,53 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-#[cfg(feature = "metrics")]
-mod imp {
-    use super::Event;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    /// Fixed-capacity, overwrite-oldest concurrent event buffer.
-    pub struct EventRing {
-        slots: Box<[Mutex<Option<Event>>]>,
-        head: AtomicUsize,
-    }
-
-    impl EventRing {
-        /// A ring holding the most recent `capacity` events (0 = off).
-        pub fn new(capacity: usize) -> Self {
-            EventRing {
-                slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-                head: AtomicUsize::new(0),
-            }
-        }
-
-        /// Whether pushes will be kept. Call sites use this to skip
-        /// clock reads when tracing is off.
-        #[inline]
-        pub fn enabled(&self) -> bool {
-            !self.slots.is_empty()
-        }
-
-        /// Records an event, overwriting the oldest when full.
-        #[inline]
-        pub fn push(&self, ev: Event) {
-            if self.slots.is_empty() {
-                return;
-            }
-            let i = self.head.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-            *self.slots[i].lock().unwrap() = Some(ev);
-        }
-
-        /// Events currently retained, sorted by start time.
-        pub fn snapshot(&self) -> Vec<Event> {
-            let mut out: Vec<Event> =
-                self.slots.iter().filter_map(|s| *s.lock().unwrap()).collect();
-            out.sort_by_key(|e| e.ts);
-            out
-        }
-
-        /// Events lost to overwrite-oldest recycling: total pushes
-        /// beyond capacity. Nonzero means [`EventRing::snapshot`] is a
-        /// truncated timeline.
-        pub fn dropped(&self) -> u64 {
-            let pushes = self.head.load(Ordering::Relaxed);
-            pushes.saturating_sub(self.slots.len()) as u64
-        }
-    }
+/// Fixed-capacity, overwrite-oldest concurrent event buffer.
+pub struct EventRing {
+    slots: Box<[Mutex<Option<Event>>]>,
+    head: AtomicUsize,
 }
 
-#[cfg(not(feature = "metrics"))]
-mod imp {
-    use super::Event;
-
-    /// Metrics disabled: zero-sized, never records.
-    pub struct EventRing;
-
-    impl EventRing {
-        /// No storage when metrics are off.
-        pub fn new(_capacity: usize) -> Self {
-            EventRing
-        }
-
-        /// Always disabled.
-        #[inline(always)]
-        pub fn enabled(&self) -> bool {
-            false
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn push(&self, _ev: Event) {}
-
-        /// Always empty.
-        pub fn snapshot(&self) -> Vec<Event> {
-            Vec::new()
-        }
-
-        /// Nothing recorded, nothing lost.
-        pub fn dropped(&self) -> u64 {
-            0
+impl EventRing {
+    /// A ring holding the most recent `capacity` events (0 = off).
+    pub fn new(capacity: usize) -> Self {
+        EventRing {
+            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            head: AtomicUsize::new(0),
         }
     }
-}
 
-pub use imp::EventRing;
+    /// Whether pushes will be kept. Call sites use this to skip
+    /// clock reads when tracing is off.
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        !self.slots.is_empty()
+    }
+
+    /// Records an event, overwriting the oldest when full.
+    #[inline]
+    pub fn push(&self, ev: Event) {
+        if self.slots.is_empty() {
+            return;
+        }
+        let i = self.head.fetch_add(1, Ordering::Relaxed) % self.slots.len();
+        *self.slots[i].lock().unwrap() = Some(ev);
+    }
+
+    /// Events currently retained, sorted by start time.
+    pub fn snapshot(&self) -> Vec<Event> {
+        let mut out: Vec<Event> = self.slots.iter().filter_map(|s| *s.lock().unwrap()).collect();
+        out.sort_by_key(|e| e.ts);
+        out
+    }
+
+    /// Events lost to overwrite-oldest recycling: total pushes
+    /// beyond capacity. Nonzero means [`EventRing::snapshot`] is a
+    /// truncated timeline.
+    pub fn dropped(&self) -> u64 {
+        let pushes = self.head.load(Ordering::Relaxed);
+        pushes.saturating_sub(self.slots.len()) as u64
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -246,7 +204,6 @@ mod tests {
         Event { ts, dur: 0, tid: 0, arg: 0, kind: EventKind::Steal }
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn ring_overwrites_oldest_and_sorts() {
         let r = EventRing::new(4);
