@@ -3,7 +3,9 @@
 //! With adjacency lists trimmed to `Γ_>`, every triangle `v < u < w`
 //! is counted exactly once by the task spawned from its minimum vertex
 //! `v`: the task pulls `Γ_>(u)` for every `u ∈ Γ_>(v)` and sums
-//! `|Γ_>(v) ∩ Γ_>(u)|`. Counts stream into a summing aggregator whose
+//! `|Γ_>(v) ∩ Γ_>(u)|` — merging `Γ_>(u)` with the part of `Γ_>(v)`
+//! above `u` only, since nothing in `Γ_>(u)` is `≤ u` (on average half
+//! of each merge). Counts stream into a summing aggregator whose
 //! periodically broadcast global value gives the "current total count
 //! for reporting" the paper describes.
 
@@ -100,14 +102,20 @@ impl App for TriangleApp {
             }
         }
         let mut count = 0u64;
-        for (_, adj) in frontier.iter().take(take) {
-            count += adj.intersection_count(&gv) as u64;
+        for (u, adj) in frontier.iter().take(take) {
+            count += adj.intersection_count(above(&gv, u)) as u64;
         }
         if count > 0 {
             env.aggregate(count);
         }
         false
     }
+}
+
+/// The suffix of the ascending `gv` strictly above `u`: all of
+/// `Γ_>(v)` that `Γ_>(u)` can share with it.
+pub(crate) fn above(gv: &[VertexId], u: VertexId) -> &[VertexId] {
+    &gv[gv.partition_point(|&w| w <= u)..]
 }
 
 #[cfg(test)]
@@ -148,6 +156,33 @@ mod tests {
             let splits: u64 = r.metrics.totals().split_tasks;
             assert!(splits > 0, "budget {budget} should have chunked some task");
         }
+    }
+
+    /// The suffix merge against the serial count, on root tasks and on
+    /// the chunks a compute budget splits off (which find `Γ_>(v)` in
+    /// their context, not in their frontier), on vertex IDs as
+    /// generated and degeneracy-ordered.
+    #[test]
+    fn suffix_merge_matches_serial_with_and_without_chunks() {
+        let ba = gen::barabasi_albert(400, 6, 19);
+        let (ordered, _) = gthinker_graph::order::degeneracy_relabel(&ba);
+        for g in [gen::gnp(150, 0.1, 23), ba, ordered] {
+            let expected = count_triangles(&g);
+            for budget in [None, Some(1), Some(3)] {
+                let mut cfg = JobConfig::cluster(2, 2);
+                cfg.compute_budget = budget;
+                assert_eq!(run(&g, &cfg), expected, "budget {budget:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn above_is_the_strict_suffix() {
+        let gv: Vec<VertexId> = [2, 5, 9].map(VertexId).to_vec();
+        assert_eq!(above(&gv, VertexId(1)), &gv[..]);
+        assert_eq!(above(&gv, VertexId(5)), &gv[2..]);
+        assert_eq!(above(&gv, VertexId(6)), &gv[2..]);
+        assert!(above(&gv, VertexId(9)).is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! per-task overhead and round trips) drops sharply on heavy-tailed
 //! graphs.
 
-use crate::triangle::SumAgg;
+use crate::triangle::{above, SumAgg};
 use gthinker_core::prelude::*;
 use gthinker_graph::adj::{AdjList, SharedAdj};
 use gthinker_graph::trim::{GreaterIdTrimmer, Trimmer};
@@ -95,7 +95,7 @@ impl App for BundledTriangleApp {
         for (_, gv) in &task.context {
             for u in gv {
                 let adj = frontier.get(*u).expect("every anchor neighbor was pulled");
-                count += adj.intersection_count(gv) as u64;
+                count += adj.intersection_count(above(gv, *u)) as u64;
             }
         }
         if count > 0 {

@@ -18,8 +18,9 @@
 //! (see `DESIGN.md` §"Intra-worker scheduling & wakeup protocol").
 
 use crate::api::{App, ComputeEnv, SpawnEnv};
-use crate::worker::{task_cost, WorkerShared};
-use gthinker_graph::adj::SharedAdj;
+use crate::metrics::WorkerCounters;
+use crate::worker::{task_cost, thread_cpu_nanos, WorkerShared};
+use gthinker_graph::adj::{prefetch, SharedAdj};
 use gthinker_graph::ids::{TaskId, VertexId};
 use gthinker_metrics::{now_nanos, Event, EventKind};
 use gthinker_store::cache::RequestOutcome;
@@ -48,10 +49,15 @@ const STEAL_MIN: usize = 4;
 /// notify on every other push.
 const PERIODIC_NOTIFY: usize = 32;
 
+/// `compute()` calls per read of the thread-CPU clock (see
+/// [`CpuWindow`]).
+const CPU_WINDOW_CALLS: u32 = 64;
+
 /// Runs one comper until the worker stops; `idx` is the comper's index
 /// within the worker (also the comper half of its task IDs).
 pub(crate) fn comper_loop<A: App>(shared: Arc<WorkerShared<A>>, idx: usize) {
-    let mut ctx = ComperCtx { counter: shared.cache.counter_handle(), seq: 0, idx };
+    let mut ctx =
+        ComperCtx { counter: shared.cache.counter_handle(), seq: 0, idx, cpu: CpuWindow::open() };
     let me = || &shared.compers[idx];
     // True from a park until the next round that finds work: leaving a
     // park with work is an idle → busy transition of the worker.
@@ -79,7 +85,7 @@ pub(crate) fn comper_loop<A: App>(shared: Arc<WorkerShared<A>>, idx: usize) {
         if !may_have_work {
             me().busy.store(false, Ordering::SeqCst);
             shared.batcher.flush_all(&*shared.net);
-            park(&shared, idx, key);
+            park(&shared, &mut ctx, key);
             parked = true;
             continue;
         }
@@ -133,12 +139,13 @@ pub(crate) fn comper_loop<A: App>(shared: Arc<WorkerShared<A>>, idx: usize) {
             // pop gate is closed, or a steal raced): park on the same
             // key — GC evictions, response arrivals and sibling
             // enqueues all notify.
-            park(&shared, idx, key);
+            park(&shared, &mut ctx, key);
             parked = true;
         }
     }
     me().busy.store(false, Ordering::SeqCst);
     ctx.counter.flush();
+    ctx.cpu.roll(&shared.counters);
     // On suspension, park residual queue contents for the checkpoint.
     if shared.suspend.load(Ordering::SeqCst) {
         let rest = me().queue.drain_all();
@@ -154,8 +161,11 @@ pub(crate) fn comper_loop<A: App>(shared: Arc<WorkerShared<A>>, idx: usize) {
 /// park-duration histogram and (when tracing) a `Park` span. The
 /// caller has cleared its busy flag, which may have been the last thing
 /// keeping the worker non-quiescent — if so the main thread is told
-/// now, not at its next periodic tick.
-fn park<A: App>(shared: &Arc<WorkerShared<A>>, idx: usize, key: u64) {
+/// now, not at its next periodic tick. The CPU window is closed on both
+/// sides of the wait, so no window's wall time contains a park.
+fn park<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx, key: u64) {
+    let idx = ctx.idx;
+    ctx.cpu.roll(&shared.counters);
     shared.signal_if_newly_quiescent();
     let start = Instant::now();
     let trace = shared.metrics.ring.enabled();
@@ -170,6 +180,7 @@ fn park<A: App>(shared: &Arc<WorkerShared<A>>, idx: usize, key: u64) {
     if trace {
         shared.metrics.ring.push(Event { ts, dur, tid: idx as u32, arg: 0, kind: EventKind::Park });
     }
+    ctx.cpu.roll(&shared.counters);
 }
 
 /// True when some sibling's queue is worth visiting for a steal. Part
@@ -188,6 +199,64 @@ struct ComperCtx {
     counter: CounterHandle,
     seq: u64,
     idx: usize,
+    cpu: CpuWindow,
+}
+
+/// Thread-CPU accounting without a system call per `compute()`.
+///
+/// `clock_gettime(CLOCK_THREAD_CPUTIME_ID)` is a real system call
+/// (≈ 240 ns here; the monotonic clock is a vDSO read, ≈ 30 ns), and
+/// two of them around every `compute()` were an eighth of the comper
+/// loop on a pull-heavy triangle count. So each call is timed on the
+/// wall clock, and the CPU clock is read once per window — every
+/// [`CPU_WINDOW_CALLS`] calls, around every park and at exit. The
+/// window's UDF wall time is scaled by the share of the
+/// window the thread was actually on a core, `min(1, Δcpu / Δwall)`,
+/// which keeps `compute_nanos` a CPU time: on a host with fewer cores
+/// than compers, wall time inside `compute()` includes preemption and
+/// would inflate the per-comper work that `modeled_parallel_time`
+/// divides.
+struct CpuWindow {
+    /// Both clocks when the window opened.
+    cpu0: u64,
+    wall0: u64,
+    /// Wall nanoseconds inside `compute()` since then, and the calls.
+    udf_wall: u64,
+    calls: u32,
+}
+
+impl CpuWindow {
+    fn open() -> Self {
+        CpuWindow { cpu0: thread_cpu_nanos(), wall0: now_nanos(), udf_wall: 0, calls: 0 }
+    }
+
+    /// Accounts one `compute()` call that took `wall` nanoseconds.
+    fn record(&mut self, wall: u64, counters: &WorkerCounters) {
+        self.udf_wall += wall;
+        self.calls += 1;
+        if self.calls >= CPU_WINDOW_CALLS {
+            self.roll(counters);
+        }
+    }
+
+    /// Closes the window into `compute_nanos` and `comper_cpu_nanos`
+    /// and opens the next one where this one ended, so the windows of
+    /// a comper add up to its thread's CPU time. `udf_wall ≤ Δwall`
+    /// (the calls lie inside the window), hence what is added to
+    /// `compute_nanos` never exceeds `Δcpu`.
+    fn roll(&mut self, counters: &WorkerCounters) {
+        let (cpu, wall) = (thread_cpu_nanos(), now_nanos());
+        let d_cpu = cpu.saturating_sub(self.cpu0);
+        let d_wall = wall.saturating_sub(self.wall0);
+        let on_cpu = if d_cpu >= d_wall {
+            self.udf_wall
+        } else {
+            (self.udf_wall as u128 * d_cpu as u128 / d_wall as u128) as u64
+        };
+        counters.compute_nanos.fetch_add(on_cpu, Ordering::Relaxed);
+        counters.comper_cpu_nanos.fetch_add(d_cpu, Ordering::Relaxed);
+        *self = CpuWindow { cpu0: cpu, wall0: wall, udf_wall: 0, calls: 0 };
+    }
 }
 
 /// [`drive_task`] wrapped in a `Compute` trace span covering the whole
@@ -222,6 +291,10 @@ fn drive_spanned<A: App>(
 /// Afterwards (and for non-ready tasks from the start) each iteration's
 /// pulls go through the cache; the task parks in `T_task` when
 /// something is missing.
+///
+/// Each pulled vertex is resolved once per iteration: the cache is
+/// asked first, and `T_local` — a decode, on mapped storage — is read
+/// only when the iteration is certain to run.
 fn drive_task<A: App>(
     shared: &Arc<WorkerShared<A>>,
     ctx: &mut ComperCtx,
@@ -235,45 +308,27 @@ fn drive_task<A: App>(
         let frontier = if pulls.is_empty() {
             Frontier::default()
         } else if first_ready {
-            // All pulled vertices are guaranteed available.
-            let entries = pulls.iter().map(|&v| (v, resolve_available(shared, v))).collect();
-            Frontier::new(entries)
+            // What the task's cache hits locked before it parked came
+            // along with it (one slot per pull; a task that carries
+            // none looks everything up); their lines had time to go
+            // cold.
+            let mut held = task.take_held();
+            held.iter().flatten().for_each(|adj| prefetch(adj));
+            held.resize(pulls.len(), None);
+            assemble_frontier(shared, &pulls, held)
         } else {
-            // Resolve through T_local / T_cache; may park the task.
             let id = TaskId::new(ctx.idx as u16, ctx.seq);
             ctx.seq += 1;
-            let mut entries: Vec<(VertexId, SharedAdj)> = Vec::with_capacity(pulls.len());
-            let mut missing = 0u32;
-            for &v in &pulls {
-                if let Some(adj) = shared.local.get(v) {
-                    entries.push((v, adj));
-                    continue;
-                }
-                match shared.cache.request(v, id, &mut ctx.counter) {
-                    RequestOutcome::Hit(adj) => entries.push((v, adj)),
-                    RequestOutcome::MustRequest => {
-                        missing += 1;
-                        // Count before the request can possibly leave,
-                        // so quiescence never under-counts. Stays
-                        // `SeqCst`: this comper's `busy = true` store
-                        // must be globally ordered before the
-                        // increment, so a quiescence check that misses
-                        // the increment necessarily sees the busy flag
-                        // (see `WorkerShared::quiescent`).
-                        shared.outstanding_pulls.fetch_add(1, Ordering::SeqCst);
-                        let owner = shared.partitioner.owner(v);
-                        shared.batcher.add(&*shared.net, owner, v);
-                    }
-                    RequestOutcome::AlreadyRequested => missing += 1,
-                }
-            }
+            let (held, missing) = request_pulls(shared, ctx, id, &pulls);
             if missing > 0 {
-                // Park: remember P(t) so the ready path can rebuild the
-                // frontier. Hits stay locked while parked. Responses
-                // may already have raced ahead of this insert — in that
-                // case the table hands the task straight back as ready.
+                // Park: remember P(t) and the hits, which stay locked
+                // while parked, so the ready path can finish the
+                // frontier. Responses may already have raced ahead of
+                // this insert — in that case the table hands the task
+                // straight back as ready.
                 let req = pulls.len() as u32;
                 task.set_pulls(pulls);
+                task.set_held(held);
                 shared.task_mem.fetch_add(task_cost(&task), Ordering::Relaxed);
                 if let Some(ready) =
                     shared.compers[ctx.idx].pending.insert(id, task, req, req - missing)
@@ -282,7 +337,7 @@ fn drive_task<A: App>(
                 }
                 return;
             }
-            Frontier::new(entries)
+            assemble_frontier(shared, &pulls, held)
         };
         first_ready = false;
 
@@ -291,10 +346,8 @@ fn drive_task<A: App>(
         // Release every remote vertex of this iteration (paper: a task
         // always releases its requested non-local vertices after each
         // iteration so GC can evict them in time).
-        for v in frontier.vertex_ids() {
-            if !shared.local.contains(v) {
-                shared.cache.release(v);
-            }
+        for v in frontier.locked_ids() {
+            shared.cache.release(v);
         }
         if !proceed {
             shared.counters.tasks_finished.fetch_add(1, Ordering::Relaxed);
@@ -320,13 +373,76 @@ fn drive_task<A: App>(
     }
 }
 
-/// Resolves a vertex known to be available (local or cache-locked).
-fn resolve_available<A: App>(shared: &Arc<WorkerShared<A>>, v: VertexId) -> SharedAdj {
-    shared
-        .local
-        .get(v)
-        .or_else(|| shared.cache.get_locked(v))
-        .unwrap_or_else(|| panic!("ready task's vertex {v} vanished from the cache"))
+/// OP1 for every non-local vertex of `pulls`, sending the requests the
+/// cache asks for. Returns, per pull, the list a cache hit locked
+/// (`None`: local, or on the wire) and how many are on the wire.
+fn request_pulls<A: App>(
+    shared: &Arc<WorkerShared<A>>,
+    ctx: &mut ComperCtx,
+    id: TaskId,
+    pulls: &[VertexId],
+) -> (Vec<Option<SharedAdj>>, u32) {
+    let mut missing = 0u32;
+    let held = pulls
+        .iter()
+        .map(|&v| {
+            if shared.local.contains(v) {
+                return None;
+            }
+            match shared.cache.request(v, id, &mut ctx.counter) {
+                RequestOutcome::Hit(adj) => {
+                    prefetch(&adj);
+                    return Some(adj);
+                }
+                RequestOutcome::MustRequest => {
+                    // Count before the request can possibly leave, so
+                    // quiescence never under-counts. Stays `SeqCst`:
+                    // this comper's `busy = true` store must be
+                    // globally ordered before the increment, so a
+                    // quiescence check that misses the increment
+                    // necessarily sees the busy flag (see
+                    // `WorkerShared::quiescent`).
+                    shared.outstanding_pulls.fetch_add(1, Ordering::SeqCst);
+                    let owner = shared.partitioner.owner(v);
+                    shared.batcher.add(&*shared.net, owner, v);
+                }
+                RequestOutcome::AlreadyRequested => {}
+            }
+            missing += 1;
+            None
+        })
+        .collect();
+    (held, missing)
+}
+
+/// Builds the frontier of an iteration whose pulls are all available:
+/// `held[i]` if a cache hit already produced it, else `T_local`, else —
+/// a response installed it while the task was parked — the cache entry
+/// this task holds a lock on.
+fn assemble_frontier<A: App>(
+    shared: &Arc<WorkerShared<A>>,
+    pulls: &[VertexId],
+    held: Vec<Option<SharedAdj>>,
+) -> Frontier {
+    let mut frontier = Frontier::with_capacity(pulls.len());
+    for (&v, held) in pulls.iter().zip(held) {
+        let (adj, locked) = match held {
+            Some(adj) => (adj, true),
+            None => {
+                let found = match shared.local.get(v) {
+                    Some(adj) => (adj, false),
+                    None => match shared.cache.get_locked(v) {
+                        Some(adj) => (adj, true),
+                        None => panic!("ready task's vertex {v} vanished from the cache"),
+                    },
+                };
+                prefetch(&found.0);
+                found
+            }
+        };
+        frontier.push(v, adj, locked);
+    }
+    frontier
 }
 
 /// Runs one `compute()` iteration and integrates its side effects
@@ -343,7 +459,7 @@ fn compute_once<A: App>(
         shared.output.as_deref(),
         shared.config.compute_budget,
     );
-    let start = crate::worker::thread_cpu_nanos();
+    let start = now_nanos();
     // A panicking UDF must not strand the job (the worker would never
     // reach quiescence): record it, abort the job, finish the task.
     let proceed = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -357,10 +473,10 @@ fn compute_once<A: App>(
             false
         }
     };
-    let spent = crate::worker::thread_cpu_nanos().saturating_sub(start);
-    shared.counters.compute_nanos.fetch_add(spent, Ordering::Relaxed);
+    let spent = now_nanos().saturating_sub(start);
     shared.counters.compute_calls.fetch_add(1, Ordering::Relaxed);
     shared.compers[ctx.idx].hists.compute.record(spent);
+    ctx.cpu.record(spent, &shared.counters);
     let splits = env.take_splits();
     if splits > 0 {
         shared.counters.yields.fetch_add(1, Ordering::Relaxed);
@@ -521,4 +637,145 @@ fn try_steal<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx) -> bool
     }
     shared.compers[ctx.idx].queue.push_batch(stolen);
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::agg::NoAgg;
+    use crate::config::JobConfig;
+    use crate::job::build_worker;
+    use gthinker_graph::adj::AdjList;
+    use gthinker_graph::gen;
+    use gthinker_graph::graph::Graph;
+    use gthinker_graph::hash::FastMap;
+    use gthinker_graph::ids::{Label, WorkerId};
+    use gthinker_graph::partition::HashPartitioner;
+    use gthinker_graph::store::AdjacencyStore;
+    use gthinker_net::router::{LinkConfig, Router};
+    use gthinker_net::transport::NetEndpoint;
+    use gthinker_store::local::LocalTable;
+    use parking_lot::Mutex;
+
+    /// A graph that counts how often each list is fetched from it.
+    struct CountingStore {
+        graph: Graph,
+        fetched: Mutex<FastMap<VertexId, u32>>,
+    }
+
+    impl AdjacencyStore for CountingStore {
+        fn num_vertices(&self) -> usize {
+            self.graph.num_vertices()
+        }
+        fn num_edges(&self) -> u64 {
+            self.graph.num_edges() as u64
+        }
+        fn adjacency(&self, v: VertexId) -> AdjList {
+            *self.fetched.lock().entry(v).or_default() += 1;
+            self.graph.neighbors(v).clone()
+        }
+        fn label(&self, _v: VertexId) -> Option<Label> {
+            None
+        }
+        fn is_labeled(&self) -> bool {
+            false
+        }
+        fn heap_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    /// Finishes every task in one iteration, recording what it was
+    /// handed.
+    #[derive(Default)]
+    struct Record {
+        frontiers: Mutex<Vec<Vec<(VertexId, AdjList)>>>,
+    }
+
+    impl App for Record {
+        type Context = ();
+        type Agg = NoAgg;
+        fn make_aggregator(&self) -> NoAgg {
+            NoAgg
+        }
+        fn task_spawn(&self, _v: VertexId, _adj: &AdjList, _env: &mut SpawnEnv<'_, Self>) {}
+        fn compute(&self, _t: &mut Task<()>, f: &Frontier, _e: &mut ComputeEnv<'_, Self>) -> bool {
+            self.frontiers.lock().push(f.iter().map(|(v, adj)| (v, (**adj).clone())).collect());
+            false
+        }
+    }
+
+    /// One resolve per pull on lazy storage: a task that parks on a
+    /// remote miss has decoded nothing, and when it (or a task that
+    /// never parks) computes, each local list was decoded exactly once
+    /// and each cache hit is the list the response installed.
+    #[test]
+    fn a_parked_task_fetches_each_local_list_exactly_once() {
+        let graph = gen::gnp(60, 0.2, 3);
+        let partitioner = HashPartitioner::new(2);
+        let (mine, theirs): (Vec<VertexId>, Vec<VertexId>) =
+            graph.vertices().partition(|&v| partitioner.owner(v) == WorkerId(0));
+        let store = Arc::new(CountingStore { graph: graph.clone(), fetched: Mutex::default() });
+        let local =
+            LocalTable::lazy(Arc::clone(&store) as Arc<dyn AdjacencyStore>, None, mine.clone());
+        let mut router = Router::new(2, LinkConfig::INSTANT);
+        let mut handles = router.take_handles();
+        let peer = handles.pop().expect("two handles");
+        let net: Box<dyn NetEndpoint> = Box::new(handles.pop().expect("two handles"));
+        let dir = std::env::temp_dir().join(format!("gthinker-comper-test-{}", std::process::id()));
+        let app = Arc::new(Record::default());
+        let config = JobConfig::cluster(2, 1);
+        let shared = build_worker(&app, &config, &None, partitioner, 0, local, net, &dir).unwrap();
+        let mut ctx = ComperCtx {
+            counter: shared.cache.counter_handle(),
+            seq: 0,
+            idx: 0,
+            cpu: CpuWindow::open(),
+        };
+
+        let remote = theirs[0];
+        let pulls: Vec<VertexId> =
+            mine[..3].iter().chain([&remote]).chain(&mine[3..5]).copied().collect();
+        let task = || {
+            let mut t = Task::new(());
+            pulls.iter().for_each(|&v| t.pull(v));
+            t
+        };
+        let want: Vec<(VertexId, AdjList)> =
+            pulls.iter().map(|&v| (v, graph.neighbors(v).clone())).collect();
+
+        // The miss parks the task; nothing local was read for it.
+        drive_task(&shared, &mut ctx, task(), false);
+        assert_eq!(shared.compers[0].pending.len(), 1);
+        assert!(store.fetched.lock().is_empty(), "a task that parks decodes nothing");
+        shared.batcher.flush_all(&*shared.net);
+        assert!(peer.try_recv().is_some(), "the pull left for its owner");
+
+        // The response makes it ready, as the receiver thread would.
+        let waiters = shared.cache.insert_response(remote, graph.neighbors(remote).clone());
+        for id in waiters.expect("an open R-table entry") {
+            let comper = &shared.compers[id.comper() as usize];
+            comper.pending.notify_with(id, |t| comper.buffer.push(t));
+        }
+        let ready = shared.compers[0].buffer.pop().expect("the response completed the task");
+        drive_task(&shared, &mut ctx, ready, true);
+        assert_eq!(app.frontiers.lock().as_slice(), std::slice::from_ref(&want));
+        let once = |n: u32| {
+            let fetched = store.fetched.lock();
+            assert_eq!(fetched.len(), 5, "only the five local pulls are read from the store");
+            assert!(mine[..5].iter().all(|v| fetched[v] == n), "{fetched:?}");
+        };
+        once(1);
+        assert_eq!(shared.cache.exact_evictable(), 1, "the one cache lock was released");
+
+        // A second task hits the cache, never parks, and reads each
+        // local list once more.
+        drive_task(&shared, &mut ctx, task(), false);
+        assert!(shared.compers[0].pending.is_empty());
+        assert_eq!(app.frontiers.lock().as_slice(), &[want.clone(), want]);
+        once(2);
+        assert_eq!(shared.cache.exact_evictable(), 1);
+        assert_eq!(shared.counters.tasks_finished.load(Ordering::Relaxed), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -232,7 +232,12 @@ metrics_table! {
         (Counter, tasks_finished, "tasks", "Tasks whose `compute()` returned `false`.");
         (Counter, compute_calls, "calls", "Total `compute()` invocations (iterations).");
         (Counter, compute_nanos, "ns" as ms "compute_ms",
-            "Thread-CPU nanoseconds inside `compute()`, summed over compers.");
+            "Thread-CPU nanoseconds inside `compute()`, summed over compers: per window of 64 \
+             calls, the calls' wall time scaled by the share of the window the comper was on a \
+             core.");
+        (Counter, comper_cpu_nanos, "ns" as ms "comper_cpu_ms",
+            "Thread-CPU nanoseconds of the comper threads, `compute()` and framework together, \
+             summed over compers (`compute_nanos` is the part of it spent in the UDF).");
         (Counter, idle_nanos, "ns" as ms "idle_ms",
             "Nanoseconds compers spent parked, summed over compers.");
         (Counter, steals, "steals", "Successful intra-worker steals by this worker's compers.");
@@ -695,7 +700,7 @@ impl MetricsSnapshot {
 
     /// End-of-run tail-latency report: task e2e p50/p95/p99/max per
     /// comper, with a straggler flag on any comper whose busy time
-    /// (thread-CPU in `compute()`) deviates more than 2× from the
+    /// (wall time in `compute()`) deviates more than 2× from the
     /// median comper.
     pub fn tail_report(&self) -> String {
         let mut s = String::new();
@@ -1001,7 +1006,8 @@ mod tests {
             let at = json.find(&start).unwrap_or_else(|| panic!("no {key:?} in:\n{json}"));
             json[at + start.len()..].lines().next().unwrap()
         };
-        for key in JSON_KEYS.split_whitespace().chain(["peak_mem_bytes", "output_records"]) {
+        let added = ["peak_mem_bytes", "output_records", "comper_cpu_ms"];
+        for key in JSON_KEYS.split_whitespace().chain(added) {
             line(key);
         }
         for key in JSON_HIST_KEYS.split_whitespace() {

@@ -52,7 +52,9 @@ const NOT_IDLE: u64 = u64::MAX;
 /// on a host with fewer cores than compers, a `compute()` call's
 /// wall-time includes preemption by other threads, which would inflate
 /// the per-comper work measurements the scalability analysis
-/// (`modeled parallel time`) is built on.
+/// (`modeled parallel time`) is built on. This is a system call, not a
+/// vDSO read: compers call it once per window of `compute()` calls
+/// (`comper::CpuWindow`), never per call.
 pub(crate) fn thread_cpu_nanos() -> u64 {
     let mut ts = libc::timespec { tv_sec: 0, tv_nsec: 0 };
     // SAFETY: ts is a valid, writable timespec; the clock id is a

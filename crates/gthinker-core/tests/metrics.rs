@@ -144,3 +144,85 @@ fn tracing_disabled_by_default() {
     assert!(!r.metrics.to_json().is_empty());
     assert!(!r.metrics.tail_report().is_empty());
 }
+
+/// Reads one of the kernel's CPU-time clocks, in nanoseconds.
+fn cpu_clock(id: libc::clockid_t) -> u64 {
+    let mut ts = libc::timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a valid, writable timespec and `id` one of the
+    // two clock constants below.
+    assert_eq!(unsafe { libc::clock_gettime(id, &mut ts) }, 0);
+    ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
+}
+
+/// One pull-free task per vertex whose `compute()` burns `spin` of its
+/// thread's CPU time, and adds what it measured around itself to
+/// `measured` — the per-call method `compute_nanos` used to use, kept
+/// here as the reference.
+struct Spin {
+    spin: Duration,
+    measured: std::sync::atomic::AtomicU64,
+}
+
+impl App for Spin {
+    type Context = ();
+    type Agg = Sum;
+    fn make_aggregator(&self) -> Sum {
+        Sum
+    }
+    fn task_spawn(&self, _v: VertexId, _adj: &AdjList, env: &mut SpawnEnv<'_, Self>) {
+        env.add_task(Task::new(()));
+    }
+    fn compute(&self, _t: &mut Task<()>, _f: &Frontier, _env: &mut ComputeEnv<'_, Self>) -> bool {
+        let start = cpu_clock(libc::CLOCK_THREAD_CPUTIME_ID);
+        let mut now = start;
+        while now - start < self.spin.as_nanos() as u64 {
+            now = cpu_clock(libc::CLOCK_THREAD_CPUTIME_ID);
+        }
+        self.measured.fetch_add(now - start, std::sync::atomic::Ordering::Relaxed);
+        false
+    }
+}
+
+fn spin_job(spin: Duration, tasks: usize, compers: usize) -> (u64, WorkerMetricsSnapshot) {
+    let app = Arc::new(Spin { spin, measured: Default::default() });
+    let r =
+        run_job(Arc::clone(&app), &gen::gnp(tasks, 0.0, 1), &JobConfig::single_machine(compers))
+            .unwrap();
+    let totals = r.metrics.totals();
+    assert_eq!(totals.compute_calls, tasks as u64);
+    (app.measured.load(std::sync::atomic::Ordering::Relaxed), totals)
+}
+
+/// `compute_ms` is read off the CPU clock once per window of calls, not
+/// around each call; on one comper it must still say what the per-call
+/// readings say.
+#[test]
+fn windowed_compute_time_matches_per_call_thread_cpu() {
+    let (measured, m) = spin_job(Duration::from_micros(200), 400, 1);
+    let (got, want) = (m.compute_nanos as f64, measured as f64);
+    assert!((got - want).abs() <= 0.15 * want, "compute_nanos {got} vs per-call sum {want}");
+    assert!(m.compute_nanos <= m.comper_cpu_nanos);
+}
+
+/// Eight compers on this host's two cores: every `compute()` call's
+/// wall time is mostly time spent preempted. `compute_nanos` stays a
+/// CPU time — inside the compers' CPU, which is inside the process's —
+/// where a wall-clock sum would be several times the process's CPU.
+#[test]
+fn cpu_rows_stay_cpu_times_when_compers_outnumber_cores() {
+    let before = cpu_clock(libc::CLOCK_PROCESS_CPUTIME_ID);
+    let (measured, m) = spin_job(Duration::from_micros(250), 1_600, 8);
+    let process = cpu_clock(libc::CLOCK_PROCESS_CPUTIME_ID) - before;
+    assert!(m.compute_nanos > 0);
+    assert!(
+        m.compute_nanos <= m.comper_cpu_nanos && m.comper_cpu_nanos <= process,
+        "compute {} <= comper cpu {} <= process cpu {process}",
+        m.compute_nanos,
+        m.comper_cpu_nanos
+    );
+    // Windows are per comper, so the 15% of the one-comper test does
+    // not carry over exactly; the estimate must still be of the
+    // measured CPU's size, not of the wall time's.
+    let (got, want) = (m.compute_nanos as f64, measured as f64);
+    assert!((got - want).abs() <= 0.3 * want, "compute_nanos {got} vs per-call sum {want}");
+}

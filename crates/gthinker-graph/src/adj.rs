@@ -233,20 +233,42 @@ pub fn count_intersect_sorted(a: &[VertexId], b: &[VertexId]) -> usize {
         }
         return n;
     }
+    // No data-dependent branch: on short lists the three-way `match`
+    // mispredicts about once a step, which costs more than the step.
     let mut n = 0usize;
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
+        let (x, y) = (a[i], b[j]);
+        n += (x == y) as usize;
+        i += (x <= y) as usize;
+        j += (y <= x) as usize;
     }
     n
+}
+
+/// Hints the CPU to start loading the head of `adj`'s neighbor slice.
+///
+/// The framework calls this where it resolves a pulled vertex, a few
+/// hundred nanoseconds before `compute()` walks the list: with the
+/// merge branch-free, a short intersection costs about what the cache
+/// misses on its two lists cost. A no-op off x86-64.
+#[inline]
+pub fn prefetch(adj: &AdjList) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let head = adj.neighbors.as_ptr().cast::<i8>();
+        // SAFETY: a prefetch never faults and never reads or writes
+        // program-visible memory, whatever the address — an empty or
+        // one-line list makes these hints useless, not unsound — and
+        // `wrapping_add` keeps the pointer arithmetic itself defined.
+        unsafe {
+            _mm_prefetch::<_MM_HINT_T0>(head);
+            _mm_prefetch::<_MM_HINT_T0>(head.wrapping_add(64));
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = adj;
 }
 
 #[cfg(test)]

@@ -5,9 +5,12 @@
 //! format all validate integrity with the same code. `gthinker-task`
 //! re-exports [`crc32`] for the upper layers.
 
-/// Lookup table built at compile time — no external crate.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slice-by-8 lookup tables built at compile time — no external crate.
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`
+/// advances a byte through `k` further zero bytes, so eight lookups
+/// (one per table) consume eight input bytes per step.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -16,10 +19,20 @@ const CRC_TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// Incremental CRC32 state, for checksumming data produced in chunks
@@ -40,12 +53,27 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Feeds `data` into the checksum.
+    /// Feeds `data` into the checksum: eight bytes per step through
+    /// the sliced tables, the tail byte by byte.
     #[inline]
     pub fn update(&mut self, data: &[u8]) {
+        let t = &CRC_TABLES;
         let mut crc = self.state;
-        for &b in data {
-            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        let mut chunks = data.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
         }
         self.state = crc;
     }
@@ -108,7 +136,38 @@ impl<W: std::io::Write> std::io::Write for Crc32Writer<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Write;
+
+    /// The byte-at-a-time loop the sliced tables replaced.
+    fn bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    proptest! {
+        #[test]
+        fn sliced_update_equals_the_bytewise_loop(
+            bytes in proptest::collection::vec(any::<u8>(), 0..308),
+            offset in 0usize..8,
+        ) {
+            // Any start alignment relative to the allocation.
+            let data = &bytes[offset.min(bytes.len())..];
+            let want = bytewise(data);
+            prop_assert_eq!(crc32(data), want);
+            // Any split: the 8-byte steps of the second update start
+            // wherever the first one's tail ended.
+            for cut in 0..=data.len() {
+                let mut c = Crc32::new();
+                c.update(&data[..cut]);
+                c.update(&data[cut..]);
+                prop_assert_eq!(c.finalize(), want, "split at {}", cut);
+            }
+        }
+    }
 
     #[test]
     fn matches_the_reference_vector() {

@@ -45,7 +45,40 @@ fn owner_split_costs_at_most_the_shorter_runs_count() {
     assert_eq!(buf.len(), single_run_len(v, &nbrs) + vbyte::varint_len(128));
 }
 
+/// Three probes against a long list just short of, at and past the
+/// length where `long / 32 > short` switches the count to galloping.
+#[test]
+fn count_intersect_agrees_on_both_sides_of_the_galloping_threshold() {
+    let short = ids(vec![5, 64, 200]);
+    for len in [3u32, 95, 96, 127, 128, 129, 400] {
+        let long: Vec<VertexId> = (0..len).map(|i| VertexId(i * 2)).collect();
+        let want = short.iter().filter(|v| long.contains(v)).count();
+        assert_eq!(count_intersect_sorted(&short, &long), want, "long = {len}");
+        assert_eq!(count_intersect_sorted(&long, &short), want, "long = {len}, swapped");
+    }
+}
+
 proptest! {
+    #[test]
+    fn count_intersect_matches_a_naive_filter(
+        a in proptest::collection::vec(0u32..3000, 0..40),
+        b in proptest::collection::vec(0u32..3000, 0..1400),
+    ) {
+        // Up to 40 against up to 1400: merged or galloped, case by case.
+        let (la, lb) = (AdjList::from_unsorted(ids(a)), AdjList::from_unsorted(ids(b)));
+        let (a, b) = (la.as_slice(), lb.as_slice());
+        let want = a.iter().filter(|v| b.contains(v)).count();
+        prop_assert_eq!(count_intersect_sorted(a, b), want);
+        prop_assert_eq!(count_intersect_sorted(b, a), want);
+        prop_assert_eq!(count_intersect_sorted(a, a), a.len(), "equal lists");
+        prop_assert_eq!(count_intersect_sorted(b, b), b.len(), "equal lists");
+        prop_assert_eq!(count_intersect_sorted(a, &[]), 0);
+        prop_assert_eq!(count_intersect_sorted(&[], b), 0);
+        let even: Vec<VertexId> = a.iter().map(|v| VertexId(v.0 * 2)).collect();
+        let odd: Vec<VertexId> = b.iter().map(|v| VertexId(v.0 * 2 + 1)).collect();
+        prop_assert_eq!(count_intersect_sorted(&even, &odd), 0, "disjoint lists");
+    }
+
     #[test]
     fn intersect_matches_naive_set_intersection(
         a in proptest::collection::vec(0u32..200, 0..60),

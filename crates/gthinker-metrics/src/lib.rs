@@ -52,7 +52,9 @@ pub fn tid_name(tid: u32) -> String {
 /// snapshots, never on the live atomics.
 #[derive(Default)]
 pub struct ComperHists {
-    /// Thread-CPU time per `compute()` call.
+    /// Wall time per `compute()` call (the monotonic clock is a vDSO
+    /// read; the thread-CPU clock is a system call and is read per
+    /// window of calls, for the `compute_nanos` counter).
     pub compute: LogHistogram,
     /// End-to-end task latency: spawn (`Task::new`) → final iteration,
     /// including every pull wait and queue/spill residence in between.
@@ -80,7 +82,7 @@ impl ComperHists {
 /// Plain-data snapshot of a [`ComperHists`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ComperHistSnapshot {
-    /// Per-`compute()` thread-CPU latency.
+    /// Per-`compute()` wall latency.
     pub compute: HistSnapshot,
     /// Spawn→finish task latency.
     pub e2e: HistSnapshot,

@@ -7,8 +7,11 @@
 //!
 //! * **Γ-table** — cached `(v, Γ(v))` entries with a `lock_count`
 //!   tracking how many tasks currently hold `v`;
-//! * **Z-table** — the subset of Γ-table entries whose `lock_count` is
-//!   zero, i.e. safe to evict (lets GC scan only candidates);
+//! * **Z-table** — the eviction candidates: every vertex whose
+//!   `lock_count` has reached zero since GC last looked at it (lets GC
+//!   scan only candidates). Deletion is lazy — a hit on a zero-locked
+//!   vertex leaves its candidate in place, and GC drops the candidates
+//!   it finds locked again — so the hit path never edits the table;
 //! * **R-table** — vertices whose pull request is in flight, with the
 //!   IDs of the tasks waiting for the response (its length plays the
 //!   role of `lock_count`, and prevents duplicate requests).
@@ -23,7 +26,7 @@
 
 use crate::counter::{ApproxCounter, CounterHandle};
 use gthinker_graph::adj::{AdjList, SharedAdj};
-use gthinker_graph::hash::{FastMap, FastSet};
+use gthinker_graph::hash::FastMap;
 use gthinker_graph::ids::{TaskId, VertexId};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -143,6 +146,9 @@ impl CacheSnapshot {
 struct GammaEntry {
     adj: SharedAdj,
     lock_count: u32,
+    /// `v` has a candidate in the bucket's Z-table — exactly one, so a
+    /// vertex bouncing between 0 and 1 locks does not grow the list.
+    in_zero: bool,
 }
 
 /// An R-table entry: the tasks waiting for the in-flight pull, plus
@@ -159,7 +165,10 @@ struct PullRequest {
 #[derive(Default)]
 struct Bucket {
     gamma: FastMap<VertexId, GammaEntry>,
-    zero: FastSet<VertexId>,
+    /// Eviction candidates, oldest first: the vertices whose Γ entry
+    /// has `in_zero` set. A candidate may have been locked again since
+    /// it was pushed; OP4 checks.
+    zero: Vec<VertexId>,
     requests: FastMap<VertexId, PullRequest>,
 }
 
@@ -249,10 +258,11 @@ impl VertexCache {
 
     /// **OP1** — task `task` requests `Γ(v)`.
     ///
-    /// On a Γ-table hit the entry's `lock_count` is incremented (and `v`
-    /// leaves the Z-table if it was there). Otherwise the task is queued
-    /// on the R-table entry; if the entry is new, `s_cache` grows by one
-    /// through `counter` and the caller must transmit the request.
+    /// On a Γ-table hit the entry's `lock_count` is incremented (a
+    /// Z-table candidate for `v`, if any, stays where it is — OP4 skips
+    /// it). Otherwise the task is queued on the R-table entry; if the
+    /// entry is new, `s_cache` grows by one through `counter` and the
+    /// caller must transmit the request.
     pub fn request(
         &self,
         v: VertexId,
@@ -260,13 +270,7 @@ impl VertexCache {
         counter: &mut CounterHandle,
     ) -> RequestOutcome {
         let mut b = self.bucket_of(v).lock();
-        // Split borrows: the Γ- and Z-table updates touch disjoint
-        // fields, so the hit path is a single branch.
-        let Bucket { gamma, zero, .. } = &mut *b;
-        if let Some(entry) = gamma.get_mut(&v) {
-            if entry.lock_count == 0 {
-                zero.remove(&v);
-            }
+        if let Some(entry) = b.gamma.get_mut(&v) {
             entry.lock_count += 1;
             let adj = Arc::clone(&entry.adj);
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -319,9 +323,10 @@ impl VertexCache {
         debug_assert!(!b.gamma.contains_key(&v), "response for already-cached vertex");
         let waiters = req.waiters;
         let lock_count = waiters.len() as u32;
-        b.gamma.insert(v, GammaEntry { adj: Arc::new(adj), lock_count });
-        if lock_count == 0 {
-            b.zero.insert(v);
+        let in_zero = lock_count == 0;
+        b.gamma.insert(v, GammaEntry { adj: Arc::new(adj), lock_count, in_zero });
+        if in_zero {
+            b.zero.push(v);
         }
         Some(waiters)
     }
@@ -374,19 +379,22 @@ impl VertexCache {
     }
 
     /// **OP3** — a task releases its hold on `v` after finishing an
-    /// iteration. When the `lock_count` reaches zero, `v` enters the
-    /// Z-table and becomes evictable.
+    /// iteration. When the `lock_count` reaches zero `v` becomes
+    /// evictable, and enters the Z-table unless an earlier release
+    /// already left a candidate there.
     ///
     /// # Panics
     /// Panics if `v` is not cached or not locked — that would mean a
     /// release without a matching request, a framework bug.
     pub fn release(&self, v: VertexId) {
         let mut b = self.bucket_of(v).lock();
-        let entry = b.gamma.get_mut(&v).expect("release of uncached vertex");
+        let Bucket { gamma, zero, .. } = &mut *b;
+        let entry = gamma.get_mut(&v).expect("release of uncached vertex");
         assert!(entry.lock_count > 0, "release without matching request");
         entry.lock_count -= 1;
-        if entry.lock_count == 0 {
-            b.zero.insert(v);
+        if entry.lock_count == 0 && !entry.in_zero {
+            entry.in_zero = true;
+            zero.push(v);
         }
     }
 
@@ -394,7 +402,9 @@ impl VertexCache {
     ///
     /// If `s_cache ≤ (1 + α) · c_cache` this returns 0 immediately
     /// (releasing the GC thread's CPU core, per the paper). Otherwise it
-    /// walks buckets round-robin, evicting Z-table vertices until
+    /// walks buckets round-robin, taking Z-table candidates oldest
+    /// first — evicting those still unlocked, un-flagging those a task
+    /// has locked again (their next release re-enters them) — until
     /// `s_cache − c_cache` vertices are gone or all buckets were
     /// scanned once (locked tasks may block full eviction; later passes
     /// catch up once tasks release).
@@ -412,18 +422,24 @@ impl VertexCache {
             }
             let i = self.gc_cursor.fetch_add(1, Ordering::Relaxed) % k;
             let mut b = self.buckets[i].lock();
-            // Drain up to the remaining quota in one pass over the
-            // Z-table instead of restarting its iterator per victim
-            // (each `iter().next()` re-probes from slot 0, turning a
-            // batch eviction quadratic in the bucket's Z-table size).
-            let victims: Vec<VertexId> = b.zero.iter().copied().take(target - evicted).collect();
-            for v in victims {
-                b.zero.remove(&v);
-                let removed = b.gamma.remove(&v);
-                debug_assert!(removed.is_some(), "Z-table entry missing from Γ-table");
-                counter.decr();
-                evicted += 1;
+            let Bucket { gamma, zero, .. } = &mut *b;
+            let mut scanned = 0;
+            for &v in zero.iter() {
+                if evicted >= target {
+                    break;
+                }
+                scanned += 1;
+                let entry = gamma.get_mut(&v).expect("Z-table candidate missing from Γ-table");
+                debug_assert!(entry.in_zero, "candidate without its flag");
+                if entry.lock_count == 0 {
+                    gamma.remove(&v);
+                    counter.decr();
+                    evicted += 1;
+                } else {
+                    entry.in_zero = false;
+                }
             }
+            zero.drain(..scanned);
         }
         self.stats.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
         evicted
@@ -441,8 +457,17 @@ impl VertexCache {
             .sum()
     }
 
-    /// Exact number of evictable (zero-locked) vertices. O(k); tests.
+    /// Exact number of evictable (zero-locked) vertices. O(Γ); tests.
     pub fn exact_evictable(&self) -> usize {
+        self.buckets
+            .iter()
+            .map(|b| b.lock().gamma.values().filter(|e| e.lock_count == 0).count())
+            .sum()
+    }
+
+    /// Z-table candidates across all buckets, stale ones included.
+    #[cfg(test)]
+    fn candidates(&self) -> usize {
         self.buckets.iter().map(|b| b.lock().zero.len()).sum()
     }
 
@@ -532,9 +557,38 @@ mod tests {
             RequestOutcome::Hit(a) => assert_eq!(a.as_slice(), &[VertexId(9)]),
             other => panic!("expected hit, got {other:?}"),
         }
-        assert_eq!(c.exact_evictable(), 0, "hit removed vertex from Z-table");
+        assert_eq!(c.exact_evictable(), 0, "a locked vertex is not evictable");
         c.release(VertexId(7));
         assert_eq!(c.exact_evictable(), 1);
+        assert_eq!(c.candidates(), 1, "release, hit, release: one candidate, not two");
+    }
+
+    #[test]
+    fn gc_skips_a_relocked_candidate_and_takes_it_after_its_next_release() {
+        let c = small_cache(1);
+        let mut h = c.counter_handle();
+        for i in 0..4 {
+            c.request(VertexId(i), T1, &mut h);
+            c.insert_response(VertexId(i), adj(&[]));
+            c.release(VertexId(i));
+        }
+        // Vertex 0 is hit again before GC looks: its candidate is stale.
+        assert!(matches!(c.request(VertexId(0), T2, &mut h), RequestOutcome::Hit(_)));
+        assert_eq!((c.candidates(), c.exact_evictable()), (4, 3));
+        assert_eq!(c.gc_pass(&mut h), 3, "s_cache - c_cache = 3, and three are unlocked");
+        assert!(c.get_locked(VertexId(0)).is_some(), "the locked vertex survived");
+        assert_eq!(c.exact_size(), 1);
+        // Over the limit again, with nothing evictable: the pass scans
+        // every bucket, so it meets the stale candidate wherever it is.
+        c.request(VertexId(9), T1, &mut h);
+        c.insert_response(VertexId(9), adj(&[]));
+        assert_eq!(c.gc_pass(&mut h), 0, "both survivors are locked");
+        assert_eq!(c.candidates(), 0, "the stale candidate was dropped and un-flagged");
+        c.release(VertexId(0));
+        assert_eq!(c.candidates(), 1, "its next release re-enters it");
+        assert_eq!(c.gc_pass(&mut h), 1);
+        assert!(c.get_locked(VertexId(0)).is_none());
+        assert!(c.get_locked(VertexId(9)).is_some());
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Each worker loads its hash partition of the input graph into
 //! `T_local`; together the tables of all workers form the distributed
 //! key-value store that tasks pull `Γ(v)` from. `T_local` also owns the
-//! shared **"next" spawn pointer** (Fig. 7): compers lock and forward it
-//! to claim batches of not-yet-spawned vertices when they need to
-//! generate fresh tasks.
+//! shared **"next" spawn pointer** (Fig. 7): compers forward it
+//! atomically to claim batches of not-yet-spawned vertices when they
+//! need to generate fresh tasks.
 //!
 //! Two backings exist behind the same lookup API:
 //!
@@ -26,7 +26,7 @@ use gthinker_graph::hash::{fast_map_with_capacity, FastMap};
 use gthinker_graph::ids::{Label, VertexId};
 use gthinker_graph::store::AdjacencyStore;
 use gthinker_graph::trim::Trimmer;
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A fixed-size bitset over vertex IDs `0..n`.
@@ -62,8 +62,11 @@ pub struct LocalTable {
     backing: Backing,
     /// Vertex IDs in load order; the spawn pointer indexes into this.
     order: Vec<VertexId>,
-    /// Index of the next vertex to spawn a task from.
-    next: Mutex<usize>,
+    /// Index of the next vertex to spawn a task from. Every access is
+    /// `SeqCst`: `unspawned() == 0` is a term of the worker's quiescence
+    /// predicate, which is argued in one total order with the compers'
+    /// busy flags.
+    next: AtomicUsize,
 }
 
 impl LocalTable {
@@ -89,7 +92,7 @@ impl LocalTable {
         LocalTable {
             backing: Backing::Eager { map, labels: label_map },
             order,
-            next: Mutex::new(0),
+            next: AtomicUsize::new(0),
         }
     }
 
@@ -114,7 +117,7 @@ impl LocalTable {
         LocalTable {
             backing: Backing::Lazy { store, trimmer, members: bits },
             order: members,
-            next: Mutex::new(0),
+            next: AtomicUsize::new(0),
         }
     }
 
@@ -184,29 +187,29 @@ impl LocalTable {
     /// Called by a comper when both its spilled-file list and `B_task`
     /// are empty and its queue needs refilling (§V-B refill priority).
     pub fn claim_spawn_batch(&self, count: usize) -> &[VertexId] {
-        let mut next = self.next.lock();
-        let start = *next;
-        let end = (start + count).min(self.order.len());
-        *next = end;
-        &self.order[start..end]
+        let end_of = |start: usize| start.saturating_add(count).min(self.order.len());
+        let start = self
+            .next
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |start| Some(end_of(start)))
+            .expect("the update never declines");
+        &self.order[start..end_of(start)]
     }
 
     /// Number of vertices that have not yet been claimed for spawning —
     /// used by the master to estimate a worker's remaining load for
     /// work-stealing plans.
     pub fn unspawned(&self) -> usize {
-        self.order.len() - *self.next.lock()
+        self.order.len() - self.next.load(Ordering::SeqCst)
     }
 
     /// Resets the spawn pointer (used when restoring from a checkpoint).
     pub fn reset_spawn_pointer(&self, position: usize) {
-        let mut next = self.next.lock();
-        *next = position.min(self.order.len());
+        self.next.store(position.min(self.order.len()), Ordering::SeqCst);
     }
 
     /// Current spawn-pointer position (for checkpointing).
     pub fn spawn_position(&self) -> usize {
-        *self.next.lock()
+        self.next.load(Ordering::SeqCst)
     }
 
     /// Approximate heap bytes (memory accounting). Lazy backing counts
