@@ -71,29 +71,12 @@ impl MaxCliqueApp {
         assert!(tau >= 1);
         MaxCliqueApp { tau }
     }
-
-    /// Best clique size visible on this worker right now (local partial
-    /// or broadcast global, whichever is larger).
-    fn best_size<E: AggReader>(env: &E) -> usize {
-        env.read_best(|p, g| p.len().max(g.len()))
-    }
 }
 
-/// Small helper trait so both environments expose the same read.
-trait AggReader {
-    fn read_best<R>(&self, f: impl FnOnce(&Clique, &Clique) -> R) -> R;
-}
-
-impl AggReader for SpawnEnv<'_, MaxCliqueApp> {
-    fn read_best<R>(&self, f: impl FnOnce(&Clique, &Clique) -> R) -> R {
-        self.read_agg(f)
-    }
-}
-
-impl AggReader for ComputeEnv<'_, MaxCliqueApp> {
-    fn read_best<R>(&self, f: impl FnOnce(&Clique, &Clique) -> R) -> R {
-        self.read_agg(f)
-    }
+/// Best clique size visible on this worker right now (local partial or
+/// broadcast global, whichever is larger); for `env.read_agg`.
+fn best_size(partial: &Clique, global: &Clique) -> usize {
+    partial.len().max(global.len())
 }
 
 impl App for MaxCliqueApp {
@@ -111,7 +94,7 @@ impl App for MaxCliqueApp {
 
     fn task_spawn(&self, v: VertexId, adj: &AdjList, env: &mut SpawnEnv<'_, Self>) {
         // Fig. 5 line 1: prune if even all of Γ_>(v) cannot beat S_max.
-        if Self::best_size(env) > adj.degree() {
+        if env.read_agg(best_size) > adj.degree() {
             return;
         }
         let mut t = Task::new(vec![v]);
@@ -148,7 +131,7 @@ impl App for MaxCliqueApp {
         }
         let s = task.context.clone();
         let g = &task.subgraph;
-        let best = Self::best_size(env);
+        let best = env.read_agg(best_size);
 
         // Straggler splitting: a compute budget tightens the
         // decomposition threshold, so candidate sets that would run
@@ -216,11 +199,7 @@ mod tests {
     use std::sync::Arc;
 
     fn local_of(g: &Graph) -> gthinker_graph::subgraph::LocalGraph {
-        let mut sg = Subgraph::new();
-        for v in g.vertices() {
-            sg.add_vertex(v, g.neighbors(v).clone());
-        }
-        sg.to_local()
+        Subgraph::from_graph(g).to_local()
     }
 
     fn run(g: &Graph, cfg: &JobConfig, tau: usize) -> Clique {

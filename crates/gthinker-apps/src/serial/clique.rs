@@ -266,16 +266,8 @@ mod tests {
     use gthinker_graph::ids::VertexId;
     use gthinker_graph::subgraph::Subgraph;
 
-    fn subgraph_of(g: &Graph) -> Subgraph {
-        let mut sg = Subgraph::new();
-        for v in g.vertices() {
-            sg.add_vertex(v, g.neighbors(v).clone());
-        }
-        sg
-    }
-
     fn to_local(g: &Graph) -> LocalGraph {
-        subgraph_of(g).to_local()
+        Subgraph::from_graph(g).to_local()
     }
 
     #[test]
@@ -335,7 +327,7 @@ mod tests {
     fn bitset_and_list_kernels_agree() {
         for seed in 0..10 {
             let graph = gen::gnp(30, 0.45, seed);
-            let sg = subgraph_of(&graph);
+            let sg = Subgraph::from_graph(&graph);
             let dense = sg.to_local();
             let sparse = sg.to_local_with_threshold(0);
             for lb in [0usize, 2, 4] {

@@ -268,11 +268,7 @@ mod tests {
     use gthinker_graph::subgraph::Subgraph;
 
     fn to_local(g: &Graph) -> LocalGraph {
-        let mut sg = Subgraph::new();
-        for v in g.vertices() {
-            sg.add_vertex(v, g.neighbors(v).clone());
-        }
-        sg.to_local()
+        Subgraph::from_graph(g).to_local()
     }
 
     #[test]
@@ -336,10 +332,7 @@ mod tests {
     fn bitset_and_list_kernels_agree() {
         for seed in 0..4 {
             let g = gen::gnp(11, 0.45, seed + 30);
-            let mut sg = Subgraph::new();
-            for v in g.vertices() {
-                sg.add_vertex(v, g.neighbors(v).clone());
-            }
+            let sg = Subgraph::from_graph(&g);
             let dense = sg.to_local();
             let sparse = sg.to_local_with_threshold(0);
             assert!(dense.is_dense() && !sparse.is_dense());

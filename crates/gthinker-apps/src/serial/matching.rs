@@ -275,14 +275,7 @@ mod tests {
     use gthinker_graph::subgraph::Subgraph;
 
     fn to_local(g: &Graph) -> LocalGraph {
-        let mut sg = Subgraph::new();
-        for v in g.vertices() {
-            match g.label(v) {
-                Some(l) => sg.add_labeled_vertex(v, l, g.neighbors(v).clone()),
-                None => sg.add_vertex(v, g.neighbors(v).clone()),
-            };
-        }
-        sg.to_local()
+        Subgraph::from_graph(g).to_local()
     }
 
     #[test]

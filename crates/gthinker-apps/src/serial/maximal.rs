@@ -182,16 +182,8 @@ mod tests {
     use gthinker_graph::graph::Graph;
     use gthinker_graph::subgraph::Subgraph;
 
-    fn subgraph_of(g: &Graph) -> Subgraph {
-        let mut sg = Subgraph::new();
-        for v in g.vertices() {
-            sg.add_vertex(v, g.neighbors(v).clone());
-        }
-        sg
-    }
-
     fn to_local(g: &Graph) -> LocalGraph {
-        subgraph_of(g).to_local()
+        Subgraph::from_graph(g).to_local()
     }
 
     #[test]
@@ -213,7 +205,7 @@ mod tests {
     #[test]
     fn bitset_and_list_kernels_enumerate_identically() {
         for seed in 0..6 {
-            let sg = subgraph_of(&gen::gnp(18, 0.45, seed));
+            let sg = Subgraph::from_graph(&gen::gnp(18, 0.45, seed));
             let mut dense = list_maximal_cliques(&sg.to_local());
             let mut sparse = list_maximal_cliques(&sg.to_local_with_threshold(0));
             dense.sort();

@@ -237,11 +237,7 @@ mod tests {
     use gthinker_graph::subgraph::Subgraph;
 
     fn to_local(g: &Graph) -> LocalGraph {
-        let mut sg = Subgraph::new();
-        for v in g.vertices() {
-            sg.add_vertex(v, g.neighbors(v).clone());
-        }
-        sg.to_local()
+        Subgraph::from_graph(g).to_local()
     }
 
     #[test]
@@ -301,10 +297,7 @@ mod tests {
     fn bitset_and_list_kernels_agree() {
         for seed in 0..4 {
             let g = gen::gnp(11, 0.5, seed + 70);
-            let mut sg = Subgraph::new();
-            for v in g.vertices() {
-                sg.add_vertex(v, g.neighbors(v).clone());
-            }
+            let sg = Subgraph::from_graph(&g);
             let dense = sg.to_local();
             let sparse = sg.to_local_with_threshold(0);
             for (gamma, min, max) in [(0.5, 3usize, 5usize), (0.75, 3, 6), (1.0, 2, 5)] {

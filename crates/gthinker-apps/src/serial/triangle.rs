@@ -120,10 +120,7 @@ mod tests {
         for seed in 0..6 {
             let g = gen::gnp(40, 0.25, seed + 10);
             let expected = count_triangles(&g);
-            let mut sg = Subgraph::new();
-            for v in g.vertices() {
-                sg.add_vertex(v, g.neighbors(v).clone());
-            }
+            let sg = Subgraph::from_graph(&g);
             let dense = sg.to_local();
             let sparse = sg.to_local_with_threshold(0);
             assert!(dense.is_dense() && !sparse.is_dense());

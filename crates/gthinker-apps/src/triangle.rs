@@ -13,27 +13,6 @@ use gthinker_core::prelude::*;
 use gthinker_graph::adj::AdjList;
 use gthinker_graph::trim::{GreaterIdTrimmer, Trimmer};
 
-/// Sums `u64` contributions.
-pub struct SumAgg;
-
-impl Aggregator for SumAgg {
-    type Item = u64;
-    type Partial = u64;
-    type Global = u64;
-    fn init_partial(&self) -> u64 {
-        0
-    }
-    fn init_global(&self) -> u64 {
-        0
-    }
-    fn aggregate(&self, p: &mut u64, item: u64) {
-        *p += item;
-    }
-    fn merge(&self, g: &mut u64, p: &u64) {
-        *g += *p;
-    }
-}
-
 /// The triangle counting application.
 #[derive(Default)]
 pub struct TriangleApp;

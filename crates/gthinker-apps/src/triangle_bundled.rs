@@ -12,7 +12,7 @@
 //! per-task overhead and round trips) drops sharply on heavy-tailed
 //! graphs.
 
-use crate::triangle::{above, SumAgg};
+use crate::triangle::above;
 use gthinker_core::prelude::*;
 use gthinker_graph::adj::{AdjList, SharedAdj};
 use gthinker_graph::trim::{GreaterIdTrimmer, Trimmer};

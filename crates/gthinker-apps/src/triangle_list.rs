@@ -6,7 +6,6 @@
 //! worker's output sink instead of buffering them, so memory stays
 //! bounded no matter how many triangles exist.
 
-use crate::triangle::SumAgg;
 use gthinker_core::prelude::*;
 use gthinker_graph::adj::AdjList;
 use gthinker_graph::trim::{GreaterIdTrimmer, Trimmer};

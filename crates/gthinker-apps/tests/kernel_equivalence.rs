@@ -20,17 +20,9 @@ use gthinker_graph::subgraph::{LocalGraph, Subgraph};
 /// cheap, large enough that rows span more than one 64-bit word.
 const THRESHOLD: usize = 80;
 
-fn snapshot(g: &Graph) -> Subgraph {
-    let mut sg = Subgraph::new();
-    for v in g.vertices() {
-        sg.add_vertex(v, g.neighbors(v).clone());
-    }
-    sg
-}
-
 /// Both representations of the same graph: `(dense, sparse)`.
 fn both(g: &Graph) -> (LocalGraph, LocalGraph) {
-    let sg = snapshot(g);
+    let sg = Subgraph::from_graph(g);
     let dense = sg.to_local_with_threshold(usize::MAX);
     let sparse = sg.to_local_with_threshold(0);
     assert!(dense.is_dense() && !sparse.is_dense());
@@ -45,7 +37,7 @@ fn straddle_sizes() -> [usize; 5] {
 #[test]
 fn dispatch_flips_exactly_at_threshold() {
     for n in straddle_sizes() {
-        let sg = snapshot(&gen::gnp(n, 0.3, 7));
+        let sg = Subgraph::from_graph(&gen::gnp(n, 0.3, 7));
         let l = sg.to_local_with_threshold(THRESHOLD);
         assert_eq!(l.is_dense(), n <= THRESHOLD, "n = {n}");
     }
@@ -127,7 +119,7 @@ fn default_threshold_path_matches_forced_sparse_on_real_sizes() {
     // versus the forced-sparse snapshot.
     for seed in 0..2 {
         let g = gen::barabasi_albert(150, 4, seed);
-        let sg = snapshot(&g);
+        let sg = Subgraph::from_graph(&g);
         let default = sg.to_local();
         let sparse = sg.to_local_with_threshold(0);
         assert!(default.is_dense());

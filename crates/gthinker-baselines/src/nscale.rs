@@ -317,10 +317,7 @@ mod tests {
     fn max_clique_matches_brute_force() {
         for seed in 0..3 {
             let g = gen::gnp(15, 0.45, seed);
-            let mut sg = Subgraph::new();
-            for v in g.vertices() {
-                sg.add_vertex(v, g.neighbors(v).clone());
-            }
+            let sg = Subgraph::from_graph(&g);
             let expected = max_clique_brute(&sg.to_local()).len();
             let (out, _) = nscale_max_clique(&g, &config("mcf"));
             assert_eq!(out.result.unwrap().len(), expected, "seed {seed}");

@@ -215,11 +215,7 @@ mod tests {
     }
 
     fn brute_size(g: &Graph) -> usize {
-        let mut sg = Subgraph::new();
-        for v in g.vertices() {
-            sg.add_vertex(v, g.neighbors(v).clone());
-        }
-        max_clique_brute(&sg.to_local()).len()
+        max_clique_brute(&Subgraph::from_graph(g).to_local()).len()
     }
 
     #[test]

@@ -35,11 +35,7 @@ fn time_it(mut f: impl FnMut() -> usize) -> (Duration, usize) {
 
 /// G(n, p) as a task subgraph, with the bit matrix forced on and off.
 fn dense_and_sparse(n: usize, p: f64, seed: u64) -> (LocalGraph, LocalGraph) {
-    let mut sg = Subgraph::new();
-    let g = gen::gnp(n, p, seed);
-    for v in g.vertices() {
-        sg.add_vertex(v, g.neighbors(v).clone());
-    }
+    let sg = Subgraph::from_graph(&gen::gnp(n, p, seed));
     (sg.to_local_with_threshold(usize::MAX), sg.to_local_with_threshold(0))
 }
 

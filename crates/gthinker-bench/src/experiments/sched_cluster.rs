@@ -29,7 +29,6 @@
 //! `cargo run -p gthinker-bench --release -- sched_cluster [--scale f]`
 
 use gthinker_apps::serial::clique::max_clique_above;
-use gthinker_apps::SumAgg;
 use gthinker_core::prelude::*;
 use gthinker_graph::adj::AdjList;
 use gthinker_graph::gen;

@@ -23,7 +23,6 @@
 //! `cargo run -p gthinker-bench --release -- sched_tail [--scale f]`
 
 use gthinker_apps::serial::clique::max_clique_above;
-use gthinker_apps::SumAgg;
 use gthinker_core::prelude::*;
 use gthinker_graph::adj::AdjList;
 use gthinker_graph::gen;

@@ -530,6 +530,12 @@ fn cmd_mine(miner: &str, mut a: Args, mut place: Place) -> Result<String, CliErr
             // Enumeration mode: each worker streams every triangle it
             // finds to its own part file.
             let list = a.take(&LIST);
+            if list.is_some() && bundle > 0 {
+                return err(format!(
+                    "{}: {} and {} do not combine; enumeration spawns one task per vertex",
+                    a.path, LIST.name, BUNDLE.name
+                ));
+            }
             place.cfg.output_dir = list.as_ref().map(Into::into);
             let render = move |r: &JobResult<u64>| {
                 let detail = match &list {
@@ -1141,6 +1147,9 @@ mod tests {
             "tc g.bin --tau 9 => tc: unknown option --tau",
             "mc g.bin --list out => mc: unknown option --list",
             "tc g.bin --compers 2 --compers 3 => --compers given more than once",
+            // Two modes of one miner that used to resolve silently to the first.
+            "tc g.bin --list out --bundle 4 => \
+             tc: --list and --bundle do not combine; enumeration spawns one task per vertex",
             // The size of a cluster is its host list.
             "master --hosts 127.0.0.1:1,127.0.0.1:2 --workers 2 tc g.bin => \
              master: the size of the cluster comes from --hosts; drop --workers",

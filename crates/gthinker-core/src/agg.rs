@@ -45,6 +45,28 @@ impl Aggregator for NoAgg {
     fn merge(&self, _global: &mut (), _partial: &()) {}
 }
 
+/// Sums `u64` contributions: the aggregator of every counting miner.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SumAgg;
+
+impl Aggregator for SumAgg {
+    type Item = u64;
+    type Partial = u64;
+    type Global = u64;
+    fn init_partial(&self) -> u64 {
+        0
+    }
+    fn init_global(&self) -> u64 {
+        0
+    }
+    fn aggregate(&self, p: &mut u64, item: u64) {
+        *p += item;
+    }
+    fn merge(&self, g: &mut u64, p: &u64) {
+        *g += *p;
+    }
+}
+
 /// The worker-side aggregator state: the mutable partial plus the last
 /// broadcast global snapshot.
 pub struct LocalAgg<G: Aggregator> {
@@ -106,29 +128,9 @@ impl<G: Aggregator> LocalAgg<G> {
 mod tests {
     use super::*;
 
-    /// Simple summing aggregator for tests.
-    struct Sum;
-    impl Aggregator for Sum {
-        type Item = u64;
-        type Partial = u64;
-        type Global = u64;
-        fn init_partial(&self) -> u64 {
-            0
-        }
-        fn init_global(&self) -> u64 {
-            0
-        }
-        fn aggregate(&self, p: &mut u64, item: u64) {
-            *p += item;
-        }
-        fn merge(&self, g: &mut u64, p: &u64) {
-            *g += *p;
-        }
-    }
-
     #[test]
     fn aggregate_take_merge_cycle() {
-        let agg = Arc::new(Sum);
+        let agg = Arc::new(SumAgg);
         let local = LocalAgg::new(Arc::clone(&agg));
         local.aggregate(3);
         local.aggregate(4);
@@ -145,7 +147,7 @@ mod tests {
 
     #[test]
     fn read_sees_partial_and_global() {
-        let local = LocalAgg::new(Arc::new(Sum));
+        let local = LocalAgg::new(Arc::new(SumAgg));
         local.aggregate(5);
         local.set_global(10);
         let combined = local.read(|p, g| p + g);
@@ -154,7 +156,7 @@ mod tests {
 
     #[test]
     fn concurrent_aggregation_is_lossless() {
-        let local = Arc::new(LocalAgg::new(Arc::new(Sum)));
+        let local = Arc::new(LocalAgg::new(Arc::new(SumAgg)));
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let l = Arc::clone(&local);

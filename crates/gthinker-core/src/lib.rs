@@ -20,21 +20,10 @@
 //! /// Count every vertex by spawning a trivial task per vertex.
 //! struct CountVertices;
 //!
-//! struct Count;
-//! impl Aggregator for Count {
-//!     type Item = u64;
-//!     type Partial = u64;
-//!     type Global = u64;
-//!     fn init_partial(&self) -> u64 { 0 }
-//!     fn init_global(&self) -> u64 { 0 }
-//!     fn aggregate(&self, p: &mut u64, item: u64) { *p += item; }
-//!     fn merge(&self, g: &mut u64, p: &u64) { *g += *p; }
-//! }
-//!
 //! impl App for CountVertices {
 //!     type Context = ();
-//!     type Agg = Count;
-//!     fn make_aggregator(&self) -> Count { Count }
+//!     type Agg = SumAgg;
+//!     fn make_aggregator(&self) -> SumAgg { SumAgg }
 //!     fn task_spawn(&self, _v: VertexId, _adj: &AdjList, env: &mut SpawnEnv<'_, Self>) {
 //!         env.add_task(Task::new(()));
 //!     }
@@ -66,7 +55,7 @@ pub mod output;
 mod termination;
 mod worker;
 
-pub use agg::{Aggregator, LocalAgg, NoAgg};
+pub use agg::{Aggregator, LocalAgg, NoAgg, SumAgg};
 pub use api::{App, ComputeEnv, SpawnEnv};
 pub use cluster::ClusterRole;
 pub use config::{JobConfig, JobOutcome, JobResult};
@@ -75,7 +64,7 @@ pub use metrics::{ClusterTelemetry, MetricsRegistry, MetricsSnapshot, WorkerMetr
 
 /// Convenient glob-import surface for applications.
 pub mod prelude {
-    pub use crate::agg::{Aggregator, NoAgg};
+    pub use crate::agg::{Aggregator, NoAgg, SumAgg};
     pub use crate::api::{App, ComputeEnv, SpawnEnv};
     pub use crate::config::{JobConfig, JobOutcome, JobResult};
     pub use crate::job::{

@@ -6,32 +6,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-struct Sum;
-impl Aggregator for Sum {
-    type Item = u64;
-    type Partial = u64;
-    type Global = u64;
-    fn init_partial(&self) -> u64 {
-        0
-    }
-    fn init_global(&self) -> u64 {
-        0
-    }
-    fn aggregate(&self, p: &mut u64, item: u64) {
-        *p += item;
-    }
-    fn merge(&self, g: &mut u64, p: &u64) {
-        *g += *p;
-    }
-}
-
 /// Edge counter that pulls (to generate observable cache traffic).
 struct EdgeCount;
 impl App for EdgeCount {
     type Context = ();
-    type Agg = Sum;
-    fn make_aggregator(&self) -> Sum {
-        Sum
+    type Agg = SumAgg;
+    fn make_aggregator(&self) -> SumAgg {
+        SumAgg
     }
     fn task_spawn(&self, v: VertexId, adj: &AdjList, env: &mut SpawnEnv<'_, Self>) {
         let mut t = Task::new(());

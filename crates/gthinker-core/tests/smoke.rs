@@ -5,26 +5,6 @@ use gthinker_graph::gen;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Sums `u64` contributions.
-struct Sum;
-impl Aggregator for Sum {
-    type Item = u64;
-    type Partial = u64;
-    type Global = u64;
-    fn init_partial(&self) -> u64 {
-        0
-    }
-    fn init_global(&self) -> u64 {
-        0
-    }
-    fn aggregate(&self, p: &mut u64, item: u64) {
-        *p += item;
-    }
-    fn merge(&self, g: &mut u64, p: &u64) {
-        *g += *p;
-    }
-}
-
 /// Counts edges by pulling each vertex's neighbors-greater-than set and
 /// summing degrees: every task pulls its larger neighbors (forcing
 /// remote traffic in multi-worker runs) and adds |Γ_>(v)| of each
@@ -33,10 +13,10 @@ struct DegreeSum;
 
 impl App for DegreeSum {
     type Context = u32; // iteration marker
-    type Agg = Sum;
+    type Agg = SumAgg;
 
-    fn make_aggregator(&self) -> Sum {
-        Sum
+    fn make_aggregator(&self) -> SumAgg {
+        SumAgg
     }
 
     fn task_spawn(&self, v: VertexId, adj: &AdjList, env: &mut SpawnEnv<'_, Self>) {
@@ -99,9 +79,9 @@ struct PanicsOnVertex(u32);
 
 impl App for PanicsOnVertex {
     type Context = u32;
-    type Agg = Sum;
-    fn make_aggregator(&self) -> Sum {
-        Sum
+    type Agg = SumAgg;
+    fn make_aggregator(&self) -> SumAgg {
+        SumAgg
     }
     fn task_spawn(&self, v: VertexId, _adj: &AdjList, env: &mut SpawnEnv<'_, Self>) {
         env.add_task(Task::new(v.0));

@@ -14,6 +14,7 @@
 
 use crate::adj::AdjList;
 use crate::bitset::words_for;
+use crate::graph::Graph;
 use crate::hash::{fast_map_with_capacity, FastMap};
 use crate::ids::{Label, VertexId};
 
@@ -42,6 +43,17 @@ impl Subgraph {
             labels: Vec::new(),
             labeled: false,
         }
+    }
+
+    /// The whole of `g` as a subgraph, labels included when `g` has
+    /// them: what a serial kernel is handed when it mines a graph that
+    /// fits in one task (tests, baselines, the kernel benchmarks).
+    pub fn from_graph(g: &Graph) -> Self {
+        let mut sg = Subgraph::with_capacity(g.num_vertices());
+        for v in g.vertices() {
+            sg.insert(v, g.label(v), g.neighbors(v).clone());
+        }
+        sg
     }
 
     /// Number of vertices `|V(g)|`.
@@ -116,6 +128,15 @@ impl Subgraph {
         self.adj.push(adj);
         self.labels.push(label);
         true
+    }
+
+    /// [`Subgraph::add_labeled_vertex`] when there is a label,
+    /// [`Subgraph::add_vertex`] when there is none.
+    pub fn insert(&mut self, v: VertexId, label: Option<Label>, adj: AdjList) -> bool {
+        match label {
+            Some(label) => self.add_labeled_vertex(v, label, adj),
+            None => self.add_vertex(v, adj),
+        }
     }
 
     /// The vertex IDs in insertion order.
@@ -330,6 +351,14 @@ impl LocalGraph {
         self.ids[i as usize]
     }
 
+    /// The local index of global vertex `v` — the inverse of
+    /// [`LocalGraph::global_id`] — or `None` when `v` is not a member.
+    /// A binary search: local index order is global ID order.
+    #[inline]
+    pub fn local_id(&self, v: VertexId) -> Option<u32> {
+        self.ids.binary_search(&v).ok().map(|i| i as u32)
+    }
+
     /// The label of local vertex `i`, if labeled.
     pub fn label(&self, i: u32) -> Option<Label> {
         self.labels.as_ref().map(|l| l[i as usize])
@@ -373,6 +402,15 @@ impl LocalGraph {
     /// Maps a set of local indices back to global IDs.
     pub fn to_global(&self, locals: &[u32]) -> Vec<VertexId> {
         locals.iter().map(|&i| self.global_id(i)).collect()
+    }
+
+    /// Maps a set of global IDs to local indices — the inverse of
+    /// [`LocalGraph::to_global`].
+    ///
+    /// # Panics
+    /// Panics if one of them is not a member.
+    pub fn to_local_ids(&self, globals: &[VertexId]) -> Vec<u32> {
+        globals.iter().map(|&v| self.local_id(v).expect("vertex is in the subgraph")).collect()
     }
 
     /// Approximate heap bytes (CSR rows + bit matrix), for task memory

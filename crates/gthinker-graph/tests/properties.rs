@@ -190,6 +190,30 @@ proptest! {
     }
 
     #[test]
+    fn local_id_inverts_global_id_on_members_and_is_none_off_them(
+        members in proptest::collection::vec(0u32..200, 0..40),
+        probes in proptest::collection::vec(0u32..220, 0..40),
+    ) {
+        // Inserted in descending order: the snapshot renumbers by ID.
+        let members: std::collections::BTreeSet<u32> = members.into_iter().collect();
+        let mut sg = Subgraph::new();
+        for &v in members.iter().rev() {
+            sg.add_vertex(VertexId(v), AdjList::new());
+        }
+        let local = sg.to_local();
+        for i in 0..local.num_vertices() as u32 {
+            prop_assert_eq!(local.local_id(local.global_id(i)), Some(i));
+        }
+        for v in probes {
+            let found = local.local_id(VertexId(v));
+            prop_assert_eq!(found.is_some(), members.contains(&v));
+            if let Some(i) = found {
+                prop_assert_eq!(local.global_id(i), VertexId(v));
+            }
+        }
+    }
+
+    #[test]
     fn varint_round_trips_any_u64(value in any::<u64>()) {
         let mut buf = Vec::new();
         vbyte::write_varint(value, &mut buf);

@@ -48,10 +48,7 @@ fn matching_distributed_agrees_with_brute_force() {
     let g = gen::random_labels(gen::gnp(40, 0.15, 5), 2, 6);
     let pattern = Pattern::triangle(Label(0), Label(0), Label(1));
     // Brute force on the full graph.
-    let mut sg = gthinker_graph::subgraph::Subgraph::new();
-    for v in g.vertices() {
-        sg.add_labeled_vertex(v, g.label(v).unwrap(), g.neighbors(v).clone());
-    }
+    let sg = gthinker_graph::subgraph::Subgraph::from_graph(&g);
     let expected =
         gthinker_apps::serial::matching::count_embeddings_brute(&sg.to_local(), &pattern);
     let result = run_job(
@@ -66,10 +63,7 @@ fn matching_distributed_agrees_with_brute_force() {
 #[test]
 fn quasi_cliques_distributed_agree_with_brute_force() {
     let g = gen::gnp(14, 0.3, 8);
-    let mut sg = gthinker_graph::subgraph::Subgraph::new();
-    for v in g.vertices() {
-        sg.add_vertex(v, g.neighbors(v).clone());
-    }
+    let sg = gthinker_graph::subgraph::Subgraph::from_graph(&g);
     let expected =
         gthinker_apps::serial::quasi::count_quasi_cliques_brute(&sg.to_local(), 0.6, 3, 5);
     let result =
