@@ -3,10 +3,9 @@
 //!
 //! * [`MaxCliqueApp`] — maximum clique finding (MCF), Fig. 5, with the
 //!   τ decomposition threshold and aggregator-based global pruning.
-//! * [`TriangleApp`], [`TriangleListApp`], [`BundledTriangleApp`] —
-//!   triangle counting (TC) with `Γ_>` trimming, its enumerating
-//!   variant with streamed output, and low-degree vertices bundled
-//!   several to a task.
+//! * [`TriangleApp`] — triangle counting (TC) with `Γ_>`
+//!   trimming, one task that can also bundle low-degree vertices
+//!   several to a task and list every triangle as streamed output.
 //! * Four miners of one task, the k-hop ego network of §III
 //!   ([`egonet`]: [`EgoNetApp`] around an [`EgoMiner`]):
 //!   [`type@MaximalCliqueApp`] — maximal clique enumeration by minimum
@@ -27,8 +26,6 @@ pub mod maximalclique;
 pub mod quasiclique;
 pub mod serial;
 pub mod triangle;
-pub mod triangle_bundled;
-pub mod triangle_list;
 
 pub use egonet::{EgoMiner, EgoNetApp};
 pub use gthinker_core::SumAgg;
@@ -39,5 +36,3 @@ pub use maximalclique::MaximalCliqueApp;
 pub use quasiclique::QuasiCliqueApp;
 pub use serial::matching::Pattern;
 pub use triangle::TriangleApp;
-pub use triangle_bundled::BundledTriangleApp;
-pub use triangle_list::TriangleListApp;

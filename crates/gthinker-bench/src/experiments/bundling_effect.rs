@@ -2,15 +2,16 @@
 //! ("bundling tasks of low-degree vertices into big tasks"), proposed
 //! to fix the weak 8→16-comper scaling of Table IV(b).
 //!
-//! Runs triangle counting on a heavy-tailed graph with growing bundle
-//! thresholds and reports task counts, network traffic and runtime.
+//! Runs the triangle task on a heavy-tailed graph with growing
+//! `TriangleApp::bundle` thresholds and reports task counts, network
+//! traffic and runtime.
 //! On scale-free graphs most vertices are low-degree, so the task
 //! count collapses while the answer stays identical.
 //!
 //! `cargo run -p gthinker-bench --release -- bundling_effect [--scale f]`
 
 use crate::{fmt_bytes, fmt_duration};
-use gthinker_apps::BundledTriangleApp;
+use gthinker_apps::TriangleApp;
 use gthinker_core::prelude::*;
 use gthinker_graph::gen;
 use std::sync::Arc;
@@ -30,9 +31,8 @@ pub fn run(scale: f64) {
     crate::rule(84);
     let mut reference = None;
     for threshold in [0usize, 2, 8, 32, 128] {
-        let r =
-            run_job(Arc::new(BundledTriangleApp::new(threshold)), &g, &JobConfig::cluster(4, 2))
-                .unwrap();
+        let app = TriangleApp { bundle: threshold, list: false };
+        let r = run_job(Arc::new(app), &g, &JobConfig::cluster(4, 2)).unwrap();
         let count = *reference.get_or_insert(r.global);
         assert_eq!(r.global, count, "bundling changed the answer!");
         let misses: u64 = r.metrics.totals().cache.misses;

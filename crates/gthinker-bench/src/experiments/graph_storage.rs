@@ -65,14 +65,15 @@ fn run_phase(phase: &str, args: &[String]) {
         // Load the compressed file fully into RAM, then mine.
         "ram" => {
             let g = CompressedGraph::open(Path::new(&args[0])).expect("open").to_graph();
-            let r = run_job(Arc::new(TriangleApp), &g, &job_config()).expect("job");
+            let r = run_job(Arc::new(TriangleApp::default()), &g, &job_config()).expect("job");
             println!("triangles={} vmhwm_kb={}", r.global, vm_hwm_kb());
         }
         // Mine straight off the mapping with lazy per-vertex decode.
         "mapped" => {
             let c = Arc::new(CompressedGraph::open(Path::new(&args[0])).expect("open"));
             let r =
-                run_job(Arc::new(TriangleApp), GraphSource::Mapped(c), &job_config()).expect("job");
+                run_job(Arc::new(TriangleApp::default()), GraphSource::Mapped(c), &job_config())
+                    .expect("job");
             println!("triangles={} vmhwm_kb={}", r.global, vm_hwm_kb());
         }
         // Generate `edges` G(n, p) edges straight into the two-pass
@@ -235,12 +236,12 @@ pub fn run(scale: f64) {
     let (tc_ram, tc_map, tc_pct) = mine_pair(
         "tc",
         &|| {
-            let r = run_job(Arc::new(TriangleApp), g_ref, &job_config()).expect("job");
+            let r = run_job(Arc::new(TriangleApp::default()), g_ref, &job_config()).expect("job");
             (r.global, r.elapsed)
         },
         &|| {
             let r = run_job(
-                Arc::new(TriangleApp),
+                Arc::new(TriangleApp::default()),
                 GraphSource::Mapped(Arc::clone(&shared_tc)),
                 &job_config(),
             )

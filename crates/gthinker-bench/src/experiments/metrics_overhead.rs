@@ -69,7 +69,7 @@ fn run_once(g: &Graph, trace_capacity: usize, report_interval: Option<Duration>)
     cfg.report_interval = report_interval;
     let cpu0 = process_cpu_ms();
     let start = std::time::Instant::now();
-    let r = run_job(Arc::new(TriangleApp), g, &cfg).expect("job runs");
+    let r = run_job(Arc::new(TriangleApp::default()), g, &cfg).expect("job runs");
     RunStats {
         cpu_ms: process_cpu_ms() - cpu0,
         wall_ms: start.elapsed().as_secs_f64() * 1e3,

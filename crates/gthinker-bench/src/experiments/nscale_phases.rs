@@ -34,7 +34,8 @@ pub fn run(scale: f64) {
         };
         // TC
         let (out, phases) = nscale_triangle_count(&d.graph, &cfg);
-        let gt = run_job(Arc::new(TriangleApp), &d.graph, &JobConfig::single_machine(4)).unwrap();
+        let gt = run_job(Arc::new(TriangleApp::default()), &d.graph, &JobConfig::single_machine(4))
+            .unwrap();
         if let (Some(count), true) = (out.result, out.completed()) {
             assert_eq!(count, gt.global, "engines disagree");
         }

@@ -145,7 +145,7 @@ pub fn run(scale: f64) {
             cell(out.elapsed, out.peak_bytes, out.status_label())
         };
         let gthinker = {
-            let r = run_job(Arc::new(TriangleApp), g, &gt_config()).unwrap();
+            let r = run_job(Arc::new(TriangleApp::default()), g, &gt_config()).unwrap();
             cell(r.elapsed, r.peak_mem_bytes(), "ok")
         };
         println!(

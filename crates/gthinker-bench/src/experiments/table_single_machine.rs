@@ -37,7 +37,8 @@ pub fn run(scale: f64) {
                 disk_budget: DISK_BUDGET,
             },
         );
-        let gt = run_job(Arc::new(TriangleApp), &d.graph, &JobConfig::single_machine(4)).unwrap();
+        let gt = run_job(Arc::new(TriangleApp::default()), &d.graph, &JobConfig::single_machine(4))
+            .unwrap();
         let rs_cell = if rs.completed() {
             assert_eq!(rs.result.unwrap(), gt.global, "engines disagree!");
             format!("{} / {} wedges", fmt_duration(rs.elapsed), fmt_bytes(rs.peak_bytes))

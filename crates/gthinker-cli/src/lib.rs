@@ -10,8 +10,7 @@ pub use options::usage;
 use options::*;
 
 use gthinker_apps::{
-    BundledTriangleApp, KPlexApp, MatchingApp, MaxCliqueApp, MaximalCliqueApp, Pattern,
-    QuasiCliqueApp, TriangleApp, TriangleListApp,
+    KPlexApp, MatchingApp, MaxCliqueApp, MaximalCliqueApp, Pattern, QuasiCliqueApp, TriangleApp,
 };
 use gthinker_core::prelude::*;
 use gthinker_core::{ClusterRole, ClusterTelemetry};
@@ -530,13 +529,8 @@ fn cmd_mine(miner: &str, mut a: Args, mut place: Place) -> Result<String, CliErr
             // Enumeration mode: each worker streams every triangle it
             // finds to its own part file.
             let list = a.take(&LIST);
-            if list.is_some() && bundle > 0 {
-                return err(format!(
-                    "{}: {} and {} do not combine; enumeration spawns one task per vertex",
-                    a.path, LIST.name, BUNDLE.name
-                ));
-            }
             place.cfg.output_dir = list.as_ref().map(Into::into);
+            let app = TriangleApp { bundle, list: list.is_some() };
             let render = move |r: &JobResult<u64>| {
                 let detail = match &list {
                     Some(dir) => {
@@ -547,13 +541,7 @@ fn cmd_mine(miner: &str, mut a: Args, mut place: Place) -> Result<String, CliErr
                 };
                 format!("triangles: {} in {:.2?}{detail}", r.global, r.elapsed)
             };
-            if place.cfg.output_dir.is_some() {
-                mine(a, place, |_| Ok(TriangleListApp), render)
-            } else if bundle > 0 {
-                mine(a, place, |_| Ok(BundledTriangleApp::new(bundle)), render)
-            } else {
-                mine(a, place, |_| Ok(TriangleApp), render)
-            }
+            mine(a, place, |_| Ok(app), render)
         }
         "mc" => mine(
             a,
@@ -1147,9 +1135,6 @@ mod tests {
             "tc g.bin --tau 9 => tc: unknown option --tau",
             "mc g.bin --list out => mc: unknown option --list",
             "tc g.bin --compers 2 --compers 3 => --compers given more than once",
-            // Two modes of one miner that used to resolve silently to the first.
-            "tc g.bin --list out --bundle 4 => \
-             tc: --list and --bundle do not combine; enumeration spawns one task per vertex",
             // The size of a cluster is its host list.
             "master --hosts 127.0.0.1:1,127.0.0.1:2 --workers 2 tc g.bin => \
              master: the size of the cluster comes from --hosts; drop --workers",
@@ -1165,6 +1150,14 @@ mod tests {
             let cmd: Vec<&str> = cmd.split(' ').collect();
             assert_eq!(run(args(&cmd)).unwrap_err().0, want, "{case}");
         }
+        // Two modes of one miner combine: listing a bundled run counts
+        // what the plain run counts.
+        let el = tmp("g15.el");
+        run(args(&["gen", "gnp", "-n", "60", "-p", "0.2", "--seed", "3", "-o", &el])).unwrap();
+        let plain = run(args(&["tc", &el])).unwrap();
+        let both = run(args(&["tc", &el, "--list", &tmp("g15-out"), "--bundle", "4"])).unwrap();
+        let count = |out: &str| out.split(" in ").next().unwrap().to_string();
+        assert_eq!(count(&both), count(&plain), "{both}");
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! of decoding garbage, which is what lets the recovery runner probe
 //! for the last-known-good epoch.
 
+use gthinker_graph::crc::crc32;
 use gthinker_task::codec::{from_bytes, to_bytes, CodecError, Decode, Encode};
 use gthinker_task::task::Task;
 use std::io::{self, Write};
@@ -84,11 +85,6 @@ fn shard_path(dir: &Path, worker: usize) -> PathBuf {
 fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("manifest.ckpt")
 }
-
-// The CRC32 helper lives in the codec layer so the wire-frame format
-// in `gthinker-net` shares the exact same integrity check; re-exported
-// here because the checkpoint trailer is its original home.
-pub use gthinker_task::codec::crc32;
 
 /// Trailer: `crc32(payload)` (4 bytes LE) + payload length (8 bytes LE).
 const TRAILER_LEN: usize = 12;
@@ -228,13 +224,6 @@ mod tests {
     fn missing_shard_is_io_error() {
         let dir = tempdir("missing");
         assert!(read_shard::<u32, u64>(&dir, 0).is_err());
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC32 check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     fn write_test_shard(dir: &Path) {

@@ -22,9 +22,6 @@ pub struct JobConfig {
     pub cache: CacheConfig,
     /// Task-batch size `C` (paper default 150). `Q_task` holds `3C`.
     pub task_batch: usize,
-    /// Gate `D` on `|T_task| + |B_task|` as a multiple of `C` (paper:
-    /// `D = 8C` → factor 8).
-    pub pending_factor: usize,
     /// Vertex pull requests per network message.
     pub request_batch: usize,
     /// Aggregator / progress synchronization period (paper default 1 s;
@@ -96,7 +93,6 @@ impl Default for JobConfig {
             link: LinkConfig::INSTANT,
             cache: CacheConfig::default(),
             task_batch: gthinker_task::queue::DEFAULT_BATCH,
-            pending_factor: 8,
             request_batch: gthinker_net::batch::DEFAULT_REQUEST_BATCH,
             sync_interval: Duration::from_millis(20),
             spill_dir: std::env::temp_dir().join("gthinker-spill"),
@@ -133,11 +129,14 @@ impl JobConfig {
         }
     }
 
-    /// The pending gate `D = pending_factor × C`.
+    /// The pending gate `D = PENDING_FACTOR × C` on `|T_task| + |B_task|`.
     pub fn pending_limit(&self) -> usize {
-        self.pending_factor * self.task_batch
+        PENDING_FACTOR * self.task_batch
     }
 }
+
+/// `D` as a multiple of `C` (paper: `D = 8C`).
+const PENDING_FACTOR: usize = 8;
 
 /// Why a job returned.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -2,8 +2,8 @@
 //!
 //! Lives in the graph crate — the lowest layer of the workspace — so the
 //! compressed graph trailer, the checkpoint trailer and the wire frame
-//! format all validate integrity with the same code. `gthinker-task`
-//! re-exports [`crc32`] for the upper layers.
+//! format all validate integrity with the same code; every layer
+//! imports [`crc32`] from here.
 
 /// Slice-by-8 lookup tables built at compile time — no external crate.
 /// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`

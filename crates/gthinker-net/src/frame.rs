@@ -17,7 +17,7 @@
 //! A mismatched or corrupt frame fails with a descriptive
 //! [`FrameError`] instead of a garbage decode downstream.
 
-use gthinker_task::codec::crc32;
+use gthinker_graph::crc::crc32;
 use std::io::{self, Read, Write};
 
 /// `b"GTKW"` as a little-endian u32: G-Thinker Wire.

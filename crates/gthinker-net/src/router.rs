@@ -251,19 +251,49 @@ pub struct NetHandle {
 }
 
 impl NetHandle {
-    /// This endpoint's worker ID.
-    pub fn id(&self) -> WorkerId {
+    /// Delivers one copy of `msg`, through the delay heap when the link
+    /// model or an injected delay requires it.
+    fn deliver(&self, to: usize, msg: Message, bytes: usize, extra: Duration) {
+        let s = &self.shared;
+        s.stats[to].bytes_received.fetch_add(bytes as u64, Ordering::Relaxed);
+        s.stats[to].msgs_received.fetch_add(1, Ordering::Relaxed);
+        match (&s.delay_tx, to == self.me) {
+            // Self-sends and instant configs bypass the delay model.
+            (None, _) | (_, true) => {
+                let _ = s.inbox_txs[to].send(msg);
+            }
+            (Some(delay_tx), false) => {
+                let now = Instant::now();
+                let link = &s.link_busy[self.me * s.num_workers + to];
+                let deliver_at = {
+                    let mut busy = link.lock();
+                    let start = (*busy).max(now);
+                    let done = start + s.config.latency + s.config.tx_time(bytes);
+                    *busy = done;
+                    done
+                };
+                let seq = s.seq.fetch_add(1, Ordering::Relaxed);
+                // Injected delay holds the message, not the link: later
+                // traffic overtakes it (that is the reorder).
+                let deliver_at = deliver_at + extra;
+                let _ = delay_tx.send(Envelope { deliver_at, seq, to, msg });
+            }
+        }
+    }
+}
+
+impl NetEndpoint for NetHandle {
+    fn id(&self) -> WorkerId {
         WorkerId(self.me as u16)
     }
 
-    /// Number of workers on the interconnect.
-    pub fn num_workers(&self) -> usize {
+    fn num_workers(&self) -> usize {
         self.shared.num_workers
     }
 
     /// Sends `msg` to worker `to`, applying the link model and, when
     /// enabled, the fault model.
-    pub fn send(&self, to: WorkerId, msg: Message) {
+    fn send(&self, to: WorkerId, msg: Message) {
         let s = &self.shared;
         if let Some(f) = &s.fault {
             // A dying machine does not go through the wire model: the
@@ -300,97 +330,20 @@ impl NetHandle {
         self.deliver(to.index(), msg, bytes, extra);
     }
 
-    /// Delivers one copy of `msg`, through the delay heap when the link
-    /// model or an injected delay requires it.
-    fn deliver(&self, to: usize, msg: Message, bytes: usize, extra: Duration) {
-        let s = &self.shared;
-        s.stats[to].bytes_received.fetch_add(bytes as u64, Ordering::Relaxed);
-        s.stats[to].msgs_received.fetch_add(1, Ordering::Relaxed);
-        match (&s.delay_tx, to == self.me) {
-            // Self-sends and instant configs bypass the delay model.
-            (None, _) | (_, true) => {
-                let _ = s.inbox_txs[to].send(msg);
-            }
-            (Some(delay_tx), false) => {
-                let now = Instant::now();
-                let link = &s.link_busy[self.me * s.num_workers + to];
-                let deliver_at = {
-                    let mut busy = link.lock();
-                    let start = (*busy).max(now);
-                    let done = start + s.config.latency + s.config.tx_time(bytes);
-                    *busy = done;
-                    done
-                };
-                let seq = s.seq.fetch_add(1, Ordering::Relaxed);
-                // Injected delay holds the message, not the link: later
-                // traffic overtakes it (that is the reorder).
-                let deliver_at = deliver_at + extra;
-                let _ = delay_tx.send(Envelope { deliver_at, seq, to, msg });
-            }
-        }
-    }
-
-    /// Broadcasts `msg` to every worker except this one.
-    pub fn broadcast(&self, msg: &Message) {
-        for w in 0..self.shared.num_workers {
-            if w != self.me {
-                self.send(WorkerId(w as u16), msg.clone());
-            }
-        }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Message> {
+    fn try_recv(&self) -> Option<Message> {
         self.inbox.try_recv().ok()
     }
 
-    /// Receive with a timeout; `None` on timeout or disconnect.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Message> {
+    fn recv_timeout(&self, timeout: Duration) -> Option<Message> {
         self.inbox.recv_timeout(timeout).ok()
     }
 
-    /// This worker's traffic counters.
-    pub fn stats(&self) -> &NetStats {
+    fn stats(&self) -> &NetStats {
         &self.shared.stats[self.me]
     }
 
-    /// This worker's fault counters; `None` when fault injection is off.
-    pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.shared.fault.as_ref().map(|f| f.stats(self.me))
-    }
-}
-
-impl NetEndpoint for NetHandle {
-    fn id(&self) -> WorkerId {
-        NetHandle::id(self)
-    }
-
-    fn num_workers(&self) -> usize {
-        NetHandle::num_workers(self)
-    }
-
-    fn send(&self, to: WorkerId, msg: Message) {
-        NetHandle::send(self, to, msg)
-    }
-
-    fn broadcast(&self, msg: &Message) {
-        NetHandle::broadcast(self, msg)
-    }
-
-    fn try_recv(&self) -> Option<Message> {
-        NetHandle::try_recv(self)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Option<Message> {
-        NetHandle::recv_timeout(self, timeout)
-    }
-
-    fn stats(&self) -> &NetStats {
-        NetHandle::stats(self)
-    }
-
     fn fault_stats(&self) -> Option<&FaultStats> {
-        NetHandle::fault_stats(self)
+        self.shared.fault.as_ref().map(|f| f.stats(self.me))
     }
 }
 

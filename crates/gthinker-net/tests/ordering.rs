@@ -5,6 +5,7 @@
 use gthinker_graph::ids::{VertexId, WorkerId};
 use gthinker_net::message::Message;
 use gthinker_net::router::{LinkConfig, Router};
+use gthinker_net::transport::NetEndpoint;
 use std::time::Duration;
 
 #[test]

@@ -2,6 +2,7 @@
 //! delivery, byte accounting, fault injection parity with the sim
 //! router, and descriptive rejection of incompatible peers.
 
+use gthinker_graph::crc::crc32;
 use gthinker_graph::ids::{VertexId, WorkerId};
 use gthinker_net::fault::FaultConfig;
 use gthinker_net::message::Message;
@@ -267,7 +268,7 @@ fn version_mismatch_fails_descriptively() {
     bad.extend_from_slice(&0u16.to_le_bytes());
     bad.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     bad.extend_from_slice(&payload);
-    bad.extend_from_slice(&gthinker_task::codec::crc32(&payload).to_le_bytes());
+    bad.extend_from_slice(&crc32(&payload).to_le_bytes());
     stream.write_all(&bad).expect("write bad hello");
     let err = join.join().expect("thread").expect_err("mismatched peer must be rejected");
     let msg = err.to_string();

@@ -328,13 +328,6 @@ impl Decode for Subgraph {
     }
 }
 
-/// CRC32 of data (IEEE, matches zlib's `crc32`). Shared by the
-/// checkpoint trailer, the wire/steal-batch frame format and the
-/// compressed graph trailer, so every layer validates integrity with
-/// the same code — the implementation lives in the graph crate
-/// ([`gthinker_graph::crc`]), the lowest layer of the workspace.
-pub use gthinker_graph::crc::crc32;
-
 /// Encodes a value into a fresh buffer.
 pub fn to_bytes<T: Encode>(value: &T) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -446,13 +439,6 @@ mod tests {
         let mut bytes = to_bytes(&7u32);
         bytes.push(0);
         assert_eq!(from_bytes::<u32>(&bytes), Err(CodecError::Invalid("trailing bytes")));
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC32 check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn main() {
     );
     let mut cfg = JobConfig::cluster(4, 2);
     cfg.sync_interval = Duration::from_millis(100);
-    let result = Job::new(Arc::new(TriangleApp), &graph, &cfg)
+    let result = Job::new(Arc::new(TriangleApp::default()), &graph, &cfg)
         .observe(|m| {
             let s = m.progress();
             println!(

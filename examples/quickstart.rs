@@ -21,8 +21,8 @@ fn main() {
     println!("serial count:      {expected:>12}   ({:.2?})", serial_start.elapsed());
 
     // One simulated machine, all local — pure CPU-bound mining.
-    let single =
-        run_job(Arc::new(TriangleApp), &graph, &JobConfig::single_machine(4)).expect("job runs");
+    let single = run_job(Arc::new(TriangleApp::default()), &graph, &JobConfig::single_machine(4))
+        .expect("job runs");
     println!(
         "1 machine  × 4 compers: {:>8}   ({:.2?}, {} tasks)",
         single.global,
@@ -33,8 +33,8 @@ fn main() {
 
     // Four simulated machines over a GigE-like interconnect: tasks
     // pull remote adjacency lists through the vertex cache.
-    let multi =
-        run_job(Arc::new(TriangleApp), &graph, &JobConfig::cluster(4, 2)).expect("job runs");
+    let multi = run_job(Arc::new(TriangleApp::default()), &graph, &JobConfig::cluster(4, 2))
+        .expect("job runs");
     println!(
         "4 machines × 2 compers: {:>8}   ({:.2?}, {} KiB over the wire)",
         multi.global,

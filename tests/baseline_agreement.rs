@@ -20,8 +20,9 @@ fn tmp(tag: &str) -> std::path::PathBuf {
 #[test]
 fn every_engine_counts_the_same_triangles() {
     let g = gen::barabasi_albert(400, 5, 2);
-    let expected =
-        run_job(Arc::new(TriangleApp), &g, &JobConfig::single_machine(2)).unwrap().global;
+    let expected = run_job(Arc::new(TriangleApp::default()), &g, &JobConfig::single_machine(2))
+        .unwrap()
+        .global;
 
     let bsp = run_bsp(&g, &BspTriangleCount::new(), &BspConfig::default());
     assert_eq!(bsp.result.unwrap(), expected, "vertex-centric");

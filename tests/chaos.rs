@@ -96,7 +96,7 @@ fn chaos_vs_clean<A: App>(
 fn triangles_survive_chaos_and_recovery() {
     let (expected, actual, report) = with_watchdog("tc", || {
         let g = gen::barabasi_albert(900, 5, 11);
-        chaos_vs_clean(|| TriangleApp, &g, 0xC0FFEE, 60)
+        chaos_vs_clean(TriangleApp::default, &g, 0xC0FFEE, 60)
     });
     assert_eq!(actual, expected, "chaos run must match the fault-free count");
     // The crash fires well inside this workload, so the run must have
@@ -179,13 +179,14 @@ fn lossy_wire_without_crash_completes_via_retries() {
     // and retry counters must show the wire was actually hostile.
     let (expected, result) = with_watchdog("lossy", || {
         let g = gen::barabasi_albert(700, 5, 59);
-        let expected =
-            run_job(Arc::new(TriangleApp), &g, &JobConfig::single_machine(2)).unwrap().global;
+        let expected = run_job(Arc::new(TriangleApp::default()), &g, &JobConfig::single_machine(2))
+            .unwrap()
+            .global;
         let mut cfg = chaos_config(0xDEAF, 0);
         cfg.fault.crash = None;
         cfg.fault.drop_prob = 0.10;
         cfg.checkpoint_interval = None;
-        let result = run_job(Arc::new(TriangleApp), &g, &cfg).unwrap();
+        let result = run_job(Arc::new(TriangleApp::default()), &g, &cfg).unwrap();
         (expected, result)
     });
     assert_eq!(result.outcome, JobOutcome::Completed);
@@ -210,8 +211,9 @@ fn lossy_tcp_wire_completes_via_retries() {
     // every worker).
     let (expected, global, metrics) = with_watchdog("lossy-tcp", || {
         let g = gen::barabasi_albert(700, 5, 67);
-        let expected =
-            run_job(Arc::new(TriangleApp), &g, &JobConfig::single_machine(2)).unwrap().global;
+        let expected = run_job(Arc::new(TriangleApp::default()), &g, &JobConfig::single_machine(2))
+            .unwrap()
+            .global;
         let mut cfg = chaos_config(0x7C9, 0);
         cfg.fault.crash = None;
         cfg.fault.drop_prob = 0.10;
@@ -227,7 +229,7 @@ fn lossy_tcp_wire_completes_via_retries() {
             .map(|(w, listener)| {
                 let (g, cfg, manifest) = (Arc::clone(&g), cfg.clone(), manifest.clone());
                 std::thread::spawn(move || {
-                    Job::new(Arc::new(TriangleApp), &*g, &cfg)
+                    Job::new(Arc::new(TriangleApp::default()), &*g, &cfg)
                         .run_process(
                             &manifest,
                             WorkerId(w as u16),
@@ -407,7 +409,7 @@ fn cluster_steals_survive_lossy_tcp_wire() {
 fn fault_counters_are_zero_on_a_clean_wire() {
     let result = with_watchdog("clean", || {
         let g = gen::gnp(300, 0.05, 61);
-        run_job(Arc::new(TriangleApp), &g, &JobConfig::cluster(3, 2)).unwrap()
+        run_job(Arc::new(TriangleApp::default()), &g, &JobConfig::cluster(3, 2)).unwrap()
     });
     for (w, stats) in result.metrics.workers.iter().enumerate() {
         assert_eq!(stats.net_msgs_dropped, 0, "worker {w}");

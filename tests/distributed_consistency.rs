@@ -30,10 +30,11 @@ fn topologies() -> Vec<JobConfig> {
 #[test]
 fn triangle_count_invariant_across_topologies() {
     let g = gen::barabasi_albert(1_000, 5, 3);
-    let reference =
-        run_job(Arc::new(TriangleApp), &g, &JobConfig::single_machine(1)).unwrap().global;
+    let reference = run_job(Arc::new(TriangleApp::default()), &g, &JobConfig::single_machine(1))
+        .unwrap()
+        .global;
     for (i, cfg) in topologies().into_iter().enumerate() {
-        let r = run_job(Arc::new(TriangleApp), &g, &cfg).unwrap();
+        let r = run_job(Arc::new(TriangleApp::default()), &g, &cfg).unwrap();
         assert_eq!(r.global, reference, "topology {i}");
     }
 }
@@ -69,9 +70,10 @@ fn quasi_clique_count_invariant_across_topologies() {
 fn repeated_runs_are_stable() {
     // The scheduler is nondeterministic; the answer must not be.
     let g = gen::barabasi_albert(600, 6, 17);
-    let first = run_job(Arc::new(TriangleApp), &g, &JobConfig::cluster(3, 3)).unwrap().global;
+    let first =
+        run_job(Arc::new(TriangleApp::default()), &g, &JobConfig::cluster(3, 3)).unwrap().global;
     for _ in 0..3 {
-        let r = run_job(Arc::new(TriangleApp), &g, &JobConfig::cluster(3, 3)).unwrap();
+        let r = run_job(Arc::new(TriangleApp::default()), &g, &JobConfig::cluster(3, 3)).unwrap();
         assert_eq!(r.global, first);
     }
 }
@@ -83,10 +85,11 @@ fn work_stealing_moves_tasks_to_idle_workers() {
     // links, and verify stealing does not corrupt results (the
     // detailed accounting is exercised in the unit layer).
     let g = gen::barabasi_albert(2_000, 8, 23);
-    let expected =
-        run_job(Arc::new(TriangleApp), &g, &JobConfig::single_machine(2)).unwrap().global;
+    let expected = run_job(Arc::new(TriangleApp::default()), &g, &JobConfig::single_machine(2))
+        .unwrap()
+        .global;
     let mut cfg = JobConfig::cluster(6, 1);
     cfg.task_batch = 4; // small batches → files exist → steals possible
-    let r = run_job(Arc::new(TriangleApp), &g, &cfg).unwrap();
+    let r = run_job(Arc::new(TriangleApp::default()), &g, &cfg).unwrap();
     assert_eq!(r.global, expected);
 }

@@ -14,7 +14,8 @@ fn triangle_counts_on_all_dataset_standins() {
         let d = datasets::generate(kind, 0.05);
         let expected = count_triangles(&d.graph);
         let result =
-            run_job(Arc::new(TriangleApp), &d.graph, &JobConfig::single_machine(4)).unwrap();
+            run_job(Arc::new(TriangleApp::default()), &d.graph, &JobConfig::single_machine(4))
+                .unwrap();
         assert_eq!(result.global, expected, "{}", kind.name());
     }
 }

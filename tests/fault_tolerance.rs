@@ -47,11 +47,12 @@ fn run_with_interruptions<A: gthinker_core::App>(
 #[test]
 fn triangle_count_survives_suspension() {
     let g = gen::barabasi_albert(3_000, 6, 5);
-    let expected =
-        run_job(Arc::new(TriangleApp), &g, &JobConfig::single_machine(2)).unwrap().global;
+    let expected = run_job(Arc::new(TriangleApp::default()), &g, &JobConfig::single_machine(2))
+        .unwrap()
+        .global;
     let mut cfg = JobConfig::cluster(2, 2);
     cfg.suspend_after = Some(Duration::from_millis(120));
-    let (global, suspensions) = run_with_interruptions(|| TriangleApp, &g, cfg, "tc");
+    let (global, suspensions) = run_with_interruptions(TriangleApp::default, &g, cfg, "tc");
     assert_eq!(global, expected);
     // The deadline is tuned to interrupt this workload at least once;
     // if the machine is so fast it finished first, the test still
@@ -85,11 +86,12 @@ fn immediate_suspension_checkpoints_everything() {
     // Suspend before any meaningful progress: the checkpoint carries
     // essentially the whole job.
     let g = gen::barabasi_albert(2_000, 5, 8);
-    let expected =
-        run_job(Arc::new(TriangleApp), &g, &JobConfig::single_machine(2)).unwrap().global;
+    let expected = run_job(Arc::new(TriangleApp::default()), &g, &JobConfig::single_machine(2))
+        .unwrap()
+        .global;
     let mut cfg = JobConfig::cluster(2, 2);
     cfg.suspend_after = Some(Duration::from_millis(1));
-    let (global, _) = run_with_interruptions(|| TriangleApp, &g, cfg, "early");
+    let (global, _) = run_with_interruptions(TriangleApp::default, &g, cfg, "early");
     assert_eq!(global, expected);
 }
 
@@ -99,13 +101,13 @@ fn resume_with_wrong_topology_is_rejected() {
     let mut cfg = JobConfig::cluster(2, 1);
     cfg.suspend_after = Some(Duration::from_millis(1));
     cfg.checkpoint_dir = Some(checkpoint_dir("wrong-topo"));
-    let result = run_job(Arc::new(TriangleApp), &g, &cfg).unwrap();
+    let result = run_job(Arc::new(TriangleApp::default()), &g, &cfg).unwrap();
     let JobOutcome::Suspended { checkpoint } = result.outcome else {
         eprintln!("note: job finished before suspension; skipping");
         return;
     };
     let bad = JobConfig::cluster(3, 1);
-    let err = Job::new(Arc::new(TriangleApp), &g, &bad)
+    let err = Job::new(Arc::new(TriangleApp::default()), &g, &bad)
         .resume_from(&checkpoint)
         .run()
         .expect_err("mismatched worker count must be rejected");

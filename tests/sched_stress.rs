@@ -55,7 +55,7 @@ fn job_with_watchdog(seed: u64, n: usize, cfg: JobConfig, label: &str) -> JobRes
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || {
         let g = gen::gnp(n, 0.12, seed);
-        let _ = tx.send(run_job(Arc::new(TriangleApp), &g, &cfg).unwrap());
+        let _ = tx.send(run_job(Arc::new(TriangleApp::default()), &g, &cfg).unwrap());
     });
     match rx.recv_timeout(WATCHDOG) {
         Ok(result) => {

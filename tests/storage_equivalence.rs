@@ -67,7 +67,7 @@ fn sim_both<A: App>(
 #[test]
 fn triangle_count_equal_across_backends() {
     let g = gen::barabasi_albert(500, 5, 97);
-    let (ram, mapped) = sim_both(|| Arc::new(TriangleApp), &g, "tc");
+    let (ram, mapped) = sim_both(|| Arc::new(TriangleApp::default()), &g, "tc");
     assert_eq!(ram, mapped);
 }
 
@@ -130,7 +130,7 @@ fn graph_matching_equal_across_backends() {
 #[test]
 fn recovery_on_mapped_graph_matches_fault_free_ram_run() {
     let g = gen::barabasi_albert(700, 5, 137);
-    let expected = run_job(Arc::new(TriangleApp), &g, &JobConfig::single_machine(2))
+    let expected = run_job(Arc::new(TriangleApp::default()), &g, &JobConfig::single_machine(2))
         .expect("reference")
         .global;
 
@@ -145,7 +145,7 @@ fn recovery_on_mapped_graph_matches_fault_free_ram_run() {
         crash: Some(CrashSchedule { worker: WorkerId(1), after_messages: Some(20), after: None }),
         ..FaultConfig::default()
     };
-    let result = Job::new(Arc::new(TriangleApp), mapped.source(), &cfg)
+    let result = Job::new(Arc::new(TriangleApp::default()), mapped.source(), &cfg)
         .recover(RecoveryOptions::default())
         .run()
         .expect("recovering mapped job");
@@ -166,9 +166,10 @@ fn recovery_on_mapped_graph_matches_fault_free_ram_run() {
 #[test]
 fn tcp_cluster_on_mapped_graph_matches_in_ram_sim() {
     let g = gen::barabasi_albert(400, 4, 131);
-    let reference = run_job(Arc::new(TriangleApp), &g, &JobConfig::cluster(WORKERS, COMPERS))
-        .expect("sim job")
-        .global;
+    let reference =
+        run_job(Arc::new(TriangleApp::default()), &g, &JobConfig::cluster(WORKERS, COMPERS))
+            .expect("sim job")
+            .global;
 
     let mapped = MappedCopy::of(&g, "tcp");
     let mut cfg = JobConfig::cluster(WORKERS, COMPERS);
@@ -182,7 +183,7 @@ fn tcp_cluster_on_mapped_graph_matches_in_ram_sim() {
             let cfg = cfg.clone();
             let manifest = manifest.clone();
             std::thread::spawn(move || {
-                Job::new(Arc::new(TriangleApp), source, &cfg)
+                Job::new(Arc::new(TriangleApp::default()), source, &cfg)
                     .run_process(&manifest, WorkerId(w as u16), listener, Duration::from_secs(20))
                     .expect("cluster worker")
             })

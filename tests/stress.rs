@@ -4,7 +4,7 @@
 //! and repeated suspension — must never change an answer.
 
 use gthinker_apps::serial::triangle::count_triangles;
-use gthinker_apps::{BundledTriangleApp, MaxCliqueApp, MaximalCliqueApp, TriangleApp};
+use gthinker_apps::{MaxCliqueApp, MaximalCliqueApp, TriangleApp};
 use gthinker_core::prelude::*;
 use gthinker_graph::gen;
 use gthinker_net::router::LinkConfig;
@@ -26,7 +26,7 @@ fn torture_config() -> JobConfig {
 fn triangle_count_survives_torture() {
     let g = gen::barabasi_albert(700, 5, 31);
     let expected = count_triangles(&g);
-    let r = run_job(Arc::new(TriangleApp), &g, &torture_config()).unwrap();
+    let r = run_job(Arc::new(TriangleApp::default()), &g, &torture_config()).unwrap();
     assert_eq!(r.global, expected);
     let evictions: u64 = r.metrics.totals().cache.evictions;
     assert!(evictions > 0, "a 32-entry cache must evict");
@@ -65,8 +65,9 @@ fn bundled_triangles_survive_torture_plus_suspension() {
     let mut cfg = torture_config();
     cfg.suspend_after = Some(Duration::from_millis(200));
     cfg.checkpoint_dir = Some(dir);
+    let app = TriangleApp { bundle: 8, list: false };
     let mut attempts = 0;
-    let mut result = run_job(Arc::new(BundledTriangleApp::new(8)), &g, &cfg).unwrap();
+    let mut result = run_job(Arc::new(app), &g, &cfg).unwrap();
     loop {
         match result.outcome {
             JobOutcome::Completed => break,
@@ -77,10 +78,7 @@ fn bundled_triangles_survive_torture_plus_suspension() {
                 attempts += 1;
                 assert!(attempts < 30, "never converges");
                 cfg.suspend_after = Some(Duration::from_millis(200 * (1 << attempts.min(4))));
-                result = Job::new(Arc::new(BundledTriangleApp::new(8)), &g, &cfg)
-                    .resume_from(&checkpoint)
-                    .run()
-                    .unwrap();
+                result = Job::new(Arc::new(app), &g, &cfg).resume_from(&checkpoint).run().unwrap();
             }
         }
     }

@@ -69,8 +69,8 @@ fn assert_traffic<G>(r: &JobResult<G>) {
 #[test]
 fn triangle_count_matches_sim() {
     let g = gen::barabasi_albert(600, 5, 17);
-    let reference = sim_reference(Arc::new(TriangleApp), &g, 2).global;
-    let r = run_tcp_cluster(Arc::new(TriangleApp), &g, 2);
+    let reference = sim_reference(Arc::new(TriangleApp::default()), &g, 2).global;
+    let r = run_tcp_cluster(Arc::new(TriangleApp::default()), &g, 2);
     assert_eq!(r.global, reference);
     assert!(matches!(r.outcome, JobOutcome::Completed));
     assert_traffic(&r);
@@ -157,7 +157,7 @@ fn cluster_metrics_reports_merge_losslessly() {
             let cfg = cfg.clone();
             let manifest = manifest.clone();
             std::thread::spawn(move || {
-                Job::new(Arc::new(TriangleApp), &*graph, &cfg)
+                Job::new(Arc::new(TriangleApp::default()), &*graph, &cfg)
                     .run_process(&manifest, WorkerId(w as u16), listener, RENDEZVOUS)
                     .expect("cluster worker")
             })
@@ -216,7 +216,7 @@ fn manifest_size_mismatch_is_rejected() {
     let g = gen::gnp(20, 0.2, 3);
     let (manifest, mut listeners) = ClusterManifest::loopback(2).expect("bind");
     let cfg = JobConfig::cluster(3, 1); // says 3, manifest says 2
-    let err = Job::new(Arc::new(TriangleApp), &g, &cfg)
+    let err = Job::new(Arc::new(TriangleApp::default()), &g, &cfg)
         .run_process(&manifest, WorkerId(0), listeners.remove(0), Duration::from_secs(1))
         .expect_err("mismatch must fail");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);

@@ -23,7 +23,7 @@ fn tiny_job_finishes_well_under_the_old_polling_floor() {
     let cfg = JobConfig::cluster(2, 2);
     let mut elapsed: Vec<Duration> = (0..20)
         .map(|_| {
-            let r = run_job(Arc::new(TriangleApp), &g, &cfg).unwrap();
+            let r = run_job(Arc::new(TriangleApp::default()), &g, &cfg).unwrap();
             assert_eq!(r.global, expected);
             r.elapsed
         })
