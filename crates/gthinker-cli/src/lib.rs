@@ -21,7 +21,7 @@ use gthinker_graph::datasets::{self, DatasetKind};
 use gthinker_graph::gen;
 use gthinker_graph::graph::Graph;
 use gthinker_graph::ids::{Label, VertexId, WorkerId};
-use gthinker_graph::load;
+use gthinker_graph::load::{self, Format};
 use gthinker_graph::order::degeneracy_relabel;
 use gthinker_graph::stats::GraphStats;
 use gthinker_net::fault::CrashSchedule;
@@ -51,102 +51,52 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
 const MINERS: [&str; 6] = ["mcf", "tc", "mc", "qc", "kp", "gm"];
 
 /// Loads a graph fully into RAM, picking the parser from the file
-/// extension (`.gtc` files are decompressed — miners use
-/// [`open_graph_input`] instead to stay on the mapping).
+/// extension (`.gtc` files are decompressed). Miners never do this:
+/// [`open_source`] hands them the file to read partitions from.
 pub fn load_graph(path: &str) -> Result<Graph, CliError> {
     let p = Path::new(path);
-    let by_ext = p.extension().and_then(|e| e.to_str()).unwrap_or("");
-    if by_ext == "gtc" {
+    if p.extension().is_some_and(|e| e == "gtc") {
         let c = CompressedGraph::open(p).map_err(|e| CliError(format!("open {path}: {e}")))?;
         return Ok(c.to_graph());
     }
-    if by_ext == "bel" {
-        let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-        let mut max_id = 0u32;
-        load::for_each_edge_file(p, &mut |u, v| {
-            max_id = max_id.max(u.0).max(v.0);
-            edges.push((u, v));
-            Ok(())
-        })
-        .map_err(|e| CliError(format!("parse {path}: {e}")))?;
-        let n = if edges.is_empty() { 0 } else { max_id as usize + 1 };
-        return Ok(Graph::from_edges(n, &edges));
-    }
     let file = std::fs::File::open(p).map_err(|e| CliError(format!("open {path}: {e}")))?;
-    let g = match by_ext {
-        "adj" => load::read_adjacency(file),
-        "bin" => load::read_binary(file),
-        _ => load::read_edge_list(file),
-    }
-    .map_err(|e| CliError(format!("parse {path}: {e}")))?;
-    Ok(g)
+    load::read_graph(Format::of(p), file).map_err(|e| CliError(format!("parse {path}: {e}")))
 }
 
 /// Saves a graph, picking the writer from the file extension.
 pub fn save_graph(g: &Graph, path: &str) -> Result<(), CliError> {
     let p = Path::new(path);
-    let by_ext = p.extension().and_then(|e| e.to_str()).unwrap_or("");
-    if by_ext == "gtc" {
-        write_compressed(g, p).map_err(|e| CliError(format!("write {path}: {e}")))?;
-        return Ok(());
-    }
-    if by_ext == "bel" {
-        let mut w =
-            load::EdgeFileWriter::create(p).map_err(|e| CliError(format!("create {path}: {e}")))?;
-        for v in g.vertices() {
-            for u in g.neighbors(v).iter().filter(|&u| v < u) {
-                w.edge(v, u).map_err(|e| CliError(format!("write {path}: {e}")))?;
-            }
-        }
-        w.finish().map_err(|e| CliError(format!("write {path}: {e}")))?;
-        return Ok(());
-    }
-    let file = std::fs::File::create(p).map_err(|e| CliError(format!("create {path}: {e}")))?;
-    match by_ext {
-        "adj" => load::write_adjacency(g, file),
-        "bin" => load::write_binary(g, file),
-        _ => load::write_edge_list(g, file),
-    }
-    .map_err(|e| CliError(format!("write {path}: {e}")))
-}
-
-/// A graph opened for mining: fully in RAM, or memory-mapped compressed
-/// with lazy per-vertex decode.
-pub enum GraphInput {
-    /// Loaded into an in-RAM [`Graph`].
-    Ram(Graph),
-    /// `.gtc` file, memory-mapped; adjacency decodes per lookup.
-    Mapped(Arc<CompressedGraph>),
-}
-
-impl GraphInput {
-    /// The [`GraphSource`] to hand to the job runner.
-    pub fn source(&self) -> GraphSource<'_> {
-        match self {
-            GraphInput::Ram(g) => GraphSource::InMemory(g),
-            GraphInput::Mapped(c) => GraphSource::Mapped(Arc::clone(c)),
-        }
-    }
-
-    /// The full label table, if the graph is labeled.
-    pub fn labels(&self) -> Option<Vec<Label>> {
-        match self {
-            GraphInput::Ram(g) => g.labels().map(<[Label]>::to_vec),
-            GraphInput::Mapped(c) => c.labels(),
-        }
-    }
-}
-
-/// Opens a graph for mining: `.gtc` files are memory-mapped, everything
-/// else loads into RAM.
-pub fn open_graph_input(path: &str) -> Result<GraphInput, CliError> {
-    let p = Path::new(path);
+    let wrap = |e: std::io::Error| CliError(format!("write {path}: {e}"));
     if p.extension().is_some_and(|e| e == "gtc") {
-        let c = CompressedGraph::open(p).map_err(|e| CliError(format!("open {path}: {e}")))?;
-        Ok(GraphInput::Mapped(Arc::new(c)))
-    } else {
-        Ok(GraphInput::Ram(load_graph(path)?))
+        return write_compressed(g, p).map(drop).map_err(wrap);
     }
+    let create = || std::fs::File::create(p).map_err(|e| CliError(format!("create {path}: {e}")));
+    match Format::of(p) {
+        Format::Adjacency => load::write_adjacency(g, create()?),
+        Format::Binary => load::write_binary(g, create()?),
+        Format::EdgeList => load::write_edge_list(g, create()?),
+        Format::EdgeBinary => {
+            let mut w = load::EdgeFileWriter::create(p)
+                .map_err(|e| CliError(format!("create {path}: {e}")))?;
+            g.edges().try_for_each(|(u, v)| w.edge(u, v)).and_then(|()| w.finish().map(drop))
+        }
+    }
+    .map_err(wrap)
+}
+
+/// Opens a graph for mining: a `.gtc` file is memory-mapped, any other
+/// is named as a [`GraphSource::File`], which each worker reads its own
+/// partition from. A missing file fails here, before a cluster process
+/// joins the rendezvous.
+pub fn open_source(path: &str) -> Result<GraphSource<'static>, CliError> {
+    let p = Path::new(path);
+    let open_err = |e: std::io::Error| CliError(format!("open {path}: {e}"));
+    if p.extension().is_some_and(|e| e == "gtc") {
+        let c = CompressedGraph::open(p).map_err(open_err)?;
+        return Ok(GraphSource::Mapped(Arc::new(c)));
+    }
+    std::fs::File::open(p).map_err(open_err)?;
+    Ok(GraphSource::File(p.to_path_buf()))
 }
 
 /// Parses a pattern spec like `triangle:0,1,2` or `path:0,1,2`.
@@ -323,15 +273,16 @@ fn cmd_graph_build(mut a: Args) -> Result<String, CliError> {
 
 fn cmd_graph_stats(a: Args) -> Result<String, CliError> {
     let [path] = a.finish(["FILE"])?;
-    let (s, labeled, compressed) = match open_graph_input(&path)? {
+    let (s, labeled, compressed) = match open_source(&path)? {
         // Degree stats come straight from the degree sequence: on a .gtc
         // file each degree reads two varints, no adjacency is decoded.
-        GraphInput::Mapped(c) => (
+        GraphSource::Mapped(c) => (
             GraphStats::from_degrees(c.degrees()),
             c.is_labeled(),
             format!("{} (this file, format version {FORMAT_VERSION})", c.file_bytes()),
         ),
-        GraphInput::Ram(g) => {
+        _ => {
+            let g = load_graph(&path)?;
             // Estimate by encoding for real into a scratch file.
             let tmp =
                 std::env::temp_dir().join(format!("gthinker-stats-{}.gtc", std::process::id()));
@@ -589,7 +540,13 @@ fn cmd_mine(miner: &str, mut a: Args, mut place: Place) -> Result<String, CliErr
             mine(
                 a,
                 place,
-                |input| Ok(MatchingApp::new(pattern, input.labels().ok_or(CliError(unlabeled))?)),
+                |source| {
+                    let labels = source
+                        .labels()
+                        .map_err(|e| CliError(format!("read labels: {e}")))?
+                        .ok_or(CliError(unlabeled))?;
+                    Ok(MatchingApp::new(pattern, labels))
+                },
                 |r| format!("embeddings of {spec}: {} in {:.2?}", r.global, r.elapsed),
             )
         }
@@ -607,24 +564,24 @@ fn cmd_mine(miner: &str, mut a: Args, mut place: Place) -> Result<String, CliErr
 fn mine<A: App>(
     a: Args,
     place: Place,
-    app: impl FnOnce(&GraphInput) -> Result<A, CliError>,
+    app: impl FnOnce(&GraphSource) -> Result<A, CliError>,
     render: impl FnOnce(&JobResult<<A::Agg as Aggregator>::Global>) -> String,
 ) -> Result<String, CliError> {
     let [file] = a.finish(["FILE"])?;
     let cfg = &place.cfg;
     let Some(seat) = &place.seat else {
-        let input = open_graph_input(&file)?;
-        let r = Job::new(Arc::new(app(&input)?), input.source(), cfg)
+        let source = open_source(&file)?;
+        let r = Job::new(Arc::new(app(&source)?), source, cfg)
             .run()
             .map_err(|e| CliError(format!("job failed: {e}")))?;
         return Ok(render(&r) + &place.export_metrics(&r.metrics)?);
     };
-    // The mesh listener is bound before the graph is loaded so a peer
-    // that finishes loading first finds it listening.
+    // The mesh listener is bound before the partition is read so a
+    // peer that finishes reading first finds it listening.
     let addr = seat.manifest.addr(seat.me);
     let listener = std::net::TcpListener::bind(addr)
         .map_err(|e| CliError(format!("cannot bind {addr}: {e}")))?;
-    let input = open_graph_input(&file)?;
+    let source = open_source(&file)?;
     let on_telemetry = |telemetry: Arc<ClusterTelemetry>| {
         if seat.status {
             spawn_status_thread(Arc::clone(&telemetry));
@@ -633,7 +590,7 @@ fn mine<A: App>(
             spawn_telemetry_endpoint(addr, telemetry);
         }
     };
-    let mut job = Job::new(Arc::new(app(&input)?), input.source(), cfg).on_telemetry(on_telemetry);
+    let mut job = Job::new(Arc::new(app(&source)?), source, cfg).on_telemetry(on_telemetry);
     if let Some(opts) = seat.recovery {
         job = job.recover(opts);
     }

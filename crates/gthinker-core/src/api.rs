@@ -68,8 +68,8 @@ pub trait App: Send + Sync + 'static {
         env: &mut ComputeEnv<'_, Self>,
     ) -> bool;
 
-    /// Optional adjacency trimmer applied once after graph loading
-    /// (§IV item 7); `None` keeps lists untouched.
+    /// Optional adjacency trimmer applied once to each list as a worker
+    /// loads it (§IV item 7); `None` keeps lists untouched.
     fn trimmer(&self) -> Option<Box<dyn Trimmer>> {
         None
     }

@@ -3,9 +3,9 @@
 //! [`Job::run_process`] is the per-process counterpart of
 //! [`Job::run`]: every OS process in the cluster calls it with the
 //! **same** graph, config and [`ClusterManifest`], plus its own worker
-//! ID and its own bound listener. Each process loads and trims the
-//! graph, hash-partitions it identically (the partitioner is
-//! deterministic), keeps only its own partition, joins the TCP
+//! ID and its own bound listener. Each process reads only its own hash
+//! partition of the graph (the partitioner is deterministic, so the
+//! partitions agree), trimming each list as it reads it, joins the TCP
 //! rendezvous, and then runs the exact same worker main loop the sim
 //! backend runs — master logic included on worker 0. When the master's
 //! termination protocol fires, its Terminate broadcast shuts every
@@ -97,9 +97,9 @@ impl<A: App> Job<'_, A> {
     ///
     /// `listener` is this worker's mesh listener, bound to
     /// `manifest.addr(me)` (or one of [`ClusterManifest::loopback`]'s):
-    /// a process that binds it *before* loading its graph lets faster
-    /// peers' dials wait in the kernel backlog instead of being refused
-    /// into a retry backoff.
+    /// a process that binds it *before* calling this (which reads its
+    /// partition of the graph first) lets faster peers' dials wait in
+    /// the kernel backlog instead of being refused into a retry backoff.
     ///
     /// With [`Job::recover`], `config.checkpoint_dir` is required — a
     /// directory visible to every process (the paper's HDFS analog)
@@ -148,13 +148,14 @@ impl<A: App> Job<'_, A> {
         let telemetry = Arc::new(ClusterTelemetry::new(n));
 
         loop {
-            // Same pipeline as the in-process runner: trim, then
-            // partition deterministically — every process computes
-            // identical ownership, and this one keeps only its own part
-            // (or, on a mapped source, its own member list over the
-            // shared file). Rebuilt per attempt; ownership never moves.
+            // Same pipeline as the in-process runner: ownership is
+            // deterministic, so every process computes the same
+            // partitions and this one reads only its own (or, on a
+            // mapped source, its own member list over the shared
+            // file). Read again per attempt, as the paper's workers
+            // reload from HDFS; ownership never moves.
             let (mut locals, label_table) =
-                build_locals(&self.app, &self.source, partitioner, &[me.index()]);
+                build_locals(&self.app, &self.source, partitioner, &[me.index()])?;
             let local = locals.pop().expect("one local table requested");
 
             // Rendezvous before building worker state, so a peer that

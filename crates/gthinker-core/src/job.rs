@@ -14,9 +14,11 @@ use crate::worker::{
     gc_loop, receiver_loop, responder_loop, worker_tick, ResponderRing, WorkerShared,
 };
 use crossbeam::channel::RecvTimeoutError;
+use gthinker_graph::adj::AdjList;
 use gthinker_graph::compressed::CompressedGraph;
 use gthinker_graph::graph::Graph;
 use gthinker_graph::ids::{Label, VertexId, WorkerId};
+use gthinker_graph::load;
 use gthinker_graph::partition::HashPartitioner;
 use gthinker_graph::store::AdjacencyStore;
 use gthinker_graph::trim::Trimmer;
@@ -40,12 +42,12 @@ type Partial<A> = <<A as App>::Agg as Aggregator>::Partial;
 ///
 /// The storage backend is invisible above the worker's `T_local`: the
 /// six miners, the cache, trimming and partitioning all behave
-/// identically over either variant (the differential suite in
+/// identically over every variant (the differential suite in
 /// `tests/storage_equivalence.rs` pins this down result-for-result).
 #[derive(Clone)]
 pub enum GraphSource<'a> {
-    /// An in-RAM graph: trimmed while partitioning, every partition
-    /// materialized into an eager local table (the classic path).
+    /// An in-RAM graph the caller keeps: each requested worker's lists
+    /// are copied out of it, trimmed, into an eager local table.
     InMemory(&'a Graph),
     /// A memory-mapped compressed graph (`.gtc`, built by
     /// `gthinker-cli graph build`): every worker shares the mapping,
@@ -53,6 +55,28 @@ pub enum GraphSource<'a> {
     /// at decode time — resident memory stays near the bitset + page
     /// cache instead of a full adjacency copy.
     Mapped(Arc<CompressedGraph>),
+    /// A graph file in one of the in-RAM formats (`.bin`, `.adj`,
+    /// `.el`/`.txt`, `.bel`; see [`load::Format`]), named, not loaded: each
+    /// attempt reads the requested workers' partitions straight from
+    /// it, trimming each list as it is read and moving it into an
+    /// eager local table — the paper's workers loading their part of
+    /// the input from HDFS. No process holds a list it does not own.
+    File(PathBuf),
+}
+
+impl GraphSource<'_> {
+    /// The graph's full label table, if it is labeled — what a
+    /// label-aware app (subgraph matching) is built from before the job
+    /// starts. A file source reads it from the file.
+    pub fn labels(&self) -> io::Result<Option<Vec<Label>>> {
+        Ok(match self {
+            GraphSource::InMemory(g) => g.labels().map(<[Label]>::to_vec),
+            GraphSource::Mapped(c) => c.labels(),
+            GraphSource::File(path) => {
+                load::read_partition_file(path, |_| false, |_, _, _| {})?.labels
+            }
+        })
+    }
 }
 
 impl<'a> From<&'a Graph> for GraphSource<'a> {
@@ -254,7 +278,7 @@ impl<'a, A: App> Job<'a, A> {
         let partitioner = HashPartitioner::new(config.num_workers as u16);
         let every_worker: Vec<usize> = (0..config.num_workers).collect();
         let (locals, label_table) =
-            build_locals(&self.app, &self.source, partitioner, &every_worker);
+            build_locals(&self.app, &self.source, partitioner, &every_worker)?;
 
         let mut router = Router::with_faults(config.num_workers, config.link, config.fault.clone());
         let handles: Vec<Box<dyn NetEndpoint>> =
@@ -584,57 +608,57 @@ pub(crate) fn new_job_dir(config: &JobConfig) -> PathBuf {
     config.spill_dir.join(format!("job-{}-{}", std::process::id(), job_id))
 }
 
+/// The label table of a labeled graph, shared by every worker of a
+/// process.
+pub(crate) type LabelTable = Option<Arc<Vec<Label>>>;
+
 /// Builds the local tables for the requested `workers` (all of them in
 /// the sim runner, just one in a cluster process) plus the replicated
-/// label table, from either graph source.
+/// label table, from any graph source.
 ///
-/// One walk over the vertex set decides membership for both sources
-/// (ownership is hash-by-ID, members in ascending ID order), so they
-/// produce identical partitions and only a requested worker's lists are
-/// ever fetched. Trimming (§IV item 7) is [`Trimmer::fetch_trimmed`]
-/// either way — while partitioning on the in-RAM path, at decode time
-/// on the mapped path — a per-vertex rewrite that cannot observe the
-/// difference.
+/// Ownership is hash-by-ID and each table lists its members in
+/// ascending ID order, so every source produces identical partitions,
+/// and only a requested worker's lists are ever fetched or read.
+/// Trimming (§IV item 7) is one per-vertex rewrite on every path, which
+/// cannot observe the difference: [`Trimmer::fetch_trimmed`] while
+/// copying out of an in-RAM graph or at decode time off a mapped one,
+/// [`Trimmer::trim`] — `fetch_trimmed`'s provided body without the
+/// fetch — on a list just read from a file.
 pub(crate) fn build_locals<A: App>(
     app: &Arc<A>,
     source: &GraphSource<'_>,
     partitioner: HashPartitioner,
     workers: &[usize],
-) -> (Vec<LocalTable>, Option<Arc<Vec<Label>>>) {
-    let num_vertices = match source {
-        GraphSource::InMemory(graph) => graph.num_vertices(),
-        GraphSource::Mapped(store) => store.num_vertices(),
-    };
-    let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); workers.len()];
-    for v in (0..num_vertices as u32).map(VertexId) {
-        let owner = partitioner.owner(v).index();
-        if let Some(i) = workers.iter().position(|&w| w == owner) {
-            members[i].push(v);
+) -> io::Result<(Vec<LocalTable>, LabelTable)> {
+    let slot = |v: VertexId| workers.iter().position(|&w| w == partitioner.owner(v).index());
+    let members = |n: usize| {
+        let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); workers.len()];
+        for v in (0..n).map(VertexId::from_index) {
+            if let Some(i) = slot(v) {
+                members[i].push(v);
+            }
         }
-    }
-    match source {
+        members
+    };
+    Ok(match source {
         GraphSource::InMemory(graph) => {
             let trimmer = app.trimmer();
-            let locals = members
+            let records = members(graph.num_vertices())
                 .into_iter()
                 .map(|members| {
-                    let records = members
-                        .iter()
-                        .map(|&v| match &trimmer {
-                            Some(t) => (v, t.fetch_trimmed(*graph, v)),
-                            None => (v, graph.neighbors(v).clone()),
-                        })
-                        .collect();
-                    let labels = members.iter().filter_map(|&v| Some((v, graph.label(v)?)));
-                    LocalTable::with_labels(records, labels.collect())
+                    let fetch = |v| match &trimmer {
+                        Some(t) => t.fetch_trimmed(*graph, v),
+                        None => graph.neighbors(v).clone(),
+                    };
+                    members.into_iter().map(|v| (v, fetch(v))).collect()
                 })
                 .collect();
-            // Labels are replicated to every worker (2 bytes/vertex).
-            (locals, graph.labels().map(|l| Arc::new(l.to_vec())))
+            let labels = graph.labels();
+            (eager_locals(records, labels), labels.map(|l| Arc::new(l.to_vec())))
         }
         GraphSource::Mapped(store) => {
             let trimmer: Option<Arc<dyn Trimmer>> = app.trimmer().map(Arc::from);
-            let locals = members
+            let locals = members(store.num_vertices())
                 .into_iter()
                 .map(|members| {
                     let shared: Arc<dyn AdjacencyStore> = Arc::<CompressedGraph>::clone(store);
@@ -643,7 +667,43 @@ pub(crate) fn build_locals<A: App>(
                 .collect();
             (locals, store.labels().map(Arc::new))
         }
-    }
+        GraphSource::File(path) => {
+            let trimmer = app.trimmer();
+            let part = load::read_partition_file(
+                path,
+                |v| slot(v).is_some(),
+                |v, label, adj| {
+                    if let Some(t) = &trimmer {
+                        t.trim(v, label, adj);
+                    }
+                },
+            )?;
+            let mut records: Vec<Vec<(VertexId, AdjList)>> = vec![Vec::new(); workers.len()];
+            for (v, adj) in part.records {
+                records[slot(v).expect("only owned records are read")].push((v, adj));
+            }
+            let labels = part.labels.map(Arc::new);
+            (eager_locals(records, labels.as_deref().map(Vec::as_slice)), labels)
+        }
+    })
+}
+
+/// The one eager construction: each requested worker's records, in
+/// ascending ID order, moved into its table, with their labels when the
+/// graph is labeled (labels are replicated to every worker, 2
+/// bytes/vertex).
+fn eager_locals(
+    records: Vec<Vec<(VertexId, AdjList)>>,
+    labels: Option<&[Label]>,
+) -> Vec<LocalTable> {
+    records
+        .into_iter()
+        .map(|records| {
+            let owned = labels
+                .map_or(Vec::new(), |l| records.iter().map(|&(v, _)| (v, l[v.index()])).collect());
+            LocalTable::with_labels(records, owned)
+        })
+        .collect()
 }
 
 /// Builds one worker's shared state from its local table and its
@@ -653,7 +713,7 @@ pub(crate) fn build_locals<A: App>(
 pub(crate) fn build_worker<A: App>(
     app: &Arc<A>,
     config: &JobConfig,
-    label_table: &Option<Arc<Vec<Label>>>,
+    label_table: &LabelTable,
     partitioner: HashPartitioner,
     w: usize,
     local: LocalTable,
@@ -1024,17 +1084,28 @@ mod tests {
 
     /// Every table `build_locals` returns equals the construction it
     /// replaced — trim the whole graph, then keep what `owner` assigns
-    /// to the worker — and the mapped arm's table over the same graph.
+    /// to the worker — over every source of the same graph: in RAM,
+    /// mapped, and read from a `.bin` or `.adj` file.
     #[test]
-    fn build_locals_matches_trim_then_filter_and_the_mapped_arm() {
+    fn build_locals_matches_trim_then_filter_on_every_source() {
         let partitioner = HashPartitioner::new(3);
         let plain = gen::gnp(90, 0.12, 5);
         let labeled = gen::random_labels(plain.clone(), 3, 11);
         for (g, tag) in [(&plain, "unlabeled"), (&labeled, "labeled")] {
-            let gtc = std::env::temp_dir()
-                .join(format!("gthinker-build-locals-{}-{tag}.gtc", std::process::id()));
+            let path = |ext: &str| {
+                std::env::temp_dir()
+                    .join(format!("gthinker-build-locals-{}-{tag}.{ext}", std::process::id()))
+            };
+            let (gtc, bin, adj) = (path("gtc"), path("bin"), path("adj"));
             write_compressed(g, &gtc).unwrap();
-            let mapped = GraphSource::Mapped(Arc::new(CompressedGraph::open(&gtc).unwrap()));
+            load::write_binary(g, std::fs::File::create(&bin).unwrap()).unwrap();
+            load::write_adjacency(g, std::fs::File::create(&adj).unwrap()).unwrap();
+            let sources = [
+                ("in RAM", GraphSource::InMemory(g)),
+                ("mapped", GraphSource::Mapped(Arc::new(CompressedGraph::open(&gtc).unwrap()))),
+                (".bin", GraphSource::File(bin.clone())),
+                (".adj", GraphSource::File(adj.clone())),
+            ];
             for trim in [Trim::None, Trim::GreaterId, Trim::LabelSet] {
                 let labels = g.labels().map(<[Label]>::to_vec).unwrap_or_default();
                 let app = Arc::new(TrimApp { trim, labels });
@@ -1043,31 +1114,42 @@ mod tests {
                     None => g.clone(),
                 };
                 for workers in [&[0, 1, 2][..], &[1][..]] {
-                    let what = format!("{tag} {trim:?} workers {workers:?}");
-                    let (locals, label_table) =
-                        build_locals(&app, &GraphSource::InMemory(g), partitioner, workers);
-                    let (lazy, lazy_labels) = build_locals(&app, &mapped, partitioner, workers);
-                    // A process job asks for one worker and gets exactly
-                    // that worker's table, nobody else's lists.
-                    assert_eq!(locals.len(), workers.len(), "{what}");
-                    assert_eq!(label_table.as_deref().map(Vec::as_slice), g.labels(), "{what}");
-                    assert_eq!(label_table, lazy_labels, "{what}");
-                    for ((&w, local), lazy) in workers.iter().zip(&locals).zip(&lazy) {
-                        let owned: Vec<VertexId> = reference
-                            .vertices()
-                            .filter(|&v| partitioner.owner(v).index() == w)
-                            .collect();
-                        let records =
-                            owned.iter().map(|&v| (v, reference.neighbors(v).clone())).collect();
-                        let labels =
-                            owned.iter().filter_map(|&v| Some((v, reference.label(v)?))).collect();
-                        let want = LocalTable::with_labels(records, labels);
-                        assert_same_table(local, &want, &what);
-                        assert_same_table(lazy, &want, &format!("{what} (mapped)"));
+                    for (name, source) in &sources {
+                        let what = format!("{tag} {trim:?} workers {workers:?} {name}");
+                        let (locals, label_table) =
+                            build_locals(&app, source, partitioner, workers).unwrap();
+                        // A process job asks for one worker and gets
+                        // exactly that worker's table, nobody else's lists.
+                        assert_eq!(locals.len(), workers.len(), "{what}");
+                        let want_labels = g.labels();
+                        assert_eq!(
+                            label_table.as_deref().map(Vec::as_slice),
+                            want_labels,
+                            "{what}"
+                        );
+                        assert_eq!(source.labels().unwrap().as_deref(), want_labels, "{what}");
+                        for (&w, local) in workers.iter().zip(&locals) {
+                            let owned: Vec<VertexId> = reference
+                                .vertices()
+                                .filter(|&v| partitioner.owner(v).index() == w)
+                                .collect();
+                            let records = owned
+                                .iter()
+                                .map(|&v| (v, reference.neighbors(v).clone()))
+                                .collect();
+                            let labels = owned
+                                .iter()
+                                .filter_map(|&v| Some((v, reference.label(v)?)))
+                                .collect();
+                            let want = LocalTable::with_labels(records, labels);
+                            assert_same_table(local, &want, &what);
+                        }
                     }
                 }
             }
-            let _ = std::fs::remove_file(&gtc);
+            for file in [gtc, bin, adj] {
+                let _ = std::fs::remove_file(file);
+            }
         }
     }
 }

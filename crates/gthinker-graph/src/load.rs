@@ -10,6 +10,16 @@
 //! list in memory. Lines starting with `#` are comments in both text
 //! formats.
 //!
+//! ## One partition at a time
+//!
+//! Each [`Format`] has one parser, [`read_partition`]: it reads and
+//! validates every record of the file and keeps the `(v, Γ(v))`
+//! records of the vertices a `keep` predicate accepts. A worker passes
+//! its hash-owner test and so reads only its own partition (§V: each
+//! machine loads its part of the input into `T_local`) without ever
+//! allocating a list another worker owns. The whole-graph readers are
+//! the keep-everything case of the same parser.
+//!
 //! ## Malformed input policy
 //!
 //! * Parse failures report the **file name** (when known) and 1-based
@@ -20,9 +30,12 @@
 //!   only our own writers produce, *reject* them as corruption.
 //! * **Duplicate edges** collapse in the text loaders; the binary
 //!   adjacency format rejects them (its writer never emits any).
+//! * A malformed record fails every partition read, whoever owns it,
+//!   with the error the whole-graph read gives.
 
 use crate::adj::AdjList;
 use crate::graph::Graph;
+use crate::hash::FastMap;
 use crate::ids::{Label, VertexId};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -94,6 +107,103 @@ impl From<LoadError> for io::Error {
     }
 }
 
+/// The on-disk formats [`read_partition`] parses, named by extension.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Format {
+    /// `.bin`: the strict binary adjacency of [`write_binary`].
+    Binary,
+    /// `.adj`: the paper's `v<TAB>n u1 … un` text adjacency.
+    Adjacency,
+    /// `.bel`: the binary edge stream of [`EdgeFileWriter`].
+    EdgeBinary,
+    /// Any other extension (`.el`, `.txt`, …): a text edge list.
+    EdgeList,
+}
+
+impl Format {
+    /// The format the extension of `path` names.
+    pub fn of(path: &Path) -> Format {
+        match path.extension().and_then(|e| e.to_str()) {
+            Some("bin") => Format::Binary,
+            Some("adj") => Format::Adjacency,
+            Some("bel") => Format::EdgeBinary,
+            _ => Format::EdgeList,
+        }
+    }
+}
+
+/// What [`read_partition`] keeps of a graph file.
+#[derive(Debug)]
+pub struct Partition {
+    /// `|V|` of the whole graph.
+    pub num_vertices: usize,
+    /// `(v, Γ(v))` for every kept `v < num_vertices`, in ascending ID
+    /// order; an isolated vertex has an empty list.
+    pub records: Vec<(VertexId, AdjList)>,
+    /// The whole graph's label table, kept vertices or not, when the
+    /// file is labeled.
+    pub labels: Option<Vec<Label>>,
+}
+
+impl Partition {
+    /// The graph of a read that kept every vertex.
+    fn into_graph(self) -> Graph {
+        let g = Graph::from_adjacency(self.records.into_iter().map(|(_, adj)| adj).collect());
+        match self.labels {
+            Some(labels) => g.with_labels(labels),
+            None => g,
+        }
+    }
+}
+
+type Keep<'a> = &'a dyn Fn(VertexId) -> bool;
+type Finish<'a> = &'a mut dyn FnMut(VertexId, Option<Label>, &mut AdjList);
+
+/// Reads a graph in `format`, keeping the records of the vertices
+/// `keep` accepts. Every record is parsed and checked whoever keeps it,
+/// so a malformed one fails the read with the error the whole-graph
+/// reader gives; only kept lists are ever allocated.
+///
+/// `finish(v, label, Γ(v))` runs once on each kept list, with `v`'s
+/// final label, before the list is stored: as soon as it is read where
+/// the file has settled every label by then (an unlabeled `.bin`),
+/// after the pass otherwise. A caller that trims there holds each
+/// untrimmed `.bin` list only while it reads it.
+pub fn read_partition<R: Read>(
+    format: Format,
+    reader: R,
+    keep: impl Fn(VertexId) -> bool,
+    mut finish: impl FnMut(VertexId, Option<Label>, &mut AdjList),
+) -> Result<Partition, LoadError> {
+    match format {
+        Format::Binary => binary_partition(reader, &keep, &mut finish),
+        Format::Adjacency => adjacency_partition(reader, &keep, &mut finish),
+        Format::EdgeBinary => {
+            edge_partition(|sink| for_each_edge_binary(reader, sink), &keep, &mut finish)
+        }
+        Format::EdgeList => {
+            edge_partition(|sink| for_each_edge_text(reader, sink), &keep, &mut finish)
+        }
+    }
+}
+
+/// [`read_partition`] of the file at `path`, in the format its
+/// extension names; parse errors name the file.
+pub fn read_partition_file(
+    path: &Path,
+    keep: impl Fn(VertexId) -> bool,
+    finish: impl FnMut(VertexId, Option<Label>, &mut AdjList),
+) -> Result<Partition, LoadError> {
+    let f = std::fs::File::open(path)?;
+    read_partition(Format::of(path), f, keep, finish).map_err(|e| e.in_file(path))
+}
+
+/// Reads a whole graph in `format`: [`read_partition`] keeping every
+/// vertex.
+pub fn read_graph<R: Read>(format: Format, reader: R) -> Result<Graph, LoadError> {
+    read_partition(format, reader, |_| true, |_, _, _| {}).map(Partition::into_graph)
+}
+
 /// Streams the edges of a whitespace-separated text edge list (`u v`
 /// per line) into `sink`. Self-loops are dropped; duplicates pass
 /// through. Returns the number of edges delivered.
@@ -130,17 +240,38 @@ pub fn for_each_edge_text<R: Read>(
 
 /// Reads a whitespace-separated edge list. Vertex count is `max id + 1`.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, LoadError> {
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-    let mut max_id: u32 = 0;
-    let mut any = false;
-    for_each_edge_text(reader, &mut |u, v| {
-        any = true;
-        max_id = max_id.max(u.0).max(v.0);
-        edges.push((u, v));
+    read_graph(Format::EdgeList, reader)
+}
+
+/// The edge-list parser of either stream (text or `.bel`): the lists
+/// of kept endpoints grow as their edges go by, and are complete, so
+/// finished, only at the end. `|V|` is `max id + 1` over the edges that
+/// are not self-loops.
+fn edge_partition(
+    stream: impl FnOnce(&mut dyn FnMut(VertexId, VertexId) -> io::Result<()>) -> Result<u64, LoadError>,
+    keep: Keep<'_>,
+    finish: Finish<'_>,
+) -> Result<Partition, LoadError> {
+    let mut lists: FastMap<VertexId, Vec<VertexId>> = FastMap::default();
+    let mut n = 0usize;
+    stream(&mut |u, v| {
+        n = n.max(u.index().max(v.index()) + 1);
+        for (a, b) in [(u, v), (v, u)] {
+            if keep(a) {
+                lists.entry(a).or_default().push(b);
+            }
+        }
         Ok(())
     })?;
-    let n = if any { max_id as usize + 1 } else { 0 };
-    Ok(Graph::from_edges(n, &edges))
+    let mut records = Vec::new();
+    for v in (0..n).map(VertexId::from_index).filter(|&v| keep(v)) {
+        let mut nbrs = lists.remove(&v).unwrap_or_default();
+        nbrs.shrink_to_fit(); // grown by doubling, edge by edge
+        let mut adj = AdjList::from_unsorted(nbrs);
+        finish(v, None, &mut adj);
+        records.push((v, adj));
+    }
+    Ok(Partition { num_vertices: n, records, labels: None })
 }
 
 /// Writes `g` as an edge list, each undirected edge once.
@@ -158,11 +289,24 @@ pub fn write_edge_list<W: Write>(g: &Graph, writer: W) -> io::Result<()> {
 /// `v:label<TAB>n u1 ...`. Self-loops (`v` listing itself) are dropped;
 /// a vertex appearing on two lines is a parse error.
 pub fn read_adjacency<R: Read>(reader: R) -> Result<Graph, LoadError> {
-    let buf = BufReader::new(reader);
-    let mut rows: Vec<(u32, Option<Label>, Vec<VertexId>)> = Vec::new();
-    let mut max_id: u32 = 0;
+    read_graph(Format::Adjacency, reader)
+}
+
+/// The adjacency parser: rows may come in any order and a vertex may
+/// have none, so kept rows are collected, then finished in ID order
+/// once `|V|` and the labels are known.
+fn adjacency_partition(
+    reader: impl Read,
+    keep: Keep<'_>,
+    finish: Finish<'_>,
+) -> Result<Partition, LoadError> {
+    let mut kept: Vec<(VertexId, Vec<VertexId>)> = Vec::new();
+    let mut labels: Vec<Label> = Vec::new();
+    let mut seen: Vec<bool> = Vec::new();
+    let mut duplicate = None;
+    let mut max_id: Option<u32> = None;
     let mut labeled = false;
-    for (lineno, line) in buf.lines().enumerate() {
+    for (lineno, line) in BufReader::new(reader).lines().enumerate() {
         let line = line?;
         let t = line.trim();
         if t.is_empty() || t.starts_with('#') {
@@ -181,44 +325,62 @@ pub fn read_adjacency<R: Read>(reader: R) -> Result<Graph, LoadError> {
         };
         let mut it = rest.split_whitespace();
         let count: usize = it.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        let mut nbrs = Vec::with_capacity(count);
-        let mut dropped_loops = 0usize;
+        let keeps = keep(VertexId(v));
+        let mut nbrs = Vec::with_capacity(if keeps { count.min(1 << 20) } else { 0 });
+        let mut listed = 0usize;
+        let mut top = v;
         for tok in it {
             let u = tok.parse::<u32>().map_err(|_| err())?;
-            max_id = max_id.max(u);
-            if u == v {
-                dropped_loops += 1; // lenient: drop self-loops (see module docs)
-                continue;
+            top = top.max(u);
+            listed += 1;
+            // Lenient: drop self-loops (see module docs).
+            if keeps && u != v {
+                nbrs.push(VertexId(u));
             }
-            nbrs.push(VertexId(u));
         }
         // The declared count covers the list as written, including any
-        // self-loops we just dropped.
-        if nbrs.len() + dropped_loops != count {
+        // self-loops just dropped.
+        if listed != count {
             return Err(err());
         }
-        max_id = max_id.max(v);
-        rows.push((v, label, nbrs));
-    }
-    if rows.is_empty() {
-        return Ok(Graph::with_vertices(0));
-    }
-    let n = max_id as usize + 1;
-    let mut adj = vec![AdjList::new(); n];
-    let mut seen = vec![false; n];
-    let mut labels = vec![Label::default(); n];
-    for (v, label, nbrs) in rows {
-        if seen[v as usize] {
-            return Err(LoadError::parse(0, format!("vertex {v} defined on more than one line")));
+        max_id = max_id.max(Some(top));
+        let i = v as usize;
+        if seen.len() <= i {
+            seen.resize(i + 1, false);
         }
-        seen[v as usize] = true;
-        adj[v as usize] = AdjList::from_unsorted(nbrs);
+        if std::mem::replace(&mut seen[i], true) {
+            duplicate.get_or_insert(v);
+            continue;
+        }
         if let Some(l) = label {
-            labels[v as usize] = l;
+            if labels.len() <= i {
+                labels.resize(i + 1, Label::default());
+            }
+            labels[i] = l;
+        }
+        if keeps {
+            kept.push((VertexId(v), nbrs));
         }
     }
-    let g = Graph::from_adjacency(adj);
-    Ok(if labeled { g.with_labels(labels) } else { g })
+    // A parse error anywhere in the file wins over a vertex defined twice.
+    if let Some(v) = duplicate {
+        return Err(LoadError::parse(0, format!("vertex {v} defined on more than one line")));
+    }
+    let n = max_id.map_or(0, |m| m as usize + 1);
+    let labels = labeled.then(|| {
+        labels.resize(n, Label::default());
+        labels
+    });
+    kept.sort_unstable_by_key(|&(v, _)| v);
+    let mut rows = kept.into_iter().peekable();
+    let mut records = Vec::new();
+    for v in (0..n).map(VertexId::from_index).filter(|&v| keep(v)) {
+        let nbrs = rows.next_if(|&(u, _)| u == v).map(|(_, nbrs)| nbrs).unwrap_or_default();
+        let mut adj = AdjList::from_unsorted(nbrs);
+        finish(v, labels.as_ref().map(|l| l[v.index()]), &mut adj);
+        records.push((v, adj));
+    }
+    Ok(Partition { num_vertices: n, records, labels })
 }
 
 /// Writes `g` in the adjacency format (labeled if `g` is labeled).
@@ -281,6 +443,22 @@ pub fn write_binary<W: Write>(g: &Graph, writer: W) -> io::Result<()> {
 /// unsorted/duplicate adjacency and self-loops (our writer emits
 /// neither, so their presence means corruption).
 pub fn read_binary<R: Read>(reader: R) -> Result<Graph, LoadError> {
+    read_graph(Format::Binary, reader)
+}
+
+/// Neighbor IDs of a binary record read and checked at a time: a
+/// corrupt degree word runs into the end of the file instead of
+/// allocating its claim.
+const BINARY_CHUNK: usize = 4096;
+
+/// The binary parser: records come in ID order, so each kept one is
+/// finished as it is read — unless the file is labeled, whose table
+/// comes after the records.
+fn binary_partition(
+    reader: impl Read,
+    keep: Keep<'_>,
+    finish: Finish<'_>,
+) -> Result<Partition, LoadError> {
     let mut r = BufReader::new(reader);
     let bad = |what: &str| LoadError::parse(0, what);
     let mut magic = [0u8; 8];
@@ -298,36 +476,74 @@ pub fn read_binary<R: Read>(reader: R) -> Result<Graph, LoadError> {
         1 => true,
         _ => return Err(bad("bad label flag")),
     };
+    let mut records = Vec::new();
+    let mut scratch = Vec::new();
     let mut u32buf = [0u8; 4];
-    let mut adj = Vec::with_capacity(n);
-    for v in 0..n {
+    for v in (0..n).map(VertexId::from_index) {
         r.read_exact(&mut u32buf)?;
-        let deg = u32::from_le_bytes(u32buf) as usize;
-        let mut nbrs = Vec::with_capacity(deg.min(1 << 20));
-        for _ in 0..deg {
-            r.read_exact(&mut u32buf)?;
-            nbrs.push(VertexId(u32::from_le_bytes(u32buf)));
+        let degree = u32::from_le_bytes(u32buf) as usize;
+        if !keep(v) {
+            read_binary_record(&mut r, v, degree, &mut scratch, None)?;
+            continue;
         }
-        if nbrs.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(bad("unsorted or duplicate adjacency"));
+        let mut nbrs = Vec::with_capacity(degree.min(1 << 20));
+        read_binary_record(&mut r, v, degree, &mut scratch, Some(&mut nbrs))?;
+        let mut adj = AdjList::from_sorted(nbrs);
+        if !labeled {
+            finish(v, None, &mut adj);
         }
-        if nbrs.binary_search(&VertexId(v as u32)).is_ok() {
-            return Err(bad("self-loop in adjacency"));
-        }
-        adj.push(AdjList::from_sorted(nbrs));
+        records.push((v, adj));
     }
-    let g = Graph::from_adjacency(adj);
-    if labeled {
-        let mut labels = Vec::with_capacity(n);
-        let mut u16buf = [0u8; 2];
-        for _ in 0..n {
-            r.read_exact(&mut u16buf)?;
-            labels.push(Label(u16::from_le_bytes(u16buf)));
+    let labels = if labeled {
+        let mut bytes = vec![0u8; 2 * n];
+        r.read_exact(&mut bytes)?;
+        let labels: Vec<Label> =
+            bytes.chunks_exact(2).map(|b| Label(u16::from_le_bytes([b[0], b[1]]))).collect();
+        for (v, adj) in &mut records {
+            finish(*v, Some(labels[v.index()]), adj);
         }
-        Ok(g.with_labels(labels))
+        Some(labels)
     } else {
-        Ok(g)
+        None
+    };
+    Ok(Partition { num_vertices: n, records, labels })
+}
+
+/// Reads the `degree` neighbor IDs of `v`'s binary record through
+/// `scratch`, appending them to `out` when there is one, and checks
+/// them either way: strictly ascending, then no self-loop (our writer
+/// emits neither, so either means corruption).
+fn read_binary_record(
+    r: &mut impl Read,
+    v: VertexId,
+    degree: usize,
+    scratch: &mut Vec<u8>,
+    mut out: Option<&mut Vec<VertexId>>,
+) -> Result<(), LoadError> {
+    let (mut prev, mut unsorted, mut self_loop) = (-1i64, false, false);
+    let mut left = degree;
+    while left > 0 {
+        let take = left.min(BINARY_CHUNK);
+        scratch.resize(4 * take, 0);
+        r.read_exact(scratch)?;
+        for b in scratch.chunks_exact(4) {
+            let u = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            unsorted |= i64::from(u) <= prev;
+            self_loop |= u == v.0;
+            prev = i64::from(u);
+            if let Some(out) = out.as_deref_mut() {
+                out.push(VertexId(u));
+            }
+        }
+        left -= take;
     }
+    if unsorted {
+        return Err(LoadError::parse(0, "unsorted or duplicate adjacency"));
+    }
+    if self_loop {
+        return Err(LoadError::parse(0, "self-loop in adjacency"));
+    }
+    Ok(())
 }
 
 /// Magic header of the binary edge-stream format (`.bel`).
@@ -416,7 +632,7 @@ pub fn for_each_edge_file(
     sink: &mut dyn FnMut(VertexId, VertexId) -> io::Result<()>,
 ) -> Result<u64, LoadError> {
     let f = std::fs::File::open(path)?;
-    let result = if path.extension().is_some_and(|e| e == "bel") {
+    let result = if Format::of(path) == Format::EdgeBinary {
         for_each_edge_binary(f, sink)
     } else {
         for_each_edge_text(f, sink)

@@ -1,9 +1,9 @@
 //! Adjacency-list trimming (the paper's `Trimmer` class, §IV item 7).
 //!
 //! Every list is trimmed once, where a worker first gets hold of it —
-//! while its partition is built from an in-RAM graph, at decode time
-//! off a mapped one — so that vertex pulls only ship trimmed lists over
-//! the (simulated) network. Two built-in trimmers match the paper's
+//! as it is read from a graph file or copied out of an in-RAM graph,
+//! at decode time off a mapped one — so that vertex pulls only ship
+//! trimmed lists over the (simulated) network. Two built-in trimmers match the paper's
 //! examples:
 //!
 //! * [`GreaterIdTrimmer`] — keep only `Γ_>(v)`, the neighbors with larger
@@ -30,8 +30,10 @@ pub trait Trimmer: Send + Sync {
     fn trim(&self, v: VertexId, label: Option<Label>, adj: &mut AdjList);
 
     /// The trimmed list of `v` straight from `store` — how the framework
-    /// obtains every trimmed list (the job's partition pass, the lazy
-    /// local table and [`trim_graph`] call nothing else). The provided body fetches all of `Γ(v)`
+    /// obtains every trimmed list it does not already hold (the copy out
+    /// of an in-RAM graph, the lazy local table and [`trim_graph`] call
+    /// nothing else; a list read from a file is in hand, and gets
+    /// [`trim`](Trimmer::trim)). The provided body fetches all of `Γ(v)`
     /// and [`trim`](Trimmer::trim)s it. An implementation that overrides
     /// it to fetch less promises the same result, for every store and
     /// vertex, as that provided body; it never sees the part it skipped.

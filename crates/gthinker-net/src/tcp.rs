@@ -36,6 +36,7 @@ use gthinker_graph::ids::WorkerId;
 use gthinker_task::codec::{Decode, Encode};
 use std::io::{self, ErrorKind};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -465,21 +466,47 @@ fn dial_with_retry(addr: SocketAddr, deadline: Instant, salt: u64) -> io::Result
                 format!("no worker answered at {addr} before the rendezvous deadline"),
             ));
         }
-        match TcpStream::connect_timeout(&addr, remaining.min(Duration::from_millis(250))) {
-            Ok(s) => return Ok(s),
-            Err(_) => {
-                // 1ms, 2ms, 4ms, … capped at 320ms, plus up to 50%
-                // jitter; always bounded by the overall rendezvous
-                // deadline. The first steps are short because the usual
-                // refusal is a peer a few milliseconds from binding.
-                let base = (1u64 << attempt.min(9)).min(320);
-                let jitter = splitmix64(salt ^ attempt) % (base / 2 + 1);
-                let backoff = Duration::from_millis(base + jitter);
-                std::thread::sleep(backoff.min(remaining));
-                attempt += 1;
-            }
+        if let Ok(s) = dial_once(addr, remaining.min(Duration::from_millis(250))) {
+            return Ok(s);
         }
+        // 1ms, 2ms, 4ms, … capped at 320ms, plus up to 50% jitter;
+        // always bounded by the overall rendezvous deadline. The first
+        // steps are short because the usual refusal is a peer a few
+        // milliseconds from binding.
+        let base = (1u64 << attempt.min(9)).min(320);
+        let jitter = splitmix64(salt ^ attempt) % (base / 2 + 1);
+        let backoff = Duration::from_millis(base + jitter);
+        std::thread::sleep(backoff.min(remaining));
+        attempt += 1;
     }
+}
+
+/// One dial of `addr`. A dial to a loopback port nobody listens on can
+/// connect to *itself*: the kernel may pick that very port as the
+/// source port (a TCP self-connect). The socket would then hold the
+/// peer's port, so the peer could not bind it, and this worker would
+/// wait out the rendezvous for a peer that never comes. Such a
+/// connection is reset, which frees the port at once (a plain close
+/// would hold it in TIME_WAIT), and counts as a refusal.
+fn dial_once(addr: SocketAddr, timeout: Duration) -> io::Result<TcpStream> {
+    let s = TcpStream::connect_timeout(&addr, timeout)?;
+    if !matches!((s.local_addr(), s.peer_addr()), (Ok(local), Ok(peer)) if local == peer) {
+        return Ok(s);
+    }
+    let linger = libc::linger { l_onoff: 1, l_linger: 0 };
+    // SAFETY: `s` owns an open socket for the whole call, and `linger`
+    // is a `struct linger` valid for reads of the size passed.
+    unsafe {
+        libc::setsockopt(
+            s.as_raw_fd(),
+            libc::SOL_SOCKET,
+            libc::SO_LINGER,
+            (&linger as *const libc::linger).cast(),
+            std::mem::size_of::<libc::linger>() as libc::socklen_t,
+        );
+    }
+    drop(s);
+    Err(io::Error::new(ErrorKind::ConnectionRefused, format!("nobody listens at {addr}")))
 }
 
 /// This process is a crash schedule's victim and the mark was reached:
@@ -487,4 +514,30 @@ fn dial_with_retry(addr: SocketAddr, deadline: Instant, salt: u64) -> io::Result
 pub(crate) fn crash_self(me: usize) -> ! {
     eprintln!("gthinker-net: worker {me} crash schedule fired; aborting process");
     std::process::abort();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Dials a free loopback port over and over. Linux picks connect
+    /// source ports by stepping through the even ports of its ephemeral
+    /// range, so within one sweep a dial of a free even port in that
+    /// range lands on the port itself. That dial must fail like any
+    /// other, and leave the port free for its owner to bind.
+    #[test]
+    fn a_dial_that_connects_to_itself_fails_and_frees_the_port() {
+        let addr = (0..100)
+            .find_map(|_| {
+                let port = TcpListener::bind("127.0.0.1:0").ok()?.local_addr().ok()?.port();
+                // An even port next to a free one the kernel handed out.
+                let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, port & !1));
+                TcpListener::bind(addr).ok().map(|_| addr)
+            })
+            .expect("a free even loopback port");
+        for i in 0..40_000 {
+            assert!(dial_once(addr, Duration::from_secs(1)).is_err(), "dial {i} connected");
+        }
+        TcpListener::bind(addr).expect("the port is free after the dials");
+    }
 }

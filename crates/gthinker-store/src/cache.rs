@@ -201,6 +201,17 @@ pub struct VertexCache {
     /// Exact count of open R-table entries; lets the per-tick timeout
     /// scan exit in one atomic load when no pull is in flight.
     in_flight: AtomicUsize,
+    /// Heap bytes of the Γ-tables' lists: added at OP2, subtracted at
+    /// OP4, so reading it never walks the buckets.
+    gamma_bytes: AtomicUsize,
+    /// What R-table deadlines are measured from.
+    epoch: Instant,
+    /// A lower bound on the earliest open R-table deadline, in
+    /// nanoseconds since `epoch` (`u64::MAX`: none): the timeout scan
+    /// is skipped until it passes. Every deadline an R-entry or a retry
+    /// sets is folded in with `fetch_min` under its bucket's lock; a
+    /// scan resets it first and folds back in every deadline it leaves.
+    next_deadline: AtomicU64,
 }
 
 impl VertexCache {
@@ -219,7 +230,15 @@ impl VertexCache {
             gc_cursor: AtomicUsize::new(0),
             stats: CacheStats::default(),
             in_flight: AtomicUsize::new(0),
+            gamma_bytes: AtomicUsize::new(0),
+            epoch: Instant::now(),
+            next_deadline: AtomicU64::new(u64::MAX),
         }
+    }
+
+    /// `deadline` on the `next_deadline` scale.
+    fn nanos(&self, deadline: Instant) -> u64 {
+        deadline.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
     /// The cache configuration.
@@ -283,14 +302,9 @@ impl VertexCache {
                 RequestOutcome::AlreadyRequested
             }
             None => {
-                b.requests.insert(
-                    v,
-                    PullRequest {
-                        waiters: vec![task],
-                        deadline: Instant::now() + self.config.pull_timeout,
-                        attempts: 0,
-                    },
-                );
+                let deadline = Instant::now() + self.config.pull_timeout;
+                b.requests.insert(v, PullRequest { waiters: vec![task], deadline, attempts: 0 });
+                self.next_deadline.fetch_min(self.nanos(deadline), Ordering::SeqCst);
                 self.in_flight.fetch_add(1, Ordering::Relaxed);
                 counter.incr();
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -324,6 +338,7 @@ impl VertexCache {
         let waiters = req.waiters;
         let lock_count = waiters.len() as u32;
         let in_zero = lock_count == 0;
+        self.gamma_bytes.fetch_add(adj.heap_bytes(), Ordering::Relaxed);
         b.gamma.insert(v, GammaEntry { adj: Arc::new(adj), lock_count, in_zero });
         if in_zero {
             b.zero.push(v);
@@ -343,25 +358,33 @@ impl VertexCache {
     /// deterministic per-vertex jitter, so a burst of losses does not
     /// re-synchronize into a retry storm.
     ///
-    /// Costs one atomic load when no pull is in flight — the common
-    /// case on every worker tick.
+    /// Costs one atomic load when no pull is in flight, or none can
+    /// have timed out yet — the common cases on every worker tick.
     pub fn collect_timed_out(&self, now: Instant) -> Vec<VertexId> {
-        if self.in_flight.load(Ordering::Relaxed) == 0 {
+        if self.in_flight.load(Ordering::Relaxed) == 0
+            || self.nanos(now) < self.next_deadline.load(Ordering::SeqCst)
+        {
             return Vec::new();
         }
+        // An R-entry opened from here on folds its own deadline in; one
+        // opened before is in its bucket when the scan locks it.
+        self.next_deadline.store(u64::MAX, Ordering::SeqCst);
         let mut out = Vec::new();
         for bucket in self.buckets.iter() {
             let mut b = bucket.lock();
             if b.requests.is_empty() {
                 continue;
             }
+            let mut earliest = u64::MAX;
             for (v, req) in b.requests.iter_mut() {
                 if req.deadline <= now {
                     req.attempts += 1;
                     req.deadline = now + retry_backoff(self.config.pull_timeout, req.attempts, *v);
                     out.push(*v);
                 }
+                earliest = earliest.min(self.nanos(req.deadline));
             }
+            self.next_deadline.fetch_min(earliest, Ordering::SeqCst);
         }
         if !out.is_empty() {
             self.stats.retries.fetch_add(out.len() as u64, Ordering::Relaxed);
@@ -432,7 +455,9 @@ impl VertexCache {
                 let entry = gamma.get_mut(&v).expect("Z-table candidate missing from Γ-table");
                 debug_assert!(entry.in_zero, "candidate without its flag");
                 if entry.lock_count == 0 {
+                    let bytes = entry.adj.heap_bytes();
                     gamma.remove(&v);
+                    self.gamma_bytes.fetch_sub(bytes, Ordering::Relaxed);
                     counter.decr();
                     evicted += 1;
                 } else {
@@ -471,8 +496,15 @@ impl VertexCache {
         self.buckets.iter().map(|b| b.lock().zero.len()).sum()
     }
 
-    /// Approximate heap bytes of cached adjacency data.
+    /// Heap bytes of cached adjacency data: a running gauge, one atomic
+    /// load.
     pub fn heap_bytes(&self) -> usize {
+        self.gamma_bytes.load(Ordering::Relaxed)
+    }
+
+    /// [`VertexCache::heap_bytes`] by a scan of every Γ-table, which the
+    /// gauge must always equal. O(Γ); tests and diagnostics.
+    pub fn exact_heap_bytes(&self) -> usize {
         self.buckets
             .iter()
             .map(|b| {
@@ -654,6 +686,32 @@ mod tests {
         c.insert_response(VertexId(5), adj(&[]));
         let all_later = later + Duration::from_secs(3600);
         assert_eq!(c.collect_timed_out(all_later), vec![VertexId(9)]);
+    }
+
+    #[test]
+    fn heap_gauge_equals_a_scan_through_inserts_releases_and_gc() {
+        let c = small_cache(8);
+        let mut h = c.counter_handle();
+        let check = |c: &VertexCache, what: &str| {
+            assert_eq!(c.heap_bytes(), c.exact_heap_bytes(), "{what}");
+        };
+        check(&c, "empty");
+        for round in 0..5u32 {
+            for i in 0..12 {
+                let v = VertexId(round * 7 + i);
+                if matches!(c.request(v, T1, &mut h), RequestOutcome::MustRequest) {
+                    let list: Vec<u32> = (0..(i + round) % 9).map(|k| v.0 + k + 1).collect();
+                    c.insert_response(v, adj(&list));
+                }
+                check(&c, "after OP2");
+            }
+            for i in (0..12).filter(|i| i % 3 != round % 3) {
+                c.release(VertexId(round * 7 + i));
+            }
+            c.gc_pass(&mut h);
+            check(&c, "after OP4");
+            assert!(c.heap_bytes() > 0, "round {round}: locked lists stay cached");
+        }
     }
 
     #[test]

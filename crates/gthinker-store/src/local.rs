@@ -10,8 +10,8 @@
 //! Two backings exist behind the same lookup API:
 //!
 //! * **Eager** — every owned `(v, Γ(v))` record materialized up front,
-//!   the classic path for in-RAM graphs (each list is trimmed as it is
-//!   fetched into the partition).
+//!   the classic path for graph files and in-RAM graphs (each list is
+//!   trimmed as it is read or copied into the partition).
 //! * **Lazy** — a shared [`AdjacencyStore`] (typically a memory-mapped
 //!   compressed graph) plus a membership bitset; `Γ(v)` is decoded on
 //!   each lookup, through the job's trimmer if it has one
@@ -67,6 +67,8 @@ pub struct LocalTable {
     /// predicate, which is argued in one total order with the compers'
     /// busy flags.
     next: AtomicUsize,
+    /// [`LocalTable::heap_bytes`], summed once: the table never changes.
+    heap: usize,
 }
 
 impl LocalTable {
@@ -89,11 +91,7 @@ impl LocalTable {
         for (v, l) in labels {
             label_map.insert(v, l);
         }
-        LocalTable {
-            backing: Backing::Eager { map, labels: label_map },
-            order,
-            next: AtomicUsize::new(0),
-        }
+        Self::build(Backing::Eager { map, labels: label_map }, order)
     }
 
     /// Builds a lazily-decoding table over a shared store: `members`
@@ -114,11 +112,16 @@ impl LocalTable {
             assert!(!bits.contains(v.0), "duplicate local vertex {v}");
             bits.set(v.0);
         }
-        LocalTable {
-            backing: Backing::Lazy { store, trimmer, members: bits },
-            order: members,
-            next: AtomicUsize::new(0),
-        }
+        Self::build(Backing::Lazy { store, trimmer, members: bits }, members)
+    }
+
+    fn build(backing: Backing, order: Vec<VertexId>) -> Self {
+        let backing_bytes = match &backing {
+            Backing::Eager { map, .. } => map.values().map(|a| a.heap_bytes()).sum(),
+            Backing::Lazy { store, members, .. } => members.heap_bytes() + store.heap_bytes(),
+        };
+        let heap = backing_bytes + order.capacity() * std::mem::size_of::<VertexId>();
+        LocalTable { backing, order, next: AtomicUsize::new(0), heap }
     }
 
     /// Number of local vertices.
@@ -212,15 +215,12 @@ impl LocalTable {
         self.next.load(Ordering::SeqCst)
     }
 
-    /// Approximate heap bytes (memory accounting). Lazy backing counts
-    /// its bitset and the store's own resident footprint — near zero
-    /// for a memory-mapped store, which is the point of mapping it.
+    /// Approximate heap bytes (memory accounting), summed when the
+    /// table was built. Lazy backing counts its bitset and the store's
+    /// own resident footprint — near zero for a memory-mapped store,
+    /// which is the point of mapping it.
     pub fn heap_bytes(&self) -> usize {
-        let backing = match &self.backing {
-            Backing::Eager { map, .. } => map.values().map(|a| a.heap_bytes()).sum(),
-            Backing::Lazy { store, members, .. } => members.heap_bytes() + store.heap_bytes(),
-        };
-        backing + self.order.capacity() * std::mem::size_of::<VertexId>()
+        self.heap
     }
 }
 

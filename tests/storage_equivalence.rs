@@ -1,8 +1,10 @@
 //! Storage-backend equivalence: every miner must produce the same
 //! answer running off the memory-mapped compressed format (lazy
-//! per-vertex decode, trim-at-decode) as off the in-RAM graph
-//! (trim-then-partition). This is the contract that lets `.gtc` files
-//! stand in for loaded graphs everywhere — sim and TCP backends alike.
+//! per-vertex decode, trim-at-decode) and off a graph file each worker
+//! reads only its own partition of (trim-as-read) as off the in-RAM
+//! graph (trim-then-partition). This is the contract that lets `.gtc`
+//! and plain graph files stand in for loaded graphs everywhere — sim
+//! and TCP backends alike.
 
 use gthinker_apps::{
     KPlexApp, MatchingApp, MaxCliqueApp, MaximalCliqueApp, Pattern, QuasiCliqueApp, TriangleApp,
@@ -12,6 +14,7 @@ use gthinker_graph::compressed::{write_compressed, CompressedGraph};
 use gthinker_graph::gen;
 use gthinker_graph::graph::Graph;
 use gthinker_graph::ids::WorkerId;
+use gthinker_graph::load::write_binary;
 use gthinker_net::fault::{CrashSchedule, FaultConfig};
 use gthinker_net::tcp::ClusterManifest;
 use std::path::PathBuf;
@@ -21,92 +24,107 @@ use std::time::Duration;
 const WORKERS: usize = 3;
 const COMPERS: usize = 2;
 
-/// Encodes `g` to a scratch `.gtc` file and memory-maps it back.
-/// The file is deleted on drop so failed tests don't litter /tmp.
-struct MappedCopy {
-    path: PathBuf,
+/// `g` on disk twice: encoded to a scratch `.gtc` file and
+/// memory-mapped back, and written as a plain `.bin` file for a file
+/// source. Both files are deleted on drop so failed tests don't litter
+/// /tmp.
+struct DiskCopies {
+    gtc: PathBuf,
+    bin: PathBuf,
     graph: Arc<CompressedGraph>,
 }
 
-impl MappedCopy {
-    fn of(g: &Graph, name: &str) -> MappedCopy {
-        let path =
-            std::env::temp_dir().join(format!("gthinker-eq-{}-{name}.gtc", std::process::id()));
-        write_compressed(g, &path).expect("encode");
-        let graph = Arc::new(CompressedGraph::open(&path).expect("map"));
-        MappedCopy { path, graph }
+impl DiskCopies {
+    fn of(g: &Graph, name: &str) -> DiskCopies {
+        let path = |ext: &str| {
+            std::env::temp_dir().join(format!("gthinker-eq-{}-{name}.{ext}", std::process::id()))
+        };
+        let (gtc, bin) = (path("gtc"), path("bin"));
+        write_compressed(g, &gtc).expect("encode");
+        write_binary(g, std::fs::File::create(&bin).expect("create .bin")).expect("write .bin");
+        let graph = Arc::new(CompressedGraph::open(&gtc).expect("map"));
+        DiskCopies { gtc, bin, graph }
     }
 
-    fn source(&self) -> GraphSource<'static> {
+    fn mapped(&self) -> GraphSource<'static> {
         GraphSource::Mapped(Arc::clone(&self.graph))
     }
-}
 
-impl Drop for MappedCopy {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+    fn file(&self) -> GraphSource<'static> {
+        GraphSource::File(self.bin.clone())
     }
 }
 
-/// Runs `app` on both backings over the sim router and returns
-/// (in-RAM global, mapped global).
-fn sim_both<A: App>(
-    app: impl Fn() -> Arc<A>,
-    g: &Graph,
-    name: &str,
-) -> (<<A as App>::Agg as Aggregator>::Global, <<A as App>::Agg as Aggregator>::Global) {
+impl Drop for DiskCopies {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.gtc);
+        let _ = std::fs::remove_file(&self.bin);
+    }
+}
+
+type GlobalOf<A> = <<A as App>::Agg as Aggregator>::Global;
+
+/// Runs `app` on every backing over the sim router and returns the
+/// globals: in RAM, mapped, read from the file.
+fn sim_all<A: App>(app: impl Fn() -> Arc<A>, g: &Graph, name: &str) -> [GlobalOf<A>; 3] {
     let cfg = JobConfig::cluster(WORKERS, COMPERS);
-    let ram = run_job(app(), g, &cfg).expect("ram job");
-    assert!(matches!(ram.outcome, JobOutcome::Completed));
-    let mapped_copy = MappedCopy::of(g, name);
-    let mapped = run_job(app(), mapped_copy.source(), &cfg).expect("mapped job");
-    assert!(matches!(mapped.outcome, JobOutcome::Completed));
-    (ram.global, mapped.global)
+    let copies = DiskCopies::of(g, name);
+    [g.into(), copies.mapped(), copies.file()].map(|source| {
+        let r = run_job(app(), source, &cfg).expect("job");
+        assert!(matches!(r.outcome, JobOutcome::Completed));
+        r.global
+    })
 }
 
 #[test]
 fn triangle_count_equal_across_backends() {
     let g = gen::barabasi_albert(500, 5, 97);
-    let (ram, mapped) = sim_both(|| Arc::new(TriangleApp::default()), &g, "tc");
+    let [ram, mapped, file] = sim_all(|| Arc::new(TriangleApp::default()), &g, "tc");
     assert_eq!(ram, mapped);
+    assert_eq!(ram, file);
 }
 
 #[test]
 fn max_clique_equal_across_backends() {
     // MaxCliqueApp installs a trimmer, so this exercises the
-    // trim-at-decode path against eager trim-then-partition.
+    // trim-at-decode and trim-as-read paths against eager
+    // trim-then-partition.
     let base = gen::barabasi_albert(300, 4, 101);
     let (g, planted) = gen::plant_clique(&base, 8, 103);
-    let (ram, mapped) = sim_both(|| Arc::new(MaxCliqueApp::default()), &g, "mcf");
+    let [ram, mapped, file] = sim_all(|| Arc::new(MaxCliqueApp::default()), &g, "mcf");
     assert!(ram.len() >= planted.len());
     assert_eq!(ram.len(), mapped.len(), "witness may differ; the optimum size may not");
+    assert_eq!(ram.len(), file.len(), "witness may differ; the optimum size may not");
 }
 
 #[test]
 fn maximal_cliques_equal_across_backends() {
     let g = gen::gnp(130, 0.08, 107);
-    let (ram, mapped) = sim_both(|| Arc::new(MaximalCliqueApp), &g, "mc");
+    let [ram, mapped, file] = sim_all(|| Arc::new(MaximalCliqueApp), &g, "mc");
     assert_eq!(ram, mapped);
+    assert_eq!(ram, file);
 }
 
 #[test]
 fn quasi_cliques_equal_across_backends() {
     let g = gen::gnp(60, 0.12, 109);
-    let (ram, mapped) = sim_both(|| Arc::new(QuasiCliqueApp::new(0.6, 3, 4)), &g, "qc");
+    let [ram, mapped, file] = sim_all(|| Arc::new(QuasiCliqueApp::new(0.6, 3, 4)), &g, "qc");
     assert_eq!(ram, mapped);
+    assert_eq!(ram, file);
 }
 
 #[test]
 fn k_plexes_equal_across_backends() {
     let g = gen::gnp(55, 0.12, 113);
-    let (ram, mapped) = sim_both(|| Arc::new(KPlexApp::new(2, 4, 5)), &g, "kp");
+    let [ram, mapped, file] = sim_all(|| Arc::new(KPlexApp::new(2, 4, 5)), &g, "kp");
     assert_eq!(ram, mapped);
+    assert_eq!(ram, file);
 }
 
 #[test]
 fn graph_matching_equal_across_backends() {
-    // Labeled graph: the label table must round-trip through the
-    // compressed file and reach the matching filter on every worker.
+    // Labeled graph: the label table must round-trip through both files
+    // and reach the matching filter on every worker.
     let g = gen::random_labels(gen::gnp(110, 0.06, 127), 3, 0xfeed);
     let labels = g.labels().expect("labeled").to_vec();
     let pattern = Pattern::triangle(
@@ -114,11 +132,14 @@ fn graph_matching_equal_across_backends() {
         gthinker_graph::ids::Label(1),
         gthinker_graph::ids::Label(2),
     );
-    let mapped_labels = MappedCopy::of(&g, "gm-labels").graph.labels().expect("mapped labels");
-    assert_eq!(labels, mapped_labels);
-    let (ram, mapped) =
-        sim_both(|| Arc::new(MatchingApp::new(pattern.clone(), labels.clone())), &g, "gm");
+    let copies = DiskCopies::of(&g, "gm-labels");
+    for source in [copies.mapped(), copies.file()] {
+        assert_eq!(source.labels().expect("read labels"), Some(labels.clone()));
+    }
+    let [ram, mapped, file] =
+        sim_all(|| Arc::new(MatchingApp::new(pattern.clone(), labels.clone())), &g, "gm");
     assert_eq!(ram, mapped);
+    assert_eq!(ram, file);
 }
 
 /// Crash recovery off the mapped backing: a worker is killed mid-job,
@@ -134,7 +155,7 @@ fn recovery_on_mapped_graph_matches_fault_free_ram_run() {
         .expect("reference")
         .global;
 
-    let mapped = MappedCopy::of(&g, "recovery");
+    let mapped = DiskCopies::of(&g, "recovery");
     let mut cfg = JobConfig::cluster(WORKERS, COMPERS);
     cfg.checkpoint_interval = Some(Duration::from_millis(150));
     // Generous heartbeat window: on a loaded test host a healthy sim
@@ -145,7 +166,7 @@ fn recovery_on_mapped_graph_matches_fault_free_ram_run() {
         crash: Some(CrashSchedule { worker: WorkerId(1), after_messages: Some(20), after: None }),
         ..FaultConfig::default()
     };
-    let result = Job::new(Arc::new(TriangleApp::default()), mapped.source(), &cfg)
+    let result = Job::new(Arc::new(TriangleApp::default()), mapped.mapped(), &cfg)
         .recover(RecoveryOptions::default())
         .run()
         .expect("recovering mapped job");
@@ -160,18 +181,18 @@ fn recovery_on_mapped_graph_matches_fault_free_ram_run() {
     );
 }
 
-/// The TCP scenario: three loopback worker threads, each opening the
-/// compressed source, versus the in-RAM sim reference. Exercises the
-/// responder path serving lazily decoded lists over the wire.
-#[test]
-fn tcp_cluster_on_mapped_graph_matches_in_ram_sim() {
+/// The TCP scenario: three loopback worker threads, each opening
+/// `source`, versus the in-RAM sim reference. Exercises the responder
+/// path serving lazily decoded (mapped) or read-from-file lists over
+/// the wire.
+fn tcp_cluster_matches_in_ram_sim(source: impl Fn(&DiskCopies) -> GraphSource<'static>) {
     let g = gen::barabasi_albert(400, 4, 131);
     let reference =
         run_job(Arc::new(TriangleApp::default()), &g, &JobConfig::cluster(WORKERS, COMPERS))
             .expect("sim job")
             .global;
 
-    let mapped = MappedCopy::of(&g, "tcp");
+    let copies = DiskCopies::of(&g, "tcp");
     let mut cfg = JobConfig::cluster(WORKERS, COMPERS);
     cfg.sync_interval = Duration::from_millis(5);
     let (manifest, listeners) = ClusterManifest::loopback(WORKERS).expect("bind loopback");
@@ -179,7 +200,7 @@ fn tcp_cluster_on_mapped_graph_matches_in_ram_sim() {
         .into_iter()
         .enumerate()
         .map(|(w, listener)| {
-            let source = mapped.source();
+            let source = source(&copies);
             let cfg = cfg.clone();
             let manifest = manifest.clone();
             std::thread::spawn(move || {
@@ -193,4 +214,14 @@ fn tcp_cluster_on_mapped_graph_matches_in_ram_sim() {
     assert_eq!(master.global, reference);
     assert!(matches!(master.outcome, JobOutcome::Completed));
     assert!(master.total_net_bytes() > 0, "no bytes crossed the TCP mesh");
+}
+
+#[test]
+fn tcp_cluster_on_mapped_graph_matches_in_ram_sim() {
+    tcp_cluster_matches_in_ram_sim(DiskCopies::mapped);
+}
+
+#[test]
+fn tcp_cluster_on_graph_file_matches_in_ram_sim() {
+    tcp_cluster_matches_in_ram_sim(DiskCopies::file);
 }
