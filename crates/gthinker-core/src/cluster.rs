@@ -218,8 +218,7 @@ impl<A: App> Job<'_, A> {
             };
 
             // The worker main loop is byte-for-byte the sim backend's:
-            // compers, receiver, responders, GC, periodic ticks, master
-            // logic on 0.
+            // compers, receiver, GC, periodic ticks, master logic on 0.
             let attempt = run_workers(
                 std::slice::from_ref(&shared),
                 resume_global,

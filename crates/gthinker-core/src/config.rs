@@ -36,10 +36,6 @@ pub struct JobConfig {
     /// `Q_task` may take the newest half of the largest sibling queue
     /// (between spilled files and fresh spawns in the refill priority).
     pub intra_steal: bool,
-    /// Threads per worker serving inbound `VertexRequest` traffic, so
-    /// adjacency-list cloning overlaps with response installation on
-    /// the receiver thread. Clamped to at least 1.
-    pub responders_per_worker: usize,
     /// Suspend the job (writing a checkpoint) after this long; used by
     /// the fault-tolerance path and tests.
     pub suspend_after: Option<Duration>,
@@ -98,7 +94,6 @@ impl Default for JobConfig {
             spill_dir: std::env::temp_dir().join("gthinker-spill"),
             work_stealing: true,
             intra_steal: true,
-            responders_per_worker: 2,
             suspend_after: None,
             checkpoint_dir: None,
             output_dir: None,
@@ -215,7 +210,6 @@ mod tests {
         assert_eq!(c.cache.capacity, 2_000_000);
         assert!((c.cache.alpha - 0.2).abs() < 1e-9);
         assert!(c.intra_steal, "intra-worker stealing is on by default");
-        assert!(c.responders_per_worker >= 1);
     }
 
     #[test]

@@ -10,9 +10,7 @@ use crate::comper::comper_loop;
 use crate::config::{JobConfig, JobOutcome, JobResult};
 use crate::master::{Collect, MasterState};
 use crate::metrics::{ClusterTelemetry, MetricsRegistry, MetricsSnapshot};
-use crate::worker::{
-    gc_loop, receiver_loop, responder_loop, worker_tick, ResponderRing, WorkerShared,
-};
+use crate::worker::{gc_loop, receiver_loop, worker_tick, WorkerShared};
 use crossbeam::channel::RecvTimeoutError;
 use gthinker_graph::adj::AdjList;
 use gthinker_graph::compressed::CompressedGraph;
@@ -769,30 +767,11 @@ pub(crate) fn worker_main<A: App>(
     let is_master = shared.me == WorkerId(0);
     let (ctrl_tx, ctrl_rx) = crossbeam::channel::unbounded();
 
-    // Responder pool (one channel per responder; the receiver
-    // round-robins request batches over them and, by dropping the ring
-    // on exit, hangs them up — so responders always drain fully before
-    // the join below).
-    let respond_n = shared.config.responders_per_worker.max(1);
-    let mut responder_txs = Vec::with_capacity(respond_n);
-    let responders: Vec<_> = (0..respond_n)
-        .map(|r| {
-            let (tx, rx) = crossbeam::channel::unbounded();
-            responder_txs.push(tx);
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("respond-{}-{r}", shared.me))
-                .spawn(move || responder_loop(&shared, rx, r))
-                .expect("spawn responder")
-        })
-        .collect();
-
     let receiver = {
         let shared = Arc::clone(&shared);
-        let ring = ResponderRing::new(responder_txs);
         std::thread::Builder::new()
             .name(format!("recv-{}", shared.me))
-            .spawn(move || receiver_loop(&shared, ctrl_tx, ring))
+            .spawn(move || receiver_loop(&shared, ctrl_tx))
             .expect("spawn receiver")
     };
     let gc = {
@@ -1007,13 +986,8 @@ pub(crate) fn worker_main<A: App>(
     }
 
     // All control traffic this worker cares about has been consumed.
-    shared.receiver_stop.store(true, Ordering::SeqCst);
+    shared.net.requeue(Message::Stop);
     receiver.join().expect("receiver panicked");
-    // The receiver dropped the responder ring on exit; each responder
-    // drains its channel and sees the hangup.
-    for r in responders {
-        r.join().expect("responder panicked");
-    }
     gc.join().expect("gc panicked");
 
     shared.sample_memory();

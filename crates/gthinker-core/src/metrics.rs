@@ -173,8 +173,8 @@ macro_rules! metrics_table {
         )*}
         cache {$(($ckind:ident, $cname:ident, $cunit:literal, $chelp:literal);)*}
     ) => {
-        /// The hot-path atomics the comper, receiver and responder
-        /// threads bump; one per `counters` row.
+        /// The hot-path atomics the comper and receiver threads bump;
+        /// one per `counters` row.
         #[derive(Default)]
         pub(crate) struct WorkerCounters {
             $(#[doc = $ahelp] pub $aname: AtomicU64,)*
@@ -193,8 +193,10 @@ macro_rules! metrics_table {
             pub compers: Vec<ComperHistSnapshot>,
             /// Pull round-trip time (request sent → response installed).
             pub pull_rtt: HistSnapshot,
-            /// Responder backlog drain time (dispatch → response sent).
-            pub responder_drain: HistSnapshot,
+            /// Time the receiver spent answering one pull batch (request
+            /// taken off the inbox → response sent). Written to JSON under
+            /// the frozen key `responder_drain`.
+            pub pull_serve: HistSnapshot,
             /// Event timeline (final snapshots only; bounded by the ring).
             pub events: Vec<Event>,
         }
@@ -220,7 +222,7 @@ macro_rules! metrics_table {
                 cache: CacheSnapshot { $($cname: cache.$cname,)* },
                 compers: shared.compers.iter().map(|c| c.hists.snapshot()).collect(),
                 pull_rtt: shared.metrics.pull_rtt.snapshot(),
-                responder_drain: shared.metrics.responder_drain.snapshot(),
+                pull_serve: shared.metrics.pull_serve.snapshot(),
                 events: if with_events { shared.metrics.ring.snapshot() } else { Vec::new() },
             }
         }
@@ -256,11 +258,7 @@ metrics_table! {
         (Counter, wakeups, "parks",
             "Parks that ended in an event wakeup (not the fallback timeout).");
         (Counter, responses_served, "vertices",
-            "Vertices served to remote pulls by the responder pool.");
-        (Gauge, responder_backlog, "batches",
-            "Request batches queued to responders but not yet served (0 at quiescence, and at \
-             job end: responders drain fully before the worker's threads join).");
-        (Peak, responder_peak_backlog, "batches", "Peak of the responder backlog over the run.");
+            "Vertices served to remote pulls by the receiver thread.");
         (Counter, pull_retries, "pulls",
             "Vertex pulls re-requested after their R-table deadline expired (loss tolerance; 0 on \
              a healthy wire).");
@@ -394,7 +392,7 @@ impl WorkerMetricsSnapshot {
             b.extend_from_slice(&(row.get)(self).to_le_bytes());
         }
         put_hist(&mut b, &self.pull_rtt);
-        put_hist(&mut b, &self.responder_drain);
+        put_hist(&mut b, &self.pull_serve);
         b.extend_from_slice(&(self.compers.len() as u16).to_le_bytes());
         for c in &self.compers {
             put_hist(&mut b, &c.compute);
@@ -430,7 +428,7 @@ impl WorkerMetricsSnapshot {
             (row.set)(&mut s, c.u64()?);
         }
         s.pull_rtt = get_hist(&mut c)?;
-        s.responder_drain = get_hist(&mut c)?;
+        s.pull_serve = get_hist(&mut c)?;
         let n_compers = c.u16()? as usize;
         s.compers = Vec::with_capacity(c.count(n_compers, 3 * MIN_HIST_BYTES)?);
         for _ in 0..n_compers {
@@ -631,7 +629,7 @@ impl MetricsSnapshot {
                 s,
                 "\n      \"pull_rtt\": {},\n      \"responder_drain\": {},\n      \"compers\": [",
                 hist_json(&w.pull_rtt),
-                hist_json(&w.responder_drain),
+                hist_json(&w.pull_serve),
             );
             for (ci, c) in w.compers.iter().enumerate() {
                 if ci > 0 {
@@ -976,10 +974,9 @@ mod tests {
     /// by name. Rows may be added; none of these may go or move.
     const JSON_KEYS: &str = "worker tasks_finished compute_calls compute_ms idle_ms steals \
         stolen_tasks remote_steals remote_stolen_tasks steal_batch_bytes yields split_tasks parks \
-        wakeups responses_served responder_backlog responder_peak_backlog pull_retries \
-        net_msgs_dropped net_msgs_duplicated net_msgs_delayed trace_events_dropped recoveries \
-        peer_down_events rejoins resumed_epoch clock_offset_nanos remaining idle_compers \
-        steal_inflight quiescent cache net_bytes_sent net_bytes_received net_writev_calls \
+        wakeups responses_served pull_retries net_msgs_dropped net_msgs_duplicated \
+        net_msgs_delayed trace_events_dropped recoveries peer_down_events rejoins resumed_epoch \
+        clock_offset_nanos remaining idle_compers steal_inflight quiescent cache net_bytes_sent net_bytes_received net_writev_calls \
         net_frames_coalesced net_backpressure_stalls net_delayed_write_errors spill_bytes pull_rtt \
         responder_drain compers";
     const JSON_CACHE_KEYS: &str =

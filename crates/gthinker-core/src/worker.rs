@@ -2,8 +2,8 @@
 //!
 //! Each simulated machine runs (Fig. 3 / §V):
 //! * `n` **comper** threads ([`crate::comper`]),
-//! * one **receiver** thread handling vertex pulls, steal transfers and
-//!   control traffic,
+//! * one **receiver** thread answering vertex pulls, installing pull
+//!   responses, landing steal transfers and forwarding control traffic,
 //! * one **GC** thread keeping `T_cache` bounded,
 //! * the **worker main** thread (in [`crate::job`]) doing periodic
 //!   progress/aggregator synchronization (and, on worker 0, the master
@@ -13,8 +13,8 @@ use crate::agg::LocalAgg;
 use crate::api::{App, SpawnEnv};
 use crate::config::JobConfig;
 use crate::metrics::WorkerCounters;
-use crossbeam::channel::Receiver;
 use crossbeam::channel::Sender;
+use gthinker_graph::adj::SharedAdj;
 use gthinker_graph::ids::{VertexId, WorkerId};
 use gthinker_graph::partition::HashPartitioner;
 use gthinker_metrics::{
@@ -234,11 +234,6 @@ pub(crate) struct WorkerShared<A: App> {
     /// Checkpoint epoch the current attempt resumed from, or -1 for a
     /// fresh start (telemetry).
     pub resumed_epoch: AtomicI64,
-    /// Set by the worker main thread once no further inbound messages
-    /// matter; the receiver thread exits on it. Kept separate from
-    /// `done`/`suspend` because control traffic (final aggregator
-    /// syncs, checkpoint acks) must still flow *after* those fire.
-    pub receiver_stop: AtomicBool,
     /// Estimated bytes of task subgraphs currently in memory.
     pub task_mem: AtomicI64,
     /// Peak of the per-tick memory estimate.
@@ -298,8 +293,8 @@ pub(crate) struct WorkerShared<A: App> {
     pub labels: Option<Arc<Vec<gthinker_graph::ids::Label>>>,
     /// Output sink when `JobConfig::output_dir` is set.
     pub output: Option<Arc<crate::output::OutputSink>>,
-    /// Worker-level instrumentation: pull-RTT / responder-drain
-    /// histograms and the scheduler/cache event ring.
+    /// Worker-level instrumentation: pull-RTT / pull-serve histograms
+    /// and the scheduler/cache event ring.
     pub metrics: WorkerMetrics,
     /// Peer clock-offset estimator (cluster trace stitching).
     pub clock: ClockSync,
@@ -356,7 +351,6 @@ impl<A: App> WorkerShared<A> {
             recoveries: AtomicU64::new(0),
             rejoins: AtomicU64::new(0),
             resumed_epoch: AtomicI64::new(-1),
-            receiver_stop: AtomicBool::new(false),
             task_mem: AtomicI64::new(0),
             peak_mem: AtomicU64::new(0),
             sched_events: EventCount::new(),
@@ -552,78 +546,42 @@ impl<A: App> WorkerShared<A> {
     }
 }
 
-/// One request batch queued from the receiver to a responder.
-#[derive(Debug)]
-pub(crate) struct RespondJob {
-    /// Requesting worker (the response's destination).
-    pub from: WorkerId,
-    /// Requested vertices.
-    pub vertices: Vec<VertexId>,
-    /// The request's `sent_nanos`, echoed back for RTT measurement.
-    pub req_nanos: u64,
-    /// When the receiver dispatched the job (drain-time measurement).
-    pub enqueued_nanos: u64,
-}
-
-/// Round-robin dispatcher from the receiver to the responder pool
-/// (tail-latency scheduler, layer 3). The receiver owns it; dropping it
-/// (receiver exit) hangs up every responder channel, which is how the
-/// pool shuts down.
-pub(crate) struct ResponderRing {
-    txs: Vec<Sender<RespondJob>>,
-    next: usize,
-}
-
-impl ResponderRing {
-    pub fn new(txs: Vec<Sender<RespondJob>>) -> Self {
-        assert!(!txs.is_empty(), "at least one responder");
-        ResponderRing { txs, next: 0 }
-    }
-
-    fn dispatch(&mut self, job: RespondJob) {
-        self.txs[self.next].send(job).expect("responder outlives the receiver");
-        self.next = (self.next + 1) % self.txs.len();
-    }
-}
-
-/// One responder thread: serves `VertexRequest` batches from `T_local`
-/// off the receiver thread, so response installation and request
-/// serving overlap instead of serializing behind one thread. Exits when
-/// the receiver drops the [`ResponderRing`]. `ridx` is the responder's
-/// index in the pool (trace thread ID only).
-pub(crate) fn responder_loop<A: App>(
-    shared: &Arc<WorkerShared<A>>,
-    rx: Receiver<RespondJob>,
-    ridx: usize,
+/// Answers one pull batch from `T_local` on the receiver thread that
+/// took the request off the inbox: look each list up, send one
+/// `VertexResponse` back, the lists encoded from `T_local` itself on a
+/// TCP wire (`NetEndpoint::send_response`). Serving is a lookup and an
+/// encode per vertex, cheaper than handing the batch to another thread.
+fn serve_pull<A: App>(
+    shared: &WorkerShared<A>,
+    from: WorkerId,
+    vertices: Vec<VertexId>,
+    req_nanos: u64,
 ) {
-    while let Ok(RespondJob { from, vertices, req_nanos, enqueued_nanos }) = rx.recv() {
-        let served = vertices.len() as u64;
-        let entries = vertices
-            .into_iter()
-            .map(|v| {
-                let adj = shared
-                    .local
-                    .get(v)
-                    .unwrap_or_else(|| panic!("worker {} asked for non-local {v}", shared.me));
-                // The clone models the copy onto the wire.
-                (v, (*adj).clone())
-            })
-            .collect();
-        shared.net.send(from, Message::VertexResponse { entries, req_nanos });
-        let now = now_nanos();
-        shared.metrics.responder_drain.record(now.saturating_sub(enqueued_nanos));
-        if shared.metrics.ring.enabled() {
-            shared.metrics.ring.push(Event {
-                ts: enqueued_nanos,
-                dur: now.saturating_sub(enqueued_nanos),
-                tid: gthinker_metrics::TID_RESPONDER_BASE + ridx as u32,
-                arg: served,
-                kind: EventKind::Respond,
-            });
-        }
-        shared.counters.responses_served.fetch_add(served, Ordering::Relaxed);
-        shared.counters.responder_backlog.fetch_sub(1, Ordering::Relaxed);
+    let start = now_nanos();
+    let served = vertices.len() as u64;
+    let entries: Vec<(VertexId, SharedAdj)> = vertices
+        .into_iter()
+        .map(|v| {
+            let adj = shared
+                .local
+                .get(v)
+                .unwrap_or_else(|| panic!("worker {} asked for non-local {v}", shared.me));
+            (v, adj)
+        })
+        .collect();
+    shared.net.send_response(from, &entries, req_nanos);
+    let took = now_nanos().saturating_sub(start);
+    shared.metrics.pull_serve.record(took);
+    if shared.metrics.ring.enabled() {
+        shared.metrics.ring.push(Event {
+            ts: start,
+            dur: took,
+            tid: TID_RECEIVER,
+            arg: served,
+            kind: EventKind::Respond,
+        });
     }
+    shared.counters.responses_served.fetch_add(served, Ordering::Relaxed);
 }
 
 /// Most messages the receiver applies before issuing its accumulated
@@ -658,33 +616,31 @@ impl WakeSet {
     }
 }
 
-/// The receiver thread: dispatches pull requests to the responder pool,
-/// installs responses into `T_cache`, wakes pending tasks, executes
-/// steal plans, and forwards control-plane messages to the worker main
-/// thread. Messages are drained in batches ([`NetEndpoint::recv_batch`])
-/// and downstream wakeups flushed once per batch.
-pub(crate) fn receiver_loop<A: App>(
-    shared: &Arc<WorkerShared<A>>,
-    ctrl: Sender<Message>,
-    mut responders: ResponderRing,
-) {
+/// The receiver thread: answers pull requests, installs responses into
+/// `T_cache`, wakes pending tasks, executes steal plans, and forwards
+/// control-plane messages to the worker main thread. Messages are
+/// drained in batches ([`NetEndpoint::recv_batch`]) and downstream
+/// wakeups flushed once per batch. Exits on the [`Message::Stop`] the
+/// main thread queues once no further inbound message matters — a
+/// message rather than `done`/`suspend`, because control traffic (final
+/// aggregator syncs, checkpoint acks) must still flow after those fire.
+pub(crate) fn receiver_loop<A: App>(shared: &Arc<WorkerShared<A>>, ctrl: Sender<Message>) {
     let mut batch = Vec::with_capacity(RECV_BATCH);
     let mut wakes = WakeSet::default();
     loop {
-        let n = shared.net.recv_batch(Duration::from_millis(1), RECV_BATCH, &mut batch);
-        if n == 0 {
-            if shared.receiver_stop.load(Ordering::SeqCst) {
-                // Drain whatever is still queued, then exit.
-                while let Some(msg) = shared.net.try_recv() {
-                    handle_message(shared, &ctrl, &mut responders, &mut wakes, msg);
-                }
-                wakes.flush(shared);
-                return;
-            }
-            continue;
-        }
+        // Every wake-up is a message; the timeout is only a backstop.
+        shared.net.recv_batch(Duration::from_secs(1), RECV_BATCH, &mut batch);
+        let stop = batch.iter().any(|m| matches!(m, Message::Stop));
         for msg in batch.drain(..) {
-            handle_message(shared, &ctrl, &mut responders, &mut wakes, msg);
+            handle_message(shared, &ctrl, &mut wakes, msg);
+        }
+        if stop {
+            // Apply whatever is still queued, then exit.
+            while let Some(msg) = shared.net.try_recv() {
+                handle_message(shared, &ctrl, &mut wakes, msg);
+            }
+            wakes.flush(shared);
+            return;
         }
         wakes.flush(shared);
     }
@@ -693,7 +649,6 @@ pub(crate) fn receiver_loop<A: App>(
 fn handle_message<A: App>(
     shared: &Arc<WorkerShared<A>>,
     ctrl: &Sender<Message>,
-    responders: &mut ResponderRing,
     wakes: &mut WakeSet,
     msg: Message,
 ) {
@@ -711,14 +666,7 @@ fn handle_message<A: App>(
             shared.wake_all();
         }
         Message::VertexRequest { from, vertices, sent_nanos } => {
-            let depth = shared.counters.responder_backlog.fetch_add(1, Ordering::Relaxed) + 1;
-            shared.counters.responder_peak_backlog.fetch_max(depth, Ordering::Relaxed);
-            responders.dispatch(RespondJob {
-                from,
-                vertices,
-                req_nanos: sent_nanos,
-                enqueued_nanos: now_nanos(),
-            });
+            serve_pull(shared, from, vertices, sent_nanos);
         }
         Message::VertexResponse { entries, req_nanos } => {
             // One RTT sample per response batch: send → install start.
@@ -880,6 +828,7 @@ fn handle_message<A: App>(
             // runs, the recovery runner has already consumed the one
             // that mattered. A straggling duplicate is meaningless.
         }
+        Message::Stop => {} // `receiver_loop` exits after this batch.
         m @ (Message::Progress { .. }
         | Message::ProbeAck { .. }
         | Message::AggregatorSync { .. }

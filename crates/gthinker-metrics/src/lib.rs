@@ -32,8 +32,6 @@ pub const TID_RECEIVER: u32 = 1000;
 pub const TID_GC: u32 = 1001;
 /// Synthetic `tid` used for a worker's main (tick/master) thread.
 pub const TID_MAIN: u32 = 1002;
-/// Responder thread `r` appears as `TID_RESPONDER_BASE + r`.
-pub const TID_RESPONDER_BASE: u32 = 1100;
 
 /// Human-readable thread name for a trace `tid` (compers are their
 /// index, service threads use the `TID_*` constants).
@@ -42,7 +40,6 @@ pub fn tid_name(tid: u32) -> String {
         TID_RECEIVER => "receiver".into(),
         TID_GC => "gc".into(),
         TID_MAIN => "main".into(),
-        t if t >= TID_RESPONDER_BASE => format!("responder-{}", t - TID_RESPONDER_BASE),
         t => format!("comper-{t}"),
     }
 }
@@ -99,15 +96,16 @@ impl ComperHistSnapshot {
     }
 }
 
-/// Worker-level instrumentation shared by the receiver, responder and
-/// GC threads: request round-trip and responder-drain histograms plus
-/// the event ring the whole worker appends to.
+/// Worker-level instrumentation shared by the receiver and GC threads:
+/// the pull round-trip and pull-serve histograms plus the event ring
+/// the whole worker appends to.
 pub struct WorkerMetrics {
     /// Pull round-trip time, recorded once per `VertexResponse` batch
     /// at the requesting worker's receiver (send → install).
     pub pull_rtt: LogHistogram,
-    /// Responder backlog drain time: receiver dispatch → response sent.
-    pub responder_drain: LogHistogram,
+    /// Time the serving worker's receiver spent answering one
+    /// `VertexRequest` batch (lookups, encode, send).
+    pub pull_serve: LogHistogram,
     /// Bounded scheduler/cache event timeline (empty capacity = off).
     pub ring: EventRing,
 }
@@ -118,7 +116,7 @@ impl WorkerMetrics {
     pub fn new(trace_capacity: usize) -> Self {
         WorkerMetrics {
             pull_rtt: LogHistogram::new(),
-            responder_drain: LogHistogram::new(),
+            pull_serve: LogHistogram::new(),
             ring: EventRing::new(trace_capacity),
         }
     }
@@ -135,7 +133,6 @@ mod tests {
         assert_eq!(tid_name(TID_RECEIVER), "receiver");
         assert_eq!(tid_name(TID_GC), "gc");
         assert_eq!(tid_name(TID_MAIN), "main");
-        assert_eq!(tid_name(TID_RESPONDER_BASE + 2), "responder-2");
     }
 
     #[test]

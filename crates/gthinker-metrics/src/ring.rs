@@ -28,7 +28,7 @@ pub enum EventKind {
     Refill,
     /// A cache GC pass that evicted something; `arg` = evictions (span).
     GcPass,
-    /// A responder drained one request batch; `arg` = vertices (span).
+    /// The receiver answered one pull batch; `arg` = vertices (span).
     Respond,
     /// The worker's tick thread first observed local quiescence.
     QuiesceEnter,

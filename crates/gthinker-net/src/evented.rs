@@ -53,7 +53,8 @@ use crate::pool::{FramePool, SealedFrame};
 use crate::tcp::crash_self;
 use crate::transport::{NetEndpoint, NetStats};
 use crossbeam::channel::{Receiver, Sender};
-use gthinker_graph::ids::WorkerId;
+use gthinker_graph::adj::SharedAdj;
+use gthinker_graph::ids::{VertexId, WorkerId};
 use gthinker_task::codec::{self, Encode};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -660,13 +661,14 @@ impl EventedEndpoint {
         }
     }
 
-    /// Fault roll for one cross-worker data-plane message; returns
-    /// `None` when the message is dropped, else `(delay, dup_lag)`.
-    fn roll(&self, to: usize, msg: &Message) -> Option<(Duration, Option<Duration>)> {
+    /// Fault roll for one cross-worker message (only the data plane is
+    /// faulted); returns `None` when the message is dropped, else
+    /// `(delay, dup_lag)`.
+    fn roll(&self, to: usize, data_plane: bool) -> Option<(Duration, Option<Duration>)> {
         let Some(f) = &self.fault else {
             return Some((Duration::ZERO, None));
         };
-        if !msg.is_data_plane() {
+        if !data_plane {
             return Some((Duration::ZERO, None));
         }
         let d = f.next_decision(self.me, to);
@@ -681,6 +683,28 @@ impl EventedEndpoint {
         self.stats.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
         self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
     }
+
+    /// Counts, fault-rolls, seals and queues one message to peer `to`
+    /// whose `len` payload bytes `encode` writes into the frame.
+    fn send_frame(
+        &self,
+        to: usize,
+        len: usize,
+        data_plane: bool,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) {
+        self.note_traffic();
+        self.count_send((len + FRAME_OVERHEAD) as u64);
+        let Some((extra, dup_lag)) = self.roll(to, data_plane) else {
+            return; // dropped by fault injection
+        };
+        let frame = self.pool.seal(encode);
+        if let Some(lag) = dup_lag {
+            // The copy trails the original by one jitter window.
+            self.queue_delayed(to, frame.clone(), lag);
+        }
+        self.dispatch(to, frame, extra);
+    }
 }
 
 impl NetEndpoint for EventedEndpoint {
@@ -693,24 +717,25 @@ impl NetEndpoint for EventedEndpoint {
     }
 
     fn send(&self, to: WorkerId, msg: Message) {
+        if to.index() != self.me {
+            self.send_frame(to.index(), msg.encoded_len(), msg.is_data_plane(), |b| msg.encode(b));
+            return;
+        }
         self.note_traffic();
         let bytes = (msg.encoded_len() + FRAME_OVERHEAD) as u64;
         self.count_send(bytes);
-        if to.index() == self.me {
-            self.stats.bytes_received.fetch_add(bytes, Ordering::Relaxed);
-            self.stats.msgs_received.fetch_add(1, Ordering::Relaxed);
-            let _ = self.inbox_tx.send(msg);
-            return;
-        }
-        let Some((extra, dup_lag)) = self.roll(to.index(), &msg) else {
-            return; // dropped by fault injection
-        };
-        let frame = self.pool.seal(|b| msg.encode(b));
-        if let Some(lag) = dup_lag {
-            // The copy trails the original by one jitter window.
-            self.queue_delayed(to.index(), frame.clone(), lag);
-        }
-        self.dispatch(to.index(), frame, extra);
+        self.stats.bytes_received.fetch_add(bytes, Ordering::Relaxed);
+        self.stats.msgs_received.fetch_add(1, Ordering::Relaxed);
+        let _ = self.inbox_tx.send(msg);
+    }
+
+    /// Encodes the shared lists straight into the pooled frame: no list
+    /// is copied into a message first.
+    fn send_response(&self, to: WorkerId, entries: &[(VertexId, SharedAdj)], req_nanos: u64) {
+        debug_assert_ne!(to.index(), self.me, "a worker never pulls a vertex it owns");
+        self.send_frame(to.index(), Message::response_len(entries), true, |b| {
+            Message::encode_response(entries, req_nanos, b)
+        });
     }
 
     /// Broadcast seals **once**: every destination ring (and any
@@ -725,7 +750,7 @@ impl NetEndpoint for EventedEndpoint {
             }
             self.note_traffic();
             self.count_send(bytes);
-            let Some((extra, dup_lag)) = self.roll(w, msg) else {
+            let Some((extra, dup_lag)) = self.roll(w, msg.is_data_plane()) else {
                 continue;
             };
             let f = frame.get_or_insert_with(|| self.pool.seal(|b| msg.encode(b)));

@@ -11,7 +11,7 @@
 //! accounting uses [`Message::encoded_len`], which is derived from the
 //! same layout — the counters can never drift from the wire format.
 
-use gthinker_graph::adj::AdjList;
+use gthinker_graph::adj::{AdjList, SharedAdj};
 use gthinker_graph::ids::{VertexId, WorkerId};
 use gthinker_task::codec::{CodecError, Decode, Encode};
 
@@ -212,6 +212,12 @@ pub enum Message {
         /// periodic checkpoint will be written to.
         attempt: u64,
     },
+    /// A worker's main thread to its own receiver, through
+    /// [`NetEndpoint::requeue`](crate::transport::NetEndpoint::requeue):
+    /// no message that arrives from now on matters, so apply what is
+    /// queued and exit. Local-only, like [`Message::Crash`]: it never
+    /// crosses a socket.
+    Stop,
 }
 
 /// Variant tags. One byte on the wire; `Decode` rejects anything else.
@@ -238,6 +244,7 @@ mod tag {
     pub const RESUME: u8 = 19;
     pub const PROBE: u8 = 20;
     pub const PROBE_ACK: u8 = 21;
+    pub const STOP: u8 = 22;
 }
 
 /// Byte-payload fields use the same layout as the codec's `Vec<u8>`
@@ -245,6 +252,28 @@ mod tag {
 fn encode_bytes(bytes: &[u8], buf: &mut Vec<u8>) {
     (bytes.len() as u64).encode(buf);
     buf.extend_from_slice(bytes);
+}
+
+/// The one `VertexResponse` layout: the codec's `Vec<(VertexId,
+/// AdjList)>` then the timestamp, for owned and shared lists alike.
+fn put_response<'a>(
+    entries: impl ExactSizeIterator<Item = (VertexId, &'a AdjList)>,
+    req_nanos: u64,
+    buf: &mut Vec<u8>,
+) {
+    buf.push(tag::VERTEX_RESPONSE);
+    (entries.len() as u64).encode(buf);
+    for (v, adj) in entries {
+        v.encode(buf);
+        adj.encode(buf);
+    }
+    req_nanos.encode(buf);
+}
+
+/// Bytes after the tag of a `VertexResponse` whose lists have these
+/// degrees.
+fn response_fields_len(degrees: impl Iterator<Item = usize>) -> usize {
+    8 + degrees.map(|d| 4 + 8 + 4 * d).sum::<usize>() + 8
 }
 
 fn decode_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, CodecError> {
@@ -267,9 +296,7 @@ impl Encode for Message {
                 sent_nanos.encode(buf);
             }
             Message::VertexResponse { entries, req_nanos } => {
-                buf.push(tag::VERTEX_RESPONSE);
-                entries.encode(buf);
-                req_nanos.encode(buf);
+                put_response(entries.iter().map(|(v, adj)| (*v, adj)), *req_nanos, buf);
             }
             Message::StealBatch { victim, seq, bytes } => {
                 buf.push(tag::STEAL_BATCH);
@@ -359,6 +386,7 @@ impl Encode for Message {
                 epoch.encode(buf);
                 attempt.encode(buf);
             }
+            Message::Stop => buf.push(tag::STOP),
         }
     }
 }
@@ -430,6 +458,7 @@ impl Decode for Message {
                 epoch: u64::decode(buf)?,
                 attempt: u64::decode(buf)?,
             },
+            tag::STOP => Message::Stop,
             _ => return Err(CodecError::Invalid("message tag")),
         })
     }
@@ -446,7 +475,7 @@ impl Message {
         1 + match self {
             Message::VertexRequest { vertices, .. } => 2 + 8 + 4 * vertices.len() + 8,
             Message::VertexResponse { entries, .. } => {
-                8 + entries.iter().map(|(_, adj)| 4 + 8 + 4 * adj.degree()).sum::<usize>() + 8
+                response_fields_len(entries.iter().map(|(_, adj)| adj.degree()))
             }
             Message::StealBatch { bytes, .. } => 2 + 8 + 8 + bytes.len(),
             Message::Progress { .. } => 2 + 8 + 1 + 2 + 4 + 8,
@@ -463,8 +492,23 @@ impl Message {
             Message::SuspendDone { .. } => 2,
             Message::PeerDown { .. } | Message::Abort { .. } => 2,
             Message::Resume { .. } => 1 + 8 + 8,
-            Message::StealDone | Message::Terminate | Message::Suspend | Message::Crash => 0,
+            Message::StealDone
+            | Message::Terminate
+            | Message::Suspend
+            | Message::Crash
+            | Message::Stop => 0,
         }
+    }
+
+    /// Writes the bytes of `VertexResponse { entries, req_nanos }` for
+    /// lists the caller shares, without copying them into a message.
+    pub fn encode_response(entries: &[(VertexId, SharedAdj)], req_nanos: u64, buf: &mut Vec<u8>) {
+        put_response(entries.iter().map(|(v, adj)| (*v, &**adj)), req_nanos, buf);
+    }
+
+    /// What [`Message::encode_response`] writes, in bytes.
+    pub fn response_len(entries: &[(VertexId, SharedAdj)]) -> usize {
+        1 + response_fields_len(entries.iter().map(|(_, adj)| adj.degree()))
     }
 
     /// True for the data-plane messages (vertex pulls and steal
@@ -611,9 +655,25 @@ mod tests {
             Message::PeerDown { worker: WorkerId(3) },
             Message::Abort { worker: WorkerId(1) },
             Message::Resume { resume: false, epoch: 0, attempt: u64::MAX },
+            Message::Stop,
         ];
         for m in msgs {
             assert_eq!(m.encoded_len(), to_bytes(&m).len(), "{m:?}");
         }
+    }
+
+    #[test]
+    fn a_response_from_shared_lists_is_byte_identical_to_the_owned_one() {
+        let owned = vec![
+            (VertexId(4), AdjList::new()),
+            (VertexId(9), AdjList::from_unsorted(vec![VertexId(7), VertexId(1)])),
+        ];
+        let shared: Vec<(VertexId, SharedAdj)> =
+            owned.iter().map(|(v, adj)| (*v, SharedAdj::new(adj.clone()))).collect();
+        let msg = Message::VertexResponse { entries: owned, req_nanos: 42 };
+        let mut buf = Vec::new();
+        Message::encode_response(&shared, 42, &mut buf);
+        assert_eq!(buf, to_bytes(&msg));
+        assert_eq!(Message::response_len(&shared), msg.encoded_len());
     }
 }

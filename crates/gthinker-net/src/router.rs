@@ -330,6 +330,12 @@ impl NetEndpoint for NetHandle {
         self.deliver(to.index(), msg, bytes, extra);
     }
 
+    /// Straight into the inbox: no traffic accounting, and no fault
+    /// model — a crashed worker's main thread still stops its receiver.
+    fn requeue(&self, msg: Message) {
+        let _ = self.shared.inbox_txs[self.me].send(msg);
+    }
+
     fn try_recv(&self) -> Option<Message> {
         self.inbox.try_recv().ok()
     }
@@ -570,6 +576,28 @@ mod tests {
         h1.send(WorkerId(0), Message::Terminate);
         assert!(h0.recv_timeout(Duration::from_millis(50)).is_none(), "victim cannot send");
         assert_eq!(r.fault_stats(WorkerId(1)).expect("enabled").crashes.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn requeue_reaches_a_crashed_workers_own_inbox_uncounted() {
+        let fault = FaultConfig {
+            crash: Some(CrashSchedule {
+                worker: WorkerId(1),
+                after_messages: Some(1),
+                after: None,
+            }),
+            ..FaultConfig::default()
+        };
+        let mut r = Router::with_faults(2, LinkConfig::gige(), fault);
+        let mut handles = r.take_handles();
+        let h1 = handles.remove(1);
+        let h0 = handles.remove(0);
+        h0.send(WorkerId(1), Message::Terminate);
+        h1.requeue(Message::Stop);
+        assert!(matches!(h1.recv_timeout(Duration::from_secs(1)), Some(Message::Crash)));
+        assert!(matches!(h1.try_recv(), Some(Message::Stop)), "a dead worker still stops");
+        assert_eq!(h1.stats().msgs_sent.load(Ordering::Relaxed), 0);
+        assert_eq!(h1.stats().msgs_received.load(Ordering::Relaxed), 0);
     }
 
     #[test]

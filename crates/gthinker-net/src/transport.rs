@@ -13,7 +13,8 @@
 
 use crate::fault::FaultStats;
 use crate::message::Message;
-use gthinker_graph::ids::WorkerId;
+use gthinker_graph::adj::{AdjList, SharedAdj};
+use gthinker_graph::ids::{VertexId, WorkerId};
 use std::sync::atomic::AtomicU64;
 use std::time::Duration;
 
@@ -92,7 +93,7 @@ impl NetStats {
 
 /// One worker's view of the interconnect: send to any worker, receive
 /// from an inbox that merges every peer. Shared by the worker's comper,
-/// receiver and responder threads, hence `Send + Sync`.
+/// receiver and main threads, hence `Send + Sync`.
 ///
 /// Delivery contract (both backends): per directed link, messages from
 /// one sending thread arrive in send order unless the fault model
@@ -109,6 +110,15 @@ pub trait NetEndpoint: Send + Sync {
     /// inbox).
     fn send(&self, to: WorkerId, msg: Message);
 
+    /// Sends `VertexResponse { entries, req_nanos }` built from lists
+    /// this worker shares (its `T_local`) rather than owns. The default
+    /// copies them into an owned message; an endpoint that puts bytes on
+    /// a wire encodes them straight into its frame instead.
+    fn send_response(&self, to: WorkerId, entries: &[(VertexId, SharedAdj)], req_nanos: u64) {
+        let entries = entries.iter().map(|(v, adj)| (*v, AdjList::clone(adj))).collect();
+        self.send(to, Message::VertexResponse { entries, req_nanos });
+    }
+
     /// Broadcasts `msg` to every worker except this one.
     fn broadcast(&self, msg: &Message) {
         for w in 0..self.num_workers() {
@@ -121,8 +131,10 @@ pub trait NetEndpoint: Send + Sync {
     /// Puts a message this worker already received back on its own
     /// inbox, to be consumed again later — the cluster-recovery
     /// rendezvous uses this to stash peer traffic that raced ahead of
-    /// the master's `Resume`. Backends override it to bypass fault
-    /// injection and traffic accounting; the default re-sends to self.
+    /// the master's `Resume` — or a local-only one (the main thread's
+    /// [`Message::Stop`] to its receiver). Backends override it to
+    /// bypass fault injection and traffic accounting; the default
+    /// re-sends to self.
     fn requeue(&self, msg: Message) {
         self.send(self.id(), msg);
     }

@@ -23,7 +23,7 @@ fn any_adj() -> impl Strategy<Value = AdjList> {
     proptest::collection::vec(any_vertex(), 0..12).prop_map(AdjList::from_unsorted)
 }
 
-/// A strategy producing every one of the 22 `Message` variants,
+/// A strategy producing every one of the 23 `Message` variants,
 /// including empty batches and extreme field values.
 fn any_message() -> impl Strategy<Value = Message> {
     prop_oneof![
@@ -67,6 +67,7 @@ fn any_message() -> impl Strategy<Value = Message> {
         any_worker().prop_map(|worker| Message::Abort { worker }),
         (any::<bool>(), any::<u64>(), any::<u64>())
             .prop_map(|(resume, epoch, attempt)| Message::Resume { resume, epoch, attempt }),
+        Just(Message::Stop),
     ]
 }
 

@@ -36,7 +36,6 @@ fn random_config(rng: &mut StdRng, intra_steal: bool) -> JobConfig {
     cfg.task_batch = rng.gen_range(1..7); // tiny C: constant spill + steal churn
     cfg.request_batch = rng.gen_range(4..65);
     cfg.intra_steal = intra_steal;
-    cfg.responders_per_worker = rng.gen_range(1..4);
     cfg.link = LinkConfig {
         latency: Duration::from_micros(rng.gen_range(0u64..300)),
         bytes_per_sec: Some(rng.gen_range(2_000_000u64..50_000_000)),
