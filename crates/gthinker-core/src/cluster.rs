@@ -218,7 +218,8 @@ impl<A: App> Job<'_, A> {
             };
 
             // The worker main loop is byte-for-byte the sim backend's:
-            // compers, receiver, GC, periodic ticks, master logic on 0.
+            // compers, GC, inbox dispatch and periodic ticks on the main
+            // thread, master logic on 0.
             let attempt = run_workers(
                 std::slice::from_ref(&shared),
                 resume_global,

@@ -23,6 +23,7 @@ use crate::worker::{task_cost, thread_cpu_nanos, WorkerShared};
 use gthinker_graph::adj::{prefetch, SharedAdj};
 use gthinker_graph::ids::{TaskId, VertexId};
 use gthinker_metrics::{now_nanos, Event, EventKind};
+use gthinker_net::message::Message;
 use gthinker_store::cache::RequestOutcome;
 use gthinker_store::counter::CounterHandle;
 use gthinker_task::task::{Frontier, Task};
@@ -73,7 +74,7 @@ pub(crate) fn comper_loop<A: App>(shared: Arc<WorkerShared<A>>, idx: usize) {
         let key = shared.sched_events.listen();
         // Quick emptiness hint. If every source is empty the comper
         // stays provably idle this round: a task can only appear via
-        // the receiver (making B_task non-empty → worker non-quiescent),
+        // the main thread (making B_task non-empty → worker non-quiescent),
         // via another comper spilling (L_file non-empty → non-quiescent)
         // or via a sibling queue growing stealable (owner busy →
         // non-quiescent), so skipping the round cannot race termination.
@@ -166,7 +167,9 @@ pub(crate) fn comper_loop<A: App>(shared: Arc<WorkerShared<A>>, idx: usize) {
 fn park<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx, key: u64) {
     let idx = ctx.idx;
     ctx.cpu.roll(&shared.counters);
-    shared.signal_if_newly_quiescent();
+    if shared.newly_quiescent() {
+        shared.net.requeue(Message::Wake);
+    }
     let start = Instant::now();
     let trace = shared.metrics.ring.enabled();
     let ts = if trace { now_nanos() } else { 0 };
@@ -467,9 +470,7 @@ fn compute_once<A: App>(
     })) {
         Ok(proceed) => proceed,
         Err(payload) => {
-            shared.record_failure(payload);
-            shared.done.store(true, Ordering::SeqCst);
-            shared.wake_all();
+            shared.fail(payload);
             false
         }
     };
@@ -579,9 +580,7 @@ fn refill<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx) -> bool {
     if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         shared.app.task_spawn_batch(&batch, &mut env)
     })) {
-        shared.record_failure(payload);
-        shared.done.store(true, Ordering::SeqCst);
-        shared.wake_all();
+        shared.fail(payload);
         return true;
     }
     for t in env.take_tasks() {
@@ -751,7 +750,7 @@ mod tests {
         shared.batcher.flush_all(&*shared.net);
         assert!(peer.try_recv().is_some(), "the pull left for its owner");
 
-        // The response makes it ready, as the receiver thread would.
+        // The response makes it ready, as the main thread would.
         let waiters = shared.cache.insert_response(remote, graph.neighbors(remote).clone());
         for id in waiters.expect("an open R-table entry") {
             let comper = &shared.compers[id.comper() as usize];

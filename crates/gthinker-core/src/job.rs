@@ -10,7 +10,7 @@ use crate::comper::comper_loop;
 use crate::config::{JobConfig, JobOutcome, JobResult};
 use crate::master::{Collect, MasterState};
 use crate::metrics::{ClusterTelemetry, MetricsRegistry, MetricsSnapshot};
-use crate::worker::{gc_loop, receiver_loop, worker_tick, WorkerShared};
+use crate::worker::{gc_loop, worker_tick, Inbox, WorkerShared};
 use crossbeam::channel::RecvTimeoutError;
 use gthinker_graph::adj::AdjList;
 use gthinker_graph::compressed::CompressedGraph;
@@ -757,23 +757,14 @@ pub(crate) type WorkerExit<A> = (Option<WorkerOutcome<A>>, Option<io::Error>);
 /// [`JobConfig::heartbeat_timeout`].
 pub(crate) const DEFAULT_HEARTBEAT: std::time::Duration = std::time::Duration::from_secs(2);
 
-/// One worker's main thread: spawns the receiver/GC/comper threads,
-/// runs the periodic tick (plus master logic on worker 0), coordinates
-/// shutdown or suspension.
+/// One worker's main thread: spawns the GC/comper threads, reads the
+/// worker's inbox, runs the periodic tick (plus master logic on worker
+/// 0), coordinates shutdown or suspension.
 pub(crate) fn worker_main<A: App>(
     shared: Arc<WorkerShared<A>>,
     resume_global: Option<Global<A>>,
 ) -> WorkerExit<A> {
     let is_master = shared.me == WorkerId(0);
-    let (ctrl_tx, ctrl_rx) = crossbeam::channel::unbounded();
-
-    let receiver = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name(format!("recv-{}", shared.me))
-            .spawn(move || receiver_loop(&shared, ctrl_tx))
-            .expect("spawn receiver")
-    };
     let gc = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
@@ -798,7 +789,7 @@ pub(crate) fn worker_main<A: App>(
         .heartbeat_timeout
         .or_else(|| shared.config.fault.crash.as_ref().map(|_| DEFAULT_HEARTBEAT));
     let mut master = is_master.then(|| {
-        let mut m = MasterState::new(Arc::clone(&shared), ctrl_rx, heartbeat);
+        let mut m = MasterState::new(Arc::clone(&shared), heartbeat);
         // On resume, the checkpointed global is the starting point for
         // all further merges (e.g. the best clique found pre-suspend).
         if let Some(g) = resume_global.clone() {
@@ -808,18 +799,18 @@ pub(crate) fn worker_main<A: App>(
     });
     let deadline = shared.config.suspend_after.map(|d| Instant::now() + d);
 
-    // Synchronization loop. The main thread sleeps on `tick_events`
-    // until the next periodic tick is due or something wakes it: this
-    // worker's quiescence edge, verdict-changing control traffic at the
-    // master, stop/suspend. The wait key is taken *before* the state is
-    // examined, so an event that lands while this iteration runs makes
-    // the wait below return at once instead of being lost. The first
-    // tick is due immediately.
+    // Synchronization loop. Between two sync steps the main thread reads
+    // its inbox until the next periodic tick is due or a message asks
+    // for a step now (see `worker::handle_message`): a comper's `Wake`
+    // on this worker's quiescence edge, an edge the main thread made
+    // itself, verdict-changing control traffic at the master, or
+    // stop/suspend. A `Wake` sent while a step runs waits in the inbox,
+    // so no edge is lost. The first tick is due immediately.
+    let mut inbox = Inbox::default();
     let mut was_idle = false;
     let mut abort_broadcast = false;
     let mut next_tick = Instant::now();
     loop {
-        let key = shared.tick_events.listen();
         let now = Instant::now();
         let periodic = now >= next_tick;
         if periodic {
@@ -864,7 +855,12 @@ pub(crate) fn worker_main<A: App>(
         if shared.stopping() {
             break;
         }
-        shared.tick_events.wait(key, next_tick.saturating_duration_since(Instant::now()));
+        loop {
+            let wait = next_tick.saturating_duration_since(Instant::now());
+            if wait.is_zero() || inbox.dispatch(&shared, master.as_mut(), wait) {
+                break;
+            }
+        }
     }
     // A panicking comper records the failure and flips `done` itself;
     // both stores can land between this iteration's failure check and
@@ -894,12 +890,8 @@ pub(crate) fn worker_main<A: App>(
         // schedules for worker 0, so the master itself never gets here.)
     } else if suspended {
         // Gather every remaining task: drained queues, pending tables,
-        // ready buffers, spilled files. The receiver thread is still
-        // installing responses, which moves tasks pending → ready
-        // (never back, and atomically with respect to the drain — see
-        // `PendingTable::notify_with`), so the pending table is emptied
-        // first: a task that became ready before that is found in the
-        // buffer after.
+        // ready buffers, spilled files. This thread is the only one that
+        // installs responses, so no task moves between them meanwhile.
         let mut tasks: Vec<gthinker_task::task::Task<A::Context>> =
             shared.drained_queues.lock().drain(..).collect();
         for c in &shared.compers {
@@ -985,9 +977,6 @@ pub(crate) fn worker_main<A: App>(
         }
     }
 
-    // All control traffic this worker cares about has been consumed.
-    shared.net.requeue(Message::Stop);
-    receiver.join().expect("receiver panicked");
     gc.join().expect("gc panicked");
 
     shared.sample_memory();

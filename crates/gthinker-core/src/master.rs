@@ -1,4 +1,6 @@
-//! Master-side coordination (run on worker 0's main thread).
+//! Master-side coordination (run on worker 0's main thread, which
+//! reads the worker's inbox and hands control traffic to
+//! [`MasterState::absorb`] as it arrives).
 //!
 //! The master merges aggregator partials and broadcasts the global
 //! value, gathers progress reports, plans work stealing from loaded to
@@ -10,8 +12,7 @@
 use crate::agg::Aggregator;
 use crate::api::App;
 use crate::termination::{Action, Event, Termination};
-use crate::worker::WorkerShared;
-use crossbeam::channel::Receiver;
+use crate::worker::{Inbox, WorkerShared};
 use gthinker_graph::ids::WorkerId;
 use gthinker_net::message::Message;
 use gthinker_task::codec::{from_bytes, to_bytes};
@@ -82,10 +83,10 @@ pub(crate) enum Collect {
     Suspends,
 }
 
-/// Master state machine; drive with [`MasterState::step`].
+/// Master state machine: fed by [`MasterState::absorb`], driven by
+/// [`MasterState::step`].
 pub(crate) struct MasterState<A: App> {
     shared: Arc<WorkerShared<A>>,
-    ctrl: Receiver<Message>,
     global: <A::Agg as Aggregator>::Global,
     reports: Vec<Report>,
     plan: Option<StealPlanState>,
@@ -105,8 +106,11 @@ pub(crate) struct MasterState<A: App> {
     /// Failure-detection window; `None` disables detection (a job with
     /// no fault injection never pays for it).
     heartbeat: Option<Duration>,
-    /// Last time each worker was heard from on the control channel.
+    /// Last time each worker was heard from on the control plane.
     last_seen: Vec<Instant>,
+    /// Last time any master-bound control message arrived: the silence
+    /// [`MasterState::collect`] measures against the heartbeat.
+    last_control: Instant,
     /// Per-worker TCP peer-death events ([`Message::PeerDown`] from the
     /// transport): the socket-level complement to the heartbeat. A
     /// closed link is evidence *now*; the heartbeat window is only the
@@ -117,16 +121,11 @@ pub(crate) struct MasterState<A: App> {
 }
 
 impl<A: App> MasterState<A> {
-    pub fn new(
-        shared: Arc<WorkerShared<A>>,
-        ctrl: Receiver<Message>,
-        heartbeat: Option<Duration>,
-    ) -> Self {
+    pub fn new(shared: Arc<WorkerShared<A>>, heartbeat: Option<Duration>) -> Self {
         let global = shared.agg.aggregator().init_global();
         let n = shared.config.num_workers;
         MasterState {
             shared,
-            ctrl,
             global,
             reports: vec![Report::default(); n],
             plan: None,
@@ -138,6 +137,7 @@ impl<A: App> MasterState<A> {
             terminated: false,
             heartbeat,
             last_seen: vec![Instant::now(); n],
+            last_control: Instant::now(),
             peer_down: vec![false; n],
             failed: None,
         }
@@ -148,13 +148,12 @@ impl<A: App> MasterState<A> {
         self.failed
     }
 
-    /// Drains control traffic and reacts to it: runs on every wake of
-    /// the worker-0 main thread, `periodic` marking the ones that fall
-    /// on the sync-interval cadence (the only ones that broadcast the
-    /// global aggregate). Returns `true` once the master has broadcast
-    /// the terminate (or suspend) decision.
+    /// Reacts to what the control traffic absorbed so far says: runs on
+    /// every sync step of the worker-0 main thread, `periodic` marking
+    /// the ones that fall on the sync-interval cadence (the only ones
+    /// that broadcast the global aggregate). Returns `true` once the
+    /// master has broadcast the terminate (or suspend) decision.
     pub fn step(&mut self, periodic: bool) -> bool {
-        self.drain_ctrl();
         if self.detect_failure() {
             return true;
         }
@@ -183,8 +182,8 @@ impl<A: App> MasterState<A> {
             Some(Action::Probe { round }) => {
                 self.shared.trace_main(gthinker_metrics::EventKind::Probe, round);
                 // The master's own worker answers like any other: its
-                // receiver thread evaluates the ack, which is what the
-                // "continuously idle" argument needs.
+                // main thread evaluates the ack off the inbox, which is
+                // what the "continuously idle" argument needs.
                 for w in 0..self.shared.config.num_workers {
                     self.shared.net.send(WorkerId(w as u16), Message::Probe { round });
                 }
@@ -194,8 +193,8 @@ impl<A: App> MasterState<A> {
                 self.shared.trace_main(gthinker_metrics::EventKind::Terminate, 0);
                 self.shared.net.broadcast(&Message::Terminate);
                 self.shared.done.store(true, std::sync::atomic::Ordering::SeqCst);
-                // Remote workers are woken by their receivers on
-                // Terminate; this wakes the master's own parked threads.
+                // Remote workers wake themselves on Terminate; this
+                // wakes the master's own parked threads.
                 self.shared.wake_all();
             }
             None => {}
@@ -242,13 +241,19 @@ impl<A: App> MasterState<A> {
         true
     }
 
-    fn drain_ctrl(&mut self) {
-        while let Ok(msg) = self.ctrl.try_recv() {
-            self.absorb(msg);
-        }
-    }
-
-    fn absorb(&mut self, msg: Message) {
+    /// Takes one master-bound control message off the inbox. Returns
+    /// true for the kinds that can change the termination verdict or
+    /// free the steal planner, after which the main loop runs
+    /// [`MasterState::step`] at once instead of at the next tick.
+    pub fn absorb(&mut self, msg: Message) -> bool {
+        self.last_control = Instant::now();
+        let wants_step = matches!(
+            msg,
+            Message::Progress { idle: true, .. }
+                | Message::ProbeAck { .. }
+                | Message::StealExecuted { .. }
+                | Message::StealDone
+        );
         match msg {
             Message::Progress { worker, remaining, idle, idle_compers, steal_inflight, epoch } => {
                 self.reports[worker.index()] = Report {
@@ -316,6 +321,7 @@ impl<A: App> MasterState<A> {
             self.plan = None;
             self.observe(Event::PlanClosed);
         }
+        wants_step
     }
 
     /// Broadcasts the merged global aggregate, unless it still encodes
@@ -442,27 +448,20 @@ impl<A: App> MasterState<A> {
     /// heartbeat configured the wait is bounded: quiet for longer than
     /// the window → the missing worker is declared failed and the
     /// (unreliable) global returned.
+    ///
+    /// The master's main thread reads the inbox itself meanwhile, so
+    /// everything else that arrives is still applied.
     pub fn collect(&mut self, what: Collect) -> <A::Agg as Aggregator>::Global {
-        let mut quiet_since = Instant::now();
+        let shared = Arc::clone(&self.shared);
+        let mut inbox = Inbox::default();
+        self.last_control = Instant::now();
         while !self.seen(what).iter().all(|&s| s) {
-            match self.ctrl.recv_timeout(Duration::from_millis(100)) {
-                Ok(msg) => {
-                    self.absorb(msg);
-                    quiet_since = Instant::now();
-                    // Event-driven bail: nothing can arrive from a
-                    // worker whose sockets have closed.
-                    if self.missing_are_down(|s| s.seen(what)) {
-                        break;
-                    }
-                }
-                Err(_) => {
-                    // Keep waiting; receivers forward the messages as
-                    // they come — unless the silence outlasts the
-                    // heartbeat.
-                    if self.give_up(quiet_since, |s| s.seen(what)) {
-                        break;
-                    }
-                }
+            inbox.dispatch(&shared, Some(&mut *self), Duration::from_millis(100));
+            // Event-driven bail: nothing can arrive from a worker whose
+            // sockets have closed. Otherwise keep waiting — unless the
+            // control plane's silence outlasts the heartbeat.
+            if self.missing_are_down(|s| s.seen(what)) || self.give_up(|s| s.seen(what)) {
+                break;
             }
         }
         self.global.clone()
@@ -476,12 +475,12 @@ impl<A: App> MasterState<A> {
         }
     }
 
-    /// Shared bail-out for [`Self::collect`]: once the control channel
+    /// Shared bail-out for [`Self::collect`]: once the control plane
     /// has been silent past the heartbeat window, name the first worker
     /// still missing from `seen` as failed and stop waiting.
-    fn give_up(&mut self, quiet_since: Instant, seen: impl Fn(&Self) -> &Vec<bool>) -> bool {
+    fn give_up(&mut self, seen: impl Fn(&Self) -> &Vec<bool>) -> bool {
         let Some(window) = self.heartbeat else { return false };
-        if quiet_since.elapsed() <= window {
+        if self.last_control.elapsed() <= window {
             return false;
         }
         if self.failed.is_none() {

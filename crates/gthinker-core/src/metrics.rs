@@ -173,7 +173,7 @@ macro_rules! metrics_table {
         )*}
         cache {$(($ckind:ident, $cname:ident, $cunit:literal, $chelp:literal);)*}
     ) => {
-        /// The hot-path atomics the comper and receiver threads bump;
+        /// The hot-path atomics the comper and main threads bump;
         /// one per `counters` row.
         #[derive(Default)]
         pub(crate) struct WorkerCounters {
@@ -193,7 +193,7 @@ macro_rules! metrics_table {
             pub compers: Vec<ComperHistSnapshot>,
             /// Pull round-trip time (request sent → response installed).
             pub pull_rtt: HistSnapshot,
-            /// Time the receiver spent answering one pull batch (request
+            /// Time the main thread spent answering one pull batch (request
             /// taken off the inbox → response sent). Written to JSON under
             /// the frozen key `responder_drain`.
             pub pull_serve: HistSnapshot,
@@ -258,7 +258,7 @@ metrics_table! {
         (Counter, wakeups, "parks",
             "Parks that ended in an event wakeup (not the fallback timeout).");
         (Counter, responses_served, "vertices",
-            "Vertices served to remote pulls by the receiver thread.");
+            "Vertices served to remote pulls by the main thread.");
         (Counter, pull_retries, "pulls",
             "Vertex pulls re-requested after their R-table deadline expired (loss tolerance; 0 on \
              a healthy wire).");

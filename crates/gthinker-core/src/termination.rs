@@ -244,9 +244,9 @@ mod tests {
         reported: u64,
         /// Periodic reports this worker may still send.
         ticks_left: u8,
-        /// Reports travel on one ordered link from the worker's main
-        /// thread; acks and steal notices come from its receiver thread
-        /// and may overtake them.
+        /// Reports, acks and steal notices all leave the worker's main
+        /// thread on one ordered link; the model lets acks and notices
+        /// overtake reports anyway, a superset of the real orders.
         reports: VecDeque<ToMaster>,
         notices: VecDeque<ToMaster>,
         /// Inbound: one ordered queue per sender (index `n` = master).
@@ -398,7 +398,7 @@ mod tests {
                     }
                     out.push(s);
                 }
-                // The worker's receiver handles the head of any link.
+                // The worker's main thread handles the head of any link.
                 for link in 0..=n {
                     let mut s = self.clone();
                     let Some(msg) = s.workers[i].inbox[link].pop_front() else { continue };

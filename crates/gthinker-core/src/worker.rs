@@ -1,25 +1,24 @@
-//! Worker-internal shared state and the non-comper threads.
+//! Worker-internal shared state, the main thread's inbox dispatch and
+//! the GC thread.
 //!
 //! Each simulated machine runs (Fig. 3 / §V):
 //! * `n` **comper** threads ([`crate::comper`]),
-//! * one **receiver** thread answering vertex pulls, installing pull
-//!   responses, landing steal transfers and forwarding control traffic,
 //! * one **GC** thread keeping `T_cache` bounded,
-//! * the **worker main** thread (in [`crate::job`]) doing periodic
-//!   progress/aggregator synchronization (and, on worker 0, the master
-//!   logic of [`crate::master`]).
+//! * the **worker main** thread (in [`crate::job`]), the only reader of
+//!   the worker's inbox: between its periodic progress/aggregator
+//!   synchronization ticks it answers vertex pulls, installs pull
+//!   responses, lands steal transfers and, on worker 0, feeds control
+//!   traffic to the master logic of [`crate::master`].
 
 use crate::agg::LocalAgg;
 use crate::api::{App, SpawnEnv};
 use crate::config::JobConfig;
+use crate::master::MasterState;
 use crate::metrics::WorkerCounters;
-use crossbeam::channel::Sender;
 use gthinker_graph::adj::SharedAdj;
 use gthinker_graph::ids::{VertexId, WorkerId};
 use gthinker_graph::partition::HashPartitioner;
-use gthinker_metrics::{
-    now_nanos, ComperHists, Event, EventKind, WorkerMetrics, TID_GC, TID_MAIN, TID_RECEIVER,
-};
+use gthinker_metrics::{now_nanos, ComperHists, Event, EventKind, WorkerMetrics, TID_GC, TID_MAIN};
 use gthinker_net::batch::RequestBatcher;
 use gthinker_net::frame;
 use gthinker_net::message::Message;
@@ -70,10 +69,10 @@ pub(crate) fn task_cost<C>(t: &Task<C>) -> i64 {
     (t.subgraph.heap_bytes() + TASK_OVERHEAD_BYTES) as i64
 }
 
-/// Per-comper state shared with the receiver thread and with sibling
+/// Per-comper state shared with the main thread and with sibling
 /// compers (which steal from `queue`).
 pub(crate) struct ComperShared<C> {
-    /// `B_task`: ready tasks moved here by the receiver.
+    /// `B_task`: ready tasks moved here by the main thread.
     pub buffer: TaskBuffer<C>,
     /// `T_task`: pending tasks keyed by task ID.
     pub pending: PendingTable<C>,
@@ -238,22 +237,18 @@ pub(crate) struct WorkerShared<A: App> {
     pub task_mem: AtomicI64,
     /// Peak of the per-tick memory estimate.
     pub peak_mem: AtomicU64,
-    /// Wakes compers parked for lack of work. Notified by the receiver
-    /// (`B_task` push, new spill file), by sibling compers (enqueue
-    /// crossing the stealable threshold, overflow spill), by the GC
-    /// (evictions reopening the pop gate) and on stop/suspend.
+    /// Wakes compers parked for lack of work. Notified by the main
+    /// thread (`B_task` push, new spill file), by sibling compers
+    /// (enqueue crossing the stealable threshold, overflow spill), by
+    /// the GC (evictions reopening the pop gate) and on stop/suspend.
     pub sched_events: EventCount,
     /// Wakes the GC thread when the cache may have grown past its
-    /// limit (receiver installed responses) or the worker is stopping.
+    /// limit (the main thread installed responses) or the worker is
+    /// stopping.
     pub gc_events: EventCount,
-    /// Wakes the worker main thread out of its sync-interval wait: on
-    /// stop/suspend, on the worker's own quiescence edge (so the idle
-    /// report leaves at once) and, on the master, when a control
-    /// message that can change the termination verdict arrives.
-    pub tick_events: EventCount,
     /// Activity epoch: bumped on every idle → busy transition (a comper
-    /// leaving a park with work, the receiver landing a steal batch or
-    /// executing a steal request), *after* the transition is visible
+    /// leaving a park with work, the main thread landing a steal batch
+    /// or executing a steal request), *after* the transition is visible
     /// to [`WorkerShared::quiescent`]. A progress report reads it before
     /// evaluating the predicate and a probe ack after, so two equal
     /// readings around two `true` verdicts prove the worker never left
@@ -355,7 +350,6 @@ impl<A: App> WorkerShared<A> {
             peak_mem: AtomicU64::new(0),
             sched_events: EventCount::new(),
             gc_events: EventCount::new(),
-            tick_events: EventCount::new(),
             activity: AtomicU64::new(0),
             reported_epoch: AtomicU64::new(NOT_IDLE),
             counters: WorkerCounters::default(),
@@ -393,13 +387,14 @@ impl<A: App> WorkerShared<A> {
         self.done.load(Ordering::Relaxed) || self.suspend.load(Ordering::Relaxed)
     }
 
-    /// Wakes every parked thread of this worker. Call after flipping
-    /// `done` or `suspend` so shutdown latency is bounded by the wakeup
-    /// path, not by park fallbacks or the sync interval.
+    /// Wakes every parked thread of this worker — the main thread by a
+    /// [`Message::Wake`] on its inbox. Call after flipping `done` or
+    /// `suspend` so shutdown latency is bounded by the wakeup path, not
+    /// by park fallbacks or the sync interval.
     pub fn wake_all(&self) {
         self.sched_events.notify_all();
         self.gc_events.notify_all();
-        self.tick_events.notify_all();
+        self.net.requeue(Message::Wake);
     }
 
     /// Estimated remaining load in tasks: spilled batches plus
@@ -435,7 +430,7 @@ impl<A: App> WorkerShared<A> {
     /// permits, per site):
     ///
     /// * `outstanding_pulls` is read `Acquire` to pair with the
-    ///   `Release` decrement the receiver performs *after* pushing the
+    ///   `Release` decrement the main thread performs *after* pushing the
     ///   ready task into `B_task`: reading 0 here implies every such
     ///   push is visible to the buffer checks below.
     /// * `busy` is read `SeqCst` — it anchors the protocol. A comper
@@ -471,17 +466,14 @@ impl<A: App> WorkerShared<A> {
             })
     }
 
-    /// Called by a thread that may just have made the worker quiescent
-    /// (a comper about to park, the receiver after settling the last
-    /// pull or the last unacked steal batch): wakes the main thread if
-    /// this is a quiescence edge it has not reported yet, so the idle
-    /// report leaves now instead of at the next periodic tick.
-    pub fn signal_if_newly_quiescent(&self) {
-        if self.reported_epoch.load(Ordering::SeqCst) != self.activity.load(Ordering::SeqCst)
+    /// Asked by a thread that may just have made the worker quiescent
+    /// (a comper about to park, the main thread after settling the last
+    /// pull or the last unacked steal batch): true on a quiescence edge
+    /// the main thread has not reported yet, whose idle report should
+    /// leave now instead of at the next periodic tick.
+    pub fn newly_quiescent(&self) -> bool {
+        self.reported_epoch.load(Ordering::SeqCst) != self.activity.load(Ordering::SeqCst)
             && self.quiescent()
-        {
-            self.tick_events.notify_all();
-        }
     }
 
     /// Evaluates quiescence and reports it to the master — always on a
@@ -524,17 +516,20 @@ impl<A: App> WorkerShared<A> {
         }
     }
 
-    /// Records a UDF panic (first one wins).
-    pub fn record_failure(&self, payload: Box<dyn std::any::Any + Send>) {
+    /// Fails the job with a caught panic — a UDF's, or one while the
+    /// main thread applied an inbound message: records its message
+    /// (first one wins), then sets `done` and wakes every thread, so the
+    /// main loop broadcasts `Terminate` and `run_job` re-raises the
+    /// message once every thread has shut down.
+    pub fn fail(&self, payload: Box<dyn std::any::Any + Send>) {
         let msg = payload
             .downcast_ref::<String>()
             .cloned()
             .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_else(|| "application UDF panicked".to_string());
-        let mut f = self.failure.lock();
-        if f.is_none() {
-            *f = Some(msg);
-        }
+        self.failure.lock().get_or_insert(msg);
+        self.done.store(true, Ordering::SeqCst);
+        self.wake_all();
     }
 
     /// One memory-estimate sample; updates the peak.
@@ -546,8 +541,8 @@ impl<A: App> WorkerShared<A> {
     }
 }
 
-/// Answers one pull batch from `T_local` on the receiver thread that
-/// took the request off the inbox: look each list up, send one
+/// Answers one pull batch from `T_local` on the main thread that took
+/// the request off the inbox: look each list up, send one
 /// `VertexResponse` back, the lists encoded from `T_local` itself on a
 /// TCP wire (`NetEndpoint::send_response`). Serving is a lookup and an
 /// encode per vertex, cheaper than handing the batch to another thread.
@@ -576,7 +571,7 @@ fn serve_pull<A: App>(
         shared.metrics.ring.push(Event {
             ts: start,
             dur: took,
-            tid: TID_RECEIVER,
+            tid: TID_MAIN,
             arg: served,
             kind: EventKind::Respond,
         });
@@ -584,9 +579,9 @@ fn serve_pull<A: App>(
     shared.counters.responses_served.fetch_add(served, Ordering::Relaxed);
 }
 
-/// Most messages the receiver applies before issuing its accumulated
-/// wakeups. Sized so a burst of small responses amortizes the parks
-/// and wakes without letting one batch starve control traffic.
+/// Most messages the main thread applies before issuing its
+/// accumulated wakeups. Sized so a burst of small responses amortizes
+/// the parks and wakes without letting one batch starve control traffic.
 const RECV_BATCH: usize = 64;
 
 /// Wakeups accumulated while applying one received batch: every
@@ -597,9 +592,6 @@ const RECV_BATCH: usize = 64;
 struct WakeSet {
     sched: bool,
     gc: bool,
-    /// The master's main thread has verdict-changing control traffic
-    /// queued on its channel.
-    tick: bool,
 }
 
 impl WakeSet {
@@ -610,52 +602,69 @@ impl WakeSet {
         if std::mem::take(&mut self.gc) {
             shared.gc_events.notify_all();
         }
-        if std::mem::take(&mut self.tick) {
-            shared.tick_events.notify_all();
-        }
     }
 }
 
-/// The receiver thread: answers pull requests, installs responses into
-/// `T_cache`, wakes pending tasks, executes steal plans, and forwards
-/// control-plane messages to the worker main thread. Messages are
-/// drained in batches ([`NetEndpoint::recv_batch`]) and downstream
-/// wakeups flushed once per batch. Exits on the [`Message::Stop`] the
-/// main thread queues once no further inbound message matters — a
-/// message rather than `done`/`suspend`, because control traffic (final
-/// aggregator syncs, checkpoint acks) must still flow after those fire.
-pub(crate) fn receiver_loop<A: App>(shared: &Arc<WorkerShared<A>>, ctrl: Sender<Message>) {
-    let mut batch = Vec::with_capacity(RECV_BATCH);
-    let mut wakes = WakeSet::default();
-    loop {
-        // Every wake-up is a message; the timeout is only a backstop.
-        shared.net.recv_batch(Duration::from_secs(1), RECV_BATCH, &mut batch);
-        let stop = batch.iter().any(|m| matches!(m, Message::Stop));
-        for msg in batch.drain(..) {
-            handle_message(shared, &ctrl, &mut wakes, msg);
-        }
-        if stop {
-            // Apply whatever is still queued, then exit.
-            while let Some(msg) = shared.net.try_recv() {
-                handle_message(shared, &ctrl, &mut wakes, msg);
+/// The main thread's side of its worker's inbox, of which it is the only
+/// reader: a reused batch buffer and the wakeups one batch accumulates.
+#[derive(Default)]
+pub(crate) struct Inbox {
+    batch: Vec<Message>,
+    wakes: WakeSet,
+}
+
+impl Inbox {
+    /// Waits at most `timeout` for inbound traffic, applies up to
+    /// [`RECV_BATCH`] messages ([`handle_message`]; master-bound control
+    /// traffic goes to `master`, and is dropped without one), then
+    /// flushes the batch's wakeups. Returns true when a message asks for
+    /// the main loop's sync step now.
+    ///
+    /// A panic while applying a message — a corrupt aggregator
+    /// broadcast, a steal batch from a mismatched peer, a full spill
+    /// disk — fails the job the way a panicking UDF does
+    /// ([`WorkerShared::fail`]).
+    pub fn dispatch<A: App>(
+        &mut self,
+        shared: &Arc<WorkerShared<A>>,
+        mut master: Option<&mut MasterState<A>>,
+        timeout: Duration,
+    ) -> bool {
+        shared.net.recv_batch(timeout, RECV_BATCH, &mut self.batch);
+        let mut sync = false;
+        for msg in self.batch.drain(..) {
+            let wakes = &mut self.wakes;
+            let master = master.as_deref_mut();
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                handle_message(shared, master, wakes, msg)
+            })) {
+                Ok(wants_sync) => sync |= wants_sync,
+                Err(payload) => {
+                    shared.fail(payload);
+                    sync = true;
+                }
             }
-            wakes.flush(shared);
-            return;
         }
-        wakes.flush(shared);
+        self.wakes.flush(shared);
+        sync
     }
 }
 
+/// Applies one inbound message on the main thread. Returns true when
+/// the main loop should run its sync step (progress report, master
+/// step) now rather than at the next tick: a [`Message::Wake`], a stop
+/// signal, a quiescence edge this message caused, or control traffic
+/// that can change the master's verdict or free its steal planner.
 fn handle_message<A: App>(
     shared: &Arc<WorkerShared<A>>,
-    ctrl: &Sender<Message>,
+    master: Option<&mut MasterState<A>>,
     wakes: &mut WakeSet,
     msg: Message,
-) {
+) -> bool {
     if shared.crashed.load(Ordering::Relaxed) {
         // A dead machine processes nothing; the router also stops
         // delivering, but anything already queued is dropped here.
-        return;
+        return false;
     }
     match msg {
         Message::Crash => {
@@ -664,9 +673,11 @@ fn handle_message<A: App>(
             shared.crashed.store(true, Ordering::SeqCst);
             shared.done.store(true, Ordering::SeqCst);
             shared.wake_all();
+            true
         }
         Message::VertexRequest { from, vertices, sent_nanos } => {
             serve_pull(shared, from, vertices, sent_nanos);
+            false
         }
         Message::VertexResponse { entries, req_nanos } => {
             // One RTT sample per response batch: send → install start.
@@ -687,8 +698,8 @@ fn handle_message<A: App>(
                 for id in waiters {
                     let comper = &shared.compers[id.comper() as usize];
                     // Task accounting moves with the task; the push
-                    // happens under the table's lock so a checkpoint
-                    // draining `pending` then `buffer` cannot miss it.
+                    // happens under the table's lock, so no reader of
+                    // `pending` then `buffer` can miss it.
                     comper.pending.notify_with(id, |task| {
                         comper.buffer.push(task);
                         made_ready = true;
@@ -701,12 +712,6 @@ fn handle_message<A: App>(
                 // nothing here needs the full seqcst fence the old code
                 // paid per entry.
                 settled_last_pull = shared.outstanding_pulls.fetch_sub(1, Ordering::Release) == 1;
-            }
-            // No activity-epoch bump for a task made ready: a pull was
-            // outstanding, so the worker was not quiescent, and a parked
-            // comper that picks the task up bumps the epoch itself.
-            if settled_last_pull && !made_ready {
-                shared.signal_if_newly_quiescent();
             }
             // Edge-triggered wakes, batched: a comper parks only with
             // an empty B_task, so a response that completes no task
@@ -722,10 +727,14 @@ fn handle_message<A: App>(
             if shared.cache.over_limit() {
                 wakes.gc = true;
             }
+            // No activity-epoch bump for a task made ready: a pull was
+            // outstanding, so the worker was not quiescent, and a parked
+            // comper that picks the task up bumps the epoch itself.
+            settled_last_pull && !made_ready && shared.newly_quiescent()
         }
         Message::StealRequest { victim, thief, max_tasks } => {
             debug_assert_eq!(victim, shared.me, "steal request routed to the wrong worker");
-            execute_steal_request(shared, thief, max_tasks);
+            execute_steal_request(shared, thief, max_tasks)
         }
         Message::StealBatch { victim, seq, bytes } => {
             // Dedup before anything else: the data plane may duplicate
@@ -750,15 +759,7 @@ fn handle_message<A: App>(
                 // spill pool: a later probe is answered by this same
                 // thread, so its ack cannot miss the bump.
                 shared.activity.fetch_add(1, Ordering::SeqCst);
-                if shared.metrics.ring.enabled() {
-                    shared.metrics.ring.push(Event {
-                        ts: now_nanos(),
-                        dur: 0,
-                        tid: TID_RECEIVER,
-                        arg: steal_flow_key(victim, seq),
-                        kind: EventKind::StealRecv,
-                    });
-                }
+                shared.trace_main(EventKind::StealRecv, steal_flow_key(victim, seq));
                 // A new spill file is a refill source every comper
                 // checks (wake batched with the rest of this drain).
                 wakes.sched = true;
@@ -768,20 +769,22 @@ fn handle_message<A: App>(
             // crossed a resend on the wire, and the victim keeps
             // resending until one lands.
             shared.net.send(victim, Message::StealAck { seq });
+            false
         }
         Message::StealAck { seq } => {
             // The thief holds the batch durably; drop the retained
             // copy. A second ack for the same seq finds nothing.
-            if shared.steal_outgoing.lock().remove(&seq).is_some()
+            shared.steal_outgoing.lock().remove(&seq).is_some()
                 && shared.steal_inflight.fetch_sub(1, Ordering::Release) == 1
-            {
-                shared.signal_if_newly_quiescent();
-            }
+                && shared.newly_quiescent()
         }
-        Message::AggregatorGlobal { payload } => match gthinker_task::codec::from_bytes(&payload) {
-            Ok(global) => shared.agg.set_global(global),
-            Err(e) => panic!("corrupt aggregator broadcast: {e}"),
-        },
+        Message::AggregatorGlobal { payload } => {
+            match gthinker_task::codec::from_bytes(&payload) {
+                Ok(global) => shared.agg.set_global(global),
+                Err(e) => panic!("corrupt aggregator broadcast: {e}"),
+            }
+            false
+        }
         Message::Probe { round } => {
             // Predicate first, epoch second — the mirror image of
             // `report_progress`, so equal epochs bracket the interval
@@ -794,25 +797,30 @@ fn handle_message<A: App>(
             if shared.me != WorkerId(0) {
                 shared.trace_main(EventKind::Probe, round);
             }
+            false
         }
         Message::Terminate => {
             shared.trace_main(EventKind::Terminate, 0);
             shared.done.store(true, Ordering::SeqCst);
             shared.wake_all();
+            true
         }
         Message::Suspend => {
             shared.suspend.store(true, Ordering::SeqCst);
             shared.wake_all();
+            true
         }
         Message::ClockPing { worker, nonce } => {
             // Clock-sync request from a peer: stamp it with this
-            // process's metrics clock and bounce it straight back off
-            // the receiver thread — any queueing here would widen the
-            // RTT and loosen the peer's offset estimate.
+            // process's metrics clock and bounce it straight back —
+            // any queueing here would widen the RTT and loosen the
+            // peer's offset estimate.
             shared.net.send(worker, Message::ClockPong { nonce, nanos: now_nanos() });
+            false
         }
         Message::ClockPong { nonce, nanos } => {
             shared.clock.on_pong(nonce, nanos);
+            false
         }
         Message::Abort { .. } => {
             // A peer process died and the master ordered a fall-back to
@@ -822,13 +830,13 @@ fn handle_message<A: App>(
             shared.aborted.store(true, Ordering::SeqCst);
             shared.done.store(true, Ordering::SeqCst);
             shared.wake_all();
+            true
         }
-        Message::Resume { .. } => {
-            // Rendezvous-phase message; by the time the receiver thread
-            // runs, the recovery runner has already consumed the one
-            // that mattered. A straggling duplicate is meaningless.
-        }
-        Message::Stop => {} // `receiver_loop` exits after this batch.
+        // Rendezvous-phase message; by the time the main loop runs, the
+        // recovery runner has already consumed the one that mattered. A
+        // straggling duplicate is meaningless.
+        Message::Resume { .. } => false,
+        Message::Wake => true,
         m @ (Message::Progress { .. }
         | Message::ProbeAck { .. }
         | Message::AggregatorSync { .. }
@@ -837,19 +845,10 @@ fn handle_message<A: App>(
         | Message::StealDone
         | Message::SuspendDone { .. }
         | Message::PeerDown { .. }) => {
-            // Master-only control traffic: hand to the main thread.
-            // (`PeerDown` at a non-master just accumulates unread — the
-            // master decides what a dead peer means for the job.) The
-            // kinds that can change the termination verdict or free the
-            // steal planner wake it; the rest wait for its next tick.
-            wakes.tick |= matches!(
-                m,
-                Message::Progress { idle: true, .. }
-                    | Message::ProbeAck { .. }
-                    | Message::StealExecuted { .. }
-                    | Message::StealDone
-            );
-            let _ = ctrl.send(m);
+            // Master-only control traffic. A non-master drops it
+            // (`PeerDown` there means nothing: the master decides what a
+            // dead peer means for the job).
+            master.is_some_and(|master| master.absorb(m))
         }
     }
 }
@@ -881,8 +880,13 @@ fn steal_flow_key(victim: WorkerId, seq: u64) -> u64 {
 /// half of the largest live comper `Q_task` (the straggler drain the
 /// cluster stealing exists for), then fresh tasks spawned from
 /// unspawned local vertices (the paper: stolen tasks "could be spawned
-/// from their local vertex table").
-fn execute_steal_request<A: App>(shared: &Arc<WorkerShared<A>>, thief: WorkerId, max_tasks: u32) {
+/// from their local vertex table"). True when an empty-handed request
+/// leaves the worker newly quiescent.
+fn execute_steal_request<A: App>(
+    shared: &Arc<WorkerShared<A>>,
+    thief: WorkerId,
+    max_tasks: u32,
+) -> bool {
     // Cover the assembly window: from the moment tasks leave a local
     // source until the sealed batch sits in the ledger, this counter
     // keeps the worker non-quiescent (`WorkerShared::quiescent`).
@@ -893,8 +897,7 @@ fn execute_steal_request<A: App>(shared: &Arc<WorkerShared<A>>, thief: WorkerId,
     let Some((bytes, count)) = steal_payload(shared, (max_tasks as usize).max(1)) else {
         shared.steal_inflight.fetch_sub(1, Ordering::Release);
         shared.net.send(WorkerId(0), Message::StealExecuted { sent: 0 });
-        shared.signal_if_newly_quiescent();
-        return;
+        return shared.newly_quiescent();
     };
     let seq = shared.steal_seq.fetch_add(1, Ordering::Relaxed);
     let framed = frame::seal(&bytes);
@@ -911,16 +914,9 @@ fn execute_steal_request<A: App>(shared: &Arc<WorkerShared<A>>, thief: WorkerId,
         },
     );
     shared.net.send(thief, Message::StealBatch { victim: shared.me, seq, bytes: framed });
-    if shared.metrics.ring.enabled() {
-        shared.metrics.ring.push(Event {
-            ts: now_nanos(),
-            dur: 0,
-            tid: TID_RECEIVER,
-            arg: steal_flow_key(shared.me, seq),
-            kind: EventKind::StealSend,
-        });
-    }
+    shared.trace_main(EventKind::StealSend, steal_flow_key(shared.me, seq));
     shared.net.send(WorkerId(0), Message::StealExecuted { sent: 1 });
+    false
 }
 
 /// Picks the payload for one steal batch: raw spill-format bytes
@@ -976,9 +972,7 @@ fn steal_payload<A: App>(
     if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         shared.app.task_spawn_batch(&batch, &mut env)
     })) {
-        shared.record_failure(payload);
-        shared.done.store(true, std::sync::atomic::Ordering::SeqCst);
-        shared.wake_all();
+        shared.fail(payload);
         return None;
     }
     let tasks: Vec<Task<A::Context>> = env.take_tasks();
@@ -991,7 +985,7 @@ fn steal_payload<A: App>(
 
 /// The GC thread: runs lazy eviction passes until the worker stops.
 /// Event-driven: parks on `gc_events` whenever a pass evicts nothing
-/// (the cache is under its limit), and is woken by the receiver after
+/// (the cache is under its limit), and is woken by the main thread after
 /// response installs grow the cache, or by `wake_all` at shutdown.
 pub(crate) fn gc_loop<A: App>(shared: &Arc<WorkerShared<A>>) {
     let mut handle = shared.cache.counter_handle();

@@ -2,7 +2,8 @@
 
 use gthinker_core::prelude::*;
 use gthinker_graph::gen;
-use std::sync::Arc;
+use gthinker_task::codec::{CodecError, Decode, Encode};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// Counts edges by pulling each vertex's neighbors-greater-than set and
@@ -104,6 +105,77 @@ fn udf_panic_aborts_the_job_and_propagates_the_message() {
     .expect_err("job must propagate the UDF panic");
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(msg.contains("boom on vertex 50"), "got: {msg}");
+}
+
+/// A global value that encodes but never decodes: the master's
+/// broadcast of it is corrupt at every other worker.
+#[derive(Clone)]
+struct Undecodable;
+
+impl Encode for Undecodable {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(0);
+    }
+}
+
+impl Decode for Undecodable {
+    fn decode(_buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Err(CodecError::Invalid("undecodable global"))
+    }
+}
+
+struct UndecodableAgg;
+
+impl Aggregator for UndecodableAgg {
+    type Item = ();
+    type Partial = ();
+    type Global = Undecodable;
+    fn init_partial(&self) {}
+    fn init_global(&self) -> Undecodable {
+        Undecodable
+    }
+    fn aggregate(&self, _partial: &mut (), _item: ()) {}
+    fn merge(&self, _global: &mut Undecodable, _partial: &()) {}
+}
+
+/// Pulls like `DegreeSum`, so the job outlives the first broadcast.
+struct BroadcastsUndecodable;
+
+impl App for BroadcastsUndecodable {
+    type Context = ();
+    type Agg = UndecodableAgg;
+    fn make_aggregator(&self) -> UndecodableAgg {
+        UndecodableAgg
+    }
+    fn task_spawn(&self, v: VertexId, adj: &AdjList, env: &mut SpawnEnv<'_, Self>) {
+        let mut t = Task::new(());
+        for u in adj.greater_than(v) {
+            t.pull(*u);
+        }
+        env.add_task(t);
+    }
+    fn compute(&self, _t: &mut Task<()>, _f: &Frontier, _env: &mut ComputeEnv<'_, Self>) -> bool {
+        std::thread::sleep(Duration::from_millis(1));
+        false
+    }
+}
+
+/// A panic while a worker applies an inbound message (here: the
+/// master's aggregator broadcast fails to decode at the other worker)
+/// fails the job with that message instead of hanging it.
+#[test]
+fn a_panic_on_an_inbound_message_fails_the_job_with_its_message() {
+    let g = gen::gnp(200, 0.05, 2);
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(|| {
+            let _ = run_job(Arc::new(BroadcastsUndecodable), &g, &JobConfig::cluster(2, 2));
+        });
+        let _ = tx.send(outcome.map_err(|e| e.downcast_ref::<String>().cloned()));
+    });
+    let outcome = rx.recv_timeout(Duration::from_secs(60)).expect("the job hung");
+    let msg = outcome.expect_err("job must propagate the dispatch panic").unwrap_or_default();
+    assert!(msg.contains("corrupt aggregator broadcast"), "got: {msg}");
 }
 
 #[test]

@@ -1,12 +1,16 @@
 //! A worker's thread census, counted for real from `/proc/self/task`
-//! while a job is mining: `n` compers, one receiver (which also answers
-//! every pull), one GC thread, plus the worker's main thread — and no
-//! pool of responder threads. This file holds a single `#[test]` so no
+//! while a job is mining: `n` compers and one GC thread beside the
+//! worker's main thread, which reads the inbox itself — no receiver
+//! thread and no pool of responder threads — and, on TCP, the process's
+//! one `tcp-io` thread. This file holds a single `#[test]` so no
 //! concurrent job's threads pollute the count.
 #![cfg(target_os = "linux")]
 
 use gthinker_core::prelude::*;
+use gthinker_core::ClusterRole;
 use gthinker_graph::gen;
+use gthinker_graph::ids::WorkerId;
+use gthinker_net::tcp::ClusterManifest;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,30 +58,79 @@ impl App for HeldEdgeCount {
     }
 }
 
-#[test]
-fn a_worker_runs_its_compers_one_receiver_and_one_gc_thread() {
-    let g = gen::barabasi_albert(400, 4, 3);
+/// Runs `job` on its own thread, takes the census of `prefixes` once
+/// every comper is up, releases the compers and checks that the job
+/// counted `edges`.
+fn census(
+    edges: u64,
+    prefixes: &[String],
+    job: impl FnOnce(Arc<HeldEdgeCount>) -> u64 + Send + 'static,
+) -> Vec<(String, usize)> {
     let release = Arc::new(AtomicBool::new(false));
     let app = Arc::new(HeldEdgeCount { release: Arc::clone(&release) });
-    let job = std::thread::spawn(move || {
-        run_job(app, &g, &JobConfig::cluster(WORKERS, COMPERS)).unwrap().global
-    });
+    let job = std::thread::spawn(move || job(app));
     // Every comper holds a task once it has one, so the census settles.
     let deadline = Instant::now() + Duration::from_secs(30);
     while threads_named("comper-") < WORKERS * COMPERS && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    let census = [
-        ("comper-", threads_named("comper-")),
-        ("recv-", threads_named("recv-")),
-        ("gc-", threads_named("gc-")),
-        ("respond", threads_named("respond")),
-    ];
+    let counts = prefixes.iter().map(|p| (p.clone(), threads_named(p))).collect();
     release.store(true, Ordering::Release);
-    let edges = job.join().expect("job thread");
-    assert_eq!(edges, gen::barabasi_albert(400, 4, 3).num_edges() as u64);
-    assert_eq!(
-        census,
-        [("comper-", WORKERS * COMPERS), ("recv-", WORKERS), ("gc-", WORKERS), ("respond", 0)]
-    );
+    assert_eq!(job.join().expect("job thread"), edges);
+    counts
+}
+
+#[test]
+fn a_worker_runs_its_compers_and_one_gc_thread_and_no_receiver_on_sim_and_tcp() {
+    let g = Arc::new(gen::barabasi_albert(400, 4, 3));
+    let edges = g.num_edges() as u64;
+    let cfg = JobConfig::cluster(WORKERS, COMPERS);
+
+    let sim = {
+        let (g, cfg) = (Arc::clone(&g), cfg.clone());
+        census(edges, &["comper-", "gc-", "recv-", "respond"].map(String::from), move |app| {
+            run_job(app, &*g, &cfg).unwrap().global
+        })
+    };
+    let want = [("comper-", WORKERS * COMPERS), ("gc-", WORKERS), ("recv-", 0), ("respond", 0)];
+    assert_eq!(sim, want.map(|(p, n)| (p.to_string(), n)));
+
+    // A loopback process pair, one thread per process.
+    let per_worker =
+        |w: usize| [format!("comper-w{w}-"), format!("tcp-io-{w}"), format!("gc-w{w}")];
+    let mut prefixes: Vec<String> = (0..WORKERS).flat_map(per_worker).collect();
+    prefixes.push("recv-".into());
+    let tcp = census(edges, &prefixes, {
+        let g = Arc::clone(&g);
+        move |app| {
+            let (manifest, listeners) = ClusterManifest::loopback(WORKERS).expect("bind loopback");
+            let processes: Vec<_> = listeners
+                .into_iter()
+                .enumerate()
+                .map(|(w, listener)| {
+                    let (g, cfg, manifest, app) =
+                        (Arc::clone(&g), cfg.clone(), manifest.clone(), Arc::clone(&app));
+                    std::thread::spawn(move || {
+                        Job::new(app, &*g, &cfg)
+                            .run_process(
+                                &manifest,
+                                WorkerId(w as u16),
+                                listener,
+                                Duration::from_secs(20),
+                            )
+                            .expect("process job")
+                    })
+                })
+                .collect();
+            let roles: Vec<_> = processes.into_iter().map(|p| p.join().expect("process")).collect();
+            match &roles[0] {
+                ClusterRole::Master(r) => r.global,
+                ClusterRole::Worker(..) => panic!("worker 0 is the master"),
+            }
+        }
+    });
+    let mut want: Vec<(String, usize)> =
+        (0..WORKERS).flat_map(|w| per_worker(w).into_iter().zip([COMPERS, 1, 1])).collect();
+    want.push(("recv-".into(), 0));
+    assert_eq!(tcp, want);
 }

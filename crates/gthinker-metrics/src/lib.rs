@@ -26,18 +26,16 @@ pub use clock::now_nanos;
 pub use hist::{HistSnapshot, LogHistogram, NUM_BUCKETS};
 pub use ring::{Event, EventKind, EventRing};
 
-/// Synthetic `tid` used for a worker's receiver thread in traces.
-pub const TID_RECEIVER: u32 = 1000;
 /// Synthetic `tid` used for a worker's GC thread in traces.
 pub const TID_GC: u32 = 1001;
-/// Synthetic `tid` used for a worker's main (tick/master) thread.
+/// Synthetic `tid` used for a worker's main thread: the inbox, the
+/// tick and, on worker 0, the master.
 pub const TID_MAIN: u32 = 1002;
 
 /// Human-readable thread name for a trace `tid` (compers are their
 /// index, service threads use the `TID_*` constants).
 pub fn tid_name(tid: u32) -> String {
     match tid {
-        TID_RECEIVER => "receiver".into(),
         TID_GC => "gc".into(),
         TID_MAIN => "main".into(),
         t => format!("comper-{t}"),
@@ -96,14 +94,14 @@ impl ComperHistSnapshot {
     }
 }
 
-/// Worker-level instrumentation shared by the receiver and GC threads:
+/// Worker-level instrumentation shared by the main and GC threads:
 /// the pull round-trip and pull-serve histograms plus the event ring
 /// the whole worker appends to.
 pub struct WorkerMetrics {
     /// Pull round-trip time, recorded once per `VertexResponse` batch
-    /// at the requesting worker's receiver (send → install).
+    /// at the requesting worker's main thread (send → install).
     pub pull_rtt: LogHistogram,
-    /// Time the serving worker's receiver spent answering one
+    /// Time the serving worker's main thread spent answering one
     /// `VertexRequest` batch (lookups, encode, send).
     pub pull_serve: LogHistogram,
     /// Bounded scheduler/cache event timeline (empty capacity = off).
@@ -130,7 +128,6 @@ mod tests {
     fn tid_names_are_distinct_and_stable() {
         assert_eq!(tid_name(0), "comper-0");
         assert_eq!(tid_name(7), "comper-7");
-        assert_eq!(tid_name(TID_RECEIVER), "receiver");
         assert_eq!(tid_name(TID_GC), "gc");
         assert_eq!(tid_name(TID_MAIN), "main");
     }

@@ -28,9 +28,9 @@ pub enum EventKind {
     Refill,
     /// A cache GC pass that evicted something; `arg` = evictions (span).
     GcPass,
-    /// The receiver answered one pull batch; `arg` = vertices (span).
+    /// The main thread answered one pull batch; `arg` = vertices (span).
     Respond,
-    /// The worker's tick thread first observed local quiescence.
+    /// The worker's main thread first observed local quiescence.
     QuiesceEnter,
     /// The worker left quiescence (new work arrived).
     QuiesceExit,
@@ -43,10 +43,10 @@ pub enum EventKind {
     /// `(victim, seq)` flow key as the matching [`EventKind::StealSend`].
     StealRecv,
     /// A termination confirmation wave: the master sent the probe, or a
-    /// worker's receiver answered it; `arg` = the wave's round number.
+    /// worker answered it; `arg` = the wave's round number.
     Probe,
-    /// The termination verdict: the master broadcast it, or a worker's
-    /// receiver saw it arrive.
+    /// The termination verdict: the master broadcast it, or a worker
+    /// saw it arrive.
     Terminate,
 }
 

@@ -163,7 +163,7 @@ mod tests {
             vec![Event {
                 ts: 500,
                 dur: 0,
-                tid: crate::TID_RECEIVER,
+                tid: crate::TID_MAIN,
                 arg: flow,
                 kind: EventKind::StealRecv,
             }],

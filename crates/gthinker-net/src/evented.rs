@@ -32,7 +32,8 @@
 //!   [`Message::Crash`], but the process actually dies mid-job, which
 //!   is what the cluster recovery path and the process-chaos harness
 //!   exercise. `after_messages` counts this endpoint's own sends and
-//!   receives (no process has the router's global count); a wall-clock
+//!   the frames its loop decodes — never a message requeued on the
+//!   local inbox (no process has the router's global count); a wall-clock
 //!   `after` bounds the loop's poll timeout, so it fires even while
 //!   the endpoint is idle.
 //! * **Peer death is an event, not a hang.** Read EOF/error or a
@@ -269,11 +270,7 @@ impl IoLoop {
                 let now = Instant::now();
                 if now >= deadline {
                     self.crash_wall = None;
-                    if let Some(f) = &self.fault {
-                        if f.crash_due() == Some(self.me) {
-                            crash_self(self.me);
-                        }
-                    }
+                    note_traffic(&self.fault, self.me);
                 } else {
                     timeout = timeout.min(deadline - now);
                 }
@@ -406,6 +403,7 @@ impl IoLoop {
                                     Ordering::Relaxed,
                                 );
                                 self.stats.msgs_received.fetch_add(1, Ordering::Relaxed);
+                                note_traffic(&self.fault, self.me);
                                 if self.inbox_tx.send(msg).is_err() {
                                     return false; // endpoint gone: job teardown
                                 }
@@ -628,19 +626,18 @@ pub struct EventedEndpoint {
     io_thread: Option<std::thread::JoinHandle<()>>,
 }
 
-impl EventedEndpoint {
-    /// Advances this process's crash schedule by one endpoint message
-    /// (send or successful receive) and aborts the process if this
-    /// worker is the victim and the mark was reached — the TCP
-    /// equivalent of the sim router delivering `Message::Crash`.
-    fn note_traffic(&self) {
-        if let Some(f) = &self.fault {
-            if f.crash_due() == Some(self.me) {
-                crash_self(self.me);
-            }
-        }
+/// Advances this process's crash schedule by one message — a send, or
+/// a frame the I/O loop decoded; a message requeued on the inbox never
+/// counts — and aborts the process if this worker is the victim and the
+/// mark was reached: the TCP equivalent of the sim router delivering
+/// `Message::Crash`.
+fn note_traffic(fault: &Option<Arc<FaultRuntime>>, me: usize) {
+    if fault.as_ref().and_then(|f| f.crash_due()) == Some(me) {
+        crash_self(me);
     }
+}
 
+impl EventedEndpoint {
     /// Parks `frame` in the loop's delay heap until `extra` elapses.
     fn queue_delayed(&self, to: usize, frame: SealedFrame, extra: Duration) {
         self.shared.delay.lock().expect("delay heap lock").push(Reverse(Delayed {
@@ -693,7 +690,7 @@ impl EventedEndpoint {
         data_plane: bool,
         encode: impl FnOnce(&mut Vec<u8>),
     ) {
-        self.note_traffic();
+        note_traffic(&self.fault, self.me);
         self.count_send((len + FRAME_OVERHEAD) as u64);
         let Some((extra, dup_lag)) = self.roll(to, data_plane) else {
             return; // dropped by fault injection
@@ -721,7 +718,7 @@ impl NetEndpoint for EventedEndpoint {
             self.send_frame(to.index(), msg.encoded_len(), msg.is_data_plane(), |b| msg.encode(b));
             return;
         }
-        self.note_traffic();
+        note_traffic(&self.fault, self.me);
         let bytes = (msg.encoded_len() + FRAME_OVERHEAD) as u64;
         self.count_send(bytes);
         self.stats.bytes_received.fetch_add(bytes, Ordering::Relaxed);
@@ -748,7 +745,7 @@ impl NetEndpoint for EventedEndpoint {
             if w == self.me {
                 continue;
             }
-            self.note_traffic();
+            note_traffic(&self.fault, self.me);
             self.count_send(bytes);
             let Some((extra, dup_lag)) = self.roll(w, msg.is_data_plane()) else {
                 continue;
@@ -761,27 +758,20 @@ impl NetEndpoint for EventedEndpoint {
         }
     }
 
-    /// Re-injects an already-received message, bypassing fault
-    /// decisions and traffic accounting (it was both counted and
-    /// fault-rolled on its original trip).
+    /// Re-injects a message into the local inbox, bypassing fault
+    /// decisions, traffic accounting and the crash schedule: a stashed
+    /// message paid all three on its original trip, and a local `Wake`
+    /// never crosses the wire.
     fn requeue(&self, msg: Message) {
         let _ = self.inbox_tx.send(msg);
     }
 
     fn try_recv(&self) -> Option<Message> {
-        let m = self.inbox.try_recv().ok();
-        if m.is_some() {
-            self.note_traffic();
-        }
-        m
+        self.inbox.try_recv().ok()
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Option<Message> {
-        let m = self.inbox.recv_timeout(timeout).ok();
-        if m.is_some() {
-            self.note_traffic();
-        }
-        m
+        self.inbox.recv_timeout(timeout).ok()
     }
 
     fn stats(&self) -> &NetStats {

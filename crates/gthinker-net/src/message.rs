@@ -18,7 +18,7 @@ use gthinker_task::codec::{CodecError, Decode, Encode};
 /// A message on the wire (simulated or TCP).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Message {
-    /// A batch of vertex pull requests from `from`; the receiver serves
+    /// A batch of vertex pull requests from `from`; the owner serves
     /// each from its `T_local` and responds with one `VertexResponse`.
     VertexRequest {
         /// Requesting worker (responses go back to it).
@@ -117,7 +117,7 @@ pub enum Message {
     },
     /// Termination confirmation wave: the master saw an idle report
     /// from every worker and asks each (itself included) whether it is
-    /// *still* idle. Answered by the worker's receiver thread with a
+    /// *still* idle. Answered by the worker's main thread with a
     /// [`Message::ProbeAck`].
     Probe {
         /// The wave this probe belongs to; echoed in the ack.
@@ -165,7 +165,7 @@ pub enum Message {
         is_final: bool,
     },
     /// Clock-synchronization probe from a worker to the master. The
-    /// master's receiver answers inline with a [`Message::ClockPong`]
+    /// master's main thread answers inline with a [`Message::ClockPong`]
     /// carrying its metrics-clock reading; the worker estimates its
     /// clock offset as `master_nanos - (t_send + t_recv) / 2` and keeps
     /// the minimum-RTT sample (trace stitching).
@@ -212,12 +212,12 @@ pub enum Message {
         /// periodic checkpoint will be written to.
         attempt: u64,
     },
-    /// A worker's main thread to its own receiver, through
+    /// Gets a worker's main thread out of its inbox wait, through
     /// [`NetEndpoint::requeue`](crate::transport::NetEndpoint::requeue):
-    /// no message that arrives from now on matters, so apply what is
-    /// queued and exit. Local-only, like [`Message::Crash`]: it never
+    /// a comper saw the worker go quiescent, or the worker is stopping.
+    /// Carries nothing. Local-only, like [`Message::Crash`]: it never
     /// crosses a socket.
-    Stop,
+    Wake,
 }
 
 /// Variant tags. One byte on the wire; `Decode` rejects anything else.
@@ -244,7 +244,7 @@ mod tag {
     pub const RESUME: u8 = 19;
     pub const PROBE: u8 = 20;
     pub const PROBE_ACK: u8 = 21;
-    pub const STOP: u8 = 22;
+    pub const WAKE: u8 = 22;
 }
 
 /// Byte-payload fields use the same layout as the codec's `Vec<u8>`
@@ -386,7 +386,7 @@ impl Encode for Message {
                 epoch.encode(buf);
                 attempt.encode(buf);
             }
-            Message::Stop => buf.push(tag::STOP),
+            Message::Wake => buf.push(tag::WAKE),
         }
     }
 }
@@ -458,7 +458,7 @@ impl Decode for Message {
                 epoch: u64::decode(buf)?,
                 attempt: u64::decode(buf)?,
             },
-            tag::STOP => Message::Stop,
+            tag::WAKE => Message::Wake,
             _ => return Err(CodecError::Invalid("message tag")),
         })
     }
@@ -496,7 +496,7 @@ impl Message {
             | Message::Terminate
             | Message::Suspend
             | Message::Crash
-            | Message::Stop => 0,
+            | Message::Wake => 0,
         }
     }
 
@@ -655,7 +655,7 @@ mod tests {
             Message::PeerDown { worker: WorkerId(3) },
             Message::Abort { worker: WorkerId(1) },
             Message::Resume { resume: false, epoch: 0, attempt: u64::MAX },
-            Message::Stop,
+            Message::Wake,
         ];
         for m in msgs {
             assert_eq!(m.encoded_len(), to_bytes(&m).len(), "{m:?}");

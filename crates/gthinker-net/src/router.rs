@@ -303,7 +303,7 @@ impl NetEndpoint for NetHandle {
             }
             // A dead machine neither sends nor receives; in-flight
             // traffic to it still reaches the inbox and is discarded by
-            // the receiver's crashed guard.
+            // the worker's crashed guard.
             if f.is_crashed(self.me) || f.is_crashed(to.index()) {
                 return;
             }
@@ -331,7 +331,7 @@ impl NetEndpoint for NetHandle {
     }
 
     /// Straight into the inbox: no traffic accounting, and no fault
-    /// model — a crashed worker's main thread still stops its receiver.
+    /// model — a crashed worker's main thread is still woken.
     fn requeue(&self, msg: Message) {
         let _ = self.shared.inbox_txs[self.me].send(msg);
     }
@@ -593,9 +593,9 @@ mod tests {
         let h1 = handles.remove(1);
         let h0 = handles.remove(0);
         h0.send(WorkerId(1), Message::Terminate);
-        h1.requeue(Message::Stop);
+        h1.requeue(Message::Wake);
         assert!(matches!(h1.recv_timeout(Duration::from_secs(1)), Some(Message::Crash)));
-        assert!(matches!(h1.try_recv(), Some(Message::Stop)), "a dead worker still stops");
+        assert!(matches!(h1.try_recv(), Some(Message::Wake)), "a dead worker is still woken");
         assert_eq!(h1.stats().msgs_sent.load(Ordering::Relaxed), 0);
         assert_eq!(h1.stats().msgs_received.load(Ordering::Relaxed), 0);
     }

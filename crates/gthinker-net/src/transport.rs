@@ -93,7 +93,8 @@ impl NetStats {
 
 /// One worker's view of the interconnect: send to any worker, receive
 /// from an inbox that merges every peer. Shared by the worker's comper,
-/// receiver and main threads, hence `Send + Sync`.
+/// GC and main threads, hence `Send + Sync`; the main thread is the
+/// inbox's one reader.
 ///
 /// Delivery contract (both backends): per directed link, messages from
 /// one sending thread arrive in send order unless the fault model
@@ -131,10 +132,10 @@ pub trait NetEndpoint: Send + Sync {
     /// Puts a message this worker already received back on its own
     /// inbox, to be consumed again later — the cluster-recovery
     /// rendezvous uses this to stash peer traffic that raced ahead of
-    /// the master's `Resume` — or a local-only one (the main thread's
-    /// [`Message::Stop`] to its receiver). Backends override it to
-    /// bypass fault injection and traffic accounting; the default
-    /// re-sends to self.
+    /// the master's `Resume` — or a local-only one (a
+    /// [`Message::Wake`] for the main thread, which is the inbox's only
+    /// reader). Backends override it to bypass fault injection, traffic
+    /// accounting and the crash schedule; the default re-sends to self.
     fn requeue(&self, msg: Message) {
         self.send(self.id(), msg);
     }
@@ -147,7 +148,7 @@ pub trait NetEndpoint: Send + Sync {
 
     /// Drains up to `max` queued messages into `out`, waiting at most
     /// `timeout` for the first; returns how many arrived. One call per
-    /// receiver wake lets the worker batch its downstream work (install
+    /// inbox wake lets the worker batch its downstream work (install
     /// every response, then issue **one** scheduler wakeup) instead of
     /// paying a wakeup per message.
     fn recv_batch(&self, timeout: Duration, max: usize, out: &mut Vec<Message>) -> usize {

@@ -67,7 +67,7 @@ fn any_message() -> impl Strategy<Value = Message> {
         any_worker().prop_map(|worker| Message::Abort { worker }),
         (any::<bool>(), any::<u64>(), any::<u64>())
             .prop_map(|(resume, epoch, attempt)| Message::Resume { resume, epoch, attempt }),
-        Just(Message::Stop),
+        Just(Message::Wake),
     ]
 }
 

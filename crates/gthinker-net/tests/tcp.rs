@@ -4,7 +4,7 @@
 
 use gthinker_graph::crc::crc32;
 use gthinker_graph::ids::{VertexId, WorkerId};
-use gthinker_net::fault::FaultConfig;
+use gthinker_net::fault::{CrashSchedule, FaultConfig};
 use gthinker_net::message::Message;
 use gthinker_net::router::{LinkConfig, Router};
 use gthinker_net::tcp::{ClusterManifest, MeshAcceptor, TcpTransport};
@@ -116,7 +116,7 @@ fn self_sends_and_broadcasts_loop_back() {
 #[test]
 fn crash_schedules_are_accepted_and_dormant_until_their_mark() {
     let fault = FaultConfig {
-        crash: Some(gthinker_net::fault::CrashSchedule {
+        crash: Some(CrashSchedule {
             worker: WorkerId(1),
             after_messages: Some(1_000_000),
             after: None,
@@ -466,4 +466,28 @@ fn requeue_bypasses_accounting() {
         assert_eq!(m, Some(Message::Suspend), "worker {w}");
         assert_eq!((sent, received), (0, 0), "worker {w}: requeue must not count as traffic");
     }
+}
+
+/// A crash schedule counts the messages that cross the wire, never one
+/// requeued on the local inbox: a victim whose mark is 3 requeues and
+/// drains ten local messages and is still alive (a fired schedule would
+/// abort the test runner).
+#[test]
+fn requeued_messages_do_not_count_toward_a_crash_mark() {
+    let fault = FaultConfig {
+        crash: Some(CrashSchedule { worker: WorkerId(1), after_messages: Some(3), after: None }),
+        ..FaultConfig::default()
+    };
+    let drained = with_mesh(2, fault, |net| {
+        if net.id() != WorkerId(1) {
+            return 0;
+        }
+        for _ in 0..10 {
+            net.requeue(Message::Wake);
+        }
+        (0..10)
+            .filter(|_| recv_skipping_peer_down(&*net, "requeued message") == Message::Wake)
+            .count()
+    });
+    assert_eq!(drained[1], 10);
 }
