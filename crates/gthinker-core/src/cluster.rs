@@ -101,9 +101,10 @@ impl<A: App> Job<'_, A> {
     /// partition of the graph first) lets faster peers' dials wait in
     /// the kernel backlog instead of being refused into a retry backoff.
     ///
-    /// With [`Job::recover`], `config.checkpoint_dir` is required — a
-    /// directory visible to every process (the paper's HDFS analog)
-    /// that epochs are written under.
+    /// With [`Job::recover`] or `config.suspend_after`,
+    /// `config.checkpoint_dir` is required — a directory visible to
+    /// every process (the paper's HDFS analog) that epochs or the
+    /// suspended job's checkpoint are written under.
     pub fn run_process(
         mut self,
         manifest: &ClusterManifest,
@@ -129,10 +130,12 @@ impl<A: App> Job<'_, A> {
                     .into(),
             );
         }
-        if self.recovery.is_some() && config.checkpoint_dir.is_none() {
+        if (self.recovery.is_some() || config.suspend_after.is_some())
+            && config.checkpoint_dir.is_none()
+        {
             return invalid(
-                "cluster recovery needs JobConfig::checkpoint_dir — a directory every \
-                 process can reach (the paper's HDFS), holding the epoch checkpoints"
+                "cluster recovery and suspend_after need JobConfig::checkpoint_dir — a directory \
+                 every process can reach (the paper's HDFS), holding the checkpoints"
                     .into(),
             );
         }
@@ -235,10 +238,9 @@ impl<A: App> Job<'_, A> {
                 let done = match &mut ledger {
                     // Conservative master-local cadence backoff: the
                     // segment's task count is this process's own.
-                    Some(l) => l.settle::<A>(
-                        &outcome,
-                        shared.counters.tasks_finished.load(Ordering::Relaxed),
-                    )?,
+                    Some(l) => {
+                        l.settle::<A>(&outcome, attempt.registry.snapshot().total_tasks())?
+                    }
                     None => true,
                 };
                 if done {

@@ -158,9 +158,9 @@ pub(crate) fn comper_loop<A: App>(shared: Arc<WorkerShared<A>>, idx: usize) {
 }
 
 /// Parks the calling comper until new work is published (or the
-/// fallback elapses), maintaining the idle/park/wakeup counters, the
-/// park-duration histogram and (when tracing) a `Park` span. The
-/// caller has cleared its busy flag, which may have been the last thing
+/// fallback elapses), recording its duration (the `parks` and `idle_nanos`
+/// rows), event wakeups and (when tracing) a `Park` span. The caller
+/// has cleared its busy flag, which may have been the last thing
 /// keeping the worker non-quiescent — if so the main thread is told
 /// now, not at its next periodic tick. The CPU window is closed on both
 /// sides of the wait, so no window's wall time contains a park.
@@ -171,17 +171,15 @@ fn park<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx, key: u64) {
         shared.net.requeue(Message::Wake);
     }
     let start = Instant::now();
-    let trace = shared.metrics.ring.enabled();
+    let trace = shared.ring.enabled();
     let ts = if trace { now_nanos() } else { 0 };
-    shared.counters.parks.fetch_add(1, Ordering::Relaxed);
     if shared.sched_events.wait(key, PARK_FALLBACK) {
         shared.counters.wakeups.fetch_add(1, Ordering::Relaxed);
     }
     let dur = start.elapsed().as_nanos() as u64;
-    shared.counters.idle_nanos.fetch_add(dur, Ordering::Relaxed);
     shared.compers[idx].hists.park.record(dur);
     if trace {
-        shared.metrics.ring.push(Event { ts, dur, tid: idx as u32, arg: 0, kind: EventKind::Park });
+        shared.ring.push(Event { ts, dur, tid: idx as u32, arg: 0, kind: EventKind::Park });
     }
     ctx.cpu.roll(&shared.counters);
 }
@@ -272,11 +270,11 @@ fn drive_spanned<A: App>(
     task: Task<A::Context>,
     ready: bool,
 ) {
-    let trace = shared.metrics.ring.enabled();
+    let trace = shared.ring.enabled();
     let ts = if trace { now_nanos() } else { 0 };
     drive_task(shared, ctx, task, ready);
     if trace {
-        shared.metrics.ring.push(Event {
+        shared.ring.push(Event {
             ts,
             dur: now_nanos().saturating_sub(ts),
             tid: ctx.idx as u32,
@@ -353,7 +351,6 @@ fn drive_task<A: App>(
             shared.cache.release(v);
         }
         if !proceed {
-            shared.counters.tasks_finished.fetch_add(1, Ordering::Relaxed);
             // End-to-end latency: spawn → finish, including every pull
             // wait and queue/spill residence in between.
             shared.compers[ctx.idx].hists.e2e.record(now_nanos().saturating_sub(task.born_nanos));
@@ -475,7 +472,6 @@ fn compute_once<A: App>(
         }
     };
     let spent = now_nanos().saturating_sub(start);
-    shared.counters.compute_calls.fetch_add(1, Ordering::Relaxed);
     shared.compers[ctx.idx].hists.compute.record(spent);
     ctx.cpu.record(spent, &shared.counters);
     let splits = env.take_splits();
@@ -508,8 +504,8 @@ fn enqueue<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx, task: Tas
         // over-notify under a concurrent refill, which is harmless.
         let was_empty = shared.spill.is_empty();
         shared.spill.spill(&batch).expect("spill directory writable");
-        if shared.metrics.ring.enabled() {
-            shared.metrics.ring.push(Event {
+        if shared.ring.enabled() {
+            shared.ring.push(Event {
                 ts: now_nanos(),
                 dur: 0,
                 tid: ctx.idx as u32,
@@ -549,8 +545,8 @@ fn refill<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx) -> bool {
         for t in &batch {
             shared.task_mem.fetch_add(task_cost(t), Ordering::Relaxed);
         }
-        if shared.metrics.ring.enabled() {
-            shared.metrics.ring.push(Event {
+        if shared.ring.enabled() {
+            shared.ring.push(Event {
                 ts: now_nanos(),
                 dur: 0,
                 tid: ctx.idx as u32,
@@ -625,8 +621,8 @@ fn try_steal<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx) -> bool
     };
     shared.counters.steals.fetch_add(1, Ordering::Relaxed);
     shared.counters.stolen_tasks.fetch_add(stolen.len() as u64, Ordering::Relaxed);
-    if shared.metrics.ring.enabled() {
-        shared.metrics.ring.push(Event {
+    if shared.ring.enabled() {
+        shared.ring.push(Event {
             ts: now_nanos(),
             dur: 0,
             tid: ctx.idx as u32,
@@ -774,7 +770,7 @@ mod tests {
         assert_eq!(app.frontiers.lock().as_slice(), &[want.clone(), want]);
         once(2);
         assert_eq!(shared.cache.exact_evictable(), 1);
-        assert_eq!(shared.counters.tasks_finished.load(Ordering::Relaxed), 2);
+        assert_eq!(crate::metrics::snapshot_worker(&shared, false).tasks_finished, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -39,7 +39,9 @@ pub struct JobConfig {
     /// Suspend the job (writing a checkpoint) after this long; used by
     /// the fault-tolerance path and tests.
     pub suspend_after: Option<Duration>,
-    /// Directory checkpoints are written to when suspending.
+    /// Directory checkpoints are written to when suspending. `Job::run`
+    /// makes up a fresh `$TMPDIR/gthinker-checkpoint-<pid>-<seq>` per job
+    /// when it is unset; `Job::run_process` refuses to suspend without it.
     pub checkpoint_dir: Option<PathBuf>,
     /// When set, `ComputeEnv::emit` streams records to one
     /// `part-<worker>.out` file per worker in this directory (the

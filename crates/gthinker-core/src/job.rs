@@ -89,30 +89,6 @@ impl From<Arc<CompressedGraph>> for GraphSource<'static> {
     }
 }
 
-/// A point-in-time view of a running job: the projection of a
-/// [`MetricsSnapshot`] (see [`MetricsSnapshot::progress`]) an observer
-/// installed with [`Job::observe`] usually wants. This is the paper's
-/// "periodically synchronize job status to monitor progress" made
-/// visible to the embedding application (e.g. the current total in
-/// triangle counting).
-#[derive(Clone, Debug)]
-pub struct ProgressSnapshot {
-    /// Time since the job started.
-    pub elapsed: std::time::Duration,
-    /// Tasks finished so far, across all workers.
-    pub tasks_finished: u64,
-    /// Estimated remaining load in tasks (queued + spilled + unspawned).
-    pub remaining: u64,
-    /// Cache hits / misses so far.
-    pub cache_hits: u64,
-    /// Cache misses (actual network pulls) so far.
-    pub cache_misses: u64,
-    /// Bytes sent over the simulated network so far.
-    pub net_bytes: u64,
-    /// Workers currently quiescent.
-    pub quiescent_workers: usize,
-}
-
 /// Crash-recovery policy, switched on with [`Job::recover`].
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryOptions {
@@ -187,10 +163,12 @@ impl<'a, A: App> Job<'a, A> {
     }
 
     /// Invokes `observer` with a [`MetricsSnapshot`] of this process's
-    /// workers (counters, cache stats, per-comper latency histograms;
-    /// [`MetricsSnapshot::progress`] projects it to a
-    /// [`ProgressSnapshot`]) every `config.sync_interval` until the job
-    /// ends.
+    /// workers (counters, cache stats, latency histograms; `elapsed`
+    /// and [`MetricsSnapshot::totals`] are the job's progress, e.g. the
+    /// tasks finished so far) every `config.sync_interval` until the
+    /// job ends. This is the paper's "periodically synchronize job
+    /// status to monitor progress" made visible to the embedding
+    /// application.
     pub fn observe(mut self, observer: impl FnMut(&MetricsSnapshot) + Send + 'a) -> Self {
         self.observer = Some(Box::new(observer));
         self
@@ -234,7 +212,13 @@ impl<'a, A: App> Job<'a, A> {
     /// (or suspension if `config.suspend_after` fires first).
     pub fn run(mut self) -> io::Result<JobResult<Global<A>>> {
         let Some(opts) = self.recovery else {
-            return self.run_sim(self.config, self.resume_from);
+            // A job that may suspend without a `checkpoint_dir` gets a
+            // directory of its own, named once so every worker agrees.
+            let mut config = self.config.clone();
+            if config.suspend_after.is_some() {
+                config.checkpoint_dir.get_or_insert_with(|| temp_job_dir("checkpoint"));
+            }
+            return self.run_sim(&config, self.resume_from);
         };
         let mut ledger = RecoveryLedger::new(self.config, opts.max_recoveries);
         loop {
@@ -355,11 +339,7 @@ impl RecoveryLedger {
     pub fn new(config: &JobConfig, max_recoveries: u32) -> RecoveryLedger {
         let (base, auto_base) = match &config.checkpoint_dir {
             Some(dir) => (dir.clone(), false),
-            None => {
-                let id = JOB_SEQ.fetch_add(1, Ordering::Relaxed);
-                let name = format!("gthinker-recovery-{}-{id}", std::process::id());
-                (std::env::temp_dir().join(name), true)
-            }
+            None => (temp_job_dir("recovery"), true),
         };
         let mut config = config.clone();
         config.heartbeat_timeout = config.heartbeat_timeout.or(Some(DEFAULT_HEARTBEAT));
@@ -606,6 +586,13 @@ pub(crate) fn new_job_dir(config: &JobConfig) -> PathBuf {
     config.spill_dir.join(format!("job-{}-{}", std::process::id(), job_id))
 }
 
+/// A fresh `gthinker-<what>-<pid>-<seq>` path under the system temp
+/// directory, for state no configured directory was given for.
+fn temp_job_dir(what: &str) -> PathBuf {
+    let job_id = JOB_SEQ.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("gthinker-{what}-{}-{job_id}", std::process::id()))
+}
+
 /// The label table of a labeled graph, shared by every worker of a
 /// process.
 pub(crate) type LabelTable = Option<Arc<Vec<Label>>>;
@@ -810,12 +797,13 @@ pub(crate) fn worker_main<A: App>(
     let mut was_idle = false;
     let mut abort_broadcast = false;
     let mut next_tick = Instant::now();
+    let mut last_report = None;
     loop {
         let now = Instant::now();
         let periodic = now >= next_tick;
         if periodic {
             next_tick = now + shared.config.sync_interval;
-            worker_tick(&shared, WorkerId(0));
+            worker_tick(&shared, WorkerId(0), &mut last_report);
         }
         let idle = shared.report_progress(WorkerId(0), periodic);
         // Mark quiescence edges in the timeline.
@@ -917,7 +905,7 @@ pub(crate) fn worker_main<A: App>(
             .config
             .checkpoint_dir
             .clone()
-            .unwrap_or_else(|| std::env::temp_dir().join("gthinker-checkpoint"));
+            .expect("the runners give every job that may suspend a checkpoint_dir");
         let shard = WorkerShard {
             spawn_position: shared.local.spawn_position() as u64,
             tasks,

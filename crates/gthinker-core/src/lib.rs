@@ -59,7 +59,7 @@ pub use agg::{Aggregator, LocalAgg, NoAgg, SumAgg};
 pub use api::{App, ComputeEnv, SpawnEnv};
 pub use cluster::ClusterRole;
 pub use config::{JobConfig, JobOutcome, JobResult};
-pub use job::{run_job, GraphSource, Job, ProgressSnapshot, RecoveryOptions, RecoveryReport};
+pub use job::{run_job, GraphSource, Job, RecoveryOptions, RecoveryReport};
 pub use metrics::{ClusterTelemetry, MetricsRegistry, MetricsSnapshot, WorkerMetricsSnapshot};
 
 /// Convenient glob-import surface for applications.
@@ -67,9 +67,7 @@ pub mod prelude {
     pub use crate::agg::{Aggregator, NoAgg, SumAgg};
     pub use crate::api::{App, ComputeEnv, SpawnEnv};
     pub use crate::config::{JobConfig, JobOutcome, JobResult};
-    pub use crate::job::{
-        run_job, GraphSource, Job, ProgressSnapshot, RecoveryOptions, RecoveryReport,
-    };
+    pub use crate::job::{run_job, GraphSource, Job, RecoveryOptions, RecoveryReport};
     pub use crate::metrics::{MetricsSnapshot, WorkerMetricsSnapshot};
     pub use gthinker_graph::adj::AdjList;
     pub use gthinker_graph::ids::{Label, VertexId};

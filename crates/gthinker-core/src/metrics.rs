@@ -1,26 +1,27 @@
 //! Unified job metrics: the [`MetricsRegistry`] and its
 //! [`MetricsSnapshot`], subsuming the raw `WorkerCounters`, the cache
-//! statistics and the progress view into one structured, exportable
-//! snapshot (DESIGN.md §"Observability").
+//! statistics and the latency histograms into one structured,
+//! exportable snapshot (DESIGN.md §"Observability").
 //!
 //! A snapshot is safe to take at any moment of a running job — every
 //! source is either an atomic counter or a lock-free histogram read —
 //! and is plain data afterwards: mergeable, comparable, serialisable
-//! to JSON or pretty text, and (with events) dumpable as a Chrome
-//! trace.
+//! to JSON, Prometheus text or a tail-latency report, and (with events)
+//! dumpable as a Chrome trace.
 //!
-//! Every per-worker counter and gauge is defined once, as a row of the
-//! `metrics_table!` invocation below. The snapshot's fields, their
-//! collection, the report codec, the JSON and Prometheus writers and
-//! [`MetricsSnapshot::totals`] are all derived from that table: adding
-//! a metric is the atomic where it is counted plus one row.
+//! Every per-worker counter, gauge and histogram is defined once, as a
+//! row of the `metrics_table!` invocation below. The snapshot's fields,
+//! the live histograms, their collection, the report codec and its
+//! fingerprint, the JSON and Prometheus writers,
+//! [`MetricsSnapshot::totals`] and the histogram merges are all derived
+//! from that table: adding a metric is the atomic or histogram where it
+//! is recorded plus one row.
 
 use crate::api::App;
-use crate::job::ProgressSnapshot;
 use crate::worker::WorkerShared;
-use gthinker_graph::crc::Crc32;
+use gthinker_graph::crc::crc32;
 use gthinker_graph::ids::WorkerId;
-use gthinker_metrics::{ComperHistSnapshot, Event, EventKind, HistSnapshot, NUM_BUCKETS};
+use gthinker_metrics::{Event, EventKind, HistSnapshot, LogHistogram, NUM_BUCKETS};
 use gthinker_net::message::Message;
 use gthinker_store::cache::CacheSnapshot;
 use std::fmt::Write as _;
@@ -114,6 +115,9 @@ struct Row {
     /// The field as the eight bytes it travels as, and back.
     get: fn(&WorkerMetricsSnapshot) -> u64,
     set: fn(&mut WorkerMetricsSnapshot, u64),
+    /// Set on a `derived` row: its value, computed from the snapshot's
+    /// histograms. It has no cell in a report; the decoder derives it.
+    derive: Option<fn(&WorkerMetricsSnapshot) -> u64>,
 }
 
 impl Row {
@@ -128,17 +132,38 @@ impl Row {
     }
 }
 
+/// One histogram of the table, on the snapshot type `S` that holds it:
+/// [`ComperHistSnapshot`] for a per-comper row, [`WorkerMetricsSnapshot`]
+/// for a per-worker one.
+struct HistRow<S> {
+    /// Its JSON key: the field's name, or the frozen key an older name
+    /// had.
+    key: &'static str,
+    get: fn(&S) -> &HistSnapshot,
+    get_mut: fn(&mut S) -> &mut HistSnapshot,
+}
+
 fn load(a: &AtomicU64) -> u64 {
     a.load(Ordering::Relaxed)
 }
 
-/// Expands the table into [`WorkerMetricsSnapshot`], the `ROWS` the
-/// codec and exporters walk, `snapshot_worker` and [`WorkerCounters`].
-/// A row is `(kind, field, unit, help)`: a `counters` row *is* an atomic
-/// of `WorkerCounters`, bumped where the event happens; a `sampled` row
-/// adds `|worker| value`, read off [`WorkerShared`] at snapshot time; a
-/// `cache` row names a field of the cache's own snapshot. The help text
-/// is the field's rustdoc and its Prometheus `# HELP`.
+/// `f` summed over a snapshot's compers, saturating: a decoded report's
+/// histograms are whatever its sender wrote.
+fn per_comper(s: &WorkerMetricsSnapshot, f: fn(&ComperHistSnapshot) -> u64) -> u64 {
+    s.compers.iter().map(f).fold(0, u64::saturating_add)
+}
+
+/// Expands the table into [`WorkerMetricsSnapshot`], the `ROWS`,
+/// `COMPER_HISTS` and `WORKER_HISTS` the codec and exporters walk,
+/// `snapshot_worker`, [`WorkerCounters`] and the live histograms. A row
+/// is `(kind, field, unit, help)`: a `counters` row *is* an atomic of
+/// `WorkerCounters`, bumped where the event happens; a `derived` row
+/// adds `|snapshot| value`, a count or total a histogram already holds;
+/// a `sampled` row adds `|worker| value`, read off [`WorkerShared`] at
+/// snapshot time; a `cache` row names a field of the cache's own
+/// snapshot. A `hists` row is `(field, help)`: a [`LogHistogram`] of
+/// [`ComperHists`] or [`WorkerHists`], recorded where the duration
+/// ends. The help text is the field's rustdoc and its Prometheus `# HELP`.
 macro_rules! metrics_table {
     (@ty Signed) => { i64 };
     (@ty Flag) => { bool };
@@ -151,8 +176,10 @@ macro_rules! metrics_table {
     (@from $unsigned:ident $bits:ident) => { $bits };
     (@ms) => { None };
     (@ms $key:literal) => { Some($key) };
+    (@key $name:ident) => { stringify!($name) };
+    (@key $name:ident $key:literal) => { $key };
     (@row $group:literal $kind:ident $name:ident $unit:literal [$($ms:literal)?] $help:literal
-        $($field:ident).+) => {
+        ($derive:expr) $($field:ident).+) => {
         Row {
             group: $group,
             name: stringify!($name),
@@ -162,9 +189,21 @@ macro_rules! metrics_table {
             help: $help,
             get: |s| metrics_table!(@bits $kind s.$($field).+),
             set: |s, bits| s.$($field).+ = metrics_table!(@from $kind bits),
+            derive: $derive,
+        }
+    };
+    (@hist $name:ident $($key:literal)?) => {
+        HistRow {
+            key: metrics_table!(@key $name $($key)?),
+            get: |s| &s.$name,
+            get_mut: |s| &mut s.$name,
         }
     };
     (
+        derived {$(
+            ($dkind:ident, $dname:ident, $dunit:literal $(as ms $dms:literal)?, $dhelp:literal,
+                |$s:ident| $derive:expr);
+        )*}
         counters {$(
             ($akind:ident, $aname:ident, $aunit:literal $(as ms $ms:literal)?, $ahelp:literal);
         )*}
@@ -172,6 +211,10 @@ macro_rules! metrics_table {
             ($kind:ident, $name:ident, $unit:literal, $help:literal, |$w:ident| $read:expr);
         )*}
         cache {$(($ckind:ident, $cname:ident, $cunit:literal, $chelp:literal);)*}
+        hists {
+            per_comper {$(($hc:ident, $hchelp:literal);)*}
+            per_worker {$(($hw:ident $(as $hwkey:literal)?, $hwhelp:literal);)*}
+        }
     ) => {
         /// The hot-path atomics the comper and main threads bump;
         /// one per `counters` row.
@@ -180,23 +223,39 @@ macro_rules! metrics_table {
             $(#[doc = $ahelp] pub $aname: AtomicU64,)*
         }
 
+        /// The histograms one comper records into, each behind its own
+        /// `Box` (DESIGN.md §8); one per `per_comper` row.
+        #[derive(Default)]
+        pub(crate) struct ComperHists {
+            $(#[doc = $hchelp] pub $hc: LogHistogram,)*
+        }
+
+        /// The histograms a worker's main thread records into; one per
+        /// `per_worker` row.
+        #[derive(Default)]
+        pub(crate) struct WorkerHists {
+            $(#[doc = $hwhelp] pub $hw: LogHistogram,)*
+        }
+
+        /// One comper's latency histograms, snapshotted.
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct ComperHistSnapshot {
+            $(#[doc = $hchelp] pub $hc: HistSnapshot,)*
+        }
+
         /// One worker's slice of a [`MetricsSnapshot`]: every scheduler,
-        /// network and cache counter, the per-comper latency histograms
-        /// and (in final snapshots) the event timeline.
+        /// network and cache counter, the latency histograms and (in
+        /// final snapshots) the event timeline.
         #[derive(Clone, Debug, Default, PartialEq)]
         pub struct WorkerMetricsSnapshot {
+            $(#[doc = $dhelp] pub $dname: metrics_table!(@ty $dkind),)*
             $(#[doc = $ahelp] pub $aname: metrics_table!(@ty $akind),)*
             $(#[doc = $help] pub $name: metrics_table!(@ty $kind),)*
             /// Named cache counters (the table's `cache` rows).
             pub cache: CacheSnapshot,
-            /// Per-comper latency histograms (compute / e2e / park).
+            /// Per-comper latency histograms (the `per_comper` rows).
             pub compers: Vec<ComperHistSnapshot>,
-            /// Pull round-trip time (request sent → response installed).
-            pub pull_rtt: HistSnapshot,
-            /// Time the main thread spent answering one pull batch (request
-            /// taken off the inbox → response sent). Written to JSON under
-            /// the frozen key `responder_drain`.
-            pub pull_serve: HistSnapshot,
+            $(#[doc = $hwhelp] pub $hw: HistSnapshot,)*
             /// Event timeline (final snapshots only; bounded by the ring).
             pub events: Vec<Event>,
         }
@@ -204,35 +263,58 @@ macro_rules! metrics_table {
         /// The table, in declaration order: ungrouped rows, then each
         /// group's rows together.
         const ROWS: &[Row] = &[
-            $(metrics_table!(@row "" $akind $aname $aunit [$($ms)?] $ahelp $aname),)*
-            $(metrics_table!(@row "" $kind $name $unit [] $help $name),)*
-            $(metrics_table!(@row "cache" $ckind $cname $cunit [] $chelp cache.$cname),)*
+            $(metrics_table!(@row "" $dkind $dname $dunit [$($dms)?] $dhelp
+                (Some(|$s: &WorkerMetricsSnapshot| -> u64 { $derive })) $dname),)*
+            $(metrics_table!(@row "" $akind $aname $aunit [$($ms)?] $ahelp (None) $aname),)*
+            $(metrics_table!(@row "" $kind $name $unit [] $help (None) $name),)*
+            $(metrics_table!(@row "cache" $ckind $cname $cunit [] $chelp (None) cache.$cname),)*
         ];
+
+        const COMPER_HISTS: &[HistRow<ComperHistSnapshot>] = &[$(metrics_table!(@hist $hc),)*];
+
+        const WORKER_HISTS: &[HistRow<WorkerMetricsSnapshot>] =
+            &[$(metrics_table!(@hist $hw $($hwkey)?),)*];
 
         pub(crate) fn snapshot_worker<A: App>(
             shared: &WorkerShared<A>,
             with_events: bool,
         ) -> WorkerMetricsSnapshot {
             let cache = shared.cache.stats().snapshot();
-            WorkerMetricsSnapshot {
+            let mut s = WorkerMetricsSnapshot {
+                $($dname: Default::default(),)*
                 $($aname: load(&shared.counters.$aname),)*
                 $($name: { let $w = shared; $read },)*
                 // Spelled out so that a cache counter without a row
                 // does not compile.
                 cache: CacheSnapshot { $($cname: cache.$cname,)* },
-                compers: shared.compers.iter().map(|c| c.hists.snapshot()).collect(),
-                pull_rtt: shared.metrics.pull_rtt.snapshot(),
-                pull_serve: shared.metrics.pull_serve.snapshot(),
-                events: if with_events { shared.metrics.ring.snapshot() } else { Vec::new() },
-            }
+                compers: shared.compers.iter().map(|c| ComperHistSnapshot {
+                    $($hc: c.hists.$hc.snapshot(),)*
+                }).collect(),
+                $($hw: shared.hists.$hw.snapshot(),)*
+                events: if with_events { shared.ring.snapshot() } else { Vec::new() },
+            };
+            s.derive_rows();
+            s
         }
     };
 }
 
 metrics_table! {
+    derived {
+        (Counter, tasks_finished, "tasks",
+            "Tasks whose `compute()` returned `false`: the `e2e` samples of every comper.",
+            |s| per_comper(s, |c| c.e2e.count()));
+        (Counter, compute_calls, "calls",
+            "Total `compute()` invocations (iterations): the `compute` samples of every comper.",
+            |s| per_comper(s, |c| c.compute.count()));
+        (Counter, idle_nanos, "ns" as ms "idle_ms",
+            "Nanoseconds compers spent parked: the `park` sum of every comper.",
+            |s| per_comper(s, |c| c.park.sum));
+        (Counter, parks, "parks",
+            "Scheduler parks, each counted as it ends: every comper's `park` samples.",
+            |s| per_comper(s, |c| c.park.count()));
+    }
     counters {
-        (Counter, tasks_finished, "tasks", "Tasks whose `compute()` returned `false`.");
-        (Counter, compute_calls, "calls", "Total `compute()` invocations (iterations).");
         (Counter, compute_nanos, "ns" as ms "compute_ms",
             "Thread-CPU nanoseconds inside `compute()`, summed over compers: per window of 64 \
              calls, the calls' wall time scaled by the share of the window the comper was on a \
@@ -240,8 +322,6 @@ metrics_table! {
         (Counter, comper_cpu_nanos, "ns" as ms "comper_cpu_ms",
             "Thread-CPU nanoseconds of the comper threads, `compute()` and framework together, \
              summed over compers (`compute_nanos` is the part of it spent in the UDF).");
-        (Counter, idle_nanos, "ns" as ms "idle_ms",
-            "Nanoseconds compers spent parked, summed over compers.");
         (Counter, steals, "steals", "Successful intra-worker steals by this worker's compers.");
         (Counter, stolen_tasks, "tasks", "Tasks moved by intra-worker steals.");
         (Counter, remote_steals, "batches",
@@ -254,7 +334,6 @@ metrics_table! {
         (Counter, split_tasks, "tasks",
             "Tasks created by straggler splitting: 1 per framework re-enqueue, `n` per UDF split \
              that fanned a straggler into `n` fresh tasks.");
-        (Counter, parks, "parks", "Times a comper parked on the scheduler event count.");
         (Counter, wakeups, "parks",
             "Parks that ended in an event wakeup (not the fallback timeout).");
         (Counter, responses_served, "vertices",
@@ -312,7 +391,7 @@ metrics_table! {
         (Counter, trace_events_dropped, "events",
             "Trace events lost to the ring's overwrite-oldest recycling; nonzero flags a truncated \
              timeline (raise `trace_capacity` to keep more).",
-            |w| w.metrics.ring.dropped());
+            |w| w.ring.dropped());
         (Counter, recoveries, "rounds",
             "Crash-recovery rounds this job has been through (cumulative across attempts; every \
              worker reports the master's count).",
@@ -332,7 +411,7 @@ metrics_table! {
             "Estimated offset of this worker's metrics clock from the master's (`master_now ≈ \
              local_now + offset`), from the minimum-RTT ping/pong sample; 0 on the master and on \
              single-process runs.",
-            |w| w.clock_offset_nanos());
+            |w| w.clock.offset_nanos());
     }
     cache {
         (Counter, hits, "lookups", "Vertex-cache hits (OP1 case 1).");
@@ -345,23 +424,40 @@ metrics_table! {
         (Counter, stale_responses, "responses",
             "Duplicate or late pull responses dropped idempotently (OP2 found no R-table entry).");
     }
+    hists {
+        per_comper {
+            (compute, "Wall time of each `compute()` call.");
+            (e2e, "Task latency, spawn → final iteration, with pull waits and queue/spill time.");
+            (park, "Duration of each park on the scheduler event count.");
+        }
+        per_worker {
+            (pull_rtt, "Pull round-trip time (request sent → response installed).");
+            (pull_serve as "responder_drain",
+                "Time the main thread spent answering one pull batch (off the inbox → sent).");
+        }
+    }
 }
 
-/// CRC of every row's group, name and kind, in table order. It leads
-/// each encoded report, so two builds whose tables differ refuse each
-/// other's reports instead of decoding a value into the wrong field.
+/// The table as a report carries it, a line per entry: each row's
+/// group, name, kind and whether it is derived (and so has no cell),
+/// then the per-worker and per-comper histograms.
+fn layout() -> String {
+    let mut s = String::new();
+    for r in ROWS {
+        let derived = if r.derive.is_some() { " derived" } else { "" };
+        let _ = writeln!(s, "{}.{}:{:?}{derived}", r.group, r.name, r.kind);
+    }
+    WORKER_HISTS.iter().for_each(|h| _ = writeln!(s, "worker hist {}", h.key));
+    COMPER_HISTS.iter().for_each(|h| _ = writeln!(s, "comper hist {}", h.key));
+    s
+}
+
+/// CRC of the table's [`layout`]. It leads each encoded report, so two
+/// builds whose tables differ refuse each other's reports instead of
+/// decoding a value into the wrong field or histogram.
 fn fingerprint() -> u32 {
     static FINGERPRINT: OnceLock<u32> = OnceLock::new();
-    *FINGERPRINT.get_or_init(|| {
-        let mut crc = Crc32::new();
-        for row in ROWS {
-            crc.update(row.group.as_bytes());
-            crc.update(b".");
-            crc.update(row.name.as_bytes());
-            crc.update(&[b':', row.kind as u8, b'\n']);
-        }
-        crc.finalize()
-    })
+    *FINGERPRINT.get_or_init(|| crc32(layout().as_bytes()))
 }
 
 /// Fewest bytes one histogram takes on the wire: an empty bucket list
@@ -369,6 +465,15 @@ fn fingerprint() -> u32 {
 const MIN_HIST_BYTES: usize = 1 + 8;
 /// Bytes one event takes on the wire.
 const EVENT_BYTES: usize = 8 + 8 + 4 + 8 + 1;
+
+impl ComperHistSnapshot {
+    /// Adds another comper's histograms into these (bucket-wise).
+    pub fn merge(&mut self, other: &ComperHistSnapshot) {
+        for h in COMPER_HISTS {
+            (h.get_mut)(self).merge((h.get)(other));
+        }
+    }
+}
 
 impl WorkerMetricsSnapshot {
     /// All compers' histograms merged into one (lossless bucket sums).
@@ -380,24 +485,35 @@ impl WorkerMetricsSnapshot {
         m
     }
 
+    /// Sets every `derived` row from the histograms.
+    fn derive_rows(&mut self) {
+        for row in ROWS {
+            if let Some(value) = row.derive.map(|derive| derive(self)) {
+                (row.set)(self, value);
+            }
+        }
+    }
+
     /// Serializes this snapshot as a `MetricsReport` payload: the
-    /// table's fingerprint, every row's value in table order, then the
-    /// histograms (as sparse nonzero-bucket lists) and the events —
-    /// little-endian, sealed in a CRC frame like steal batches. The
-    /// master validates the frame before trusting a byte of it.
+    /// table's fingerprint, every row's value in table order (derived
+    /// rows excepted), then the histograms (as sparse nonzero-bucket
+    /// lists) and the events — little-endian, sealed in a CRC frame like
+    /// steal batches. The master validates the frame before trusting a
+    /// byte of it.
     pub fn encode_report(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(512);
         b.extend_from_slice(&fingerprint().to_le_bytes());
-        for row in ROWS {
+        for row in ROWS.iter().filter(|r| r.derive.is_none()) {
             b.extend_from_slice(&(row.get)(self).to_le_bytes());
         }
-        put_hist(&mut b, &self.pull_rtt);
-        put_hist(&mut b, &self.pull_serve);
+        for h in WORKER_HISTS {
+            put_hist(&mut b, (h.get)(self));
+        }
         b.extend_from_slice(&(self.compers.len() as u16).to_le_bytes());
         for c in &self.compers {
-            put_hist(&mut b, &c.compute);
-            put_hist(&mut b, &c.e2e);
-            put_hist(&mut b, &c.park);
+            for h in COMPER_HISTS {
+                put_hist(&mut b, (h.get)(c));
+            }
         }
         b.extend_from_slice(&(self.events.len() as u32).to_le_bytes());
         for e in &self.events {
@@ -412,8 +528,9 @@ impl WorkerMetricsSnapshot {
 
     /// Decodes a sealed `MetricsReport` payload. Any corruption — a bad
     /// frame, another build's table, a short buffer, a count the
-    /// payload cannot hold — is a clean `InvalidData` error, never a
-    /// panic, and nothing is allocated for elements that are not there.
+    /// payload cannot hold, bytes after the last event — is a clean
+    /// `InvalidData` error, never a panic, and nothing is allocated for
+    /// elements that are not there.
     pub fn decode_report(payload: &[u8]) -> io::Result<WorkerMetricsSnapshot> {
         let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
         let raw = gthinker_net::frame::open(payload).map_err(|e| {
@@ -424,19 +541,20 @@ impl WorkerMetricsSnapshot {
             return Err(bad("metrics report from a build with a different metrics table"));
         }
         let mut s = WorkerMetricsSnapshot::default();
-        for row in ROWS {
+        for row in ROWS.iter().filter(|r| r.derive.is_none()) {
             (row.set)(&mut s, c.u64()?);
         }
-        s.pull_rtt = get_hist(&mut c)?;
-        s.pull_serve = get_hist(&mut c)?;
+        for h in WORKER_HISTS {
+            *(h.get_mut)(&mut s) = get_hist(&mut c)?;
+        }
         let n_compers = c.u16()? as usize;
-        s.compers = Vec::with_capacity(c.count(n_compers, 3 * MIN_HIST_BYTES)?);
+        s.compers = Vec::with_capacity(c.count(n_compers, COMPER_HISTS.len() * MIN_HIST_BYTES)?);
         for _ in 0..n_compers {
-            s.compers.push(ComperHistSnapshot {
-                compute: get_hist(&mut c)?,
-                e2e: get_hist(&mut c)?,
-                park: get_hist(&mut c)?,
-            });
+            let mut comper = ComperHistSnapshot::default();
+            for h in COMPER_HISTS {
+                *(h.get_mut)(&mut comper) = get_hist(&mut c)?;
+            }
+            s.compers.push(comper);
         }
         let n_events = c.u32()? as usize;
         s.events = Vec::with_capacity(c.count(n_events, EVENT_BYTES)?);
@@ -446,6 +564,10 @@ impl WorkerMetricsSnapshot {
                 EventKind::from_code(c.u8()?).ok_or_else(|| bad("unknown event kind code"))?;
             s.events.push(Event { ts, dur, tid, arg, kind });
         }
+        if !c.0.is_empty() {
+            return Err(bad("metrics report has bytes after its last event"));
+        }
+        s.derive_rows();
         Ok(s)
     }
 }
@@ -569,21 +691,6 @@ impl MetricsSnapshot {
         self.workers.iter().map(|w| w.tasks_finished).sum()
     }
 
-    /// The legacy progress view, derived (the observer API's
-    /// [`ProgressSnapshot`] is a strict projection of this snapshot).
-    pub fn progress(&self) -> ProgressSnapshot {
-        let total = self.totals();
-        ProgressSnapshot {
-            elapsed: self.elapsed,
-            tasks_finished: total.tasks_finished,
-            remaining: total.remaining,
-            cache_hits: total.cache.hits,
-            cache_misses: total.cache.misses,
-            net_bytes: total.net_bytes_sent,
-            quiescent_workers: self.workers.iter().filter(|w| w.quiescent).count(),
-        }
-    }
-
     /// Writes all workers' event timelines as Chrome `trace_event`
     /// JSON (chrome://tracing / Perfetto). Only meaningful on a final
     /// snapshot of a job run with a non-zero `trace_capacity`.
@@ -625,74 +732,20 @@ impl MetricsSnapshot {
             if !group.is_empty() {
                 s.push_str("},");
             }
-            let _ = write!(
-                s,
-                "\n      \"pull_rtt\": {},\n      \"responder_drain\": {},\n      \"compers\": [",
-                hist_json(&w.pull_rtt),
-                hist_json(&w.pull_serve),
-            );
+            for h in WORKER_HISTS {
+                let _ = write!(s, "\n      \"{}\": {},", h.key, hist_json((h.get)(w)));
+            }
+            s.push_str("\n      \"compers\": [");
             for (ci, c) in w.compers.iter().enumerate() {
                 if ci > 0 {
                     s.push(',');
                 }
-                let _ = write!(
-                    s,
-                    "\n        {{\"comper\": {ci}, \"compute\": {}, \"e2e\": {}, \"park\": {}}}",
-                    hist_json(&c.compute),
-                    hist_json(&c.e2e),
-                    hist_json(&c.park),
-                );
+                let _ = write!(s, "\n        {{\"comper\": {ci}, {}}}", comper_json(c));
             }
             s.push_str("\n      ]\n    }");
         }
-        let m = self.merged_hists();
-        let _ = write!(
-            s,
-            "\n  ],\n  \"merged\": {{\"compute\": {}, \"e2e\": {}, \"park\": {}}}\n}}\n",
-            hist_json(&m.compute),
-            hist_json(&m.e2e),
-            hist_json(&m.park),
-        );
-        s
-    }
-
-    /// Human-readable summary: per-worker counters and merged latency
-    /// quantiles.
-    pub fn pretty(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "job metrics after {:.1} ms", ms(self.elapsed));
-        let _ = writeln!(
-            s,
-            "{:>6} | {:>8} {:>9} {:>9} | {:>6} {:>6} {:>7} | {:>9} {:>9}",
-            "worker", "tasks", "compute", "idle", "steals", "parks", "served", "hits", "misses"
-        );
-        for (wi, w) in self.workers.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "{:>6} | {:>8} {:>8.1}ms {:>8.1}ms | {:>6} {:>6} {:>7} | {:>9} {:>9}",
-                wi,
-                w.tasks_finished,
-                w.compute_nanos as f64 / 1e6,
-                w.idle_nanos as f64 / 1e6,
-                w.steals,
-                w.parks,
-                w.responses_served,
-                w.cache.hits,
-                w.cache.misses,
-            );
-        }
-        let m = self.merged_hists();
-        for (name, h) in [("compute", &m.compute), ("task e2e", &m.e2e), ("park", &m.park)] {
-            let _ = writeln!(
-                s,
-                "{name:>9}: n={} p50={} p95={} p99={} max={}",
-                h.count(),
-                fmt_nanos(h.quantile(0.50)),
-                fmt_nanos(h.quantile(0.95)),
-                fmt_nanos(h.quantile(0.99)),
-                fmt_nanos(h.max_estimate()),
-            );
-        }
+        let merged = comper_json(&self.merged_hists());
+        let _ = write!(s, "\n  ],\n  \"merged\": {{{merged}}}\n}}\n");
         s
     }
 
@@ -862,6 +915,12 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
+/// A comper's histograms as the members of a JSON object, one per row.
+fn comper_json(c: &ComperHistSnapshot) -> String {
+    let members = COMPER_HISTS.iter().map(|h| format!("\"{}\": {}", h.key, hist_json((h.get)(c))));
+    members.collect::<Vec<_>>().join(", ")
+}
+
 /// Quantile summary of one histogram as a JSON object.
 fn hist_json(h: &HistSnapshot) -> String {
     format!(
@@ -918,20 +977,14 @@ mod tests {
         }
     }
 
-    /// A snapshot whose row `i` holds `i + 1` (a flag: `true`), with
-    /// populated histograms, two compers and two events. Built from the
-    /// table, so a new row is under test the moment it is declared.
+    /// A snapshot whose row `i` holds `i + 1` (a flag: `true`; a derived
+    /// row: what its histograms hold), with two compers whose every
+    /// histogram, like the worker's, holds samples no other one does,
+    /// and two events. Built from the table, so a new row is under test
+    /// the moment it is declared.
     fn numbered() -> WorkerMetricsSnapshot {
         let mut s = WorkerMetricsSnapshot {
-            compers: vec![
-                ComperHistSnapshot {
-                    compute: hist(10, 20, 123_456),
-                    e2e: hist(14, 20, 2_345_678),
-                    park: hist(63, 1, u64::MAX / 2),
-                },
-                ComperHistSnapshot::default(),
-            ],
-            pull_rtt: hist(13, 1, 5_000),
+            compers: vec![ComperHistSnapshot::default(); 2],
             events: vec![
                 Event { ts: 10, dur: 5, tid: 0, arg: 0, kind: EventKind::Compute },
                 Event { ts: 20, dur: 0, tid: 3, arg: (1 << 32) | 7, kind: EventKind::StealSend },
@@ -941,6 +994,18 @@ mod tests {
         for (i, row) in ROWS.iter().enumerate() {
             (row.set)(&mut s, i as u64 + 1);
         }
+        // The `n`-th histogram holds `n` samples in bucket `10 + n`.
+        let mut next = (1..).map(|n| hist(10 + n, n as u64, 1_000 * n as u64));
+        for h in WORKER_HISTS {
+            *(h.get_mut)(&mut s) = next.next().unwrap();
+        }
+        for c in &mut s.compers {
+            for h in COMPER_HISTS {
+                *(h.get_mut)(c) = next.next().unwrap();
+            }
+        }
+        s.compers[1].park = hist(63, 1, u64::MAX / 2);
+        s.derive_rows();
         s
     }
 
@@ -953,10 +1018,14 @@ mod tests {
         let snap = numbered();
         // Two rows wired to one field would both read the later value.
         for (i, row) in ROWS.iter().enumerate() {
-            let want = if row.kind == Kind::Flag { 1 } else { i as u64 + 1 };
+            let want = match row.derive {
+                Some(derive) => derive(&snap),
+                None if row.kind == Kind::Flag => 1,
+                None => i as u64 + 1,
+            };
             assert_eq!((row.get)(&snap), want, "row {}.{}", row.group, row.name);
         }
-        assert_eq!(snap.tasks_finished, 1, "plain field access reads the same cell");
+        assert_eq!(snap.compute_nanos, position("compute_nanos") as u64 + 1, "same cell");
         assert_eq!(snap.cache.stale_responses, ROWS.len() as u64);
         let back = WorkerMetricsSnapshot::decode_report(&snap.encode_report()).unwrap();
         assert_eq!(back, snap);
@@ -1019,7 +1088,21 @@ mod tests {
         let nanos = position("compute_nanos") as f64 + 1.0;
         assert_eq!(line("compute_ms"), format!("{:.3},", nanos / 1e6));
         assert_eq!(line("quiescent"), "true,");
-        assert_eq!(line("tasks_finished"), "1,");
+        assert_eq!(line("steals"), format!("{},", position("steals") + 1));
+        assert_eq!(line("tasks_finished"), "11,");
+        // Every histogram row under its key: the samples are distinct,
+        // so a histogram written under another row's key cannot match.
+        let w = &s.workers[0];
+        for h in WORKER_HISTS {
+            assert_eq!(line(h.key), format!("{},", hist_json((h.get)(w))), "{}", h.key);
+        }
+        let merged = w.merged_hists();
+        for h in COMPER_HISTS {
+            for c in w.compers.iter().chain([&merged]) {
+                let member = format!("\"{}\": {}", h.key, hist_json((h.get)(c)));
+                assert!(json.contains(&member), "{} in:\n{json}", h.key);
+            }
+        }
         let first = ROWS.iter().position(|r| r.group == "cache").unwrap();
         let cache: Vec<String> = JSON_CACHE_KEYS
             .split_whitespace()
@@ -1027,7 +1110,6 @@ mod tests {
             .map(|(i, key)| format!("\"{key}\": {}", first + i + 1))
             .collect();
         assert_eq!(line("cache"), format!("{{{}}},", cache.join(", ")));
-        assert!(s.pretty().contains("job metrics"));
         assert!(s.tail_report().contains("task latency tail"));
     }
 
@@ -1092,10 +1174,6 @@ mod tests {
         assert_eq!(t.resumed_epoch, -1);
         assert!(!t.quiescent, "one busy worker keeps the cluster busy");
         assert_eq!(MetricsSnapshot::default().totals(), WorkerMetricsSnapshot::default());
-
-        let p = s.progress();
-        assert_eq!((p.tasks_finished, p.remaining, p.cache_misses), (10, 11, 11));
-        assert_eq!(p.quiescent_workers, 1);
         let m = s.merged_hists();
         assert_eq!((m.compute.count(), m.e2e.count()), (10, 10));
     }
@@ -1113,7 +1191,8 @@ mod tests {
     fn decodes_cleanly(sealed: &[u8]) -> bool {
         match WorkerMetricsSnapshot::decode_report(sealed) {
             Ok(s) => {
-                let wire = s.compers.len() * 3 * MIN_HIST_BYTES + s.events.len() * EVENT_BYTES;
+                let per_comper = COMPER_HISTS.len() * MIN_HIST_BYTES;
+                let wire = s.compers.len() * per_comper + s.events.len() * EVENT_BYTES;
                 assert!(wire <= sealed.len());
                 true
             }
@@ -1151,7 +1230,38 @@ mod tests {
         assert!(!decodes_cleanly(&frame::seal(&many_events)));
         assert!(Cursor(&[0; 57]).count(2, EVENT_BYTES).is_err());
         assert_eq!(Cursor(&[0; 58]).count(2, EVENT_BYTES).unwrap(), 2);
-        assert!(Cursor(&[0; 8]).count(usize::MAX, 3 * MIN_HIST_BYTES).is_err());
+        assert!(Cursor(&[0; 8]).count(usize::MAX, MIN_HIST_BYTES).is_err());
+    }
+
+    #[test]
+    fn bytes_after_the_last_event_are_refused() {
+        let mut raw = raw_report(&numbered());
+        raw.push(0);
+        let e = WorkerMetricsSnapshot::decode_report(&frame::seal(&raw)).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("after its last event"), "{e}");
+    }
+
+    #[test]
+    fn every_histogram_row_is_in_the_fingerprint() {
+        let layout = layout();
+        assert_eq!(crc32(layout.as_bytes()), fingerprint());
+        let worker = WORKER_HISTS.iter().map(|h| ("worker", h.key));
+        for (scope, name) in worker.chain(COMPER_HISTS.iter().map(|h| ("comper", h.key))) {
+            let line = format!("{scope} hist {name}\n");
+            assert_eq!(layout.matches(&line).count(), 1, "{name} has one line");
+            assert_ne!(crc32(layout.replacen(&line, "", 1).as_bytes()), fingerprint(), "{name}");
+        }
+    }
+
+    #[test]
+    fn comper_snapshot_merge_adds_counts() {
+        let w = numbered();
+        let merged = w.merged_hists();
+        for h in COMPER_HISTS {
+            let sum: u64 = w.compers.iter().map(|c| (h.get)(c).count()).sum();
+            assert_eq!((h.get)(&merged).count(), sum, "{}", h.key);
+        }
     }
 
     proptest! {

@@ -14,11 +14,11 @@ use crate::agg::LocalAgg;
 use crate::api::{App, SpawnEnv};
 use crate::config::JobConfig;
 use crate::master::MasterState;
-use crate::metrics::WorkerCounters;
+use crate::metrics::{ComperHists, WorkerCounters, WorkerHists};
 use gthinker_graph::adj::SharedAdj;
 use gthinker_graph::ids::{VertexId, WorkerId};
 use gthinker_graph::partition::HashPartitioner;
-use gthinker_metrics::{now_nanos, ComperHists, Event, EventKind, WorkerMetrics, TID_GC, TID_MAIN};
+use gthinker_metrics::{now_nanos, Event, EventKind, EventRing, TID_GC, TID_MAIN};
 use gthinker_net::batch::RequestBatcher;
 use gthinker_net::frame;
 use gthinker_net::message::Message;
@@ -84,8 +84,8 @@ pub(crate) struct ComperShared<C> {
     /// task; set **before** checking task sources to close the
     /// quiescence race.
     pub busy: AtomicBool,
-    /// Per-comper latency histograms (compute / e2e / park); merged
-    /// lock-free at snapshot time by the metrics registry.
+    /// The metrics table's per-comper histograms; merged lock-free at
+    /// snapshot time by the metrics registry.
     pub hists: ComperHists,
 }
 
@@ -96,7 +96,7 @@ impl<C> ComperShared<C> {
             pending: PendingTable::new(),
             queue: SharedTaskQueue::new(task_batch),
             busy: AtomicBool::new(true), // busy until the comper proves idle
-            hists: ComperHists::new(),
+            hists: ComperHists::default(),
         }
     }
 }
@@ -288,9 +288,10 @@ pub(crate) struct WorkerShared<A: App> {
     pub labels: Option<Arc<Vec<gthinker_graph::ids::Label>>>,
     /// Output sink when `JobConfig::output_dir` is set.
     pub output: Option<Arc<crate::output::OutputSink>>,
-    /// Worker-level instrumentation: pull-RTT / pull-serve histograms
-    /// and the scheduler/cache event ring.
-    pub metrics: WorkerMetrics,
+    /// The metrics table's per-worker histograms.
+    pub hists: WorkerHists,
+    /// Bounded scheduler/cache event timeline (empty capacity = off).
+    pub ring: EventRing,
     /// Peer clock-offset estimator (cluster trace stitching).
     pub clock: ClockSync,
     /// Cluster telemetry sink, installed only on the master process of
@@ -301,9 +302,6 @@ pub(crate) struct WorkerShared<A: App> {
     /// final metrics report (with the event ring) to the master just
     /// before the final aggregator sync.
     pub remote_report: AtomicBool,
-    /// When the last periodic metrics report went out (tick thread
-    /// only; a lock keeps `WorkerShared` construction simple).
-    pub last_report: Mutex<Option<Instant>>,
 }
 
 impl<A: App> WorkerShared<A> {
@@ -324,7 +322,7 @@ impl<A: App> WorkerShared<A> {
         let compers =
             (0..config.compers_per_worker).map(|_| ComperShared::new(config.task_batch)).collect();
         let batcher = RequestBatcher::new(me, config.num_workers, config.request_batch);
-        let metrics = WorkerMetrics::new(config.trace_capacity);
+        let ring = EventRing::new(config.trace_capacity);
         Arc::new(WorkerShared {
             me,
             app,
@@ -361,18 +359,12 @@ impl<A: App> WorkerShared<A> {
             steal_applied: Mutex::new(HashMap::new()),
             labels,
             output,
-            metrics,
+            hists: WorkerHists::default(),
+            ring,
             clock: ClockSync::new(),
             telemetry: OnceLock::new(),
             remote_report: AtomicBool::new(false),
-            last_report: Mutex::new(None),
         })
-    }
-
-    /// Estimated offset of this worker's metrics clock from the
-    /// master's (see [`ClockSync`]).
-    pub fn clock_offset_nanos(&self) -> i64 {
-        self.clock.offset_nanos()
     }
 
     /// True when this worker should stop its threads.
@@ -511,8 +503,8 @@ impl<A: App> WorkerShared<A> {
 
     /// Pushes an instant event on the main thread's trace row.
     pub fn trace_main(&self, kind: EventKind, arg: u64) {
-        if self.metrics.ring.enabled() {
-            self.metrics.ring.push(Event { ts: now_nanos(), dur: 0, tid: TID_MAIN, arg, kind });
+        if self.ring.enabled() {
+            self.ring.push(Event { ts: now_nanos(), dur: 0, tid: TID_MAIN, arg, kind });
         }
     }
 
@@ -566,9 +558,9 @@ fn serve_pull<A: App>(
         .collect();
     shared.net.send_response(from, &entries, req_nanos);
     let took = now_nanos().saturating_sub(start);
-    shared.metrics.pull_serve.record(took);
-    if shared.metrics.ring.enabled() {
-        shared.metrics.ring.push(Event {
+    shared.hists.pull_serve.record(took);
+    if shared.ring.enabled() {
+        shared.ring.push(Event {
             ts: start,
             dur: took,
             tid: TID_MAIN,
@@ -682,7 +674,7 @@ fn handle_message<A: App>(
         Message::VertexResponse { entries, req_nanos } => {
             // One RTT sample per response batch: send → install start.
             if req_nanos > 0 {
-                shared.metrics.pull_rtt.record(now_nanos().saturating_sub(req_nanos));
+                shared.hists.pull_rtt.record(now_nanos().saturating_sub(req_nanos));
             }
             let mut made_ready = false;
             let mut settled_last_pull = false;
@@ -996,12 +988,12 @@ pub(crate) fn gc_loop<A: App>(shared: &Arc<WorkerShared<A>>) {
         if shared.stopping() {
             break;
         }
-        let trace = shared.metrics.ring.enabled();
+        let trace = shared.ring.enabled();
         let pass_start = if trace { now_nanos() } else { 0 };
         let evicted = shared.cache.gc_pass(&mut handle);
         if evicted > 0 {
             if trace {
-                shared.metrics.ring.push(Event {
+                shared.ring.push(Event {
                     ts: pass_start,
                     dur: now_nanos().saturating_sub(pass_start),
                     tid: TID_GC,
@@ -1023,8 +1015,13 @@ pub(crate) fn gc_loop<A: App>(shared: &Arc<WorkerShared<A>>) {
 /// once per sync interval: flush request batches, retry lost pulls and
 /// steal batches, sample memory, ship the aggregator partial. (The
 /// progress report is [`WorkerShared::report_progress`], which also
-/// runs between ticks on quiescence edges.)
-pub(crate) fn worker_tick<A: App>(shared: &Arc<WorkerShared<A>>, master: WorkerId) {
+/// runs between ticks on quiescence edges.) `last_report` is when the
+/// last periodic metrics report went out.
+pub(crate) fn worker_tick<A: App>(
+    shared: &Arc<WorkerShared<A>>,
+    master: WorkerId,
+    last_report: &mut Option<Instant>,
+) {
     shared.batcher.flush_all(&*shared.net);
     // Loss tolerance: re-request pulls whose R-table deadline expired
     // (the wire may have dropped the request or the response). The scan
@@ -1082,17 +1079,8 @@ pub(crate) fn worker_tick<A: App>(shared: &Arc<WorkerShared<A>>, master: WorkerI
     // Live metrics streaming: ship a compact cumulative snapshot every
     // `report_interval` so the master's cluster view stays fresh.
     if let Some(interval) = shared.config.report_interval {
-        let due = {
-            let mut last = shared.last_report.lock();
-            match *last {
-                Some(t) if t.elapsed() < interval => false,
-                _ => {
-                    *last = Some(Instant::now());
-                    true
-                }
-            }
-        };
-        if due {
+        if last_report.is_none_or(|t| t.elapsed() >= interval) {
+            *last_report = Some(Instant::now());
             crate::metrics::send_report(shared, master, false);
         }
     }

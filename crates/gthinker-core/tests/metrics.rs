@@ -77,7 +77,7 @@ fn metrics_observer_sees_growing_snapshots() {
     for w in snaps.windows(2) {
         assert!(w[1].total_tasks() >= w[0].total_tasks());
         assert!(w[1].merged_hists().e2e.count() >= w[0].merged_hists().e2e.count());
-        assert!(w[1].progress().cache_misses >= w[0].progress().cache_misses);
+        assert!(w[1].totals().cache.misses >= w[0].totals().cache.misses);
     }
     let final_count = r.metrics.merged_hists().e2e.count();
     for s in snaps.iter() {

@@ -115,9 +115,9 @@ impl Default for HistSnapshot {
 }
 
 impl HistSnapshot {
-    /// Total number of recorded samples.
+    /// Total number of recorded samples, saturating (a decoded snapshot is untrusted).
     pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
+        self.buckets.iter().fold(0, |n, &c| n.saturating_add(c))
     }
 
     /// Exact mean of recorded values (0 if empty).

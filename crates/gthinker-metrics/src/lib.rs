@@ -1,8 +1,10 @@
 //! Observability primitives for the G-thinker reproduction.
 //!
-//! This crate deliberately contains no framework logic — only the
-//! measurement building blocks the engine crates wire into their hot
-//! paths (see `DESIGN.md` §"Observability"):
+//! This crate deliberately contains no framework logic and names no
+//! metric — only the measurement building blocks the engine crates wire
+//! into their hot paths (see `DESIGN.md` §"Observability"). Which
+//! histograms a job keeps, per comper or per worker, is declared in the
+//! metrics table of `gthinker-core`, one row each.
 //!
 //! * [`LogHistogram`] — allocation-free latency histograms with
 //!   power-of-2 (HDR-style) buckets over nanoseconds. Recording is one
@@ -42,84 +44,6 @@ pub fn tid_name(tid: u32) -> String {
     }
 }
 
-/// The latency histograms one comper maintains. All three record
-/// nanoseconds; merging across a worker's compers happens on the
-/// snapshots, never on the live atomics.
-#[derive(Default)]
-pub struct ComperHists {
-    /// Wall time per `compute()` call (the monotonic clock is a vDSO
-    /// read; the thread-CPU clock is a system call and is read per
-    /// window of calls, for the `compute_nanos` counter).
-    pub compute: LogHistogram,
-    /// End-to-end task latency: spawn (`Task::new`) → final iteration,
-    /// including every pull wait and queue/spill residence in between.
-    pub e2e: LogHistogram,
-    /// Duration of each park on the scheduler event count.
-    pub park: LogHistogram,
-}
-
-impl ComperHists {
-    /// Fresh, empty histograms.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Lock-free point-in-time copy.
-    pub fn snapshot(&self) -> ComperHistSnapshot {
-        ComperHistSnapshot {
-            compute: self.compute.snapshot(),
-            e2e: self.e2e.snapshot(),
-            park: self.park.snapshot(),
-        }
-    }
-}
-
-/// Plain-data snapshot of a [`ComperHists`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ComperHistSnapshot {
-    /// Per-`compute()` wall latency.
-    pub compute: HistSnapshot,
-    /// Spawn→finish task latency.
-    pub e2e: HistSnapshot,
-    /// Park durations.
-    pub park: HistSnapshot,
-}
-
-impl ComperHistSnapshot {
-    /// Merges another comper's snapshot into this one (bucket-wise).
-    pub fn merge(&mut self, other: &ComperHistSnapshot) {
-        self.compute.merge(&other.compute);
-        self.e2e.merge(&other.e2e);
-        self.park.merge(&other.park);
-    }
-}
-
-/// Worker-level instrumentation shared by the main and GC threads:
-/// the pull round-trip and pull-serve histograms plus the event ring
-/// the whole worker appends to.
-pub struct WorkerMetrics {
-    /// Pull round-trip time, recorded once per `VertexResponse` batch
-    /// at the requesting worker's main thread (send → install).
-    pub pull_rtt: LogHistogram,
-    /// Time the serving worker's main thread spent answering one
-    /// `VertexRequest` batch (lookups, encode, send).
-    pub pull_serve: LogHistogram,
-    /// Bounded scheduler/cache event timeline (empty capacity = off).
-    pub ring: EventRing,
-}
-
-impl WorkerMetrics {
-    /// Creates worker metrics; `trace_capacity` is the event-ring size
-    /// (0 disables event recording entirely).
-    pub fn new(trace_capacity: usize) -> Self {
-        WorkerMetrics {
-            pull_rtt: LogHistogram::new(),
-            pull_serve: LogHistogram::new(),
-            ring: EventRing::new(trace_capacity),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,18 +54,5 @@ mod tests {
         assert_eq!(tid_name(7), "comper-7");
         assert_eq!(tid_name(TID_GC), "gc");
         assert_eq!(tid_name(TID_MAIN), "main");
-    }
-
-    #[test]
-    fn comper_snapshot_merge_adds_counts() {
-        let a = ComperHists::new();
-        let b = ComperHists::new();
-        a.compute.record(100);
-        b.compute.record(1_000_000);
-        b.e2e.record(5);
-        let mut s = a.snapshot();
-        s.merge(&b.snapshot());
-        assert_eq!(s.compute.count(), 2);
-        assert_eq!(s.e2e.count(), 1);
     }
 }

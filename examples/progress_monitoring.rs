@@ -26,15 +26,15 @@ fn main() {
     cfg.sync_interval = Duration::from_millis(100);
     let result = Job::new(Arc::new(TriangleApp::default()), &graph, &cfg)
         .observe(|m| {
-            let s = m.progress();
+            let s = m.totals();
             println!(
                 "{:>7.1}s {:>10} {:>10} {:>10} {:>10} {:>10}",
-                s.elapsed.as_secs_f64(),
+                m.elapsed.as_secs_f64(),
                 s.tasks_finished,
                 s.remaining,
-                s.cache_hits,
-                s.cache_misses,
-                s.net_bytes / 1024
+                s.cache.hits,
+                s.cache.misses,
+                s.net_bytes_sent / 1024
             );
         })
         .run()

@@ -6,7 +6,7 @@ use gthinker_apps::{MaxCliqueApp, TriangleApp};
 use gthinker_core::prelude::*;
 use gthinker_graph::gen;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn checkpoint_dir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("gthinker-ft-{tag}-{}", std::process::id()));
@@ -114,4 +114,66 @@ fn resume_with_wrong_topology_is_rejected() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     let msg = err.to_string();
     assert!(msg.contains("2 workers") && msg.contains("3"), "error should name both counts: {msg}");
+}
+
+/// Edge counter that thinks for 20 µs per task: 3 000 tasks on four
+/// compers take 15 ms of spinning at least, so a 2 ms deadline always
+/// suspends it.
+struct SlowEdgeCount;
+impl App for SlowEdgeCount {
+    type Context = ();
+    type Agg = SumAgg;
+    fn make_aggregator(&self) -> SumAgg {
+        SumAgg
+    }
+    fn task_spawn(&self, v: VertexId, adj: &AdjList, env: &mut SpawnEnv<'_, Self>) {
+        let mut t = Task::new(());
+        for u in adj.greater_than(v) {
+            t.pull(*u);
+        }
+        if t.has_pulls() {
+            env.add_task(t);
+        }
+    }
+    fn compute(&self, _t: &mut Task<()>, f: &Frontier, env: &mut ComputeEnv<'_, Self>) -> bool {
+        let think = Instant::now();
+        while think.elapsed() < Duration::from_micros(20) {
+            std::hint::spin_loop();
+        }
+        env.aggregate(f.len() as u64);
+        false
+    }
+}
+
+#[test]
+fn concurrent_suspensions_without_a_checkpoint_dir_do_not_share_one() {
+    let graphs = [gen::barabasi_albert(3_000, 5, 21), gen::barabasi_albert(3_200, 6, 22)];
+    let plain = JobConfig::cluster(2, 2);
+    let expected: Vec<u64> = graphs
+        .iter()
+        .map(|g| run_job(Arc::new(SlowEdgeCount), g, &plain).unwrap().global)
+        .collect();
+    assert_ne!(expected[0], expected[1], "the two jobs must have different answers");
+    let mut suspending = plain.clone();
+    suspending.suspend_after = Some(Duration::from_millis(2));
+    let cfg = &suspending;
+    let checkpoints: Vec<std::path::PathBuf> = std::thread::scope(|s| {
+        let jobs: Vec<_> = graphs
+            .iter()
+            .map(|g| s.spawn(move || run_job(Arc::new(SlowEdgeCount), g, cfg).unwrap()))
+            .collect();
+        jobs.into_iter()
+            .map(|j| match j.join().unwrap().outcome {
+                JobOutcome::Suspended { checkpoint } => checkpoint,
+                other => panic!("a 15 ms job ended {other:?} before its 2 ms deadline"),
+            })
+            .collect()
+    });
+    assert_ne!(checkpoints[0], checkpoints[1], "two jobs suspended into one directory");
+    for ((g, cp), want) in graphs.iter().zip(&checkpoints).zip(expected) {
+        let resumed = Job::new(Arc::new(SlowEdgeCount), g, &plain).resume_from(cp).run().unwrap();
+        assert!(matches!(resumed.outcome, JobOutcome::Completed));
+        assert_eq!(resumed.global, want, "resumed from {}", cp.display());
+        std::fs::remove_dir_all(cp).unwrap();
+    }
 }
