@@ -147,14 +147,6 @@ pub(crate) fn comper_loop<A: App>(shared: Arc<WorkerShared<A>>, idx: usize) {
     me().busy.store(false, Ordering::SeqCst);
     ctx.counter.flush();
     ctx.cpu.roll(&shared.counters);
-    // On suspension, park residual queue contents for the checkpoint.
-    if shared.suspend.load(Ordering::SeqCst) {
-        let rest = me().queue.drain_all();
-        for t in &rest {
-            shared.task_mem.fetch_sub(task_cost(t), Ordering::Relaxed);
-        }
-        shared.drained_queues.lock().extend(rest);
-    }
 }
 
 /// Parks the calling comper until new work is published (or the
@@ -503,7 +495,10 @@ fn enqueue<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx, task: Tas
         // the whole worker each time. The unsynchronized read can
         // over-notify under a concurrent refill, which is harmless.
         let was_empty = shared.spill.is_empty();
-        shared.spill.spill(&batch).expect("spill directory writable");
+        if let Err(e) = shared.spill.spill(&batch) {
+            shared.fail(Box::new(format!("cannot spill a task batch: {e}")));
+            return;
+        }
         if shared.ring.enabled() {
             shared.ring.push(Event {
                 ts: now_nanos(),
@@ -541,7 +536,13 @@ fn enqueue<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx, task: Tas
 /// stolen, or spawn vertices claimed — even if no task reached the
 /// queue (a claimed vertex may legitimately spawn nothing).
 fn refill<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx) -> bool {
-    if let Ok(Some(batch)) = shared.spill.refill::<A::Context>() {
+    let spilled = shared.spill.refill::<A::Context>().unwrap_or_else(|e| {
+        // The batch's path is already off `L_file`: fail the job rather
+        // than finish without its tasks.
+        shared.fail(Box::new(format!("cannot refill a spilled task batch: {e}")));
+        None
+    });
+    if let Some(batch) = spilled {
         for t in &batch {
             shared.task_mem.fetch_add(task_cost(t), Ordering::Relaxed);
         }

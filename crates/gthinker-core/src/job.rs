@@ -5,7 +5,7 @@
 
 use crate::agg::Aggregator;
 use crate::api::App;
-use crate::checkpoint::{self, Manifest, WorkerShard};
+use crate::checkpoint;
 use crate::comper::comper_loop;
 use crate::config::{JobConfig, JobOutcome, JobResult};
 use crate::master::{Collect, MasterState};
@@ -394,7 +394,7 @@ impl RecoveryLedger {
                 // Only a checkpoint that validates end-to-end (manifest
                 // + every shard, CRCs intact, topology matching) may
                 // become the recovery point.
-                match checkpoint::validate::<A::Context, Partial<A>, Global<A>>(
+                match checkpoint::validate::<Partial<A>, Global<A>>(
                     &self.epoch_dir(epoch),
                     self.config.num_workers,
                 ) {
@@ -461,28 +461,14 @@ impl Drop for RecoveryLedger {
 /// and returns the checkpointed global (the starting point for the
 /// master's further merges).
 pub(crate) fn restore_worker<A: App>(shared: &WorkerShared<A>, cp: &Path) -> io::Result<Global<A>> {
-    let manifest: Manifest<Global<A>> = checkpoint::read_manifest(cp)?;
-    if manifest.num_workers as usize != shared.config.num_workers {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "checkpoint {} was taken with {} workers, cannot resume with {}",
-                cp.display(),
-                manifest.num_workers,
-                shared.config.num_workers
-            ),
-        ));
-    }
-    let shard = checkpoint::read_shard::<A::Context, Partial<A>>(cp, shared.me.index())?;
+    let global: Global<A> = checkpoint::read_manifest(cp, shared.config.num_workers)?;
+    // Restored batches go onto L_file so compers pick them up with the
+    // normal refill priority.
+    let shard = checkpoint::read_shard::<Partial<A>>(cp, shared.me.index(), Some(&shared.spill))?;
     shared.local.reset_spawn_pointer(shard.spawn_position as usize);
     shared.agg.set_partial(shard.partial);
-    // Restored tasks go through L_file so compers pick them up with
-    // the normal refill priority.
-    for chunk in shard.tasks.chunks(shared.config.task_batch.max(1)) {
-        shared.spill.spill(chunk)?;
-    }
-    shared.agg.set_global(manifest.global.clone());
-    Ok(manifest.global)
+    shared.agg.set_global(global.clone());
+    Ok(global)
 }
 
 /// What one attempt's workers handed back.
@@ -877,44 +863,15 @@ pub(crate) fn worker_main<A: App>(
         // silence and fails the job. (The router refuses crash
         // schedules for worker 0, so the master itself never gets here.)
     } else if suspended {
-        // Gather every remaining task: drained queues, pending tables,
-        // ready buffers, spilled files. This thread is the only one that
-        // installs responses, so no task moves between them meanwhile.
-        let mut tasks: Vec<gthinker_task::task::Task<A::Context>> =
-            shared.drained_queues.lock().drain(..).collect();
-        for c in &shared.compers {
-            tasks.extend(c.pending.drain());
-            tasks.extend(c.buffer.drain());
-        }
-        while let Ok(Some(batch)) = shared.spill.refill::<A::Context>() {
-            tasks.extend(batch);
-        }
-        // Unacked outgoing steal batches still belong to this worker
-        // (the thief has provably not applied them: the master defers
-        // the suspend broadcast until every worker reports zero
-        // in-flight batches, so this ledger is empty on the normal
-        // path — draining it is the ownership invariant's backstop).
-        for (_, o) in shared.steal_outgoing.lock().drain() {
-            let payload = gthinker_net::frame::open(&o.framed).expect("own sealed frame");
-            let batch: Vec<gthinker_task::task::Task<A::Context>> =
-                gthinker_task::codec::from_bytes(payload).expect("own batch encoding");
-            debug_assert_eq!(batch.len() as u64, o.tasks);
-            tasks.extend(batch);
-        }
         let dir = shared
             .config
             .checkpoint_dir
             .clone()
             .expect("the runners give every job that may suspend a checkpoint_dir");
-        let shard = WorkerShard {
-            spawn_position: shared.local.spawn_position() as u64,
-            tasks,
-            partial: shared.agg.take_partial(),
-        };
-        if let Err(e) = checkpoint::write_shard(&dir, shared.me.index(), &shard) {
+        if let Err(e) = write_checkpoint(&shared, &dir) {
             // Report instead of panicking; SuspendDone still goes out
-            // so the master's collection loop stays live (the epoch is
-            // discarded by validation on the recovery side).
+            // so the master's collection loop stays live (the epoch has
+            // no shard of this worker, so validation discards it).
             io_error = Some(e);
         }
         shared.net.send(WorkerId(0), Message::SuspendDone { worker: shared.me });
@@ -927,11 +884,8 @@ pub(crate) fn worker_main<A: App>(
                 // checkpoint.
                 Some(w) => WorkerOutcome::Failed(global, w),
                 None => {
-                    let manifest = Manifest {
-                        num_workers: shared.config.num_workers as u64,
-                        global: global.clone(),
-                    };
-                    if let Err(e) = checkpoint::write_manifest(&dir, &manifest) {
+                    let n = shared.config.num_workers;
+                    if let Err(e) = checkpoint::write_manifest(&dir, n, global.clone()) {
                         io_error.get_or_insert(e);
                     }
                     WorkerOutcome::Suspended(global, dir)
@@ -972,6 +926,40 @@ pub(crate) fn worker_main<A: App>(
         output.flush();
     }
     (outcome, io_error)
+}
+
+/// A suspending worker's checkpoint, written after its compers joined:
+/// every task the worker still holds — comper queues, pending tables,
+/// ready buffers — goes onto `L_file` as ordinary spill batches, and
+/// [`checkpoint::write_shard`] copies `L_file` into `dir` one batch at a
+/// time. This thread is the only one that installs responses, so no
+/// task moves between the sources meanwhile.
+fn write_checkpoint<A: App>(shared: &WorkerShared<A>, dir: &Path) -> io::Result<()> {
+    for c in &shared.compers {
+        for tasks in [c.queue.drain_all(), c.pending.drain(), c.buffer.drain()] {
+            for batch in tasks.chunks(shared.config.task_batch.max(1)) {
+                shared.spill.spill(batch)?;
+            }
+        }
+    }
+    // Unacked outgoing steal batches still belong to this worker (the
+    // thief has provably not applied them: the master defers the
+    // suspend broadcast until every worker reports zero in-flight
+    // batches, so this ledger is empty on the normal path — draining it
+    // is the ownership invariant's backstop). Each payload already is a
+    // spill batch.
+    for (_, o) in shared.steal_outgoing.lock().drain() {
+        let batch = gthinker_net::frame::open(&o.framed)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        shared.spill.push_file_bytes(batch.to_vec())?;
+    }
+    checkpoint::write_shard(
+        dir,
+        shared.me.index(),
+        &shared.spill,
+        shared.local.spawn_position() as u64,
+        shared.agg.take_partial(),
+    )
 }
 
 #[cfg(test)]

@@ -115,8 +115,6 @@ pub(crate) struct OutgoingSteal {
     pub thief: WorkerId,
     /// The exact framed payload; resends are byte-identical.
     pub framed: Vec<u8>,
-    /// Tasks inside (checkpoint bookkeeping).
-    pub tasks: u64,
     /// Next resend time.
     pub deadline: Instant,
 }
@@ -266,8 +264,6 @@ pub(crate) struct WorkerShared<A: App> {
     /// main thread broadcasts termination, and `run_job` re-panics with
     /// the original message once every thread has shut down.
     pub failure: Mutex<Option<String>>,
-    /// Where compers park their residual `Q_task` contents at suspend.
-    pub drained_queues: Mutex<Vec<Task<A::Context>>>,
     /// Victim-side ledger of sealed-but-unacked steal batches, keyed
     /// by sequence number. Entries are retained (and periodically
     /// resent by `worker_tick`) until the thief's `StealAck`.
@@ -352,7 +348,6 @@ impl<A: App> WorkerShared<A> {
             reported_epoch: AtomicU64::new(NOT_IDLE),
             counters: WorkerCounters::default(),
             failure: Mutex::new(None),
-            drained_queues: Mutex::new(Vec::new()),
             steal_outgoing: Mutex::new(HashMap::new()),
             steal_inflight: AtomicU64::new(0),
             steal_seq: AtomicU64::new(0),
@@ -509,7 +504,8 @@ impl<A: App> WorkerShared<A> {
     }
 
     /// Fails the job with a caught panic — a UDF's, or one while the
-    /// main thread applied an inbound message: records its message
+    /// main thread applied an inbound message — or with a comper's spill
+    /// I/O error (a `String` payload): records its message
     /// (first one wins), then sets `done` and wakes every thread, so the
     /// main loop broadcasts `Terminate` and `run_job` re-raises the
     /// message once every thread has shut down.
@@ -901,7 +897,6 @@ fn execute_steal_request<A: App>(
         OutgoingSteal {
             thief,
             framed: framed.clone(),
-            tasks: count,
             deadline: Instant::now() + steal_resend_after(&shared.config),
         },
     );

@@ -22,35 +22,13 @@
 //!   in the page cache.
 
 use gthinker_graph::adj::{AdjList, SharedAdj};
+use gthinker_graph::bitset::BitSet;
 use gthinker_graph::hash::{fast_map_with_capacity, FastMap};
 use gthinker_graph::ids::{Label, VertexId};
 use gthinker_graph::store::AdjacencyStore;
 use gthinker_graph::trim::Trimmer;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// A fixed-size bitset over vertex IDs `0..n`.
-struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    fn with_capacity(n: usize) -> Self {
-        BitSet { words: vec![0; n.div_ceil(64)] }
-    }
-
-    fn set(&mut self, i: u32) {
-        self.words[i as usize / 64] |= 1 << (i % 64);
-    }
-
-    fn contains(&self, i: u32) -> bool {
-        self.words.get(i as usize / 64).is_some_and(|w| w & (1 << (i % 64)) != 0)
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.words.capacity() * 8
-    }
-}
 
 enum Backing {
     Eager { map: FastMap<VertexId, SharedAdj>, labels: FastMap<VertexId, Label> },
@@ -106,11 +84,11 @@ impl LocalTable {
         trimmer: Option<Arc<dyn Trimmer>>,
         members: Vec<VertexId>,
     ) -> Self {
-        let mut bits = BitSet::with_capacity(store.num_vertices());
+        let mut bits = BitSet::new(store.num_vertices());
         for &v in &members {
             assert!((v.0 as usize) < store.num_vertices(), "member {v} outside the store");
             assert!(!bits.contains(v.0), "duplicate local vertex {v}");
-            bits.set(v.0);
+            bits.insert(v.0);
         }
         Self::build(Backing::Lazy { store, trimmer, members: bits }, members)
     }
@@ -118,7 +96,7 @@ impl LocalTable {
     fn build(backing: Backing, order: Vec<VertexId>) -> Self {
         let backing_bytes = match &backing {
             Backing::Eager { map, .. } => map.values().map(|a| a.heap_bytes()).sum(),
-            Backing::Lazy { store, members, .. } => members.heap_bytes() + store.heap_bytes(),
+            Backing::Lazy { store, members, .. } => members.words().len() * 8 + store.heap_bytes(),
         };
         let heap = backing_bytes + order.capacity() * std::mem::size_of::<VertexId>();
         LocalTable { backing, order, next: AtomicUsize::new(0), heap }

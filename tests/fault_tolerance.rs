@@ -177,3 +177,232 @@ fn concurrent_suspensions_without_a_checkpoint_dir_do_not_share_one() {
         std::fs::remove_dir_all(cp).unwrap();
     }
 }
+
+/// How [`FanOut`] damages its own worker's spill directory.
+#[derive(Clone, Copy, PartialEq)]
+enum Sabotage {
+    None,
+    /// The first subtask replaces every spilled `batch-*.tasks` file
+    /// with a directory: every later read of one fails.
+    UnreadableBatches,
+    /// Like `UnreadableBatches`, after sleeping 300 ms — long past a
+    /// 5 ms suspension deadline, so the suspend drain meets the damage.
+    UnreadableBatchesLate,
+    /// The root task replaces the worker's spill directory with a plain
+    /// file before it fans out: every spill write fails.
+    SpillDirIsAFile,
+}
+
+/// One root task (vertex 0) that fans out into 20 subtasks, each
+/// counting 1. With `task_batch = 1` most subtasks go through spill
+/// files, so a job that drops a batch ends short of 20.
+struct FanOut {
+    spill_dir: std::path::PathBuf,
+    sabotage: Sabotage,
+    sabotaged: std::sync::atomic::AtomicBool,
+}
+
+const FAN_OUT: u64 = 20;
+
+impl FanOut {
+    fn new(spill_dir: &std::path::Path, sabotage: Sabotage) -> Self {
+        FanOut {
+            spill_dir: spill_dir.to_path_buf(),
+            sabotage,
+            sabotaged: std::sync::atomic::AtomicBool::new(false),
+        }
+    }
+
+    /// Every `job-*/worker-*` spill directory of this app's jobs.
+    fn worker_dirs(&self) -> Vec<std::path::PathBuf> {
+        let children = |dir: &std::path::Path| -> Vec<std::path::PathBuf> {
+            std::fs::read_dir(dir)
+                .map(|d| d.filter_map(|e| Some(e.ok()?.path())).collect())
+                .unwrap_or_default()
+        };
+        children(&self.spill_dir).iter().flat_map(|job| children(job)).collect()
+    }
+
+    fn break_batches(&self) {
+        for dir in self.worker_dirs() {
+            for f in std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()) {
+                if f.extension().is_some_and(|x| x == "tasks") {
+                    std::fs::remove_file(&f).unwrap();
+                    std::fs::create_dir(&f).unwrap();
+                }
+            }
+        }
+    }
+}
+
+impl App for FanOut {
+    type Context = u32;
+    type Agg = SumAgg;
+    fn make_aggregator(&self) -> SumAgg {
+        SumAgg
+    }
+    fn task_spawn(&self, v: VertexId, _adj: &AdjList, env: &mut SpawnEnv<'_, Self>) {
+        if v == VertexId(0) {
+            env.add_task(Task::new(0));
+        }
+    }
+    fn compute(&self, t: &mut Task<u32>, _f: &Frontier, env: &mut ComputeEnv<'_, Self>) -> bool {
+        use std::sync::atomic::Ordering;
+        if t.context == 0 {
+            if self.sabotage == Sabotage::SpillDirIsAFile {
+                for dir in self.worker_dirs() {
+                    std::fs::remove_dir_all(&dir).unwrap();
+                    std::fs::write(&dir, b"not a directory").unwrap();
+                }
+            }
+            for i in 1..=FAN_OUT as u32 {
+                env.add_task(Task::new(i));
+            }
+            return false;
+        }
+        let late = self.sabotage == Sabotage::UnreadableBatchesLate;
+        if (late || self.sabotage == Sabotage::UnreadableBatches)
+            && !self.sabotaged.swap(true, Ordering::SeqCst)
+        {
+            if late {
+                std::thread::sleep(Duration::from_millis(300));
+            }
+            self.break_batches();
+        }
+        env.aggregate(1);
+        false
+    }
+}
+
+fn fan_out_config(tag: &str) -> JobConfig {
+    let mut cfg = JobConfig::single_machine(1);
+    cfg.task_batch = 1;
+    cfg.spill_dir = checkpoint_dir(&format!("{tag}-spill"));
+    cfg
+}
+
+/// Runs `job` on a thread of its own and waits at most 30 s for it; a
+/// panic (how a failed job ends) comes back as its message.
+fn run_bounded<T: Send + 'static>(
+    job: impl FnOnce() -> std::io::Result<T> + Send + 'static,
+) -> Result<std::io::Result<T>, String> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)));
+    });
+    let ended = rx.recv_timeout(Duration::from_secs(30)).expect("the job hangs");
+    ended.map_err(|payload| {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    })
+}
+
+#[test]
+fn an_unreadable_spill_batch_fails_the_job() {
+    let cfg = fan_out_config("fan-unreadable");
+    let app = FanOut::new(&cfg.spill_dir, Sabotage::UnreadableBatches);
+    let ended = run_bounded(move || run_job(Arc::new(app), &gen::gnp(8, 0.3, 1), &cfg));
+    match ended {
+        Err(msg) => {
+            assert!(msg.contains("cannot refill") && msg.contains("directory"), "{msg}")
+        }
+        Ok(r) => panic!("the job dropped spilled tasks and ended {:?}", r.map(|r| r.global)),
+    }
+}
+
+#[test]
+fn an_unwritable_spill_directory_fails_the_job() {
+    let cfg = fan_out_config("fan-unwritable");
+    let app = FanOut::new(&cfg.spill_dir, Sabotage::SpillDirIsAFile);
+    let ended = run_bounded(move || run_job(Arc::new(app), &gen::gnp(8, 0.3, 1), &cfg));
+    match ended {
+        Err(msg) => {
+            assert!(msg.contains("cannot spill") && msg.contains("Not a directory"), "{msg}")
+        }
+        Ok(r) => panic!("the job lost its spill directory and ended {:?}", r.map(|r| r.global)),
+    }
+}
+
+#[test]
+fn a_suspend_that_cannot_read_a_spill_batch_leaves_no_short_checkpoint() {
+    let mut cfg = fan_out_config("fan-suspend");
+    cfg.suspend_after = Some(Duration::from_millis(5));
+    cfg.checkpoint_dir = Some(checkpoint_dir("fan-suspend"));
+    let g = gen::gnp(8, 0.3, 1);
+    let app = FanOut::new(&cfg.spill_dir, Sabotage::UnreadableBatchesLate);
+    let first = {
+        let (g, cfg) = (g.clone(), cfg.clone());
+        run_bounded(move || run_job(Arc::new(app), &g, &cfg))
+    };
+    let checkpoint = match first {
+        // The drain met the damage: the job fails with the I/O error.
+        Ok(Err(e)) => return assert!(e.to_string().contains("directory"), "{e}"),
+        Err(msg) => return assert!(msg.contains("directory"), "{msg}"),
+        Ok(Ok(r)) => match r.outcome {
+            JobOutcome::Suspended { checkpoint } => checkpoint,
+            other => panic!("a job sleeping 300 ms past its 5 ms deadline ended {other:?}"),
+        },
+    };
+    // A checkpoint that was written must hold every subtask.
+    let mut plain = fan_out_config("fan-suspend-resume");
+    plain.checkpoint_dir = cfg.checkpoint_dir.clone();
+    let app = FanOut::new(&plain.spill_dir, Sabotage::None);
+    let resumed = Job::new(Arc::new(app), &g, &plain).resume_from(&checkpoint).run().unwrap();
+    assert_eq!(resumed.global, FAN_OUT, "resumed from {}", checkpoint.display());
+}
+
+#[test]
+fn a_spill_heavy_checkpoint_is_the_spill_files() {
+    let base = gen::gnp(250, 0.12, 41);
+    let (g, _) = gen::plant_clique(&base, 10, 42);
+    let reference =
+        run_job(Arc::new(MaxCliqueApp::default()), &g, &JobConfig::single_machine(1)).unwrap();
+    // stress.rs's torture shape on two workers: τ = 12 decomposition
+    // through C = 3 queues spills constantly.
+    let mut cfg = JobConfig::cluster(2, 2);
+    cfg.task_batch = 3;
+    cfg.cache.capacity = 32;
+    cfg.cache.num_buckets = 8;
+    cfg.cache.alpha = 0.02;
+    cfg.request_batch = 16;
+    cfg.link = gthinker_net::router::LinkConfig {
+        latency: Duration::from_micros(500),
+        bytes_per_sec: Some(2_000_000),
+    };
+    cfg.checkpoint_dir = Some(checkpoint_dir("spill-heavy"));
+    cfg.suspend_after = Some(Duration::from_millis(30));
+    let r = run_job(Arc::new(MaxCliqueApp::with_tau(12)), &g, &cfg).unwrap();
+    let JobOutcome::Suspended { checkpoint } = r.outcome else {
+        panic!("the torture job finished before its 30 ms deadline");
+    };
+    let size = |name: &str| std::fs::metadata(checkpoint.join(name)).unwrap().len();
+    let files: Vec<String> = std::fs::read_dir(&checkpoint)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    let tasks_of = |w: usize| {
+        let prefix = format!("worker-{w:04}-");
+        files.iter().filter(|f| f.starts_with(&prefix) && f.ends_with(".tasks")).count()
+    };
+    for (w, m) in r.metrics.workers.iter().enumerate() {
+        let shard = size(&format!("worker-{w:04}.ckpt"));
+        assert!(shard < 1024, "worker {w}'s shard is {shard} bytes: it holds tasks");
+        if m.spill_bytes > 0 {
+            assert!(tasks_of(w) > 0, "worker {w} spilled but left no .tasks file");
+        }
+    }
+    let ckpt_bytes: u64 = files.iter().filter(|f| f.ends_with(".ckpt")).map(|f| size(f)).sum();
+    let task_bytes: u64 = files.iter().filter(|f| f.ends_with(".tasks")).map(|f| size(f)).sum();
+    assert!(task_bytes > ckpt_bytes, "{task_bytes} B of batches vs {ckpt_bytes} B of shards");
+    cfg.suspend_after = None;
+    let resumed = Job::new(Arc::new(MaxCliqueApp::with_tau(12)), &g, &cfg)
+        .resume_from(&checkpoint)
+        .run()
+        .unwrap();
+    assert!(matches!(resumed.outcome, JobOutcome::Completed));
+    assert_eq!(resumed.global.len(), reference.global.len());
+    std::fs::remove_dir_all(&checkpoint).unwrap();
+}
