@@ -11,30 +11,31 @@
 //! `JobConfig::suspend_after`); `Job::resume_from` restores the shards and
 //! continues to completion. A shard is the spawn pointer, the batch
 //! count and the aggregator partial; the batches are the worker's spill
-//! files, which [`write_shard`] copies out of `L_file` one at a time,
-//! bytes unchanged, and [`read_shard`] hands back. No task is decoded.
+//! files, which [`write_shard`] moves off `L_file` into the epoch (a
+//! rename; a copy only across filesystems) and [`read_shard`] hands
+//! back. No task is decoded, and no spilled byte is written again.
 //!
-//! Files are **atomic and self-validating**: each is written to a
-//! `*.tmp` sibling, fsynced, then renamed into place, and carries a
-//! trailer of `crc32(payload) ‖ payload length`. A crash mid-write
-//! leaves at worst a `*.tmp` orphan; a truncated or bit-flipped file
-//! fails its read with a clean [`io::ErrorKind::InvalidData`] instead
-//! of decoding garbage, which is what lets the recovery runner probe
-//! for the last-known-good epoch. The shard is written last, so an
-//! I/O error while copying the batches leaves no shard and the epoch
-//! fails [`validate`].
+//! Every file is one sealed [`frame`]; the shard and manifest go to a
+//! `*.tmp` sibling, fsynced, then renamed into place. A crash mid-write
+//! leaves at worst a `*.tmp` orphan; a truncated, bit-flipped or foreign
+//! file (an epoch of an older format too) fails its read with a clean
+//! [`io::ErrorKind::InvalidData`] instead of decoding garbage, which is
+//! what lets the recovery runner probe for the last-known-good epoch.
+//! The shard is written last, after every moved batch is opened and
+//! fsynced, so an I/O error or a damaged batch leaves no shard.
 
-use gthinker_graph::crc::crc32;
 use gthinker_task::codec::{from_bytes, to_bytes, Decode, Encode};
+use gthinker_task::frame;
 use gthinker_task::spill::SpillManager;
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// One worker's checkpoint shard, encoded as the tuple of its fields.
 pub struct WorkerShard<P> {
     /// Spawn-pointer position in `T_local` load order.
     pub spawn_position: u64,
-    /// Task batches copied next to the shard, `worker-WWWW-KKKKKK.tasks`
+    /// Task batches moved next to the shard, `worker-WWWW-KKKKKK.tasks`
     /// for `K` in `0..batches`: every in-memory and spilled task of this
     /// worker at suspension, pulls included — they re-request on resume.
     pub batches: u64,
@@ -54,60 +55,33 @@ fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("manifest.ckpt")
 }
 
-/// Trailer: `crc32(payload)` (4 bytes LE) + payload length (8 bytes LE).
-const TRAILER_LEN: usize = 12;
-
-/// Writes `payload ‖ crc32 ‖ len` to `path.tmp`, fsyncs, and renames
-/// into place so readers only ever see a complete file or none.
+/// Seals `payload` into `path.tmp`, fsyncs, and renames into place so
+/// readers only ever see a complete file or none.
 fn write_atomic(path: &Path, payload: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(payload)?;
-        f.write_all(&crc32(payload).to_le_bytes())?;
-        f.write_all(&(payload.len() as u64).to_le_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    fs::write(&tmp, frame::seal(payload))?;
+    fs::File::open(&tmp)?.sync_all()?;
+    fs::rename(&tmp, path)
 }
 
-/// Reads a file written by [`write_atomic`], validating the length and
-/// CRC trailer; truncation or corruption is a clean `InvalidData`.
-fn read_validated(path: &Path) -> io::Result<Vec<u8>> {
-    let mut bytes = std::fs::read(path)?;
-    let corrupt = |what: &str| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("checkpoint file {} is corrupt: {what}", path.display()),
-        )
-    };
-    if bytes.len() < TRAILER_LEN {
-        return Err(corrupt("shorter than its trailer"));
-    }
-    let payload_end = bytes.len() - TRAILER_LEN;
-    let stored_len =
-        u64::from_le_bytes(bytes[payload_end + 4..].try_into().expect("8 trailer bytes"));
-    if stored_len != payload_end as u64 {
-        return Err(corrupt("length trailer mismatch (truncated?)"));
-    }
-    let stored_crc =
-        u32::from_le_bytes(bytes[payload_end..payload_end + 4].try_into().expect("4 crc bytes"));
-    if crc32(&bytes[..payload_end]) != stored_crc {
-        return Err(corrupt("CRC32 mismatch"));
-    }
-    bytes.truncate(payload_end);
-    Ok(bytes)
+/// Opens the frame of `sealed`, the bytes of the checkpoint file at
+/// `path`; truncation, corruption or another format is `InvalidData`.
+fn open_frame<'a>(path: &Path, sealed: &'a [u8]) -> io::Result<&'a [u8]> {
+    frame::open(sealed).map_err(|e| {
+        let msg = format!("checkpoint file {} is corrupt: {e}", path.display());
+        io::Error::new(io::ErrorKind::InvalidData, msg)
+    })
 }
 
 /// Reads and decodes a file written by [`write_atomic`].
 fn read_decoded<T: Decode>(path: &Path) -> io::Result<T> {
-    from_bytes(&read_validated(path)?)
+    from_bytes(open_frame(path, &fs::read(path)?)?)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
-/// Writes one worker's checkpoint: pops `spill`'s `L_file` one batch at
-/// a time into the epoch, each batch's bytes unchanged, then the shard.
-/// The first I/O error stops it before the shard is written.
+/// Writes one worker's checkpoint: moves `spill`'s `L_file` into the
+/// epoch one batch at a time, opening and fsyncing each, then the
+/// shard. The first I/O error or damaged batch stops it before that.
 pub fn write_shard<P: Encode>(
     dir: &Path,
     worker: usize,
@@ -115,10 +89,21 @@ pub fn write_shard<P: Encode>(
     spawn_position: u64,
     partial: P,
 ) -> io::Result<()> {
-    std::fs::create_dir_all(dir)?;
+    fs::create_dir_all(dir)?;
     let mut batches = 0;
-    while let Some(bytes) = spill.pop_file_bytes()? {
-        write_atomic(&batch_path(dir, worker, batches), &bytes)?;
+    while let Some(spilled) = spill.pop_file() {
+        let path = batch_path(dir, worker, batches);
+        match fs::rename(&spilled, &path) {
+            // Copy only across filesystems (`--checkpoint-dir` may be a
+            // shared mount).
+            Err(e) if e.kind() == io::ErrorKind::CrossesDevices => {
+                fs::copy(&spilled, &path)?;
+                fs::remove_file(&spilled)?;
+            }
+            moved => moved?,
+        }
+        open_frame(&path, &fs::read(&path)?)?;
+        fs::File::open(&path)?.sync_all()?;
         batches += 1;
     }
     write_atomic(&shard_path(dir, worker), &to_bytes(&(spawn_position, batches, partial)))
@@ -135,19 +120,20 @@ pub fn read_shard<P: Decode>(
 ) -> io::Result<WorkerShard<P>> {
     let (spawn_position, batches, partial) = read_decoded(&shard_path(dir, worker))?;
     for k in 0..batches {
-        let bytes = read_validated(&batch_path(dir, worker, k))?;
+        let path = batch_path(dir, worker, k);
+        let sealed = fs::read(&path)?;
+        open_frame(&path, &sealed)?;
         if let Some(spill) = spill {
-            spill.push_file_bytes(bytes)?;
+            spill.push_file_bytes(sealed)?;
         }
     }
     Ok(WorkerShard { spawn_position, batches, partial })
 }
 
-/// Writes the master manifest — the worker count the checkpoint was
-/// taken with and the master's merged global aggregate — atomically
-/// with a CRC trailer.
+/// Writes the master manifest, sealed and atomically: the worker count
+/// the checkpoint was taken with and the master's merged global aggregate.
 pub fn write_manifest<G: Encode>(dir: &Path, num_workers: usize, global: G) -> io::Result<()> {
-    std::fs::create_dir_all(dir)?;
+    fs::create_dir_all(dir)?;
     write_atomic(&manifest_path(dir), &to_bytes(&(num_workers as u64, global)))
 }
 
@@ -186,65 +172,95 @@ mod tests {
     use gthinker_graph::adj::AdjList;
     use gthinker_graph::ids::VertexId;
     use gthinker_task::task::Task;
+    use proptest::prelude::*;
+    use std::os::unix::fs::MetadataExt;
 
     fn tempdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("gthinker-ckpt-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
+        let _ = fs::remove_dir_all(&d);
         d
     }
 
-    /// Writes worker `w`'s shard into `dir/epoch` from a spill manager
-    /// holding `batches` batches of two tasks each, task `n` pulling
-    /// vertex `n + 1`.
-    fn write_test_shard(dir: &Path, w: usize, batches: u32) -> io::Result<()> {
-        let spill = SpillManager::new(dir.join(format!("spill-{w}"))).unwrap();
+    /// A spill manager under `dir` holding `batches` batches of two
+    /// tasks each, task `n` pulling vertex `n + 1`.
+    fn spilled(dir: &Path, batches: u32) -> SpillManager {
+        let spill = SpillManager::new(dir).unwrap();
+        let task = |n| {
+            let mut t = Task::new(n);
+            t.subgraph.add_vertex(VertexId(n), AdjList::from_unsorted(vec![]));
+            t.pull(VertexId(n + 1));
+            t
+        };
         for n in (0..2 * batches).step_by(2) {
-            let tasks: Vec<Task<u32>> = (n..n + 2)
-                .map(|n| {
-                    let mut t = Task::new(n);
-                    t.subgraph.add_vertex(VertexId(n), AdjList::from_unsorted(vec![]));
-                    t.pull(VertexId(n + 1));
-                    t
-                })
-                .collect();
-            spill.spill(&tasks).unwrap();
+            spill.spill(&[task(n), task(n + 1)]).unwrap();
         }
+        spill
+    }
+
+    /// Writes worker `w`'s shard into `dir/epoch` from [`spilled`].
+    fn write_test_shard(dir: &Path, w: usize, batches: u32) -> io::Result<()> {
+        let spill = spilled(&dir.join(format!("spill-{w}")), batches);
         write_shard(&dir.join("epoch"), w, &spill, 17, 123u64)?;
         assert!(spill.is_empty(), "the checkpoint pops L_file");
         Ok(())
+    }
+
+    /// Resumes worker `w` from `epoch`: [`spilled`]'s batches come back
+    /// in order, bytes unchanged.
+    fn assert_resumes(epoch: &Path, w: usize, batches: u64) {
+        let resumed = SpillManager::new(epoch.with_extension("resumed")).unwrap();
+        let back: WorkerShard<u64> = read_shard(epoch, w, Some(&resumed)).unwrap();
+        assert_eq!((back.spawn_position, back.batches, back.partial), (17, batches, 123));
+        for n in (0..2 * batches as u32).step_by(2) {
+            let batch: Vec<Task<u32>> = resumed.refill().unwrap().unwrap();
+            assert_eq!(batch.iter().map(|t| t.context).collect::<Vec<_>>(), [n, n + 1]);
+            assert_eq!(batch[1].pending_pulls(), &[VertexId(n + 2)]);
+        }
+        assert!(resumed.is_empty());
     }
 
     #[test]
     fn shard_round_trip() {
         let dir = tempdir("shard");
         write_test_shard(&dir, 3, 3).unwrap();
-        let resumed = SpillManager::new(dir.join("resumed")).unwrap();
-        let back: WorkerShard<u64> = read_shard(&dir.join("epoch"), 3, Some(&resumed)).unwrap();
-        assert_eq!((back.spawn_position, back.batches, back.partial), (17, 3, 123));
-        // The batches come back in order, bytes unchanged.
-        for n in (0..6).step_by(2) {
-            let batch: Vec<Task<u32>> = resumed.refill().unwrap().unwrap();
-            assert_eq!(batch.iter().map(|t| t.context).collect::<Vec<_>>(), [n, n + 1]);
-            assert_eq!(batch[1].pending_pulls(), &[VertexId(n + 2)]);
-        }
-        assert!(resumed.is_empty());
+        assert_resumes(&dir.join("epoch"), 3, 3);
         // The shard holds no task: its size does not grow with them.
         write_test_shard(&dir, 4, 0).unwrap();
-        let size = |w: usize| std::fs::metadata(dir.join(format!("epoch/worker-000{w}.ckpt")));
+        let size = |w: usize| fs::metadata(dir.join(format!("epoch/worker-000{w}.ckpt")));
         assert_eq!(size(3).unwrap().len(), size(4).unwrap().len());
     }
 
     #[test]
-    fn manifest_round_trip() {
-        let dir = tempdir("manifest");
-        write_manifest(&dir, 4, 55u64).unwrap();
-        assert_eq!(read_manifest::<u64>(&dir, 4).unwrap(), 55);
+    fn a_checkpoint_moves_the_spill_files() {
+        let dir = tempdir("move");
+        let inodes = |sub: &str| {
+            let mut files: Vec<_> =
+                fs::read_dir(dir.join(sub)).unwrap().map(|e| e.unwrap()).collect();
+            files.sort_by_key(|f| f.file_name());
+            files.iter().map(|f| f.metadata().unwrap().ino()).collect::<Vec<_>>()
+        };
+        let spill = spilled(&dir.join("spill"), 3);
+        let spilled_inodes = inodes("spill");
+        write_shard(&dir.join("epoch"), 0, &spill, 17, 123u64).unwrap();
+        // The batches sort before the shard, in `L_file` order.
+        assert_eq!(inodes("epoch")[..3], spilled_inodes, "each batch is its spill file");
+        assert_eq!((spilled_inodes.len(), inodes("spill").len()), (3, 0));
     }
 
     #[test]
-    fn missing_shard_is_io_error() {
-        let dir = tempdir("missing");
-        assert!(read_shard::<u64>(&dir, 0, None).is_err());
+    fn a_checkpoint_on_another_filesystem_copies_the_spill_files() {
+        let shm = Path::new("/dev/shm").join(format!("gthinker-ckpt-xdev-{}", std::process::id()));
+        let dev = |p: &Path| fs::metadata(p).map(|m| m.dev()).ok();
+        if dev(shm.parent().unwrap()).is_none_or(|d| Some(d) == dev(&std::env::temp_dir())) {
+            return eprintln!("skipped: /dev/shm is missing or on the temp dir's device");
+        }
+        let (epoch, spill) = (tempdir("xdev").join("epoch"), spilled(&shm, 3));
+        write_shard(&epoch, 0, &spill, 17, 123u64).unwrap();
+        write_manifest(&epoch, 1, 7u64).unwrap();
+        assert_eq!(fs::read_dir(&shm).unwrap().count(), 0);
+        fs::remove_dir(&shm).unwrap();
+        validate::<u64, u64>(&epoch, 1).unwrap();
+        assert_resumes(&epoch, 0, 3);
     }
 
     #[test]
@@ -267,15 +283,28 @@ mod tests {
         write_test_shard(&dir, 0, 0).unwrap();
         let path = dir.join("epoch/worker-0000.ckpt");
         let bytes = std::fs::read(&path).unwrap();
-        // Cut the file mid-payload (keeping more than a trailer's worth
+        // Cut the file mid-payload (keeping more than a header's worth
         // of bytes, so the length check has to catch it).
         std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
         let err = read_shard::<u64>(&dir.join("epoch"), 0, None).err().expect("corrupt shard");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-        // And a file shorter than the trailer itself.
+        // And a file shorter than the header itself.
         std::fs::write(&path, b"abc").unwrap();
         let err = read_shard::<u64>(&dir.join("epoch"), 0, None).err().expect("corrupt shard");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn manifest_round_trip() {
+        let dir = tempdir("manifest");
+        write_manifest(&dir, 4, 55u64).unwrap();
+        assert_eq!(read_manifest::<u64>(&dir, 4).unwrap(), 55);
+    }
+
+    #[test]
+    fn missing_shard_is_io_error() {
+        let dir = tempdir("missing");
+        assert!(read_shard::<u64>(&dir, 0, None).is_err());
     }
 
     #[test]
@@ -304,15 +333,16 @@ mod tests {
         let err = validate::<u64, u64>(&epoch, 3).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("2 workers"), "{err}");
-        // Damage one byte of a shard, then of a task batch: the epoch
-        // is no longer acceptable.
+        // Damage the first payload byte of a shard, then of a task
+        // batch: the epoch is no longer acceptable.
         for file in ["worker-0001.ckpt", "worker-0001-000001.tasks"] {
             let path = epoch.join(file);
             let good = std::fs::read(&path).unwrap();
             let mut bytes = good.clone();
-            bytes[0] ^= 0x01;
+            bytes[frame::HEADER_LEN] ^= 0x01;
             std::fs::write(&path, bytes).unwrap();
             let err = validate::<u64, u64>(&epoch, 2).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{file}: {err}");
             assert!(err.to_string().contains("CRC32"), "{file}: {err}");
             std::fs::write(&path, good).unwrap();
         }
@@ -324,9 +354,35 @@ mod tests {
     #[test]
     fn an_io_error_while_copying_the_batches_leaves_no_shard() {
         let dir = tempdir("ioerr");
-        // The second batch's temporary file cannot be created.
-        std::fs::create_dir_all(dir.join("epoch/worker-0000-000001.tmp")).unwrap();
+        // The second batch cannot be moved: a directory holds its name.
+        std::fs::create_dir_all(dir.join("epoch/worker-0000-000001.tasks")).unwrap();
         assert!(write_test_shard(&dir, 0, 3).is_err());
         assert!(!dir.join("epoch/worker-0000.ckpt").exists());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every checkpoint file is one sealed frame: one flipped bit in
+        /// the shard, the manifest or a batch, or any cut of the file,
+        /// fails `validate` with `InvalidData`.
+        #[test]
+        fn a_damaged_checkpoint_file_fails_validate(
+            nth in 0usize..3, at in any::<u32>(), bit in 0u8..8,
+        ) {
+            let dir = tempdir("damage");
+            let epoch = dir.join("epoch");
+            write_test_shard(&dir, 0, 2).unwrap();
+            write_manifest(&epoch, 1, 7u64).unwrap();
+            let path = &[shard_path(&epoch, 0), manifest_path(&epoch), batch_path(&epoch, 0, 1)][nth];
+            let good = fs::read(path).unwrap();
+            let mut flipped = good.clone();
+            flipped[at as usize % good.len()] ^= 1 << bit;
+            for damaged in (0..good.len()).map(|cut| &good[..cut]).chain([&flipped[..]]) {
+                fs::write(path, damaged).unwrap();
+                let err = validate::<u64, u64>(&epoch, 1).expect_err("damage validates");
+                prop_assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{}", err);
+            }
+        }
     }
 }

@@ -931,7 +931,7 @@ pub(crate) fn worker_main<A: App>(
 /// A suspending worker's checkpoint, written after its compers joined:
 /// every task the worker still holds — comper queues, pending tables,
 /// ready buffers — goes onto `L_file` as ordinary spill batches, and
-/// [`checkpoint::write_shard`] copies `L_file` into `dir` one batch at a
+/// [`checkpoint::write_shard`] moves `L_file` into `dir` one batch at a
 /// time. This thread is the only one that installs responses, so no
 /// task moves between the sources meanwhile.
 fn write_checkpoint<A: App>(shared: &WorkerShared<A>, dir: &Path) -> io::Result<()> {
@@ -946,12 +946,9 @@ fn write_checkpoint<A: App>(shared: &WorkerShared<A>, dir: &Path) -> io::Result<
     // thief has provably not applied them: the master defers the
     // suspend broadcast until every worker reports zero in-flight
     // batches, so this ledger is empty on the normal path — draining it
-    // is the ownership invariant's backstop). Each payload already is a
-    // spill batch.
+    // is the ownership invariant's backstop), each a sealed spill batch.
     for (_, o) in shared.steal_outgoing.lock().drain() {
-        let batch = gthinker_net::frame::open(&o.framed)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        shared.spill.push_file_bytes(batch.to_vec())?;
+        shared.spill.push_file_bytes(o.framed)?;
     }
     checkpoint::write_shard(
         dir,

@@ -30,7 +30,7 @@ use gthinker_task::codec::to_bytes;
 use gthinker_task::park::EventCount;
 use gthinker_task::pending::PendingTable;
 use gthinker_task::queue::SharedTaskQueue;
-use gthinker_task::spill::SpillManager;
+use gthinker_task::spill::{seal_batch, SpillManager};
 use gthinker_task::task::Task;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -608,9 +608,8 @@ impl Inbox {
     /// flushes the batch's wakeups. Returns true when a message asks for
     /// the main loop's sync step now.
     ///
-    /// A panic while applying a message — a corrupt aggregator
-    /// broadcast, a steal batch from a mismatched peer, a full spill
-    /// disk — fails the job the way a panicking UDF does
+    /// A panic while applying a message (a corrupt aggregator
+    /// broadcast, say) fails the job the way a panicking UDF does
     /// ([`WorkerShared::fail`]).
     pub fn dispatch<A: App>(
         &mut self,
@@ -732,17 +731,16 @@ fn handle_message<A: App>(
             let fresh = shared.steal_applied.lock().entry(victim).or_default().insert(seq);
             if fresh {
                 // Steal batches cross a trust boundary (another process
-                // on the tcp backend), so they travel sealed; a version
-                // or CRC mismatch must fail loudly, not deserialize
-                // garbage tasks.
-                let batch = match frame::open(&bytes) {
-                    Ok(payload) => payload.to_vec(),
-                    Err(e) => panic!("rejecting steal batch from a mismatched peer: {e}"),
-                };
-                // Durably append to `L_file` BEFORE acking: from the
-                // victim's drain to this ack, some worker always owns
-                // the tasks (overlap, never a gap).
-                shared.spill.push_file_bytes(batch).expect("spill dir writable");
+                // on the tcp backend), so they travel sealed. Open the
+                // frame and durably append the same bytes to `L_file`
+                // BEFORE acking: some worker always owns the tasks
+                // (overlap, never a gap). A bad frame or a failed append
+                // fails the job unacked.
+                let opened = frame::open(&bytes).map(drop).map_err(std::io::Error::from);
+                if let Err(e) = opened.and_then(|()| shared.spill.push_file_bytes(bytes)) {
+                    shared.fail(Box::new(format!("cannot take a stolen task batch: {e}")));
+                    return true;
+                }
                 // Idle → busy, bumped once the batch is visible in the
                 // spill pool: a later probe is answered by this same
                 // thread, so its ack cannot miss the bump.
@@ -848,9 +846,10 @@ fn steal_resend_after(config: &JobConfig) -> Duration {
     config.cache.pull_timeout
 }
 
-/// Task count of an encoded `Vec<Task<C>>` payload (u64 LE prefix).
-fn batch_task_count(bytes: &[u8]) -> u64 {
-    bytes.get(..8).map_or(0, |b| u64::from_le_bytes(b.try_into().expect("8-byte slice")))
+/// Task count of a sealed batch: the u64 LE its payload starts with.
+fn batch_task_count(sealed: &[u8]) -> u64 {
+    let count = sealed.get(frame::HEADER_LEN..frame::HEADER_LEN + 8);
+    count.map_or(0, |b| u64::from_le_bytes(b.try_into().expect("8-byte slice")))
 }
 
 /// Chrome flow-event id correlating a steal batch's send and receive
@@ -882,13 +881,12 @@ fn execute_steal_request<A: App>(
     // Even an empty-handed request takes the worker out of quiescence
     // for a moment; an idle report from before it must not be confirmed.
     shared.activity.fetch_add(1, Ordering::SeqCst);
-    let Some((bytes, count)) = steal_payload(shared, (max_tasks as usize).max(1)) else {
+    let Some((framed, count)) = steal_payload(shared, (max_tasks as usize).max(1)) else {
         shared.steal_inflight.fetch_sub(1, Ordering::Release);
         shared.net.send(WorkerId(0), Message::StealExecuted { sent: 0 });
         return shared.newly_quiescent();
     };
     let seq = shared.steal_seq.fetch_add(1, Ordering::Relaxed);
-    let framed = frame::seal(&bytes);
     shared.counters.remote_steals.fetch_add(1, Ordering::Relaxed);
     shared.counters.remote_stolen_tasks.fetch_add(count, Ordering::Relaxed);
     shared.counters.steal_batch_bytes.fetch_add(framed.len() as u64, Ordering::Relaxed);
@@ -906,17 +904,20 @@ fn execute_steal_request<A: App>(
     false
 }
 
-/// Picks the payload for one steal batch: raw spill-format bytes
-/// (`Vec<Task>` encoding) plus the task count inside. `None` when the
-/// victim has nothing transferable.
+/// Picks one steal batch, sealed like a spill file, plus the task
+/// count inside. `None` when the victim has nothing transferable.
 fn steal_payload<A: App>(
     shared: &Arc<WorkerShared<A>>,
     max_tasks: usize,
 ) -> Option<(Vec<u8>, u64)> {
-    // (1) An already-spilled batch ships as-is.
-    if let Some(bytes) = shared.spill.pop_file_bytes().expect("spill dir readable") {
-        let count = batch_task_count(&bytes);
-        return Some((bytes, count));
+    // (1) An already-spilled batch ships as-is: it is sealed already.
+    let spilled = shared.spill.pop_file_bytes().unwrap_or_else(|e| {
+        shared.fail(Box::new(format!("cannot read a spilled task batch for a thief: {e}")));
+        None
+    });
+    if let Some(sealed) = spilled {
+        let count = batch_task_count(&sealed);
+        return Some((sealed, count));
     }
     // (2) Drain the newest half of the largest live Q_task. The tasks
     // were counted into `task_mem` when enqueued; shipping them off
@@ -940,7 +941,7 @@ fn steal_payload<A: App>(
                 shared.task_mem.fetch_sub(task_cost(t), Ordering::Relaxed);
             }
             let count = tasks.len() as u64;
-            return Some((to_bytes(&tasks), count));
+            return Some((seal_batch(&tasks), count));
         }
     }
     // (3) Spawn a batch directly for the thief.
@@ -967,7 +968,7 @@ fn steal_payload<A: App>(
         return None; // all pruned at spawn
     }
     let count = tasks.len() as u64;
-    Some((to_bytes(&tasks), count))
+    Some((seal_batch(&tasks), count))
 }
 
 /// The GC thread: runs lazy eviction passes until the worker stops.

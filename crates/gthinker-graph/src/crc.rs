@@ -1,9 +1,9 @@
 //! CRC32 (IEEE 802.3, the zlib polynomial).
 //!
 //! Lives in the graph crate — the lowest layer of the workspace — so the
-//! compressed graph trailer, the checkpoint trailer and the wire frame
-//! format all validate integrity with the same code; every layer
-//! imports [`crc32`] from here.
+//! compressed graph trailer and the frame (`gthinker_task::frame`, every
+//! other sealed artefact) validate integrity with the same code; every
+//! layer imports [`crc32`] from here.
 
 /// Slice-by-8 lookup tables built at compile time — no external crate.
 /// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`

@@ -31,7 +31,7 @@
 pub mod batch;
 pub mod evented;
 pub mod fault;
-pub mod frame;
+pub use gthinker_task::frame;
 pub mod message;
 pub mod pool;
 pub mod router;

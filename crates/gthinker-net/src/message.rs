@@ -51,7 +51,7 @@ pub enum Message {
         victim: WorkerId,
         /// Victim-local monotone sequence number of this batch.
         seq: u64,
-        /// Framed task batch (`frame::seal` around the spill bytes).
+        /// A sealed task batch: the bytes of one spill file.
         bytes: Vec<u8>,
     },
     /// A worker's progress report to the master.

@@ -1,21 +1,22 @@
-//! Versioned, checksummed frames for bytes that cross a trust
-//! boundary: TCP socket traffic and steal-batch payloads.
+//! Versioned, checksummed frames: the one sealed form of socket
+//! traffic, task batches (a spill file, a steal batch and a checkpoint
+//! batch are the same bytes), checkpoint files and metrics reports.
 //!
 //! Layout (all little-endian):
 //!
 //! ```text
-//! magic  u32   "GTKW" — rejects a non-G-thinker peer immediately
+//! magic  u32   "GTKW" — rejects a non-G-thinker peer or file immediately
 //! version u16  WIRE_VERSION — rejects a mismatched build descriptively
 //! reserved u16 always 0 (future flags)
 //! len    u32   payload length in bytes
 //! payload …
-//! crc    u32   crc32(payload), the checkpoint trailer's CRC
+//! crc    u32   crc32(payload)
 //! ```
 //!
 //! The header protects *protocol* agreement (magic + version), the
-//! trailer protects *integrity* (same CRC32 as the checkpoint files).
-//! A mismatched or corrupt frame fails with a descriptive
-//! [`FrameError`] instead of a garbage decode downstream.
+//! trailer protects *integrity*. A mismatched or corrupt frame fails
+//! with a descriptive [`FrameError`] instead of a garbage decode
+//! downstream. `gthinker-net` re-exports this module.
 
 use gthinker_graph::crc::crc32;
 use std::io::{self, Read, Write};
@@ -23,7 +24,7 @@ use std::io::{self, Read, Write};
 /// `b"GTKW"` as a little-endian u32: G-Thinker Wire.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"GTKW");
 
-/// Bump whenever the frame layout or any [`crate::message::Message`]
+/// Bump whenever the frame layout or any `gthinker_net::Message`
 /// encoding changes; peers with different versions refuse each other.
 /// v5: `Progress` carries the activity epoch; `Probe`/`ProbeAck` added.
 pub const WIRE_VERSION: u16 = 5;
@@ -31,7 +32,8 @@ pub const WIRE_VERSION: u16 = 5;
 /// Fixed bytes around every payload: 12-byte header + 4-byte CRC.
 pub const FRAME_OVERHEAD: usize = HEADER_LEN + 4;
 
-const HEADER_LEN: usize = 12;
+/// Bytes before the payload: magic, version, reserved bits, length.
+pub const HEADER_LEN: usize = 12;
 
 /// Refuse absurd lengths before allocating (a corrupt or hostile
 /// header must not OOM the worker).
@@ -67,7 +69,8 @@ impl std::fmt::Display for FrameError {
         match self {
             FrameError::BadMagic(got) => write!(
                 f,
-                "bad frame magic {got:#010x} (expected {MAGIC:#010x}): peer is not a G-thinker worker"
+                "bad frame magic {got:#010x} (expected {MAGIC:#010x}): peer is not a G-thinker \
+                 worker, or the file is of another format"
             ),
             FrameError::VersionMismatch { got, want } => write!(
                 f,
@@ -96,12 +99,7 @@ impl From<FrameError> for io::Error {
 /// Wraps `payload` in a complete frame.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    seal_with(&mut out, |out| out.extend_from_slice(payload));
     out
 }
 
@@ -144,33 +142,37 @@ fn check_header(header: &[u8; HEADER_LEN]) -> Result<usize, FrameError> {
     Ok(len as usize)
 }
 
-/// Validates a whole buffer as exactly one frame; returns the payload.
-pub fn open(frame: &[u8]) -> Result<&[u8], FrameError> {
-    if frame.len() < FRAME_OVERHEAD {
-        return Err(FrameError::Truncated);
-    }
-    let header: &[u8; HEADER_LEN] = frame[..HEADER_LEN].try_into().expect("checked");
+/// The first frame in `bytes`, CRC-checked: its payload and its total
+/// length, or `None` while `bytes` holds less than a whole frame.
+fn first_frame(bytes: &[u8]) -> Result<Option<(&[u8], usize)>, FrameError> {
+    let Some(header) = bytes.first_chunk() else {
+        return Ok(None);
+    };
     let len = check_header(header)?;
     let total = HEADER_LEN + len + 4;
-    if frame.len() < total {
-        return Err(FrameError::Truncated);
-    }
-    if frame.len() > total {
-        return Err(FrameError::TrailingBytes);
-    }
-    let payload = &frame[HEADER_LEN..HEADER_LEN + len];
-    let crc = u32::from_le_bytes(frame[total - 4..].try_into().expect("4 bytes"));
-    if crc32(payload) != crc {
+    let Some(rest) = bytes.get(HEADER_LEN..total) else {
+        return Ok(None);
+    };
+    let (payload, crc) = rest.split_at(len);
+    if crc32(payload).to_le_bytes() != crc {
         return Err(FrameError::CrcMismatch);
     }
-    Ok(payload)
+    Ok(Some((payload, total)))
+}
+
+/// Validates a whole buffer as exactly one frame; returns the payload.
+pub fn open(frame: &[u8]) -> Result<&[u8], FrameError> {
+    match first_frame(frame)? {
+        Some((payload, total)) if total == frame.len() => Ok(payload),
+        Some(_) => Err(FrameError::TrailingBytes),
+        None => Err(FrameError::Truncated),
+    }
 }
 
 /// Writes one frame to a stream; returns the bytes put on the wire.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<usize> {
     let frame = seal(payload);
-    w.write_all(&frame)?;
-    Ok(frame.len())
+    w.write_all(&frame).map(|()| frame.len())
 }
 
 /// Reads one frame from a stream. `Ok(None)` on clean EOF at a frame
@@ -183,15 +185,10 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
         0 => return Ok(None),
         n => r.read_exact(&mut header[n..]).map_err(|_| FrameError::Truncated)?,
     }
-    let len = check_header(&header)?;
-    let mut rest = vec![0u8; len + 4];
-    r.read_exact(&mut rest).map_err(|_| io::Error::from(FrameError::Truncated))?;
-    let crc = u32::from_le_bytes(rest[len..].try_into().expect("4 bytes"));
-    rest.truncate(len);
-    if crc32(&rest) != crc {
-        return Err(FrameError::CrcMismatch.into());
-    }
-    Ok(Some(rest))
+    let mut frame = header.to_vec();
+    frame.resize(HEADER_LEN + check_header(&header)? + 4, 0);
+    r.read_exact(&mut frame[HEADER_LEN..]).map_err(|_| io::Error::from(FrameError::Truncated))?;
+    Ok(Some(open(&frame)?.to_vec()))
 }
 
 /// Incremental frame decoder for a non-blocking byte stream: feed it
@@ -252,9 +249,8 @@ impl FrameDecoder {
     /// Appends bytes that arrived in a caller-owned buffer (tests and
     /// non-socket feeds; the socket path uses `space`/`commit`).
     pub fn extend(&mut self, bytes: &[u8]) {
-        let space = self.space(bytes.len());
-        space[..bytes.len()].copy_from_slice(bytes);
-        self.filled += bytes.len();
+        self.space(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.commit(bytes.len());
     }
 
     /// The next complete frame's payload, `Ok(None)` when more bytes
@@ -265,24 +261,12 @@ impl FrameDecoder {
     // decode errors must surface, neither of which `Iterator` can say.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<&[u8]>, FrameError> {
-        let avail = &self.buf[self.start..self.filled];
-        if avail.len() < HEADER_LEN {
+        let Some((payload, total)) = first_frame(&self.buf[self.start..self.filled])? else {
             return Ok(None);
-        }
-        let header: &[u8; HEADER_LEN] = avail[..HEADER_LEN].try_into().expect("checked");
-        let len = check_header(header)?;
-        let total = HEADER_LEN + len + 4;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let payload = &avail[HEADER_LEN..HEADER_LEN + len];
-        let crc = u32::from_le_bytes(avail[total - 4..total].try_into().expect("4 bytes"));
-        if crc32(payload) != crc {
-            return Err(FrameError::CrcMismatch);
-        }
-        let payload_start = self.start + HEADER_LEN;
+        };
+        let payload = self.start + HEADER_LEN..self.start + HEADER_LEN + payload.len();
         self.start += total;
-        Ok(Some(&self.buf[payload_start..payload_start + len]))
+        Ok(Some(&self.buf[payload]))
     }
 }
 

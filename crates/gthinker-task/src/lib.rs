@@ -23,6 +23,7 @@
 
 pub mod buffer;
 pub mod codec;
+pub mod frame;
 pub mod park;
 pub mod pending;
 pub mod queue;

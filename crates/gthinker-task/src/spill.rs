@@ -8,11 +8,13 @@
 //! the paper credits for G-thinker's negligible disk usage, in contrast
 //! to G-Miner's ever-growing disk queue.
 //!
-//! Work stealing reuses the same representation: a stolen batch travels
-//! as the raw bytes of one spill file and is appended to the thief's
-//! `L_file`.
+//! A batch file is a task batch's one form, a sealed [`frame`] around
+//! the encoded `Vec<Task>` ([`seal_batch`]): a steal ships it as it is,
+//! a checkpoint moves it, and [`SpillManager::refill`] opens it before
+//! decoding, so a damaged or foreign file is `InvalidData`.
 
-use crate::codec::{from_bytes, to_bytes, Decode, Encode};
+use crate::codec::{from_bytes, Decode, Encode};
+use crate::frame;
 use crate::task::Task;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -66,46 +68,46 @@ impl SpillManager {
 
     /// Writes `tasks` as one batch file and appends it to `L_file`.
     pub fn spill<C: Encode>(&self, tasks: &[Task<C>]) -> io::Result<()> {
-        let bytes = to_bytes(&tasks.iter().collect::<TaskBatchRef<'_, C>>());
-        self.push_file_bytes(bytes)
+        self.push_file_bytes(seal_batch(tasks))
     }
 
-    /// Pops the oldest batch file, decodes its tasks and deletes it.
-    /// Returns `None` when `L_file` is empty.
+    /// Pops the oldest batch file, checks its frame, decodes its tasks
+    /// and deletes it. Returns `None` when `L_file` is empty.
     pub fn refill<C: Decode>(&self) -> io::Result<Option<Vec<Task<C>>>> {
-        let Some(bytes) = self.pop_file_bytes()? else {
+        let Some(sealed) = self.pop_file_bytes()? else {
             return Ok(None);
         };
-        let batch: Vec<Task<C>> = from_bytes(&bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok(Some(batch))
+        let batch = from_bytes(frame::open(&sealed)?);
+        batch.map(Some).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 
-    /// Appends a pre-encoded batch (stolen from another worker) to
-    /// `L_file`.
-    pub fn push_file_bytes(&self, bytes: Vec<u8>) -> io::Result<()> {
+    /// Appends a sealed batch (stolen from another worker, or handed
+    /// back by a checkpoint) to `L_file`, bytes as they are.
+    pub fn push_file_bytes(&self, sealed: Vec<u8>) -> io::Result<()> {
         let id = self.next_file.fetch_add(1, Ordering::Relaxed);
         let path = self.dir.join(format!("batch-{id:08}.tasks"));
-        std::fs::write(&path, &bytes)?;
-        self.bytes_spilled.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        std::fs::write(&path, &sealed)?;
+        self.bytes_spilled.fetch_add(sealed.len() as u64, Ordering::Relaxed);
         self.files.lock().push_back(path);
         Ok(())
     }
 
-    /// Pops the oldest batch file and returns its raw bytes (for refill
-    /// or for handing to a stealing worker), deleting the file.
+    /// Pops the oldest batch file's path off `L_file`, leaving the file
+    /// to the caller (a checkpoint moves it into its epoch).
+    pub fn pop_file(&self) -> Option<PathBuf> {
+        self.files.lock().pop_front()
+    }
+
+    /// Pops the oldest batch file and returns its sealed bytes (for
+    /// refill or for handing to a stealing worker), deleting the file.
     pub fn pop_file_bytes(&self) -> io::Result<Option<Vec<u8>>> {
-        let path = {
-            let mut files = self.files.lock();
-            match files.pop_front() {
-                Some(p) => p,
-                None => return Ok(None),
-            }
+        let Some(path) = self.pop_file() else {
+            return Ok(None);
         };
-        let bytes = std::fs::read(&path)?;
+        let sealed = std::fs::read(&path)?;
         std::fs::remove_file(&path)?;
-        self.bytes_refilled.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        Ok(Some(bytes))
+        self.bytes_refilled.fetch_add(sealed.len() as u64, Ordering::Relaxed);
+        Ok(Some(sealed))
     }
 
     /// Removes every remaining batch file (job teardown).
@@ -118,25 +120,15 @@ impl SpillManager {
     }
 }
 
-/// Helper that encodes a slice of task references with a length prefix
-/// compatible with `Vec<Task<C>>` decoding.
-struct TaskBatchRef<'a, C> {
-    tasks: Vec<&'a Task<C>>,
-}
-
-impl<'a, C> FromIterator<&'a Task<C>> for TaskBatchRef<'a, C> {
-    fn from_iter<T: IntoIterator<Item = &'a Task<C>>>(iter: T) -> Self {
-        TaskBatchRef { tasks: iter.into_iter().collect() }
-    }
-}
-
-impl<C: Encode> Encode for TaskBatchRef<'_, C> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (self.tasks.len() as u64).encode(buf);
-        for t in &self.tasks {
-            t.encode(buf);
-        }
-    }
+/// A task batch in its one form: the tasks encoded as a `Vec<Task<C>>`
+/// (u64 count, then each task) straight into a sealed frame.
+pub fn seal_batch<C: Encode>(tasks: &[Task<C>]) -> Vec<u8> {
+    let mut sealed = Vec::new();
+    frame::seal_with(&mut sealed, |buf| {
+        (tasks.len() as u64).encode(buf);
+        tasks.iter().for_each(|t| t.encode(buf));
+    });
+    sealed
 }
 
 #[cfg(test)]

@@ -151,3 +151,38 @@ proptest! {
         prop_assert!(table.is_empty());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A spill file is one sealed frame: one flipped bit anywhere in
+    /// it, or a cut anywhere, makes `refill` refuse it with
+    /// `InvalidData`, never a panic and never tasks. So does an
+    /// unsealed batch, the spill format before batches were framed.
+    #[test]
+    fn a_damaged_spill_file_is_refused(
+        size in 1usize..6, pos in any::<u32>(), bit in 0u8..8, cut in any::<bool>(),
+    ) {
+        let dir = std::env::temp_dir().join(format!("gthinker-prop-damage-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let m = SpillManager::new(&dir).unwrap();
+        let batch: Vec<Task<u32>> =
+            (0..size as u32).map(|n| make_task(n, &[(n, vec![n + 1])], &[n + 1])).collect();
+        m.spill(&batch).unwrap();
+        let file = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
+        let mut bytes = std::fs::read(&file).unwrap();
+        let at = pos as usize % bytes.len();
+        if cut {
+            bytes.truncate(at);
+        } else {
+            bytes[at] ^= 1 << bit;
+        }
+        std::fs::write(&file, bytes).unwrap();
+        m.push_file_bytes(to_bytes(&batch)).unwrap();
+        for what in ["damaged", "unsealed"] {
+            let err = m.refill::<u32>().err().unwrap_or_else(|| panic!("a {what} batch refills"));
+            prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{}: {}", what, err);
+        }
+        prop_assert!(m.is_empty());
+    }
+}

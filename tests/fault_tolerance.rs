@@ -191,6 +191,10 @@ enum Sabotage {
     /// The root task replaces the worker's spill directory with a plain
     /// file before it fans out: every spill write fails.
     SpillDirIsAFile,
+    /// Like `SpillDirIsAFile` for every worker but the one running the
+    /// root task, whose subtasks then take 20 ms each: the idle worker
+    /// steals one of the root's spilled batches and cannot append it.
+    ThiefSpillDirIsAFile,
 }
 
 /// One root task (vertex 0) that fans out into 20 subtasks, each
@@ -249,8 +253,16 @@ impl App for FanOut {
     fn compute(&self, t: &mut Task<u32>, _f: &Frontier, env: &mut ComputeEnv<'_, Self>) -> bool {
         use std::sync::atomic::Ordering;
         if t.context == 0 {
-            if self.sabotage == Sabotage::SpillDirIsAFile {
-                for dir in self.worker_dirs() {
+            // The root task may have been stolen before it ran (a thief
+            // is sent freshly spawned tasks too), so the worker running
+            // it, named by this `comper-w<W>-<i>` thread, is the victim.
+            let me = std::thread::current().name().unwrap_or_default().to_owned();
+            let me = me.strip_prefix("comper-w").and_then(|n| n.split('-').next());
+            let root = format!("worker-{}", me.expect("compute runs on a comper thread"));
+            for dir in self.worker_dirs() {
+                if self.sabotage == Sabotage::SpillDirIsAFile
+                    || (self.sabotage == Sabotage::ThiefSpillDirIsAFile && !dir.ends_with(&root))
+                {
                     std::fs::remove_dir_all(&dir).unwrap();
                     std::fs::write(&dir, b"not a directory").unwrap();
                 }
@@ -259,6 +271,9 @@ impl App for FanOut {
                 env.add_task(Task::new(i));
             }
             return false;
+        }
+        if self.sabotage == Sabotage::ThiefSpillDirIsAFile {
+            std::thread::sleep(Duration::from_millis(20));
         }
         let late = self.sabotage == Sabotage::UnreadableBatchesLate;
         if (late || self.sabotage == Sabotage::UnreadableBatches)
@@ -323,6 +338,22 @@ fn an_unwritable_spill_directory_fails_the_job() {
             assert!(msg.contains("cannot spill") && msg.contains("Not a directory"), "{msg}")
         }
         Ok(r) => panic!("the job lost its spill directory and ended {:?}", r.map(|r| r.global)),
+    }
+}
+
+#[test]
+fn a_thief_that_cannot_append_a_stolen_batch_fails_the_job() {
+    let mut cfg = fan_out_config("fan-thief");
+    cfg.num_workers = 2;
+    cfg.work_stealing = true;
+    let app = FanOut::new(&cfg.spill_dir, Sabotage::ThiefSpillDirIsAFile);
+    let ended = run_bounded(move || run_job(Arc::new(app), &gen::gnp(8, 0.3, 1), &cfg));
+    match ended {
+        Err(msg) => assert!(
+            msg.contains("cannot take a stolen task batch") && msg.contains("Not a directory"),
+            "{msg}"
+        ),
+        Ok(r) => panic!("the thief lost its spill directory and ended {:?}", r.map(|r| r.global)),
     }
 }
 
