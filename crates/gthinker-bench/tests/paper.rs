@@ -124,6 +124,25 @@ fn the_json_reader_reads_json_and_refuses_the_rest() {
     }
 }
 
+/// The rows of the Table V table printed under `title`, as (first
+/// column, evictions, GC passes): the last two columns of each row.
+fn cache_table(stdout: &str, title: &str) -> Vec<(String, u64, u64)> {
+    let at = stdout.find(title).unwrap_or_else(|| panic!("no {title} in\n{stdout}"));
+    let rows: Vec<_> = stdout[at..]
+        .lines()
+        .skip_while(|l| !l.starts_with("---"))
+        .skip(1)
+        .take_while(|l| l.contains('|'))
+        .map(|l| {
+            let t: Vec<&str> = l.split_whitespace().collect();
+            let n = |s: &str| s.parse().unwrap_or_else(|e| panic!("{l}: {e}"));
+            (t[0].to_string(), n(t[t.len() - 2]), n(t[t.len() - 1]))
+        })
+        .collect();
+    assert_eq!(rows.len(), 4, "{title}: {rows:?}");
+    rows
+}
+
 /// `paper all --scale 0.05`: every row runs to exit 0 in a process of
 /// its own, in table order, and leaves the six `BENCH_*.json` files —
 /// each parsing, each with the keys of the checked-in record.
@@ -151,6 +170,16 @@ fn paper_all_runs_every_row_and_writes_the_six_json_files() {
         from += at.unwrap_or_else(|| panic!("{} did not run, or out of order", row.name));
     }
     assert!(stdout.ends_with("all harnesses completed\n"), "{stdout}");
+
+    // Table V's shape, at its two ends: the smallest cache evicts and
+    // the 10× one never does; the laziest GC runs fewer passes than
+    // the most eager.
+    let v_a = cache_table(&stdout, "Table V(a) — effect of c_cache");
+    let (smallest, largest) = (&v_a[0], &v_a[v_a.len() - 1]);
+    assert!(smallest.1 > 0 && smallest.2 > 0, "V(a) smallest c_cache: {v_a:?}");
+    assert_eq!(largest.1, 0, "V(a) 10× c_cache evicts nothing: {v_a:?}");
+    let v_b = cache_table(&stdout, "Table V(b) — effect of α");
+    assert!(v_b[0].2 > v_b[v_b.len() - 1].2, "V(b) α = 0.002 vs 2 GC passes: {v_b:?}");
 
     let records = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     for layer in ["sched", "steal", "storage", "net", "metrics", "telemetry"] {

@@ -390,7 +390,7 @@ impl Place {
             (None, w) => w.unwrap_or(1),
         };
         let compers = a.parsed(&COMPERS)?.unwrap_or(4);
-        let mut cfg = if workers <= 1 {
+        let mut cfg = if workers == 1 {
             JobConfig::single_machine(compers)
         } else {
             JobConfig::cluster(workers, compers)
@@ -1043,6 +1043,21 @@ mod tests {
             a.extend(extra.iter().map(|s| s.to_string()));
             let out = run(a).unwrap();
             assert!(out.contains(&format!("triangles: {expected}")), "{extra:?}: {out}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_worker_and_comper_counts_are_errors() {
+        let g = tmp("g200.bin");
+        run(args(&["gen", "gnp", "-n", "200", "-p", "0.05", "--seed", "3", "-o", &g])).unwrap();
+        for (flag, n, count) in [
+            ("--compers", "0", "compers_per_worker"),
+            ("--workers", "0", "num_workers"),
+            ("--workers", "65536", "num_workers"),
+            ("--workers", "70000", "num_workers"),
+        ] {
+            let e = run(args(&["tc", &g, flag, n])).unwrap_err();
+            assert!(e.0.contains(count) && e.0.contains(&format!("got {n}")), "{flag} {n}: {e}");
         }
     }
 

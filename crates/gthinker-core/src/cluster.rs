@@ -60,8 +60,8 @@
 use crate::api::App;
 use crate::config::JobResult;
 use crate::job::{
-    build_locals, build_worker, new_job_dir, restore_worker, run_workers, Global, Job,
-    RecoveryLedger, RecoveryReport,
+    build_locals, build_worker, check_counts, new_job_dir, restore_worker, run_workers, Global,
+    Job, RecoveryLedger, RecoveryReport,
 };
 use crate::metrics::{ClusterTelemetry, MetricsRegistry, MetricsSnapshot};
 use gthinker_graph::ids::WorkerId;
@@ -113,8 +113,7 @@ impl<A: App> Job<'_, A> {
         connect_timeout: Duration,
     ) -> io::Result<ClusterRole<Global<A>>> {
         let config = self.config;
-        assert!(config.num_workers >= 1);
-        assert!(config.compers_per_worker >= 1);
+        check_counts(config)?;
         let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
         let n = config.num_workers;
         if n != manifest.num_workers() {

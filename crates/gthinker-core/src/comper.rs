@@ -10,7 +10,8 @@
 //!   (spilled files first, then stealing from the largest sibling
 //!   queue, then fresh spawns), pop a task and process it. Tasks whose
 //!   pulled vertices are all locally available compute immediately;
-//!   otherwise they park in `T_task`.
+//!   otherwise they park in `T_task`. A comper that finds the cache
+//!   over its limit first runs a GC pass (OP4): there is no GC thread.
 //!
 //! A comper that makes no progress in a round flushes its worker's
 //! request batches (so parked tasks' pulls actually go out) and parks
@@ -111,6 +112,10 @@ pub(crate) fn comper_loop<A: App>(shared: Arc<WorkerShared<A>>, idx: usize) {
             drive_spanned(&shared, &mut ctx, task, true);
         }
 
+        // OP4, in time the closed pop gate would leave to a park.
+        if shared.cache.over_limit() {
+            collect_garbage(&shared, &mut ctx);
+        }
         // pop(): gated on cache capacity and the pending limit D.
         let gate_open = !shared.cache.over_limit()
             && me().pending.len() + me().buffer.len() <= shared.config.pending_limit();
@@ -138,7 +143,7 @@ pub(crate) fn comper_loop<A: App>(shared: Arc<WorkerShared<A>>, idx: usize) {
             shared.batcher.flush_all(&*shared.net);
             // The round's sources were non-empty but unusable (e.g. the
             // pop gate is closed, or a steal raced): park on the same
-            // key — GC evictions, response arrivals and sibling
+            // key — evicting GC passes, response arrivals and sibling
             // enqueues all notify.
             park(&shared, &mut ctx, key);
             parked = true;
@@ -174,6 +179,20 @@ fn park<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx, key: u64) {
         shared.ring.push(Event { ts, dur, tid: idx as u32, arg: 0, kind: EventKind::Park });
     }
     ctx.cpu.roll(&shared.counters);
+}
+
+/// One GC pass on this comper's counter handle; one that evicted goes on
+/// this comper's trace row and wakes siblings parked behind the pop gate.
+fn collect_garbage<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx) {
+    let ts = shared.ring.enabled().then(now_nanos);
+    let evicted = shared.cache.gc_pass(&mut ctx.counter);
+    if evicted > 0 {
+        if let Some(ts) = ts {
+            let (dur, tid, arg) = (now_nanos().saturating_sub(ts), ctx.idx as u32, evicted as u64);
+            shared.ring.push(Event { ts, dur, tid, arg, kind: EventKind::GcPass });
+        }
+        shared.sched_events.notify_all();
+    }
 }
 
 /// True when some sibling's queue is worth visiting for a steal. Part

@@ -10,7 +10,7 @@ use crate::comper::comper_loop;
 use crate::config::{JobConfig, JobOutcome, JobResult};
 use crate::master::{Collect, MasterState};
 use crate::metrics::{ClusterTelemetry, MetricsRegistry, MetricsSnapshot};
-use crate::worker::{gc_loop, worker_tick, Inbox, WorkerShared};
+use crate::worker::{worker_tick, Inbox, WorkerShared};
 use crossbeam::channel::RecvTimeoutError;
 use gthinker_graph::adj::AdjList;
 use gthinker_graph::compressed::CompressedGraph;
@@ -211,6 +211,7 @@ impl<'a, A: App> Job<'a, A> {
     /// Runs every worker in this process, blocking until completion
     /// (or suspension if `config.suspend_after` fires first).
     pub fn run(mut self) -> io::Result<JobResult<Global<A>>> {
+        check_counts(self.config)?;
         let Some(opts) = self.recovery else {
             // A job that may suspend without a `checkpoint_dir` gets a
             // directory of its own, named once so every worker agrees.
@@ -253,8 +254,6 @@ impl<'a, A: App> Job<'a, A> {
         config: &JobConfig,
         resume: Option<&Path>,
     ) -> io::Result<JobResult<Global<A>>> {
-        assert!(config.num_workers >= 1);
-        assert!(config.compers_per_worker >= 1);
         let start = Instant::now();
 
         let partitioner = HashPartitioner::new(config.num_workers as u16);
@@ -309,6 +308,22 @@ pub fn run_job<'a, A: App>(
     config: &'a JobConfig,
 ) -> io::Result<JobResult<Global<A>>> {
     Job::new(app, source, config).run()
+}
+
+/// Refuses a worker or comper count outside `1..=u16::MAX`: both are
+/// packed into `u16` ids ([`WorkerId`], the comper half of a task id).
+pub(crate) fn check_counts(config: &JobConfig) -> io::Result<()> {
+    for (name, n) in
+        [("num_workers", config.num_workers), ("compers_per_worker", config.compers_per_worker)]
+    {
+        if !(1..=u16::MAX as usize).contains(&n) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{name} must be in 1..={}, got {n}", u16::MAX),
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// The recovery rules every recovering job follows, whichever runner
@@ -730,7 +745,7 @@ pub(crate) type WorkerExit<A> = (Option<WorkerOutcome<A>>, Option<io::Error>);
 /// [`JobConfig::heartbeat_timeout`].
 pub(crate) const DEFAULT_HEARTBEAT: std::time::Duration = std::time::Duration::from_secs(2);
 
-/// One worker's main thread: spawns the GC/comper threads, reads the
+/// One worker's main thread: spawns the comper threads, reads the
 /// worker's inbox, runs the periodic tick (plus master logic on worker
 /// 0), coordinates shutdown or suspension.
 pub(crate) fn worker_main<A: App>(
@@ -738,13 +753,6 @@ pub(crate) fn worker_main<A: App>(
     resume_global: Option<Global<A>>,
 ) -> WorkerExit<A> {
     let is_master = shared.me == WorkerId(0);
-    let gc = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name(format!("gc-{}", shared.me))
-            .spawn(move || gc_loop(&shared))
-            .expect("spawn gc")
-    };
     let compers: Vec<_> = (0..shared.config.compers_per_worker)
         .map(|i| {
             let shared = Arc::clone(&shared);
@@ -918,8 +926,6 @@ pub(crate) fn worker_main<A: App>(
             });
         }
     }
-
-    gc.join().expect("gc panicked");
 
     shared.sample_memory();
     if let Some(output) = &shared.output {

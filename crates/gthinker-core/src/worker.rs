@@ -1,9 +1,9 @@
-//! Worker-internal shared state, the main thread's inbox dispatch and
-//! the GC thread.
+//! Worker-internal shared state and the main thread's inbox dispatch.
 //!
 //! Each simulated machine runs (Fig. 3 / §V):
-//! * `n` **comper** threads ([`crate::comper`]),
-//! * one **GC** thread keeping `T_cache` bounded,
+//! * `n` **comper** threads ([`crate::comper`]), which also keep
+//!   `T_cache` bounded: a comper whose pop gate the cache overflow
+//!   closes runs the GC pass (DESIGN.md §7, "Where OP4 runs"),
 //! * the **worker main** thread (in [`crate::job`]), the only reader of
 //!   the worker's inbox: between its periodic progress/aggregator
 //!   synchronization ticks it answers vertex pulls, installs pull
@@ -18,7 +18,7 @@ use crate::metrics::{ComperHists, WorkerCounters, WorkerHists};
 use gthinker_graph::adj::SharedAdj;
 use gthinker_graph::ids::{VertexId, WorkerId};
 use gthinker_graph::partition::HashPartitioner;
-use gthinker_metrics::{now_nanos, Event, EventKind, EventRing, TID_GC, TID_MAIN};
+use gthinker_metrics::{now_nanos, Event, EventKind, EventRing, TID_MAIN};
 use gthinker_net::batch::RequestBatcher;
 use gthinker_net::frame;
 use gthinker_net::message::Message;
@@ -237,13 +237,10 @@ pub(crate) struct WorkerShared<A: App> {
     pub peak_mem: AtomicU64,
     /// Wakes compers parked for lack of work. Notified by the main
     /// thread (`B_task` push, new spill file), by sibling compers
-    /// (enqueue crossing the stealable threshold, overflow spill), by
-    /// the GC (evictions reopening the pop gate) and on stop/suspend.
+    /// (enqueue crossing the stealable threshold, overflow spill, a GC
+    /// pass that evicted and so may have reopened the pop gate) and on
+    /// stop/suspend.
     pub sched_events: EventCount,
-    /// Wakes the GC thread when the cache may have grown past its
-    /// limit (the main thread installed responses) or the worker is
-    /// stopping.
-    pub gc_events: EventCount,
     /// Activity epoch: bumped on every idle → busy transition (a comper
     /// leaving a park with work, the main thread landing a steal batch
     /// or executing a steal request), *after* the transition is visible
@@ -343,7 +340,6 @@ impl<A: App> WorkerShared<A> {
             task_mem: AtomicI64::new(0),
             peak_mem: AtomicU64::new(0),
             sched_events: EventCount::new(),
-            gc_events: EventCount::new(),
             activity: AtomicU64::new(0),
             reported_epoch: AtomicU64::new(NOT_IDLE),
             counters: WorkerCounters::default(),
@@ -380,7 +376,6 @@ impl<A: App> WorkerShared<A> {
     /// by park fallbacks or the sync interval.
     pub fn wake_all(&self) {
         self.sched_events.notify_all();
-        self.gc_events.notify_all();
         self.net.requeue(Message::Wake);
     }
 
@@ -572,33 +567,15 @@ fn serve_pull<A: App>(
 /// the parks and wakes without letting one batch starve control traffic.
 const RECV_BATCH: usize = 64;
 
-/// Wakeups accumulated while applying one received batch: every
-/// message is installed first, then each set flag fires **one**
-/// `EventCount` notify — a batch of N vertex responses costs one
-/// scheduler wakeup, not N.
-#[derive(Default)]
-struct WakeSet {
-    sched: bool,
-    gc: bool,
-}
-
-impl WakeSet {
-    fn flush<A: App>(&mut self, shared: &WorkerShared<A>) {
-        if std::mem::take(&mut self.sched) {
-            shared.sched_events.notify_all();
-        }
-        if std::mem::take(&mut self.gc) {
-            shared.gc_events.notify_all();
-        }
-    }
-}
-
 /// The main thread's side of its worker's inbox, of which it is the only
-/// reader: a reused batch buffer and the wakeups one batch accumulates.
+/// reader: a reused batch buffer, and whether applying the batch owes the
+/// compers a wakeup. Every message is installed first, then **one**
+/// `sched_events` notify fires — a batch of N vertex responses costs one
+/// scheduler wakeup, not N.
 #[derive(Default)]
 pub(crate) struct Inbox {
     batch: Vec<Message>,
-    wakes: WakeSet,
+    wake_compers: bool,
 }
 
 impl Inbox {
@@ -620,10 +597,10 @@ impl Inbox {
         shared.net.recv_batch(timeout, RECV_BATCH, &mut self.batch);
         let mut sync = false;
         for msg in self.batch.drain(..) {
-            let wakes = &mut self.wakes;
+            let wake = &mut self.wake_compers;
             let master = master.as_deref_mut();
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                handle_message(shared, master, wakes, msg)
+                handle_message(shared, master, wake, msg)
             })) {
                 Ok(wants_sync) => sync |= wants_sync,
                 Err(payload) => {
@@ -632,7 +609,9 @@ impl Inbox {
                 }
             }
         }
-        self.wakes.flush(shared);
+        if std::mem::take(&mut self.wake_compers) {
+            shared.sched_events.notify_all();
+        }
         sync
     }
 }
@@ -645,7 +624,7 @@ impl Inbox {
 fn handle_message<A: App>(
     shared: &Arc<WorkerShared<A>>,
     master: Option<&mut MasterState<A>>,
-    wakes: &mut WakeSet,
+    wake_compers: &mut bool,
     msg: Message,
 ) -> bool {
     if shared.crashed.load(Ordering::Relaxed) {
@@ -700,20 +679,13 @@ fn handle_message<A: App>(
                 // paid per entry.
                 settled_last_pull = shared.outstanding_pulls.fetch_sub(1, Ordering::Release) == 1;
             }
-            // Edge-triggered wakes, batched: a comper parks only with
+            // Edge-triggered wake, batched: a comper parks only with
             // an empty B_task, so a response that completes no task
             // carries no edge it could act on — pull-count decrements
-            // alone keep `pending + buffer` constant. Likewise the GC
-            // only has work once the inserts leave the cache over its
-            // limit (eviction of released entries below the limit is
-            // not its job). The flags fire one notify per received
-            // batch (`WakeSet::flush`), not one per message.
-            if made_ready {
-                wakes.sched = true;
-            }
-            if shared.cache.over_limit() {
-                wakes.gc = true;
-            }
+            // alone keep `pending + buffer` constant. The flag fires
+            // one notify per received batch (`Inbox::dispatch`), not
+            // one per message.
+            *wake_compers |= made_ready;
             // No activity-epoch bump for a task made ready: a pull was
             // outstanding, so the worker was not quiescent, and a parked
             // comper that picks the task up bumps the epoch itself.
@@ -748,7 +720,7 @@ fn handle_message<A: App>(
                 shared.trace_main(EventKind::StealRecv, steal_flow_key(victim, seq));
                 // A new spill file is a refill source every comper
                 // checks (wake batched with the rest of this drain).
-                wakes.sched = true;
+                *wake_compers = true;
                 shared.net.send(WorkerId(0), Message::StealDone);
             }
             // (Re-)ack even for duplicates: the earlier ack may have
@@ -969,42 +941,6 @@ fn steal_payload<A: App>(
     }
     let count = tasks.len() as u64;
     Some((seal_batch(&tasks), count))
-}
-
-/// The GC thread: runs lazy eviction passes until the worker stops.
-/// Event-driven: parks on `gc_events` whenever a pass evicts nothing
-/// (the cache is under its limit), and is woken by the main thread after
-/// response installs grow the cache, or by `wake_all` at shutdown.
-pub(crate) fn gc_loop<A: App>(shared: &Arc<WorkerShared<A>>) {
-    let mut handle = shared.cache.counter_handle();
-    loop {
-        // Listen before the stop check and the pass, so a wake between
-        // "nothing evicted" and the wait below is never lost.
-        let key = shared.gc_events.listen();
-        if shared.stopping() {
-            break;
-        }
-        let trace = shared.ring.enabled();
-        let pass_start = if trace { now_nanos() } else { 0 };
-        let evicted = shared.cache.gc_pass(&mut handle);
-        if evicted > 0 {
-            if trace {
-                shared.ring.push(Event {
-                    ts: pass_start,
-                    dur: now_nanos().saturating_sub(pass_start),
-                    tid: TID_GC,
-                    arg: evicted as u64,
-                    kind: EventKind::GcPass,
-                });
-            }
-            // Evictions may reopen the pop() gate (`over_limit`) that
-            // idle compers are parked behind.
-            shared.sched_events.notify_all();
-        } else {
-            shared.gc_events.wait(key, Duration::from_millis(5));
-        }
-    }
-    handle.flush();
 }
 
 /// Periodic duties of every worker's main thread (master or not), run

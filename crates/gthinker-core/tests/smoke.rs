@@ -190,3 +190,13 @@ fn tiny_cache_still_completes() {
     let evictions: u64 = result.metrics.totals().cache.evictions;
     assert!(evictions > 0, "GC must have evicted under a 16-vertex cache");
 }
+
+#[test]
+fn worker_and_comper_counts_outside_u16_are_invalid_input() {
+    // Both counts are packed into u16 ids; neither may be 0.
+    let g = gen::gnp(50, 0.1, 3);
+    for cfg in [JobConfig::single_machine(0), JobConfig::cluster(65_536, 1)] {
+        let e = run_job(Arc::new(DegreeSum), &g, &cfg).map(|_| ()).unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}");
+    }
+}

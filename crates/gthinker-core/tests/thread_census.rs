@@ -1,8 +1,8 @@
 //! A worker's thread census, counted for real from `/proc/self/task`
-//! while a job is mining: `n` compers and one GC thread beside the
-//! worker's main thread, which reads the inbox itself — no receiver
-//! thread and no pool of responder threads — and, on TCP, the process's
-//! one `tcp-io` thread. This file holds a single `#[test]` so no
+//! while a job is mining: `n` compers beside the worker's main thread,
+//! which reads the inbox itself — no GC thread (the compers run the GC
+//! passes), no receiver thread and no pool of responder threads — and,
+//! on TCP, the process's one `tcp-io` thread. This file holds a single `#[test]` so no
 //! concurrent job's threads pollute the count.
 #![cfg(target_os = "linux")]
 
@@ -81,7 +81,7 @@ fn census(
 }
 
 #[test]
-fn a_worker_runs_its_compers_and_one_gc_thread_and_no_receiver_on_sim_and_tcp() {
+fn a_worker_runs_its_compers_and_no_gc_or_receiver_thread_on_sim_and_tcp() {
     let g = Arc::new(gen::barabasi_albert(400, 4, 3));
     let edges = g.num_edges() as u64;
     let cfg = JobConfig::cluster(WORKERS, COMPERS);
@@ -92,7 +92,7 @@ fn a_worker_runs_its_compers_and_one_gc_thread_and_no_receiver_on_sim_and_tcp() 
             run_job(app, &*g, &cfg).unwrap().global
         })
     };
-    let want = [("comper-", WORKERS * COMPERS), ("gc-", WORKERS), ("recv-", 0), ("respond", 0)];
+    let want = [("comper-", WORKERS * COMPERS), ("gc-", 0), ("recv-", 0), ("respond", 0)];
     assert_eq!(sim, want.map(|(p, n)| (p.to_string(), n)));
 
     // A loopback process pair, one thread per process.
@@ -130,7 +130,7 @@ fn a_worker_runs_its_compers_and_one_gc_thread_and_no_receiver_on_sim_and_tcp() 
         }
     });
     let mut want: Vec<(String, usize)> =
-        (0..WORKERS).flat_map(|w| per_worker(w).into_iter().zip([COMPERS, 1, 1])).collect();
+        (0..WORKERS).flat_map(|w| per_worker(w).into_iter().zip([COMPERS, 1, 0])).collect();
     want.push(("recv-".into(), 0));
     assert_eq!(tcp, want);
 }

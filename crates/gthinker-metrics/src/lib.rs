@@ -28,8 +28,6 @@ pub use clock::now_nanos;
 pub use hist::{HistSnapshot, LogHistogram, NUM_BUCKETS};
 pub use ring::{Event, EventKind, EventRing};
 
-/// Synthetic `tid` used for a worker's GC thread in traces.
-pub const TID_GC: u32 = 1001;
 /// Synthetic `tid` used for a worker's main thread: the inbox, the
 /// tick and, on worker 0, the master.
 pub const TID_MAIN: u32 = 1002;
@@ -38,7 +36,6 @@ pub const TID_MAIN: u32 = 1002;
 /// index, service threads use the `TID_*` constants).
 pub fn tid_name(tid: u32) -> String {
     match tid {
-        TID_GC => "gc".into(),
         TID_MAIN => "main".into(),
         t => format!("comper-{t}"),
     }
@@ -52,7 +49,6 @@ mod tests {
     fn tid_names_are_distinct_and_stable() {
         assert_eq!(tid_name(0), "comper-0");
         assert_eq!(tid_name(7), "comper-7");
-        assert_eq!(tid_name(TID_GC), "gc");
         assert_eq!(tid_name(TID_MAIN), "main");
     }
 }

@@ -119,13 +119,7 @@ mod tests {
                 Event { ts: 1_000, dur: 500, tid: 0, arg: 0, kind: EventKind::Compute },
                 Event { ts: 2_000, dur: 0, tid: 1, arg: 3, kind: EventKind::Steal },
             ],
-            vec![Event {
-                ts: 1_500,
-                dur: 200,
-                tid: crate::TID_GC,
-                arg: 7,
-                kind: EventKind::GcPass,
-            }],
+            vec![Event { ts: 1_500, dur: 200, tid: 2, arg: 7, kind: EventKind::GcPass }],
         ]
     }
 
@@ -139,7 +133,8 @@ mod tests {
         for key in ["\"ph\":", "\"ts\":", "\"pid\":", "\"tid\":"] {
             assert!(s.contains(key), "missing {key} in {s}");
         }
-        // One X span, one i instant, one gc span, plus metadata rows.
+        // One X span, one i instant, one gc span on a comper's row, plus
+        // metadata rows.
         assert!(s.contains("\"ph\":\"X\""));
         assert!(s.contains("\"ph\":\"i\""));
         assert!(s.contains("\"name\":\"compute\""));
@@ -148,7 +143,7 @@ mod tests {
         assert!(s.contains("\"args\":{\"evicted\":7}"));
         assert!(s.contains("\"name\":\"worker-0\""));
         assert!(s.contains("\"name\":\"worker-1\""));
-        assert!(s.contains("\"name\":\"gc\""));
+        assert!(s.contains("\"name\":\"comper-2\""));
         // Braces and brackets balance (cheap well-formedness check —
         // CI additionally runs a real JSON parser over CLI output).
         assert_eq!(s.matches('{').count(), s.matches('}').count());

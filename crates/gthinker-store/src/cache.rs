@@ -11,7 +11,8 @@
 //!   `lock_count` has reached zero since GC last looked at it (lets GC
 //!   scan only candidates). Deletion is lazy — a hit on a zero-locked
 //!   vertex leaves its candidate in place, and GC drops the candidates
-//!   it finds locked again — so the hit path never edits the table;
+//!   it finds locked again — so the hit path never edits the table. A
+//!   bitmap holds a bucket's bit set while its Z-table is non-empty;
 //! * **R-table** — vertices whose pull request is in flight, with the
 //!   IDs of the tasks waiting for the response (its length plays the
 //!   role of `lock_count`, and prevents duplicate requests).
@@ -22,14 +23,15 @@
 //! Size accounting: `s_cache = |Γ-tables| + |R-tables|` is maintained
 //! approximately via [`CounterHandle`]s. GC is *lazy*: it evicts only
 //! when `s_cache > (1 + α) · c_cache`, removing up to
-//! `s_cache − c_cache` vertices per pass in round-robin bucket order.
+//! `s_cache − c_cache` vertices per pass in round-robin order over the
+//! buckets with candidates, one pass at a time.
 
 use crate::counter::{ApproxCounter, CounterHandle};
 use gthinker_graph::adj::{AdjList, SharedAdj};
 use gthinker_graph::hash::FastMap;
 use gthinker_graph::ids::{TaskId, VertexId};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -194,6 +196,11 @@ struct Bucket {
 /// ```
 pub struct VertexCache {
     buckets: Box<[Mutex<Bucket>]>,
+    /// Bit `i % 64` of word `i / 64` is set exactly while bucket `i`'s
+    /// Z-table is non-empty, both edges under that bucket's lock.
+    has_candidates: Box<[AtomicU64]>,
+    /// Held by the one [`VertexCache::gc_pass`] that is running.
+    gc_running: AtomicBool,
     size: Arc<ApproxCounter>,
     config: CacheConfig,
     gc_cursor: AtomicUsize,
@@ -225,6 +232,8 @@ impl VertexCache {
             .into_boxed_slice();
         VertexCache {
             buckets,
+            has_candidates: (0..config.num_buckets.div_ceil(64)).map(|_| 0.into()).collect(),
+            gc_running: AtomicBool::new(false),
             size: ApproxCounter::new(),
             config,
             gc_cursor: AtomicUsize::new(0),
@@ -252,7 +261,7 @@ impl VertexCache {
     }
 
     /// Creates a per-thread handle for `s_cache` updates; every comper
-    /// and the GC thread own one.
+    /// owns one, for its requests and its GC passes alike.
     pub fn counter_handle(&self) -> CounterHandle {
         self.size.handle(self.config.counter_delta)
     }
@@ -270,9 +279,18 @@ impl VertexCache {
     }
 
     #[inline]
-    fn bucket_of(&self, v: VertexId) -> &Mutex<Bucket> {
-        let i = gthinker_graph::hash::hash_u64(v.0 as u64) as usize % self.buckets.len();
-        &self.buckets[i]
+    fn bucket_index(&self, v: VertexId) -> usize {
+        gthinker_graph::hash::hash_u64(v.0 as u64) as usize % self.buckets.len()
+    }
+
+    /// Adds `v` to bucket `i`'s Z-table `zero` under its lock, setting the
+    /// bucket's bit on the empty → non-empty edge; `SeqCst` like
+    /// `gc_running`, so a pass cannot miss a candidate it turned away.
+    fn push_candidate(&self, i: usize, zero: &mut Vec<VertexId>, v: VertexId) {
+        if zero.is_empty() {
+            self.has_candidates[i / 64].fetch_or(1 << (i % 64), Ordering::SeqCst);
+        }
+        zero.push(v);
     }
 
     /// **OP1** — task `task` requests `Γ(v)`.
@@ -288,7 +306,7 @@ impl VertexCache {
         task: TaskId,
         counter: &mut CounterHandle,
     ) -> RequestOutcome {
-        let mut b = self.bucket_of(v).lock();
+        let mut b = self.buckets[self.bucket_index(v)].lock();
         if let Some(entry) = b.gamma.get_mut(&v) {
             entry.lock_count += 1;
             let adj = Arc::clone(&entry.adj);
@@ -328,7 +346,8 @@ impl VertexCache {
     /// payloads are immutable per vertex, so whichever copy wins
     /// installs identical data.
     pub fn insert_response(&self, v: VertexId, adj: AdjList) -> Option<Vec<TaskId>> {
-        let mut b = self.bucket_of(v).lock();
+        let i = self.bucket_index(v);
+        let mut b = self.buckets[i].lock();
         let Some(req) = b.requests.remove(&v) else {
             self.stats.stale_responses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -341,7 +360,7 @@ impl VertexCache {
         self.gamma_bytes.fetch_add(adj.heap_bytes(), Ordering::Relaxed);
         b.gamma.insert(v, GammaEntry { adj: Arc::new(adj), lock_count, in_zero });
         if in_zero {
-            b.zero.push(v);
+            self.push_candidate(i, &mut b.zero, v);
         }
         Some(waiters)
     }
@@ -397,7 +416,7 @@ impl VertexCache {
     /// comper assembles the `frontier`). Does **not** change lock
     /// counts.
     pub fn get_locked(&self, v: VertexId) -> Option<SharedAdj> {
-        let b = self.bucket_of(v).lock();
+        let b = self.buckets[self.bucket_index(v)].lock();
         b.gamma.get(&v).map(|e| Arc::clone(&e.adj))
     }
 
@@ -410,61 +429,96 @@ impl VertexCache {
     /// Panics if `v` is not cached or not locked — that would mean a
     /// release without a matching request, a framework bug.
     pub fn release(&self, v: VertexId) {
-        let mut b = self.bucket_of(v).lock();
+        let i = self.bucket_index(v);
+        let mut b = self.buckets[i].lock();
         let Bucket { gamma, zero, .. } = &mut *b;
         let entry = gamma.get_mut(&v).expect("release of uncached vertex");
         assert!(entry.lock_count > 0, "release without matching request");
         entry.lock_count -= 1;
         if entry.lock_count == 0 && !entry.in_zero {
             entry.in_zero = true;
-            zero.push(v);
+            self.push_candidate(i, zero, v);
         }
     }
 
     /// **OP4** — one lazy GC pass.
     ///
-    /// If `s_cache ≤ (1 + α) · c_cache` this returns 0 immediately
-    /// (releasing the GC thread's CPU core, per the paper). Otherwise it
-    /// walks buckets round-robin, taking Z-table candidates oldest
-    /// first — evicting those still unlocked, un-flagging those a task
-    /// has locked again (their next release re-enters them) — until
-    /// `s_cache − c_cache` vertices are gone or all buckets were
-    /// scanned once (locked tasks may block full eviction; later passes
-    /// catch up once tasks release).
+    /// If `s_cache ≤ (1 + α) · c_cache`, or another pass is running,
+    /// this returns 0 at once. Otherwise it walks the buckets with
+    /// candidates (and no other) round-robin, taking Z-table candidates
+    /// oldest first — evicting those still unlocked, un-flagging those a
+    /// task has locked again (their next release re-enters them) — until
+    /// `s_cache − c_cache` vertices are gone or every such bucket was
+    /// visited once, and flushes `counter` so `over_limit()` sees the
+    /// evictions. It passes again while still over the limit with
+    /// candidates left: a caller it turned away may have added one.
     pub fn gc_pass(&self, counter: &mut CounterHandle) -> usize {
-        if !self.over_limit() {
-            return 0;
+        let mut evicted = 0;
+        while self.over_limit()
+            && self
+                .gc_running
+                .compare_exchange(false, true, Ordering::SeqCst, Ordering::Relaxed)
+                .is_ok()
+        {
+            evicted += self.sweep(counter);
+            counter.flush();
+            self.gc_running.store(false, Ordering::SeqCst);
+            if self.has_candidates.iter().all(|w| w.load(Ordering::SeqCst) == 0) {
+                break;
+            }
         }
+        evicted
+    }
+
+    /// One pass of [`VertexCache::gc_pass`], under its guard.
+    fn sweep(&self, counter: &mut CounterHandle) -> usize {
         self.stats.gc_passes.fetch_add(1, Ordering::Relaxed);
         let target = (self.size.read() - self.config.capacity as i64).max(0) as usize;
         let mut evicted = 0usize;
-        let k = self.buckets.len();
-        for _ in 0..k {
-            if evicted >= target {
-                break;
+        let start = self.gc_cursor.load(Ordering::Relaxed) % self.buckets.len();
+        // Word `start / 64` is visited twice: its bits from `start` up
+        // first, the ones below `start` last.
+        let (words, first, low) = (self.has_candidates.len(), start / 64, start % 64);
+        'pass: for n in 0..=words {
+            let w = (first + n) % words;
+            let mut bits = self.has_candidates[w].load(Ordering::SeqCst);
+            if n == 0 {
+                bits &= u64::MAX << low;
+            } else if n == words {
+                bits &= (1u64 << low) - 1;
             }
-            let i = self.gc_cursor.fetch_add(1, Ordering::Relaxed) % k;
-            let mut b = self.buckets[i].lock();
-            let Bucket { gamma, zero, .. } = &mut *b;
-            let mut scanned = 0;
-            for &v in zero.iter() {
+            while bits != 0 {
                 if evicted >= target {
-                    break;
+                    break 'pass;
                 }
-                scanned += 1;
-                let entry = gamma.get_mut(&v).expect("Z-table candidate missing from Γ-table");
-                debug_assert!(entry.in_zero, "candidate without its flag");
-                if entry.lock_count == 0 {
-                    let bytes = entry.adj.heap_bytes();
-                    gamma.remove(&v);
-                    self.gamma_bytes.fetch_sub(bytes, Ordering::Relaxed);
-                    counter.decr();
-                    evicted += 1;
-                } else {
-                    entry.in_zero = false;
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.gc_cursor.store(i + 1, Ordering::Relaxed);
+                let mut b = self.buckets[i].lock();
+                let Bucket { gamma, zero, .. } = &mut *b;
+                let mut scanned = 0;
+                for &v in zero.iter() {
+                    if evicted >= target {
+                        break;
+                    }
+                    scanned += 1;
+                    let entry = gamma.get_mut(&v).expect("Z-table candidate missing from Γ-table");
+                    debug_assert!(entry.in_zero, "candidate without its flag");
+                    if entry.lock_count == 0 {
+                        let bytes = entry.adj.heap_bytes();
+                        gamma.remove(&v);
+                        self.gamma_bytes.fetch_sub(bytes, Ordering::Relaxed);
+                        counter.decr();
+                        evicted += 1;
+                    } else {
+                        entry.in_zero = false;
+                    }
+                }
+                zero.drain(..scanned);
+                if zero.is_empty() {
+                    self.has_candidates[w].fetch_and(!(1 << (i % 64)), Ordering::SeqCst);
                 }
             }
-            zero.drain(..scanned);
         }
         self.stats.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
         evicted
@@ -488,6 +542,16 @@ impl VertexCache {
             .iter()
             .map(|b| b.lock().gamma.values().filter(|e| e.lock_count == 0).count())
             .sum()
+    }
+
+    /// True when every bucket's bit is set exactly while its Z-table is
+    /// non-empty, as it is whenever no operation runs; tests.
+    #[doc(hidden)]
+    pub fn candidate_bits_agree(&self) -> bool {
+        self.buckets.iter().enumerate().all(|(i, b)| {
+            let bit = self.has_candidates[i / 64].load(Ordering::SeqCst) >> (i % 64) & 1;
+            (bit == 1) != b.lock().zero.is_empty()
+        })
     }
 
     /// Z-table candidates across all buckets, stale ones included.
@@ -805,6 +869,66 @@ mod tests {
         for i in (1..10).step_by(2) {
             assert!(c.get_locked(VertexId(i)).is_some());
         }
+    }
+
+    #[test]
+    fn gc_locks_only_buckets_with_candidates() {
+        let c = Arc::new(VertexCache::new(CacheConfig {
+            num_buckets: 10_000,
+            capacity: 2,
+            counter_delta: 1,
+            ..CacheConfig::default()
+        }));
+        let mut h = c.counter_handle();
+        c.request(VertexId(0), T1, &mut h);
+        c.insert_response(VertexId(0), adj(&[]));
+        c.release(VertexId(0));
+        // Five pulls in flight over-fill the cache; none is a candidate.
+        for v in 1..=5 {
+            c.request(VertexId(v), T1, &mut h);
+        }
+        assert!(c.over_limit());
+        // Another thread holds a bucket without candidates.
+        let held = (c.bucket_index(VertexId(0)) + 1) % c.buckets.len();
+        let (locked_tx, locked_rx) = std::sync::mpsc::channel();
+        let (free_tx, free_rx) = std::sync::mpsc::channel::<()>();
+        let holder = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                let _bucket = c.buckets[held].lock();
+                locked_tx.send(()).unwrap();
+                let _ = free_rx.recv();
+            })
+        };
+        locked_rx.recv().unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || done_tx.send(c.gc_pass(&mut c.counter_handle())));
+        }
+        let evicted = done_rx.recv_timeout(Duration::from_secs(5));
+        free_tx.send(()).unwrap();
+        holder.join().unwrap();
+        assert_eq!(evicted, Ok(1), "the pass must not wait on a bucket without candidates");
+        assert!(c.get_locked(VertexId(0)).is_none());
+    }
+
+    #[test]
+    fn a_pass_that_finds_another_running_returns_at_once() {
+        let c = small_cache(1);
+        let mut h = c.counter_handle();
+        for i in 0..4 {
+            c.request(VertexId(i), T1, &mut h);
+            c.insert_response(VertexId(i), adj(&[]));
+            c.release(VertexId(i));
+        }
+        c.gc_running.store(true, Ordering::SeqCst);
+        assert_eq!(c.gc_pass(&mut h), 0);
+        assert_eq!(c.stats().snapshot().gc_passes, 0, "a turned-away caller counts no pass");
+        c.gc_running.store(false, Ordering::SeqCst);
+        assert_eq!(c.gc_pass(&mut h), 3);
+        assert_eq!(c.stats().snapshot().gc_passes, 1);
+        assert!(c.candidate_bits_agree());
     }
 
     #[test]

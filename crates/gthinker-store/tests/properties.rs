@@ -111,6 +111,8 @@ proptest! {
                 .count() as i64;
             prop_assert_eq!(cache.exact_size() as i64, model_size, "size reconciles");
             prop_assert_eq!(cache.approx_size(), model_size, "counter exact at δ=1");
+            prop_assert!(cache.candidate_bits_agree(),
+                "a bucket's bit is set exactly when its Z-table is non-empty");
             for (i, m) in model.iter().enumerate() {
                 let v = VertexId(i as u32);
                 if m.cached {
