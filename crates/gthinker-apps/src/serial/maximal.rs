@@ -7,12 +7,13 @@
 //! degeneracy style: `R = {v}`, `P = Γ_>(v)`, `X = Γ_<(v)`, so each
 //! maximal clique is reported exactly once — by its minimum vertex.
 //!
-//! When the [`LocalGraph`] carries its dense adjacency matrix, the
-//! entry points run a word-parallel variant: `P` and `X` are
+//! [`bron_kerbosch`] is the one entry point, seeded or full, and it
+//! dispatches on [`LocalGraph::is_dense`]. With the dense adjacency
+//! matrix it runs the word-parallel kernel: `P` and `X` are
 //! [`BitSet`]s, pivot scoring is an AND-popcount per candidate, and the
 //! child sets `P ∧ Γ(v)` / `X ∧ Γ(v)` are single AND sweeps into
-//! per-depth scratch. The sorted-list recursion is kept as the
-//! fallback for subgraphs above the dense threshold.
+//! per-depth scratch. The sorted-list recursion is the fallback for
+//! subgraphs above the dense threshold.
 
 use gthinker_graph::bitset::BitSet;
 use gthinker_graph::subgraph::LocalGraph;
@@ -21,6 +22,28 @@ use gthinker_graph::subgraph::LocalGraph;
 /// extended only by `p`, and must not be extendable by anything in
 /// `x`. Calls `visit` once per maximal clique (local indices, sorted).
 pub fn bron_kerbosch(
+    g: &LocalGraph,
+    r: &mut Vec<u32>,
+    p: Vec<u32>,
+    x: Vec<u32>,
+    visit: &mut impl FnMut(&[u32]),
+) {
+    if !g.is_dense() {
+        return bron_kerbosch_lists(g, r, p, x, visit);
+    }
+    let mut scratch = vec![BkLevel::new(g.num_vertices())];
+    for v in p {
+        scratch[0].p.insert(v);
+    }
+    for v in x {
+        scratch[0].x.insert(v);
+    }
+    bron_kerbosch_bitset(g, 0, r, &mut scratch, visit);
+}
+
+/// The sorted-list recursion behind [`bron_kerbosch`] on a sparse
+/// graph: one `has_edge` test per pair.
+fn bron_kerbosch_lists(
     g: &LocalGraph,
     r: &mut Vec<u32>,
     mut p: Vec<u32>,
@@ -46,7 +69,7 @@ pub fn bron_kerbosch(
         let np: Vec<u32> = p.iter().copied().filter(|&u| g.has_edge(v, u)).collect();
         let nx: Vec<u32> = x.iter().copied().filter(|&u| g.has_edge(v, u)).collect();
         r.push(v);
-        bron_kerbosch(g, r, np, nx, visit);
+        bron_kerbosch_lists(g, r, np, nx, visit);
         r.pop();
         p.retain(|&u| u != v);
         x.push(v);
@@ -66,9 +89,9 @@ impl BkLevel {
     }
 }
 
-/// Word-parallel Bron–Kerbosch over the dense adjacency matrix; same
-/// reporting contract as [`bron_kerbosch`]. `scratch[depth]` must hold
-/// the node's `P` and `X` on entry.
+/// Word-parallel Bron–Kerbosch over the dense adjacency matrix, what
+/// [`bron_kerbosch`] runs on a dense graph; same reporting contract.
+/// `scratch[depth]` must hold the node's `P` and `X` on entry.
 fn bron_kerbosch_bitset(
     g: &LocalGraph,
     depth: usize,
@@ -117,22 +140,13 @@ fn bron_kerbosch_bitset(
     }
 }
 
-/// Runs the full enumeration (all vertices as initial candidates) with
-/// whichever kernel matches the graph's representation.
+/// Runs the full enumeration (all vertices as initial candidates).
 fn enumerate_all(g: &LocalGraph, visit: &mut impl FnMut(&[u32])) {
     let n = g.num_vertices();
     if n == 0 {
         return; // BK would report the empty clique
     }
-    let mut r = Vec::new();
-    if g.is_dense() {
-        let mut scratch = vec![BkLevel::new(n)];
-        scratch[0].p.set_all();
-        bron_kerbosch_bitset(g, 0, &mut r, &mut scratch, visit);
-    } else {
-        let p: Vec<u32> = (0..n as u32).collect();
-        bron_kerbosch(g, &mut r, p, Vec::new(), visit);
-    }
+    bron_kerbosch(g, &mut Vec::new(), (0..n as u32).collect(), Vec::new(), visit);
 }
 
 /// Counts all maximal cliques of `g`.

@@ -10,7 +10,7 @@
 //! exercised, not just the two extremes.
 
 use gthinker_apps::serial::clique::{max_clique_above, max_clique_brute};
-use gthinker_apps::serial::maximal::{count_maximal_cliques, list_maximal_cliques};
+use gthinker_apps::serial::maximal::{bron_kerbosch, count_maximal_cliques, list_maximal_cliques};
 use gthinker_apps::serial::triangle::count_triangles_local;
 use gthinker_graph::gen;
 use gthinker_graph::graph::Graph;
@@ -109,6 +109,60 @@ fn maximal_clique_enumeration_agrees_across_kernels() {
         a.sort();
         b.sort();
         assert_eq!(a, b, "n {n}");
+    }
+}
+
+/// The maximal cliques one seeded [`bron_kerbosch`] call lists, sorted.
+fn seeded_cliques(g: &LocalGraph, r: &[u32], p: &[u32], x: &[u32]) -> Vec<Vec<u32>> {
+    let mut out = Vec::new();
+    bron_kerbosch(g, &mut r.to_vec(), p.to_vec(), x.to_vec(), &mut |c| out.push(c.to_vec()));
+    out.sort();
+    out
+}
+
+#[test]
+fn seeded_bron_kerbosch_agrees_across_kernels() {
+    // The seeds the `mc` app makes: the root of anchor `a` is
+    // `R = {a}`, `P = Γ_>(a)`, `X = Γ_<(a)`; its branch `v` is
+    // `R = {a, v}` with the common neighbours above `v` as `P` and those
+    // below as `X` (the smaller branches already ran).
+    for n in straddle_sizes() {
+        let mut graphs = vec![gen::gnp(n, 0.2, n as u64 + 11)];
+        if n > 4 {
+            graphs.push(gen::barabasi_albert(n, 4, n as u64));
+        }
+        for g in &graphs {
+            let (dense, sparse) = both(g);
+            let mut all = Vec::new();
+            for a in 0..n as u32 {
+                let nbrs = dense.neighbors(a);
+                let (x, p) = nbrs.split_at(nbrs.partition_point(|&u| u < a));
+                let root = seeded_cliques(&dense, &[a], p, x);
+                assert_eq!(root, seeded_cliques(&sparse, &[a], p, x), "n {n} anchor {a}");
+                let mut from_branches = Vec::new();
+                for &v in p {
+                    let common: Vec<u32> =
+                        nbrs.iter().copied().filter(|&u| dense.has_edge(v, u)).collect();
+                    let (x, p) = common.split_at(common.partition_point(|&u| u < v));
+                    let branch = seeded_cliques(&dense, &[a, v], p, x);
+                    assert_eq!(
+                        branch,
+                        seeded_cliques(&sparse, &[a, v], p, x),
+                        "n {n} anchor {a} branch {v}"
+                    );
+                    from_branches.extend(branch);
+                }
+                from_branches.sort();
+                if !p.is_empty() {
+                    assert_eq!(root, from_branches, "n {n} anchor {a}: branches split the root");
+                }
+                all.extend(root);
+            }
+            all.sort();
+            let mut full = list_maximal_cliques(&dense);
+            full.sort();
+            assert_eq!(all, full, "n {n}: one clique per minimum vertex");
+        }
     }
 }
 

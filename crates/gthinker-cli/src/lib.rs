@@ -47,6 +47,17 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError(msg.into()))
 }
 
+/// Refuses `value` of option `o` unless `ok`, naming the `allowed`
+/// range: the library constructors `assert!` these ranges, so the CLI
+/// checks them first.
+fn check(ok: bool, o: &Opt, value: impl std::fmt::Display, allowed: &str) -> Result<(), CliError> {
+    if ok {
+        Ok(())
+    } else {
+        err(format!("bad value for {}: {value} (want {allowed})", o.name))
+    }
+}
+
 /// The mining subcommands, alone or after `master` / `worker`.
 const MINERS: [&str; 6] = ["mcf", "tc", "mc", "qc", "kp", "gm"];
 
@@ -166,6 +177,14 @@ fn cmd_gen(mut a: Args) -> Result<String, CliError> {
     let scale: f64 = a.parsed(&SCALE)?.unwrap_or(1.0);
     let stream = a.take(&STREAM).is_some();
     a.finish([])?;
+    match kind.as_str() {
+        "ba" => {
+            check(m >= 1, &GEN_M, m, "at least 1")?;
+            check(n > m, &GEN_N, n, &format!("more than {} {m}", GEN_M.name))?;
+        }
+        "gnp" => check((0.0..=1.0).contains(&p), &GEN_P, p, "a probability in [0, 1]")?,
+        _ => check(scale > 0.0 && scale.is_finite(), &SCALE, scale, "a positive number")?,
+    }
     if stream {
         if labels > 0 {
             return err(format!("gen: {} does not support {}", STREAM.name, LABELS.name));
@@ -405,8 +424,8 @@ impl Place {
             };
         }
         cfg.compute_budget = a.parsed(&COMPUTE_BUDGET)?;
-        if cfg.compute_budget == Some(0) {
-            return err(format!("{} must be at least 1", COMPUTE_BUDGET.name));
+        if let Some(b) = cfg.compute_budget {
+            check(b >= 1, &COMPUTE_BUDGET, b, "at least 1")?;
         }
         cfg.report_interval = seconds(a, &REPORT_INTERVAL)?;
         let metrics_json = a.take(&METRICS_JSON);
@@ -461,6 +480,7 @@ fn cmd_mine(miner: &str, mut a: Args, mut place: Place) -> Result<String, CliErr
     match miner {
         "mcf" => {
             let tau: usize = a.parsed(&TAU)?.unwrap_or(40_000);
+            check(tau >= 1, &TAU, tau, "at least 1")?;
             mine(
                 a,
                 place,
@@ -502,8 +522,11 @@ fn cmd_mine(miner: &str, mut a: Args, mut place: Place) -> Result<String, CliErr
         ),
         "qc" => {
             let gamma: f64 = a.required(&GAMMA)?;
+            check((0.5..=1.0).contains(&gamma), &GAMMA, gamma, "γ in [0.5, 1]")?;
             let min: usize = a.parsed(&MIN)?.unwrap_or(3);
             let max: usize = a.parsed(&MAX)?.unwrap_or(5);
+            check(min >= 2, &MIN, min, "at least 2")?;
+            check(max >= min, &MAX, max, &format!("at least {} {min}", MIN.name))?;
             mine(
                 a,
                 place,
@@ -518,8 +541,12 @@ fn cmd_mine(miner: &str, mut a: Args, mut place: Place) -> Result<String, CliErr
         }
         "kp" => {
             let k: usize = a.required(&K)?;
-            let min: usize = a.parsed(&MIN)?.unwrap_or((2 * k).saturating_sub(1).max(2));
-            let max: usize = a.parsed(&MAX)?.unwrap_or(min + 2);
+            check(k >= 1, &K, k, "at least 1")?;
+            let least = k.saturating_mul(2).saturating_sub(1).max(2);
+            let min: usize = a.parsed(&MIN)?.unwrap_or(least);
+            let max: usize = a.parsed(&MAX)?.unwrap_or(min.saturating_add(2));
+            check(min >= least, &MIN, min, &format!("at least max(2k-1, 2) = {least}"))?;
+            check(max >= min, &MAX, max, &format!("at least {} {min}", MIN.name))?;
             mine(
                 a,
                 place,
@@ -1004,6 +1031,33 @@ mod tests {
         assert!(parse_pattern("star:1").is_err(), "star needs a leaf");
         assert!(parse_pattern("triangle:a,b,c").is_err());
         assert!(parse_pattern("triangle:1,2").is_err());
+    }
+
+    #[test]
+    fn out_of_range_app_and_generator_inputs_are_errors() {
+        // Each used to reach a library `assert!` and exit 101.
+        for (line, flag) in [
+            (&["mcf", "g.bin", "--tau", "0"][..], "--tau"),
+            (&["kp", "g.bin", "--k", "0"], "--k"),
+            (&["kp", "g.bin", "--k", "2", "--min", "2"], "--min"),
+            (&["kp", "g.bin", "--k", "2", "--min", "5", "--max", "3"], "--max"),
+            (&["qc", "g.bin", "--gamma", "0.3"], "--gamma"),
+            (&["qc", "g.bin", "--gamma", "1.5"], "--gamma"),
+            (&["qc", "g.bin", "--gamma", "NaN"], "--gamma"),
+            (&["qc", "g.bin", "--gamma", "0.6", "--min", "1"], "--min"),
+            (&["qc", "g.bin", "--gamma", "0.6", "--min", "5", "--max", "3"], "--max"),
+            (&["gen", "gnp", "-p", "2", "-o", "x.el"], "-p"),
+            (&["gen", "gnp", "-p", "2", "--stream", "-o", "x.el"], "-p"),
+            (&["gen", "ba", "-m", "0", "-o", "x.el"], "-m"),
+            (&["gen", "ba", "-n", "0", "-m", "2", "-o", "x.el"], "-n"),
+            (&["gen", "ba", "-n", "2", "-m", "2", "--stream", "-o", "x.el"], "-n"),
+            (&["gen", "friendster-s", "--scale", "0", "-o", "x.el"], "--scale"),
+            (&["gen", "youtube-s", "--scale", "inf", "-o", "x.el"], "--scale"),
+        ] {
+            let e = run(args(line)).unwrap_err();
+            assert!(e.0.starts_with(&format!("bad value for {flag}: ")), "{line:?}: {e}");
+            assert!(e.0.contains("(want "), "{line:?}: {e}");
+        }
     }
 
     #[test]

@@ -198,7 +198,10 @@ fn collect_garbage<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx) {
 /// True when some sibling's queue is worth visiting for a steal. Part
 /// of the park predicate: a comper never parks while a sibling holds a
 /// stealable queue, which is what makes "notify on crossing the
-/// stealable threshold" a sufficient wakeup rule for enqueues.
+/// stealable threshold" a sufficient wakeup rule for enqueues. That
+/// `refill` steals only into an empty queue does not weaken it: a
+/// comper whose own queue holds a task does not park either (it pops
+/// the task), and one whose queue is empty is exactly one that steals.
 fn stealable_sibling<A: App>(shared: &Arc<WorkerShared<A>>, idx: usize) -> bool {
     shared.config.intra_steal
         && shared.compers.iter().enumerate().any(|(j, c)| j != idx && c.queue.len() >= STEAL_MIN)
@@ -544,12 +547,16 @@ fn enqueue<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx, task: Tas
 }
 
 /// Refills `Q_task` (§V-B priority, extended by the tail-latency
-/// scheduler): (1) a spilled batch file if one exists, else (2) steal
-/// the newest half of the largest sibling queue, else (3) spawn fresh
-/// tasks from unspawned vertices in `T_local`. (Ready tasks — the
-/// paper's source 2 — are consumed directly from `B_task` by the push()
-/// phase each round, which keeps the lock discipline simple: tasks
-/// inside `Q_task` or spill files never hold cache locks.)
+/// scheduler): (1) a spilled batch file if one exists, else (2) — only
+/// when this comper's own queue is empty — steal the newest half of
+/// the largest sibling queue, else (3) spawn fresh tasks from unspawned
+/// vertices in `T_local`. A comper that still holds tasks pops its own:
+/// stealing at the refill mark (≤ C) had two compers hand half their
+/// queues back and forth, moving ~18 tasks per task run on a one-worker
+/// `mc` job. (Ready tasks — the paper's source 2 — are consumed
+/// directly from `B_task` by the push() phase each round, which keeps
+/// the lock discipline simple: tasks inside `Q_task` or spill files
+/// never hold cache locks.)
 ///
 /// Returns `true` when a source was consumed — a file loaded, tasks
 /// stolen, or spawn vertices claimed — even if no task reached the
@@ -577,7 +584,10 @@ fn refill<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx) -> bool {
         shared.compers[ctx.idx].queue.push_batch(batch);
         return true;
     }
-    if shared.config.intra_steal && try_steal(shared, ctx) {
+    if shared.config.intra_steal
+        && shared.compers[ctx.idx].queue.is_empty()
+        && try_steal(shared, ctx)
+    {
         return true;
     }
     let want = shared.compers[ctx.idx].queue.refill_amount().max(1);
@@ -606,14 +616,15 @@ fn refill<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx) -> bool {
 }
 
 /// Steals the newest half of the largest sibling queue into this
-/// comper's own `Q_task`. Returns `false` when no victim is worth it.
+/// comper's own, empty, `Q_task`. Returns `false` when no victim is
+/// worth it.
 ///
 /// While unspawned local vertices remain, spawning is cheaper than
 /// contending on a sibling's lock, so a victim must then hold at least
 /// a full batch; once spawns are exhausted any queue with ≥ `STEAL_MIN`
-/// tasks qualifies. Capacity is safe without spilling: the thief refills only
-/// when its queue is ≤ C, and a steal takes ≤ 1.5C (half of a ≤ 3C
-/// victim), staying within the 3C bound.
+/// tasks qualifies. Capacity is safe without spilling: `refill` calls
+/// this only when the thief's queue is empty, and a steal takes ≤ 1.5C
+/// (half of a ≤ 3C victim), staying within the 3C bound.
 ///
 /// Quiescence cannot miss a stolen task: the thief set its own `busy`
 /// flag (`SeqCst`) before calling this, so from the moment tasks leave

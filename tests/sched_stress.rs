@@ -13,11 +13,17 @@
 //! of jobs so short that the end-of-job races — a steal brokered into a
 //! finishing cluster, a delayed or duplicated batch landing on an idle
 //! worker mid-wave — happen in most of them.
+//!
+//! `compers_steal_only_when_dry` checks the steal rule itself: a comper
+//! steals from a sibling only once its own queue is empty.
 
+use gthinker_apps::serial::maximal::count_maximal_cliques;
 use gthinker_apps::serial::triangle::count_triangles;
-use gthinker_apps::TriangleApp;
+use gthinker_apps::{MaximalCliqueApp, TriangleApp};
 use gthinker_core::prelude::*;
+use gthinker_graph::datasets::{self, DatasetKind};
 use gthinker_graph::gen;
+use gthinker_graph::subgraph::Subgraph;
 use gthinker_net::fault::FaultConfig;
 use gthinker_net::router::LinkConfig;
 use rand::rngs::StdRng;
@@ -175,4 +181,29 @@ fn randomized_short_jobs_terminate_and_agree() {
             "task counts diverged (iter {iter}, seed {graph_seed})"
         );
     }
+}
+
+/// Two compers of one worker mining `mc` on the Friendster stand-in
+/// must not trade tasks. While a comper that still held ≤ C tasks
+/// stole from its sibling, the pair handed half their queues back and
+/// forth: 73 000–140 000 tasks moved to run 4 800. Stealing only into
+/// an empty queue leaves the steals the end of the job needs: tens to a
+/// few hundred tasks.
+#[test]
+fn compers_steal_only_when_dry() {
+    let g = datasets::generate(DatasetKind::Friendster, 0.2).graph;
+    let expected = count_maximal_cliques(&Subgraph::from_graph(&g).to_local());
+    let r = run_job(Arc::new(MaximalCliqueApp), &g, &JobConfig::single_machine(2)).unwrap();
+    let t = r.metrics.totals();
+    println!(
+        "steals {} stolen_tasks {} tasks_finished {}",
+        t.steals, t.stolen_tasks, t.tasks_finished
+    );
+    assert_eq!(r.global, expected);
+    assert!(
+        t.stolen_tasks <= t.tasks_finished,
+        "{} tasks stolen to run {}",
+        t.stolen_tasks,
+        t.tasks_finished
+    );
 }
