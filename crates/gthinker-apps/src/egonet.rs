@@ -2,8 +2,9 @@
 //!
 //! The four miners are one task shape around different serial kernels:
 //! spawn from an anchor `v` and pull `Γ(v)`, grow the subgraph hop by
-//! hop to a radius, snapshot it with `to_local()`, run the kernel on
-//! the anchor. [`EgoNetApp`] owns that shape — pulls, hop counter,
+//! hop to a radius, build the ego network straight from the members'
+//! lists ([`LocalGraph::induced`]), run the kernel on the anchor.
+//! [`EgoNetApp`] owns that shape — pulls, hop counter,
 //! global ↔ local ID mapping and the straggler split (`split` below
 //! and nothing else: ROADMAP's change of policy is an edit of that one
 //! function) — and an [`EgoMiner`] supplies what differs; its kernel
@@ -26,7 +27,11 @@ pub trait EgoMiner: Send + Sync + 'static {
     /// Hops of neighbourhood around the anchor that the kernel needs.
     fn radius(&self) -> usize;
 
-    /// The adjacency trimmer applied once after loading, if any.
+    /// The adjacency trimmer applied once after loading, if any. The
+    /// ego network is built from trimmed lists by symmetry, so for any
+    /// two vertices that can share an ego network it must keep
+    /// `w ∈ Γ(u) ⇔ u ∈ Γ(w)`: a label filter does, `GreaterIdTrimmer`
+    /// would not.
     fn trimmer(&self) -> Option<Box<dyn Trimmer>> {
         None
     }
@@ -61,26 +66,25 @@ pub(crate) fn first_level(g: &LocalGraph, anchor: u32, cand: &[u32]) -> Vec<SetN
     (0..cand.len()).map(node).collect()
 }
 
+/// The label a labeled miner keeps for `u`.
+fn label_of<M: EgoMiner>(env: &ComputeEnv<'_, EgoNetApp<M>>, u: VertexId) -> Option<Label> {
+    M::LABELED.then(|| env.label_of(u).expect("the miner needs a labeled graph"))
+}
+
 /// Saves one hop's frontier into the subgraph and pulls the next hop
-/// (`true` while there is one); the last keeps only edges among members.
-fn grow<M: EgoMiner>(
+/// (`true` while there is one); the last hop's lists stay in the
+/// frontier, for [`ego_network`].
+fn grow<N>(
     radius: usize,
-    task: &mut Task<(u64, Option<M::Node>)>,
+    task: &mut Task<(u64, Option<N>)>,
     frontier: &Frontier,
-    env: &ComputeEnv<'_, EgoNetApp<M>>,
+    label: impl Fn(VertexId) -> Option<Label>,
 ) -> bool {
     task.context.0 += 1;
-    let label = |u| M::LABELED.then(|| env.label_of(u).expect("the miner needs a labeled graph"));
-    let sg = &mut task.subgraph;
     if task.context.0 >= radius as u64 {
-        let mut members: Vec<VertexId> = sg.vertex_ids().to_vec();
-        members.extend(frontier.vertex_ids());
-        members.sort_unstable();
-        for (u, adj) in frontier.iter() {
-            sg.insert(u, label(u), AdjList::from_sorted(adj.intersect_slice(&members)));
-        }
         return false;
     }
+    let sg = &mut task.subgraph;
     for (u, adj) in frontier.iter() {
         sg.insert(u, label(u), (**adj).clone());
     }
@@ -90,6 +94,41 @@ fn grow<M: EgoMiner>(
     next.dedup();
     next.into_iter().for_each(|w| task.pull(w));
     task.has_pulls()
+}
+
+/// The ego network as its kernel mines it, in one [`LocalGraph::induced`]
+/// call over every member: the rows the task stored and the frontier's
+/// lists, borrowed. A split-off node has no frontier, and its rows are
+/// the in-set rows [`carried`] wrote.
+fn ego_network(
+    sg: &Subgraph,
+    frontier: &Frontier,
+    label: impl Fn(VertexId) -> Option<Label>,
+) -> LocalGraph {
+    let row = |v| sg.neighbors(v).expect("a stored vertex has a row").as_slice();
+    let stored = sg.vertex_ids().iter().map(|&v| (v, row(v), sg.label(v)));
+    let pulled = frontier.iter().map(|(u, adj)| (u, adj.as_slice(), label(u)));
+    let mut members: Vec<_> = stored.chain(pulled).collect();
+    members.sort_unstable_by_key(|m| m.0);
+    // An ego network that ended before its radius (no next hop) stored
+    // its frontier too: the same list twice.
+    members.dedup_by_key(|m| m.0);
+    let lists: Vec<&[VertexId]> = members.iter().map(|m| m.1).collect();
+    // `Some` for a labeled miner, whose every member has a label.
+    let labels = members.iter().map(|m| m.2).collect();
+    LocalGraph::induced(members.iter().map(|m| m.0).collect(), &lists, labels)
+}
+
+/// The ego network `g` as a split-off subtask carries it: the anchor
+/// first (`compute` reads it there), then every other member, each with
+/// its row in `g`.
+fn carried(g: &LocalGraph, anchor: u32) -> Subgraph {
+    let n = g.num_vertices() as u32;
+    let mut sg = Subgraph::with_capacity(n as usize);
+    for i in std::iter::once(anchor).chain((0..n).filter(|&i| i != anchor)) {
+        sg.insert(g.global_id(i), g.label(i), AdjList::from_sorted(g.to_global(g.neighbors(i))));
+    }
+    sg
 }
 
 /// The straggler split, decided here and nowhere else: under a compute
@@ -109,9 +148,10 @@ fn split<M: EgoMiner>(
         return false;
     }
     env.note_split(branches.len() as u64);
+    let ego = carried(g, anchor);
     for node in branches {
         let mut sub = Task::new((task.context.0, Some(node)));
-        sub.subgraph = task.subgraph.clone();
+        sub.subgraph = ego.clone();
         env.add_task(sub);
     }
     true
@@ -149,10 +189,10 @@ impl<M: EgoMiner> App for EgoNetApp<M> {
         env: &mut ComputeEnv<'_, Self>,
     ) -> bool {
         // A split-off node arrives with its ego network materialized.
-        if task.context.1.is_none() && grow(self.0.radius(), task, frontier, env) {
+        if task.context.1.is_none() && grow(self.0.radius(), task, frontier, |u| label_of(env, u)) {
             return true;
         }
-        let g = task.subgraph.to_local();
+        let g = ego_network(&task.subgraph, frontier, |u| label_of(env, u));
         let anchor = g.local_id(task.subgraph.vertex_ids()[0]).expect("the anchor is a member");
         let node = task.context.1.as_ref();
         if node.is_none() && split(&self.0, task, &g, anchor, env) {
@@ -172,6 +212,7 @@ mod tests {
     use crate::{KPlexApp, MatchingApp, MaximalCliqueApp, Pattern, QuasiCliqueApp};
     use gthinker_graph::gen;
     use gthinker_graph::graph::Graph;
+    use gthinker_graph::trim::trim_graph;
     use gthinker_task::codec::{from_bytes, to_bytes};
     use std::sync::Arc;
 
@@ -250,5 +291,68 @@ mod tests {
         assert!(nodes_round_trip_in_a_task(&QuasiCliqueApp::new(0.6, 3, 5).0, &g) > 0);
         assert!(nodes_round_trip_in_a_task(&KPlexApp::new(2, 3, 4).0, &g) > 0);
         assert!(nodes_round_trip_in_a_task(&matching(&lg).0, &lg) > 0);
+    }
+
+    /// The frontier of `task`'s pulls, served from `g`.
+    fn pulled<C>(g: &Graph, task: &mut Task<C>) -> Frontier {
+        let rows = task.take_pulls().into_iter().map(|u| (u, Arc::new(g.neighbors(u).clone())));
+        Frontier::new(rows.collect())
+    }
+
+    /// For every anchor of `g` (trimmed as a job would): the ego network
+    /// `compute` builds equals the `to_local` of the members inserted
+    /// with their last-hop lists cut to the member set, and the rows a
+    /// split-off subtask carries, anchor first, rebuild it. Returns how
+    /// many ego networks held a list past the long-list crossover.
+    fn direct_build_matches_old_build<M: EgoMiner>(miner: &M, g: &Graph) -> usize {
+        let g = miner.trimmer().map_or_else(|| g.clone(), |t| trim_graph(g, &*t));
+        let label = |u| M::LABELED.then(|| g.label(u).expect("a labeled graph"));
+        let mut with_hubs = 0;
+        for v in g.vertices() {
+            if miner.answer_at_spawn(g.neighbors(v), g.label(v)).is_some() {
+                continue;
+            }
+            let mut task: Task<(u64, Option<M::Node>)> = Task::new((0, None));
+            task.subgraph.insert(v, label(v), g.neighbors(v).clone());
+            g.neighbors(v).iter().for_each(|u| task.pull(u));
+            let mut frontier = pulled(&g, &mut task);
+            while grow(miner.radius(), &mut task, &frontier, label) {
+                frontier = pulled(&g, &mut task);
+            }
+            let direct = ego_network(&task.subgraph, &frontier, label);
+            let mut old = task.subgraph.clone();
+            let mut members = old.vertex_ids().to_vec();
+            members.extend(frontier.vertex_ids());
+            members.sort_unstable();
+            members.dedup(); // an ego network that ended early stored its frontier
+            for (u, adj) in frontier.iter() {
+                old.insert(u, label(u), AdjList::from_sorted(adj.intersect_slice(&members)));
+            }
+            let want = old.to_local();
+            assert_eq!(direct, want, "anchor {v}");
+            let long = LocalGraph::LONG_LIST_FACTOR * members.len();
+            with_hubs += members.iter().any(|&u| g.neighbors(u).degree() > long) as usize;
+            let sub = carried(&direct, direct.local_id(v).expect("the anchor is a member"));
+            assert_eq!(sub.vertex_ids()[0], v);
+            assert_eq!(ego_network(&sub, &Frontier::default(), label), want, "anchor {v}, split");
+        }
+        with_hubs
+    }
+
+    #[test]
+    fn direct_build_matches_grow_then_to_local() {
+        for g in [gen::gnp(60, 0.1, 3), gen::barabasi_albert(300, 3, 4)] {
+            let lg = gen::random_labels(g.clone(), 3, 5);
+            let hubs = [
+                direct_build_matches_old_build(&MaximalCliqueApp.0, &g),
+                direct_build_matches_old_build(&QuasiCliqueApp::new(0.6, 3, 5).0, &g),
+                direct_build_matches_old_build(&KPlexApp::new(2, 3, 4).0, &g),
+                direct_build_matches_old_build(&matching(&lg).0, &lg),
+            ];
+            println!("ego networks with a list past the crossover (mc, qc, kp, gm): {hubs:?}");
+            if g.num_vertices() == 300 {
+                assert!(hubs[0] > 0 && hubs[3] > 0, "BA hubs must reach the long-list side");
+            }
+        }
     }
 }

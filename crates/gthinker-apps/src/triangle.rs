@@ -71,6 +71,7 @@ impl App for TriangleApp {
         env: &mut SpawnEnv<'_, Self>,
     ) {
         let mut bundle: Option<Task<Self::Context>> = None;
+        let mut rows = Vec::new();
         for (v, adj, _) in verts {
             if !(2..=self.bundle).contains(&adj.degree()) {
                 self.task_spawn(*v, adj, env);
@@ -78,11 +79,14 @@ impl App for TriangleApp {
             }
             let t = bundle.get_or_insert_with(|| Task::new(Vec::new()));
             t.context.push((*v, adj.iter().collect()));
-            for u in adj.iter() {
-                t.pull(u); // Task::pull deduplicates across anchors
-            }
+            rows.extend(adj.iter());
         }
-        if let Some(t) = bundle {
+        if let Some(mut t) = bundle {
+            // Ascending: no pull scans for a duplicate, and `compute`
+            // finds each row by binary search.
+            rows.sort_unstable();
+            rows.dedup();
+            rows.into_iter().for_each(|u| t.pull(u));
             env.add_task(t);
         }
     }
@@ -95,8 +99,11 @@ impl App for TriangleApp {
     ) -> bool {
         let mut count = 0u64;
         if task.context.len() > 1 {
-            // A bundle: every anchor pulled all of its Γ_>.
-            let row = |&u: &VertexId| (u, frontier.get(u).expect("a bundle pulls every row"));
+            // A bundle: every anchor pulled all of its Γ_>, in ascending order.
+            let rows: Vec<(VertexId, &SharedAdj)> = frontier.iter().collect();
+            debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "a bundle pulls in order");
+            let at = |u| rows.binary_search_by_key(&u, |r| r.0).expect("a bundle pulls every row");
+            let row = |&u: &VertexId| rows[at(u)];
             for (v, gv) in &task.context {
                 let take = split(*v, gv, gv, env);
                 count += merge(self.list, *v, gv, gv[..take].iter().map(row), env);

@@ -167,7 +167,8 @@ pub type SharedAdj = Arc<AdjList>;
 
 /// Merge-intersects two strictly ascending slices into a new vector.
 ///
-/// Uses galloping (exponential search) when one side is much shorter,
+/// When one side is over 32× shorter, each of its elements is instead
+/// binary-searched in the longer side's suffix past the previous one,
 /// which matters when intersecting a hub's list with a small candidate
 /// set.
 pub fn intersect_sorted(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
@@ -182,7 +183,7 @@ pub fn intersect_sorted_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<Verte
     out.clear();
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     out.reserve(short.len());
-    // Galloping pays off only with a large size imbalance.
+    // Searching pays off only with a large size imbalance.
     if long.len() / 32 > short.len() {
         let mut lo = 0usize;
         for &x in short {

@@ -4,14 +4,15 @@ use gthinker_graph::adj::{count_intersect_sorted, intersect_sorted, AdjList};
 use gthinker_graph::compressed::{write_compressed, CompressedGraph};
 use gthinker_graph::gen;
 use gthinker_graph::graph::Graph;
-use gthinker_graph::ids::VertexId;
+use gthinker_graph::ids::{Label, VertexId};
 use gthinker_graph::load;
 use gthinker_graph::partition::HashPartitioner;
 use gthinker_graph::stats::GraphStats;
 use gthinker_graph::store::AdjacencyStore;
-use gthinker_graph::subgraph::Subgraph;
+use gthinker_graph::subgraph::{LocalGraph, Subgraph};
 use gthinker_graph::vbyte;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn ids(v: Vec<u32>) -> Vec<VertexId> {
@@ -379,5 +380,86 @@ proptest! {
         prop_assert!(s.degree_p50 <= s.degree_p90);
         prop_assert!(s.degree_p90 <= s.degree_p99);
         prop_assert!(s.degree_p99 <= s.max_degree);
+    }
+}
+
+/// A gnp graph on `n` vertices whose first `hubs` are adjacent to every
+/// other vertex: their lists outgrow a small member set by far, and any
+/// two of them are an edge.
+fn hub_graph(n: usize, hubs: u32, seed: u64) -> Graph {
+    let mut edges: Vec<(VertexId, VertexId)> = gen::gnp(n, 0.05, seed).edges().collect();
+    for h in 0..hubs {
+        edges.extend((0..n as u32).map(|v| (VertexId(h), VertexId(v))));
+    }
+    Graph::from_edges(n, &edges)
+}
+
+/// The vertices within `radius` hops of `anchor`.
+fn ego_network(g: &Graph, anchor: VertexId, radius: usize) -> BTreeSet<VertexId> {
+    let mut members = BTreeSet::from([anchor]);
+    let mut hop = vec![anchor];
+    for _ in 0..radius {
+        hop = hop
+            .iter()
+            .flat_map(|&u| g.neighbors(u).iter())
+            .filter(|&w| members.insert(w))
+            .collect();
+    }
+    members
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn induced_matches_to_local(
+        kind in 0u8..3,
+        n in 2usize..120,
+        seed in any::<u64>(),
+        radius in 0usize..3,
+        picks in proptest::collection::vec(any::<u32>(), 1..12),
+        labeled in any::<bool>(),
+    ) {
+        // gnp, BA, or two hubs: with a small member set, lists past the
+        // long-list crossover, next to short ones and to each other.
+        let g = match kind {
+            0 => gen::gnp(n, 0.15, seed),
+            1 => gen::barabasi_albert(n.max(4), 2, seed),
+            _ => hub_graph(n, 2, seed),
+        };
+        let nv = g.num_vertices() as u32;
+        // Radius 0: a random member set (with the hubs, if any).
+        let picked = picks.iter().map(|p| VertexId(p % nv));
+        let members = match radius {
+            0 if kind == 2 => picked.chain([VertexId(0), VertexId(1)]).collect(),
+            0 => picked.collect(),
+            r => ego_network(&g, VertexId(picks[0] % nv), r),
+        };
+        let ids: Vec<VertexId> = members.into_iter().collect();
+        let lists: Vec<&[VertexId]> = ids.iter().map(|&v| g.neighbors(v).as_slice()).collect();
+        let label = |v: &VertexId| Label((v.0 % 3) as u16);
+        let labels = labeled.then(|| ids.iter().map(label).collect::<Vec<_>>());
+        let got = LocalGraph::induced(ids.clone(), &lists, labels.clone());
+        // The same members inserted in reverse, lists cut to the set.
+        let mut sg = Subgraph::new();
+        for (i, &v) in ids.iter().enumerate().rev() {
+            let label = labels.as_ref().map(|l| l[i]);
+            sg.insert(v, label, AdjList::from_sorted(g.neighbors(v).intersect_slice(&ids)));
+        }
+        let want = sg.to_local();
+        let k = ids.len() as u32;
+        prop_assert_eq!(got.num_vertices(), want.num_vertices());
+        prop_assert_eq!(got.num_edges(), want.num_edges());
+        for i in 0..k {
+            prop_assert_eq!(got.global_id(i), want.global_id(i));
+            prop_assert_eq!(got.neighbors(i), want.neighbors(i));
+            prop_assert_eq!(got.degree(i), want.degree(i));
+            prop_assert_eq!(got.label(i), want.label(i));
+            prop_assert_eq!(got.dense_row(i), want.dense_row(i));
+            for j in 0..k {
+                prop_assert_eq!(got.has_edge(i, j), want.has_edge(i, j));
+            }
+        }
+        prop_assert_eq!(got, want);
     }
 }

@@ -185,7 +185,9 @@ impl Frontier {
         self.entries.iter().map(|e| (e.v, &e.adj))
     }
 
-    /// Looks up the adjacency list of a specific pulled vertex.
+    /// Looks up the adjacency list of a specific pulled vertex by a
+    /// linear scan: a task that looks up many rows should pull them in
+    /// ascending order and binary-search [`Frontier::iter`]'s entries.
     pub fn get(&self, v: VertexId) -> Option<&SharedAdj> {
         self.entries.iter().find(|e| e.v == v).map(|e| &e.adj)
     }
