@@ -7,21 +7,84 @@
 //! candidates, stored in oriented `Γ_>` form thanks to the
 //! [`GreaterIdTrimmer`]).
 //!
-//! * `task_spawn(v)` prunes if `1 + |Γ_>(v)|` cannot beat the best
-//!   known clique, else creates `⟨{v}, Γ_>(v)⟩` and pulls the
-//!   candidates (Fig. 5 lines 1–5).
-//! * `compute` constructs `g` on the first iteration, then either
-//!   **decomposes** (when `|V(g)| > τ`) into one subtask per candidate
-//!   (lines 3–9) or runs the serial branch-and-bound solver with the
-//!   aggregator-broadcast bound (lines 10–14).
+//! Fig. 5 is written once, as three functions over [`Subgraph`], and
+//! every engine that runs the task calls them: [`MaxCliqueApp`] here
+//! and the G-Miner-, Nuri-, NScale- and Giraph-like baselines, which
+//! differ from it only in scheduling and storage.
+//!
+//! * [`candidate_graph`] — lines 1–2: `g` of `⟨{v}, Γ_>(v)⟩`, built
+//!   from the candidates' `Γ_>` lists.
+//! * [`branches`] — lines 3–9: the subtasks `⟨S ∪ {u}, g[Γ_>(u) ∩
+//!   V(g)]⟩` that can still beat the best clique.
+//! * [`solve`] — lines 10–14: the bounded serial search.
+//!
+//! The app adds the G-thinker policy around them: `task_spawn(v)`
+//! prunes on `1 + |Γ_>(v)|` and pulls the candidates; `compute` builds
+//! `g` on the first iteration, then decomposes when `|V(g)| > τ` (or
+//! beyond the compute budget) and solves otherwise, with the bound the
+//! aggregator broadcasts.
 //!
 //! The aggregator keeps the best clique's **vertex set**, so the final
 //! global value is a verifiable witness, not just a size.
 
 use crate::serial::clique::max_clique_above;
 use gthinker_core::prelude::*;
-use gthinker_graph::adj::AdjList;
+use gthinker_graph::adj::{intersect_sorted, AdjList};
 use gthinker_graph::trim::{GreaterIdTrimmer, Trimmer};
+
+/// Fig. 5 lines 1–2: the candidate graph `g` of `⟨{v}, ext(v)⟩`.
+/// `ext` is `Γ_>(v)`, sorted; `rows` gives each member `u` of `ext`
+/// (in the order `g` is to keep them) with its `Γ_>(u)`, which is cut
+/// down to `ext` — an edge to anything else leaves the candidate set.
+pub fn candidate_graph<'a>(
+    ext: &[VertexId],
+    rows: impl IntoIterator<Item = (VertexId, &'a [VertexId])>,
+) -> Subgraph {
+    let mut g = Subgraph::with_capacity(ext.len());
+    for (u, row) in rows {
+        g.add_vertex(u, AdjList::from_sorted(intersect_sorted(row, ext)));
+    }
+    g
+}
+
+/// Fig. 5 lines 3–9: the subtasks of `⟨S, g⟩`, one per candidate `u`
+/// whose `ext(S ∪ {u}) = Γ_>(u) ∩ V(g)` can still beat a clique of
+/// `best` vertices. None when the whole task cannot (line 11's test,
+/// which every child would fail too).
+pub fn branches<'a>(
+    s: &'a [VertexId],
+    g: &'a Subgraph,
+    best: usize,
+) -> impl Iterator<Item = Task<Clique>> + 'a {
+    let members = if s.len() + g.num_vertices() > best { g.vertex_ids() } else { &[] };
+    members.iter().filter_map(move |&u| {
+        let ext = g.neighbors(u).expect("member of its own subgraph").as_slice();
+        if s.len() + 1 + ext.len() <= best {
+            return None; // line 9: even ext(S ∪ u) cannot win
+        }
+        let rows = ext.iter().map(|&w| (w, g.neighbors(w).expect("candidate is in g").as_slice()));
+        let mut child = Task::new([s, &[u]].concat());
+        child.subgraph = candidate_graph(ext, rows);
+        Some(child)
+    })
+}
+
+/// Fig. 5 lines 10–14: the largest clique of `⟨S, g⟩`, sorted, if it
+/// has more than `best` vertices. A task with no candidates left — a
+/// decomposed leaf or an isolated anchor — answers `S` itself.
+pub fn solve(s: &[VertexId], g: &Subgraph, best: usize) -> Option<Clique> {
+    if s.len() + g.num_vertices() <= best {
+        return None; // line 11
+    }
+    let mut clique = s.to_vec();
+    if !g.is_empty() {
+        let local = g.to_local();
+        let found = max_clique_above(&local, best.saturating_sub(s.len()))?;
+        clique.extend(local.to_global(&found));
+    }
+    clique.sort_unstable();
+    Some(clique)
+}
 
 /// Keeps the largest clique seen (by vertex count).
 pub struct BestCliqueAgg;
@@ -116,21 +179,15 @@ impl App for MaxCliqueApp {
         frontier: &Frontier,
         env: &mut ComputeEnv<'_, Self>,
     ) -> bool {
-        // First iteration of a top-level task: construct g induced by
-        // the pulled candidate set (Fig. 5 lines 1–2). Adjacency is
-        // filtered to candidates — anything else is ≥ 2 hops from v or
-        // below it in the enumeration order.
+        // First iteration of a top-level task: construct g from the
+        // pulled candidates.
         if task.subgraph.is_empty() && !frontier.is_empty() {
-            let candidates: Vec<VertexId> = frontier.vertex_ids().collect();
-            let mut sorted = candidates.clone();
-            sorted.sort_unstable();
-            for (u, adj) in frontier.iter() {
-                let filtered = adj.intersect_slice(&sorted);
-                task.subgraph.add_vertex(u, AdjList::from_sorted(filtered));
-            }
+            let mut ext: Vec<VertexId> = frontier.vertex_ids().collect();
+            ext.sort_unstable();
+            task.subgraph =
+                candidate_graph(&ext, frontier.iter().map(|(u, adj)| (u, adj.as_slice())));
         }
-        let s = task.context.clone();
-        let g = &task.subgraph;
+        let (s, g) = (&task.context, &task.subgraph);
         let best = env.read_agg(best_size);
 
         // Straggler splitting: a compute budget tightens the
@@ -139,51 +196,16 @@ impl App for MaxCliqueApp {
         // instead.
         let tau_eff = env.compute_budget().map_or(self.tau, |b| self.tau.min(b as usize));
         if g.num_vertices() > tau_eff {
-            let budget_split = g.num_vertices() <= self.tau;
             let mut spawned = 0u64;
-            // Decompose (lines 3–9): one subtask per candidate u, with
-            // subgraph induced by u's candidates (its oriented
-            // adjacency within g).
-            for &u in g.vertex_ids() {
-                let ext: Vec<VertexId> =
-                    g.neighbors(u).expect("member of its own subgraph").iter().collect();
-                if s.len() + 1 + ext.len() <= best {
-                    continue; // line 9: even ext(S ∪ u) cannot win
-                }
-                let mut sub = Task::new({
-                    let mut s2 = s.clone();
-                    s2.push(u);
-                    s2
-                });
-                // Induce on ext: keep only edges among candidates.
-                for &w in &ext {
-                    let wadj = g.neighbors(w).expect("candidate is in g");
-                    sub.subgraph.add_vertex(w, AdjList::from_sorted(wadj.intersect_slice(&ext)));
-                }
-                // A candidate with an empty ext still extends S by one.
-                env.add_task(sub);
+            for child in branches(s, g, best) {
+                env.add_task(child);
                 spawned += 1;
             }
-            if budget_split && spawned > 0 {
+            if g.num_vertices() <= self.tau && spawned > 0 {
                 env.note_split(spawned);
             }
-            return false;
-        }
-
-        // Serial mining (lines 10–14).
-        if s.len() + g.num_vertices() <= best {
-            return false; // line 11
-        }
-        let local = g.to_local();
-        let delta = best.saturating_sub(s.len());
-        if let Some(found) = max_clique_above(&local, delta) {
-            let mut clique = s;
-            clique.extend(local.to_global(&found));
-            clique.sort_unstable();
+        } else if let Some(clique) = solve(s, g, best) {
             env.aggregate(clique);
-        } else if g.num_vertices() == 0 && s.len() > best {
-            // Decomposed leaf with no candidates: S itself is a clique.
-            env.aggregate(s);
         }
         false
     }

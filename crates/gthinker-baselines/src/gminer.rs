@@ -10,12 +10,13 @@
 //! them to disk and back dominates the runtime on large inputs —
 //! exactly the behaviour Table III attributes to G-Miner.
 //!
-//! The workload implemented is maximum clique finding with the same
-//! task semantics as the G-thinker app (so answers are comparable).
+//! The workloads are maximum clique finding — the G-thinker app's task,
+//! through [`gthinker_apps::maxclique`]'s functions, so only the queue
+//! differs — and triangle counting over the same candidate graphs.
 
 use crate::outcome::{RunOutcome, RunStatus};
-use gthinker_apps::serial::clique::max_clique_above;
-use gthinker_graph::adj::AdjList;
+use crate::{anchor_graph, offer};
+use gthinker_apps::maxclique::{branches, solve, Clique};
 use gthinker_graph::graph::Graph;
 use gthinker_graph::hash::hash_u64;
 use gthinker_graph::ids::VertexId;
@@ -23,7 +24,10 @@ use gthinker_task::codec::{from_bytes, to_bytes, Decode, Encode};
 use gthinker_task::task::Task;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -63,56 +67,44 @@ fn lsh_key(vertices: &[VertexId]) -> u64 {
 /// in-memory index ordered by LSH key. Every pop is a disk read;
 /// every insert is a disk write — the IO-bound core of the design.
 struct DiskQueue {
-    file: Mutex<std::fs::File>,
+    file: Mutex<File>,
     index: Mutex<BTreeMap<(u64, u64), (u64, u32)>>, // (lsh, seq) -> (offset, len)
-    seq: std::sync::atomic::AtomicU64,
-    tail: std::sync::atomic::AtomicU64,
-    bytes_written: std::sync::atomic::AtomicU64,
+    seq: AtomicU64,
+    tail: AtomicU64,
 }
 
 impl DiskQueue {
-    fn new(dir: &std::path::Path) -> std::io::Result<Self> {
+    fn new(dir: &Path) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("queue-{}.log", std::process::id()));
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(path)?;
+        let file =
+            File::options().create(true).truncate(true).read(true).write(true).open(&path)?;
         Ok(DiskQueue {
             file: Mutex::new(file),
             index: Mutex::new(BTreeMap::new()),
-            seq: std::sync::atomic::AtomicU64::new(0),
-            tail: std::sync::atomic::AtomicU64::new(0),
-            bytes_written: std::sync::atomic::AtomicU64::new(0),
+            seq: AtomicU64::new(0),
+            tail: AtomicU64::new(0),
         })
     }
 
-    fn insert<C: Encode>(&self, task: &Task<C>, key: u64) -> std::io::Result<()> {
+    /// Appends `task`, keyed by its candidate set.
+    fn insert<C: Encode>(&self, task: &Task<C>) -> std::io::Result<()> {
+        let key = lsh_key(task.subgraph.vertex_ids());
         let bytes = to_bytes(task);
-        let len = bytes.len() as u32;
         let offset = {
             let mut f = self.file.lock();
-            let offset =
-                self.tail.fetch_add(bytes.len() as u64, std::sync::atomic::Ordering::SeqCst);
+            let offset = self.tail.fetch_add(bytes.len() as u64, Ordering::SeqCst);
             f.seek(SeekFrom::Start(offset))?;
             f.write_all(&bytes)?;
             offset
         };
-        self.bytes_written.fetch_add(bytes.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        let seq = self.seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.index.lock().insert((key, seq), (offset, len));
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        self.index.lock().insert((key, seq), (offset, bytes.len() as u32));
         Ok(())
     }
 
     fn pop<C: Decode>(&self) -> std::io::Result<Option<Task<C>>> {
-        let entry = {
-            let mut idx = self.index.lock();
-            let key = idx.keys().next().copied();
-            key.and_then(|k| idx.remove(&k))
-        };
-        let Some((offset, len)) = entry else { return Ok(None) };
+        let Some((_, (offset, len))) = self.index.lock().pop_first() else { return Ok(None) };
         let mut buf = vec![0u8; len as usize];
         {
             let mut f = self.file.lock();
@@ -131,39 +123,31 @@ impl DiskQueue {
     fn log_bytes(&self) -> u64 {
         // The log is append-only: reinserted tasks grow it forever
         // (G-Miner's dominant cost on large graphs).
-        self.tail.load(std::sync::atomic::Ordering::SeqCst)
+        self.tail.load(Ordering::SeqCst)
     }
 }
 
-/// Runs G-Miner-like maximum clique finding. Returns the best clique.
-pub fn gminer_max_clique(graph: &Graph, config: &GMinerConfig) -> RunOutcome<Vec<VertexId>> {
+/// The engine: generates one task per anchor with at least
+/// `min_candidates` candidates — G-Miner generates ALL tasks at the
+/// beginning (§II) — then `config.threads` threads pop in LSH order and
+/// run one `step` per pop until the queue drains or a budget runs out.
+fn run_queue(
+    graph: &Graph,
+    config: &GMinerConfig,
+    min_candidates: usize,
+    step: impl Fn(Task<Clique>, &DiskQueue) + Sync,
+) -> RunOutcome<()> {
     let start = Instant::now();
     let queue = DiskQueue::new(&config.dir).expect("queue dir writable");
-    let best: Mutex<Vec<VertexId>> = Mutex::new(Vec::new());
-
-    // G-Miner generates ALL tasks at the beginning (§II).
     for v in graph.vertices() {
-        let gv = graph.neighbors(v).greater_than(v);
-        if gv.is_empty() {
-            let mut b = best.lock();
-            if b.is_empty() {
-                *b = vec![v];
-            }
-            continue;
+        if graph.neighbors(v).greater_than(v).len() >= min_candidates {
+            let mut t = Task::new(vec![v]);
+            t.subgraph = anchor_graph(graph, v);
+            queue.insert(&t).expect("queue insert");
         }
-        let mut t: Task<Vec<VertexId>> = Task::new(vec![v]);
-        for &u in gv {
-            let adj = graph.neighbors(u).greater_than(u);
-            let filtered: Vec<VertexId> =
-                adj.iter().copied().filter(|w| gv.binary_search(w).is_ok()).collect();
-            t.subgraph.add_vertex(u, AdjList::from_sorted(filtered));
-        }
-        queue.insert(&t, lsh_key(gv)).expect("queue insert");
     }
-
-    // Threads pop in LSH order, one processing step per pop.
     let aborted = Mutex::new(None::<RunStatus>);
-    let in_flight = std::sync::atomic::AtomicUsize::new(0);
+    let in_flight = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..config.threads {
             s.spawn(|| loop {
@@ -178,80 +162,45 @@ pub fn gminer_max_clique(graph: &Graph, config: &GMinerConfig) -> RunOutcome<Vec
                     *aborted.lock() = Some(RunStatus::DiskBudgetExceeded);
                     return;
                 }
-                in_flight.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                let task: Option<Task<Vec<VertexId>>> = queue.pop().expect("queue pop");
-                let Some(task) = task else {
-                    in_flight.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+                in_flight.fetch_add(1, Ordering::SeqCst);
+                let Some(task) = queue.pop().expect("queue pop") else {
+                    in_flight.fetch_sub(1, Ordering::SeqCst);
                     // Finished only when nobody is mid-step (a step may
                     // reinsert children).
-                    if queue.is_empty() && in_flight.load(std::sync::atomic::Ordering::SeqCst) == 0
-                    {
+                    if queue.is_empty() && in_flight.load(Ordering::SeqCst) == 0 {
                         return;
                     }
                     std::thread::sleep(Duration::from_micros(50));
                     continue;
                 };
-                process_step(&task, &queue, &best, config.tau);
-                in_flight.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+                step(task, &queue);
+                in_flight.fetch_sub(1, Ordering::SeqCst);
             });
         }
     });
-
     let status = aborted.into_inner().unwrap_or(RunStatus::Completed);
-    let result = (status == RunStatus::Completed).then(|| best.into_inner());
+    let result = (status == RunStatus::Completed).then_some(());
     RunOutcome { result, elapsed: start.elapsed(), peak_bytes: queue.log_bytes(), status }
 }
 
-/// One processing step: decompose or solve, mirroring the G-thinker
-/// app's semantics — but children go back through the disk queue.
-fn process_step(
-    task: &Task<Vec<VertexId>>,
-    queue: &DiskQueue,
-    best: &Mutex<Vec<VertexId>>,
-    tau: usize,
-) {
-    let g = &task.subgraph;
-    let s = &task.context;
-    let bound = best.lock().len();
-    if s.len() + g.num_vertices() <= bound {
-        return;
-    }
-    if g.num_vertices() > tau {
-        for &u in g.vertex_ids() {
-            let ext: Vec<VertexId> = g.neighbors(u).expect("member").iter().collect();
-            if s.len() + 1 + ext.len() <= bound {
-                continue;
+/// Runs G-Miner-like maximum clique finding. Returns the best clique.
+/// A step is one of the G-thinker app's: decompose or solve — but
+/// children go back through the disk queue, the IO-bound reinsert the
+/// paper highlights.
+pub fn gminer_max_clique(graph: &Graph, config: &GMinerConfig) -> RunOutcome<Clique> {
+    let best = Mutex::new(Vec::new());
+    let out = run_queue(graph, config, 0, |task, queue| {
+        let (s, g) = (&task.context, &task.subgraph);
+        let bound = best.lock().len();
+        if g.num_vertices() > config.tau {
+            for child in branches(s, g, bound) {
+                queue.insert(&child).expect("queue insert");
             }
-            let mut sub: Task<Vec<VertexId>> = Task::new({
-                let mut s2 = s.clone();
-                s2.push(u);
-                s2
-            });
-            for &w in &ext {
-                let wadj = g.neighbors(w).expect("candidate");
-                sub.subgraph.add_vertex(w, AdjList::from_sorted(wadj.intersect_slice(&ext)));
-            }
-            // The IO-bound reinsert the paper highlights.
-            queue.insert(&sub, lsh_key(&ext)).expect("queue insert");
+        } else {
+            offer(&best, solve(s, g, bound));
         }
-        return;
-    }
-    let local = g.to_local();
-    let delta = bound.saturating_sub(s.len());
-    if let Some(found) = max_clique_above(&local, delta) {
-        let mut clique = s.clone();
-        clique.extend(local.to_global(&found));
-        clique.sort_unstable();
-        let mut b = best.lock();
-        if clique.len() > b.len() {
-            *b = clique;
-        }
-    } else if g.num_vertices() == 0 {
-        let mut b = best.lock();
-        if s.len() > b.len() {
-            *b = s.clone();
-        }
-    }
+    });
+    out.map(|()| best.into_inner())
 }
 
 /// G-Miner-like triangle counting: one task per vertex, generated
@@ -260,54 +209,13 @@ fn process_step(
 /// discards it. Answers match the other engines; the cost profile is
 /// dominated by queue serialization.
 pub fn gminer_triangle_count(graph: &Graph, config: &GMinerConfig) -> RunOutcome<u64> {
-    let start = Instant::now();
-    let queue = DiskQueue::new(&config.dir).expect("queue dir writable");
-    // Generate all tasks upfront.
-    for v in graph.vertices() {
-        let gv = graph.neighbors(v).greater_than(v);
-        if gv.len() < 2 {
-            continue;
-        }
-        let mut t: Task<Vec<VertexId>> = Task::new(vec![v]);
-        for &u in gv {
-            let filtered: Vec<VertexId> = graph
-                .neighbors(u)
-                .greater_than(u)
-                .iter()
-                .copied()
-                .filter(|w| gv.binary_search(w).is_ok())
-                .collect();
-            t.subgraph.add_vertex(u, AdjList::from_sorted(filtered));
-        }
-        queue.insert(&t, lsh_key(gv)).expect("queue insert");
-    }
-    let total = std::sync::atomic::AtomicU64::new(0);
-    let aborted = Mutex::new(None::<RunStatus>);
-    std::thread::scope(|s| {
-        for _ in 0..config.threads {
-            s.spawn(|| loop {
-                if aborted.lock().is_some() {
-                    return;
-                }
-                if start.elapsed() > config.time_budget {
-                    *aborted.lock() = Some(RunStatus::TimeBudgetExceeded);
-                    return;
-                }
-                let task: Option<Task<Vec<VertexId>>> = queue.pop().expect("queue pop");
-                let Some(task) = task else { return };
-                // Count edges inside the candidate subgraph: each is a
-                // triangle with the anchor.
-                let count = task.subgraph.num_edges() as u64;
-                if count > 0 {
-                    total.fetch_add(count, std::sync::atomic::Ordering::Relaxed);
-                }
-            });
-        }
+    let total = AtomicU64::new(0);
+    // An anchor with fewer than two candidates closes no triangle; each
+    // edge among the candidates closes one with the anchor.
+    let out = run_queue(graph, config, 2, |task, _| {
+        total.fetch_add(task.subgraph.num_edges() as u64, Ordering::Relaxed);
     });
-    let status = aborted.into_inner().unwrap_or(RunStatus::Completed);
-    let result =
-        (status == RunStatus::Completed).then(|| total.load(std::sync::atomic::Ordering::Relaxed));
-    RunOutcome { result, elapsed: start.elapsed(), peak_bytes: queue.log_bytes(), status }
+    out.map(|()| total.into_inner())
 }
 
 #[cfg(test)]
@@ -315,7 +223,7 @@ mod tests {
     use super::*;
     use gthinker_apps::serial::clique::max_clique_brute;
     use gthinker_graph::gen;
-    use gthinker_graph::subgraph::Subgraph as Sg;
+    use gthinker_graph::subgraph::Subgraph;
 
     fn config(tag: &str, tau: usize) -> GMinerConfig {
         GMinerConfig {
@@ -327,11 +235,7 @@ mod tests {
     }
 
     fn brute(g: &Graph) -> usize {
-        let mut sg = Sg::new();
-        for v in g.vertices() {
-            sg.add_vertex(v, g.neighbors(v).clone());
-        }
-        max_clique_brute(&sg.to_local()).len()
+        max_clique_brute(&Subgraph::from_graph(g).to_local()).len()
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //! * [`nuri`] — a single-threaded best-first expander with on-disk
 //!   state overflow.
 //!
+//! The maximum-clique engines (G-Miner-, Nuri-, NScale- and
+//! Giraph-like) run the G-thinker app's task: they reach Fig. 5 only
+//! through [`gthinker_apps::maxclique`]'s `candidate_graph`, `branches`
+//! and `solve`, and differ from G-thinker only in how they schedule and
+//! store the tasks.
+//!
 //! All engines produce [`RunOutcome`]s with wall-clock time, the peak
 //! bytes of their dominant structure, and a completion status that maps
 //! onto the paper's "OOM" / "> 24 hr" / "out of disk" table entries.
@@ -32,3 +38,25 @@ pub mod rstream;
 pub mod vertexcentric;
 
 pub use outcome::{RunOutcome, RunStatus};
+
+use gthinker_apps::maxclique::{candidate_graph, Clique};
+use gthinker_graph::graph::Graph;
+use gthinker_graph::ids::VertexId;
+use gthinker_graph::subgraph::Subgraph;
+use parking_lot::Mutex;
+
+/// The candidate graph of anchor `v`, read straight off the whole graph.
+fn anchor_graph(graph: &Graph, v: VertexId) -> Subgraph {
+    let ext = graph.neighbors(v).greater_than(v);
+    candidate_graph(ext, ext.iter().map(|&u| (u, graph.neighbors(u).greater_than(u))))
+}
+
+/// Keeps `found` if it beats the clique already in `best`.
+fn offer(best: &Mutex<Clique>, found: Option<Clique>) {
+    if let Some(clique) = found {
+        let mut b = best.lock();
+        if clique.len() > b.len() {
+            *b = clique;
+        }
+    }
+}

@@ -15,18 +15,26 @@
 //! * **Phase 2 (mining)** — worker threads stream the store back and
 //!   mine each ego network (triangle counting or clique search).
 //!
+//! An ego network is the G-thinker app's candidate graph, and the
+//! clique search its serial solve, both from
+//! [`gthinker_apps::maxclique`]: only the construct-then-mine dataflow
+//! is NScale's.
+//!
 //! The reported peak bytes are the materialized store size; phase
 //! times are reported separately so the idle-CPU phase is visible.
 
 use crate::outcome::{RunOutcome, RunStatus};
-use gthinker_apps::serial::clique::max_clique_above;
-use gthinker_graph::adj::AdjList;
+use crate::{anchor_graph, offer};
+use gthinker_apps::maxclique::{solve, Clique};
 use gthinker_graph::graph::Graph;
 use gthinker_graph::ids::VertexId;
 use gthinker_graph::subgraph::Subgraph;
-use gthinker_task::codec::{from_bytes, to_bytes, Decode, Encode};
+use gthinker_task::codec::{from_bytes, to_bytes};
 use parking_lot::Mutex;
+use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -59,41 +67,56 @@ pub struct PhaseTimes {
     pub mining: Duration,
 }
 
-/// One stored ego network: the anchor and its candidates' oriented,
-/// filtered adjacency.
-type EgoRecord = (VertexId, Vec<(VertexId, AdjList)>);
+/// Builds the disk store of every anchor with at least `min_candidates`
+/// candidates — one `(anchor, candidate graph)` record each (phase 1) —
+/// then streams it back to `config.threads` threads that run `mine` on
+/// one record at a time (phase 2). No mining starts before the store is
+/// whole.
+fn two_phase(
+    graph: &Graph,
+    config: &NScaleConfig,
+    min_candidates: usize,
+    mine: impl Fn(VertexId, Subgraph) + Sync,
+) -> (RunOutcome<()>, Option<PhaseTimes>) {
+    std::fs::create_dir_all(&config.dir).expect("store dir");
+    let path = config.dir.join(format!("ego-{}.store", std::process::id()));
+    let start = Instant::now();
+    let offsets = match build_store(graph, &path, config.disk_budget, min_candidates) {
+        Ok(offsets) => offsets,
+        Err(status) => {
+            let _ = std::fs::remove_file(&path);
+            let peak_bytes = config.disk_budget;
+            return (
+                RunOutcome { result: None, elapsed: start.elapsed(), peak_bytes, status },
+                None,
+            );
+        }
+    };
+    let construction = start.elapsed();
+    mine_store(&path, &offsets, config.threads, mine);
+    let mining = start.elapsed() - construction;
+    let _ = std::fs::remove_file(&path);
+    let peak_bytes = offsets.last().map_or(0, |&(at, len)| at + len as u64);
+    let status = RunStatus::Completed;
+    let out = RunOutcome { result: Some(()), elapsed: start.elapsed(), peak_bytes, status };
+    (out, Some(PhaseTimes { construction, mining }))
+}
 
-/// Builds the disk store (phase 1). Returns record offsets or a DNF.
+/// Phase 1: writes the store. Returns record offsets or a DNF.
 fn build_store(
     graph: &Graph,
-    path: &std::path::Path,
+    path: &Path,
     budget: u64,
-) -> Result<(Vec<(u64, u32)>, u64), RunStatus> {
-    let file = std::fs::File::create(path).expect("store creatable");
-    let mut w = BufWriter::new(file);
+    min_candidates: usize,
+) -> Result<Vec<(u64, u32)>, RunStatus> {
+    let mut w = BufWriter::new(File::create(path).expect("store creatable"));
     let mut offsets = Vec::new();
     let mut at = 0u64;
     for v in graph.vertices() {
-        let gv = graph.neighbors(v).greater_than(v);
-        if gv.len() < 2 {
+        if graph.neighbors(v).greater_than(v).len() < min_candidates {
             continue;
         }
-        let ego: EgoRecord = (
-            v,
-            gv.iter()
-                .map(|&u| {
-                    let filtered: Vec<VertexId> = graph
-                        .neighbors(u)
-                        .greater_than(u)
-                        .iter()
-                        .copied()
-                        .filter(|w| gv.binary_search(w).is_ok())
-                        .collect();
-                    (u, AdjList::from_sorted(filtered))
-                })
-                .collect(),
-        );
-        let bytes = to_bytes(&ego);
+        let bytes = to_bytes(&(v, anchor_graph(graph, v)));
         w.write_all(&bytes).expect("store writable");
         offsets.push((at, bytes.len() as u32));
         at += bytes.len() as u64;
@@ -102,57 +125,34 @@ fn build_store(
         }
     }
     w.flush().expect("store flush");
-    Ok((offsets, at))
+    Ok(offsets)
 }
 
-fn read_record(file: &Mutex<std::fs::File>, offset: u64, len: u32) -> EgoRecord {
-    let mut buf = vec![0u8; len as usize];
-    let mut f = file.lock();
-    f.seek(SeekFrom::Start(offset)).expect("seek");
-    f.read_exact(&mut buf).expect("read record");
-    drop(f);
-    from_bytes(&buf).expect("store round-trips")
-}
-
-/// Phase-2 driver: streams records to `threads` miners.
-fn mine_store<T: Send>(
-    path: &std::path::Path,
+/// Phase 2: streams the records to `threads` miners.
+fn mine_store(
+    path: &Path,
     offsets: &[(u64, u32)],
     threads: usize,
-    mine: impl Fn(EgoRecord) -> T + Sync,
-    fold: impl Fn(&mut T, T) + Sync,
-    init: impl Fn() -> T + Sync,
-) -> T {
-    let file = Mutex::new(std::fs::File::open(path).expect("store readable"));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: Vec<T> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let file = &file;
-                let next = &next;
-                let mine = &mine;
-                let fold = &fold;
-                let init = &init;
-                s.spawn(move || {
-                    let mut acc = init();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= offsets.len() {
-                            return acc;
-                        }
-                        let (offset, len) = offsets[i];
-                        fold(&mut acc, mine(read_record(file, offset, len)));
+    mine: impl Fn(VertexId, Subgraph) + Sync,
+) {
+    let file = Mutex::new(File::open(path).expect("store readable"));
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| {
+                while let Some(&(offset, len)) = offsets.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let mut buf = vec![0u8; len as usize];
+                    {
+                        let mut f = file.lock();
+                        f.seek(SeekFrom::Start(offset)).expect("seek");
+                        f.read_exact(&mut buf).expect("read record");
                     }
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("miner")).collect()
+                    let (v, ego) = from_bytes(&buf).expect("store round-trips");
+                    mine(v, ego);
+                }
+            });
+        }
     });
-    let mut total = init();
-    for r in results {
-        fold(&mut total, r);
-    }
-    total
 }
 
 /// NScale-like triangle counting. The `RunOutcome` is augmented with
@@ -161,130 +161,30 @@ pub fn nscale_triangle_count(
     graph: &Graph,
     config: &NScaleConfig,
 ) -> (RunOutcome<u64>, Option<PhaseTimes>) {
-    std::fs::create_dir_all(&config.dir).expect("store dir");
-    let path = config.dir.join(format!("tc-{}.store", std::process::id()));
-    let start = Instant::now();
-    let (offsets, bytes) = match build_store(graph, &path, config.disk_budget) {
-        Ok(ok) => ok,
-        Err(status) => {
-            let _ = std::fs::remove_file(&path);
-            return (
-                RunOutcome {
-                    result: None,
-                    elapsed: start.elapsed(),
-                    peak_bytes: config.disk_budget,
-                    status,
-                },
-                None,
-            );
-        }
-    };
-    let construction = start.elapsed();
-    let t1 = Instant::now();
-    let count = mine_store(
-        &path,
-        &offsets,
-        config.threads,
-        |(_, ego)| {
-            // Every stored edge among the candidates closes a triangle
-            // with the anchor.
-            ego.iter().map(|(_, adj)| adj.degree() as u64).sum::<u64>()
-        },
-        |acc, x| *acc += x,
-        || 0u64,
-    );
-    let mining = t1.elapsed();
-    let _ = std::fs::remove_file(&path);
-    (
-        RunOutcome {
-            result: Some(count),
-            elapsed: start.elapsed(),
-            peak_bytes: bytes,
-            status: RunStatus::Completed,
-        },
-        Some(PhaseTimes { construction, mining }),
-    )
+    let total = AtomicU64::new(0);
+    // An anchor with fewer than two candidates closes no triangle; each
+    // edge among the candidates closes one with the anchor.
+    let (out, phases) = two_phase(graph, config, 2, |_, ego| {
+        total.fetch_add(ego.num_edges() as u64, Ordering::Relaxed);
+    });
+    (out.map(|()| total.into_inner()), phases)
 }
 
-/// NScale-like maximum clique finding.
+/// NScale-like maximum clique finding: the G-thinker app's serial solve
+/// on each stored candidate graph.
 pub fn nscale_max_clique(
     graph: &Graph,
     config: &NScaleConfig,
-) -> (RunOutcome<Vec<VertexId>>, Option<PhaseTimes>) {
-    std::fs::create_dir_all(&config.dir).expect("store dir");
-    let path = config.dir.join(format!("mcf-{}.store", std::process::id()));
-    let start = Instant::now();
-    let (offsets, bytes) = match build_store(graph, &path, config.disk_budget) {
-        Ok(ok) => ok,
-        Err(status) => {
-            let _ = std::fs::remove_file(&path);
-            return (
-                RunOutcome {
-                    result: None,
-                    elapsed: start.elapsed(),
-                    peak_bytes: config.disk_budget,
-                    status,
-                },
-                None,
-            );
-        }
-    };
-    let construction = start.elapsed();
-    let t1 = Instant::now();
+) -> (RunOutcome<Clique>, Option<PhaseTimes>) {
     // Global bound shared across miners (NScale's mining phase is
     // embarrassingly parallel; sharing the bound only helps it).
-    let best: Mutex<Vec<VertexId>> = Mutex::new(Vec::new());
-    mine_store(
-        &path,
-        &offsets,
-        config.threads,
-        |(v, ego)| {
-            let bound = best.lock().len();
-            if ego.len() < bound {
-                return;
-            }
-            let mut sub = Subgraph::with_capacity(ego.len());
-            for (u, adj) in ego {
-                sub.add_vertex(u, adj);
-            }
-            let local = sub.to_local();
-            if let Some(found) = max_clique_above(&local, bound.saturating_sub(1)) {
-                let mut clique = vec![v];
-                clique.extend(local.to_global(&found));
-                clique.sort_unstable();
-                let mut b = best.lock();
-                if clique.len() > b.len() {
-                    *b = clique;
-                }
-            }
-        },
-        |_, _| {},
-        || (),
-    );
-    let mining = t1.elapsed();
-    let _ = std::fs::remove_file(&path);
-    let mut result = best.into_inner();
-    if result.is_empty() && graph.num_vertices() > 0 {
-        result = vec![VertexId(0)]; // degenerate: no vertex had 2 larger nbrs
-    }
-    (
-        RunOutcome {
-            result: Some(result),
-            elapsed: start.elapsed(),
-            peak_bytes: bytes,
-            status: RunStatus::Completed,
-        },
-        Some(PhaseTimes { construction, mining }),
-    )
+    let best = Mutex::new(Vec::new());
+    let (out, phases) = two_phase(graph, config, 0, |v, ego| {
+        let bound = best.lock().len();
+        offer(&best, solve(&[v], &ego, bound));
+    });
+    (out.map(|()| best.into_inner()), phases)
 }
-
-// EgoRecord codec: provided by the generic tuple/Vec impls, but the
-// nested tuple needs Encode/Decode for (VertexId, AdjList) pairs, which
-// exist via the generic (A, B) impl.
-const _: fn() = || {
-    fn assert_codec<T: Encode + Decode>() {}
-    assert_codec::<EgoRecord>();
-};
 
 #[cfg(test)]
 mod tests {
@@ -321,6 +221,15 @@ mod tests {
             let expected = max_clique_brute(&sg.to_local()).len();
             let (out, _) = nscale_max_clique(&g, &config("mcf"));
             assert_eq!(out.result.unwrap().len(), expected, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn anchors_with_one_candidate_or_none_still_answer() {
+        let path: Vec<_> = (0..4).map(|i| (VertexId(i), VertexId(i + 1))).collect();
+        for (g, expected) in [(Graph::from_edges(5, &path), 2), (Graph::with_vertices(3), 1)] {
+            let (out, _) = nscale_max_clique(&g, &config("sparse"));
+            assert_eq!(out.result.unwrap().len(), expected);
         }
     }
 

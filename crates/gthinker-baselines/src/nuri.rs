@@ -4,19 +4,22 @@
 //! states with the highest upper bound `|S| + |ext(S)|`) in a priority
 //! queue. Because expansion is best-first rather than depth-first, the
 //! number of buffered states can be huge; states beyond an in-memory
-//! cap are managed on disk — the IO-bound behaviour §II describes. The
-//! engine is deliberately single-threaded, like Nuri's Java prototype.
+//! cap — the least promising ones — are managed on disk, the IO-bound
+//! behaviour §II describes. The engine is deliberately single-threaded,
+//! like Nuri's Java prototype. A state is the G-thinker app's task,
+//! built, expanded and solved by [`gthinker_apps::maxclique`]'s
+//! functions: only the order and the storage of states are Nuri's.
 
+use crate::anchor_graph;
 use crate::outcome::{RunOutcome, RunStatus};
-use gthinker_apps::serial::clique::max_clique_above;
-use gthinker_graph::adj::AdjList;
+use gthinker_apps::maxclique::{branches, solve, Clique};
 use gthinker_graph::graph::Graph;
-use gthinker_graph::ids::VertexId;
-#[cfg(test)]
-use gthinker_graph::subgraph::Subgraph;
 use gthinker_task::codec::{from_bytes, to_bytes};
 use gthinker_task::task::Task;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -45,158 +48,102 @@ impl Default for NuriConfig {
     }
 }
 
-struct State {
-    upper_bound: usize,
-    task: Task<Vec<VertexId>>,
+/// The best-first state store: the `cap` most promising states in
+/// memory, ordered by upper bound `|S| + |ext(S)|`; a state pushed out
+/// of memory is the least promising one and goes to an overflow file,
+/// read back (last written first) once memory runs dry.
+struct States {
+    memory: BTreeMap<(usize, u64), Task<Clique>>,
+    cap: usize,
+    seq: u64,
+    path: PathBuf,
+    file: File,
+    /// `(upper bound, offset, len)` of each state on disk.
+    spilled: Vec<(usize, u64, u32)>,
+    tail: u64,
 }
 
-impl PartialEq for State {
-    fn eq(&self, other: &Self) -> bool {
-        self.upper_bound == other.upper_bound
+impl States {
+    fn new(cap: usize, path: PathBuf) -> std::io::Result<Self> {
+        let file =
+            File::options().create(true).read(true).write(true).truncate(true).open(&path)?;
+        let (memory, spilled) = (BTreeMap::new(), Vec::new());
+        Ok(States { memory, cap, seq: 0, path, file, spilled, tail: 0 })
     }
-}
-impl Eq for State {}
-impl PartialOrd for State {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    fn push(&mut self, task: Task<Clique>) -> std::io::Result<()> {
+        let bound = task.context.len() + task.subgraph.num_vertices();
+        self.memory.insert((bound, self.seq), task);
+        self.seq += 1;
+        if self.memory.len() > self.cap {
+            let ((bound, _), worst) = self.memory.pop_first().expect("over the cap");
+            let bytes = to_bytes(&worst);
+            self.file.seek(SeekFrom::Start(self.tail))?;
+            self.file.write_all(&bytes)?;
+            self.spilled.push((bound, self.tail, bytes.len() as u32));
+            self.tail += bytes.len() as u64;
+        }
+        Ok(())
     }
-}
-impl Ord for State {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.upper_bound.cmp(&other.upper_bound)
+
+    /// The most promising state in memory, else the last one spilled.
+    fn pop(&mut self) -> std::io::Result<Option<Task<Clique>>> {
+        if let Some((_, task)) = self.memory.pop_last() {
+            return Ok(Some(task));
+        }
+        let Some((_, offset, len)) = self.spilled.pop() else { return Ok(None) };
+        let mut buf = vec![0u8; len as usize];
+        self.file.seek(SeekFrom::Start(offset))?;
+        self.file.read_exact(&mut buf)?;
+        from_bytes(&buf)
+            .map(Some)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
 }
 
-/// Best-first maximum clique search.
-pub fn nuri_max_clique(graph: &Graph, config: &NuriConfig) -> RunOutcome<Vec<VertexId>> {
+impl Drop for States {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+/// Best-first maximum clique search over the G-thinker app's tasks.
+pub fn nuri_max_clique(graph: &Graph, config: &NuriConfig) -> RunOutcome<Clique> {
     let start = Instant::now();
     std::fs::create_dir_all(&config.dir).expect("state dir writable");
-    let overflow_path = config.dir.join(format!("overflow-{}.states", std::process::id()));
-    let mut overflow: Vec<(u64, u32)> = Vec::new(); // (offset, len) of spilled states
-    let mut overflow_tail: u64 = 0;
-    let mut disk_bytes: u64 = 0;
-    let mut file: Option<std::fs::File> = None;
-
-    let mut heap: BinaryHeap<State> = BinaryHeap::new();
-    let mut best: Vec<VertexId> = Vec::new();
-
-    // Seed with per-vertex states.
+    let path = config.dir.join(format!("overflow-{}.states", std::process::id()));
+    let mut states = States::new(config.memory_states, path).expect("state dir writable");
+    let mut best: Clique = Vec::new();
     for v in graph.vertices() {
-        let gv = graph.neighbors(v).greater_than(v);
-        if gv.is_empty() {
-            if best.is_empty() {
-                best = vec![v];
-            }
-            continue;
-        }
-        let mut t: Task<Vec<VertexId>> = Task::new(vec![v]);
-        for &u in gv {
-            let filtered: Vec<VertexId> = graph
-                .neighbors(u)
-                .greater_than(u)
-                .iter()
-                .copied()
-                .filter(|w| gv.binary_search(w).is_ok())
-                .collect();
-            t.subgraph.add_vertex(u, AdjList::from_sorted(filtered));
-        }
-        heap.push(State { upper_bound: 1 + gv.len(), task: t });
+        let mut t = Task::new(vec![v]);
+        t.subgraph = anchor_graph(graph, v);
+        states.push(t).expect("overflow writable");
     }
-
-    loop {
+    while let Some(task) = states.pop().expect("overflow readable") {
         if start.elapsed() > config.time_budget {
-            let _ = std::fs::remove_file(&overflow_path);
             return RunOutcome {
                 result: None,
                 elapsed: start.elapsed(),
-                peak_bytes: disk_bytes,
+                peak_bytes: states.tail,
                 status: RunStatus::TimeBudgetExceeded,
             };
         }
-        // Refill from disk when memory runs dry (reads back spilled
-        // states — Nuri's on-disk subgraph management).
-        if heap.is_empty() {
-            let Some((offset, len)) = overflow.pop() else { break };
-            use std::io::{Read, Seek, SeekFrom};
-            let f = file.as_mut().expect("overflow file exists");
-            let mut buf = vec![0u8; len as usize];
-            f.seek(SeekFrom::Start(offset)).unwrap();
-            f.read_exact(&mut buf).unwrap();
-            let task: Task<Vec<VertexId>> = from_bytes(&buf).expect("state round-trip");
-            let ub = task.context.len() + task.subgraph.num_vertices();
-            heap.push(State { upper_bound: ub, task });
-            continue;
-        }
-        let state = heap.pop().expect("non-empty heap");
-        if state.upper_bound <= best.len() {
-            // Best-first property: nothing left can beat the bound.
-            // (Disk states were spilled with smaller bounds.)
-            if overflow.is_empty() {
-                break;
+        let (s, g) = (&task.context, &task.subgraph);
+        if s.len() + g.num_vertices() <= best.len() {
+            // Best-first: what is left in memory cannot win either.
+            states.memory.clear();
+        } else if g.num_vertices() <= config.solve_below {
+            best = solve(s, g, best.len()).unwrap_or(best);
+        } else {
+            for child in branches(s, g, best.len()) {
+                states.push(child).expect("overflow writable");
             }
-            continue;
-        }
-        let s = &state.task.context;
-        let g = &state.task.subgraph;
-        if g.num_vertices() <= config.solve_below {
-            let local = g.to_local();
-            let delta = best.len().saturating_sub(s.len());
-            if let Some(found) = max_clique_above(&local, delta) {
-                let mut clique = s.clone();
-                clique.extend(local.to_global(&found));
-                clique.sort_unstable();
-                if clique.len() > best.len() {
-                    best = clique;
-                }
-            } else if g.num_vertices() == 0 && s.len() > best.len() {
-                best = s.clone();
-            }
-            continue;
-        }
-        // Expand: one child per candidate.
-        for &u in g.vertex_ids() {
-            let ext: Vec<VertexId> = g.neighbors(u).expect("member").iter().collect();
-            let ub = s.len() + 1 + ext.len();
-            if ub <= best.len() {
-                continue;
-            }
-            let mut child: Task<Vec<VertexId>> = Task::new({
-                let mut s2 = s.clone();
-                s2.push(u);
-                s2
-            });
-            for &w in &ext {
-                let wadj = g.neighbors(w).expect("candidate");
-                child.subgraph.add_vertex(w, AdjList::from_sorted(wadj.intersect_slice(&ext)));
-            }
-            if heap.len() >= config.memory_states {
-                // Spill the *worst* in-memory state to disk.
-                use std::io::{Seek, SeekFrom, Write};
-                let spill = heap.pop().expect("non-empty");
-                let bytes = to_bytes(&spill.task);
-                let f = file.get_or_insert_with(|| {
-                    std::fs::OpenOptions::new()
-                        .create(true)
-                        .read(true)
-                        .write(true)
-                        .truncate(true)
-                        .open(&overflow_path)
-                        .expect("create overflow file")
-                });
-                f.seek(SeekFrom::Start(overflow_tail)).unwrap();
-                f.write_all(&bytes).unwrap();
-                overflow.push((overflow_tail, bytes.len() as u32));
-                overflow_tail += bytes.len() as u64;
-                disk_bytes = disk_bytes.max(overflow_tail);
-            }
-            heap.push(State { upper_bound: ub, task: child });
         }
     }
-    let _ = std::fs::remove_file(&overflow_path);
     RunOutcome {
         result: Some(best),
         elapsed: start.elapsed(),
-        peak_bytes: disk_bytes,
+        peak_bytes: states.tail,
         status: RunStatus::Completed,
     }
 }
@@ -205,7 +152,10 @@ pub fn nuri_max_clique(graph: &Graph, config: &NuriConfig) -> RunOutcome<Vec<Ver
 mod tests {
     use super::*;
     use gthinker_apps::serial::clique::max_clique_brute;
+    use gthinker_graph::adj::AdjList;
     use gthinker_graph::gen;
+    use gthinker_graph::ids::VertexId;
+    use gthinker_graph::subgraph::Subgraph;
 
     fn config(tag: &str) -> NuriConfig {
         NuriConfig {
@@ -249,6 +199,39 @@ mod tests {
         let direct = nuri_max_clique(&g, &config("overflow-direct"));
         assert_eq!(out.result.unwrap().len(), direct.result.unwrap().len());
         assert!(out.peak_bytes > 0, "states must have spilled");
+        for seed in 0..4 {
+            let g = gen::gnp(16, 0.45, seed);
+            let mut cfg = config("overflow-small");
+            cfg.memory_states = 2;
+            cfg.solve_below = 2;
+            let out = nuri_max_clique(&g, &cfg);
+            assert!(out.peak_bytes > 0, "seed {seed}: states must have spilled");
+            assert_eq!(out.result.unwrap().len(), brute_size(&g), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn overflow_takes_the_least_promising_states() {
+        let dir = config("order").dir;
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut states = States::new(4, dir.join("states")).unwrap();
+        for (i, bound) in [3u32, 9, 1, 7, 5, 8, 2, 6, 4].into_iter().enumerate() {
+            let mut t = Task::new(vec![VertexId(i as u32)]);
+            for w in 1..bound {
+                t.subgraph.add_vertex(VertexId(100 + w), AdjList::new());
+            }
+            states.push(t).unwrap();
+        }
+        let kept = states.memory.keys().map(|&(bound, _)| bound).min().unwrap();
+        let spilled = states.spilled.iter().map(|&(bound, ..)| bound).max().unwrap();
+        assert!(spilled <= kept, "spilled a state of bound {spilled}, kept one of {kept}");
+        let mut bounds = Vec::new();
+        while let Some(t) = states.pop().unwrap() {
+            bounds.push(t.context.len() + t.subgraph.num_vertices());
+        }
+        assert_eq!(bounds[..4], [9, 8, 7, 6], "memory pops best-first");
+        bounds.sort_unstable();
+        assert_eq!(bounds, (1..=9).collect::<Vec<_>>(), "every spilled state reads back");
     }
 
     #[test]

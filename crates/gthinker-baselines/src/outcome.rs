@@ -37,6 +37,12 @@ impl<T> RunOutcome<T> {
         self.status == RunStatus::Completed
     }
 
+    /// The same outcome with its answer mapped through `f`.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> RunOutcome<U> {
+        let RunOutcome { result, elapsed, peak_bytes, status } = self;
+        RunOutcome { result: result.map(f), elapsed, peak_bytes, status }
+    }
+
     /// Formats the status the way the paper's tables do.
     pub fn status_label(&self) -> &'static str {
         match self.status {

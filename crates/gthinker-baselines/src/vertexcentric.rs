@@ -9,9 +9,12 @@
 //!
 //! Two programs are provided: triangle counting and maximum clique
 //! finding, both via the standard "send your larger-neighbor list"
-//! exchange (\[5\], \[24\] in the paper).
+//! exchange (\[5\], \[24\] in the paper). Only the messages are
+//! Giraph's: the clique task itself is the G-thinker app's.
 
+use crate::offer;
 use crate::outcome::{RunOutcome, RunStatus};
+use gthinker_apps::maxclique::{candidate_graph, solve};
 use gthinker_graph::graph::Graph;
 use gthinker_graph::ids::VertexId;
 use parking_lot::Mutex;
@@ -229,8 +232,9 @@ impl VertexProgram for BspTriangleCount {
 }
 
 /// Vertex-centric maximum clique: superstep 0 sends `Γ_>(u)` to every
-/// *smaller* neighbor; superstep 1 builds each vertex's induced
-/// candidate subgraph from the received lists and solves it serially.
+/// *smaller* neighbor; superstep 1 builds each vertex's candidate graph
+/// from the received lists and solves it serially — the G-thinker
+/// app's task, through [`gthinker_apps::maxclique`]'s functions.
 /// The message volume materializes every ego network simultaneously —
 /// the blow-up Table III shows for Giraph.
 pub struct BspMaxClique {
@@ -270,47 +274,16 @@ impl VertexProgram for BspMaxClique {
                         ctx.send(u, (v, gv.clone()));
                     }
                 }
-                false
+                // Stay active: an anchor no larger neighbor writes to
+                // still answers (a 1-clique) in superstep 1.
+                true
             }
             _ => {
-                let gv = graph.neighbors(v).greater_than(v);
-                if !messages.is_empty() || !gv.is_empty() {
-                    let mut sub = gthinker_graph::subgraph::Subgraph::new();
-                    let set: Vec<VertexId> = gv.to_vec();
-                    for (u, list) in messages {
-                        if set.binary_search(u).is_ok() {
-                            let filtered: Vec<VertexId> = list
-                                .iter()
-                                .copied()
-                                .filter(|w| set.binary_search(w).is_ok())
-                                .collect();
-                            sub.add_vertex(
-                                *u,
-                                gthinker_graph::adj::AdjList::from_unsorted(filtered),
-                            );
-                        }
-                    }
-                    for &u in &set {
-                        if !sub.contains(u) {
-                            sub.add_vertex(u, gthinker_graph::adj::AdjList::new());
-                        }
-                    }
-                    let local = sub.to_local();
-                    let mut best = self.best.lock();
-                    let bound = best.len().saturating_sub(1);
-                    if let Some(found) =
-                        gthinker_apps::serial::clique::max_clique_above(&local, bound)
-                    {
-                        let mut clique = vec![v];
-                        clique.extend(local.to_global(&found));
-                        clique.sort_unstable();
-                        if clique.len() > best.len() {
-                            *best = clique;
-                        }
-                    } else if best.is_empty() {
-                        *best = vec![v];
-                    }
-                }
+                // Every candidate u ∈ Γ_>(v) sent its row Γ_>(u).
+                let ext = graph.neighbors(v).greater_than(v);
+                let g = candidate_graph(ext, messages.iter().map(|(u, row)| (*u, row.as_slice())));
+                let bound = self.best.lock().len();
+                offer(&self.best, solve(&[v], &g, bound));
                 false
             }
         }
@@ -367,6 +340,13 @@ mod tests {
         let out = run_bsp(&g, &BspMaxClique::new(), &BspConfig::default());
         assert!(out.completed());
         assert_eq!(out.result.unwrap(), members);
+    }
+
+    #[test]
+    fn bsp_max_clique_answers_an_edgeless_graph() {
+        let g = Graph::with_vertices(4);
+        let out = run_bsp(&g, &BspMaxClique::new(), &BspConfig::default());
+        assert_eq!(out.result.unwrap().len(), 1, "isolated vertices are 1-cliques");
     }
 
     #[test]

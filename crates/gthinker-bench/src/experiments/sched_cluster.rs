@@ -57,12 +57,7 @@ const KERNEL_TIME: Duration = Duration::from_millis(8);
 struct SkewApp;
 
 fn leaf_kernel(seed: u64) -> u64 {
-    let g = gen::gnp(LEAF_N, 0.5, seed);
-    let mut sg = Subgraph::with_capacity(LEAF_N);
-    for v in g.vertices() {
-        sg.add_vertex(v, g.neighbors(v).clone());
-    }
-    let local = sg.to_local();
+    let local = Subgraph::from_graph(&gen::gnp(LEAF_N, 0.5, seed)).to_local();
     let best = max_clique_above(&local, 0).map_or(0, |c| c.len()) as u64;
     std::thread::sleep(KERNEL_TIME);
     best

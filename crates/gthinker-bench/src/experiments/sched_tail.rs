@@ -43,12 +43,7 @@ struct TreeApp {
 }
 
 fn leaf_graph(n: usize, seed: u64) -> gthinker_graph::subgraph::LocalGraph {
-    let g = gen::gnp(n, 0.5, seed);
-    let mut sg = Subgraph::with_capacity(n);
-    for v in g.vertices() {
-        sg.add_vertex(v, g.neighbors(v).clone());
-    }
-    sg.to_local()
+    Subgraph::from_graph(&gen::gnp(n, 0.5, seed)).to_local()
 }
 
 impl App for TreeApp {

@@ -7,6 +7,9 @@
 //! (subgraph matching) runs on G-thinker only, matching the paper
 //! (Giraph/Arabesque provided only MCF and TC implementations).
 //!
+//! Every engine that completes must report G-thinker's clique size and
+//! triangle count; a disagreement fails the run.
+//!
 //! Budgets reproduce the paper's failure modes: baselines that
 //! materialize too much are cut off and reported as OOM or, like the
 //! paper's "> 24 hr" cells, as `> budget`, the way Table III reports
@@ -46,6 +49,13 @@ fn gt_config() -> JobConfig {
     JobConfig::cluster(4, 2)
 }
 
+/// Checks a baseline's answer, when it completed, against G-thinker's.
+fn agree<T: PartialEq + std::fmt::Debug>(engine: &str, dataset: &str, found: Option<T>, gt: T) {
+    if let Some(found) = found {
+        assert_eq!(found, gt, "{engine} and G-thinker disagree on {dataset}");
+    }
+}
+
 pub fn run(scale: f64) {
     println!("Table III — systems × applications × datasets (scale {scale})\n");
     let time_budget = TIME_BUDGET.mul_f64(scale);
@@ -65,12 +75,18 @@ pub fn run(scale: f64) {
         let g = &d.graph;
 
         // ---- MCF ----
+        let (gthinker, best) = {
+            let r = run_job(Arc::new(MaxCliqueApp::with_tau(TAU)), g, &gt_config()).unwrap();
+            assert!(r.global.len() >= d.planted_clique.len(), "missed the planted clique");
+            (cell(r.elapsed, r.peak_mem_bytes(), "ok"), r.global.len())
+        };
         let giraph = {
             let out = run_bsp(
                 g,
                 &BspMaxClique::new(),
                 &BspConfig { threads: 2, memory_budget: BASELINE_MEM_BUDGET, time_budget },
             );
+            agree("Giraph-like MCF", kind.name(), out.result.as_ref().map(Vec::len), best);
             cell(out.elapsed, out.peak_bytes, out.status_label())
         };
         let arabesque = {
@@ -84,6 +100,8 @@ pub fn run(scale: f64) {
                     time_budget,
                 },
             );
+            let found = out.completed().then(|| app.best().len());
+            agree("Arabesque-like MCF", kind.name(), found, best);
             cell(out.elapsed, out.peak_bytes, out.status_label())
         };
         let gminer = {
@@ -97,12 +115,8 @@ pub fn run(scale: f64) {
                     ..Default::default()
                 },
             );
+            agree("G-Miner-like MCF", kind.name(), out.result.as_ref().map(Vec::len), best);
             cell(out.elapsed, out.peak_bytes, out.status_label())
-        };
-        let gthinker = {
-            let r = run_job(Arc::new(MaxCliqueApp::with_tau(TAU)), g, &gt_config()).unwrap();
-            assert!(r.global.len() >= d.planted_clique.len(), "missed the planted clique");
-            cell(r.elapsed, r.peak_mem_bytes(), "ok")
         };
         println!(
             "{:<13} {:<4} | {giraph:>22} | {arabesque:>22} | {gminer:>22} | {gthinker:>22}",
@@ -111,12 +125,17 @@ pub fn run(scale: f64) {
         );
 
         // ---- TC ----
+        let (gthinker, triangles) = {
+            let r = run_job(Arc::new(TriangleApp::default()), g, &gt_config()).unwrap();
+            (cell(r.elapsed, r.peak_mem_bytes(), "ok"), r.global)
+        };
         let giraph = {
             let out = run_bsp(
                 g,
                 &BspTriangleCount::new(),
                 &BspConfig { threads: 2, memory_budget: BASELINE_MEM_BUDGET, time_budget },
             );
+            agree("Giraph-like TC", kind.name(), out.result, triangles);
             cell(out.elapsed, out.peak_bytes, out.status_label())
         };
         let arabesque = {
@@ -130,6 +149,12 @@ pub fn run(scale: f64) {
                     time_budget,
                 },
             );
+            agree(
+                "Arabesque-like TC",
+                kind.name(),
+                out.completed().then(|| app.count()),
+                triangles,
+            );
             cell(out.elapsed, out.peak_bytes, out.status_label())
         };
         let gminer = {
@@ -142,11 +167,8 @@ pub fn run(scale: f64) {
                     ..Default::default()
                 },
             );
+            agree("G-Miner-like TC", kind.name(), out.result, triangles);
             cell(out.elapsed, out.peak_bytes, out.status_label())
-        };
-        let gthinker = {
-            let r = run_job(Arc::new(TriangleApp::default()), g, &gt_config()).unwrap();
-            cell(r.elapsed, r.peak_mem_bytes(), "ok")
         };
         println!(
             "{:<13} {:<4} | {giraph:>22} | {arabesque:>22} | {gminer:>22} | {gthinker:>22}",

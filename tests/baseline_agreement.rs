@@ -5,7 +5,8 @@ use gthinker_apps::{MaxCliqueApp, TriangleApp};
 use gthinker_baselines::arabesque::{
     run_filter_process, ArabesqueMaxClique, ArabesqueTriangles, FilterProcessConfig,
 };
-use gthinker_baselines::gminer::{gminer_max_clique, GMinerConfig};
+use gthinker_baselines::gminer::{gminer_max_clique, gminer_triangle_count, GMinerConfig};
+use gthinker_baselines::nscale::{nscale_max_clique, nscale_triangle_count, NScaleConfig};
 use gthinker_baselines::nuri::{nuri_max_clique, NuriConfig};
 use gthinker_baselines::rstream::{rstream_triangle_count, RStreamConfig};
 use gthinker_baselines::vertexcentric::{run_bsp, BspConfig, BspMaxClique, BspTriangleCount};
@@ -34,6 +35,15 @@ fn every_engine_counts_the_same_triangles() {
 
     let rs = rstream_triangle_count(&g, &RStreamConfig { dir: tmp("rs"), ..Default::default() });
     assert_eq!(rs.result.unwrap(), expected, "rstream-like");
+
+    let gm = gminer_triangle_count(
+        &g,
+        &GMinerConfig { dir: tmp("gm-tc"), threads: 2, ..Default::default() },
+    );
+    assert_eq!(gm.result.unwrap(), expected, "g-miner-like");
+
+    let cfg = NScaleConfig { dir: tmp("ns-tc"), threads: 2, ..Default::default() };
+    assert_eq!(nscale_triangle_count(&g, &cfg).0.result.unwrap(), expected, "nscale-like");
 }
 
 #[test]
@@ -59,6 +69,9 @@ fn every_engine_finds_the_same_max_clique() {
 
     let nuri = nuri_max_clique(&g, &NuriConfig { dir: tmp("nuri"), ..Default::default() });
     assert_eq!(nuri.result.unwrap().len(), expected.len(), "nuri-like");
+
+    let cfg = NScaleConfig { dir: tmp("ns-mcf"), threads: 2, ..Default::default() };
+    assert_eq!(nscale_max_clique(&g, &cfg).0.result.unwrap().len(), expected.len(), "nscale-like");
 }
 
 #[test]
