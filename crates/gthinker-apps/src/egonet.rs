@@ -5,10 +5,10 @@
 //! hop to a radius, build the ego network straight from the members'
 //! lists ([`LocalGraph::induced`]), run the kernel on the anchor.
 //! [`EgoNetApp`] owns that shape — pulls, hop counter,
-//! global ↔ local ID mapping and the straggler split (`split` below
-//! and nothing else: ROADMAP's change of policy is an edit of that one
-//! function) — and an [`EgoMiner`] supplies what differs; its kernel
-//! sees a [`LocalGraph`] and local indices, never a task or the budget.
+//! global ↔ local ID mapping and what a straggler split hands out (the
+//! rule itself is `ComputeEnv::split`'s) — and an [`EgoMiner`] supplies
+//! what differs; its kernel sees a [`LocalGraph`] and local indices,
+//! never a task or the budget.
 
 use gthinker_core::prelude::*;
 use gthinker_graph::subgraph::LocalGraph;
@@ -131,30 +131,27 @@ fn carried(g: &LocalGraph, anchor: u32) -> Subgraph {
     sg
 }
 
-/// The straggler split, decided here and nowhere else: under a compute
-/// budget, an anchor with more first-level branches than the budget is
-/// not mined by its task — each branch becomes a task of its own, with
-/// a copy of the ego network. `true` when the task was split.
-fn split<M: EgoMiner>(
+/// The anchor's count. Under a compute budget an anchor with more
+/// first-level branches than the budget mines only the first ones; each
+/// other branch becomes a task of its own, with a copy of the ego
+/// network, and is never split again.
+fn mine_root<M: EgoMiner>(
     miner: &M,
-    task: &Task<(u64, Option<M::Node>)>,
+    hops: u64,
     g: &LocalGraph,
     anchor: u32,
     env: &mut ComputeEnv<'_, EgoNetApp<M>>,
-) -> bool {
-    let Some(budget) = env.compute_budget() else { return false };
-    let branches = miner.branches(g, anchor);
-    if branches.len() as u64 <= budget {
-        return false;
-    }
-    env.note_split(branches.len() as u64);
+) -> u64 {
+    let Some((kept, groups)) = env.split(|| miner.branches(g, anchor)) else {
+        return miner.mine(g, anchor, None);
+    };
     let ego = carried(g, anchor);
-    for node in branches {
-        let mut sub = Task::new((task.context.0, Some(node)));
+    for node in groups.into_iter().flatten() {
+        let mut sub = Task::new((hops, Some(node)));
         sub.subgraph = ego.clone();
         env.add_task(sub);
     }
-    true
+    kept.iter().map(|node| miner.mine(g, anchor, Some(node))).sum()
 }
 
 impl<M: EgoMiner> App for EgoNetApp<M> {
@@ -194,11 +191,10 @@ impl<M: EgoMiner> App for EgoNetApp<M> {
         }
         let g = ego_network(&task.subgraph, frontier, |u| label_of(env, u));
         let anchor = g.local_id(task.subgraph.vertex_ids()[0]).expect("the anchor is a member");
-        let node = task.context.1.as_ref();
-        if node.is_none() && split(&self.0, task, &g, anchor, env) {
-            return false;
-        }
-        let count = self.0.mine(&g, anchor, node);
+        let count = match &task.context.1 {
+            Some(node) => self.0.mine(&g, anchor, Some(node)),
+            None => mine_root(&self.0, task.context.0, &g, anchor, env),
+        };
         if count > 0 {
             env.aggregate(count);
         }
@@ -236,6 +232,10 @@ mod tests {
         let totals = split.metrics.totals();
         assert!(totals.split_tasks > 0, "a budget of 1 must split some anchor");
         assert!(totals.spill_bytes > 0, "split-off nodes must overflow a queue of C = 2");
+        // Every split-off task finishes exactly once, and nothing else
+        // counts as one.
+        let plain_finished = plain.metrics.totals().tasks_finished;
+        assert_eq!(totals.tasks_finished, plain_finished + totals.split_tasks);
         plain.global
     }
 

@@ -20,9 +20,10 @@
 //!
 //! The app adds the G-thinker policy around them: `task_spawn(v)`
 //! prunes on `1 + |Γ_>(v)|` and pulls the candidates; `compute` builds
-//! `g` on the first iteration, then decomposes when `|V(g)| > τ` (or
-//! beyond the compute budget) and solves otherwise, with the bound the
-//! aggregator broadcasts.
+//! `g` on the first iteration, then decomposes when `|V(g)| > τ` and
+//! solves otherwise, with the bound the aggregator broadcasts; under a
+//! compute budget a task with more children than the budget solves the
+//! first ones and hands the rest out (`ComputeEnv::split`).
 //!
 //! The aggregator keeps the best clique's **vertex set**, so the final
 //! global value is a verifiable witness, not just a size.
@@ -190,22 +191,21 @@ impl App for MaxCliqueApp {
         let (s, g) = (&task.context, &task.subgraph);
         let best = env.read_agg(best_size);
 
-        // Straggler splitting: a compute budget tightens the
-        // decomposition threshold, so candidate sets that would run
-        // serially for a long time decompose into stealable subtasks
-        // instead.
-        let tau_eff = env.compute_budget().map_or(self.tau, |b| self.tau.min(b as usize));
-        if g.num_vertices() > tau_eff {
-            let mut spawned = 0u64;
-            for child in branches(s, g, best) {
-                env.add_task(child);
-                spawned += 1;
+        if g.num_vertices() > self.tau {
+            branches(s, g, best).for_each(|child| env.add_task(child));
+            return false;
+        }
+        let Some((kept, groups)) = env.split(|| branches(s, g, best).collect()) else {
+            if let Some(clique) = solve(s, g, best) {
+                env.aggregate(clique);
             }
-            if g.num_vertices() <= self.tau && spawned > 0 {
-                env.note_split(spawned);
+            return false;
+        };
+        groups.into_iter().flatten().for_each(|child| env.add_task(child));
+        for child in kept {
+            if let Some(clique) = solve(&child.context, &child.subgraph, env.read_agg(best_size)) {
+                env.aggregate(clique);
             }
-        } else if let Some(clique) = solve(s, g, best) {
-            env.aggregate(clique);
         }
         false
     }

@@ -153,30 +153,24 @@ fn merge<'a>(
 }
 
 /// Straggler splitting, in every mode: under a compute budget an anchor
-/// with more than `budget` rows keeps its first `budget` and spins the
-/// rest off as fresh tasks of `budget` rows each, carrying `(v,
-/// Γ_>(v))` — every chunk re-pulls its own rows, so a stolen chunk
-/// resolves them wherever it lands. Returns how many rows stay.
+/// with more rows than the budget keeps the first ones and spins the
+/// rest off as fresh tasks of at most that many rows each
+/// (`ComputeEnv::split`), carrying `(v, Γ_>(v))` — every chunk re-pulls
+/// its own rows, so a stolen chunk resolves them wherever it lands.
+/// Returns how many rows stay.
 fn split(
     v: VertexId,
     gv: &[VertexId],
     rows: &[VertexId],
     env: &mut ComputeEnv<'_, TriangleApp>,
 ) -> usize {
-    let budget = env.compute_budget().map_or(usize::MAX, |b| (b as usize).max(1));
-    if rows.len() <= budget {
-        return rows.len();
-    }
-    let chunks = rows[budget..].chunks(budget);
-    env.note_split(chunks.len() as u64);
+    let Some((kept, chunks)) = env.split(|| rows.to_vec()) else { return rows.len() };
     for chunk in chunks {
         let mut sub = Task::new(vec![(v, gv.to_vec())]);
-        for &u in chunk {
-            sub.pull(u);
-        }
+        chunk.into_iter().for_each(|u| sub.pull(u));
         env.add_task(sub);
     }
-    budget
+    kept.len()
 }
 
 /// The suffix of the ascending `gv` strictly above `u`: all of

@@ -26,7 +26,7 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -67,6 +67,9 @@ fn lsh_key(vertices: &[VertexId]) -> u64 {
 /// in-memory index ordered by LSH key. Every pop is a disk read;
 /// every insert is a disk write — the IO-bound core of the design.
 struct DiskQueue {
+    /// `queue-<pid>-<run>.log`: one file per run, removed when the run
+    /// ends.
+    path: PathBuf,
     file: Mutex<File>,
     index: Mutex<BTreeMap<(u64, u64), (u64, u32)>>, // (lsh, seq) -> (offset, len)
     seq: AtomicU64,
@@ -75,11 +78,14 @@ struct DiskQueue {
 
 impl DiskQueue {
     fn new(dir: &Path) -> std::io::Result<Self> {
+        static RUNS: AtomicU64 = AtomicU64::new(0);
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("queue-{}.log", std::process::id()));
+        let run = RUNS.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!("queue-{}-{run}.log", std::process::id()));
         let file =
             File::options().create(true).truncate(true).read(true).write(true).open(&path)?;
         Ok(DiskQueue {
+            path,
             file: Mutex::new(file),
             index: Mutex::new(BTreeMap::new()),
             seq: AtomicU64::new(0),
@@ -124,6 +130,12 @@ impl DiskQueue {
         // The log is append-only: reinserted tasks grow it forever
         // (G-Miner's dominant cost on large graphs).
         self.tail.load(Ordering::SeqCst)
+    }
+}
+
+impl Drop for DiskQueue {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -284,6 +296,22 @@ mod tests {
             );
             assert!(out.peak_bytes > 0, "tasks went through the disk queue");
         }
+    }
+
+    /// Every run removes its queue log, one that ran out of disk too.
+    #[test]
+    fn runs_leave_no_queue_log_behind() {
+        let g = gen::gnp(40, 0.5, 6);
+        let mut cfg = config("cleanup", 2);
+        let _ = std::fs::remove_dir_all(&cfg.dir);
+        assert!(gminer_max_clique(&g, &cfg).completed());
+        assert!(gminer_triangle_count(&g, &cfg).completed());
+        cfg.disk_budget = 4_096;
+        assert_eq!(gminer_max_clique(&g, &cfg).status, RunStatus::DiskBudgetExceeded);
+        let left: Vec<_> =
+            std::fs::read_dir(&cfg.dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert!(left.is_empty(), "{left:?}");
+        std::fs::remove_dir(&cfg.dir).unwrap();
     }
 
     #[test]

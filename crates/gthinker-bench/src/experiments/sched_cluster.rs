@@ -51,9 +51,9 @@ const KERNEL_TIME: Duration = Duration::from_millis(8);
 
 /// Roots owned by worker 0 grow a `BREADTH`-ary tree of depth `DEPTH`;
 /// each leaf runs `LEAF_KERNELS` timed kernels (a straggler). Under a
-/// compute budget a leaf splits its kernel batch into fresh tasks of at
-/// most `budget` kernels each — the straggler-splitting half of the
-/// cluster-stealing design.
+/// compute budget a leaf runs its first `budget` kernels and hands the
+/// rest out as fresh tasks of at most `budget` kernels each — the
+/// straggler-splitting half of the cluster-stealing design.
 struct SkewApp;
 
 fn leaf_kernel(seed: u64) -> u64 {
@@ -90,21 +90,11 @@ impl App for SkewApp {
         let (d, seed, kernels) = task.context.clone();
         if !kernels.is_empty() {
             // A straggler leaf (or a chunk split off one).
-            if env.compute_budget().is_some_and(|b| kernels.len() as u64 > b) {
-                let budget = env.compute_budget().unwrap().max(1) as usize;
-                let mut spawned = 0u64;
-                for chunk in kernels.chunks(budget) {
-                    env.add_task(Task::new((d, seed, chunk.to_vec())));
-                    spawned += 1;
-                }
-                env.note_split(spawned);
-                return false;
+            let (kept, chunks) = env.split(|| kernels.clone()).unwrap_or((kernels, Vec::new()));
+            for chunk in chunks {
+                env.add_task(Task::new((d, seed, chunk)));
             }
-            let mut sum = 0u64;
-            for &k in &kernels {
-                sum += leaf_kernel(k);
-            }
-            env.aggregate(sum);
+            env.aggregate(kept.into_iter().map(leaf_kernel).sum());
             return false;
         }
         if d < DEPTH {

@@ -91,7 +91,7 @@ option_table! {
         COMPERS = "--compers" ["N"] "mining threads per machine (default 4)";
         STEAL = "--steal" ["on|off"] "cluster-wide work stealing (default on)";
         COMPUTE_BUDGET = "--compute-budget" ["N"]
-            "yield a task after N extension steps so its rest can be split and stolen";
+            "a task with over N pieces left mines N and hands the rest out, N per task";
         METRICS_JSON = "--metrics-json" ["PATH"]
             "write counters + latency quantiles as JSON (on the master: the whole cluster's)";
         TRACE_OUT = "--trace-out" ["PATH"]

@@ -128,8 +128,11 @@ pub struct ComputeEnv<'a, A: App + ?Sized> {
     pub(crate) agg: &'a LocalAgg<A::Agg>,
     pub(crate) labels: Option<&'a std::sync::Arc<Vec<Label>>>,
     pub(crate) output: Option<&'a crate::output::OutputSink>,
-    pub(crate) budget: Option<u64>,
-    pub(crate) splits: u64,
+    /// The job's compute budget, at least 1.
+    budget: Option<usize>,
+    /// How many tasks had been added when [`Self::split`] first split
+    /// this call's task: every task added from there on is split off.
+    pub(crate) split_at: Option<usize>,
 }
 
 impl<'a, A: App + ?Sized> ComputeEnv<'a, A> {
@@ -139,28 +142,35 @@ impl<'a, A: App + ?Sized> ComputeEnv<'a, A> {
         output: Option<&'a crate::output::OutputSink>,
         budget: Option<u64>,
     ) -> Self {
-        ComputeEnv { new_tasks: Vec::new(), agg, labels, output, budget, splits: 0 }
+        let budget = budget.map(|b| usize::try_from(b).unwrap_or(usize::MAX).max(1));
+        ComputeEnv { new_tasks: Vec::new(), agg, labels, output, budget, split_at: None }
     }
 
-    /// The job's straggler-splitting budget
-    /// ([`crate::config::JobConfig::compute_budget`]), if any. A UDF
-    /// whose single `compute` call can run long (a deep serial
-    /// search-tree expansion) should treat this as a hint to split its
-    /// remaining work into fresh tasks via [`Self::add_task`] and
-    /// report the fan-out with [`Self::note_split`].
-    pub fn compute_budget(&self) -> Option<u64> {
-        self.budget
-    }
-
-    /// Records that this `compute` call split a straggler into `n`
-    /// fresh tasks instead of finishing it serially (feeds the
-    /// `yields`/`split_tasks` counters).
-    pub fn note_split(&mut self, n: u64) {
-        self.splits += n;
-    }
-
-    pub(crate) fn take_splits(&mut self) -> u64 {
-        std::mem::take(&mut self.splits)
+    /// Straggler splitting, the one rule
+    /// ([`crate::config::JobConfig::compute_budget`] = `N`): `pieces`
+    /// lists the work this task has left, in the app's own unit
+    /// (first-level branches, rows, kernels). With no budget, or at most
+    /// `N` pieces, it returns `None` — `pieces` is not even called
+    /// without a budget — and the task mines everything itself.
+    /// Otherwise it returns the first `N` pieces, which the task mines,
+    /// and the rest in order as groups of at most `N`, which it adds as
+    /// fresh tasks ([`Self::add_task`]) that siblings or a remote thief
+    /// can take. Every task added after a split counts in the
+    /// `split_tasks` counter, and the call in `yields`.
+    pub fn split<P>(&mut self, pieces: impl FnOnce() -> Vec<P>) -> Option<(Vec<P>, Vec<Vec<P>>)> {
+        let n = self.budget?;
+        let mut kept = pieces();
+        if kept.len() <= n {
+            return None;
+        }
+        let mut rest = kept.split_off(n).into_iter();
+        let groups = std::iter::from_fn(|| {
+            let group: Vec<P> = rest.by_ref().take(n).collect();
+            (!group.is_empty()).then_some(group)
+        })
+        .collect();
+        self.split_at.get_or_insert(self.new_tasks.len());
+        Some((kept, groups))
     }
 
     /// Streams one output record to this worker's output file

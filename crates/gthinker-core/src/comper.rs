@@ -317,7 +317,6 @@ fn drive_task<A: App>(
     ready: bool,
 ) {
     let mut first_ready = ready;
-    let mut steps: u64 = 0;
     loop {
         let pulls = task.take_pulls();
         let frontier = if pulls.is_empty() {
@@ -368,20 +367,6 @@ fn drive_task<A: App>(
             // End-to-end latency: spawn → finish, including every pull
             // wait and queue/spill residence in between.
             shared.compers[ctx.idx].hists.e2e.record(now_nanos().saturating_sub(task.born_nanos));
-            return;
-        }
-        // Straggler splitting: a task that keeps asking to proceed past
-        // the compute budget yields its on-CPU streak — the remaining
-        // subtree goes back through `Q_task` (where siblings or a
-        // remote thief can take it) instead of monopolizing this
-        // comper. Pulls the UDF just issued stay attached to the task
-        // and resolve through the normal non-ready path when it is next
-        // popped, so the yield is invisible to the UDF.
-        steps += 1;
-        if shared.config.compute_budget.is_some_and(|b| steps >= b) {
-            shared.counters.yields.fetch_add(1, Ordering::Relaxed);
-            shared.counters.split_tasks.fetch_add(1, Ordering::Relaxed);
-            enqueue(shared, ctx, task);
             return;
         }
     }
@@ -488,12 +473,12 @@ fn compute_once<A: App>(
     let spent = now_nanos().saturating_sub(start);
     shared.compers[ctx.idx].hists.compute.record(spent);
     ctx.cpu.record(spent, &shared.counters);
-    let splits = env.take_splits();
-    if splits > 0 {
+    let tasks = env.take_tasks();
+    if let Some(at) = env.split_at {
         shared.counters.yields.fetch_add(1, Ordering::Relaxed);
-        shared.counters.split_tasks.fetch_add(splits, Ordering::Relaxed);
+        shared.counters.split_tasks.fetch_add((tasks.len() - at) as u64, Ordering::Relaxed);
     }
-    for t in env.take_tasks() {
+    for t in tasks {
         enqueue(shared, ctx, t);
     }
     proceed

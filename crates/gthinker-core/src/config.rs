@@ -66,13 +66,12 @@ pub struct JobConfig {
     /// (as does an armed crash schedule, so a killed worker cannot hang
     /// the job).
     pub heartbeat_timeout: Option<Duration>,
-    /// Straggler splitting: when set, a task's `compute()` loop yields
-    /// after this many extension steps (iterations that asked to
-    /// proceed), re-enqueueing the task's remaining subtree so other
-    /// compers — or remote thieves — can pick it up. UDFs can also read
-    /// the budget via `ComputeEnv::compute_budget` to split their own
-    /// search-tree state into fresh tasks. `None` (the default) never
-    /// preempts a task.
+    /// Straggler splitting, `N`: a task with more than `N` pieces of
+    /// work left (an app's first-level branches, rows or kernels)
+    /// mines its first `N` and hands the rest out as fresh tasks of at
+    /// most `N` pieces each, which other compers or remote thieves can
+    /// take (`ComputeEnv::split`). `Some(0)` acts as 1. `None` (the
+    /// default) never splits a task.
     pub compute_budget: Option<u64>,
     /// Cluster telemetry streaming: when set, every worker pushes a
     /// compact metrics snapshot (no events) to the master this often,

@@ -116,7 +116,8 @@ struct Row {
     get: fn(&WorkerMetricsSnapshot) -> u64,
     set: fn(&mut WorkerMetricsSnapshot, u64),
     /// Set on a `derived` row: its value, computed from the snapshot's
-    /// histograms. It has no cell in a report; the decoder derives it.
+    /// histograms or cache counters. It has no cell in a report; the
+    /// decoder derives it.
     derive: Option<fn(&WorkerMetricsSnapshot) -> u64>,
 }
 
@@ -158,8 +159,8 @@ fn per_comper(s: &WorkerMetricsSnapshot, f: fn(&ComperHistSnapshot) -> u64) -> u
 /// `snapshot_worker`, [`WorkerCounters`] and the live histograms. A row
 /// is `(kind, field, unit, help)`: a `counters` row *is* an atomic of
 /// `WorkerCounters`, bumped where the event happens; a `derived` row
-/// adds `|snapshot| value`, a count or total a histogram already holds;
-/// a `sampled` row adds `|worker| value`, read off [`WorkerShared`] at
+/// adds `|snapshot| value`, a count or total a histogram or a cache row
+/// already holds; a `sampled` row adds `|worker| value`, read off [`WorkerShared`] at
 /// snapshot time; a `cache` row names a field of the cache's own
 /// snapshot. A `hists` row is `(field, help)`: a [`LogHistogram`] of
 /// [`ComperHists`] or [`WorkerHists`], recorded where the duration
@@ -313,6 +314,10 @@ metrics_table! {
         (Counter, parks, "parks",
             "Scheduler parks, each counted as it ends: every comper's `park` samples.",
             |s| per_comper(s, |c| c.park.count()));
+        (Counter, pull_retries, "pulls",
+            "Vertex pulls re-requested after their R-table deadline expired (loss tolerance; 0 on \
+             a healthy wire): the cache's `retries`.",
+            |s| s.cache.retries);
     }
     counters {
         (Counter, compute_nanos, "ns" as ms "compute_ms",
@@ -330,17 +335,13 @@ metrics_table! {
         (Counter, steal_batch_bytes, "bytes",
             "Framed bytes of steal batches sent, resends included (they cross the wire again).");
         (Counter, yields, "yields",
-            "Mid-compute yields: framework budget preemptions plus UDF `note_split` events.");
+            "`compute()` calls that split a straggler under the compute budget.");
         (Counter, split_tasks, "tasks",
-            "Tasks created by straggler splitting: 1 per framework re-enqueue, `n` per UDF split \
-             that fanned a straggler into `n` fresh tasks.");
+            "Tasks those calls handed out: the straggler's pieces past its first `N`.");
         (Counter, wakeups, "parks",
             "Parks that ended in an event wakeup (not the fallback timeout).");
         (Counter, responses_served, "vertices",
             "Vertices served to remote pulls by the main thread.");
-        (Counter, pull_retries, "pulls",
-            "Vertex pulls re-requested after their R-table deadline expired (loss tolerance; 0 on \
-             a healthy wire).");
     }
     sampled {
         (Counter, net_msgs_dropped, "messages",
@@ -485,7 +486,7 @@ impl WorkerMetricsSnapshot {
         m
     }
 
-    /// Sets every `derived` row from the histograms.
+    /// Sets every `derived` row from the histograms and cache rows.
     fn derive_rows(&mut self) {
         for row in ROWS {
             if let Some(value) = row.derive.map(|derive| derive(self)) {

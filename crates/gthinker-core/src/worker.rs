@@ -962,7 +962,6 @@ pub(crate) fn worker_tick<A: App>(
     // wire pays nothing and a lossy one converges instead of storming.
     let timed_out = shared.cache.collect_timed_out(std::time::Instant::now());
     if !timed_out.is_empty() {
-        shared.counters.pull_retries.fetch_add(timed_out.len() as u64, Ordering::Relaxed);
         for v in timed_out {
             let owner = shared.partitioner.owner(v);
             shared.batcher.add(&*shared.net, owner, v);

@@ -3,6 +3,7 @@
 use gthinker_core::prelude::*;
 use gthinker_graph::gen;
 use gthinker_task::codec::{CodecError, Decode, Encode};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -105,6 +106,81 @@ fn udf_panic_aborts_the_job_and_propagates_the_message() {
     .expect_err("job must propagate the UDF panic");
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(msg.contains("boom on vertex 50"), "got: {msg}");
+}
+
+/// Vertex `v` spawns a task whose work is `v % 9` pieces, numbered
+/// `16·v + i`; a task split off one carries the group it was handed.
+/// `compute` checks what `ComputeEnv::split` returns against the job's
+/// budget `N` and adds up the pieces it keeps, so the global is the
+/// same whatever was split.
+struct Pieces {
+    budget: Option<usize>,
+    /// Calls of the `pieces` closure.
+    listed: AtomicU64,
+}
+
+impl App for Pieces {
+    type Context = Vec<u64>;
+    type Agg = SumAgg;
+    fn make_aggregator(&self) -> SumAgg {
+        SumAgg
+    }
+    fn task_spawn(&self, v: VertexId, _adj: &AdjList, env: &mut SpawnEnv<'_, Self>) {
+        let v = u64::from(v.0);
+        env.add_task(Task::new((0..v % 9).map(|i| 16 * v + i).collect()));
+    }
+    fn compute(
+        &self,
+        t: &mut Task<Vec<u64>>,
+        _f: &Frontier,
+        env: &mut ComputeEnv<'_, Self>,
+    ) -> bool {
+        let pieces = std::mem::take(&mut t.context);
+        let listed = || {
+            self.listed.fetch_add(1, Ordering::Relaxed);
+            pieces.clone()
+        };
+        let kept = match env.split(listed) {
+            None => pieces,
+            Some((kept, groups)) => {
+                let n = self.budget.expect("no split without a budget");
+                assert_eq!(kept, pieces[..n], "the task keeps the first N pieces, in order");
+                assert!(groups.iter().all(|g| !g.is_empty() && g.len() <= n), "{groups:?}");
+                assert_eq!(groups.concat(), pieces[n..], "the groups are the rest, in order");
+                groups.into_iter().for_each(|g| env.add_task(Task::new(g)));
+                kept
+            }
+        };
+        env.aggregate(kept.iter().sum());
+        false
+    }
+}
+
+#[test]
+fn a_split_keeps_the_first_n_pieces_and_hands_out_the_rest_n_per_task() {
+    let g = gen::gnp(120, 0.05, 3);
+    let pieces = |v: u64| (0..v % 9).map(move |i| 16 * v + i);
+    let want: u64 = (0..120).flat_map(pieces).sum();
+    // `Some(0)` from the library acts as 1.
+    for budget in [None, Some(0), Some(1), Some(3), Some(8)] {
+        let n = budget.map(|b: u64| b.max(1) as usize);
+        let app = Arc::new(Pieces { budget: n, listed: AtomicU64::new(0) });
+        let mut cfg = JobConfig::cluster(2, 2);
+        cfg.compute_budget = budget;
+        let r = run_job(app.clone(), &g, &cfg).unwrap();
+        assert_eq!(r.global, want, "budget {budget:?}");
+        let t = r.metrics.totals();
+        // Each task with k > N pieces hands out ⌈(k − N) / N⌉ tasks.
+        let split: Vec<u64> =
+            (0..120).map(|v| v % 9).filter(|&k| n.is_some_and(|n| k > n as u64)).collect();
+        let handed_out: u64 =
+            split.iter().map(|&k| (k - n.unwrap() as u64).div_ceil(n.unwrap() as u64)).sum();
+        assert_eq!(t.yields, split.len() as u64, "budget {budget:?}: one yield per split task");
+        assert_eq!(t.split_tasks, handed_out, "budget {budget:?}");
+        assert_eq!(t.tasks_finished, 120 + handed_out, "budget {budget:?}");
+        let listed = app.listed.load(Ordering::Relaxed);
+        assert_eq!(listed == 0, budget.is_none(), "budget {budget:?}: {listed} listings");
+    }
 }
 
 /// A global value that encodes but never decodes: the master's

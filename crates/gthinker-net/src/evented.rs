@@ -67,6 +67,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// The [`FaultRuntime::roll`] of a message no fault touches: sent
+/// now, once.
+const CLEAN: Option<(Duration, Option<Duration>)> = Some((Duration::ZERO, None));
+
 /// Cap on queued outbound bytes per peer; a sender hitting it waits
 /// (backpressure) until the I/O loop drains the ring below it.
 const RING_MAX_BYTES: usize = 8 * 1024 * 1024;
@@ -658,24 +662,6 @@ impl EventedEndpoint {
         }
     }
 
-    /// Fault roll for one cross-worker message (only the data plane is
-    /// faulted); returns `None` when the message is dropped, else
-    /// `(delay, dup_lag)`.
-    fn roll(&self, to: usize, data_plane: bool) -> Option<(Duration, Option<Duration>)> {
-        let Some(f) = &self.fault else {
-            return Some((Duration::ZERO, None));
-        };
-        if !data_plane {
-            return Some((Duration::ZERO, None));
-        }
-        let d = f.next_decision(self.me, to);
-        if d.drop {
-            return None;
-        }
-        let dup = d.duplicate.then(|| d.delay + f.config().reorder_jitter);
-        Some((d.delay, dup))
-    }
-
     fn count_send(&self, bytes: u64) {
         self.stats.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
         self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
@@ -692,7 +678,9 @@ impl EventedEndpoint {
     ) {
         note_traffic(&self.fault, self.me);
         self.count_send((len + FRAME_OVERHEAD) as u64);
-        let Some((extra, dup_lag)) = self.roll(to, data_plane) else {
+        // Only the data plane is faulted.
+        let fault = self.fault.as_ref().filter(|_| data_plane);
+        let Some((extra, dup_lag)) = fault.map_or(CLEAN, |f| f.roll(self.me, to)) else {
             return; // dropped by fault injection
         };
         let frame = self.pool.seal(encode);
@@ -747,7 +735,8 @@ impl NetEndpoint for EventedEndpoint {
             }
             note_traffic(&self.fault, self.me);
             self.count_send(bytes);
-            let Some((extra, dup_lag)) = self.roll(w, msg.is_data_plane()) else {
+            let fault = self.fault.as_ref().filter(|_| msg.is_data_plane());
+            let Some((extra, dup_lag)) = fault.map_or(CLEAN, |f| f.roll(self.me, w)) else {
                 continue;
             };
             let f = frame.get_or_insert_with(|| self.pool.seal(|b| msg.encode(b)));

@@ -12,9 +12,9 @@
 //! [`FaultRuntime`] is the send-side bookkeeping both backends share:
 //! the simulated [`Router`](crate::router::Router) and the real
 //! [`EventedEndpoint`](crate::evented::EventedEndpoint) call
-//! [`FaultRuntime::next_decision`] on every cross-worker data-plane
-//! message, so a chaos scenario replays identically whichever
-//! interconnect carries it. Crash schedules fire on both backends at
+//! [`FaultRuntime::roll`] on every cross-worker data-plane message and
+//! apply its drop, duplicate and delay alike, so a chaos scenario
+//! replays identically whichever interconnect carries it. Crash schedules fire on both backends at
 //! the same logical trigger — the sim router delivers
 //! [`crate::message::Message::Crash`] and goes dark on the victim's
 //! links; the TCP backend, where each worker is a whole OS process,
@@ -241,22 +241,27 @@ impl FaultRuntime {
     /// Rolls the fate of the next data-plane message on `from → to`,
     /// bumping the link's sequence number and attributing the
     /// drop/dup/delay counters to the sender. Both backends call this
-    /// at the same point (send side, cross-worker data plane only), so
-    /// counters and decisions agree across transports.
-    pub fn next_decision(&self, from: usize, to: usize) -> FaultDecision {
+    /// at the same point (send side, cross-worker data plane only) and
+    /// apply what it returns alike, so counters and decisions agree
+    /// across transports: `None` when the message is dropped, else
+    /// `(delay, dup_lag)` — its extra delivery delay and, when it is
+    /// duplicated, the lag of the copy, which trails the original by
+    /// one jitter window.
+    pub fn roll(&self, from: usize, to: usize) -> Option<(Duration, Option<Duration>)> {
         let seq = self.link_seq[from * self.num_workers + to].fetch_add(1, Ordering::Relaxed);
         let d = self.config.decide(from, to, seq);
+        let stats = &self.stats[from];
         if d.drop {
-            self.stats[from].dropped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            if d.duplicate {
-                self.stats[from].duplicated.fetch_add(1, Ordering::Relaxed);
-            }
-            if !d.delay.is_zero() {
-                self.stats[from].delayed.fetch_add(1, Ordering::Relaxed);
-            }
+            stats.dropped.fetch_add(1, Ordering::Relaxed);
+            return None;
         }
-        d
+        if d.duplicate {
+            stats.duplicated.fetch_add(1, Ordering::Relaxed);
+        }
+        if !d.delay.is_zero() {
+            stats.delayed.fetch_add(1, Ordering::Relaxed);
+        }
+        Some((d.delay, d.duplicate.then(|| d.delay + self.config.reorder_jitter)))
     }
 
     /// Per-worker fault counters (attributed to the sending side).

@@ -315,16 +315,11 @@ impl NetEndpoint for NetHandle {
         let mut extra = Duration::ZERO;
         if let Some(f) = &s.fault {
             if to.index() != self.me && msg.is_data_plane() {
-                let d = f.next_decision(self.me, to.index());
-                if d.drop {
-                    return;
-                }
-                if d.duplicate {
-                    // The copy trails the original by one jitter window.
-                    let lag = d.delay + f.config().reorder_jitter;
+                let Some((delay, dup_lag)) = f.roll(self.me, to.index()) else { return };
+                if let Some(lag) = dup_lag {
                     self.deliver(to.index(), msg.clone(), bytes, lag);
                 }
-                extra = d.delay;
+                extra = delay;
             }
         }
         self.deliver(to.index(), msg, bytes, extra);

@@ -94,10 +94,14 @@ fn mesh_delivers_across_processes_and_counts_bytes() {
 
 #[test]
 fn self_sends_and_broadcasts_loop_back() {
-    let got = with_mesh(2, FaultConfig::default(), |net| {
+    // No worker broadcasts before both have taken their self-send: a
+    // peer's `Terminate` may otherwise reach the inbox first.
+    let both_looped = std::sync::Barrier::new(2);
+    let got = with_mesh(2, FaultConfig::default(), move |net| {
         let me = net.id();
         net.send(me, pull(me.index() as u16, 7));
         let local = recv_skipping_peer_down(&*net, "self-send");
+        both_looped.wait();
         net.broadcast(&Message::Terminate);
         let remote = recv_skipping_peer_down(&*net, "peer broadcast");
         (local, remote)
