@@ -10,6 +10,7 @@
 //! what differs; its kernel sees a [`LocalGraph`] and local indices,
 //! never a task or the budget.
 
+use crate::serial::setenum::{self, Rule};
 use gthinker_core::prelude::*;
 use gthinker_graph::subgraph::LocalGraph;
 use gthinker_graph::trim::Trimmer;
@@ -56,14 +57,27 @@ pub trait EgoMiner: Send + Sync + 'static {
 /// node of a subtask split off a straggler)`.
 pub struct EgoNetApp<M>(pub M);
 
-/// A set-enumeration node `(S, cand)`: members so far, candidates left.
-pub(crate) type SetNode = (Vec<VertexId>, Vec<VertexId>);
+/// `qc` and `kp`: the set-enumeration search under a [`Rule`] on the 2-hop
+/// ego network; a node is `(S, cand)`.
+impl<R: Rule + Send + Sync + 'static> EgoMiner for R {
+    type Node = (Vec<VertexId>, Vec<VertexId>);
 
-/// The first level under the root `S = {anchor}`: `({anchor, cand[i]},
-/// cand[i+1..])` for each `i`; with `min_size ≥ 2` they partition its count.
-pub(crate) fn first_level(g: &LocalGraph, anchor: u32, cand: &[u32]) -> Vec<SetNode> {
-    let node = |i| (g.to_global(&[anchor, cand[i]]), g.to_global(&cand[i + 1..]));
-    (0..cand.len()).map(node).collect()
+    fn radius(&self) -> usize {
+        2
+    }
+
+    fn branches(&self, g: &LocalGraph, anchor: u32) -> Vec<Self::Node> {
+        let cand = setenum::first_level(g, self, anchor);
+        let node = |i| (g.to_global(&[anchor, cand[i]]), g.to_global(&cand[i + 1..]));
+        (0..cand.len()).map(node).collect()
+    }
+
+    fn mine(&self, g: &LocalGraph, anchor: u32, node: Option<&Self::Node>) -> u64 {
+        match node {
+            Some((s, cand)) => setenum::count(g, self, &g.to_local_ids(s), &g.to_local_ids(cand)),
+            None => setenum::count_anchored(g, self, anchor),
+        }
+    }
 }
 
 /// The label a labeled miner keeps for `u`.

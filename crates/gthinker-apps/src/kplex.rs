@@ -3,56 +3,18 @@
 //!
 //! No trimming (2-hop paths may pass through smaller IDs) and a 2-hop
 //! ego network, sound because connected k-plexes of size ≥ 2k − 1 have
-//! diameter ≤ 2, under the serial hereditary enumerator.
+//! diameter ≤ 2, under the hereditary k-plex rule.
 
-use crate::egonet::{first_level, EgoMiner, EgoNetApp, SetNode};
-use crate::serial::kplex::{count_kplexes_state, is_kplex, kplex_candidates};
-use gthinker_graph::subgraph::LocalGraph;
-
-/// The k-plex miner: hereditary enumeration over the 2-hop ego network.
-pub struct KPlex {
-    /// Relaxation parameter k (1 = cliques).
-    pub k: usize,
-    /// Smallest k-plex size to count (must be ≥ 2k − 1).
-    pub min_size: usize,
-    /// Largest k-plex size to count.
-    pub max_size: usize,
-}
+use crate::egonet::EgoNetApp;
+pub use crate::serial::kplex::KPlex;
 
 /// The k-plex counting application.
 pub type KPlexApp = EgoNetApp<KPlex>;
 
 impl KPlexApp {
-    /// Creates the app, checking the diameter-2 soundness floor.
+    /// Creates the app ([`KPlex::new`]).
     pub fn new(k: usize, min_size: usize, max_size: usize) -> Self {
-        assert!(k >= 1);
-        assert!(min_size >= 2 * k - 1 && min_size >= 2, "need min_size ≥ 2k−1");
-        assert!(max_size >= min_size);
-        EgoNetApp(KPlex { k, min_size, max_size })
-    }
-}
-
-impl EgoMiner for KPlex {
-    type Node = SetNode;
-
-    fn radius(&self) -> usize {
-        2
-    }
-
-    /// Only the viable branches, as in the serial recursion's root
-    /// expansion: a `{anchor, u}` that is no k-plex has none above it.
-    fn branches(&self, g: &LocalGraph, anchor: u32) -> Vec<SetNode> {
-        let mut viable = kplex_candidates(g, anchor);
-        viable.retain(|&u| is_kplex(g, &[anchor, u], self.k));
-        first_level(g, anchor, &viable)
-    }
-
-    fn mine(&self, g: &LocalGraph, anchor: u32, node: Option<&SetNode>) -> u64 {
-        let (s, cand) = match node {
-            Some((s, cand)) => (g.to_local_ids(s), g.to_local_ids(cand)),
-            None => (vec![anchor], kplex_candidates(g, anchor)),
-        };
-        count_kplexes_state(g, &s, &cand, self.k, self.min_size, self.max_size)
+        EgoNetApp(KPlex::new(k, min_size, max_size))
     }
 }
 

@@ -15,8 +15,8 @@
 //!
 //! [`serial`] holds the in-task serial kernels (branch-and-bound max
 //! clique, Bron–Kerbosch maximal cliques, intersection triangle
-//! counting, backtracking matcher, quasi-clique and k-plex
-//! enumeration), each validated against brute force.
+//! counting, backtracking matcher, and one set-enumeration search under
+//! a quasi-clique or k-plex rule), each validated against brute force.
 
 pub mod egonet;
 pub mod kplex;

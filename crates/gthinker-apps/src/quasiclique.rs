@@ -7,50 +7,16 @@
 //! No trimmer: members need not be adjacent to the anchor, and 2-hop
 //! paths may pass through vertices with *smaller* IDs.
 
-use crate::egonet::{first_level, EgoMiner, EgoNetApp, SetNode};
-use crate::serial::quasi::{count_quasi_cliques_state, quasi_candidates};
-use gthinker_graph::subgraph::LocalGraph;
-
-/// The quasi-clique miner: set enumeration over the 2-hop ego network.
-pub struct QuasiClique {
-    /// Density threshold γ ∈ [0.5, 1].
-    pub gamma: f64,
-    /// Smallest quasi-clique size to count.
-    pub min_size: usize,
-    /// Largest quasi-clique size to count (bounds the enumeration).
-    pub max_size: usize,
-}
+use crate::egonet::EgoNetApp;
+pub use crate::serial::quasi::QuasiClique;
 
 /// The quasi-clique counting application.
 pub type QuasiCliqueApp = EgoNetApp<QuasiClique>;
 
 impl QuasiCliqueApp {
-    /// Creates the app; `gamma` must be in `[0.5, 1]` for the 2-hop
-    /// candidate rule to be sound.
+    /// Creates the app ([`QuasiClique::new`]).
     pub fn new(gamma: f64, min_size: usize, max_size: usize) -> Self {
-        assert!((0.5..=1.0).contains(&gamma), "2-hop rule requires γ ≥ 0.5");
-        assert!(min_size >= 2 && max_size >= min_size);
-        EgoNetApp(QuasiClique { gamma, min_size, max_size })
-    }
-}
-
-impl EgoMiner for QuasiClique {
-    type Node = SetNode;
-
-    fn radius(&self) -> usize {
-        2
-    }
-
-    fn branches(&self, g: &LocalGraph, anchor: u32) -> Vec<SetNode> {
-        first_level(g, anchor, &quasi_candidates(g, anchor))
-    }
-
-    fn mine(&self, g: &LocalGraph, anchor: u32, node: Option<&SetNode>) -> u64 {
-        let (s, cand) = match node {
-            Some((s, cand)) => (g.to_local_ids(s), g.to_local_ids(cand)),
-            None => (vec![anchor], quasi_candidates(g, anchor)),
-        };
-        count_quasi_cliques_state(g, &s, &cand, self.gamma, self.min_size, self.max_size)
+        EgoNetApp(QuasiClique::new(gamma, min_size, max_size))
     }
 }
 

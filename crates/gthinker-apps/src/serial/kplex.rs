@@ -1,20 +1,18 @@
-//! Serial **k-plex** enumeration on a [`LocalGraph`].
+//! The **k-plex** [`Rule`] of the set-enumeration search ([`super::setenum`]).
 //!
 //! A vertex set `S` is a *k-plex* if every member has at least
-//! `|S| − k` neighbors inside `S` (k = 1 gives cliques). k-plexes are
-//! the relaxed-clique workload of the T-thinker line of systems that
-//! G-thinker opens (§VII); they slot into the same anchored
-//! set-enumeration template as the other applications.
+//! `|S| − k` neighbors inside `S` (k = 1 gives cliques), the
+//! relaxed-clique workload of the T-thinker line that G-thinker opens
+//! (§VII). Two facts drive the rule:
 //!
-//! Two structural facts drive the implementation:
-//!
-//! * **Heredity** — every subset of a k-plex is a k-plex, so the DFS
+//! * **Heredity** — every subset of a k-plex is a k-plex, so the search
 //!   can discard a candidate permanently the moment adding it breaks
 //!   the property.
 //! * **Diameter** — a *connected* k-plex with `|S| ≥ 2k − 1` has
 //!   diameter at most 2, so the distributed app's 2-hop ego networks
 //!   are sufficient; the size floor is enforced.
 
+use super::setenum::{Members, Rule};
 use gthinker_graph::bitset::BitSet;
 use gthinker_graph::subgraph::LocalGraph;
 
@@ -51,197 +49,64 @@ pub fn is_connected(g: &LocalGraph, s: &[u32]) -> bool {
     reached == s.len()
 }
 
-/// Counts the **connected** k-plexes of `g` whose minimum member is
-/// `anchor`, with sizes in `[min_size, max_size]`.
-///
-/// # Panics
-/// Panics if `min_size < 2k − 1` (the 2-hop candidate rule the
-/// distributed app relies on is only sound above that size).
-pub fn count_kplexes_from(
-    g: &LocalGraph,
-    anchor: u32,
-    k: usize,
-    min_size: usize,
-    max_size: usize,
-) -> u64 {
-    assert!(k >= 1);
-    assert!(
-        min_size >= 2 * k - 1 && min_size >= 2,
-        "connected k-plexes need |S| ≥ 2k−1 for the diameter-2 bound"
-    );
-    assert!(max_size >= min_size);
-    let cand = kplex_candidates(g, anchor);
-    count_kplexes_state(g, &[anchor], &cand, k, min_size, max_size)
+/// The connected k-plex [`Rule`]: counts the connected k-plexes with
+/// sizes in `[min_size, max_size]`.
+pub struct KPlex {
+    /// Relaxation parameter k (1 = cliques).
+    pub k: usize,
+    /// Smallest k-plex size to count (at least 2k − 1).
+    pub min_size: usize,
+    /// Largest k-plex size to count.
+    pub max_size: usize,
 }
 
-/// The anchor's candidate set: its 2-hop neighborhood restricted to IDs
-/// greater than the anchor, sorted.
-pub fn kplex_candidates(g: &LocalGraph, anchor: u32) -> Vec<u32> {
-    let mut cand: Vec<u32> = Vec::new();
-    for &u in g.neighbors(anchor) {
-        if u > anchor && !cand.contains(&u) {
-            cand.push(u);
-        }
-        for &w in g.neighbors(u) {
-            if w > anchor && !cand.contains(&w) {
-                cand.push(w);
-            }
-        }
+impl KPlex {
+    /// The rule; panics if `min_size < 2k − 1` (the 2-hop candidate rule
+    /// the distributed app relies on is only sound above that size).
+    pub fn new(k: usize, min_size: usize, max_size: usize) -> Self {
+        assert!(k >= 1);
+        assert!(
+            min_size >= 2 * k - 1 && min_size >= 2,
+            "connected k-plexes need |S| ≥ 2k−1 for the diameter-2 bound"
+        );
+        assert!(max_size >= min_size);
+        KPlex { k, min_size, max_size }
     }
-    cand.sort_unstable();
-    cand
 }
 
-/// Resumes the hereditary enumeration from an interior node: counts the
-/// connected k-plexes among `s ∪ (subsets of cand)` that contain all of
-/// `s`. Returns 0 when `s` itself is not a k-plex (heredity: no
-/// superset can be one either). With `s = [anchor]` and
-/// `cand = kplex_candidates(..)` this equals [`count_kplexes_from`];
-/// the distributed app uses it to split a straggler task's first-level
-/// branches into independent subtasks.
-pub fn count_kplexes_state(
-    g: &LocalGraph,
-    s: &[u32],
-    cand: &[u32],
-    k: usize,
-    min_size: usize,
-    max_size: usize,
-) -> u64 {
-    assert!(k >= 1 && max_size >= min_size && min_size >= 2);
-    if !is_kplex(g, s, k) {
-        return 0;
+impl Rule for KPlex {
+    fn sizes(&self) -> (usize, usize) {
+        (self.min_size, self.max_size)
     }
-    let mut count = 0u64;
-    let mut sv = s.to_vec();
-    if g.is_dense() {
-        let n = g.num_vertices();
-        let mut scratch = KplexScratch {
-            sbits: BitSet::new(n),
-            visited: BitSet::new(n),
-            reach: BitSet::new(n),
-            stack: Vec::new(),
+
+    /// Connectivity. The search adds no member that breaks the k-plex,
+    /// so only a resumed node's `S` can fail the degree test: it counts 0.
+    fn accept(&self, g: &LocalGraph, s: &Members) -> bool {
+        s.iter().all(|v| g.count_in(v, s.bits()) + self.k >= s.size()) && s.is_connected(g)
+    }
+
+    /// Heredity: a candidate stays only if S ∪ {u} is a k-plex — `u` has
+    /// `|S| + 1 − k` members as neighbours, and each member at its floor
+    /// `|S| − k` has `u`. Below an `S` that is no k-plex, nothing is.
+    fn shrink(
+        &self,
+        g: &LocalGraph,
+        s: &Members,
+        inside: &[usize],
+        cand: &BitSet,
+        viable: &mut BitSet,
+    ) -> bool {
+        let (k, size) = (self.k, s.size());
+        if inside.iter().any(|&d| d + k < size) {
+            return false;
+        }
+        let joins = |u| {
+            g.count_in(u, s.bits()) + k > size
+                && s.iter().zip(inside).all(|(v, &d)| d + k > size || g.has_edge(v, u))
         };
-        for &v in s {
-            scratch.sbits.insert(v);
-        }
-        extend_bitset(g, &mut sv, cand, k, min_size, max_size, &mut count, &mut scratch);
-    } else {
-        extend(g, &mut sv, cand, k, min_size, max_size, &mut count);
-    }
-    count
-}
-
-/// Shared scratch for the word-parallel recursion: the member bitset
-/// (maintained incrementally alongside `s`) and BFS workspace, reused
-/// by every node so the hot path never allocates.
-struct KplexScratch {
-    sbits: BitSet,
-    visited: BitSet,
-    reach: BitSet,
-    stack: Vec<u32>,
-}
-
-/// BFS connectivity over the members bitset: every frontier expansion
-/// is `Γ(v) ∧ S ∧ ¬visited`, two word sweeps instead of a scan of `s`.
-fn is_connected_bitset(g: &LocalGraph, s: &[u32], scratch: &mut KplexScratch) -> bool {
-    let KplexScratch { sbits, visited, reach, stack } = scratch;
-    visited.clear();
-    stack.clear();
-    visited.insert(s[0]);
-    stack.push(s[0]);
-    let mut reached = 1usize;
-    while let Some(v) = stack.pop() {
-        reach.assign_and_words(sbits, g.dense_row(v).expect("dense"));
-        reach.and_not_assign(visited);
-        for u in reach.iter() {
-            visited.insert(u);
-            stack.push(u);
-            reached += 1;
-        }
-    }
-    reached == s.len()
-}
-
-/// Word-parallel twin of [`extend`]: membership counts are AND-popcount
-/// sweeps against the dense rows (`indeg_S(v) = |S ∧ Γ(v)|`).
-#[allow(clippy::too_many_arguments)]
-fn extend_bitset(
-    g: &LocalGraph,
-    s: &mut Vec<u32>,
-    cand: &[u32],
-    k: usize,
-    min_size: usize,
-    max_size: usize,
-    count: &mut u64,
-    scratch: &mut KplexScratch,
-) {
-    if s.len() >= min_size && is_connected_bitset(g, s, scratch) {
-        *count += 1; // s is a k-plex by construction (heredity)
-    }
-    if s.len() >= max_size || s.len() + cand.len() < min_size {
-        return;
-    }
-    // Heredity, word-parallel: S ∪ {u} stays a k-plex iff u has enough
-    // members as neighbors and no member drops below the floor. Member
-    // inside-degrees only grow by the u-adjacency bit, so one popcount
-    // per member suffices.
-    let viable: Vec<u32> = cand
-        .iter()
-        .copied()
-        .filter(|&u| {
-            let su_len = s.len() + 1;
-            let urow = g.dense_row(u).expect("dense");
-            let inside_u = scratch.sbits.and_count_words(urow);
-            if inside_u + k < su_len {
-                return false;
-            }
-            s.iter().all(|&v| {
-                let vrow = g.dense_row(v).expect("dense");
-                let inside_v = scratch.sbits.and_count_words(vrow) + usize::from(g.has_edge(u, v));
-                inside_v + k >= su_len
-            })
-        })
-        .collect();
-    for (i, &u) in viable.iter().enumerate() {
-        s.push(u);
-        scratch.sbits.insert(u);
-        extend_bitset(g, s, &viable[i + 1..], k, min_size, max_size, count, scratch);
-        scratch.sbits.remove(u);
-        s.pop();
-    }
-}
-
-fn extend(
-    g: &LocalGraph,
-    s: &mut Vec<u32>,
-    cand: &[u32],
-    k: usize,
-    min_size: usize,
-    max_size: usize,
-    count: &mut u64,
-) {
-    if s.len() >= min_size && is_connected(g, s) {
-        *count += 1; // s is a k-plex by construction (heredity)
-    }
-    if s.len() >= max_size || s.len() + cand.len() < min_size {
-        return;
-    }
-    // Heredity: only candidates that keep S ∪ {u} a k-plex can ever
-    // appear in any descendant; the rest are dropped for this subtree.
-    let viable: Vec<u32> = cand
-        .iter()
-        .copied()
-        .filter(|&u| {
-            s.push(u);
-            let ok = is_kplex(g, s, k);
-            s.pop();
-            ok
-        })
-        .collect();
-    for (i, &u) in viable.iter().enumerate() {
-        s.push(u);
-        extend(g, s, &viable[i + 1..], k, min_size, max_size, count);
-        s.pop();
+        viable.clear();
+        cand.iter().filter(|&u| joins(u)).for_each(|u| viable.insert(u));
+        true
     }
 }
 
@@ -263,12 +128,20 @@ pub fn count_kplexes_brute(g: &LocalGraph, k: usize, min_size: usize, max_size: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serial::setenum::{count, count_anchored, first_level};
     use gthinker_graph::gen;
     use gthinker_graph::graph::Graph;
+    use gthinker_graph::ids::VertexId;
     use gthinker_graph::subgraph::Subgraph;
 
     fn to_local(g: &Graph) -> LocalGraph {
         Subgraph::from_graph(g).to_local()
+    }
+
+    /// The anchored counts of `g`, added up over every anchor.
+    fn anchored_sum(g: &LocalGraph, k: usize, min: usize, max: usize) -> u64 {
+        let rule = KPlex::new(k, min, max);
+        (0..g.num_vertices() as u32).map(|a| count_anchored(g, &rule, a)).sum()
     }
 
     #[test]
@@ -303,7 +176,7 @@ mod tests {
             let g = to_local(&gen::gnp(10, 0.4, seed));
             for (k, min, max) in [(1, 3, 5), (2, 3, 5), (3, 5, 6)] {
                 let brute = count_kplexes_brute(&g, k, min, max);
-                let sum: u64 = (0..10u32).map(|a| count_kplexes_from(&g, a, k, min, max)).sum();
+                let sum = anchored_sum(&g, k, min, max);
                 assert_eq!(sum, brute, "seed {seed}, k {k}, sizes {min}..{max}");
             }
         }
@@ -314,8 +187,7 @@ mod tests {
         let g = to_local(&gen::gnp(12, 0.5, 9));
         // Count 1-plexes (cliques) of size 3..4 and compare with a
         // direct clique count.
-        let sum: u64 =
-            (0..12u32).map(|a| count_kplexes_from(&g, a, 1, 3, 4)).collect::<Vec<_>>().iter().sum();
+        let sum = anchored_sum(&g, 1, 3, 4);
         let mut direct = 0u64;
         for mask in 1u32..(1 << 12) {
             let s: Vec<u32> = (0..12u32).filter(|&i| mask & (1 << i) != 0).collect();
@@ -330,6 +202,8 @@ mod tests {
 
     #[test]
     fn bitset_and_list_kernels_agree() {
+        // The same search on the matrix form and the list form of each
+        // graph (see `LocalGraph::count_in`/`neighbors_in`).
         for seed in 0..4 {
             let g = gen::gnp(11, 0.45, seed + 30);
             let sg = Subgraph::from_graph(&g);
@@ -337,10 +211,11 @@ mod tests {
             let sparse = sg.to_local_with_threshold(0);
             assert!(dense.is_dense() && !sparse.is_dense());
             for (k, min, max) in [(1usize, 3usize, 5usize), (2, 3, 6), (3, 5, 7)] {
+                let rule = KPlex::new(k, min, max);
                 for a in 0..11u32 {
                     assert_eq!(
-                        count_kplexes_from(&dense, a, k, min, max),
-                        count_kplexes_from(&sparse, a, k, min, max),
+                        count_anchored(&dense, &rule, a),
+                        count_anchored(&sparse, &rule, a),
                         "seed {seed} anchor {a} k {k}"
                     );
                 }
@@ -355,23 +230,13 @@ mod tests {
         for seed in 0..5 {
             let g = to_local(&gen::gnp(11, 0.4, seed + 90));
             for (k, min, max) in [(1usize, 3usize, 5usize), (2, 3, 5)] {
+                let rule = KPlex::new(k, min, max);
                 for a in 0..11u32 {
-                    let whole = count_kplexes_from(&g, a, k, min, max);
-                    let branches: Vec<u32> = kplex_candidates(&g, a)
-                        .into_iter()
-                        .filter(|&u| is_kplex(&g, &[a, u], k))
-                        .collect();
+                    let whole = count_anchored(&g, &rule, a);
+                    let branches = first_level(&g, &rule, a);
+                    assert!(branches.iter().all(|&u| is_kplex(&g, &[a, u], k)));
                     let split: u64 = (0..branches.len())
-                        .map(|i| {
-                            count_kplexes_state(
-                                &g,
-                                &[a, branches[i]],
-                                &branches[i + 1..],
-                                k,
-                                min,
-                                max,
-                            )
-                        })
+                        .map(|i| count(&g, &rule, &[a, branches[i]], &branches[i + 1..]))
                         .sum();
                     assert_eq!(split, whole, "seed {seed} anchor {a} k {k}");
                 }
@@ -380,9 +245,19 @@ mod tests {
     }
 
     #[test]
+    fn a_resumed_node_that_is_no_k_plex_counts_zero() {
+        // K4 less the edge 0 – 2: {0, 1, 2} is the connected path
+        // 0 – 1 – 2, no 1-plex, so neither it nor a superset counts.
+        let edges =
+            [(0, 1), (1, 2), (0, 3), (1, 3), (2, 3)].map(|(u, v)| (VertexId(u), VertexId(v)));
+        let g = to_local(&Graph::from_edges(4, &edges));
+        assert!(is_connected(&g, &[0, 1, 2]) && !is_kplex(&g, &[0, 1, 2], 1));
+        assert_eq!(count(&g, &KPlex::new(1, 3, 4), &[0, 1, 2], &[3]), 0);
+    }
+
+    #[test]
     #[should_panic(expected = "2k−1")]
     fn size_floor_enforced() {
-        let g = to_local(&gen::complete(4));
-        count_kplexes_from(&g, 0, 3, 3, 5); // min_size 3 < 2·3−1
+        KPlex::new(3, 3, 5); // min_size 3 < 2·3−1
     }
 }

@@ -6,4 +6,5 @@ pub mod kplex;
 pub mod matching;
 pub mod maximal;
 pub mod quasi;
+pub mod setenum;
 pub mod triangle;

@@ -1,25 +1,23 @@
-//! Serial γ-quasi-clique enumeration on a [`LocalGraph`].
+//! The γ-quasi-clique [`Rule`] of the set-enumeration search ([`super::setenum`]).
 //!
 //! A vertex set `S` is a **γ-quasi-clique** if every `v ∈ S` has at
 //! least `⌈γ·(|S|−1)⌉` neighbors inside `S`. The paper's quasi-clique
-//! application (\[17\]) mines them with a set-enumeration search over
-//! each vertex's 2-hop ego network (for γ ≥ 0.5, any two members are
-//! within 2 hops).
-//!
-//! Scope note (documented in DESIGN.md): the reproduction enumerates
-//! and counts all γ-quasi-cliques with sizes in `[min_size, max_size]`
-//! whose minimum vertex is the task's anchor, rather than only the
-//! *maximal* ones — maximality checking is orthogonal to the
-//! framework behaviour being reproduced. Pruning uses the
-//! size-monotone bound only (candidates exhausted), because the
-//! quasi-clique property is not hereditary.
+//! application (\[17\]) mines them over each vertex's 2-hop ego network
+//! (for γ ≥ 0.5, any two members are within 2 hops). All of them with
+//! sizes in `[min_size, max_size]` are counted, not only the *maximal*
+//! ones (DESIGN.md's scope note). The property is not hereditary, so the
+//! only cut is a degree bound on the members.
 
+use super::setenum::{Members, Rule};
 use gthinker_graph::bitset::BitSet;
 use gthinker_graph::subgraph::LocalGraph;
 
-/// Returns `⌈γ·k⌉` as a usize degree threshold.
+/// `⌈γ·k⌉`, the inside degree a member of a `k + 1`-set needs. `γ·k` in
+/// `f64` can land a hair above the integer it is (`0.56 × 25` gives
+/// 14.000000000000002, so `ceil` would demand one neighbour too many);
+/// γ is a decimal, so within 1e-9 of an integer is that integer.
 fn threshold(gamma: f64, k: usize) -> usize {
-    (gamma * k as f64).ceil() as usize
+    (gamma * k as f64 - 1e-9).ceil() as usize
 }
 
 /// True if local vertex set `s` (sorted) is a γ-quasi-clique of `g`.
@@ -34,178 +32,57 @@ pub fn is_quasi_clique(g: &LocalGraph, s: &[u32], gamma: f64) -> bool {
     })
 }
 
-/// Counts the γ-quasi-cliques of `g` that contain local vertex
-/// `anchor` as their minimum member, with `min_size ≤ |S| ≤ max_size`.
-///
-/// Candidates are restricted to vertices greater than `anchor` (set-
-/// enumeration-tree deduplication, Fig. 1) within 2 hops of it.
-pub fn count_quasi_cliques_from(
-    g: &LocalGraph,
-    anchor: u32,
-    gamma: f64,
-    min_size: usize,
-    max_size: usize,
-) -> u64 {
-    let cand = quasi_candidates(g, anchor);
-    count_quasi_cliques_state(g, &[anchor], &cand, gamma, min_size, max_size)
+/// The γ-quasi-clique [`Rule`]: counts the quasi-cliques with sizes in
+/// `[min_size, max_size]`.
+pub struct QuasiClique {
+    /// Density threshold γ ∈ [0.5, 1].
+    pub gamma: f64,
+    /// Smallest quasi-clique size to count.
+    pub min_size: usize,
+    /// Largest quasi-clique size to count (bounds the enumeration).
+    pub max_size: usize,
 }
 
-/// The anchor's candidate set: its 2-hop neighborhood restricted to IDs
-/// greater than the anchor, sorted (the set-enumeration-tree order).
-pub fn quasi_candidates(g: &LocalGraph, anchor: u32) -> Vec<u32> {
-    let mut cand: Vec<u32> = Vec::new();
-    for &u in g.neighbors(anchor) {
-        if u > anchor && !cand.contains(&u) {
-            cand.push(u);
-        }
-        for &w in g.neighbors(u) {
-            if w > anchor && w != anchor && !cand.contains(&w) {
-                cand.push(w);
-            }
-        }
-    }
-    cand.sort_unstable();
-    cand
-}
-
-/// Resumes the set-enumeration search from an interior node: counts the
-/// γ-quasi-cliques among `s ∪ (subsets of cand)` that contain all of
-/// `s`, with sizes in `[min_size, max_size]`. With `s = [anchor]` and
-/// `cand = quasi_candidates(..)` this is exactly
-/// [`count_quasi_cliques_from`]; the distributed app uses it to split a
-/// straggler task's first-level branches into independent subtasks.
-pub fn count_quasi_cliques_state(
-    g: &LocalGraph,
-    s: &[u32],
-    cand: &[u32],
-    gamma: f64,
-    min_size: usize,
-    max_size: usize,
-) -> u64 {
-    assert!((0.5..=1.0).contains(&gamma), "2-hop candidate rule requires γ ≥ 0.5");
-    assert!(min_size >= 2 && max_size >= min_size);
-    let mut count = 0u64;
-    let mut sv = s.to_vec();
-    if g.is_dense() {
-        let n = g.num_vertices();
-        let mut scratch = QuasiScratch { sbits: BitSet::new(n), cand_bits: BitSet::new(n) };
-        for &v in s {
-            scratch.sbits.insert(v);
-        }
-        enumerate_bitset(g, &mut sv, cand, gamma, min_size, max_size, &mut count, &mut scratch);
-    } else {
-        enumerate(g, &mut sv, cand, gamma, min_size, max_size, &mut count);
-    }
-    count
-}
-
-/// Shared scratch for the word-parallel recursion: the member bitset
-/// (maintained incrementally alongside `s`) and a candidate bitset
-/// refilled at each node entry. Both are reused across all nodes.
-struct QuasiScratch {
-    sbits: BitSet,
-    cand_bits: BitSet,
-}
-
-/// Word-parallel twin of [`enumerate`]: all inside-degree and potential
-/// counts are AND-popcount sweeps against the dense adjacency rows.
-#[allow(clippy::too_many_arguments)]
-fn enumerate_bitset(
-    g: &LocalGraph,
-    s: &mut Vec<u32>,
-    cand: &[u32],
-    gamma: f64,
-    min_size: usize,
-    max_size: usize,
-    count: &mut u64,
-    scratch: &mut QuasiScratch,
-) {
-    if s.len() >= min_size {
-        // is_quasi_clique, word-parallel: indeg_S(v) = |S ∧ Γ(v)|.
-        let need = threshold(gamma, s.len() - 1);
-        let ok = s
-            .iter()
-            .all(|&v| scratch.sbits.and_count_words(g.dense_row(v).expect("dense")) >= need);
-        if ok {
-            *count += 1;
-        }
-    }
-    if s.len() >= max_size {
-        return;
-    }
-    // Same sound upper-bound prune as the list kernel: if some member
-    // can never reach the minimum inside-degree bar even with every
-    // remaining candidate adjacent to it, the whole subtree is dead.
-    if !s.is_empty() {
-        let need = threshold(gamma, min_size - 1);
-        scratch.cand_bits.clear();
-        for &u in cand {
-            scratch.cand_bits.insert(u);
-        }
-        let doomed = s.iter().any(|&v| {
-            let row = g.dense_row(v).expect("dense");
-            let inside = scratch.sbits.and_count_words(row);
-            let potential = scratch.cand_bits.and_count_words(row);
-            inside + potential < need
-        });
-        if doomed {
-            return;
-        }
-    }
-    // Size pruning: not enough candidates left to ever reach min_size.
-    if s.len() + cand.len() < min_size {
-        return;
-    }
-    for (i, &v) in cand.iter().enumerate() {
-        s.push(v);
-        scratch.sbits.insert(v);
-        enumerate_bitset(g, s, &cand[i + 1..], gamma, min_size, max_size, count, scratch);
-        scratch.sbits.remove(v);
-        s.pop();
+impl QuasiClique {
+    /// The rule; `gamma` must be in `[0.5, 1]` for the 2-hop candidate
+    /// rule to be sound, and `2 ≤ min_size ≤ max_size`.
+    pub fn new(gamma: f64, min_size: usize, max_size: usize) -> Self {
+        assert!((0.5..=1.0).contains(&gamma), "2-hop candidate rule requires γ ≥ 0.5");
+        assert!(min_size >= 2 && max_size >= min_size);
+        QuasiClique { gamma, min_size, max_size }
     }
 }
 
-fn enumerate(
-    g: &LocalGraph,
-    s: &mut Vec<u32>,
-    cand: &[u32],
-    gamma: f64,
-    min_size: usize,
-    max_size: usize,
-    count: &mut u64,
-) {
-    if s.len() >= min_size && is_quasi_clique(g, s, gamma) {
-        *count += 1;
+impl Rule for QuasiClique {
+    fn sizes(&self) -> (usize, usize) {
+        (self.min_size, self.max_size)
     }
-    if s.len() >= max_size {
-        return;
+
+    fn accept(&self, g: &LocalGraph, s: &Members) -> bool {
+        let need = threshold(self.gamma, s.size() - 1);
+        s.iter().all(|v| g.count_in(v, s.bits()) >= need)
     }
-    // Sound subtree pruning. The quasi-clique property is not
-    // hereditary, but an *upper bound* on any member's final inside-
-    // degree is: within any superset of S drawn from S ∪ cand, vertex
-    // v has at most indeg_S(v) + |cand ∩ Γ(v)| inside-neighbors, while
-    // the requirement is at least ⌈γ·(min_size − 1)⌉ (it only grows
-    // with the set size). If some v ∈ S cannot ever reach the minimum
-    // bar, no descendant of this node can qualify.
-    if !s.is_empty() {
-        let need = threshold(gamma, min_size - 1);
-        let doomed = s.iter().any(|&v| {
-            let inside = s.iter().filter(|&&u| u != v && g.has_edge(u, v)).count();
-            let potential = cand.iter().filter(|&&u| g.has_edge(u, v)).count();
-            inside + potential < need
-        });
-        if doomed {
-            return;
+
+    /// The quasi-clique property is not hereditary, but an *upper bound*
+    /// on any member's final inside-degree is: within any superset of S
+    /// drawn from S ∪ cand, vertex v has at most indeg_S(v) + |cand ∩ Γ(v)|
+    /// inside-neighbors, while the requirement is at least
+    /// ⌈γ·(min_size − 1)⌉ (it only grows with the set size). If some
+    /// v ∈ S cannot ever reach the minimum bar, no descendant qualifies.
+    fn shrink(
+        &self,
+        g: &LocalGraph,
+        s: &Members,
+        inside: &[usize],
+        cand: &BitSet,
+        viable: &mut BitSet,
+    ) -> bool {
+        let need = threshold(self.gamma, self.min_size - 1);
+        if s.iter().zip(inside).any(|(v, &d)| d + g.count_in(v, cand) < need) {
+            return false;
         }
-    }
-    // Size pruning: not enough candidates left to ever reach min_size.
-    if s.len() + cand.len() < min_size {
-        return;
-    }
-    for (i, &v) in cand.iter().enumerate() {
-        s.push(v);
-        enumerate(g, s, &cand[i + 1..], gamma, min_size, max_size, count);
-        s.pop();
+        viable.copy_from(cand);
+        true
     }
 }
 
@@ -232,12 +109,20 @@ pub fn count_quasi_cliques_brute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serial::setenum::{count, count_anchored, first_level};
     use gthinker_graph::gen;
     use gthinker_graph::graph::Graph;
+    use gthinker_graph::ids::VertexId;
     use gthinker_graph::subgraph::Subgraph;
 
     fn to_local(g: &Graph) -> LocalGraph {
         Subgraph::from_graph(g).to_local()
+    }
+
+    /// The anchored counts of `g`, added up over every anchor.
+    fn anchored_sum(g: &LocalGraph, gamma: f64, min: usize, max: usize) -> u64 {
+        let rule = QuasiClique::new(gamma, min, max);
+        (0..g.num_vertices() as u32).map(|a| count_anchored(g, &rule, a)).sum()
     }
 
     #[test]
@@ -257,13 +142,36 @@ mod tests {
     }
 
     #[test]
+    fn threshold_is_exact_for_every_gamma_in_hundredths() {
+        for h in 50..=100usize {
+            for k in 1..=200 {
+                let want = (h * k).div_ceil(100);
+                assert_eq!(threshold(h as f64 / 100.0, k), want, "γ 0.{h}, k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_regular_set_at_exactly_gamma_is_a_quasi_clique() {
+        // Each of the 26 vertices has the 14 neighbours at offsets ±1..7:
+        // 14 of 25 others, 0.56 × 25 = 14 exactly.
+        let edges: Vec<_> = (0..26u32)
+            .flat_map(|i| (1..=7).map(move |d| (VertexId(i), VertexId((i + d) % 26))))
+            .collect();
+        let g = to_local(&Graph::from_edges(26, &edges));
+        let all: Vec<u32> = (0..26).collect();
+        assert!(is_quasi_clique(&g, &all, 0.56));
+        assert!(!is_quasi_clique(&g, &all, 0.57));
+        assert_eq!(anchored_sum(&g, 0.56, 26, 26), 1, "the search keeps it too");
+    }
+
+    #[test]
     fn anchored_counts_partition_the_total() {
         // Summing the per-anchor counts must equal the global brute count.
         for seed in 0..5 {
             let g = to_local(&gen::gnp(10, 0.5, seed));
             let brute = count_quasi_cliques_brute(&g, 0.6, 3, 5);
-            let sum: u64 = (0..10u32).map(|a| count_quasi_cliques_from(&g, a, 0.6, 3, 5)).sum();
-            assert_eq!(sum, brute, "seed {seed}");
+            assert_eq!(anchored_sum(&g, 0.6, 3, 5), brute, "seed {seed}");
         }
     }
 
@@ -273,8 +181,7 @@ mod tests {
         for seed in 5..9 {
             let g = to_local(&gen::gnp(9, 0.4, seed));
             let brute = count_quasi_cliques_brute(&g, 0.5, 3, 4);
-            let sum: u64 = (0..9u32).map(|a| count_quasi_cliques_from(&g, a, 0.5, 3, 4)).sum();
-            assert_eq!(sum, brute, "seed {seed}");
+            assert_eq!(anchored_sum(&g, 0.5, 3, 4), brute, "seed {seed}");
         }
     }
 
@@ -286,8 +193,7 @@ mod tests {
             let g = to_local(&gen::gnp(11, 0.45, seed));
             for (gamma, min, max) in [(0.9, 4, 6), (1.0, 3, 5), (0.75, 5, 7)] {
                 let brute = count_quasi_cliques_brute(&g, gamma, min, max);
-                let sum: u64 =
-                    (0..11u32).map(|a| count_quasi_cliques_from(&g, a, gamma, min, max)).sum();
+                let sum = anchored_sum(&g, gamma, min, max);
                 assert_eq!(sum, brute, "seed {seed}, γ {gamma}, sizes {min}..{max}");
             }
         }
@@ -295,16 +201,21 @@ mod tests {
 
     #[test]
     fn bitset_and_list_kernels_agree() {
+        // The search reads the graph through `count_in`/`neighbors_in`,
+        // which run on the matrix (word AND/popcount) or on the lists
+        // (a bit test per entry): both forms must count alike.
         for seed in 0..4 {
             let g = gen::gnp(11, 0.5, seed + 70);
             let sg = Subgraph::from_graph(&g);
             let dense = sg.to_local();
             let sparse = sg.to_local_with_threshold(0);
+            assert!(dense.is_dense() && !sparse.is_dense());
             for (gamma, min, max) in [(0.5, 3usize, 5usize), (0.75, 3, 6), (1.0, 2, 5)] {
+                let rule = QuasiClique::new(gamma, min, max);
                 for a in 0..11u32 {
                     assert_eq!(
-                        count_quasi_cliques_from(&dense, a, gamma, min, max),
-                        count_quasi_cliques_from(&sparse, a, gamma, min, max),
+                        count_anchored(&dense, &rule, a),
+                        count_anchored(&sparse, &rule, a),
                         "seed {seed} anchor {a} γ {gamma}"
                     );
                 }
@@ -317,16 +228,14 @@ mod tests {
         // Splitting a node into its first-level branches — what the
         // distributed app does under a compute budget — must partition
         // the anchored count exactly.
+        let rule = QuasiClique::new(0.6, 3, 5);
         for seed in 0..5 {
             let g = to_local(&gen::gnp(11, 0.45, seed + 80));
             for a in 0..11u32 {
-                let whole = count_quasi_cliques_from(&g, a, 0.6, 3, 5);
-                let cand = quasi_candidates(&g, a);
-                let split: u64 = (0..cand.len())
-                    .map(|i| {
-                        count_quasi_cliques_state(&g, &[a, cand[i]], &cand[i + 1..], 0.6, 3, 5)
-                    })
-                    .sum();
+                let whole = count_anchored(&g, &rule, a);
+                let cand = first_level(&g, &rule, a);
+                let split: u64 =
+                    (0..cand.len()).map(|i| count(&g, &rule, &[a, cand[i]], &cand[i + 1..])).sum();
                 assert_eq!(split, whole, "seed {seed} anchor {a}");
             }
         }
@@ -335,7 +244,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "γ ≥ 0.5")]
     fn low_gamma_rejected() {
-        let g = to_local(&gen::complete(3));
-        count_quasi_cliques_from(&g, 0, 0.3, 2, 3);
+        QuasiClique::new(0.3, 2, 3);
     }
 }

@@ -51,9 +51,9 @@ struct Report {
     idle_compers: u16,
     /// Steal batches the worker has sealed but not yet seen acked.
     steal_inflight: u32,
-    /// Report arrived after `request_suspend` (the suspend broadcast
-    /// gates on a post-request report from every worker showing
-    /// `steal_inflight == 0`).
+    /// Report arrived after `request_suspend` and after the last
+    /// `StealExecuted` that sealed a batch (the suspend broadcast gates
+    /// on such a report from every worker showing `steal_inflight == 0`).
     fresh: bool,
 }
 
@@ -98,7 +98,8 @@ pub(crate) struct MasterState<A: App> {
     suspend_seen: Vec<bool>,
     /// Set by [`MasterState::request_suspend`]; the actual broadcast is
     /// deferred until no brokering is in flight and every worker's
-    /// post-request progress report shows zero unacked steal batches —
+    /// progress report from after the request and after the last
+    /// executed steal shows zero unacked steal batches —
     /// otherwise a batch could land in both the victim's checkpoint and
     /// the thief's, double-running its tasks after resume.
     suspend_pending: bool,
@@ -284,6 +285,12 @@ impl<A: App> MasterState<A> {
                 if let Some(plan) = &mut self.plan {
                     plan.executed = Some(sent);
                 }
+                // The victim's last report may predate the batch it just
+                // sealed; only a report sent after this message (same
+                // link, so absorbed after it) can show its ack landed.
+                if sent > 0 {
+                    self.reports.iter_mut().for_each(|r| r.fresh = false);
+                }
             }
             Message::StealDone => {
                 if let Some(plan) = &mut self.plan {
@@ -425,10 +432,12 @@ impl<A: App> MasterState<A> {
     }
 
     /// Broadcasts the deferred suspend once it is provably safe: no
-    /// brokering outstanding, and every worker's post-request progress
-    /// report shows zero sealed-but-unacked steal batches. In-flight
-    /// counts only drain while the request is pending (no new plans are
-    /// issued), so this fires within a few sync rounds.
+    /// brokering outstanding, and every worker's progress report from
+    /// after the request — and after the last executed steal, which a
+    /// plan brokered before the request may still carry out — shows
+    /// zero sealed-but-unacked steal batches. In-flight counts only
+    /// drain while the request is pending (no new plans are issued),
+    /// so this fires within a few sync rounds.
     fn try_broadcast_suspend(&mut self) {
         let ready =
             self.plan.is_none() && self.reports.iter().all(|r| r.fresh && r.steal_inflight == 0);
@@ -509,5 +518,90 @@ impl<A: App> MasterState<A> {
     /// Seeds the master's running global (checkpoint resume).
     pub fn set_global(&mut self, g: <A::Agg as Aggregator>::Global) {
         self.global = g;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::agg::NoAgg;
+    use crate::api::{ComputeEnv, SpawnEnv};
+    use crate::config::JobConfig;
+    use crate::job::build_worker;
+    use gthinker_graph::adj::AdjList;
+    use gthinker_graph::ids::VertexId;
+    use gthinker_graph::partition::HashPartitioner;
+    use gthinker_net::router::{LinkConfig, Router};
+    use gthinker_net::transport::NetEndpoint;
+    use gthinker_store::local::LocalTable;
+    use gthinker_task::task::{Frontier, Task};
+    use std::sync::atomic::Ordering;
+
+    struct Idle;
+    impl App for Idle {
+        type Context = ();
+        type Agg = NoAgg;
+        fn make_aggregator(&self) -> NoAgg {
+            NoAgg
+        }
+        fn task_spawn(&self, _v: VertexId, _adj: &AdjList, _env: &mut SpawnEnv<'_, Self>) {}
+        fn compute(&self, _t: &mut Task<()>, _f: &Frontier, _e: &mut ComputeEnv<'_, Self>) -> bool {
+            false
+        }
+    }
+
+    fn progress(worker: u16, steal_inflight: u32) -> Message {
+        let worker = WorkerId(worker);
+        Message::Progress {
+            worker,
+            remaining: 0,
+            idle: false,
+            idle_compers: 0,
+            steal_inflight,
+            epoch: 0,
+        }
+    }
+
+    /// A plan brokered just before the suspend request: the victim (the
+    /// master's own worker) reports zero in flight, then seals the batch;
+    /// the thief applies it and tells the master before the victim has
+    /// read the thief's ack. Suspending then would checkpoint the batch
+    /// on both workers — the victim drains its unacked ledger into its
+    /// shard — and every task in it would run twice on resume.
+    #[test]
+    fn a_suspend_waits_for_the_victims_report_after_its_steal() {
+        let mut router = Router::new(2, LinkConfig::INSTANT);
+        let mut handles = router.take_handles();
+        let _thief = handles.pop().expect("two handles");
+        let net: Box<dyn NetEndpoint> = Box::new(handles.pop().expect("two handles"));
+        let dir = std::env::temp_dir().join(format!("gthinker-master-test-{}", std::process::id()));
+        let local = LocalTable::new(Vec::new());
+        let config = JobConfig::cluster(2, 1);
+        let partitioner = HashPartitioner::new(2);
+        let shared =
+            build_worker(&Arc::new(Idle), &config, &None, partitioner, 0, local, net, &dir)
+                .unwrap();
+        let mut m = MasterState::new(Arc::clone(&shared), None);
+
+        m.plan = Some(StealPlanState {
+            executed: None,
+            acked: 0,
+            deadline: Instant::now() + STEAL_RETRY,
+        });
+        m.request_suspend();
+        m.absorb(progress(0, 0));
+        m.absorb(progress(1, 0));
+        m.absorb(Message::StealExecuted { sent: 1 });
+        m.absorb(Message::StealDone);
+        assert!(m.plan.is_none(), "the thief's receipt closes the plan");
+        assert!(!m.step(false), "the victim's last report predates its batch");
+        m.absorb(progress(0, 1));
+        m.absorb(progress(1, 0));
+        assert!(!m.step(false), "the victim has not read the ack yet");
+        assert!(!shared.suspend.load(Ordering::SeqCst));
+        m.absorb(progress(0, 0));
+        assert!(m.step(false), "every report after the steal shows nothing in flight");
+        assert!(shared.suspend.load(Ordering::SeqCst));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -14,7 +14,7 @@
 //!   [`LocalGraph::induced`].
 
 use crate::adj::AdjList;
-use crate::bitset::words_for;
+use crate::bitset::{words_for, BitSet};
 use crate::graph::Graph;
 use crate::hash::{fast_map_with_capacity, FastMap};
 use crate::ids::{Label, VertexId};
@@ -530,6 +530,30 @@ impl LocalGraph {
                 d.bits[i as usize * d.words_per_row + (j as usize >> 6)] & (1u64 << (j & 63)) != 0
             }
             None => self.neighbors(i).binary_search(&j).is_ok(),
+        }
+    }
+
+    /// `|Γ(i) ∩ set|`: an AND-popcount over the matrix row, or a bit
+    /// test per entry of `i`'s list when there is no matrix. `set`'s
+    /// universe is the vertex count.
+    #[inline]
+    pub fn count_in(&self, i: u32, set: &BitSet) -> usize {
+        match self.dense_row(i) {
+            Some(row) => set.and_count_words(row),
+            None => self.neighbors(i).iter().filter(|&&j| set.contains(j)).count(),
+        }
+    }
+
+    /// Writes `Γ(i) ∩ set` into `out`, both over the vertex count, the
+    /// same two ways as [`LocalGraph::count_in`].
+    #[inline]
+    pub fn neighbors_in(&self, i: u32, set: &BitSet, out: &mut BitSet) {
+        match self.dense_row(i) {
+            Some(row) => out.assign_and_words(set, row),
+            None => {
+                out.clear();
+                self.neighbors(i).iter().filter(|&&j| set.contains(j)).for_each(|&j| out.insert(j));
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use gthinker_graph::adj::{count_intersect_sorted, intersect_sorted, AdjList};
+use gthinker_graph::bitset::BitSet;
 use gthinker_graph::compressed::{write_compressed, CompressedGraph};
 use gthinker_graph::gen;
 use gthinker_graph::graph::Graph;
@@ -383,6 +384,39 @@ proptest! {
     }
 }
 
+/// `count_in` and `neighbors_in` of every vertex against the members
+/// `in_set` picks: the same on the matrix form built at exactly `dense`'s
+/// threshold and on the list form, and equal to a filter of the list.
+fn set_primitives_agree(sg: &Subgraph, dense: LocalGraph, in_set: impl Fn(u32) -> bool) {
+    let n = sg.num_vertices();
+    let sparse = sg.to_local_with_threshold(0);
+    assert!(dense.is_dense() && !sparse.is_dense());
+    let mut set = BitSet::new(n);
+    (0..n as u32).filter(|&i| in_set(i)).for_each(|i| set.insert(i));
+    // Outputs start full: both forms must overwrite them.
+    let (mut from_matrix, mut from_lists) = (BitSet::full(n), BitSet::full(n));
+    for i in 0..n as u32 {
+        let want: Vec<u32> =
+            sparse.neighbors(i).iter().copied().filter(|&j| set.contains(j)).collect();
+        assert_eq!(dense.count_in(i, &set), want.len(), "vertex {i}");
+        assert_eq!(sparse.count_in(i, &set), want.len(), "vertex {i}");
+        dense.neighbors_in(i, &set, &mut from_matrix);
+        sparse.neighbors_in(i, &set, &mut from_lists);
+        assert_eq!(from_matrix.iter().collect::<Vec<_>>(), want, "vertex {i}");
+        assert_eq!(from_lists, from_matrix, "vertex {i}");
+    }
+}
+
+#[test]
+fn set_primitives_agree_on_no_vertex_one_vertex_and_the_default_threshold() {
+    for n in [0, 1] {
+        let sg = Subgraph::from_graph(&Graph::with_vertices(n));
+        set_primitives_agree(&sg, sg.to_local_with_threshold(1), |_| true);
+    }
+    let sg = Subgraph::from_graph(&gen::gnp(LocalGraph::DEFAULT_DENSE_THRESHOLD, 0.001, 9));
+    set_primitives_agree(&sg, sg.to_local(), |i| i % 3 != 0);
+}
+
 /// A gnp graph on `n` vertices whose first `hubs` are adjacent to every
 /// other vertex: their lists outgrow a small member set by far, and any
 /// two of them are an edge.
@@ -410,6 +444,18 @@ fn ego_network(g: &Graph, anchor: VertexId, radius: usize) -> BTreeSet<VertexId>
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn set_primitives_agree_on_both_forms(
+        n in 2usize..150,
+        p in 0.0f64..0.5,
+        seed in any::<u64>(),
+        in_set in 0u64..=100,
+    ) {
+        let sg = Subgraph::from_graph(&gen::gnp(n, p, seed));
+        let pick = |i: u32| (u64::from(i).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed) % 100 < in_set;
+        set_primitives_agree(&sg, sg.to_local_with_threshold(n), pick);
+    }
 
     #[test]
     fn induced_matches_to_local(
