@@ -53,8 +53,8 @@ pub trait EgoMiner: Send + Sync + 'static {
     fn mine(&self, g: &LocalGraph, anchor: u32, node: Option<&Self::Node>) -> u64;
 }
 
-/// The application of miner `M`; a task's context is `(hops pulled, the
-/// node of a subtask split off a straggler)`.
+/// The application of miner `M`; a task's context is `(anchor, hops
+/// pulled, the node of a subtask split off a straggler)`.
 pub struct EgoNetApp<M>(pub M);
 
 /// `qc` and `kp`: the set-enumeration search under a [`Rule`] on the 2-hop
@@ -90,22 +90,27 @@ fn label_of<M: EgoMiner>(env: &ComputeEnv<'_, EgoNetApp<M>>, u: VertexId) -> Opt
 /// frontier, for [`ego_network`].
 fn grow<N>(
     radius: usize,
-    task: &mut Task<(u64, Option<N>)>,
+    task: &mut Task<(VertexId, u64, Option<N>)>,
     frontier: &Frontier,
     label: impl Fn(VertexId) -> Option<Label>,
 ) -> bool {
-    task.context.0 += 1;
-    if task.context.0 >= radius as u64 {
+    task.context.1 += 1;
+    if task.context.1 >= radius as u64 {
         return false;
     }
-    let sg = &mut task.subgraph;
-    for (u, adj) in frontier.iter() {
-        sg.insert(u, label(u), (**adj).clone());
-    }
-    let mut next: Vec<VertexId> =
-        frontier.iter().flat_map(|(_, adj)| adj.iter()).filter(|&w| !sg.contains(w)).collect();
+    let pulled = frontier.iter().map(|(u, adj)| (u, adj.as_slice(), label(u)));
+    let sg = Subgraph::from_rows(task.subgraph.rows().chain(pulled));
+    // The next hop: what the frontier's lists name, less the members,
+    // which a walk down both sorted sequences drops.
+    let mut next: Vec<VertexId> = frontier.iter().flat_map(|(_, adj)| adj.iter()).collect();
     next.sort_unstable();
     next.dedup();
+    let mut members = sg.vertex_ids().iter().peekable();
+    next.retain(|w| {
+        while members.next_if(|&v| v < w).is_some() {}
+        members.peek() != Some(&w)
+    });
+    task.subgraph = sg;
     next.into_iter().for_each(|w| task.pull(w));
     task.has_pulls()
 }
@@ -113,17 +118,15 @@ fn grow<N>(
 /// The ego network as its kernel mines it, in one [`LocalGraph::induced`]
 /// call over every member: the rows the task stored and the frontier's
 /// lists, borrowed. A split-off node has no frontier, and its rows are
-/// the in-set rows [`carried`] wrote.
+/// those of the parent's ego network ([`Subgraph::from_local`]).
 fn ego_network(
     sg: &Subgraph,
     frontier: &Frontier,
     label: impl Fn(VertexId) -> Option<Label>,
 ) -> LocalGraph {
-    let row = |v| sg.neighbors(v).expect("a stored vertex has a row").as_slice();
-    let stored = sg.vertex_ids().iter().map(|&v| (v, row(v), sg.label(v)));
     let pulled = frontier.iter().map(|(u, adj)| (u, adj.as_slice(), label(u)));
-    let mut members: Vec<_> = stored.chain(pulled).collect();
-    members.sort_unstable_by_key(|m| m.0);
+    let mut members: Vec<_> = sg.rows().chain(pulled).collect();
+    members.sort_by_key(|m| m.0);
     // An ego network that ended before its radius (no next hop) stored
     // its frontier too: the same list twice.
     members.dedup_by_key(|m| m.0);
@@ -133,22 +136,10 @@ fn ego_network(
     LocalGraph::induced(members.iter().map(|m| m.0).collect(), &lists, labels)
 }
 
-/// The ego network `g` as a split-off subtask carries it: the anchor
-/// first (`compute` reads it there), then every other member, each with
-/// its row in `g`.
-fn carried(g: &LocalGraph, anchor: u32) -> Subgraph {
-    let n = g.num_vertices() as u32;
-    let mut sg = Subgraph::with_capacity(n as usize);
-    for i in std::iter::once(anchor).chain((0..n).filter(|&i| i != anchor)) {
-        sg.insert(g.global_id(i), g.label(i), AdjList::from_sorted(g.to_global(g.neighbors(i))));
-    }
-    sg
-}
-
 /// The anchor's count. Under a compute budget an anchor with more
 /// first-level branches than the budget mines only the first ones; each
-/// other branch becomes a task of its own, with a copy of the ego
-/// network, and is never split again.
+/// other branch becomes a task of its own, carrying the ego network's
+/// rows, and is never split again.
 fn mine_root<M: EgoMiner>(
     miner: &M,
     hops: u64,
@@ -159,9 +150,9 @@ fn mine_root<M: EgoMiner>(
     let Some((kept, groups)) = env.split(|| miner.branches(g, anchor)) else {
         return miner.mine(g, anchor, None);
     };
-    let ego = carried(g, anchor);
+    let ego = Subgraph::from_local(g);
     for node in groups.into_iter().flatten() {
-        let mut sub = Task::new((hops, Some(node)));
+        let mut sub = Task::new((g.global_id(anchor), hops, Some(node)));
         sub.subgraph = ego.clone();
         env.add_task(sub);
     }
@@ -169,7 +160,7 @@ fn mine_root<M: EgoMiner>(
 }
 
 impl<M: EgoMiner> App for EgoNetApp<M> {
-    type Context = (u64, Option<M::Node>);
+    type Context = (VertexId, u64, Option<M::Node>);
     type Agg = SumAgg;
 
     fn make_aggregator(&self) -> SumAgg {
@@ -187,8 +178,9 @@ impl<M: EgoMiner> App for EgoNetApp<M> {
             }
             return;
         }
-        let mut t = Task::new((0, None));
-        t.subgraph.insert(v, env.label().filter(|_| M::LABELED), adj.clone());
+        let mut t = Task::new((v, 0, None));
+        let label = env.label().filter(|_| M::LABELED);
+        t.subgraph = Subgraph::from_rows([(v, adj.as_slice(), label)]);
         adj.iter().for_each(|u| t.pull(u));
         env.add_task(t);
     }
@@ -200,14 +192,15 @@ impl<M: EgoMiner> App for EgoNetApp<M> {
         env: &mut ComputeEnv<'_, Self>,
     ) -> bool {
         // A split-off node arrives with its ego network materialized.
-        if task.context.1.is_none() && grow(self.0.radius(), task, frontier, |u| label_of(env, u)) {
+        if task.context.2.is_none() && grow(self.0.radius(), task, frontier, |u| label_of(env, u)) {
             return true;
         }
         let g = ego_network(&task.subgraph, frontier, |u| label_of(env, u));
-        let anchor = g.local_id(task.subgraph.vertex_ids()[0]).expect("the anchor is a member");
-        let count = match &task.context.1 {
+        let (anchor, hops, node) = &task.context;
+        let anchor = g.local_id(*anchor).expect("the anchor is a member");
+        let count = match node {
             Some(node) => self.0.mine(&g, anchor, Some(node)),
-            None => mine_root(&self.0, task.context.0, &g, anchor, env),
+            None => mine_root(&self.0, *hops, &g, anchor, env),
         };
         if count > 0 {
             env.aggregate(count);
@@ -313,12 +306,27 @@ mod tests {
         Frontier::new(rows.collect())
     }
 
+    /// The vertices within `radius` hops of `anchor` in `g`.
+    fn ball(g: &Graph, anchor: VertexId, radius: usize) -> Vec<VertexId> {
+        let mut members = std::collections::BTreeSet::from([anchor]);
+        let mut hop = vec![anchor];
+        for _ in 0..radius {
+            hop = hop
+                .iter()
+                .flat_map(|&u| g.neighbors(u).iter())
+                .filter(|&w| members.insert(w))
+                .collect();
+        }
+        members.into_iter().collect()
+    }
+
     /// For every anchor of `g` (trimmed as a job would): the ego network
-    /// `compute` builds equals the `to_local` of the members inserted
-    /// with their last-hop lists cut to the member set, and the rows a
-    /// split-off subtask carries, anchor first, rebuild it. Returns how
-    /// many ego networks held a list past the long-list crossover.
-    fn direct_build_matches_old_build<M: EgoMiner>(miner: &M, g: &Graph) -> usize {
+    /// `compute` builds holds the vertices within the miner's radius of
+    /// the anchor, with their labels and, between them, the edges of
+    /// `g`; and the rows a split-off subtask carries rebuild it.
+    /// Returns how many ego networks held a list past the long-list
+    /// crossover.
+    fn direct_build_matches_the_graph<M: EgoMiner>(miner: &M, g: &Graph) -> usize {
         let g = miner.trimmer().map_or_else(|| g.clone(), |t| trim_graph(g, &*t));
         let label = |u| M::LABELED.then(|| g.label(u).expect("a labeled graph"));
         let mut with_hubs = 0;
@@ -326,29 +334,27 @@ mod tests {
             if miner.answer_at_spawn(g.neighbors(v), g.label(v)).is_some() {
                 continue;
             }
-            let mut task: Task<(u64, Option<M::Node>)> = Task::new((0, None));
-            task.subgraph.insert(v, label(v), g.neighbors(v).clone());
+            let mut task: Task<(VertexId, u64, Option<M::Node>)> = Task::new((v, 0, None));
+            task.subgraph = Subgraph::from_rows([(v, g.neighbors(v).as_slice(), label(v))]);
             g.neighbors(v).iter().for_each(|u| task.pull(u));
             let mut frontier = pulled(&g, &mut task);
             while grow(miner.radius(), &mut task, &frontier, label) {
                 frontier = pulled(&g, &mut task);
             }
             let direct = ego_network(&task.subgraph, &frontier, label);
-            let mut old = task.subgraph.clone();
-            let mut members = old.vertex_ids().to_vec();
-            members.extend(frontier.vertex_ids());
-            members.sort_unstable();
-            members.dedup(); // an ego network that ended early stored its frontier
-            for (u, adj) in frontier.iter() {
-                old.insert(u, label(u), AdjList::from_sorted(adj.intersect_slice(&members)));
+            let members = ball(&g, v, miner.radius());
+            assert_eq!(direct.num_vertices(), members.len(), "anchor {v}");
+            for (i, &u) in (0..).zip(&members) {
+                assert_eq!((direct.global_id(i), direct.label(i)), (u, label(u)), "anchor {v}");
+                let within = g.neighbors(u).intersect_slice(&members);
+                let want: Vec<u32> =
+                    within.iter().map(|w| members.binary_search(w).unwrap() as u32).collect();
+                assert_eq!(direct.neighbors(i), want, "anchor {v}, member {u}");
             }
-            let want = old.to_local();
-            assert_eq!(direct, want, "anchor {v}");
             let long = LocalGraph::LONG_LIST_FACTOR * members.len();
             with_hubs += members.iter().any(|&u| g.neighbors(u).degree() > long) as usize;
-            let sub = carried(&direct, direct.local_id(v).expect("the anchor is a member"));
-            assert_eq!(sub.vertex_ids()[0], v);
-            assert_eq!(ego_network(&sub, &Frontier::default(), label), want, "anchor {v}, split");
+            let carried = Subgraph::from_local(&direct);
+            assert_eq!(ego_network(&carried, &Frontier::default(), label), direct, "anchor {v}");
         }
         with_hubs
     }
@@ -358,10 +364,10 @@ mod tests {
         for g in [gen::gnp(60, 0.1, 3), gen::barabasi_albert(300, 3, 4)] {
             let lg = gen::random_labels(g.clone(), 3, 5);
             let hubs = [
-                direct_build_matches_old_build(&MaximalCliqueApp.0, &g),
-                direct_build_matches_old_build(&QuasiCliqueApp::new(0.6, 3, 5).0, &g),
-                direct_build_matches_old_build(&KPlexApp::new(2, 3, 4).0, &g),
-                direct_build_matches_old_build(&matching(&lg).0, &lg),
+                direct_build_matches_the_graph(&MaximalCliqueApp.0, &g),
+                direct_build_matches_the_graph(&QuasiCliqueApp::new(0.6, 3, 5).0, &g),
+                direct_build_matches_the_graph(&KPlexApp::new(2, 3, 4).0, &g),
+                direct_build_matches_the_graph(&matching(&lg).0, &lg),
             ];
             println!("ego networks with a list past the crossover (mc, qc, kp, gm): {hubs:?}");
             if g.num_vertices() == 300 {

@@ -30,40 +30,41 @@
 
 use crate::serial::clique::max_clique_above;
 use gthinker_core::prelude::*;
-use gthinker_graph::adj::{intersect_sorted, AdjList};
+use gthinker_graph::adj::{intersect_sorted_into, AdjList};
 use gthinker_graph::trim::{GreaterIdTrimmer, Trimmer};
 
 /// Fig. 5 lines 1–2: the candidate graph `g` of `⟨{v}, ext(v)⟩`.
-/// `ext` is `Γ_>(v)`, sorted; `rows` gives each member `u` of `ext`
-/// (in the order `g` is to keep them) with its `Γ_>(u)`, which is cut
-/// down to `ext` — an edge to anything else leaves the candidate set.
+/// `ext` is `Γ_>(v)`, sorted; `rows` gives each member `u` of `ext`,
+/// in the same ascending order, with its `Γ_>(u)`, which is cut down
+/// to `ext` — an edge to anything else leaves the candidate set — and
+/// written straight into `g`'s rows.
 pub fn candidate_graph<'a>(
     ext: &[VertexId],
     rows: impl IntoIterator<Item = (VertexId, &'a [VertexId])>,
 ) -> Subgraph {
-    let mut g = Subgraph::with_capacity(ext.len());
-    for (u, row) in rows {
-        g.add_vertex(u, AdjList::from_sorted(intersect_sorted(row, ext)));
+    let mut g = Subgraph::new();
+    let mut row = Vec::new();
+    for (u, list) in rows {
+        intersect_sorted_into(list, ext, &mut row);
+        g.add_vertex(u, &row);
     }
     g
 }
 
 /// Fig. 5 lines 3–9: the subtasks of `⟨S, g⟩`, one per candidate `u`
 /// whose `ext(S ∪ {u}) = Γ_>(u) ∩ V(g)` can still beat a clique of
-/// `best` vertices. None when the whole task cannot (line 11's test,
-/// which every child would fail too).
+/// `best` vertices. None when the whole task cannot (line 11's test):
+/// a row is cut down to `V(g)`, so then every child fails line 9.
 pub fn branches<'a>(
     s: &'a [VertexId],
     g: &'a Subgraph,
     best: usize,
 ) -> impl Iterator<Item = Task<Clique>> + 'a {
-    let members = if s.len() + g.num_vertices() > best { g.vertex_ids() } else { &[] };
-    members.iter().filter_map(move |&u| {
-        let ext = g.neighbors(u).expect("member of its own subgraph").as_slice();
+    g.rows().filter_map(move |(u, ext, _)| {
         if s.len() + 1 + ext.len() <= best {
             return None; // line 9: even ext(S ∪ u) cannot win
         }
-        let rows = ext.iter().map(|&w| (w, g.neighbors(w).expect("candidate is in g").as_slice()));
+        let rows = ext.iter().map(|&w| (w, g.neighbors(w).expect("candidate is in g")));
         let mut child = Task::new([s, &[u]].concat());
         child.subgraph = candidate_graph(ext, rows);
         Some(child)
@@ -183,8 +184,8 @@ impl App for MaxCliqueApp {
         // First iteration of a top-level task: construct g from the
         // pulled candidates.
         if task.subgraph.is_empty() && !frontier.is_empty() {
-            let mut ext: Vec<VertexId> = frontier.vertex_ids().collect();
-            ext.sort_unstable();
+            // Pulled in `Γ_>(v)`'s order: ascending.
+            let ext: Vec<VertexId> = frontier.vertex_ids().collect();
             task.subgraph =
                 candidate_graph(&ext, frontier.iter().map(|(u, adj)| (u, adj.as_slice())));
         }

@@ -237,13 +237,36 @@ mod tests {
     use gthinker_graph::gen;
     use gthinker_graph::subgraph::Subgraph;
 
-    fn config(tag: &str, tau: usize) -> GMinerConfig {
-        GMinerConfig {
+    /// A config on a queue directory of the test's own, which goes
+    /// when the config is dropped.
+    struct TestConfig(GMinerConfig);
+
+    impl Drop for TestConfig {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0.dir);
+        }
+    }
+
+    impl std::ops::Deref for TestConfig {
+        type Target = GMinerConfig;
+        fn deref(&self) -> &GMinerConfig {
+            &self.0
+        }
+    }
+
+    impl std::ops::DerefMut for TestConfig {
+        fn deref_mut(&mut self) -> &mut GMinerConfig {
+            &mut self.0
+        }
+    }
+
+    fn config(tag: &str, tau: usize) -> TestConfig {
+        TestConfig(GMinerConfig {
             threads: 2,
             dir: std::env::temp_dir().join(format!("gminer-test-{tag}-{}", std::process::id())),
             tau,
             ..Default::default()
-        }
+        })
     }
 
     fn brute(g: &Graph) -> usize {
@@ -298,7 +321,8 @@ mod tests {
         }
     }
 
-    /// Every run removes its queue log, one that ran out of disk too.
+    /// Every run removes its queue log, one that ran out of disk too,
+    /// and a test's queue directory goes with its config.
     #[test]
     fn runs_leave_no_queue_log_behind() {
         let g = gen::gnp(40, 0.5, 6);
@@ -311,7 +335,9 @@ mod tests {
         let left: Vec<_> =
             std::fs::read_dir(&cfg.dir).unwrap().map(|e| e.unwrap().path()).collect();
         assert!(left.is_empty(), "{left:?}");
-        std::fs::remove_dir(&cfg.dir).unwrap();
+        let dir = cfg.dir.clone();
+        drop(cfg);
+        assert!(!dir.exists(), "{} outlives its test", dir.display());
     }
 
     #[test]

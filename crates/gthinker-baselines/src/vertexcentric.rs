@@ -279,9 +279,13 @@ impl VertexProgram for BspMaxClique {
                 true
             }
             _ => {
-                // Every candidate u ∈ Γ_>(v) sent its row Γ_>(u).
+                // Every candidate u ∈ Γ_>(v) sent its row Γ_>(u), in
+                // whatever order the threads' sends were delivered.
                 let ext = graph.neighbors(v).greater_than(v);
-                let g = candidate_graph(ext, messages.iter().map(|(u, row)| (*u, row.as_slice())));
+                let mut rows: Vec<_> =
+                    messages.iter().map(|(u, row)| (*u, row.as_slice())).collect();
+                rows.sort_unstable_by_key(|&(u, _)| u);
+                let g = candidate_graph(ext, rows);
                 let bound = self.best.lock().len();
                 offer(&self.best, solve(&[v], &g, bound));
                 false

@@ -39,7 +39,7 @@ pub fn run(_scale: f64) {
         // subgraph — what a pull response + Subgraph construction does.
         let t0 = Instant::now();
         let mut bytes = 0usize;
-        let mut sg = Subgraph::with_capacity(size);
+        let mut sg = Subgraph::new();
         for v in g.vertices() {
             let adj: AdjList = g.neighbors(v).clone();
             bytes += 8 + 4 * adj.degree();

@@ -56,9 +56,11 @@ pub trait App: Send + Sync + 'static {
     }
 
     /// UDF: process one iteration of `task`. `frontier` holds `(u,
-    /// Γ(u))` for every vertex pulled in the previous iteration; those
-    /// references are released when this returns, so copy what you need
-    /// into `task.subgraph`. Pull more vertices with
+    /// Γ(u))` for every vertex pulled in the previous iteration, in
+    /// pull order; those references are released when this returns, so
+    /// copy what you need into `task.subgraph`, a block of rows sorted
+    /// by vertex ID (`Subgraph::add_vertex` appends one above the last,
+    /// `Subgraph::from_rows` sorts rows given in any order). Pull more vertices with
     /// [`Task::pull`] and return `true` to be scheduled for
     /// another iteration; return `false` when finished.
     fn compute(

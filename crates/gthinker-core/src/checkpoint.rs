@@ -351,6 +351,28 @@ mod tests {
         assert!(validate::<u64, u64>(&epoch, 2).is_err());
     }
 
+    /// An epoch written by a build of wire version 5 (whose task
+    /// batches hold per-vertex subgraph lists) is refused file by file.
+    #[test]
+    fn validate_refuses_an_epoch_of_wire_version_5() {
+        let dir = tempdir("v5");
+        let epoch = dir.join("epoch");
+        write_test_shard(&dir, 0, 2).unwrap();
+        write_manifest(&epoch, 1, 7u64).unwrap();
+        validate::<u64, u64>(&epoch, 1).unwrap();
+        for path in [shard_path(&epoch, 0), manifest_path(&epoch), batch_path(&epoch, 0, 1)] {
+            let good = fs::read(&path).unwrap();
+            let mut old = good.clone();
+            old[4..6].copy_from_slice(&5u16.to_le_bytes());
+            fs::write(&path, old).unwrap();
+            let err = validate::<u64, u64>(&epoch, 1).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("peer speaks v5"), "{err}");
+            fs::write(&path, good).unwrap();
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn an_io_error_while_copying_the_batches_leaves_no_shard() {
         let dir = tempdir("ioerr");

@@ -153,6 +153,12 @@ impl FromIterator<VertexId> for AdjList {
     }
 }
 
+impl AsRef<[VertexId]> for AdjList {
+    fn as_ref(&self) -> &[VertexId] {
+        &self.neighbors
+    }
+}
+
 impl<'a> IntoIterator for &'a AdjList {
     type Item = VertexId;
     type IntoIter = std::iter::Copied<std::slice::Iter<'a, VertexId>>;

@@ -11,8 +11,9 @@
 //! * [`Graph`] — an in-memory undirected (optionally labeled) graph with
 //!   builders, induced-subgraph extraction and degree statistics
 //!   ([`graph`]).
-//! * [`Subgraph`] — the growable, task-local subgraph `g` that a task
-//!   constructs by pulling vertices ([`subgraph`]).
+//! * [`Subgraph`] — the task-local subgraph `g` that a task grows from
+//!   pulled lists: one row block sorted by vertex ID, the form it is
+//!   also encoded in ([`subgraph`]).
 //! * Deterministic random generators (Erdős–Rényi, Barabási–Albert,
 //!   planted cliques, labeled graphs) in [`gen`], plus scaled-down
 //!   stand-ins for the paper's five datasets in [`datasets`].

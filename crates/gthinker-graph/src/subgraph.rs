@@ -6,172 +6,198 @@
 //! returns, so everything the task still needs must live here.
 //!
 //! Two forms are provided:
-//! * [`Subgraph`] — keyed by global [`VertexId`], growable, cheap
-//!   membership tests; what the user-facing API manipulates.
-//! * [`LocalGraph`] — a dense-index snapshot for tight serial mining
-//!   loops (Bron–Kerbosch, matching); built once, via
+//! * [`Subgraph`] — what a task keeps and ships: one row block keyed
+//!   by global [`VertexId`], IDs ascending and rows end to end, in
+//!   memory as in the task codec; a lookup is one binary search.
+//! * [`LocalGraph`] — a dense-index, symmetric snapshot for tight
+//!   serial mining loops (Bron–Kerbosch, matching); built once, via
 //!   [`Subgraph::to_local`] or, from members' whole symmetric lists,
 //!   [`LocalGraph::induced`].
 
-use crate::adj::AdjList;
 use crate::bitset::{words_for, BitSet};
 use crate::graph::Graph;
-use crate::hash::{fast_map_with_capacity, FastMap};
 use crate::ids::{Label, VertexId};
 
-/// A growable subgraph keyed by global vertex IDs.
-#[derive(Clone, Debug, Default)]
+/// A [`Subgraph`] as it is stored: its IDs, where each row ends, the
+/// rows end to end, and its labels.
+pub type Parts<'a> = (&'a [VertexId], &'a [u32], &'a [VertexId], Option<&'a [Label]>);
+
+/// A task's subgraph: one block of rows, one per vertex, keyed by
+/// global vertex IDs.
+///
+/// The IDs are strictly ascending, and so is each row, the part of the
+/// vertex's list the task keeps (it may name vertices off the block,
+/// and may hold only one direction of an edge). Whether the block is
+/// labeled, one label per row, is fixed when it is built.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Subgraph {
-    verts: Vec<VertexId>,
-    index: FastMap<VertexId, u32>,
-    adj: Vec<AdjList>,
-    labels: Vec<Label>,
-    labeled: bool,
+    ids: Vec<VertexId>,
+    /// Where each row ends in `nbrs`; row `i` starts where row `i − 1`
+    /// ends, row 0 at 0. One per row, so an empty block holds nothing.
+    offsets: Vec<u32>,
+    nbrs: Vec<VertexId>,
+    labels: Option<Vec<Label>>,
 }
 
 impl Subgraph {
-    /// Creates an empty subgraph.
+    /// Creates an empty, unlabeled subgraph.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty subgraph sized for roughly `cap` vertices.
-    pub fn with_capacity(cap: usize) -> Self {
-        Subgraph {
-            verts: Vec::with_capacity(cap),
-            index: fast_map_with_capacity(cap),
-            adj: Vec::with_capacity(cap),
-            labels: Vec::new(),
-            labeled: false,
-        }
     }
 
     /// The whole of `g` as a subgraph, labels included when `g` has
     /// them: what a serial kernel is handed when it mines a graph that
     /// fits in one task (tests, baselines, the kernel benchmarks).
     pub fn from_graph(g: &Graph) -> Self {
-        let mut sg = Subgraph::with_capacity(g.num_vertices());
-        for v in g.vertices() {
-            sg.insert(v, g.label(v), g.neighbors(v).clone());
+        Self::from_rows(g.vertices().map(|v| (v, g.neighbors(v).as_slice(), g.label(v))))
+    }
+
+    /// The block of `rows` given in any order, each `(v, its row, its
+    /// label)`; labeled when the rows carry labels.
+    ///
+    /// # Panics
+    /// Panics when two rows share a vertex, or some rows carry a label
+    /// and others do not.
+    pub fn from_rows<'a>(
+        rows: impl IntoIterator<Item = (VertexId, &'a [VertexId], Option<Label>)>,
+    ) -> Self {
+        let mut rows: Vec<_> = rows.into_iter().collect();
+        // Stable: rows that come as sorted runs are merged, not re-sorted.
+        rows.sort_by_key(|r| r.0);
+        let mut g = Subgraph::new();
+        rows.iter().for_each(|&(v, row, _)| g.add_vertex(v, row));
+        let labeled = rows.first().is_some_and(|r| r.2.is_some());
+        assert!(rows.iter().all(|r| r.2.is_some() == labeled), "every row has a label, or none");
+        g.labels = labeled.then(|| rows.iter().filter_map(|r| r.2).collect());
+        g
+    }
+
+    /// The rows of `g` in global IDs, labels included: the block a task
+    /// carries its kernel's input in, which [`Subgraph::to_local`]
+    /// turns back into `g`.
+    pub fn from_local(g: &LocalGraph) -> Self {
+        Subgraph {
+            ids: g.ids.clone(),
+            offsets: g.offsets[1..].to_vec(),
+            nbrs: g.nbrs.iter().map(|&j| g.ids[j as usize]).collect(),
+            labels: g.labels.clone(),
         }
-        sg
+    }
+
+    /// The block of the four parts [`Subgraph::parts`] returns, checked
+    /// (a codec's decoder hands them over as they came off the wire):
+    /// the first broken rule is the error.
+    pub fn from_parts(
+        ids: Vec<VertexId>,
+        offsets: Vec<u32>,
+        nbrs: Vec<VertexId>,
+        labels: Option<Vec<Label>>,
+    ) -> Result<Self, &'static str> {
+        let g = Subgraph { ids, offsets, nbrs, labels };
+        let n = g.ids.len();
+        let sorted = |s: &[VertexId]| s.windows(2).all(|w| w[0] < w[1]);
+        let rule = |kept: bool, broken| if kept { Ok(()) } else { Err(broken) };
+        rule(sorted(&g.ids), "subgraph ids not strictly ascending")?;
+        rule(g.offsets.len() == n, "one row end per subgraph vertex")?;
+        rule(g.offsets.is_sorted(), "subgraph row ends not ascending")?;
+        let end = g.offsets.last().map_or(0, |&end| end as usize);
+        rule(end == g.nbrs.len(), "subgraph rows do not end at the last neighbor")?;
+        rule((0..n).all(|i| sorted(g.row(i))), "subgraph row not strictly ascending")?;
+        rule(g.labels.as_ref().is_none_or(|l| l.len() == n), "one label per subgraph vertex")?;
+        Ok(g)
+    }
+
+    /// The block as it is stored (see [`Subgraph::from_parts`]).
+    pub fn parts(&self) -> Parts<'_> {
+        (&self.ids, &self.offsets, &self.nbrs, self.labels.as_deref())
+    }
+
+    /// Appends vertex `v` with `adj`, the part of `Γ(v)` the task keeps
+    /// (strictly ascending).
+    ///
+    /// # Panics
+    /// Panics when `v` is not above every vertex already in, or the
+    /// block is labeled (a labeled block is built whole, by
+    /// [`Subgraph::from_rows`]).
+    pub fn add_vertex(&mut self, v: VertexId, adj: impl AsRef<[VertexId]>) {
+        assert!(self.labels.is_none(), "a labeled subgraph is built by Subgraph::from_rows");
+        let row = adj.as_ref();
+        if let Some(&last) = self.ids.last() {
+            assert!(v > last, "subgraph rows go in ascending order: {v} after {last}");
+        }
+        debug_assert!(row.windows(2).all(|w| w[0] < w[1]), "a row is strictly ascending");
+        self.ids.push(v);
+        self.nbrs.extend_from_slice(row);
+        self.offsets.push(u32::try_from(self.nbrs.len()).expect("under 2³² row entries"));
+    }
+
+    /// The row of the `i`-th vertex.
+    #[inline]
+    fn row(&self, i: usize) -> &[VertexId] {
+        let start = if i == 0 { 0 } else { self.offsets[i - 1] as usize };
+        &self.nbrs[start..self.offsets[i] as usize]
     }
 
     /// Number of vertices `|V(g)|`.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.verts.len()
+        self.ids.len()
     }
 
     /// Number of undirected edges currently stored.
     ///
     /// Counts only edges whose **both** endpoints are in the subgraph;
-    /// adjacency entries referring to vertices not (yet) added are
-    /// ignored. An entry is counted once whether or not it is mirrored.
+    /// entries naming other vertices are ignored. An entry is counted
+    /// once whether or not it is mirrored.
     pub fn num_edges(&self) -> usize {
-        let mut n = 0usize;
-        for (i, a) in self.adj.iter().enumerate() {
-            let u = self.verts[i];
-            for v in a.iter() {
-                if !self.contains(v) {
-                    continue;
-                }
-                // Count each unordered pair once: either u < v, or the
-                // mirror entry is absent.
-                if u < v || !self.neighbors(v).is_some_and(|nb| nb.contains(u)) {
-                    n += 1;
-                }
-            }
-        }
-        n
+        // Each unordered pair once: either u < v, or the mirror entry is
+        // absent.
+        let counted = |u: VertexId, v: VertexId| {
+            self.neighbors(v).is_some_and(|back| u < v || back.binary_search(&u).is_err())
+        };
+        self.rows().map(|(u, row, _)| row.iter().filter(|&&v| counted(u, v)).count()).sum()
     }
 
     /// True if the subgraph has no vertices.
     pub fn is_empty(&self) -> bool {
-        self.verts.is_empty()
+        self.ids.is_empty()
     }
 
-    /// True if `v` has been added.
+    /// True if `v` has a row.
     #[inline]
     pub fn contains(&self, v: VertexId) -> bool {
-        self.index.contains_key(&v)
+        self.ids.binary_search(&v).is_ok()
     }
 
-    /// Adds vertex `v` with adjacency `adj` (the caller typically filters
-    /// the pulled `Γ(v)` down to vertices relevant to this task first).
-    /// Returns `false` without modifying anything if `v` is already
-    /// present.
-    pub fn add_vertex(&mut self, v: VertexId, adj: AdjList) -> bool {
-        if self.contains(v) {
-            return false;
-        }
-        self.index.insert(v, self.verts.len() as u32);
-        self.verts.push(v);
-        self.adj.push(adj);
-        if self.labeled {
-            self.labels.push(Label::default());
-        }
-        true
-    }
-
-    /// Adds a labeled vertex (for matching workloads).
-    pub fn add_labeled_vertex(&mut self, v: VertexId, label: Label, adj: AdjList) -> bool {
-        if self.contains(v) {
-            return false;
-        }
-        if !self.labeled {
-            // Upgrade: back-fill default labels for earlier vertices.
-            self.labels = vec![Label::default(); self.verts.len()];
-            self.labeled = true;
-        }
-        self.index.insert(v, self.verts.len() as u32);
-        self.verts.push(v);
-        self.adj.push(adj);
-        self.labels.push(label);
-        true
-    }
-
-    /// [`Subgraph::add_labeled_vertex`] when there is a label,
-    /// [`Subgraph::add_vertex`] when there is none.
-    pub fn insert(&mut self, v: VertexId, label: Option<Label>, adj: AdjList) -> bool {
-        match label {
-            Some(label) => self.add_labeled_vertex(v, label, adj),
-            None => self.add_vertex(v, adj),
-        }
-    }
-
-    /// The vertex IDs in insertion order.
+    /// The vertex IDs, ascending.
     pub fn vertex_ids(&self) -> &[VertexId] {
-        &self.verts
+        &self.ids
     }
 
-    /// The stored adjacency of `v`, if present.
-    pub fn neighbors(&self, v: VertexId) -> Option<&AdjList> {
-        self.index.get(&v).map(|&i| &self.adj[i as usize])
+    /// The row of `v`, if present.
+    pub fn neighbors(&self, v: VertexId) -> Option<&[VertexId]> {
+        self.ids.binary_search(&v).ok().map(|i| self.row(i))
     }
 
-    /// The label of `v`, if labels are in use and `v` is present.
+    /// The label of `v`, if the block is labeled and `v` is present.
     pub fn label(&self, v: VertexId) -> Option<Label> {
-        if !self.labeled {
-            return None;
-        }
-        self.index.get(&v).map(|&i| self.labels[i as usize])
+        let labels = self.labels.as_ref()?;
+        self.ids.binary_search(&v).ok().map(|i| labels[i])
     }
 
-    /// Edge membership within the subgraph (checks the stored entry of
-    /// either endpoint, so one-directional storage suffices).
-    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.neighbors(u).map(|a| a.contains(v)).unwrap_or(false)
-            || self.neighbors(v).map(|a| a.contains(u)).unwrap_or(false)
+    /// Every row as `(v, its row, its label)`, by ascending `v`.
+    pub fn rows(&self) -> impl Iterator<Item = (VertexId, &[VertexId], Option<Label>)> + '_ {
+        let label = |i: usize| self.labels.as_ref().map(|l| l[i]);
+        (0..self.ids.len()).map(move |i| (self.ids[i], self.row(i), label(i)))
     }
 
     /// Snapshots into a dense [`LocalGraph`] for serial mining, using
     /// the default dense-matrix threshold
     /// ([`LocalGraph::DEFAULT_DENSE_THRESHOLD`]).
     ///
-    /// Vertices are renumbered `0..n` **in ascending global-ID order** so
-    /// that ID-based pruning rules keep working on local indices.
-    /// Adjacency is symmetrized and restricted to subgraph members.
+    /// Local index `i` is the `i`-th vertex, so ID-based pruning rules
+    /// keep working on local indices. Adjacency is symmetrized and
+    /// restricted to subgraph members.
     pub fn to_local(&self) -> LocalGraph {
         self.to_local_with_threshold(LocalGraph::DEFAULT_DENSE_THRESHOLD)
     }
@@ -181,97 +207,38 @@ impl Subgraph {
     /// force the sorted-list representation, `usize::MAX` to force the
     /// matrix; see DESIGN.md §"Kernel selection").
     ///
-    /// Symmetric rows are assembled CSR-style with a degree-count pass
-    /// followed by a fill pass into one flat buffer — no per-vertex
-    /// vectors, no doubled peak memory from mirror-then-dedup.
+    /// Each row entry is found by a binary search that starts past the
+    /// last one's, since a row is ascending.
     pub fn to_local_with_threshold(&self, dense_threshold: usize) -> LocalGraph {
-        let n = self.verts.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by_key(|&i| self.verts[i as usize]);
-        let mut rank = vec![0u32; n];
-        for (new, &old) in order.iter().enumerate() {
-            rank[old as usize] = new as u32;
-        }
-        // Pass 1: count each local vertex's symmetric degree (mirror
-        // entries and duplicates still counted; deduped after sorting).
-        let mut deg = vec![0u32; n];
-        for (old, a) in self.adj.iter().enumerate() {
-            let lu = rank[old];
-            for v in a.iter() {
-                if let Some(&ov) = self.index.get(&v) {
-                    let lv = rank[ov as usize];
-                    if lu != lv {
-                        deg[lu as usize] += 1;
-                        deg[lv as usize] += 1;
-                    }
+        let n = self.ids.len();
+        // Both directions of every entry inside the block and off the
+        // diagonal; a mirrored entry lands twice, deduplicated below.
+        let mut pairs = Vec::with_capacity(2 * self.nbrs.len());
+        for i in 0..n {
+            let mut at = 0;
+            for v in self.row(i) {
+                at += self.ids[at..].partition_point(|w| w < v);
+                if self.ids.get(at) == Some(v) && at != i {
+                    pairs.extend([(i as u32, at as u32), (at as u32, i as u32)]);
                 }
             }
         }
+        pairs.sort_unstable();
+        pairs.dedup();
         let mut offsets = vec![0u32; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + deg[i];
-        }
-        // Pass 2: scatter both directions of every edge into the flat
-        // row buffer, reusing `deg` as per-row write cursors.
-        let mut nbrs = vec![0u32; offsets[n] as usize];
-        let mut cursor = std::mem::take(&mut deg);
-        cursor.copy_from_slice(&offsets[..n]);
-        for (old, a) in self.adj.iter().enumerate() {
-            let lu = rank[old];
-            for v in a.iter() {
-                if let Some(&ov) = self.index.get(&v) {
-                    let lv = rank[ov as usize];
-                    if lu != lv {
-                        nbrs[cursor[lu as usize] as usize] = lv;
-                        cursor[lu as usize] += 1;
-                        nbrs[cursor[lv as usize] as usize] = lu;
-                        cursor[lv as usize] += 1;
-                    }
-                }
-            }
-        }
-        // Sort each row in place, then compact duplicates (a mirror
-        // entry stored at both endpoints lands twice in each row). The
-        // write head never overtakes the read head, so this is safe in
-        // the same buffer.
-        let mut write = 0usize;
-        let mut compact = vec![0u32; n + 1];
-        for i in 0..n {
-            let (s, e) = (offsets[i] as usize, offsets[i + 1] as usize);
-            nbrs[s..e].sort_unstable();
-            compact[i] = write as u32;
-            let mut last = u32::MAX;
-            for k in s..e {
-                let v = nbrs[k];
-                if v != last {
-                    nbrs[write] = v;
-                    write += 1;
-                    last = v;
-                }
-            }
-        }
-        compact[n] = write as u32;
-        nbrs.truncate(write);
-        let offsets = compact;
+        pairs.iter().for_each(|&(i, _)| offsets[i as usize + 1] += 1);
+        (0..n).for_each(|i| offsets[i + 1] += offsets[i]);
+        let nbrs: Vec<u32> = pairs.into_iter().map(|(_, j)| j).collect();
         let dense = DenseAdj::from_rows(dense_threshold, &offsets, &nbrs);
-        let ids: Vec<VertexId> = order.iter().map(|&i| self.verts[i as usize]).collect();
-        let labels = if self.labeled {
-            Some(order.iter().map(|&i| self.labels[i as usize]).collect())
-        } else {
-            None
-        };
-        LocalGraph { ids, offsets, nbrs, labels, dense }
+        LocalGraph { ids: self.ids.clone(), offsets, nbrs, labels: self.labels.clone(), dense }
     }
 
     /// Approximate heap bytes held by this subgraph (task memory
     /// accounting for the simulator).
     pub fn heap_bytes(&self) -> usize {
-        let lists: usize = self.adj.iter().map(AdjList::heap_bytes).sum();
-        lists
-            + self.verts.capacity() * std::mem::size_of::<VertexId>()
-            + self.adj.capacity() * std::mem::size_of::<AdjList>()
-            + self.index.capacity() * (std::mem::size_of::<VertexId>() + std::mem::size_of::<u32>())
-            + self.labels.capacity() * std::mem::size_of::<Label>()
+        (self.ids.capacity() + self.nbrs.capacity()) * std::mem::size_of::<VertexId>()
+            + self.offsets.capacity() * std::mem::size_of::<u32>()
+            + self.labels.as_ref().map_or(0, |l| l.capacity() * std::mem::size_of::<Label>())
     }
 }
 
@@ -280,8 +247,8 @@ impl Subgraph {
 /// probing over 16 slots per member (128 bytes each, freed on return)
 /// makes a miss one load and a well-predicted branch: over all anchors
 /// of the `mc_compute_local` graph (one thread, 2-vCPU Xeon host) the
-/// build ran ≈ 35% faster than with a [`FastMap`] and ≈ 10% faster than
-/// with 8 slots per member. A slot is `id << 32 | (local + 1)`; 0 is
+/// build ran ≈ 35% faster than with the general map of [`crate::hash`]
+/// and ≈ 10% faster than with 8 slots per member. A slot is `id << 32 | (local + 1)`; 0 is
 /// empty.
 struct MemberIndex {
     slots: Vec<u64>,
@@ -584,22 +551,50 @@ impl LocalGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adj::AdjList;
 
     fn adj(v: &[u32]) -> AdjList {
         AdjList::from_unsorted(v.iter().map(|&x| VertexId(x)).collect())
     }
 
+    fn ids(v: &[u32]) -> Vec<VertexId> {
+        v.iter().map(|&x| VertexId(x)).collect()
+    }
+
     #[test]
     fn add_and_query_vertices() {
         let mut g = Subgraph::new();
-        assert!(g.add_vertex(VertexId(5), adj(&[7])));
-        assert!(g.add_vertex(VertexId(7), adj(&[5])));
-        assert!(!g.add_vertex(VertexId(5), adj(&[])), "duplicate add rejected");
+        g.add_vertex(VertexId(5), adj(&[7]));
+        g.add_vertex(VertexId(7), adj(&[5]));
         assert_eq!(g.num_vertices(), 2);
         assert_eq!(g.num_edges(), 1);
-        assert!(g.has_edge(VertexId(5), VertexId(7)));
+        assert_eq!(g.neighbors(VertexId(5)), Some(&ids(&[7])[..]));
+        assert_eq!(g.neighbors(VertexId(6)), None);
         assert!(g.contains(VertexId(7)));
         assert!(!g.contains(VertexId(9)));
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending order")]
+    fn a_duplicate_append_panics() {
+        let mut g = Subgraph::new();
+        g.add_vertex(VertexId(5), adj(&[]));
+        g.add_vertex(VertexId(5), adj(&[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending order")]
+    fn an_append_below_the_last_vertex_panics() {
+        let mut g = Subgraph::new();
+        g.add_vertex(VertexId(5), adj(&[]));
+        g.add_vertex(VertexId(4), adj(&[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending order")]
+    fn from_rows_rejects_a_duplicate_vertex() {
+        let row: &[VertexId] = &[];
+        Subgraph::from_rows([(VertexId(3), row, None), (VertexId(3), row, None)]);
     }
 
     #[test]
@@ -610,7 +605,7 @@ mod tests {
         g.add_vertex(VertexId(2), adj(&[]));
         g.add_vertex(VertexId(3), adj(&[]));
         assert_eq!(g.num_edges(), 2);
-        assert!(g.has_edge(VertexId(2), VertexId(1)));
+        assert!(g.to_local().has_edge(1, 0));
     }
 
     #[test]
@@ -623,10 +618,14 @@ mod tests {
 
     #[test]
     fn to_local_sorts_by_global_id_and_symmetrizes() {
-        let mut g = Subgraph::new();
-        g.add_vertex(VertexId(30), adj(&[10]));
-        g.add_vertex(VertexId(10), adj(&[20]));
-        g.add_vertex(VertexId(20), adj(&[]));
+        // Rows given out of order: the block sorts them.
+        let (r30, r10, r20) = (ids(&[10]), ids(&[20]), ids(&[]));
+        let g = Subgraph::from_rows([
+            (VertexId(30), &r30[..], None),
+            (VertexId(10), &r10[..], None),
+            (VertexId(20), &r20[..], None),
+        ]);
+        assert_eq!(g.vertex_ids(), ids(&[10, 20, 30]));
         let l = g.to_local();
         assert_eq!(l.num_vertices(), 3);
         assert_eq!(l.global_id(0), VertexId(10));
@@ -641,14 +640,32 @@ mod tests {
     }
 
     #[test]
-    fn labels_upgrade_backfills_existing_vertices() {
-        let mut g = Subgraph::new();
-        g.add_vertex(VertexId(1), adj(&[]));
-        g.add_labeled_vertex(VertexId(2), Label(4), adj(&[]));
-        assert_eq!(g.label(VertexId(1)), Some(Label(0)));
+    fn a_labeled_block_keeps_one_label_per_row() {
+        let (r1, r2) = (ids(&[2]), ids(&[1]));
+        let g = Subgraph::from_rows([
+            (VertexId(2), &r2[..], Some(Label(4))),
+            (VertexId(1), &r1[..], Some(Label(7))),
+        ]);
+        assert_eq!(g.label(VertexId(1)), Some(Label(7)));
         assert_eq!(g.label(VertexId(2)), Some(Label(4)));
+        assert_eq!(g.label(VertexId(3)), None);
         let l = g.to_local();
-        assert_eq!(l.label(1), Some(Label(4)));
+        assert_eq!((l.label(0), l.label(1)), (Some(Label(7)), Some(Label(4))));
+    }
+
+    #[test]
+    #[should_panic(expected = "every row has a label")]
+    fn from_rows_rejects_rows_with_and_without_labels() {
+        let row: &[VertexId] = &[];
+        Subgraph::from_rows([(VertexId(1), row, Some(Label(1))), (VertexId(2), row, None)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "built by Subgraph::from_rows")]
+    fn a_labeled_block_takes_no_append() {
+        let row: &[VertexId] = &[];
+        let mut g = Subgraph::from_rows([(VertexId(1), row, Some(Label(1)))]);
+        g.add_vertex(VertexId(2), adj(&[]));
     }
 
     #[test]
@@ -657,6 +674,52 @@ mod tests {
         g.add_vertex(VertexId(1), adj(&[]));
         assert_eq!(g.label(VertexId(1)), None);
         assert_eq!(g.to_local().label(0), None);
+    }
+
+    #[test]
+    fn from_parts_takes_what_parts_gives_and_names_each_broken_rule() {
+        let mut g = Subgraph::new();
+        g.add_vertex(VertexId(1), adj(&[2, 3]));
+        g.add_vertex(VertexId(2), adj(&[]));
+        g.add_vertex(VertexId(3), adj(&[1]));
+        let (i, o, n) = (g.ids.clone(), g.offsets.clone(), g.nbrs.clone());
+        assert_eq!(g.parts(), (&i[..], &[2, 2, 3][..], &n[..], None));
+        assert_eq!(Subgraph::from_parts(i.clone(), o.clone(), n.clone(), None), Ok(g.clone()));
+        let labels = Some(vec![Label(1), Label(2), Label(3)]);
+        let labeled = Subgraph::from_parts(i.clone(), o.clone(), n.clone(), labels).unwrap();
+        assert_eq!(labeled.label(VertexId(3)), Some(Label(3)));
+        let broken = [
+            (ids(&[1, 3, 2]), o.clone(), n.clone(), None, "ids not strictly ascending"),
+            (ids(&[1, 1, 3]), o.clone(), n.clone(), None, "ids not strictly ascending"),
+            (i.clone(), vec![2, 2], n.clone(), None, "one row end per"),
+            (i.clone(), vec![2, 2, 2], n.clone(), None, "do not end at the last"),
+            (i.clone(), vec![2, 1, 3], n.clone(), None, "row ends not ascending"),
+            (i.clone(), o.clone(), ids(&[3, 2, 1]), None, "row not strictly ascending"),
+            (i.clone(), o.clone(), n.clone(), Some(vec![Label(1)]), "one label per"),
+        ];
+        for (ids, offsets, nbrs, labels, want) in broken {
+            let err = Subgraph::from_parts(ids, offsets, nbrs, labels).unwrap_err();
+            assert!(err.contains(want), "{err}, want {want}");
+        }
+    }
+
+    #[test]
+    fn from_local_carries_a_local_graph_back_whole() {
+        // Oriented, dangling and labeled rows: the snapshot symmetrizes
+        // them, and its own rows rebuild it.
+        let (r9, r2, r5) = (ids(&[2, 5, 77]), ids(&[5]), ids(&[]));
+        let g = Subgraph::from_rows([
+            (VertexId(9), &r9[..], Some(Label(1))),
+            (VertexId(2), &r2[..], Some(Label(2))),
+            (VertexId(5), &r5[..], Some(Label(3))),
+        ]);
+        let local = g.to_local();
+        let carried = Subgraph::from_local(&local);
+        assert_eq!(carried.vertex_ids(), ids(&[2, 5, 9]));
+        assert_eq!(carried.neighbors(VertexId(5)), Some(&ids(&[2, 9])[..]));
+        assert_eq!(carried.label(VertexId(9)), Some(Label(1)));
+        assert_eq!(carried.to_local(), local);
+        assert_eq!(Subgraph::from_local(&Subgraph::new().to_local()), Subgraph::new());
     }
 
     #[test]
@@ -678,11 +741,8 @@ mod tests {
     fn dense_and_sparse_agree_on_all_queries() {
         // Oriented storage with dangling entries, to stress the
         // symmetrize-and-restrict path of both representations.
-        let mut g = Subgraph::new();
-        g.add_vertex(VertexId(9), adj(&[2, 5, 77]));
-        g.add_vertex(VertexId(2), adj(&[5, 9]));
-        g.add_vertex(VertexId(5), adj(&[]));
-        g.add_vertex(VertexId(14), adj(&[2]));
+        let rows = [(9, ids(&[2, 5, 77])), (2, ids(&[5, 9])), (5, ids(&[])), (14, ids(&[2]))];
+        let g = Subgraph::from_rows(rows.iter().map(|(v, row)| (VertexId(*v), &row[..], None)));
         let dense = g.to_local();
         let sparse = g.to_local_with_threshold(0);
         assert!(dense.is_dense() && !sparse.is_dense());

@@ -185,9 +185,13 @@ proptest! {
         prop_assert_eq!(sg.num_edges(), g.num_edges());
         let local = sg.to_local();
         prop_assert_eq!(local.num_edges(), g.num_edges());
-        // Every edge survives with the same endpoints (via global IDs).
+        // Every edge is stored at its smaller end and survives, both
+        // ways, with the same endpoints (via global IDs).
         for (u, v) in g.edges() {
-            prop_assert!(sg.has_edge(u, v));
+            let (lo, hi) = (u.min(v), u.max(v));
+            prop_assert!(sg.neighbors(lo).unwrap().contains(&hi));
+            let (i, j) = (local.local_id(u).unwrap(), local.local_id(v).unwrap());
+            prop_assert!(local.has_edge(i, j) && local.has_edge(j, i));
         }
     }
 
@@ -196,12 +200,9 @@ proptest! {
         members in proptest::collection::vec(0u32..200, 0..40),
         probes in proptest::collection::vec(0u32..220, 0..40),
     ) {
-        // Inserted in descending order: the snapshot renumbers by ID.
+        // Given in descending order: the block sorts them by ID.
         let members: std::collections::BTreeSet<u32> = members.into_iter().collect();
-        let mut sg = Subgraph::new();
-        for &v in members.iter().rev() {
-            sg.add_vertex(VertexId(v), AdjList::new());
-        }
+        let sg = Subgraph::from_rows(members.iter().rev().map(|&v| (VertexId(v), &[][..], None)));
         let local = sg.to_local();
         for i in 0..local.num_vertices() as u32 {
             prop_assert_eq!(local.local_id(local.global_id(i)), Some(i));
@@ -486,26 +487,33 @@ proptest! {
         let label = |v: &VertexId| Label((v.0 % 3) as u16);
         let labels = labeled.then(|| ids.iter().map(label).collect::<Vec<_>>());
         let got = LocalGraph::induced(ids.clone(), &lists, labels.clone());
-        // The same members inserted in reverse, lists cut to the set.
-        let mut sg = Subgraph::new();
-        for (i, &v) in ids.iter().enumerate().rev() {
-            let label = labels.as_ref().map(|l| l[i]);
-            sg.insert(v, label, AdjList::from_sorted(g.neighbors(v).intersect_slice(&ids)));
-        }
-        let want = sg.to_local();
+        // The oracle reads each member's neighbors off `g`: those among
+        // the members, as positions in `ids`.
         let k = ids.len() as u32;
-        prop_assert_eq!(got.num_vertices(), want.num_vertices());
-        prop_assert_eq!(got.num_edges(), want.num_edges());
-        for i in 0..k {
-            prop_assert_eq!(got.global_id(i), want.global_id(i));
-            prop_assert_eq!(got.neighbors(i), want.neighbors(i));
-            prop_assert_eq!(got.degree(i), want.degree(i));
-            prop_assert_eq!(got.label(i), want.label(i));
-            prop_assert_eq!(got.dense_row(i), want.dense_row(i));
+        prop_assert_eq!(got.num_vertices(), ids.len());
+        let mut edges = 0;
+        for (i, &v) in (0..k).zip(&ids) {
+            let within = g.neighbors(v).intersect_slice(&ids);
+            let row: Vec<u32> = within.iter().map(|w| ids.binary_search(w).unwrap() as u32).collect();
+            edges += row.len();
+            prop_assert_eq!(got.global_id(i), v);
+            prop_assert_eq!(got.neighbors(i), &row[..]);
+            prop_assert_eq!(got.degree(i), row.len());
+            prop_assert_eq!(got.label(i), labeled.then(|| label(&v)));
+            prop_assert!(got.is_dense());
+            let bits = got.dense_row(i).unwrap();
             for j in 0..k {
-                prop_assert_eq!(got.has_edge(i, j), want.has_edge(i, j));
+                let edge = row.contains(&j);
+                prop_assert_eq!(got.has_edge(i, j), edge);
+                prop_assert_eq!(bits[j as usize >> 6] >> (j & 63) & 1 == 1, edge);
             }
         }
+        prop_assert_eq!(got.num_edges() * 2, edges);
+        // And `to_local` of the members with their whole lists, given in
+        // reverse, cuts them to the same graph.
+        let rows = ids.iter().enumerate().rev();
+        let want = Subgraph::from_rows(rows.map(|(i, &v)| (v, lists[i], labels.as_ref().map(|l| l[i]))))
+            .to_local();
         prop_assert_eq!(got, want);
     }
 }

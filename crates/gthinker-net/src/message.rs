@@ -530,7 +530,10 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gthinker_graph::ids::Label;
+    use gthinker_graph::subgraph::Subgraph;
     use gthinker_task::codec::to_bytes;
+    use gthinker_task::task::Task;
 
     #[test]
     fn encoded_len_scales_with_content() {
@@ -615,6 +618,28 @@ mod tests {
         assert_eq!(Message::Abort { worker: WorkerId(2) }.encoded_len(), 3);
         // tag 1 + resume 1 + epoch 8 + attempt 8 = 18.
         assert_eq!(Message::Resume { resume: true, epoch: 4, attempt: 5 }.encoded_len(), 18);
+    }
+
+    /// Regression pin: a task of known shape has a known size. Spill,
+    /// steal and checkpoint batches hold encoded tasks, so if these
+    /// change, the wire format changed — bump `frame::WIRE_VERSION`.
+    #[test]
+    fn task_encoding_pins_known_sizes() {
+        let mut t = Task::new(vec![VertexId(1)]);
+        t.subgraph.add_vertex(VertexId(2), AdjList::from_sorted(vec![VertexId(3), VertexId(9)]));
+        t.subgraph.add_vertex(VertexId(3), AdjList::new());
+        t.pull(VertexId(9));
+        // Subgraph: flag 1 + ids (4 + 4·2) + degrees (4 + 4·2) + rows
+        // (4 + 4·2) = 37; context vec (8 + 4) + pulls vec (8 + 4) +
+        // born 8 = 32.
+        assert_eq!(to_bytes(&t).len(), 69);
+        // Labels: + (4 + 2·2).
+        let rows = t.subgraph.rows().map(|(v, row, _)| (v, row, Some(Label(1))));
+        t.subgraph = Subgraph::from_rows(rows.collect::<Vec<_>>());
+        assert_eq!(to_bytes(&t).len(), 77);
+        // No row and no pull: flag 1 + three empty parts (4 each) = 13,
+        // context 12, pulls 8, born 8.
+        assert_eq!(to_bytes(&Task::new(vec![VertexId(1)])).len(), 41);
     }
 
     #[test]

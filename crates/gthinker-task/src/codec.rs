@@ -289,43 +289,62 @@ impl Decode for AdjList {
     }
 }
 
+/// A block is its four parts, each a `u32` count and the items: the
+/// IDs, the rows' degrees, the rows end to end and, behind a flag up
+/// front, the labels.
 impl Encode for Subgraph {
     fn encode(&self, buf: &mut Vec<u8>) {
-        let labeled = self.vertex_ids().iter().any(|&v| self.label(v).is_some());
-        labeled.encode(buf);
-        (self.num_vertices() as u64).encode(buf);
-        for &v in self.vertex_ids() {
-            v.encode(buf);
-            if labeled {
-                self.label(v).unwrap_or_default().encode(buf);
-            }
-            self.neighbors(v).expect("vertex present").encode(buf);
+        let (ids, offsets, nbrs, labels) = self.parts();
+        labels.is_some().encode(buf);
+        put_slice(buf, ids);
+        (offsets.len() as u32).encode(buf);
+        let mut start = 0;
+        for &end in offsets {
+            (end - start).encode(buf);
+            start = end;
+        }
+        put_slice(buf, nbrs);
+        if let Some(labels) = labels {
+            put_slice(buf, labels);
         }
     }
 }
 
+/// One allocation per part (the degrees turn into row ends in place);
+/// a break of any rule of [`Subgraph::from_parts`] is `Invalid`.
 impl Decode for Subgraph {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         let labeled = bool::decode(buf)?;
-        let n = u64::decode(buf)? as usize;
-        let mut g = Subgraph::with_capacity(n.min(buf.remaining()));
-        for _ in 0..n {
-            let v = VertexId::decode(buf)?;
-            if labeled {
-                let l = Label::decode(buf)?;
-                let adj = AdjList::decode(buf)?;
-                if !g.add_labeled_vertex(v, l, adj) {
-                    return Err(CodecError::Invalid("duplicate subgraph vertex"));
-                }
-            } else {
-                let adj = AdjList::decode(buf)?;
-                if !g.add_vertex(v, adj) {
-                    return Err(CodecError::Invalid("duplicate subgraph vertex"));
-                }
-            }
+        let ids = get_slice(buf, 4)?;
+        let mut offsets: Vec<u32> = get_slice(buf, 4)?;
+        let mut end = 0u32;
+        for degree in &mut offsets {
+            end = end.checked_add(*degree).ok_or(CodecError::Invalid("degree sum past u32"))?;
+            *degree = end;
         }
-        Ok(g)
+        let nbrs = get_slice(buf, 4)?;
+        let labels = if labeled { Some(get_slice(buf, 2)?) } else { None };
+        Subgraph::from_parts(ids, offsets, nbrs, labels).map_err(CodecError::Invalid)
     }
+}
+
+fn put_slice<T: Encode>(buf: &mut Vec<u8>, items: &[T]) {
+    u32::try_from(items.len()).expect("a block part holds under 2³² items").encode(buf);
+    items.iter().for_each(|item| item.encode(buf));
+}
+
+/// What [`put_slice`] wrote, of items `size` bytes each. A count the
+/// rest of `buf` cannot hold is refused before anything is allocated.
+fn get_slice<T: Decode>(buf: &mut &[u8], size: usize) -> Result<Vec<T>, CodecError> {
+    let len = u32::decode(buf)? as usize;
+    if len > buf.remaining() / size {
+        return Err(CodecError::Invalid("length past the buffer"));
+    }
+    let mut items = Vec::with_capacity(len);
+    for _ in 0..len {
+        items.push(T::decode(buf)?);
+    }
+    Ok(items)
 }
 
 /// Encodes a value into a fresh buffer.
@@ -391,22 +410,24 @@ mod tests {
         g.add_vertex(VertexId(20), AdjList::from_unsorted(vec![VertexId(10), VertexId(30)]));
         g.add_vertex(VertexId(30), AdjList::new());
         let bytes = to_bytes(&g);
+        // flag 1 + ids (4 + 4·3) + degrees (4 + 4·3) + rows (4 + 4·3) = 49.
+        assert_eq!(bytes.len(), 49);
         let back: Subgraph = from_bytes(&bytes).unwrap();
-        assert_eq!(back.num_vertices(), 3);
-        assert_eq!(back.vertex_ids(), g.vertex_ids());
-        assert!(back.has_edge(VertexId(10), VertexId(20)));
-        assert!(back.has_edge(VertexId(20), VertexId(30)));
-        assert!(!back.has_edge(VertexId(10), VertexId(30)));
+        assert_eq!(back, g);
+        assert_eq!(back.neighbors(VertexId(20)), Some(&[VertexId(10), VertexId(30)][..]));
     }
 
     #[test]
     fn labeled_subgraph_round_trips() {
-        let mut g = Subgraph::new();
-        g.add_labeled_vertex(VertexId(1), Label(4), AdjList::new());
-        g.add_labeled_vertex(VertexId(2), Label(5), AdjList::new());
+        let row: &[VertexId] = &[];
+        let g = Subgraph::from_rows([
+            (VertexId(2), row, Some(Label(5))),
+            (VertexId(1), row, Some(Label(4))),
+        ]);
         let back: Subgraph = from_bytes(&to_bytes(&g)).unwrap();
         assert_eq!(back.label(VertexId(1)), Some(Label(4)));
         assert_eq!(back.label(VertexId(2)), Some(Label(5)));
+        assert_eq!(back, g);
     }
 
     #[test]

@@ -26,8 +26,8 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"GTKW");
 
 /// Bump whenever the frame layout or any `gthinker_net::Message`
 /// encoding changes; peers with different versions refuse each other.
-/// v5: `Progress` carries the activity epoch; `Probe`/`ProbeAck` added.
-pub const WIRE_VERSION: u16 = 5;
+/// v6: a task's subgraph is one row block, not one list per vertex.
+pub const WIRE_VERSION: u16 = 6;
 
 /// Fixed bytes around every payload: 12-byte header + 4-byte CRC.
 pub const FRAME_OVERHEAD: usize = HEADER_LEN + 4;

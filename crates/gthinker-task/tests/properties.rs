@@ -2,41 +2,111 @@
 //! queue/spill conservation, pending-table readiness.
 
 use gthinker_graph::adj::AdjList;
-use gthinker_graph::ids::{TaskId, VertexId};
-use gthinker_task::codec::{from_bytes, to_bytes};
+use gthinker_graph::ids::{Label, TaskId, VertexId};
+use gthinker_graph::subgraph::Subgraph;
+use gthinker_task::codec::{from_bytes, to_bytes, CodecError, Encode};
 use gthinker_task::pending::PendingTable;
 use gthinker_task::queue::TaskQueue;
 use gthinker_task::spill::SpillManager;
 use gthinker_task::task::Task;
 use proptest::prelude::*;
 
+/// The block of `verts`' rows, given in any order, with a label per
+/// row when `labeled`.
+fn make_block(verts: &[(u32, Vec<u32>)], labeled: bool) -> Subgraph {
+    let rows: Vec<(VertexId, AdjList)> = verts
+        .iter()
+        .map(|(v, nbrs)| (VertexId(*v), nbrs.iter().map(|&x| VertexId(x)).collect()))
+        .collect();
+    let label = |v: VertexId| labeled.then_some(Label((v.0 % 5) as u16));
+    Subgraph::from_rows(rows.iter().map(|(v, adj)| (*v, adj.as_slice(), label(*v))))
+}
+
 /// Builds an arbitrary task from proptest inputs.
-fn make_task(ctx: u32, verts: &[(u32, Vec<u32>)], pulls: &[u32]) -> Task<u32> {
+fn make_task(ctx: u32, verts: &[(u32, Vec<u32>)], pulls: &[u32], labeled: bool) -> Task<u32> {
     let mut t = Task::new(ctx);
-    for (v, nbrs) in verts {
-        t.subgraph.add_vertex(
-            VertexId(*v),
-            AdjList::from_unsorted(nbrs.iter().map(|&x| VertexId(x)).collect()),
-        );
-    }
+    t.subgraph = make_block(verts, labeled);
     for &p in pulls {
         t.pull(VertexId(p));
     }
     t
 }
 
+/// Up to ten rows in any order, of distinct vertices (the block rejects
+/// a repeat).
+fn rows() -> impl Strategy<Value = Vec<(u32, Vec<u32>)>> {
+    let row = (0u32..1000, proptest::collection::vec(0u32..1000, 0..12));
+    proptest::collection::vec(row, 0..10).prop_map(|rows| {
+        let mut seen = std::collections::HashSet::new();
+        rows.into_iter().filter(|(v, _)| seen.insert(*v)).collect()
+    })
+}
+
+/// A block's encoding written field by field, so that a test can break
+/// any one field: the flag, then each part as a `u32` count and items.
+fn raw(ids: &[u32], degrees: &[u32], nbrs: &[u32], labels: Option<&[u16]>) -> Vec<u8> {
+    let mut buf = Vec::new();
+    labels.is_some().encode(&mut buf);
+    for part in [ids, degrees, nbrs] {
+        (part.len() as u32).encode(&mut buf);
+        part.iter().for_each(|x| x.encode(&mut buf));
+    }
+    if let Some(labels) = labels {
+        (labels.len() as u32).encode(&mut buf);
+        labels.iter().for_each(|x| x.encode(&mut buf));
+    }
+    buf
+}
+
+#[test]
+fn each_broken_field_of_a_block_is_invalid() {
+    let (ids, degrees, nbrs, labels) = ([1, 2, 3], [2, 0, 1], [2, 3, 1], [7u16, 8, 9]);
+    let good: Subgraph = from_bytes(&raw(&ids, &degrees, &nbrs, Some(&labels))).unwrap();
+    let three = [(1, vec![2, 3]), (2, vec![]), (3, vec![1])];
+    let label = |v: u32| Label(6 + v as u16);
+    let rows = three.iter().map(|(v, row)| (*v, row.iter().map(|&x| VertexId(x)).collect()));
+    let rows: Vec<(u32, Vec<VertexId>)> = rows.collect();
+    let want =
+        Subgraph::from_rows(rows.iter().map(|(v, r)| (VertexId(*v), &r[..], Some(label(*v)))));
+    assert_eq!(good, want);
+    // The id count is at byte 1, the row-entry count at byte 33.
+    let count_at = |at: usize, count: u32| {
+        let mut bytes = raw(&ids, &degrees, &nbrs, None);
+        bytes[at..at + 4].copy_from_slice(&count.to_le_bytes());
+        bytes
+    };
+    // Each case, and the rule its decode must name.
+    let broken = [
+        ("not strictly ascending", raw(&[1, 3, 2], &degrees, &nbrs, None)),
+        ("not strictly ascending", raw(&[1, 1, 3], &degrees, &nbrs, None)),
+        ("do not end at the last", raw(&ids, &[2, 0, 2], &nbrs, None)),
+        ("do not end at the last", raw(&ids, &[1, 0, 1], &nbrs, None)),
+        ("degree sum", raw(&ids, &[u32::MAX, 0, 4], &nbrs, None)),
+        ("one row end per", raw(&ids, &[2, 1], &nbrs, None)),
+        ("row not strictly ascending", raw(&ids, &degrees, &[3, 2, 1], None)),
+        ("row not strictly ascending", raw(&ids, &degrees, &[2, 2, 1], None)),
+        ("one label per", raw(&ids, &degrees, &nbrs, Some(&[7, 8]))),
+        ("one label per", raw(&ids, &degrees, &nbrs, Some(&[7, 8, 9, 9]))),
+        ("length past the buffer", count_at(1, 100)),
+        ("length past the buffer", count_at(33, u32::MAX)),
+    ];
+    for (rule, bytes) in broken {
+        match from_bytes::<Subgraph>(&bytes) {
+            Err(CodecError::Invalid(why)) => assert!(why.contains(rule), "{why}, want {rule}"),
+            got => panic!("want Invalid({rule}), got {got:?}"),
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn task_codec_round_trips(
         ctx in any::<u32>(),
-        verts in proptest::collection::vec(
-            (0u32..1000, proptest::collection::vec(0u32..1000, 0..12)), 0..10),
+        verts in rows(),
         pulls in proptest::collection::vec(0u32..1000, 0..8),
+        labeled in any::<bool>(),
     ) {
-        // Deduplicate vertex IDs (Subgraph rejects duplicates).
-        let mut seen = std::collections::HashSet::new();
-        let verts: Vec<_> = verts.into_iter().filter(|(v, _)| seen.insert(*v)).collect();
-        let t = make_task(ctx, &verts, &pulls);
+        let t = make_task(ctx, &verts, &pulls, labeled);
         let back: Task<u32> = from_bytes(&to_bytes(&t)).unwrap();
         prop_assert_eq!(back.context, t.context);
         prop_assert_eq!(back.pending_pulls(), t.pending_pulls());
@@ -44,6 +114,41 @@ proptest! {
         prop_assert_eq!(back.subgraph.vertex_ids(), t.subgraph.vertex_ids());
         for &v in t.subgraph.vertex_ids() {
             prop_assert_eq!(back.subgraph.neighbors(v), t.subgraph.neighbors(v));
+            prop_assert_eq!(back.subgraph.label(v), t.subgraph.label(v));
+        }
+        prop_assert_eq!(back.subgraph, t.subgraph);
+    }
+
+    /// Decoding arbitrary bytes, as a block or as a task, returns and
+    /// never panics.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_block_decoder(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let _ = from_bytes::<Subgraph>(&bytes);
+        let _ = from_bytes::<Task<u32>>(&bytes);
+    }
+
+    /// A block's encoding with one byte overwritten never panics the
+    /// decoder, and what still decodes encodes back to the same bytes.
+    #[test]
+    fn an_overwritten_byte_never_panics_the_block_decoder(
+        verts in rows(), labeled in any::<bool>(), at in any::<u32>(), byte in any::<u8>(),
+    ) {
+        let mut bytes = to_bytes(&make_block(&verts, labeled));
+        let at = at as usize % bytes.len();
+        bytes[at] = byte;
+        if let Ok(back) = from_bytes::<Subgraph>(&bytes) {
+            prop_assert_eq!(to_bytes(&back), bytes);
+        }
+    }
+
+    /// Every strict prefix of a block's encoding is an error.
+    #[test]
+    fn every_strict_prefix_of_a_block_is_an_error(verts in rows(), labeled in any::<bool>()) {
+        let bytes = to_bytes(&make_block(&verts, labeled));
+        for cut in 0..bytes.len() {
+            prop_assert!(from_bytes::<Subgraph>(&bytes[..cut]).is_err(), "cut at {}", cut);
         }
     }
 
@@ -167,7 +272,7 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
         let m = SpillManager::new(&dir).unwrap();
         let batch: Vec<Task<u32>> =
-            (0..size as u32).map(|n| make_task(n, &[(n, vec![n + 1])], &[n + 1])).collect();
+            (0..size as u32).map(|n| make_task(n, &[(n, vec![n + 1])], &[n + 1], false)).collect();
         m.spill(&batch).unwrap();
         let file = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
         let mut bytes = std::fs::read(&file).unwrap();
