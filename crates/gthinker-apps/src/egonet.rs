@@ -227,7 +227,7 @@ mod tests {
     /// One unbudgeted single-machine run against a run that splits every
     /// anchor with two branches or more, on three workers whose queues
     /// hold two tasks before they spill: the split-off nodes go through
-    /// the task codec, the spill files and (stealing is on) the wire.
+    /// the task codec, the spill log and (stealing is on) the wire.
     fn split_run_matches_plain_run<M: EgoMiner>(app: impl Fn() -> EgoNetApp<M>, g: &Graph) -> u64 {
         let plain = run_job(Arc::new(app()), g, &JobConfig::single_machine(2)).unwrap();
         let mut cfg = JobConfig::cluster(3, 2);

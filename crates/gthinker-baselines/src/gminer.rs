@@ -233,37 +233,15 @@ pub fn gminer_triangle_count(graph: &Graph, config: &GMinerConfig) -> RunOutcome
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::TestConfig;
     use gthinker_apps::serial::clique::max_clique_brute;
     use gthinker_graph::gen;
     use gthinker_graph::subgraph::Subgraph;
 
-    /// A config on a queue directory of the test's own, which goes
-    /// when the config is dropped.
-    struct TestConfig(GMinerConfig);
-
-    impl Drop for TestConfig {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0.dir);
-        }
-    }
-
-    impl std::ops::Deref for TestConfig {
-        type Target = GMinerConfig;
-        fn deref(&self) -> &GMinerConfig {
-            &self.0
-        }
-    }
-
-    impl std::ops::DerefMut for TestConfig {
-        fn deref_mut(&mut self) -> &mut GMinerConfig {
-            &mut self.0
-        }
-    }
-
-    fn config(tag: &str, tau: usize) -> TestConfig {
-        TestConfig(GMinerConfig {
+    fn config(tag: &str, tau: usize) -> TestConfig<GMinerConfig> {
+        TestConfig::new("gminer", tag, |dir| GMinerConfig {
             threads: 2,
-            dir: std::env::temp_dir().join(format!("gminer-test-{tag}-{}", std::process::id())),
+            dir,
             tau,
             ..Default::default()
         })

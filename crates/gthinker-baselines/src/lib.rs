@@ -60,3 +60,43 @@ fn offer(best: &Mutex<Clique>, found: Option<Clique>) {
         }
     }
 }
+
+#[cfg(test)]
+pub(crate) mod testing {
+    use std::path::PathBuf;
+
+    /// A baseline's config on a directory of the test's own,
+    /// `<engine>-test-<tag>-<pid>` in the temp dir, which goes when the
+    /// config is dropped.
+    pub(crate) struct TestConfig<C> {
+        config: C,
+        dir: PathBuf,
+    }
+
+    impl<C> TestConfig<C> {
+        pub(crate) fn new(engine: &str, tag: &str, config: impl FnOnce(PathBuf) -> C) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("{engine}-test-{tag}-{}", std::process::id()));
+            TestConfig { config: config(dir.clone()), dir }
+        }
+    }
+
+    impl<C> Drop for TestConfig<C> {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    impl<C> std::ops::Deref for TestConfig<C> {
+        type Target = C;
+        fn deref(&self) -> &C {
+            &self.config
+        }
+    }
+
+    impl<C> std::ops::DerefMut for TestConfig<C> {
+        fn deref_mut(&mut self) -> &mut C {
+            &mut self.config
+        }
+    }
+}

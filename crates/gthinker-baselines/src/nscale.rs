@@ -189,16 +189,13 @@ pub fn nscale_max_clique(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::TestConfig;
     use gthinker_apps::serial::clique::max_clique_brute;
     use gthinker_apps::serial::triangle::count_triangles;
     use gthinker_graph::gen;
 
-    fn config(tag: &str) -> NScaleConfig {
-        NScaleConfig {
-            threads: 2,
-            dir: std::env::temp_dir().join(format!("nscale-test-{tag}-{}", std::process::id())),
-            ..Default::default()
-        }
+    fn config(tag: &str) -> TestConfig<NScaleConfig> {
+        TestConfig::new("nscale", tag, |dir| NScaleConfig { threads: 2, dir, ..Default::default() })
     }
 
     #[test]

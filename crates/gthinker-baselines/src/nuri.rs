@@ -151,17 +151,15 @@ pub fn nuri_max_clique(graph: &Graph, config: &NuriConfig) -> RunOutcome<Clique>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::TestConfig;
     use gthinker_apps::serial::clique::max_clique_brute;
     use gthinker_graph::adj::AdjList;
     use gthinker_graph::gen;
     use gthinker_graph::ids::VertexId;
     use gthinker_graph::subgraph::Subgraph;
 
-    fn config(tag: &str) -> NuriConfig {
-        NuriConfig {
-            dir: std::env::temp_dir().join(format!("nuri-test-{tag}-{}", std::process::id())),
-            ..Default::default()
-        }
+    fn config(tag: &str) -> TestConfig<NuriConfig> {
+        TestConfig::new("nuri", tag, |dir| NuriConfig { dir, ..Default::default() })
     }
 
     fn brute_size(g: &Graph) -> usize {
@@ -212,9 +210,9 @@ mod tests {
 
     #[test]
     fn overflow_takes_the_least_promising_states() {
-        let dir = config("order").dir;
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut states = States::new(4, dir.join("states")).unwrap();
+        let cfg = config("order");
+        std::fs::create_dir_all(&cfg.dir).unwrap();
+        let mut states = States::new(4, cfg.dir.join("states")).unwrap();
         for (i, bound) in [3u32, 9, 1, 7, 5, 8, 2, 6, 4].into_iter().enumerate() {
             let mut t = Task::new(vec![VertexId(i as u32)]);
             for w in 1..bound {

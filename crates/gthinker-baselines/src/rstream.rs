@@ -114,14 +114,12 @@ pub fn rstream_triangle_count(graph: &Graph, config: &RStreamConfig) -> RunOutco
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::TestConfig;
     use gthinker_apps::serial::triangle::count_triangles;
     use gthinker_graph::gen;
 
-    fn config(tag: &str) -> RStreamConfig {
-        RStreamConfig {
-            dir: std::env::temp_dir().join(format!("rstream-test-{tag}-{}", std::process::id())),
-            ..Default::default()
-        }
+    fn config(tag: &str) -> TestConfig<RStreamConfig> {
+        TestConfig::new("rstream", tag, |dir| RStreamConfig { dir, ..Default::default() })
     }
 
     #[test]

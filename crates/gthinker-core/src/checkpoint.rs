@@ -10,10 +10,10 @@
 //! to a local directory when a job **suspends** (after
 //! `JobConfig::suspend_after`); `Job::resume_from` restores the shards and
 //! continues to completion. A shard is the spawn pointer, the batch
-//! count and the aggregator partial; the batches are the worker's spill
-//! files, which [`write_shard`] moves off `L_file` into the epoch (a
-//! rename; a copy only across filesystems) and [`read_shard`] hands
-//! back. No task is decoded, and no spilled byte is written again.
+//! count and the aggregator partial; the batches are the worker's
+//! spilled batches, which [`write_shard`] pops off `L_file` and writes
+//! into the epoch, one file each, and [`read_shard`] hands back. No
+//! task is decoded: a batch's sealed bytes are written as they are.
 //!
 //! Every file is one sealed [`frame`]; the shard and manifest go to a
 //! `*.tmp` sibling, fsynced, then renamed into place. A crash mid-write
@@ -21,21 +21,21 @@
 //! file (an epoch of an older format too) fails its read with a clean
 //! [`io::ErrorKind::InvalidData`] instead of decoding garbage, which is
 //! what lets the recovery runner probe for the last-known-good epoch.
-//! The shard is written last, after every moved batch is opened and
+//! The shard is written last, after every batch is opened, written and
 //! fsynced, so an I/O error or a damaged batch leaves no shard.
 
 use gthinker_task::codec::{from_bytes, to_bytes, Decode, Encode};
 use gthinker_task::frame;
 use gthinker_task::spill::SpillManager;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// One worker's checkpoint shard, encoded as the tuple of its fields.
 pub struct WorkerShard<P> {
     /// Spawn-pointer position in `T_local` load order.
     pub spawn_position: u64,
-    /// Task batches moved next to the shard, `worker-WWWW-KKKKKK.tasks`
+    /// Task batches written next to the shard, `worker-WWWW-KKKKKK.tasks`
     /// for `K` in `0..batches`: every in-memory and spilled task of this
     /// worker at suspension, pulls included — they re-request on resume.
     pub batches: u64,
@@ -79,9 +79,10 @@ fn read_decoded<T: Decode>(path: &Path) -> io::Result<T> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
-/// Writes one worker's checkpoint: moves `spill`'s `L_file` into the
-/// epoch one batch at a time, opening and fsyncing each, then the
-/// shard. The first I/O error or damaged batch stops it before that.
+/// Writes one worker's checkpoint: pops `spill`'s `L_file` into the
+/// epoch one batch at a time, opening each batch's frame before writing
+/// and fsyncing it, then the shard. The first I/O error or damaged
+/// batch stops it before that.
 pub fn write_shard<P: Encode>(
     dir: &Path,
     worker: usize,
@@ -91,19 +92,12 @@ pub fn write_shard<P: Encode>(
 ) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     let mut batches = 0;
-    while let Some(spilled) = spill.pop_file() {
+    while let Some(sealed) = spill.pop_sealed()? {
         let path = batch_path(dir, worker, batches);
-        match fs::rename(&spilled, &path) {
-            // Copy only across filesystems (`--checkpoint-dir` may be a
-            // shared mount).
-            Err(e) if e.kind() == io::ErrorKind::CrossesDevices => {
-                fs::copy(&spilled, &path)?;
-                fs::remove_file(&spilled)?;
-            }
-            moved => moved?,
-        }
-        open_frame(&path, &fs::read(&path)?)?;
-        fs::File::open(&path)?.sync_all()?;
+        open_frame(&path, &sealed)?;
+        let mut file = fs::File::create(&path)?;
+        file.write_all(&sealed)?;
+        file.sync_all()?;
         batches += 1;
     }
     write_atomic(&shard_path(dir, worker), &to_bytes(&(spawn_position, batches, partial)))
@@ -124,7 +118,7 @@ pub fn read_shard<P: Decode>(
         let sealed = fs::read(&path)?;
         open_frame(&path, &sealed)?;
         if let Some(spill) = spill {
-            spill.push_file_bytes(sealed)?;
+            spill.push_sealed(&sealed)?;
         }
     }
     Ok(WorkerShard { spawn_position, batches, partial })
@@ -175,10 +169,26 @@ mod tests {
     use proptest::prelude::*;
     use std::os::unix::fs::MetadataExt;
 
-    fn tempdir(tag: &str) -> PathBuf {
+    /// A test's own directory, removed on drop.
+    struct TempDir(PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    fn tempdir(tag: &str) -> TempDir {
         let d = std::env::temp_dir().join(format!("gthinker-ckpt-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
-        d
+        TempDir(d)
     }
 
     /// A spill manager under `dir` holding `batches` batches of two
@@ -231,20 +241,21 @@ mod tests {
     }
 
     #[test]
-    fn a_checkpoint_moves_the_spill_files() {
-        let dir = tempdir("move");
-        let inodes = |sub: &str| {
-            let mut files: Vec<_> =
-                fs::read_dir(dir.join(sub)).unwrap().map(|e| e.unwrap()).collect();
-            files.sort_by_key(|f| f.file_name());
-            files.iter().map(|f| f.metadata().unwrap().ino()).collect::<Vec<_>>()
-        };
-        let spill = spilled(&dir.join("spill"), 3);
-        let spilled_inodes = inodes("spill");
-        write_shard(&dir.join("epoch"), 0, &spill, 17, 123u64).unwrap();
-        // The batches sort before the shard, in `L_file` order.
-        assert_eq!(inodes("epoch")[..3], spilled_inodes, "each batch is its spill file");
-        assert_eq!((spilled_inodes.len(), inodes("spill").len()), (3, 0));
+    fn a_checkpoint_writes_l_files_sealed_batches_in_order() {
+        let dir = tempdir("batches");
+        let (spill_dir, epoch) = (dir.join("spill"), dir.join("epoch"));
+        let spill = spilled(&spill_dir, 3);
+        // The three sealed batches, back to back in one segment.
+        let segments: Vec<_> =
+            fs::read_dir(&spill_dir).unwrap().map(|e| e.unwrap().path()).collect();
+        let logged = fs::read(&segments[0]).unwrap();
+        write_shard(&epoch, 0, &spill, 17, 123u64).unwrap();
+        let written: Vec<Vec<u8>> =
+            (0..4).map_while(|k| fs::read(batch_path(&epoch, 0, k)).ok()).collect();
+        assert_eq!((segments.len(), written.len()), (1, 3));
+        assert_eq!(written.concat(), logged, "the epoch's batches are L_file's bytes, in order");
+        assert_eq!(fs::read_dir(&spill_dir).unwrap().count(), 0, "the spill directory ends empty");
+        assert_resumes(&epoch, 0, 3);
     }
 
     #[test]
@@ -254,7 +265,8 @@ mod tests {
         if dev(shm.parent().unwrap()).is_none_or(|d| Some(d) == dev(&std::env::temp_dir())) {
             return eprintln!("skipped: /dev/shm is missing or on the temp dir's device");
         }
-        let (epoch, spill) = (tempdir("xdev").join("epoch"), spilled(&shm, 3));
+        let dir = tempdir("xdev");
+        let (epoch, spill) = (dir.join("epoch"), spilled(&shm, 3));
         write_shard(&epoch, 0, &spill, 17, 123u64).unwrap();
         write_manifest(&epoch, 1, 7u64).unwrap();
         assert_eq!(fs::read_dir(&shm).unwrap().count(), 0);
@@ -370,7 +382,6 @@ mod tests {
             assert!(err.to_string().contains("peer speaks v5"), "{err}");
             fs::write(&path, good).unwrap();
         }
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   releasing cache locks) even when `pop()` is blocked.
 //! * **pop()** — only if the cache is not over its overflow limit and
 //!   `|T_task| + |B_task| ≤ D`: refill `Q_task` if it dropped to `≤ C`
-//!   (spilled files first, then stealing from the largest sibling
+//!   (spilled batches first, then stealing from the largest sibling
 //!   queue, then fresh spawns), pop a task and process it. Tasks whose
 //!   pulled vertices are all locally available compute immediately;
 //!   otherwise they park in `T_task`. A comper that finds the cache
@@ -121,7 +121,7 @@ pub(crate) fn comper_loop<A: App>(shared: Arc<WorkerShared<A>>, idx: usize) {
             && me().pending.len() + me().buffer.len() <= shared.config.pending_limit();
         if gate_open {
             if me().queue.needs_refill() {
-                // Consuming a source (a spill file, a sibling's tasks,
+                // Consuming a source (a spilled batch, a sibling's tasks,
                 // or a claim on unspawned vertices) is progress even
                 // when it yields no runnable task — apps may spawn
                 // nothing for pruned vertices, and parking on such a
@@ -495,9 +495,9 @@ fn enqueue<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx, task: Tas
             shared.task_mem.fetch_sub(task_cost(t), Ordering::Relaxed);
         }
         // Notify only on the pool's empty → non-empty edge: compers
-        // never park while a spill file exists (`may_have_work` checks
+        // never park while a spilled batch exists (`may_have_work` checks
         // `spill.is_empty()`), so parked siblings only need the edge,
-        // and awake ones find further files through `refill`. Spilling
+        // and awake ones find further batches through `refill`. Spilling
         // on every push — the tiny-`C` regime — would otherwise wake
         // the whole worker each time. The unsynchronized read can
         // over-notify under a concurrent refill, which is harmless.
@@ -532,7 +532,7 @@ fn enqueue<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx, task: Tas
 }
 
 /// Refills `Q_task` (§V-B priority, extended by the tail-latency
-/// scheduler): (1) a spilled batch file if one exists, else (2) — only
+/// scheduler): (1) a spilled batch if one exists, else (2) — only
 /// when this comper's own queue is empty — steal the newest half of
 /// the largest sibling queue, else (3) spawn fresh tasks from unspawned
 /// vertices in `T_local`. A comper that still holds tasks pops its own:
@@ -540,10 +540,10 @@ fn enqueue<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx, task: Tas
 /// queues back and forth, moving ~18 tasks per task run on a one-worker
 /// `mc` job. (Ready tasks — the paper's source 2 — are consumed
 /// directly from `B_task` by the push() phase each round, which keeps
-/// the lock discipline simple: tasks inside `Q_task` or spill files
-/// never hold cache locks.)
+/// the lock discipline simple: tasks inside `Q_task` or spilled
+/// batches never hold cache locks.)
 ///
-/// Returns `true` when a source was consumed — a file loaded, tasks
+/// Returns `true` when a source was consumed — a batch loaded, tasks
 /// stolen, or spawn vertices claimed — even if no task reached the
 /// queue (a claimed vertex may legitimately spawn nothing).
 fn refill<A: App>(shared: &Arc<WorkerShared<A>>, ctx: &mut ComperCtx) -> bool {

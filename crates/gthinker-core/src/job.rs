@@ -954,7 +954,7 @@ fn write_checkpoint<A: App>(shared: &WorkerShared<A>, dir: &Path) -> io::Result<
     // batches, so this ledger is empty on the normal path — draining it
     // is the ownership invariant's backstop), each a sealed spill batch.
     for (_, o) in shared.steal_outgoing.lock().drain() {
-        shared.spill.push_file_bytes(o.framed)?;
+        shared.spill.push_sealed(&o.framed)?;
     }
     checkpoint::write_shard(
         dir,

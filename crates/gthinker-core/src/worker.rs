@@ -236,7 +236,7 @@ pub(crate) struct WorkerShared<A: App> {
     /// Peak of the per-tick memory estimate.
     pub peak_mem: AtomicU64,
     /// Wakes compers parked for lack of work. Notified by the main
-    /// thread (`B_task` push, new spill file), by sibling compers
+    /// thread (`B_task` push, new spilled batch), by sibling compers
     /// (enqueue crossing the stealable threshold, overflow spill, a GC
     /// pass that evicted and so may have reopened the pop gate) and on
     /// stop/suspend.
@@ -382,7 +382,7 @@ impl<A: App> WorkerShared<A> {
     /// Estimated remaining load in tasks: spilled batches plus
     /// unspawned vertices plus queued/buffered/pending tasks.
     pub fn remaining_estimate(&self) -> u64 {
-        let spilled = self.spill.num_files() as u64 * self.config.task_batch as u64;
+        let spilled = self.spill.num_batches() as u64 * self.config.task_batch as u64;
         let unspawned = self.local.unspawned() as u64;
         let queued: u64 = self
             .compers
@@ -432,7 +432,7 @@ impl<A: App> WorkerShared<A> {
     ///   the thief's ack always count as outstanding work somewhere:
     ///   the victim stays non-quiescent until the ack, and by then the
     ///   thief has durably spilled the batch (it acks only after
-    ///   `push_file_bytes`), making its own `spill.is_empty()` false.
+    ///   `push_sealed`), making its own `spill.is_empty()` false.
     ///   Ownership overlaps; it never gaps.
     pub fn quiescent(&self) -> bool {
         self.outstanding_pulls.load(Ordering::Acquire) == 0
@@ -709,7 +709,7 @@ fn handle_message<A: App>(
                 // (overlap, never a gap). A bad frame or a failed append
                 // fails the job unacked.
                 let opened = frame::open(&bytes).map(drop).map_err(std::io::Error::from);
-                if let Err(e) = opened.and_then(|()| shared.spill.push_file_bytes(bytes)) {
+                if let Err(e) = opened.and_then(|()| shared.spill.push_sealed(&bytes)) {
                     shared.fail(Box::new(format!("cannot take a stolen task batch: {e}")));
                     return true;
                 }
@@ -718,7 +718,7 @@ fn handle_message<A: App>(
                 // thread, so its ack cannot miss the bump.
                 shared.activity.fetch_add(1, Ordering::SeqCst);
                 shared.trace_main(EventKind::StealRecv, steal_flow_key(victim, seq));
-                // A new spill file is a refill source every comper
+                // A new spilled batch is a refill source every comper
                 // checks (wake batched with the rest of this drain).
                 *wake_compers = true;
                 shared.net.send(WorkerId(0), Message::StealDone);
@@ -835,7 +835,7 @@ fn steal_flow_key(victim: WorkerId, seq: u64) -> u64 {
 /// `max_tasks` tasks into one `StealBatch` addressed to `thief`,
 /// retaining the framed bytes in the outgoing ledger until the thief
 /// acknowledges (see [`OutgoingSteal`]). Sources in priority order:
-/// an already-spilled batch file (zero serialization), then the newest
+/// an already-spilled batch (zero serialization), then the newest
 /// half of the largest live comper `Q_task` (the straggler drain the
 /// cluster stealing exists for), then fresh tasks spawned from
 /// unspawned local vertices (the paper: stolen tasks "could be spawned
@@ -876,14 +876,14 @@ fn execute_steal_request<A: App>(
     false
 }
 
-/// Picks one steal batch, sealed like a spill file, plus the task
+/// Picks one steal batch, sealed like a spilled batch, plus the task
 /// count inside. `None` when the victim has nothing transferable.
 fn steal_payload<A: App>(
     shared: &Arc<WorkerShared<A>>,
     max_tasks: usize,
 ) -> Option<(Vec<u8>, u64)> {
     // (1) An already-spilled batch ships as-is: it is sealed already.
-    let spilled = shared.spill.pop_file_bytes().unwrap_or_else(|e| {
+    let spilled = shared.spill.pop_sealed().unwrap_or_else(|e| {
         shared.fail(Box::new(format!("cannot read a spilled task batch for a thief: {e}")));
         None
     });

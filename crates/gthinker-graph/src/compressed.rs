@@ -638,11 +638,10 @@ impl CompressedGraph {
 mod tests {
     use super::*;
     use crate::gen;
+    use crate::testing::TempPath;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("gthinker-gtc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    fn tmp(name: &str) -> TempPath {
+        TempPath::new("gtc", name)
     }
 
     fn assert_same(g: &Graph, c: &CompressedGraph) {

@@ -52,3 +52,44 @@ pub use partition::HashPartitioner;
 pub use store::AdjacencyStore;
 pub use subgraph::Subgraph;
 pub use trim::Trimmer;
+
+#[cfg(test)]
+pub(crate) mod testing {
+    use std::path::{Path, PathBuf};
+
+    /// A file path `name` in a directory of its own,
+    /// `gthinker-<tag>-<pid>-<name>` in the temp dir, which goes when
+    /// this is dropped.
+    pub(crate) struct TempPath {
+        dir: PathBuf,
+        path: PathBuf,
+    }
+
+    impl TempPath {
+        pub(crate) fn new(tag: &str, name: &str) -> TempPath {
+            let dir =
+                std::env::temp_dir().join(format!("gthinker-{tag}-{}-{name}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            TempPath { path: dir.join(name), dir }
+        }
+    }
+
+    impl Drop for TempPath {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    impl std::ops::Deref for TempPath {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.path
+        }
+    }
+
+    impl AsRef<Path> for TempPath {
+        fn as_ref(&self) -> &Path {
+            &self.path
+        }
+    }
+}

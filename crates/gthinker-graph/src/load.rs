@@ -644,6 +644,7 @@ pub fn for_each_edge_file(
 mod tests {
     use super::*;
     use crate::gen;
+    use crate::testing::TempPath;
 
     #[test]
     fn edge_list_round_trip() {
@@ -698,9 +699,7 @@ mod tests {
 
     #[test]
     fn parse_errors_name_the_file() {
-        let dir = std::env::temp_dir().join(format!("gthinker-load-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("broken.el");
+        let path = TempPath::new("load", "broken.el");
         std::fs::write(&path, "0 1\n7 banana\n").unwrap();
         let err = load_edge_list_file(&path).unwrap_err();
         let msg = err.to_string();
@@ -782,9 +781,7 @@ mod tests {
 
     #[test]
     fn binary_edge_stream_round_trips() {
-        let dir = std::env::temp_dir().join(format!("gthinker-bel-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("edges.bel");
+        let path = TempPath::new("bel", "edges.bel");
         let mut w = EdgeFileWriter::create(&path).unwrap();
         let written = vec![(0u32, 1u32), (5, 2), (3, 3), (2, 9)]; // (3,3) is a self-loop
         for &(u, v) in &written {

@@ -128,12 +128,11 @@ impl Backing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::TempPath;
     use std::io::Write;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("gthinker-mmap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    fn tmp(name: &str) -> TempPath {
+        TempPath::new("mmap", name)
     }
 
     #[test]

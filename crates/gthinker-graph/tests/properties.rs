@@ -16,6 +16,23 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+/// A scratch directory of one test case's own, removed on drop.
+struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> ScratchDir {
+        let dir = std::env::temp_dir().join(format!("gthinker-prop-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        ScratchDir(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 fn ids(v: Vec<u32>) -> Vec<VertexId> {
     v.into_iter().map(VertexId).collect()
 }
@@ -314,9 +331,8 @@ proptest! {
         let pairs: Vec<(VertexId, VertexId)> =
             edges.iter().map(|&(u, v)| (VertexId(u), VertexId(v))).collect();
         let g = Graph::from_edges(60, &pairs);
-        let dir = std::env::temp_dir().join(format!("gthinker-prop-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("above.gtc");
+        let dir = ScratchDir::new("above");
+        let path = dir.0.join("above.gtc");
         write_compressed(&g, &path).unwrap();
         let c = CompressedGraph::open(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
@@ -338,9 +354,8 @@ proptest! {
         let pairs: Vec<(VertexId, VertexId)> =
             edges.iter().map(|&(u, v)| (VertexId(u), VertexId(v))).collect();
         let g = Graph::from_edges(60 + extra_vertices, &pairs);
-        let dir = std::env::temp_dir().join(format!("gthinker-prop-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("prop.gtc");
+        let dir = ScratchDir::new("roundtrip");
+        let path = dir.0.join("prop.gtc");
         write_compressed(&g, &path).unwrap();
         let c = CompressedGraph::open(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
@@ -360,9 +375,8 @@ proptest! {
         let pairs: Vec<(VertexId, VertexId)> =
             edges.iter().map(|&(u, v)| (VertexId(u), VertexId(v))).collect();
         let g = Graph::from_edges(30, &pairs);
-        let dir = std::env::temp_dir().join(format!("gthinker-prop-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("corrupt-{flip_byte}.gtc"));
+        let dir = ScratchDir::new("corrupt");
+        let path = dir.0.join(format!("corrupt-{flip_byte}.gtc"));
         write_compressed(&g, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).unwrap();

@@ -40,7 +40,7 @@ pub enum Message {
         req_nanos: u64,
     },
     /// A batch of serialized tasks moved by the work stealer (a sealed
-    /// frame around raw spill-file bytes; the thief validates the frame
+    /// frame around a spilled batch's bytes; the thief validates the frame
     /// and appends the payload to its `L_file`). Travels on the data
     /// plane: the fault model may drop, duplicate or reorder it, so the
     /// `(victim, seq)` pair makes delivery idempotent — the victim
@@ -51,7 +51,7 @@ pub enum Message {
         victim: WorkerId,
         /// Victim-local monotone sequence number of this batch.
         seq: u64,
-        /// A sealed task batch: the bytes of one spill file.
+        /// A sealed task batch: the bytes of one spilled batch.
         bytes: Vec<u8>,
     },
     /// A worker's progress report to the master.

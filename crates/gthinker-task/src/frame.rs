@@ -1,5 +1,5 @@
 //! Versioned, checksummed frames: the one sealed form of socket
-//! traffic, task batches (a spill file, a steal batch and a checkpoint
+//! traffic, task batches (a spilled batch, a steal batch and a checkpoint
 //! batch are the same bytes), checkpoint files and metrics reports.
 //!
 //! Layout (all little-endian):

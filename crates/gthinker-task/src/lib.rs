@@ -4,15 +4,15 @@
 //! Each comper thread owns three task containers:
 //!
 //! * [`TaskQueue`] (`Q_task`) — a bounded deque (capacity `3C`) the
-//!   comper pops work from; overflow spills the newest `C` tasks to a
-//!   batch file.
+//!   comper pops work from; overflow spills the newest `C` tasks as
+//!   one batch.
 //! * [`PendingTable`] (`T_task`) — tasks suspended while waiting for
 //!   pulled vertices, keyed by 64-bit task IDs.
 //! * [`TaskBuffer`] (`B_task`) — a concurrent queue the response
 //!   receiver moves newly-ready tasks into.
 //!
-//! The worker-wide [`SpillManager`] tracks spilled batch files
-//! (`L_file`) shared by all compers and by the work stealer. Everything
+//! The worker-wide [`SpillManager`] keeps the spilled batches
+//! (`L_file`, records in a log of segment files) shared by all compers and by the work stealer. Everything
 //! that crosses a thread, disk or (simulated) machine boundary uses the
 //! hand-rolled binary [`codec`].
 //!

@@ -7,9 +7,11 @@ use gthinker_graph::subgraph::Subgraph;
 use gthinker_task::codec::{from_bytes, to_bytes, CodecError, Encode};
 use gthinker_task::pending::PendingTable;
 use gthinker_task::queue::TaskQueue;
-use gthinker_task::spill::SpillManager;
+use gthinker_task::spill::{seal_batch, SpillManager, SEGMENT_BYTES};
 use gthinker_task::task::Task;
 use proptest::prelude::*;
+use std::collections::VecDeque;
+use std::path::PathBuf;
 
 /// The block of `verts`' rows, given in any order, with a label per
 /// row when `labeled`.
@@ -20,6 +22,36 @@ fn make_block(verts: &[(u32, Vec<u32>)], labeled: bool) -> Subgraph {
         .collect();
     let label = |v: VertexId| labeled.then_some(Label((v.0 % 5) as u16));
     Subgraph::from_rows(rows.iter().map(|(v, adj)| (*v, adj.as_slice(), label(*v))))
+}
+
+/// A spill directory of one test case's own, removed on drop.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> ScratchDir {
+        let dir = std::env::temp_dir().join(format!(
+            "gthinker-prop-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        ScratchDir(dir)
+    }
+
+    /// The summed sizes of the directory's files, and their count.
+    fn usage(&self) -> (u64, usize) {
+        let files: Vec<u64> = std::fs::read_dir(&self.0)
+            .unwrap()
+            .map(|e| e.unwrap().metadata().unwrap().len())
+            .collect();
+        (files.iter().sum(), files.len())
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Builds an arbitrary task from proptest inputs.
@@ -192,13 +224,8 @@ proptest! {
     fn spill_manager_round_trips_batches(
         sizes in proptest::collection::vec(1usize..20, 1..8),
     ) {
-        let dir = std::env::temp_dir().join(format!(
-            "gthinker-prop-spill-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let m = SpillManager::new(&dir).unwrap();
+        let dir = ScratchDir::new("spill");
+        let m = SpillManager::new(&dir.0).unwrap();
         let mut next = 0u32;
         let mut expect: Vec<Vec<u32>> = Vec::new();
         for size in &sizes {
@@ -211,13 +238,12 @@ proptest! {
             expect.push(batch.iter().map(|t| t.context).collect());
             m.spill(&batch).unwrap();
         }
-        prop_assert_eq!(m.num_files(), sizes.len());
+        prop_assert_eq!(m.num_batches(), sizes.len());
         for want in expect {
             let got: Vec<Task<u32>> = m.refill().unwrap().unwrap();
             prop_assert_eq!(got.into_iter().map(|t| t.context).collect::<Vec<_>>(), want);
         }
         prop_assert!(m.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A pending task becomes ready after exactly `req - met`
@@ -260,21 +286,20 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// A spill file is one sealed frame: one flipped bit anywhere in
-    /// it, or a cut anywhere, makes `refill` refuse it with
+    /// A spilled batch is one sealed frame: one flipped bit anywhere in
+    /// its segment, or a cut anywhere, makes `refill` refuse it with
     /// `InvalidData`, never a panic and never tasks. So does an
     /// unsealed batch, the spill format before batches were framed.
     #[test]
     fn a_damaged_spill_file_is_refused(
         size in 1usize..6, pos in any::<u32>(), bit in 0u8..8, cut in any::<bool>(),
     ) {
-        let dir = std::env::temp_dir().join(format!("gthinker-prop-damage-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let m = SpillManager::new(&dir).unwrap();
+        let dir = ScratchDir::new("damage");
+        let m = SpillManager::new(&dir.0).unwrap();
         let batch: Vec<Task<u32>> =
             (0..size as u32).map(|n| make_task(n, &[(n, vec![n + 1])], &[n + 1], false)).collect();
         m.spill(&batch).unwrap();
-        let file = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
+        let file = std::fs::read_dir(&dir.0).unwrap().next().unwrap().unwrap().path();
         let mut bytes = std::fs::read(&file).unwrap();
         let at = pos as usize % bytes.len();
         if cut {
@@ -283,11 +308,65 @@ proptest! {
             bytes[at] ^= 1 << bit;
         }
         std::fs::write(&file, bytes).unwrap();
-        m.push_file_bytes(to_bytes(&batch)).unwrap();
+        m.push_sealed(&to_bytes(&batch)).unwrap();
         for what in ["damaged", "unsealed"] {
             let err = m.refill::<u32>().err().unwrap_or_else(|| panic!("a {what} batch refills"));
             prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{}: {}", what, err);
         }
         prop_assert!(m.is_empty());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random interleavings of the four ways a batch enters or leaves
+    /// `L_file`: a spill, a refill, a stolen batch taken in
+    /// (`push_sealed`) and a batch shipped to a thief (`pop_sealed`).
+    /// Batches come back FIFO, byte-identical; after every step the
+    /// spill directory's files hold at most the live bytes plus two
+    /// segments, and no file at all while `L_file` is empty.
+    #[test]
+    fn the_spill_log_is_fifo_and_bounded_on_disk(
+        steps in proptest::collection::vec((0u8..4, 1usize..4, 0usize..40_000), 1..40),
+    ) {
+        let dir = ScratchDir::new("log");
+        let m = SpillManager::new(&dir.0).unwrap();
+        let mut live: VecDeque<Vec<u8>> = VecDeque::new();
+        let mut next = 0u32;
+        for (step, tasks, words) in steps {
+            // `tasks` tasks of `words` context words each: batches from
+            // a few bytes to about 0.45 segments.
+            let batch: Vec<Task<Vec<u32>>> = (0..tasks)
+                .map(|_| {
+                    next += 1;
+                    Task::new(vec![next; words])
+                })
+                .collect();
+            match step {
+                0 => {
+                    m.spill(&batch).unwrap();
+                    live.push_back(seal_batch(&batch));
+                }
+                1 => {
+                    let got = m.refill::<Vec<u32>>().unwrap().map(|b| seal_batch(&b));
+                    prop_assert_eq!(got, live.pop_front());
+                }
+                2 => {
+                    let stolen = seal_batch(&batch);
+                    m.push_sealed(&stolen).unwrap();
+                    live.push_back(stolen);
+                }
+                _ => prop_assert_eq!(m.pop_sealed().unwrap(), live.pop_front()),
+            }
+            let live_bytes: u64 = live.iter().map(|b| b.len() as u64).sum();
+            let (on_disk, files) = dir.usage();
+            prop_assert_eq!(m.num_batches(), live.len());
+            prop_assert!(
+                on_disk <= live_bytes + 2 * SEGMENT_BYTES,
+                "{} B on disk for {} live B", on_disk, live_bytes
+            );
+            prop_assert!(!live.is_empty() || files == 0, "{} files with L_file empty", files);
+        }
     }
 }
